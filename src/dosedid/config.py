@@ -21,9 +21,6 @@ from .simulation import InferenceConfig, ScenarioConfig
 
 __all__ = ["load_config", "apply_overrides", "parse_schema", "parse_specs", "parse_scenario", "parse_inference"]
 
-_METHOD_NAMES = ("MR", "MR_PARAMETRIC", "OR", "IPW", "NAIVE", "TWFE")
-
-
 def load_config(path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -122,9 +119,6 @@ def parse_scenario(config: dict, problems: list) -> ScenarioConfig | None:
         return None
     inference = parse_inference(config.get("inference"), problems)
     methods = config.get("methods", ["MR"])
-    bad = [m for m in methods if m not in _METHOD_NAMES]
-    if bad:
-        problems.append(f"methods: unknown method names {bad}")
     try:
         return ScenarioConfig(
             n=int(block["n"]),

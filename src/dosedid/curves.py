@@ -38,14 +38,19 @@ from .numeric import (
     local_linear_fit,
     select_bandwidth,
 )
-from .nuisance import NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
-from .pseudo import build_pseudo_outcomes, compute_theta0, normalize_weights
+from .nuisance import VALID_WHICH, NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
+from .pseudo import compute_theta0, compute_xi, count_clamped, normalize_weights
 
 __all__ = [
     "METHODS",
+    "DOSE_NEEDS",
+    "CONTROL_NEEDS",
     "EffectCurveEstimate",
     "EstimatorConfig",
     "estimate_curve",
+    "dose_side",
+    "control_side",
+    "assemble_curve",
     "local_linear_curve",
     "parametric_theta",
     "robust_select_bandwidth",
@@ -54,13 +59,28 @@ __all__ = [
 
 METHODS = ("MR", "MR_PARAMETRIC", "OR", "IPW", "NAIVE", "TWFE")
 
-_NEEDS = {
-    "MR": ("pi_a", "pi_d", "mu1", "mu0"),
-    "MR_PARAMETRIC": ("pi_a", "pi_d", "mu1", "mu0"),
-    "OR": ("mu1", "mu0"),
-    "IPW": ("pi_a", "pi_d"),
+# Every method but TWFE splits as psi(delta) = theta(delta) - theta0: a
+# dose-side curve over the treated and a control-side constant. Each side
+# reads only the nuisance models listed for it here.
+DOSE_NEEDS = {
+    "MR": ("pi_d", "mu1"),
+    "MR_PARAMETRIC": ("pi_d", "mu1"),
+    "OR": ("mu1",),
+    "IPW": ("pi_d",),
     "NAIVE": (),
     "TWFE": (),
+}
+CONTROL_NEEDS = {
+    "MR": ("pi_a", "mu0"),
+    "MR_PARAMETRIC": ("pi_a", "mu0"),
+    "OR": ("mu0",),
+    "IPW": ("pi_a",),
+    "NAIVE": (),
+    "TWFE": (),
+}
+_NEEDS = {
+    method: tuple(name for name in VALID_WHICH if name in DOSE_NEEDS[method] + CONTROL_NEEDS[method])
+    for method in METHODS
 }
 
 
@@ -195,6 +215,94 @@ def _smoothed_theta(data, ys, grid, bandwidth, bandwidth_grid, wt, diagnostics):
     return theta, float(bandwidth)
 
 
+def dose_side(
+    data: TwoPeriodDataset,
+    method: str,
+    models: NuisanceModelSet | None,
+    grid: np.ndarray,
+    bandwidth: float | None = None,
+    bandwidth_grid: np.ndarray | None = None,
+    parametric_basis: tuple[int, ...] = (1, 3),
+    sample_weight: np.ndarray | None = None,
+    on_out_of_range: str = "error",
+) -> tuple[np.ndarray, float | None, dict]:
+    """The dose-side curve theta on ``grid``: ``(theta, bandwidth, diagnostics)``.
+
+    Reads only the models in ``DOSE_NEEDS[method]``. For TWFE, whose curve
+    does not split, theta is the whole curve.
+    """
+    wt = None if sample_weight is None else data.split(np.asarray(sample_weight, dtype=float))[0]
+    trend_t, _ = data.split(data.trend)
+    diagnostics: dict = {"clamped": 0, "bandwidth_selected": False}
+    if method in ("MR", "MR_PARAMETRIC"):
+        xi, _ = compute_xi(data, models, sample_weight, on_out_of_range)
+        diagnostics["clamped"] = count_clamped(data, models)
+        if method == "MR":
+            theta, bandwidth = _smoothed_theta(data, xi, grid, bandwidth, bandwidth_grid, wt, diagnostics)
+        else:
+            theta = parametric_theta(data.dose, xi, grid, parametric_basis, wt)
+            diagnostics["parametric_basis"] = tuple(parametric_basis)
+    elif method == "OR":
+        theta = models.mu1.dose_profile(grid, data.x_treated, wt)
+    elif method == "IPW":
+        raw_w1 = models.f_marginal(data.dose) / models.pi_d(data.dose, data.x_treated)
+        target = normalize_weights(raw_w1, wt) * trend_t
+        theta, bandwidth = _smoothed_theta(data, target, grid, bandwidth, bandwidth_grid, wt, diagnostics)
+    elif method == "NAIVE":
+        theta, bandwidth = _smoothed_theta(data, trend_t, grid, bandwidth, bandwidth_grid, wt, diagnostics)
+    else:  # TWFE
+        theta, diagnostics["twfe_coefficients"] = _twfe_curve(data, grid, sample_weight)
+    return theta, bandwidth, diagnostics
+
+
+def control_side(
+    data: TwoPeriodDataset,
+    method: str,
+    models: NuisanceModelSet | None,
+    sample_weight: np.ndarray | None = None,
+) -> tuple[float, dict]:
+    """The control-side constant theta0: ``(theta0, diagnostics)``.
+
+    Reads only the models in ``CONTROL_NEEDS[method]``; TWFE reports 0.
+    """
+    w_all = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
+    wt, wc = (None, None) if w_all is None else data.split(w_all)
+    diagnostics: dict = {}
+    if method in ("MR", "MR_PARAMETRIC"):
+        theta00, theta01, _ = compute_theta0(data, models, w_all)
+        theta0 = theta00 + theta01
+    elif method == "OR":
+        mu0_t = models.mu0(data.x_treated)
+        wt_ones = np.ones(data.n_treated) if wt is None else wt
+        theta0 = float(np.sum(wt_ones * mu0_t) / np.sum(wt_ones))
+    elif method == "IPW":
+        theta0, _, _ = compute_theta0(data, models, w_all, mu0_override=np.zeros(data.n))
+    elif method == "NAIVE":
+        _, trend_c = data.split(data.trend)
+        wc_ones = np.ones(data.n_control) if wc is None else wc
+        theta0 = float(np.sum(wc_ones * trend_c) / np.sum(wc_ones))
+    else:  # TWFE
+        theta0 = 0.0
+    if "pi_a" in CONTROL_NEEDS[method]:
+        diagnostics["pi_a_converged"] = bool(models.pi_a.fit.converged)
+    return float(theta0), diagnostics
+
+
+def assemble_curve(method: str, grid: np.ndarray, dose: tuple, control: tuple) -> EffectCurveEstimate:
+    """psi = theta - theta0 from the results of ``dose_side`` and ``control_side``."""
+    theta, bandwidth, dose_diagnostics = dose
+    theta0, control_diagnostics = control
+    return EffectCurveEstimate(
+        method=method,
+        grid=grid,
+        psi=theta - theta0,
+        theta_curve=theta,
+        theta0=theta0,
+        bandwidth=bandwidth,
+        diagnostics={**dose_diagnostics, **control_diagnostics},
+    )
+
+
 def estimate_curve(
     data: TwoPeriodDataset,
     method: str,
@@ -237,71 +345,13 @@ def estimate_curve(
     if grid is None:
         grid = default_dose_grid(data.dose)
     grid = np.asarray(grid, dtype=float)
-
     w_all = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    wt, wc = (None, None) if w_all is None else data.split(w_all)
-    trend_t, trend_c = data.split(data.trend)
-    diagnostics: dict = {"clamped": 0, "bandwidth_selected": False}
-
-    if method in ("MR", "MR_PARAMETRIC"):
-        if models is None:
-            models = fit_nuisances(data, specs, _NEEDS[method], dose_grid=grid, sample_weight=w_all)
-        pseudo = build_pseudo_outcomes(data, models, w_all, on_out_of_range)
-        diagnostics["clamped"] = pseudo.clamped
-        diagnostics["pi_a_converged"] = bool(models.pi_a.fit.converged)
-        if method == "MR":
-            theta, bandwidth = _smoothed_theta(
-                data, pseudo.xi, grid, bandwidth, bandwidth_grid, wt, diagnostics
-            )
-        else:
-            theta = parametric_theta(data.dose, pseudo.xi, grid, parametric_basis, wt)
-            diagnostics["parametric_basis"] = tuple(parametric_basis)
-        theta0 = pseudo.theta0
-        psi = theta - theta0
-
-    elif method == "OR":
-        if models is None:
-            models = fit_nuisances(data, specs, ("mu1", "mu0"), dose_grid=grid, sample_weight=w_all)
-        theta = models.mu1.dose_profile(grid, data.x_treated, wt)
-        mu0_t = models.mu0(data.x_treated)
-        wt_ones = np.ones(data.n_treated) if wt is None else wt
-        theta0 = float(np.sum(wt_ones * mu0_t) / np.sum(wt_ones))
-        psi = theta - theta0
-
-    elif method == "IPW":
-        if models is None:
-            models = fit_nuisances(data, specs, ("pi_a", "pi_d"), dose_grid=grid, sample_weight=w_all)
-        f_at_d = models.f_marginal(data.dose)
-        raw_w1 = f_at_d / models.pi_d(data.dose, data.x_treated)
-        w1 = normalize_weights(raw_w1, wt)
-        target = w1 * trend_t
-        theta, bandwidth = _smoothed_theta(data, target, grid, bandwidth, bandwidth_grid, wt, diagnostics)
-        theta00, _, _ = compute_theta0(data, models, w_all, mu0_override=np.zeros(data.n))
-        theta0 = theta00
-        psi = theta - theta0
-        diagnostics["pi_a_converged"] = bool(models.pi_a.fit.converged)
-
-    elif method == "NAIVE":
-        theta, bandwidth = _smoothed_theta(data, trend_t, grid, bandwidth, bandwidth_grid, wt, diagnostics)
-        wc_ones = np.ones(data.n_control) if wc is None else wc
-        theta0 = float(np.sum(wc_ones * trend_c) / np.sum(wc_ones))
-        psi = theta - theta0
-
-    else:  # TWFE
-        psi, coef = _twfe_curve(data, grid, w_all)
-        theta = psi
-        theta0 = 0.0
-        diagnostics["twfe_coefficients"] = coef
-
-    return EffectCurveEstimate(
-        method=method,
-        grid=grid,
-        psi=psi,
-        theta_curve=theta,
-        theta0=float(theta0),
-        bandwidth=bandwidth,
-        diagnostics=diagnostics,
+    if needed and models is None:
+        models = fit_nuisances(data, specs, needed, dose_grid=grid, sample_weight=w_all)
+    dose = dose_side(
+        data, method, models, grid, bandwidth, bandwidth_grid, parametric_basis, w_all, on_out_of_range
     )
+    return assemble_curve(method, grid, dose, control_side(data, method, models, w_all))
 
 
 def _twfe_curve(data: TwoPeriodDataset, grid: np.ndarray, sample_weight):

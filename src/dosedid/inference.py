@@ -8,7 +8,8 @@ Two routes:
   integrating the kernel against the covariate-level deviations
   mu1(d, X_i) - m(d) - and the two mean-type equations for theta00/theta01.
   Augmented mode appends the nuisance-model score equations and
-  differentiates through the whole pipeline numerically. Stacked mode
+  differentiates through the whole pipeline numerically. Both modes solve
+  every grid point over one per-curve context. ``stacked_sandwich_variance``
   concatenates per-period systems so the variance of an average over
   periods picks up cross-period covariance.
 
@@ -85,6 +86,7 @@ class _CurveContext:
             raise EstimationError("curve carries no bandwidth")
         self.data = data
         self.models = models
+        self.curve = curve
         self.h = float(curve.bandwidth)
         w = models.sample_weight
         self.w_all = np.ones(data.n) if w is None else np.asarray(w, dtype=float)
@@ -105,8 +107,8 @@ class _CurveContext:
         tw[0] = 0.5 * (nodes[1] - nodes[0])
         tw[-1] = 0.5 * (nodes[-1] - nodes[-2])
         self.trapw = tw
-        self.f_nodes = models.f_marginal(nodes, count_clamps=False)
-        m_nodes = models.m_marginal(nodes, count_clamps=False)
+        self.f_nodes = models.f_marginal(nodes)
+        m_nodes = models.m_marginal(nodes)
         # (n_treated, n_nodes) covariate-level deviations mu1(d, X_i) - m(d)
         self.dev = models.mu1.predict_matrix(nodes, data.x_treated) - m_nodes[None, :]
 
@@ -255,26 +257,27 @@ def build_estimating_system(
     ``mode="base"`` treats the nuisance fits as fixed; ``mode="augmented"``
     appends their score equations (parametric learners only), with the
     cross-derivative bread entries taken by central finite differences of
-    the full pipeline. ``mode="stacked"`` on a single dataset is the M=1
-    stack and matches base exactly.
+    the full pipeline.
     """
-    if mode not in ("base", "augmented", "stacked"):
-        raise EstimationError(f"unknown sandwich mode {mode!r}")
-    ctx = _CurveContext(data, models, curve)
-    eta = ctx.solve_eta(float(delta))
-    gamma = ctx.gamma_eta(float(delta), eta)
-    bread = ctx.bread_eta(float(delta))
+    return _system(_CurveContext(data, models, curve), float(delta), mode)
 
-    if mode in ("base", "stacked"):
-        meat = gamma.T @ gamma
-        invertible = _invertible(bread)
+
+def _system(ctx: _CurveContext, delta: float, mode: str) -> EstimatingSystem:
+    """The estimating system at one delta over a curve's shared context."""
+    if mode not in ("base", "augmented"):
+        raise EstimationError(f"unknown sandwich mode {mode!r}")
+    eta = ctx.solve_eta(delta)
+    gamma = ctx.gamma_eta(delta, eta)
+    bread = ctx.bread_eta(delta)
+
+    if mode == "base":
         return EstimatingSystem(
             eta=eta,
             gamma=gamma,
             bread=bread,
-            meat=meat,
+            meat=gamma.T @ gamma,
             contrast=_PSI_CONTRAST,
-            bread_invertible=invertible,
+            bread_invertible=_invertible(bread),
         )
 
     packed, sizes, scores, rebuild = _augmented_blocks(ctx)
@@ -284,20 +287,10 @@ def build_estimating_system(
     bread_full = np.zeros((p_total, p_total))
     bread_full[:4, :4] = bread
 
-    base_ctx_cache = {}
-
     def summed_gamma_at(packed_pt: np.ndarray) -> np.ndarray:
-        key = packed_pt.tobytes()
-        if key not in base_ctx_cache:
-            models_pt = rebuild(packed_pt)
-            ctx_pt = _CurveContext(data, models_pt, curve)
-            g = ctx_pt.gamma_eta(float(delta), eta).sum(axis=0)
-            s = scores_at(packed_pt).sum(axis=0)
-            base_ctx_cache[key] = np.concatenate([g, s])
-        return base_ctx_cache[key]
-
-    def scores_at(packed_pt: np.ndarray) -> np.ndarray:
-        return scores(packed_pt)
+        ctx_pt = _CurveContext(ctx.data, rebuild(packed_pt), ctx.curve)
+        g = ctx_pt.gamma_eta(delta, eta).sum(axis=0)
+        return np.concatenate([g, scores(packed_pt).sum(axis=0)])
 
     for j in range(p_extra):
         step = _FD_STEP * max(1.0, abs(packed[j]))
@@ -350,27 +343,13 @@ def sandwich_bands(
     mode: str = "base",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """95% pointwise normal-approximation bands along the curve's grid."""
+    ctx = _CurveContext(data, models, curve)
     variances = np.empty(curve.grid.shape[0])
-    if mode == "base":
-        ctx = _CurveContext(data, models, curve)
-        for k, delta in enumerate(curve.grid):
-            eta = ctx.solve_eta(float(delta))
-            gamma = ctx.gamma_eta(float(delta), eta)
-            bread = ctx.bread_eta(float(delta))
-            system = EstimatingSystem(
-                eta=eta,
-                gamma=gamma,
-                bread=bread,
-                meat=gamma.T @ gamma,
-                contrast=_PSI_CONTRAST,
-                bread_invertible=_invertible(bread),
-            )
-            if not system.bread_invertible:
-                raise EstimationError(f"singular bread matrix at delta={delta}")
-            variances[k], _ = system.variance()
-    else:
-        for k, delta in enumerate(curve.grid):
-            variances[k] = sandwich_variance(data, models, curve, float(delta), mode)
+    for k, delta in enumerate(curve.grid):
+        system = _system(ctx, float(delta), mode)
+        if not system.bread_invertible:
+            raise EstimationError(f"singular bread matrix at delta={delta}")
+        variances[k], _ = system.variance()
     half = Z_95 * np.sqrt(variances)
     return curve.psi - half, curve.psi + half, variances
 

@@ -28,7 +28,6 @@ import numpy as np
 from .data import TwoPeriodDataset
 from .errors import FitError
 from .numeric import (
-    DensityEstimate,
     LinearFit,
     LogisticFit,
     fit_logistic,
@@ -50,6 +49,7 @@ __all__ = [
     "fit_mu0",
     "marginalize",
     "fit_nuisances",
+    "ModelBank",
     "default_dose_grid",
     "default_specs",
 ]
@@ -113,7 +113,6 @@ class NuisanceSpec:
     dose_powers: tuple[int, ...] = (1,)
     dose_interactions: tuple[int, ...] = ()
     kde_bandwidth: float | None = None
-    fit_mu0_on: str = "controls_only"
 
     def __post_init__(self):
         if self.which not in VALID_WHICH:
@@ -123,8 +122,6 @@ class NuisanceSpec:
         allowed = ("logistic", "flexible-additive") if self.which == "pi_a" else ("linear", "flexible-additive")
         if self.learner not in allowed:
             raise ValueError(f"{self.which} learner must be one of {allowed}, got {self.learner!r}")
-        if self.fit_mu0_on != "controls_only":
-            raise ValueError("mu0 is fit on controls only; pooled fitting is not offered")
         object.__setattr__(self, "dose_powers", tuple(int(p) for p in self.dose_powers))
         object.__setattr__(self, "dose_interactions", tuple(int(j) for j in self.dose_interactions))
 
@@ -362,7 +359,6 @@ class DoseDensityModel:
     resid_coef: np.ndarray
     mean_design: CovariateDesign
     resid_design: CovariateDesign
-    kde: DensityEstimate
     table_x: np.ndarray
     table_y: np.ndarray
     bandwidth_spec: float | None = None
@@ -418,34 +414,30 @@ class DoseDensityModel:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TabulatedCurve:
     """Piecewise-linear curve over sorted dose nodes.
 
-    Evaluation outside the tabulated range clamps to the nearest endpoint
-    and increments ``clamp_count`` (the counter is diagnostics only and not
-    thread-safe).
+    Evaluation outside the tabulated range clamps to the nearest endpoint;
+    callers that report clamps count them with ``out_of_range``.
     """
 
     x: np.ndarray
     y: np.ndarray
     floor: float | None = None
-    clamp_count: int = 0
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        self.x.setflags(write=False)
-        self.y.setflags(write=False)
+        for name in ("x", "y"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def out_of_range(self, d) -> np.ndarray:
         d = np.asarray(d, dtype=float)
         return (d < self.x[0]) | (d > self.x[-1])
 
-    def __call__(self, d, count_clamps: bool = True):
+    def __call__(self, d):
         d = np.asarray(d, dtype=float)
-        if count_clamps:
-            self.clamp_count += int(np.count_nonzero(self.out_of_range(d)))
         out = np.interp(d, self.x, self.y)
         if self.floor is not None:
             out = np.maximum(out, self.floor)
@@ -518,7 +510,6 @@ def _assemble_dose_density(
         resid_coef=np.asarray(resid_coef, dtype=float),
         mean_design=mean_design,
         resid_design=resid_design,
-        kde=kde,
         table_x=table_x,
         table_y=table_y,
         bandwidth_spec=bandwidth_spec,
@@ -637,6 +628,66 @@ def marginalize(
     return m_curve, f_curve
 
 
+class ModelBank:
+    """Nuisance models of one dataset, fitted lazily and shared by spec.
+
+    Each ``(name, spec)`` model is fit at most once, and each mu1 or pi_d
+    marginal is tabulated at most once per spec, on the union of
+    ``dose_grid`` and the treated doses. Model sets for different
+    specification permutations therefore share every fit they have in
+    common.
+    """
+
+    def __init__(self, data: TwoPeriodDataset, dose_grid: np.ndarray | None = None, sample_weight=None):
+        self.data = data
+        self.dose_grid = dose_grid
+        self.sample_weight = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
+        self._fits: dict = {}
+        self._marginals: dict = {}
+
+    def fit(self, name: str, spec: NuisanceSpec):
+        key = (name, spec)
+        if key not in self._fits:
+            fitter = {"pi_a": fit_pi_a, "pi_d": fit_pi_d, "mu1": fit_mu1, "mu0": fit_mu0}[name]
+            self._fits[key] = fitter(self.data, spec, self.sample_weight)
+        return self._fits[key]
+
+    def marginal(self, name: str, spec: NuisanceSpec) -> TabulatedCurve:
+        """The treated marginal ``m`` (name ``"mu1"``) or ``f`` (``"pi_d"``)."""
+        key = (name, spec)
+        if key not in self._marginals:
+            if self.dose_grid is None:
+                self.dose_grid = default_dose_grid(self.data.dose)
+            model = self.fit(name, spec)
+            mu1, pi_d = (model, None) if name == "mu1" else (None, model)
+            m_curve, f_curve = marginalize(mu1, pi_d, self.data, self.dose_grid, self.sample_weight)
+            self._marginals[key] = m_curve or f_curve
+        return self._marginals[key]
+
+    def models(self, specs: dict[str, NuisanceSpec], which=VALID_WHICH) -> NuisanceModelSet:
+        """The model set for ``which`` under ``specs``, with its marginals."""
+        which = tuple(which)
+        for name in which:
+            if name not in specs:
+                raise ValueError(f"missing nuisance spec for {name!r}")
+        fitted = {name: self.fit(name, specs[name]) for name in VALID_WHICH if name in which}
+        m_curve = self.marginal("mu1", specs["mu1"]) if "mu1" in which else None
+        f_curve = self.marginal("pi_d", specs["pi_d"]) if "pi_d" in which else None
+        nodes = m_curve or f_curve
+        return NuisanceModelSet(
+            pi_a=fitted.get("pi_a"),
+            pi_d=fitted.get("pi_d"),
+            mu1=fitted.get("mu1"),
+            mu0=fitted.get("mu0"),
+            m_marginal=m_curve,
+            f_marginal=f_curve,
+            dose_nodes=None if nodes is None else nodes.x,
+            specs={k: specs[k] for k in which},
+            data=self.data,
+            sample_weight=self.sample_weight,
+        )
+
+
 def fit_nuisances(
     data: TwoPeriodDataset,
     specs: dict[str, NuisanceSpec],
@@ -646,30 +697,4 @@ def fit_nuisances(
 ) -> NuisanceModelSet:
     """Fit the requested nuisance models and assemble the model set with
     marginal curves for whichever of (mu1, pi_d) were fit."""
-    which = tuple(which)
-    for name in which:
-        if name not in specs:
-            raise ValueError(f"missing nuisance spec for {name!r}")
-    pi_a = fit_pi_a(data, specs["pi_a"], sample_weight) if "pi_a" in which else None
-    pi_d = fit_pi_d(data, specs["pi_d"], sample_weight) if "pi_d" in which else None
-    mu1 = fit_mu1(data, specs["mu1"], sample_weight) if "mu1" in which else None
-    mu0 = fit_mu0(data, specs["mu0"], sample_weight) if "mu0" in which else None
-    m_curve = f_curve = None
-    nodes = None
-    if mu1 is not None or pi_d is not None:
-        if dose_grid is None:
-            dose_grid = default_dose_grid(data.dose)
-        m_curve, f_curve = marginalize(mu1, pi_d, data, dose_grid, sample_weight)
-        nodes = (m_curve or f_curve).x
-    return NuisanceModelSet(
-        pi_a=pi_a,
-        pi_d=pi_d,
-        mu1=mu1,
-        mu0=mu0,
-        m_marginal=m_curve,
-        f_marginal=f_curve,
-        dose_nodes=nodes,
-        specs={k: specs[k] for k in which},
-        data=data,
-        sample_weight=None if sample_weight is None else np.asarray(sample_weight, dtype=float),
-    )
+    return ModelBank(data, dose_grid, sample_weight).models(specs, which)

@@ -41,18 +41,12 @@ _WLS_MAX_CHOLESKY_RETRIES = 3
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A symmetric probability-density kernel with compact support [-1, 1]."""
-
-    kind: str = "epanechnikov"
+    """The Epanechnikov kernel, a symmetric density with support [-1, 1]."""
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         out = 0.75 * (1.0 - u * u)
         return np.where(np.abs(u) <= 1.0, np.maximum(out, 0.0), 0.0)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-1.0, 1.0)
 
 
 EPANECHNIKOV = KernelSpec()

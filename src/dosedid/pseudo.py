@@ -37,6 +37,7 @@ __all__ = [
     "compute_xi",
     "compute_theta0",
     "build_pseudo_outcomes",
+    "count_clamped",
 ]
 
 
@@ -158,14 +159,12 @@ def build_pseudo_outcomes(
     on_out_of_range: str = "error",
 ) -> PseudoOutcomeSet:
     """Assemble the full pseudo-outcome set for the multiply robust path."""
-    clamp_before = models.m_marginal.clamp_count if models.m_marginal is not None else 0
     xi, raw_w1 = compute_xi(data, models, sample_weight, on_out_of_range)
     theta00, theta01, raw_w0 = compute_theta0(data, models, sample_weight)
     w = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
     wt, wc = (None, None) if w is None else data.split(w)
     n_a_w = data.n_treated if w is None else float(np.sum(wt))
     n_w = data.n if w is None else float(np.sum(w))
-    clamped = (models.m_marginal.clamp_count - clamp_before) if models.m_marginal is not None else 0
     return PseudoOutcomeSet(
         xi=xi,
         w1=normalize_weights(raw_w1, wt),
@@ -173,5 +172,11 @@ def build_pseudo_outcomes(
         theta00=theta00,
         theta01=theta01,
         p_a1=float(n_a_w / n_w),
-        clamped=clamped,
+        clamped=count_clamped(data, models),
     )
+
+
+def count_clamped(data: TwoPeriodDataset, models: NuisanceModelSet) -> int:
+    """Treated doses outside the tabulated marginal range, which the
+    ``"clamp"`` policy evaluates at the nearest endpoint."""
+    return int(np.count_nonzero(models.m_marginal.out_of_range(data.dose)))

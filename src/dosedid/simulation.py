@@ -17,6 +17,12 @@ Replicate-level randomness is counter-based: every stream is keyed by
 (study seed, replicate, role), so runs with different nuisance
 specifications see identical datasets and replicates can execute in any
 order or process without changing results.
+
+The study engine has no estimator code of its own. Each replicate fits its
+models through one ``nuisance.ModelBank`` and builds every curve from
+``curves.dose_side`` and ``curves.control_side``, the two halves of
+``curves.estimate_curve``, so its curves equal ``estimate_curve``'s
+bitwise.
 """
 
 from __future__ import annotations
@@ -27,30 +33,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .curves import (
-    EffectCurveEstimate,
-    EstimatorConfig,
-    estimate_curve,
-    local_linear_curve,
-    parametric_theta,
-    robust_select_bandwidth,
-)
+from .curves import CONTROL_NEEDS, DOSE_NEEDS, METHODS, EstimatorConfig, assemble_curve, control_side, dose_side
 from .data import PanelDataset, TwoPeriodDataset
 from .errors import DoseDidError, EstimationError
 from .inference import sandwich_bands, weighted_bootstrap
-from .numeric import default_bandwidth_grid, expit
-from .nuisance import (
-    NuisanceModelSet,
-    NuisanceSpec,
-    default_specs,
-    fit_mu0,
-    fit_mu1,
-    fit_pi_a,
-    fit_pi_d,
-    kang_schafer_map,
-    marginalize,
-)
-from .pseudo import compute_theta0, compute_xi
+from .numeric import expit
+from .nuisance import ModelBank, NuisanceSpec, default_specs, kang_schafer_map
 
 __all__ = [
     "ROLE_DATA",
@@ -253,12 +241,14 @@ class InferenceConfig:
 
     method: str = "none"  # none | sandwich | bootstrap | both
     b_replicates: int = 200
-    mode: str = "base"
+    mode: str = "base"  # base | augmented
     refit_bandwidth: bool = False
 
     def __post_init__(self):
         if self.method not in ("none", "sandwich", "bootstrap", "both"):
             raise ValueError(f"unknown inference method {self.method!r}")
+        if self.mode not in ("base", "augmented"):
+            raise ValueError(f"unknown sandwich mode {self.mode!r}; expected 'base' or 'augmented'")
 
     @property
     def wants_sandwich(self) -> bool:
@@ -289,6 +279,9 @@ class ScenarioConfig:
             raise ValueError("scenario n must be at least 50")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ValueError(f"unknown method names {unknown}")
         object.__setattr__(self, "misspecified", frozenset(self.misspecified))
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -342,213 +335,66 @@ def _perm_key(perm) -> tuple[str, ...]:
     return tuple(sorted(perm))
 
 
-def _partial_models(data, grid, specs, **parts) -> NuisanceModelSet:
-    nodes = None
-    for curve in (parts.get("m_marginal"), parts.get("f_marginal")):
-        if curve is not None:
-            nodes = curve.x
-    return NuisanceModelSet(
-        pi_a=parts.get("pi_a"),
-        pi_d=parts.get("pi_d"),
-        mu1=parts.get("mu1"),
-        mu0=parts.get("mu0"),
-        m_marginal=parts.get("m_marginal"),
-        f_marginal=parts.get("f_marginal"),
-        dose_nodes=nodes,
-        specs=specs,
-        data=data,
-        sample_weight=None,
-    )
-
-
 def _replicate_worker(config: ScenarioConfig, perm_keys, truth: GroundTruth, rep: int):
     """One replicate: shared dataset, per-specification estimates.
 
-    Model fits are shared across specification permutations (the dose-side
-    curve depends only on the pi_d/mu1 variants, the control-side constant
-    only on pi_a/mu0), which is what lets a 16-permutation study run at the
-    cost of a handful of fits.
+    Every curve comes from ``curves.dose_side`` and ``curves.control_side``
+    over one ``ModelBank``. Each side is computed once per (side, method,
+    specs of the models it reads): the dose-side curve depends only on the
+    pi_d/mu1 variants and the control-side constant only on the pi_a/mu0
+    variants, so a 16-permutation replicate costs 8 fits, 4 marginals and
+    4 MR smoothing passes.
     """
     data = generate_scenario_data(config.n, stream_seed(config.seed, rep, ROLE_DATA))
     grid = truth.grid
-    perms = [frozenset(k) for k in perm_keys]
+    bank = ModelBank(data, grid)
+    sides: dict = {}
     out_curves: dict = {}
     out_bands: dict = {}
     failures: dict = {}
 
-    methods = config.methods
-    bw_grid = default_bandwidth_grid(data.dose)
+    def side(kind, method, specs):
+        needs = (DOSE_NEEDS if kind == "dose" else CONTROL_NEEDS)[method]
+        key = (kind, method, tuple(specs[name] for name in needs))
+        if key not in sides:
+            models = bank.models(specs, needs)
+            if kind == "dose":
+                sides[key] = dose_side(data, method, models, grid)
+            else:
+                sides[key] = control_side(data, method, models)
+        return sides[key]
 
-    def spec_variant(name, wrong):
-        return simulation_specs(config, {name} if wrong else set())[name]
-
-    fits: dict = {}
-
-    def fitted(name, wrong):
-        key = (name, wrong)
-        if key not in fits:
-            spec = spec_variant(name, wrong)
-            fn = {"pi_a": fit_pi_a, "pi_d": fit_pi_d, "mu1": fit_mu1, "mu0": fit_mu0}[name]
-            fits[key] = fn(data, spec)
-        return fits[key]
-
-    # Marginal tabulations, one per mu1 / pi_d variant.
-    m_curves: dict = {}
-    f_curves: dict = {}
-
-    def m_curve(m1_wrong):
-        if m1_wrong not in m_curves:
-            m_curves[m1_wrong], _ = marginalize(fitted("mu1", m1_wrong), None, data, grid)
-        return m_curves[m1_wrong]
-
-    def f_curve(pd_wrong):
-        if pd_wrong not in f_curves:
-            _, f_curves[pd_wrong] = marginalize(None, fitted("pi_d", pd_wrong), data, grid)
-        return f_curves[pd_wrong]
-
-    # Dose-side pseudo-outcome variants (MR family).
-    xi_cache: dict = {}
-
-    def xi_variant(pd_wrong, m1_wrong):
-        key = (pd_wrong, m1_wrong)
-        if key not in xi_cache:
-            specs = {
-                "pi_d": spec_variant("pi_d", pd_wrong),
-                "mu1": spec_variant("mu1", m1_wrong),
-            }
-            models = _partial_models(
-                data,
-                grid,
-                specs,
-                pi_d=fitted("pi_d", pd_wrong),
-                mu1=fitted("mu1", m1_wrong),
-                m_marginal=m_curve(m1_wrong),
-                f_marginal=f_curve(pd_wrong),
-            )
-            xi, _ = compute_xi(data, models)
-            h = robust_select_bandwidth(data.dose, xi, bw_grid)
-            xi_cache[key] = (xi, h)
-        return xi_cache[key]
-
-    theta0_cache: dict = {}
-
-    def theta0_variant(pa_wrong, mu0_wrong):
-        key = (pa_wrong, mu0_wrong)
-        if key not in theta0_cache:
-            specs = {
-                "pi_a": spec_variant("pi_a", pa_wrong),
-                "mu0": spec_variant("mu0", mu0_wrong),
-            }
-            models = _partial_models(
-                data, grid, specs, pi_a=fitted("pi_a", pa_wrong), mu0=fitted("mu0", mu0_wrong)
-            )
-            theta00, theta01, _ = compute_theta0(data, models)
-            theta0_cache[key] = theta00 + theta01
-        return theta0_cache[key]
-
-    shared: dict = {}
-    for method in methods:
-        if method in ("NAIVE", "TWFE"):
+    wants_bands = config.inference.wants_sandwich or config.inference.wants_bootstrap
+    for key in perm_keys:
+        specs = simulation_specs(config, key)
+        for method in config.methods:
             try:
-                shared[method] = estimate_curve(data, method, grid=grid, bandwidth_grid=bw_grid)
-            except DoseDidError as exc:
-                shared[method] = None
-                for perm in perms:
-                    failures[(method, _perm_key(perm))] = str(exc)
-
-    ipw_theta_cache: dict = {}
-    ipw_theta0_cache: dict = {}
-
-    def ipw_curve(pa_wrong, pd_wrong):
-        from .pseudo import normalize_weights
-
-        if pd_wrong not in ipw_theta_cache:
-            pi_d_model = fitted("pi_d", pd_wrong)
-            raw_w1 = f_curve(pd_wrong)(data.dose) / pi_d_model(data.dose, data.x_treated)
-            w1 = normalize_weights(raw_w1)
-            trend_t, _ = data.split(data.trend)
-            target = w1 * trend_t
-            h = robust_select_bandwidth(data.dose, target, bw_grid)
-            ipw_theta_cache[pd_wrong] = local_linear_curve(data.dose, target, grid, h)
-        if pa_wrong not in ipw_theta0_cache:
-            models = _partial_models(data, grid, {}, pi_a=fitted("pi_a", pa_wrong))
-            theta00, _, _ = compute_theta0(data, models, mu0_override=np.zeros(data.n))
-            ipw_theta0_cache[pa_wrong] = theta00
-        return ipw_theta_cache[pd_wrong] - ipw_theta0_cache[pa_wrong]
-
-    for perm in perms:
-        key = _perm_key(perm)
-        pd_w, m1_w = "pi_d" in perm, "mu1" in perm
-        pa_w, mu0_w = "pi_a" in perm, "mu0" in perm
-        for method in methods:
-            try:
-                if method in ("MR", "MR_PARAMETRIC"):
-                    xi, h = xi_variant(pd_w, m1_w)
-                    theta0 = theta0_variant(pa_w, mu0_w)
-                    if method == "MR":
-                        theta = local_linear_curve(data.dose, xi, grid, h)
-                    else:
-                        theta = parametric_theta(data.dose, xi, grid)
-                    psi = theta - theta0
-                    out_curves[(method, key)] = psi
-                    if method == "MR" and (
-                        config.inference.wants_sandwich or config.inference.wants_bootstrap
-                    ):
-                        perm_models = _partial_models(
-                            data,
-                            grid,
-                            simulation_specs(config, perm),
-                            pi_a=fitted("pi_a", pa_w),
-                            pi_d=fitted("pi_d", pd_w),
-                            mu1=fitted("mu1", m1_w),
-                            mu0=fitted("mu0", mu0_w),
-                            m_marginal=m_curve(m1_w),
-                            f_marginal=f_curve(pd_w),
-                        )
-                        try:
-                            out_bands.update(
-                                _replicate_inference(
-                                    config, data, grid, perm, perm_models, h, theta, theta0, rep
-                                )
-                            )
-                        except DoseDidError as exc:
-                            failures[("inference", key)] = str(exc)
-                elif method == "OR":
-                    theta = fitted("mu1", m1_w).dose_profile(grid, data.x_treated)
-                    mu0_t = fitted("mu0", mu0_w)(data.x_treated)
-                    psi = theta - float(np.mean(mu0_t))
-                    out_curves[(method, key)] = psi
-                elif method == "IPW":
-                    out_curves[(method, key)] = ipw_curve(pa_w, pd_w)
-                elif method in ("NAIVE", "TWFE"):
-                    if shared.get(method) is not None:
-                        out_curves[(method, key)] = shared[method].psi
-                else:
-                    raise EstimationError(f"unknown method {method!r}")
+                curve = assemble_curve(method, grid, side("dose", method, specs), side("control", method, specs))
             except DoseDidError as exc:
                 failures[(method, key)] = str(exc)
+                continue
+            out_curves[(method, key)] = curve.psi
+            if method == "MR" and wants_bands:
+                try:
+                    out_bands.update(_replicate_inference(config, data, key, bank.models(specs), curve, rep))
+                except DoseDidError as exc:
+                    failures[("inference", key)] = str(exc)
     return out_curves, out_bands, failures
 
 
-def _replicate_inference(config, data, grid, perm, models, h, theta, theta0, rep):
+def _replicate_inference(config, data, key, models, curve, rep):
     """Sandwich and/or bootstrap bands for the MR curve of one replicate."""
-    specs = simulation_specs(config, perm)
     bands = {}
-    key = _perm_key(perm)
-    psi = theta - theta0
     if config.inference.wants_sandwich:
-        curve = EffectCurveEstimate(
-            method="MR", grid=grid, psi=psi, theta_curve=theta, theta0=theta0, bandwidth=h
-        )
         lo, hi, _ = sandwich_bands(data, models, curve, mode=config.inference.mode)
         bands[("sandwich", key)] = (lo, hi)
     if config.inference.wants_bootstrap:
         boot_seed = int(stream_seed(config.seed, rep, ROLE_BOOTSTRAP).generate_state(1)[0])
         est = EstimatorConfig(
             method="MR",
-            specs=specs,
-            grid=grid,
-            bandwidth=None if config.inference.refit_bandwidth else h,
+            specs=models.specs,
+            grid=curve.grid,
+            bandwidth=None if config.inference.refit_bandwidth else curve.bandwidth,
             on_out_of_range="clamp",
         )
         result = weighted_bootstrap(data, est, config.inference.b_replicates, boot_seed)

@@ -298,7 +298,7 @@ def test_criterion_4_oracles():
     trend_t = trend[data.a]
     w1_loop = np.array(
         [
-            float(models.f_marginal(data.dose[i], count_clamps=False))
+            float(models.f_marginal(data.dose[i]))
             / float(models.pi_d(data.dose[i], x_t[i][None, :])[0])
             for i in range(30)
         ]
@@ -306,7 +306,7 @@ def test_criterion_4_oracles():
     w1n = w1_loop / w1_loop.mean()
     xi_loop = np.array(
         [
-            float(models.m_marginal(data.dose[i], count_clamps=False))
+            float(models.m_marginal(data.dose[i]))
             + w1n[i] * (trend_t[i] - float(models.mu1(data.dose[i], x_t[i][None, :])[0]))
             for i in range(30)
         ]
@@ -330,8 +330,8 @@ def test_criterion_4_oracles():
         "xi": np.max(np.abs(xi - xi_loop)),
         "theta00": abs(theta00 - theta00_loop),
         "theta01": abs(theta01 - theta01_loop),
-        "m": np.max(np.abs(models.m_marginal(grid, count_clamps=False) - m_loop)),
-        "f": np.max(np.abs(models.f_marginal(grid, count_clamps=False) - f_loop)),
+        "m": np.max(np.abs(models.m_marginal(grid) - m_loop)),
+        "f": np.max(np.abs(models.f_marginal(grid) - f_loop)),
     }
     ok = all(v < 1e-12 for v in checks.values())
 
@@ -416,8 +416,8 @@ def test_criterion_5_invariants():
     tw[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
     tw[0] = 0.5 * (nodes[1] - nodes[0])
     tw[-1] = 0.5 * (nodes[-1] - nodes[-2])
-    dev = models.mu1.predict_matrix(nodes, data.x_treated) - models.m_marginal(nodes, count_clamps=False)[None, :]
-    j_term = abs(float((dev @ (tw * models.f_marginal(nodes, count_clamps=False))).mean()))
+    dev = models.mu1.predict_matrix(nodes, data.x_treated) - models.m_marginal(nodes)[None, :]
+    j_term = abs(float((dev @ (tw * models.f_marginal(nodes))).mean()))
 
     curve = estimate_curve(data, "MR", specs=SPECS, models=models)
     identity_gap = float(

@@ -113,6 +113,27 @@ def test_config_error_lists_all_problems(tmp_path, capsys):
     assert "NOPE" in err and "mu9" in err and "output" in err and "path" in err
 
 
+@pytest.mark.parametrize("method", ["sandwich", "bootstrap"])
+@pytest.mark.parametrize("mode", ["stacked", "bogus"])
+def test_unknown_inference_mode_is_a_config_error(tmp_path, panel_file, capsys, monkeypatch, method, mode):
+    fits = []
+    monkeypatch.setattr("dosedid.cli.fit_nuisances", lambda *a, **k: fits.append(a))
+    monkeypatch.setattr("dosedid.cli.estimate_curve", lambda *a, **k: fits.append(a))
+    payload = {
+        "output": str(tmp_path / "out"),
+        "data": {"path": str(panel_file), "schema": _schema_block()},
+        "methods": ["MR"],
+        "inference": {"method": method, "mode": mode, "B": 4},
+    }
+    code = dispatch(["estimate", "-c", str(_write_config(tmp_path, "mode.yaml", payload))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("dosedid: config-error:") and mode in err
+    assert fits == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_existing_output_needs_force(tmp_path, panel_file):
     payload = {
         "output": str(tmp_path / "dup"),

@@ -111,7 +111,7 @@ def test_aggregate_consistency():
     est = estimate_curve(data, "MR", specs=SPECS)
     pseudo = build_pseudo_outcomes(data, models)
     grid = est.grid
-    f_vals = models.f_marginal(grid, count_clamps=False)
+    f_vals = models.f_marginal(grid)
     mass = np.trapezoid(f_vals, grid)
     smoothed_mean = np.trapezoid(est.theta_curve * f_vals, grid) / mass
     in_grid = (data.dose >= grid[0]) & (data.dose <= grid[-1])

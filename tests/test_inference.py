@@ -92,8 +92,8 @@ def test_full_system_matches_hand_loops_on_tiny_data(fitted):
     tw = np.gradient(nodes)  # simple trapezoid-equivalent on interior
     tw[0] = (nodes[1] - nodes[0]) / 2
     tw[-1] = (nodes[-1] - nodes[-2]) / 2
-    f_vals = models.f_marginal(nodes, count_clamps=False)
-    m_vals = models.m_marginal(nodes, count_clamps=False)
+    f_vals = models.f_marginal(nodes)
+    m_vals = models.m_marginal(nodes)
     p_hat = data.n_treated / data.n
     gamma = np.zeros((data.n, 4))
     t_pos = 0

@@ -361,7 +361,7 @@ def test_spec_validation():
         NuisanceSpec("pi_a", "linear")
     with pytest.raises(ValueError):
         NuisanceSpec("mu1", "linear", "unknown_map")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         NuisanceSpec("mu0", "linear", fit_mu0_on="pooled")
     with pytest.raises(ValueError):
         default_specs({"mu7"})

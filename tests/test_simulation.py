@@ -1,14 +1,18 @@
 """DGP moments, ground truth, and the study harness."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from dosedid.curves import estimate_curve
+from dosedid import nuisance
+from dosedid.curves import METHODS, estimate_curve
 from dosedid.numeric import expit
 from dosedid.simulation import (
     ROLE_DATA,
     InferenceConfig,
     ScenarioConfig,
+    _replicate_worker,
     all_permutations,
     generate_null_data,
     generate_scenario_data,
@@ -141,22 +145,42 @@ def test_metric_sanity_with_oracle_estimator():
 
 
 def test_study_engine_matches_direct_estimates():
-    cfg = ScenarioConfig(n=400, replicates=2, seed=31, methods=("MR", "OR", "IPW"), super_n=20_000, keep_curves=True)
-    perms = [frozenset(), frozenset({"pi_a", "mu1"})]
+    cfg = ScenarioConfig(n=400, replicates=2, seed=31, methods=METHODS, super_n=20_000, keep_curves=True)
+    perms = all_permutations()
     truth = ground_truth_curve(31, 20_000)
     reports = run_permutation_study(cfg, perms, truth=truth)
-    for perm in perms:
-        key = tuple(sorted(perm))
-        specs = simulation_specs(cfg, perm)
-        for rep in range(2):
-            data = generate_scenario_data(400, stream_seed(31, rep, ROLE_DATA))
-            for method in ("MR", "OR", "IPW"):
+    for rep in range(2):
+        data = generate_scenario_data(400, stream_seed(31, rep, ROLE_DATA))
+        for perm in perms:
+            key = tuple(sorted(perm))
+            specs = simulation_specs(cfg, perm)
+            for method in METHODS:
                 direct = estimate_curve(data, method, specs=specs, grid=truth.grid)
                 np.testing.assert_array_equal(
                     reports[key].curves[method][rep],
                     direct.psi,
                     err_msg=f"{method} perm={key} rep={rep}",
                 )
+
+
+def test_model_bank_shares_fits_across_permutations(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fit_pi_a", "fit_pi_d", "fit_mu1", "fit_mu0", "marginalize"):
+        monkeypatch.setattr(nuisance, name, counted(name, getattr(nuisance, name)))
+    cfg = ScenarioConfig(n=300, replicates=1, seed=33, methods=METHODS, super_n=20_000)
+    truth = ground_truth_curve(33, 20_000)
+    curves, _, failures = _replicate_worker(cfg, [tuple(sorted(p)) for p in all_permutations()], truth, 0)
+    assert failures == {}
+    assert len(curves) == 16 * len(METHODS)
+    assert calls == Counter(fit_pi_a=2, fit_pi_d=2, fit_mu1=2, fit_mu0=2, marginalize=4)
 
 
 def test_run_study_with_inference_smoke():
@@ -176,11 +200,11 @@ def test_run_study_with_inference_smoke():
 
 
 def test_parallel_workers_match_serial():
-    base = dict(n=250, replicates=4, seed=51, methods=("MR", "OR"), super_n=20_000, keep_curves=True)
+    base = dict(n=250, replicates=4, seed=51, methods=METHODS, super_n=20_000, keep_curves=True)
     serial = run_study(ScenarioConfig(**base, workers=1))
     parallel = run_study(ScenarioConfig(**base, workers=2))
-    np.testing.assert_array_equal(serial.curves["MR"], parallel.curves["MR"])
-    np.testing.assert_array_equal(serial.curves["OR"], parallel.curves["OR"])
+    for method in METHODS:
+        np.testing.assert_array_equal(serial.curves[method], parallel.curves[method], err_msg=method)
     assert (
         serial.methods["MR"].integrated_abs_bias == parallel.methods["MR"].integrated_abs_bias
     )
@@ -211,4 +235,8 @@ def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(n=100, replicates=0)
     with pytest.raises(ValueError):
+        ScenarioConfig(n=100, replicates=1, methods=("MR", "NOPE"))
+    with pytest.raises(ValueError):
         InferenceConfig(method="jackknife")
+    with pytest.raises(ValueError):
+        InferenceConfig(method="sandwich", mode="stacked")

@@ -43,9 +43,7 @@ from .inference import (
     weighted_bootstrap,
 )
 from .numeric import (
-    EPANECHNIKOV,
     DensityEstimate,
-    KernelSpec,
     default_bandwidth_grid,
     fit_logistic,
     fit_wls,

@@ -31,13 +31,7 @@ import numpy as np
 
 from .data import TwoPeriodDataset
 from .errors import BandwidthError, EstimationError
-from .numeric import (
-    EPANECHNIKOV,
-    default_bandwidth_grid,
-    fit_wls,
-    local_linear_fit,
-    select_bandwidth,
-)
+from .numeric import WindowedMoments, default_bandwidth_grid, fit_wls, select_bandwidth
 from .nuisance import VALID_WHICH, NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
 from .pseudo import compute_theta0, compute_xi, count_clamped, normalize_weights
 
@@ -152,11 +146,7 @@ class EstimatorConfig:
 
 def local_linear_curve(dose, ys, grid, h, sample_weight=None):
     """Local linear intercepts of ``ys`` on ``dose`` at every grid point."""
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty(grid.shape[0])
-    for k, delta in enumerate(grid):
-        out[k], _ = local_linear_fit(dose, ys, h, float(delta), EPANECHNIKOV, sample_weight)
-    return out
+    return WindowedMoments(dose, ys, sample_weight).fit(grid, h)[0]
 
 
 def parametric_theta(dose, ys, grid, basis=(1, 3), sample_weight=None):
@@ -184,7 +174,7 @@ def _min_feasible_bandwidth(xs) -> float:
     return req * (1.0 + 1e-9)
 
 
-def robust_select_bandwidth(xs, ys, grid=None, kernel=EPANECHNIKOV, sample_weight=None) -> float:
+def robust_select_bandwidth(xs, ys, grid=None, sample_weight=None) -> float:
     """Leave-one-out bandwidth selection with a widening fallback.
 
     When every candidate in the (default) grid is infeasible — an isolated
@@ -197,20 +187,26 @@ def robust_select_bandwidth(xs, ys, grid=None, kernel=EPANECHNIKOV, sample_weigh
         grid = default_bandwidth_grid(x)
     grid = np.asarray(grid, dtype=float)
     try:
-        return select_bandwidth(x, ys, grid, kernel, sample_weight)
+        return select_bandwidth(x, ys, grid, sample_weight)
     except BandwidthError:
         top = float(np.max(grid))
         need = _min_feasible_bandwidth(x)
         if need <= top:
             raise
         extension = np.geomspace(top, need, 6)[1:]
-        return select_bandwidth(x, ys, np.concatenate([grid, extension]), kernel, sample_weight)
+        return select_bandwidth(x, ys, np.concatenate([grid, extension]), sample_weight)
 
 
 def _smoothed_theta(data, ys, grid, bandwidth, bandwidth_grid, wt, diagnostics):
     if bandwidth is None:
-        bandwidth = robust_select_bandwidth(data.dose, ys, bandwidth_grid, EPANECHNIKOV, wt)
+        if bandwidth_grid is None:
+            bandwidth_grid = default_bandwidth_grid(data.dose)
+        low, high = float(np.min(bandwidth_grid)), float(np.max(bandwidth_grid))
+        bandwidth = robust_select_bandwidth(data.dose, ys, bandwidth_grid, wt)
         diagnostics["bandwidth_selected"] = True
+        # The widening fallback picks beyond the top of the grid.
+        diagnostics["bandwidth_extended"] = bandwidth > high
+        diagnostics["bandwidth_at_grid_edge"] = "high" if bandwidth >= high else "low" if bandwidth <= low else None
     theta = local_linear_curve(data.dose, ys, grid, bandwidth, wt)
     return theta, float(bandwidth)
 

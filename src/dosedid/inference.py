@@ -28,7 +28,7 @@ import numpy as np
 from .curves import EffectCurveEstimate, EstimatorConfig
 from .data import TwoPeriodDataset
 from .errors import DoseDidError, EstimationError
-from .numeric import EPANECHNIKOV, expit, local_linear_fit
+from .numeric import WindowedMoments, epanechnikov, expit
 from .nuisance import NuisanceModelSet, marginalize
 from .pseudo import build_pseudo_outcomes
 
@@ -99,6 +99,7 @@ class _CurveContext:
         self.theta00 = pseudo.theta00
         self.theta01 = pseudo.theta01
         self.mu0_all = models.mu0(data.x)
+        self.window = WindowedMoments(data.dose, self.xi, self.wt)
 
         nodes = models.dose_nodes
         self.nodes = nodes
@@ -117,13 +118,13 @@ class _CurveContext:
         data = self.data
         theta, beta, theta00, theta01 = eta
         u_nodes = (self.nodes - delta) / self.h
-        k_nodes = EPANECHNIKOV(u_nodes)
+        k_nodes = epanechnikov(u_nodes)
         q0 = self.trapw * k_nodes * self.f_nodes
         c0 = self.dev @ q0
         c1 = self.dev @ (q0 * u_nodes)
 
         u = (data.dose - delta) / self.h
-        k = EPANECHNIKOV(u)
+        k = epanechnikov(u)
         resid = self.xi - theta - u * beta
 
         gamma = np.zeros((data.n, 4))
@@ -139,27 +140,14 @@ class _CurveContext:
 
         return gamma
 
-    def solve_eta(self, delta: float) -> np.ndarray:
-        theta, beta = local_linear_fit(
-            self.data.dose, self.xi, self.h, delta, EPANECHNIKOV, self.wt
-        )
-        return np.array([theta, beta, self.theta00, self.theta01])
-
-    def bread_eta(self, delta: float) -> np.ndarray:
-        """Analytic Jacobian of the summed base equations in eta."""
-        u = (self.data.dose - delta) / self.h
-        k = EPANECHNIKOV(u)
-        s0 = float(np.sum(self.wt * k)) / self.p_hat
-        s1 = float(np.sum(self.wt * k * u)) / self.p_hat
-        s2 = float(np.sum(self.wt * k * u * u)) / self.p_hat
-        bread = np.zeros((4, 4))
-        bread[0, 0] = -s0
-        bread[0, 1] = -s1
-        bread[1, 0] = -s1
-        bread[1, 1] = -s2
-        bread[2, 2] = -float(np.sum(self.wc))
-        bread[3, 3] = -float(np.sum(self.wt))
-        return bread
+    def solve(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """eta at delta, and the analytic Jacobian of the summed base
+        equations in eta."""
+        (theta,), (beta,) = self.window.fit([delta], self.h)
+        s0, s1, s2 = (float(m[0]) / self.p_hat for m in self.window.moments([delta], self.h)[:3])
+        bread = np.diag([-s0, -s2, -float(np.sum(self.wc)), -float(np.sum(self.wt))])
+        bread[0, 1] = bread[1, 0] = -s1
+        return np.array([theta, beta, self.theta00, self.theta01]), bread
 
 
 def _augmented_blocks(ctx: _CurveContext):
@@ -266,9 +254,8 @@ def _system(ctx: _CurveContext, delta: float, mode: str) -> EstimatingSystem:
     """The estimating system at one delta over a curve's shared context."""
     if mode not in ("base", "augmented"):
         raise EstimationError(f"unknown sandwich mode {mode!r}")
-    eta = ctx.solve_eta(delta)
+    eta, bread = ctx.solve(delta)
     gamma = ctx.gamma_eta(delta, eta)
-    bread = ctx.bread_eta(delta)
 
     if mode == "base":
         return EstimatingSystem(
@@ -366,31 +353,20 @@ def stacked_sandwich_variance(
     """
     if not systems:
         raise EstimationError("no per-period systems supplied")
-    n = systems[0][0].n
-    m_count = len(systems)
-    gammas = []
-    breads = []
-    etas = []
-    for data_m, models_m, curve_m in systems:
-        if data_m.n != n:
-            raise EstimationError("stacked periods must share the unit roster")
-        ctx = _CurveContext(data_m, models_m, curve_m)
-        eta = ctx.solve_eta(float(delta))
-        gammas.append(ctx.gamma_eta(float(delta), eta))
-        breads.append(ctx.bread_eta(float(delta)))
-        etas.append(eta)
-    gamma = np.hstack(gammas)
+    if any(data_m.n != systems[0][0].n for data_m, _, _ in systems):
+        raise EstimationError("stacked periods must share the unit roster")
+    parts = [_system(_CurveContext(*period), float(delta), "base") for period in systems]
+    m_count = len(parts)
+    gamma = np.hstack([part.gamma for part in parts])
     bread = np.zeros((4 * m_count, 4 * m_count))
-    for j, b in enumerate(breads):
-        bread[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = b
-    meat = gamma.T @ gamma
-    contrast = np.tile(_PSI_CONTRAST / m_count, m_count)
+    for j, part in enumerate(parts):
+        bread[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = part.bread
     system = EstimatingSystem(
-        eta=np.concatenate(etas),
+        eta=np.concatenate([part.eta for part in parts]),
         gamma=gamma,
         bread=bread,
-        meat=meat,
-        contrast=contrast,
+        meat=gamma.T @ gamma,
+        contrast=np.tile(_PSI_CONTRAST / m_count, m_count),
         bread_invertible=_invertible(bread),
     )
     if not system.bread_invertible:

@@ -15,11 +15,11 @@ import numpy as np
 from .errors import BandwidthError, FitError
 
 __all__ = [
-    "KernelSpec",
-    "EPANECHNIKOV",
     "LinearFit",
     "LogisticFit",
     "DensityEstimate",
+    "WindowedMoments",
+    "epanechnikov",
     "expit",
     "fit_wls",
     "fit_logistic",
@@ -39,17 +39,12 @@ _RIDGE_REL = 1e-8
 _WLS_MAX_CHOLESKY_RETRIES = 3
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """The Epanechnikov kernel, a symmetric density with support [-1, 1]."""
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        out = 0.75 * (1.0 - u * u)
-        return np.where(np.abs(u) <= 1.0, np.maximum(out, 0.0), 0.0)
-
-
-EPANECHNIKOV = KernelSpec()
+def epanechnikov(u: np.ndarray) -> np.ndarray:
+    """The Epanechnikov kernel 0.75 (1 - u^2), a symmetric density with
+    support [-1, 1]."""
+    u = np.asarray(u, dtype=float)
+    out = 0.75 * (1.0 - u * u)
+    return np.where(np.abs(u) <= 1.0, np.maximum(out, 0.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -210,15 +205,15 @@ def local_linear_fit(
     ys: np.ndarray,
     h: float,
     delta: float,
-    kernel: KernelSpec = EPANECHNIKOV,
     sample_weight: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Local linear regression of ``ys`` on ``xs`` at target ``delta``.
 
     Fits weighted least squares of y on (1, (x - delta)/h) with weights
-    kernel((x - delta)/h), optionally multiplied by per-point sample weights.
-    The intercept is the curve estimate at ``delta``; the slope is in
-    rescaled (x - delta)/h units.
+    epanechnikov((x - delta)/h), optionally multiplied by per-point sample
+    weights. The intercept is the curve estimate at ``delta``; the slope is
+    in rescaled (x - delta)/h units. This literal solve is the reference for
+    ``WindowedMoments.fit`` and its fallback for degenerate windows.
 
     Raises
     ------
@@ -230,7 +225,7 @@ def local_linear_fit(
     if h <= 0 or not np.isfinite(h):
         raise BandwidthError(f"bandwidth must be positive, got {h}", delta=delta)
     u = (x - delta) / h
-    k = kernel(u)
+    k = epanechnikov(u)
     inside = k > 0.0
     if int(np.count_nonzero(inside)) < 2:
         raise BandwidthError(
@@ -242,6 +237,99 @@ def local_linear_fit(
     design = np.column_stack([np.ones(ui.shape[0]), ui])
     fit = fit_wls(design, y[inside], w[inside])
     return float(fit.coefficients[0]), float(fit.coefficients[1])
+
+
+class WindowedMoments:
+    """Epanechnikov local linear moments of one weighted sample.
+
+    With u = (x - t)/h, the moments at a target t are s_j = sum w K(u) u^j
+    (j <= 2) and t_j = sum w K(u) u^j y (j <= 1). K is a polynomial on its
+    support, so each is a binomial combination of the window's power sums of
+    w x^k and w y x^k, kept as prefix sums of the sorted, centred sample:
+    any window costs two binary searches (Fan & Marron 1994, JCGS).
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, sample_weight: np.ndarray | None = None):
+        x = np.asarray(xs, dtype=float)
+        y = np.asarray(ys, dtype=float)
+        w = np.ones(x.shape[0]) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+        if x.ndim != 1 or y.shape != x.shape or w.shape != x.shape:
+            raise FitError(f"dimension mismatch: xs {x.shape}, ys {y.shape}, weights {w.shape}")
+        # One non-finite value would spread to every later prefix sum.
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
+            raise FitError("non-finite value in local linear inputs")
+        if np.any(w < 0):
+            raise FitError("weights must be nonnegative")
+        self._literal = (x, y, sample_weight)
+        order = np.argsort(x, kind="stable")
+        self._xo, self._yo, self._wo = xo, yo, wo = x[order], y[order], w[order]
+        self._centre = float(np.mean(xo))
+        self._xc = xc = xo - self._centre  # centring bounds the power sums
+        self._pref = [np.concatenate([[0.0], np.cumsum(wo * xc**k)]) for k in range(5)]
+        self._qref = [np.concatenate([[0.0], np.cumsum(wo * yo * xc**k)]) for k in range(4)]
+
+    def moments(self, targets: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+        """``(s0, s1, s2, t0, t1, first, stop)`` at each target: the sorted
+        points ``first`` to ``stop - 1`` lie strictly inside the window, the
+        ones with positive kernel weight."""
+        if h <= 0 or not np.isfinite(h):
+            raise BandwidthError(f"bandwidth must be positive, got {h}")
+        t = np.asarray(targets, dtype=float) - self._centre
+        xc = self._xc
+        first = np.searchsorted(xc, t - h, side="right")
+        stop = np.searchsorted(xc, t + h, side="left")
+        m = [p[stop] - p[first] for p in self._pref]
+        q = [p[stop] - p[first] for p in self._qref]
+        t2 = t * t
+        a1 = m[1] - t * m[0]
+        a2 = m[2] - 2.0 * t * m[1] + t2 * m[0]
+        a3 = m[3] - 3.0 * t * m[2] + 3.0 * t2 * m[1] - t2 * t * m[0]
+        a4 = m[4] - 4.0 * t * m[3] + 6.0 * t2 * m[2] - 4.0 * t2 * t * m[1] + t2 * t2 * m[0]
+        b0 = q[0]
+        b1 = q[1] - t * q[0]
+        b2 = q[2] - 2.0 * t * q[1] + t2 * q[0]
+        b3 = q[3] - 3.0 * t * q[2] + 3.0 * t2 * q[1] - t2 * t * q[0]
+
+        h2 = h * h
+        s0 = 0.75 * (m[0] - a2 / h2)
+        s1 = 0.75 * (a1 - a3 / h2) / h
+        s2 = 0.75 * (a2 - a4 / h2) / h2
+        t0 = 0.75 * (b0 - b2 / h2)
+        t1 = 0.75 * (b1 - b3 / h2) / h
+        return s0, s1, s2, t0, t1, first, stop
+
+    def fit(self, targets: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Intercepts and slopes at each target, as ``local_linear_fit`` gives
+        them; a BandwidthError carries the first infeasible target."""
+        targets = np.asarray(targets, dtype=float)
+        s0, s1, s2, t0, t1, first, stop = self.moments(targets, h)
+        short = np.nonzero(stop - first < 2)[0]
+        if short.size:
+            delta = float(targets[short[0]])
+            raise BandwidthError(
+                f"fewer than 2 points inside the kernel window at delta={delta} with h={h}",
+                delta=delta,
+            )
+        tied = self._xc[first] == self._xc[stop - 1]
+        x, y, sample_weight = self._literal
+        return _solve_local_linear(
+            s0, s1, s2, t0, t1, tied, lambda k: local_linear_fit(x, y, h, float(targets[k]), sample_weight)
+        )
+
+
+def _solve_local_linear(s0, s1, s2, t0, t1, tied, fallback):
+    """Solve [[s0, s1], [s1, s2]] (a, b) = (t0, t1) per window, or call
+    ``fallback(index)`` where the window is degenerate: all its points
+    ``tied`` (the prefix sums' rounding would pass for a determinant), or a
+    determinant that vanishes relative to s0 * s2."""
+    den = s0 * s2 - s1 * s1
+    good = ~tied & (np.abs(den) > 1e-12 * np.abs(s0 * s2) + 1e-300)
+    safe = np.where(good, den, 1.0)
+    intercept = (s2 * t0 - s1 * t1) / safe
+    slope = (s0 * t1 - s1 * t0) / safe
+    for i in np.nonzero(~good)[0]:
+        intercept[i], slope[i] = fallback(i)
+    return intercept, slope
 
 
 def default_bandwidth_grid(xs: np.ndarray, size: int = 20) -> np.ndarray:
@@ -274,7 +362,6 @@ def select_bandwidth(
     xs: np.ndarray,
     ys: np.ndarray,
     grid: np.ndarray | None = None,
-    kernel: KernelSpec = EPANECHNIKOV,
     sample_weight: np.ndarray | None = None,
 ) -> float:
     """Pick the candidate bandwidth minimizing leave-one-out squared error.
@@ -290,35 +377,18 @@ def select_bandwidth(
     BandwidthError
         If every candidate fails.
     """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    n = x.shape[0]
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
     if grid is None:
-        grid = default_bandwidth_grid(x)
+        grid = default_bandwidth_grid(xs)
     cand = np.unique(np.asarray(grid, dtype=float))
     if cand.size == 0:
         raise BandwidthError("empty bandwidth grid")
-    if np.any(cand <= 0.0):
-        raise BandwidthError("bandwidth candidates must be positive")
 
-    order = np.argsort(x, kind="stable")
-    xo = x[order]
-    yo = y[order]
-    wo = w[order]
-    xc = xo - float(np.mean(xo))  # centering bounds the moment magnitudes
-
-    # Prefix sums of weighted monomials; windowed moments are differences.
-    powers = [wo * xc**k for k in range(5)]
-    pref = [np.concatenate([[0.0], np.cumsum(p)]) for p in powers]
-    qowers = [wo * yo * xc**k for k in range(4)]
-    qref = [np.concatenate([[0.0], np.cumsum(p)]) for p in qowers]
-
-    zero_tol = _loo_zero_tolerance(yo, wo)
+    window = WindowedMoments(xs, ys, sample_weight)
+    zero_tol = _loo_zero_tolerance(window._yo, window._wo)
     best_h = None
     best_score = np.inf
     for h in cand:
-        score = _loo_score_one(xc, yo, wo, float(h), pref, qref, kernel)
+        score = _loo_score(window, float(h))
         if score is None:
             continue
         if score < zero_tol:
@@ -331,58 +401,26 @@ def select_bandwidth(
     return best_h
 
 
-def _loo_score_one(xc, yo, wo, h, pref, qref, kernel):
+def _loo_score(window: WindowedMoments, h: float) -> float | None:
     """Exact weighted LOO score for one candidate, or None if infeasible."""
-    n = xc.shape[0]
-    lo = np.searchsorted(xc, xc - h, side="left")
-    hi = np.searchsorted(xc, xc + h, side="right")
-    # Strictly interior points carry positive kernel weight; each LOO fit
-    # needs two of them besides the held-out point itself.
-    lo_s = np.searchsorted(xc, xc - h, side="right")
-    hi_s = np.searchsorted(xc, xc + h, side="left")
-    if np.any(hi_s - lo_s - 1 < 2):
+    xo, yo, wo, xc = window._xo, window._yo, window._wo, window._xc
+    s0, s1, s2, t0, t1, first, stop = window.moments(xo, h)
+    # Each LOO fit needs two in-window points besides the held-out one, and
+    # is degenerate when those are all tied.
+    if np.any(stop - first < 3):
         return None
+    pos = np.arange(xo.shape[0])
+    tied = xc[first + (pos == first)] == xc[stop - 1 - (pos == stop - 1)]
 
-    m = [p[hi] - p[lo] for p in pref]
-    q = [p[hi] - p[lo] for p in qref]
-    t = xc
-    t2 = t * t
-    a1 = m[1] - t * m[0]
-    a2 = m[2] - 2.0 * t * m[1] + t2 * m[0]
-    a3 = m[3] - 3.0 * t * m[2] + 3.0 * t2 * m[1] - t2 * t * m[0]
-    a4 = m[4] - 4.0 * t * m[3] + 6.0 * t2 * m[2] - 4.0 * t2 * t * m[1] + t2 * t2 * m[0]
-    b0 = q[0]
-    b1 = q[1] - t * q[0]
-    b2 = q[2] - 2.0 * t * q[1] + t2 * q[0]
-    b3 = q[3] - 3.0 * t * q[2] + 3.0 * t2 * q[1] - t2 * t * q[0]
-
-    h2 = h * h
-    s0 = 0.75 * (m[0] - a2 / h2)
-    s1 = 0.75 * (a1 - a3 / h2) / h
-    s2 = 0.75 * (a2 - a4 / h2) / h2
-    t0 = 0.75 * (b0 - b2 / h2)
-    t1 = 0.75 * (b1 - b3 / h2) / h
+    def literal(i):
+        keep = pos != i
+        return local_linear_fit(xo[keep], yo[keep], h, float(xo[i]), sample_weight=wo[keep])
 
     # Dropping point i only touches the zeroth-order sums (u_i = 0 there).
-    s0_loo = s0 - 0.75 * wo
-    t0_loo = t0 - 0.75 * wo * yo
-
-    den = s0_loo * s2 - s1 * s1
-    pred = np.empty(n)
-    good = np.abs(den) > 1e-12 * np.abs(s0_loo * s2) + 1e-300
-    pred[good] = (s2[good] * t0_loo[good] - s1[good] * t1[good]) / den[good]
-    if not np.all(good):
-        # Degenerate window (e.g. all duplicate x); defer to the literal fit,
-        # which applies the ridge-jitter semantics.
-        for i in np.nonzero(~good)[0]:
-            keep = np.ones(n, dtype=bool)
-            keep[i] = False
-            try:
-                pred[i], _ = local_linear_fit(
-                    xc[keep], yo[keep], h, float(xc[i]), kernel, sample_weight=wo[keep]
-                )
-            except BandwidthError:
-                return None
+    try:
+        pred, _ = _solve_local_linear(s0 - 0.75 * wo, s1, s2, t0 - 0.75 * wo * yo, t1, tied, literal)
+    except BandwidthError:
+        return None
     resid = yo - pred
     return float(np.sum(wo * resid * resid))
 
@@ -434,8 +472,11 @@ class DensityEstimate:
         out = np.empty(flat.shape[0])
         bw = self.bandwidth
         norm = 1.0 / (bw * np.sqrt(2.0 * np.pi))
-        # Chunked to bound the (n_eval x n_samples) intermediate.
-        step = max(1, int(2_000_000 / max(1, self.samples.shape[0])))
+        # Chunks of at most 16,384 elements keep each (n_eval x n_samples)
+        # temporary within glibc's default mmap threshold of 128 KiB: larger
+        # ones are mapped and zeroed afresh on every call, a page fault per
+        # 4 KiB page.
+        step = max(1, 16_384 // max(1, self.samples.shape[0]))
         for start in range(0, flat.shape[0], step):
             z = (flat[start : start + step, None] - self.samples[None, :]) / bw
             out[start : start + step] = norm * (np.exp(-0.5 * z * z) @ self.weights)

@@ -73,6 +73,8 @@ def test_estimate_outputs_and_determinism(tmp_path, panel_file):
     assert manifest["command"] == "estimate"
     assert manifest["config"]["seed"] == 3
     assert "MR" in manifest["diagnostics"]
+    assert manifest["diagnostics"]["NAIVE"]["bandwidth_at_grid_edge"] in (None, "low", "high")
+    assert manifest["diagnostics"]["NAIVE"]["bandwidth_extended"] in (True, False)
 
     assert dispatch(["estimate", "-c", str(cfg), "--set", f"output={tmp_path / 'run2'}"]) == 0
     for name in ("curve_MR.csv", "curve_MR_sandwich.csv", "curve_NAIVE.csv"):

@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from dosedid.curves import EstimatorConfig, estimate_curve, write_curve
-from dosedid.errors import EstimationError
-from dosedid.nuisance import default_specs, fit_nuisances
+from dosedid.curves import (
+    EstimatorConfig,
+    estimate_curve,
+    local_linear_curve,
+    robust_select_bandwidth,
+    write_curve,
+)
+from dosedid.data import TwoPeriodDataset
+from dosedid.errors import BandwidthError, EstimationError, FitError
+from dosedid.inference import bootstrap_weights
+from dosedid.numeric import default_bandwidth_grid, local_linear_fit
+from dosedid.nuisance import default_dose_grid, default_specs, fit_nuisances
 from dosedid.pseudo import build_pseudo_outcomes
 from dosedid.simulation import (
     generate_null_data,
@@ -149,3 +158,96 @@ def test_write_curve_roundtrip(tmp_path, data):
     assert float(first[0]) == est.grid[0]
     assert float(first[1]) == est.psi[0]
     assert first[5] == "NAIVE"
+
+
+# ---------------------------------------------------------------- smoother
+
+
+@pytest.mark.parametrize("n", [500, 1000, 5000, 20000])
+def test_local_linear_curve_matches_per_point_fit_on_mr_pseudo_outcomes(n):
+    # The prefix-sum smoother against one literal WLS solve per grid point,
+    # on MR pseudo-outcomes, unweighted and under bootstrap weights, at the
+    # LOO bandwidth and at the narrowest default candidate (where the
+    # prefix-sum differences cancel most): |dtheta| <= 1e-6 sd(psi-hat).
+    data = generate_scenario_data(n, stream_seed(302, n, 0))
+    grid = default_dose_grid(data.dose)
+    candidates = default_bandwidth_grid(data.dose)
+    for w in (None, bootstrap_weights(data.a, 7, 0)):
+        models = fit_nuisances(data, SPECS, dose_grid=grid, sample_weight=w)
+        xi = build_pseudo_outcomes(data, models, w).xi
+        wt = None if w is None else data.split(w)[0]
+        for h in (robust_select_bandwidth(data.dose, xi, candidates, wt), float(candidates[0])):
+            exact = np.array([local_linear_fit(data.dose, xi, h, float(d), wt)[0] for d in grid])
+            gap = np.max(np.abs(local_linear_curve(data.dose, xi, grid, h, wt) - exact))
+            assert gap <= 1e-6 * np.std(exact), (w is None, h, gap)
+
+
+def test_local_linear_curve_error_carries_first_infeasible_delta():
+    x = np.array([0.0, 0.1, 0.2, 5.0, 9.0, 9.1])
+    # 3.0 has no point within h, 5.0 one; the first of them is reported.
+    with pytest.raises(BandwidthError) as err:
+        local_linear_curve(x, x, np.array([0.1, 3.0, 5.0, 9.05]), 0.5)
+    assert err.value.delta == 3.0
+
+
+def test_local_linear_curve_rejects_nonfinite_values_and_negative_weights():
+    x = np.linspace(0.0, 1.0, 21)
+    for bad in (np.nan, np.inf):
+        y = x.copy()
+        y[0] = bad  # outside the only window: checked up front, not per window
+        with pytest.raises(FitError):
+            local_linear_curve(x, y, np.array([0.9]), 0.05)
+    w = np.ones(21)
+    w[10] = -1.0
+    with pytest.raises(FitError):
+        local_linear_curve(x, x, np.array([0.5]), 0.3, w)
+
+
+def test_local_linear_curve_tied_window_uses_ridge_fallback():
+    rng = np.random.default_rng(303)
+    x = np.concatenate([rng.uniform(0.0, 4.0, 30), np.full(4, 6.0), rng.uniform(8.0, 10.0, 20)])
+    y = rng.normal(size=x.shape[0]) + 5.0
+    w = rng.uniform(0.5, 2.0, x.shape[0])
+    # Windows at 6.0 and 6.3 hold only the four tied points.
+    grid = np.array([2.0, 6.0, 6.3, 9.0])
+    exact = np.array([local_linear_fit(x, y, 0.9, float(d), w)[0] for d in grid])
+    theta = local_linear_curve(x, y, grid, 0.9, w)
+    np.testing.assert_array_equal(theta[1:3], exact[1:3])
+    np.testing.assert_allclose(theta, exact, rtol=1e-12)
+
+
+def _trend_data(dose, trend_t, n_control=20):
+    n_t = dose.shape[0]
+    n = n_t + n_control
+    return TwoPeriodDataset.from_arrays(
+        x=np.zeros((n, 1)),
+        a=np.arange(n) < n_t,
+        dose=dose,
+        y0=np.zeros(n),
+        y1=np.concatenate([trend_t, np.zeros(n_control)]),
+    )
+
+
+def test_bandwidth_diagnostics_mark_grid_edge_and_extension():
+    rng = np.random.default_rng(304)
+    dose = rng.uniform(0.0, 10.0, 80)
+    grid = np.linspace(2.0, 8.0, 7)
+    candidates = np.array([1.0, 2.0, 20.0])
+    # Noiseless lines are fitted exactly at every candidate: ties go low.
+    line = 1.0 + 2.0 * dose
+    exact = estimate_curve(_trend_data(dose, line), "NAIVE", grid=grid, bandwidth_grid=candidates)
+    assert exact.bandwidth == 1.0 and exact.diagnostics["bandwidth_at_grid_edge"] == "low"
+    # A noisy line is best fitted by the widest window offered.
+    noisy_trend = line + rng.normal(size=80)
+    noisy = estimate_curve(_trend_data(dose, noisy_trend), "NAIVE", grid=grid, bandwidth_grid=candidates)
+    assert noisy.bandwidth == 20.0 and noisy.diagnostics["bandwidth_at_grid_edge"] == "high"
+    assert not noisy.diagnostics["bandwidth_extended"]
+    # An isolated extreme dose has no partner inside the widest candidate.
+    isolated = np.append(rng.uniform(0.0, 1.0, 59), 25.0)
+    wide = estimate_curve(_trend_data(isolated, rng.normal(size=60)), "NAIVE", grid=np.linspace(0.2, 0.8, 5))
+    assert wide.diagnostics["bandwidth_extended"]
+    assert wide.diagnostics["bandwidth_at_grid_edge"] == "high"
+    assert wide.bandwidth > np.max(default_bandwidth_grid(isolated))
+    # A fixed bandwidth is not selected, so it has no grid to sit in.
+    fixed = estimate_curve(_trend_data(dose, line), "NAIVE", grid=grid, bandwidth=1.0)
+    assert "bandwidth_at_grid_edge" not in fixed.diagnostics

@@ -5,8 +5,8 @@ import pytest
 
 from dosedid.errors import BandwidthError, FitError
 from dosedid.numeric import (
-    EPANECHNIKOV,
     default_bandwidth_grid,
+    epanechnikov,
     expit,
     fit_logistic,
     fit_wls,
@@ -22,15 +22,15 @@ from dosedid.numeric import (
 
 def test_kernel_integrates_to_one():
     u = np.linspace(-1.0, 1.0, 100_001)
-    assert abs(np.trapezoid(EPANECHNIKOV(u), u) - 1.0) < 1e-8
+    assert abs(np.trapezoid(epanechnikov(u), u) - 1.0) < 1e-8
 
 
 def test_kernel_symmetric_and_compact():
     rng = np.random.default_rng(0)
     u = rng.uniform(-2.0, 2.0, 1000)
-    np.testing.assert_allclose(EPANECHNIKOV(u), EPANECHNIKOV(-u), rtol=0, atol=0)
-    assert np.all(EPANECHNIKOV(u[np.abs(u) > 1.0]) == 0.0)
-    assert np.all(EPANECHNIKOV(u) >= 0.0)
+    np.testing.assert_allclose(epanechnikov(u), epanechnikov(-u), rtol=0, atol=0)
+    assert np.all(epanechnikov(u[np.abs(u) > 1.0]) == 0.0)
+    assert np.all(epanechnikov(u) >= 0.0)
 
 
 # ---------------------------------------------------------------- fit_wls

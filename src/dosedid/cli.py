@@ -214,6 +214,7 @@ def _cmd_estimate(config: dict, args) -> int:
                     boot = weighted_bootstrap(dataset, est, inference.b_replicates, seed)
                     curve = curve.with_bands(boot.ci_lower, boot.ci_upper)
                     diagnostics[f"{method}_bootstrap_failed"] = boot.b_failed
+                    diagnostics[f"{method}_bootstrap_failures"] = boot.failures
             write_curve(curve, stage / f"curve_{method}.csv")
             outputs.append(f"curve_{method}.csv")
             plot_name = _maybe_plot(config, stage, f"curve_{method}", curve)

@@ -34,7 +34,7 @@ class BandwidthError(DoseDidError):
 
 
 class ExtrapolationError(DoseDidError):
-    """A dose falls outside the tabulated range of a marginal curve."""
+    """A dose falls outside the node range of the marginal curves."""
 
 
 class EstimationError(DoseDidError):

@@ -4,14 +4,18 @@ Two routes:
 
 * **Sandwich variance** from stacked estimating equations. The base system
   has four equations per unit: the two local-linear kernel normal equations
-  for (theta(delta), beta) - each carrying a quadrature correction term
-  integrating the kernel against the covariate-level deviations
-  mu1(d, X_i) - m(d) - and the two mean-type equations for theta00/theta01.
-  Augmented mode appends the nuisance-model score equations and
-  differentiates through the whole pipeline numerically. Both modes solve
-  every grid point over one per-curve context. ``stacked_sandwich_variance``
-  concatenates per-period systems so the variance of an average over
-  periods picks up cross-period covariance.
+  for (theta(delta), beta), and the two mean-type equations for
+  theta00/theta01. Each kernel equation carries a quadrature correction: the
+  trapezoid sum, over the marginals' node set, of the kernel times f times
+  the covariate-level deviation mu1(d, X_i) - m(d). mu1 is linear in its
+  coefficients, so the deviation is alpha_i + phi_i * d and a correction
+  costs O(n + nodes). Augmented mode appends the nuisance-model score
+  equations and differentiates through the whole pipeline by central
+  differences. Both modes solve every grid point over one per-curve
+  context, and augmented mode builds its 2p perturbed contexts once per
+  curve. ``stacked_sandwich_variance`` concatenates per-period systems so
+  the variance of an average over periods picks up cross-period
+  covariance.
 
 * **Weighted bootstrap**: per replicate one exponential(1) weight per unit,
   rescaled so each intervention group's weights sum to its observed size,
@@ -21,13 +25,14 @@ Two routes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curves import EffectCurveEstimate, EstimatorConfig
 from .data import TwoPeriodDataset
-from .errors import DoseDidError, EstimationError
+from .errors import DataValidationError, DoseDidError, EstimationError
 from .numeric import WindowedMoments, epanechnikov, expit
 from .nuisance import NuisanceModelSet, marginalize
 from .pseudo import build_pseudo_outcomes
@@ -77,7 +82,13 @@ class EstimatingSystem:
 
 
 class _CurveContext:
-    """Per-curve quantities reused across grid deltas by the sandwich."""
+    """Per-curve quantities reused across grid deltas by the sandwich.
+
+    It holds O(n + nodes) arrays and no models. mu1 is linear in its
+    coefficients, so the covariate-level deviation mu1(d, X_i) - m(d) is
+    ``alpha_i + phi_i * d`` (the dose block cancels), and the quadrature
+    corrections need only the two per-unit vectors.
+    """
 
     def __init__(self, data: TwoPeriodDataset, models: NuisanceModelSet, curve: EffectCurveEstimate):
         if curve.method != "MR":
@@ -85,7 +96,6 @@ class _CurveContext:
         if curve.bandwidth is None:
             raise EstimationError("curve carries no bandwidth")
         self.data = data
-        self.models = models
         self.curve = curve
         self.h = float(curve.bandwidth)
         w = models.sample_weight
@@ -109,19 +119,26 @@ class _CurveContext:
         tw[-1] = 0.5 * (nodes[-1] - nodes[-2])
         self.trapw = tw
         self.f_nodes = models.f_marginal(nodes)
-        m_nodes = models.m_marginal(nodes)
-        # (n_treated, n_nodes) covariate-level deviations mu1(d, X_i) - m(d)
-        self.dev = models.mu1.predict_matrix(nodes, data.x_treated) - m_nodes[None, :]
+        level, slope = models.mu1.unit_terms(data.x_treated)
+        self.alpha = level - models.m_marginal.level
+        self.phi = slope - models.m_marginal.slope
+
+    def corrections(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-treated-unit quadrature terms (c0, c1): the trapezoid sums over
+        the nodes of K(u) f(d) (mu1(d, X_i) - m(d)) and of the same times u,
+        with u = (d - delta) / h."""
+        u_nodes = (self.nodes - delta) / self.h
+        q0 = self.trapw * epanechnikov(u_nodes) * self.f_nodes
+        q1 = q0 * u_nodes
+        c0 = self.alpha * np.sum(q0) + self.phi * (q0 @ self.nodes)
+        c1 = self.alpha * np.sum(q1) + self.phi * (q1 @ self.nodes)
+        return c0, c1
 
     def gamma_eta(self, delta: float, eta: np.ndarray) -> np.ndarray:
         """Base 4-column per-unit estimating equations at (delta, eta)."""
         data = self.data
         theta, beta, theta00, theta01 = eta
-        u_nodes = (self.nodes - delta) / self.h
-        k_nodes = epanechnikov(u_nodes)
-        q0 = self.trapw * k_nodes * self.f_nodes
-        c0 = self.dev @ q0
-        c1 = self.dev @ (q0 * u_nodes)
+        c0, c1 = self.corrections(delta)
 
         u = (data.dose - delta) / self.h
         k = epanechnikov(u)
@@ -150,9 +167,36 @@ class _CurveContext:
         return np.array([theta, beta, self.theta00, self.theta01]), bread
 
 
-def _augmented_blocks(ctx: _CurveContext):
+class _FiniteDifferences:
+    """The augmented mode's nuisance blocks for one curve.
+
+    The nuisance scores and the 2p central-difference nuisance sets do not
+    depend on delta. Each perturbed set is therefore rebuilt, marginalized
+    and reduced to a ``_CurveContext`` once, and every grid point reuses the
+    contexts; the rebuilt models themselves are not kept.
+    """
+
+    def __init__(self, ctx: _CurveContext, models: NuisanceModelSet):
+        packed, sizes, scores, rebuild = _augmented_blocks(ctx, models)
+        self.packed = packed
+        self.scores = scores(packed)
+
+        def end(packed_pt: np.ndarray):
+            return _CurveContext(ctx.data, rebuild(packed_pt), ctx.curve), scores(packed_pt).sum(axis=0)
+
+        # per parameter: (step, (context, summed scores) at +step, the same at -step)
+        self.columns = []
+        for j in range(packed.shape[0]):
+            step = _FD_STEP * max(1.0, abs(packed[j]))
+            hi = packed.copy()
+            hi[j] += step
+            lo = packed.copy()
+            lo[j] -= step
+            self.columns.append((step, end(hi), end(lo)))
+
+
+def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
     """Parameter packing and score equations for the four parametric fits."""
-    models = ctx.models
     for name, spec in models.specs.items():
         if spec.learner == "flexible-additive":
             raise EstimationError(
@@ -207,6 +251,7 @@ def _augmented_blocks(ctx: _CurveContext):
         mu1 = models.mu1.with_coefficients(lam1)
         pi_a = models.pi_a.with_coefficients(alpha_a)
         mu0 = models.mu0.with_coefficients(lam0)
+        # The curve's own node set: marginalize maps a node set to itself.
         m_curve, f_curve = marginalize(mu1, pi_d, data, models.dose_nodes, models.sample_weight)
         return NuisanceModelSet(
             pi_a=pi_a,
@@ -233,6 +278,15 @@ def _unpack(packed: np.ndarray, sizes) -> list[np.ndarray]:
     return out
 
 
+def _prepare(data, models, curve, mode: str) -> tuple[_CurveContext, _FiniteDifferences | None]:
+    """A curve's sandwich context, and its finite-difference blocks in
+    augmented mode."""
+    if mode not in ("base", "augmented"):
+        raise EstimationError(f"unknown sandwich mode {mode!r}")
+    ctx = _CurveContext(data, models, curve)
+    return ctx, _FiniteDifferences(ctx, models) if mode == "augmented" else None
+
+
 def build_estimating_system(
     data: TwoPeriodDataset,
     models: NuisanceModelSet,
@@ -247,17 +301,16 @@ def build_estimating_system(
     cross-derivative bread entries taken by central finite differences of
     the full pipeline.
     """
-    return _system(_CurveContext(data, models, curve), float(delta), mode)
+    return _system(*_prepare(data, models, curve, mode), float(delta))
 
 
-def _system(ctx: _CurveContext, delta: float, mode: str) -> EstimatingSystem:
-    """The estimating system at one delta over a curve's shared context."""
-    if mode not in ("base", "augmented"):
-        raise EstimationError(f"unknown sandwich mode {mode!r}")
+def _system(ctx: _CurveContext, fd: _FiniteDifferences | None, delta: float) -> EstimatingSystem:
+    """The estimating system at one delta over a curve's shared context;
+    augmented when ``fd`` is given."""
     eta, bread = ctx.solve(delta)
     gamma = ctx.gamma_eta(delta, eta)
 
-    if mode == "base":
+    if fd is None:
         return EstimatingSystem(
             eta=eta,
             gamma=gamma,
@@ -267,31 +320,24 @@ def _system(ctx: _CurveContext, delta: float, mode: str) -> EstimatingSystem:
             bread_invertible=_invertible(bread),
         )
 
-    packed, sizes, scores, rebuild = _augmented_blocks(ctx)
-    p_extra = int(sum(sizes))
-    gamma_full = np.hstack([gamma, scores(packed)])
+    p_extra = fd.packed.shape[0]
+    gamma_full = np.hstack([gamma, fd.scores])
     p_total = 4 + p_extra
     bread_full = np.zeros((p_total, p_total))
     bread_full[:4, :4] = bread
 
-    def summed_gamma_at(packed_pt: np.ndarray) -> np.ndarray:
-        ctx_pt = _CurveContext(ctx.data, rebuild(packed_pt), ctx.curve)
-        g = ctx_pt.gamma_eta(delta, eta).sum(axis=0)
-        return np.concatenate([g, scores(packed_pt).sum(axis=0)])
+    def summed_gamma_at(end) -> np.ndarray:
+        ctx_pt, score_sum = end
+        return np.concatenate([ctx_pt.gamma_eta(delta, eta).sum(axis=0), score_sum])
 
-    for j in range(p_extra):
-        step = _FD_STEP * max(1.0, abs(packed[j]))
-        hi = packed.copy()
-        hi[j] += step
-        lo = packed.copy()
-        lo[j] -= step
+    for j, (step, hi, lo) in enumerate(fd.columns):
         bread_full[:, 4 + j] = (summed_gamma_at(hi) - summed_gamma_at(lo)) / (2.0 * step)
 
     meat = gamma_full.T @ gamma_full
     contrast = np.zeros(p_total)
     contrast[:4] = _PSI_CONTRAST
     return EstimatingSystem(
-        eta=np.concatenate([eta, packed]),
+        eta=np.concatenate([eta, fd.packed]),
         gamma=gamma_full,
         bread=bread_full,
         meat=meat,
@@ -330,10 +376,10 @@ def sandwich_bands(
     mode: str = "base",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """95% pointwise normal-approximation bands along the curve's grid."""
-    ctx = _CurveContext(data, models, curve)
+    ctx, fd = _prepare(data, models, curve, mode)
     variances = np.empty(curve.grid.shape[0])
     for k, delta in enumerate(curve.grid):
-        system = _system(ctx, float(delta), mode)
+        system = _system(ctx, fd, float(delta))
         if not system.bread_invertible:
             raise EstimationError(f"singular bread matrix at delta={delta}")
         variances[k], _ = system.variance()
@@ -355,7 +401,7 @@ def stacked_sandwich_variance(
         raise EstimationError("no per-period systems supplied")
     if any(data_m.n != systems[0][0].n for data_m, _, _ in systems):
         raise EstimationError("stacked periods must share the unit roster")
-    parts = [_system(_CurveContext(*period), float(delta), "base") for period in systems]
+    parts = [_system(_CurveContext(*period), None, float(delta)) for period in systems]
     m_count = len(parts)
     gamma = np.hstack([part.gamma for part in parts])
     bread = np.zeros((4 * m_count, 4 * m_count))
@@ -382,7 +428,10 @@ def stacked_sandwich_variance(
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """Percentile confidence bands from unit-weighted replicates."""
+    """Percentile confidence bands from unit-weighted replicates.
+
+    ``failures`` counts the failed replicates by error class name.
+    """
 
     b_requested: int
     b_failed: int
@@ -391,6 +440,7 @@ class BootstrapResult:
     flagged: bool
     seed: int
     curves: np.ndarray | None = None  # (B_success, K) psi rows, replicate order
+    failures: dict[str, int] = field(default_factory=dict)
 
     @property
     def b_success(self) -> int:
@@ -427,8 +477,10 @@ def weighted_bootstrap(
     Each replicate re-runs the full pipeline described by
     ``estimator_config`` (nuisance fits, pseudo-outcomes, smoothing) with
     the drawn unit weights threaded through every weighted fit and mean.
-    Replicates that raise are counted and skipped; percentile bands use the
-    survivors. ``weight_fn`` substitutes the weight stream (testing hook).
+    Replicates that raise are counted by error class and skipped;
+    percentile bands use the survivors. ``weight_fn`` substitutes the weight
+    stream (testing hook); a replicate whose weights are not finite and
+    nonnegative fails with a DataValidationError.
 
     Raises EstimationError when ``b_replicates < 2``.
     """
@@ -440,15 +492,18 @@ def weighted_bootstrap(
         weight_fn = lambda b: bootstrap_weights(data.a, seed, b)  # noqa: E731
 
     rows = []
-    failed = 0
+    failures: Counter = Counter()
     for b in range(b_replicates):
         w = np.asarray(weight_fn(b), dtype=float)
         try:
+            if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+                raise DataValidationError(f"bootstrap replicate {b} has non-finite or negative weights")
             curve = estimator_config.build(data, sample_weight=w)
-        except DoseDidError:
-            failed += 1
+        except DoseDidError as err:
+            failures[type(err).__name__] += 1
             continue
         rows.append(curve.psi)
+    failed = sum(failures.values())
     if not rows:
         raise EstimationError("every bootstrap replicate failed")
     curves = np.vstack(rows)
@@ -461,4 +516,5 @@ def weighted_bootstrap(
         flagged=failed > 0.1 * b_replicates,
         seed=seed,
         curves=curves if keep_curves else None,
+        failures=dict(failures),
     )

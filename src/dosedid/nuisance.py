@@ -9,6 +9,10 @@ Four models feed the effect-curve estimators:
 
 plus their treated-population marginals ``m(d)`` (average of mu1 over
 treated covariates) and ``f(d)`` (average of pi_d over treated covariates).
+mu1 is linear in its coefficients, so ``m`` is exact in closed form at any
+dose. ``f`` is tabulated on a node set: the dose grid plus every treated
+dose, or, above ``_MARGINAL_NODE_CAP`` treated units, the grid plus that many
+evenly spaced doses over the range; it interpolates linearly in between.
 Each fit accepts configurable specifications: a covariate map (identity or
 the Kang-Schafer nonlinear transform, used to induce misspecification in
 simulation studies) and a learner (linear / logistic, or a natural cubic
@@ -42,6 +46,7 @@ __all__ = [
     "NuisanceSpec",
     "NuisanceModelSet",
     "TabulatedCurve",
+    "MarginalTrend",
     "kang_schafer_map",
     "fit_pi_a",
     "fit_pi_d",
@@ -63,6 +68,11 @@ RESIDUAL_VAR_FLOOR = 1e-6
 _MIN_GROUP = 10
 _KDE_TABLE_SIZE = 4097
 _KDE_TABLE_PAD = 8.0  # bandwidths beyond the sample range
+# Above this many treated units the marginals' node set holds this many
+# evenly spaced doses instead of every treated dose (docs/DECISIONS.md, D3).
+_MARGINAL_NODE_CAP = 4096
+# Elements per units x nodes block when tabulating f.
+_MIXTURE_BLOCK = 16_384
 
 VALID_WHICH = ("pi_a", "pi_d", "mu1", "mu0")
 VALID_MAPS = ("identity", "kang_schafer")
@@ -306,40 +316,43 @@ class DoseTrendModel:
         d = np.broadcast_to(np.asarray(d, dtype=float), (x.shape[0],))
         return self.design(d, x) @ self.coefficients
 
-    def _blocks(self, x: np.ndarray):
-        cov = self.cov_design.build(x)
-        k_cov = cov.shape[1]
-        probe = self.dose_basis.columns(np.zeros(1))
-        k_dose = probe.shape[1]
-        c_cov = self.coefficients[:k_cov]
-        c_dose = self.coefficients[k_cov : k_cov + k_dose]
-        c_int = self.coefficients[k_cov + k_dose :]
-        return cov, c_cov, c_dose, c_int
+    def _split(self):
+        """Coefficients of the covariate, dose and interaction blocks."""
+        c = self.coefficients
+        k_dose = self.dose_basis.columns(np.zeros(1)).shape[1]
+        k_cov = c.shape[0] - k_dose - len(self.interactions)
+        return c[:k_cov], c[k_cov : k_cov + k_dose], c[k_cov + k_dose :]
+
+    def unit_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-unit level and dose slope: ``mu1(d, x_i) = level_i +
+        dose_basis(d) @ c_dose + slope_i * d``."""
+        c_cov, _, c_int = self._split()
+        level = self.cov_design.build(x) @ c_cov
+        if not self.interactions:
+            return level, np.zeros(level.shape[0])
+        return level, self.cov_design.mapped(x)[:, list(self.interactions)] @ c_int
+
+    def profile(self, d, level: float, slope: float) -> np.ndarray:
+        """``level + dose_basis(d) @ c_dose + slope * d`` at each dose."""
+        d = np.asarray(d, dtype=float)
+        return level + self.dose_basis.columns(d) @ self._split()[1] + slope * d
 
     def predict_matrix(self, dose_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
         """(n_units, n_nodes) predictions, exploiting block linearity."""
         nodes = np.asarray(dose_nodes, dtype=float)
-        cov, c_cov, c_dose, c_int = self._blocks(x)
-        out = (cov @ c_cov)[:, None] + (self.dose_basis.columns(nodes) @ c_dose)[None, :]
-        if self.interactions:
-            mapped = self.cov_design.mapped(x)
-            factor = mapped[:, list(self.interactions)] @ c_int
-            out = out + np.outer(factor, nodes)
-        return out
+        level, slope = self.unit_terms(x)
+        return level[:, None] + self.profile(nodes, 0.0, 0.0)[None, :] + np.outer(slope, nodes)
+
+    def covariate_means(self, x: np.ndarray, weights: np.ndarray | None = None) -> tuple[float, float]:
+        """Weighted means of ``unit_terms`` over the units of ``x``."""
+        level, slope = self.unit_terms(x)
+        w = np.ones(level.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+        wsum = float(np.sum(w))
+        return float(np.sum(w * level) / wsum), float(np.sum(w * slope) / wsum)
 
     def dose_profile(self, dose_nodes: np.ndarray, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Weighted covariate-average prediction at each dose node."""
-        nodes = np.asarray(dose_nodes, dtype=float)
-        cov, c_cov, c_dose, c_int = self._blocks(x)
-        w = np.ones(cov.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-        wsum = float(np.sum(w))
-        base = float(np.sum(w * (cov @ c_cov)) / wsum)
-        out = base + self.dose_basis.columns(nodes) @ c_dose
-        if self.interactions:
-            mapped = self.cov_design.mapped(x)
-            factor = float(np.sum(w * (mapped[:, list(self.interactions)] @ c_int)) / wsum)
-            out = out + factor * nodes
-        return out
+        return self.profile(dose_nodes, *self.covariate_means(x, weights))
 
     def with_coefficients(self, coef: np.ndarray) -> "DoseTrendModel":
         return replace(self, coefficients=np.asarray(coef, dtype=float))
@@ -381,7 +394,12 @@ class DoseDensityModel:
     def marginal_density(
         self, dose_nodes: np.ndarray, x: np.ndarray, weights: np.ndarray | None = None
     ) -> np.ndarray:
-        """Weighted average of pi_d(node | x_i) over units, per node."""
+        """Weighted average of pi_d(node | x_i) over units, per node.
+
+        Units are taken a block of rows at a time, each row holding one
+        unit's standardized nodes. Sorted nodes make every row's queries
+        increase, so ``np.interp`` finds each one next to the previous hit.
+        """
         nodes = np.asarray(dose_nodes, dtype=float)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n = x.shape[0]
@@ -390,12 +408,12 @@ class DoseDensityModel:
         mu = self.mean(x)
         s = self.sdev(x)
         out = np.zeros(nodes.shape[0])
-        step = max(1, int(4_000_000 / max(1, n)))
-        for start in range(0, nodes.shape[0], step):
-            block = nodes[start : start + step]
-            z = (block[:, None] - mu[None, :]) / s[None, :]
-            dens = np.interp(z, self.table_x, self.table_y) / s[None, :]
-            out[start : start + step] = np.maximum(dens, DENSITY_FLOOR) @ w
+        rows = max(1, _MIXTURE_BLOCK // max(1, nodes.shape[0]))
+        for start in range(0, n, rows):
+            unit = slice(start, start + rows)
+            z = (nodes[None, :] - mu[unit, None]) / s[unit, None]
+            dens = np.interp(z, self.table_x, self.table_y) / s[unit, None]
+            out += w[unit] @ np.maximum(dens, DENSITY_FLOOR)
         return out
 
     def with_parameters(self, mean_coef, resid_coef, d, x, sample_weight=None) -> "DoseDensityModel":
@@ -414,34 +432,64 @@ class DoseDensityModel:
         )
 
 
-@dataclass(frozen=True)
-class TabulatedCurve:
-    """Piecewise-linear curve over sorted dose nodes.
+def _frozen(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
-    Evaluation outside the tabulated range clamps to the nearest endpoint;
+
+@dataclass(frozen=True)
+class _NodeCurve:
+    """A treated marginal over its sorted dose nodes ``x``.
+
+    Evaluation outside [x[0], x[-1]] clamps to the nearest endpoint;
     callers that report clamps count them with ``out_of_range``.
     """
 
     x: np.ndarray
-    y: np.ndarray
-    floor: float | None = None
 
     def __post_init__(self):
-        for name in ("x", "y"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "x", _frozen(self.x))
 
     def out_of_range(self, d) -> np.ndarray:
         d = np.asarray(d, dtype=float)
         return (d < self.x[0]) | (d > self.x[-1])
 
+
+@dataclass(frozen=True)
+class TabulatedCurve(_NodeCurve):
+    """Piecewise-linear density through ``(x, y)``, floored at DENSITY_FLOOR
+    (hosts f)."""
+
+    y: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "y", _frozen(self.y))
+
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
-        out = np.interp(d, self.x, self.y)
-        if self.floor is not None:
-            out = np.maximum(out, self.floor)
+        out = np.maximum(np.interp(d, self.x, self.y), DENSITY_FLOOR)
         return float(out) if d.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class MarginalTrend(_NodeCurve):
+    """The marginal ``m(d) = level + dose_basis(d) @ c_dose + slope * d`` of
+    a mu1 ``model``, exact at any dose in [x[0], x[-1]].
+
+    ``level`` and ``slope`` are the treated-weighted means of the model's
+    ``unit_terms``; ``x`` is the node set its companion ``f`` is tabulated on.
+    """
+
+    model: DoseTrendModel
+    level: float
+    slope: float
+
+    def __call__(self, d):
+        d = np.asarray(d, dtype=float)
+        out = self.model.profile(np.clip(np.atleast_1d(d), self.x[0], self.x[-1]), self.level, self.slope)
+        return float(out[0]) if d.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -456,7 +504,7 @@ class NuisanceModelSet:
     pi_d: DoseDensityModel | None
     mu1: DoseTrendModel | None
     mu0: CovariateTrendModel | None
-    m_marginal: TabulatedCurve | None
+    m_marginal: MarginalTrend | None
     f_marginal: TabulatedCurve | None
     dose_nodes: np.ndarray | None
     specs: dict
@@ -600,31 +648,47 @@ def default_dose_grid(doses: np.ndarray, size: int = 50, lo_pct: float = 10.0, h
     return np.linspace(lo, hi, size)
 
 
+def _node_set(dose_grid: np.ndarray, doses: np.ndarray) -> np.ndarray:
+    """The marginals' nodes: ``dose_grid`` plus every treated dose, or, for
+    more than ``_MARGINAL_NODE_CAP`` doses, plus that many evenly spaced
+    points over the range of the grid and doses together. A node set is
+    its own node set."""
+    grid = np.asarray(dose_grid, dtype=float)
+    if doses.shape[0] <= _MARGINAL_NODE_CAP:
+        return np.union1d(grid, doses)
+    lo = min(float(grid.min()), float(doses.min()))
+    hi = max(float(grid.max()), float(doses.max()))
+    return np.union1d(grid, np.linspace(lo, hi, _MARGINAL_NODE_CAP))
+
+
 def marginalize(
     mu1: DoseTrendModel | None,
     pi_d: DoseDensityModel | None,
     data: TwoPeriodDataset,
     dose_grid: np.ndarray,
     sample_weight=None,
-) -> tuple[TabulatedCurve | None, TabulatedCurve | None]:
+) -> tuple[MarginalTrend | None, TabulatedCurve | None]:
     """Average mu1 and pi_d over the treated covariate distribution.
 
-    Both marginals are tabulated on the union of ``dose_grid`` and every
-    observed treated dose, and evaluate by linear interpolation in between.
+    ``m`` is exact in closed form at any dose. ``f`` is tabulated on the
+    node set (``dose_grid`` plus every treated dose, or plus
+    ``_MARGINAL_NODE_CAP`` evenly spaced doses when there are more treated
+    units than that) and evaluates by linear interpolation in between. Both
+    carry the node set as ``x``; passing it back as ``dose_grid`` reproduces
+    it.
     """
     if data.n_treated == 0:
         raise FitError("cannot marginalize with no treated units")
-    nodes = np.union1d(np.asarray(dose_grid, dtype=float), data.dose)
+    nodes = _node_set(dose_grid, data.dose)
     wt, _ = _treated_weights(data, sample_weight)
     x_t = data.x_treated
     m_curve = None
     f_curve = None
     if mu1 is not None:
-        m_curve = TabulatedCurve(x=nodes, y=mu1.dose_profile(nodes, x_t, wt))
+        level, slope = mu1.covariate_means(x_t, wt)
+        m_curve = MarginalTrend(x=nodes, model=mu1, level=level, slope=slope)
     if pi_d is not None:
-        f_curve = TabulatedCurve(
-            x=nodes, y=pi_d.marginal_density(nodes, x_t, wt), floor=DENSITY_FLOOR
-        )
+        f_curve = TabulatedCurve(x=nodes, y=pi_d.marginal_density(nodes, x_t, wt))
     return m_curve, f_curve
 
 
@@ -632,8 +696,8 @@ class ModelBank:
     """Nuisance models of one dataset, fitted lazily and shared by spec.
 
     Each ``(name, spec)`` model is fit at most once, and each mu1 or pi_d
-    marginal is tabulated at most once per spec, on the union of
-    ``dose_grid`` and the treated doses. Model sets for different
+    marginal is formed at most once per spec, on the node set that
+    ``marginalize`` derives from ``dose_grid``. Model sets for different
     specification permutations therefore share every fit they have in
     common.
     """
@@ -652,7 +716,7 @@ class ModelBank:
             self._fits[key] = fitter(self.data, spec, self.sample_weight)
         return self._fits[key]
 
-    def marginal(self, name: str, spec: NuisanceSpec) -> TabulatedCurve:
+    def marginal(self, name: str, spec: NuisanceSpec) -> MarginalTrend | TabulatedCurve:
         """The treated marginal ``m`` (name ``"mu1"``) or ``f`` (``"pi_d"``)."""
         key = (name, spec)
         if key not in self._marginals:

@@ -47,7 +47,7 @@ class PseudoOutcomeSet:
 
     ``xi`` and ``w1`` align with treated units in unit order; ``w0`` aligns
     with control units. ``clamped`` counts doses evaluated outside the
-    tabulated marginal range (possible in bootstrap resamples).
+    marginals' node range (possible in bootstrap resamples).
     """
 
     xi: np.ndarray
@@ -88,7 +88,7 @@ def compute_xi(
 
     Returns ``(xi, raw_w1)``; the Hajek-normalized weights are applied to
     the residual term internally. ``on_out_of_range`` controls what happens
-    when a treated dose falls outside the tabulated marginals: ``"error"``
+    when a treated dose falls outside the marginals' node range: ``"error"``
     raises (naming the unit), ``"clamp"`` evaluates at the nearest endpoint.
     """
     if models.m_marginal is None or models.f_marginal is None or models.mu1 is None or models.pi_d is None:
@@ -100,7 +100,7 @@ def compute_xi(
             treated_ids = [uid for uid, flag in zip(data.ids, data.a) if flag]
             bad = int(np.nonzero(outside)[0][0])
             raise ExtrapolationError(
-                f"dose {d[bad]} of unit {treated_ids[bad]!r} lies outside the tabulated marginal range"
+                f"dose {d[bad]} of unit {treated_ids[bad]!r} lies outside the marginals' node range"
             )
     elif on_out_of_range != "clamp":
         raise ValueError("on_out_of_range must be 'error' or 'clamp'")
@@ -177,6 +177,6 @@ def build_pseudo_outcomes(
 
 
 def count_clamped(data: TwoPeriodDataset, models: NuisanceModelSet) -> int:
-    """Treated doses outside the tabulated marginal range, which the
+    """Treated doses outside the marginals' node range, which the
     ``"clamp"`` policy evaluates at the nearest endpoint."""
     return int(np.count_nonzero(models.m_marginal.out_of_range(data.dose)))

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from dosedid import nuisance
 from dosedid.curves import (
     EstimatorConfig,
+    dose_side,
     estimate_curve,
     local_linear_curve,
     robust_select_bandwidth,
@@ -14,7 +18,7 @@ from dosedid.data import TwoPeriodDataset
 from dosedid.errors import BandwidthError, EstimationError, FitError
 from dosedid.inference import bootstrap_weights
 from dosedid.numeric import default_bandwidth_grid, local_linear_fit
-from dosedid.nuisance import default_dose_grid, default_specs, fit_nuisances
+from dosedid.nuisance import default_dose_grid, default_specs, fit_nuisances, marginalize
 from dosedid.pseudo import build_pseudo_outcomes
 from dosedid.simulation import (
     generate_null_data,
@@ -251,3 +255,33 @@ def test_bandwidth_diagnostics_mark_grid_edge_and_extension():
     # A fixed bandwidth is not selected, so it has no grid to sit in.
     fixed = estimate_curve(_trend_data(dose, line), "NAIVE", grid=grid, bandwidth=1.0)
     assert "bandwidth_at_grid_edge" not in fixed.diagnostics
+
+
+def test_dose_weight_diagnostics(data, monkeypatch):
+    """MR, MR_PARAMETRIC and IPW report the marginals' node count and the
+    dose weights' maximum and Kish ESS; the methods reading mu1 report
+    whether its fit was ridged. A cap below n_t thins the nodes to the cap
+    plus the grid."""
+    monkeypatch.setattr(nuisance, "_MARGINAL_NODE_CAP", 64)
+    assert data.n_treated > 64
+    for method in ("MR", "MR_PARAMETRIC", "IPW"):
+        diag = estimate_curve(data, method, specs=SPECS).diagnostics
+        assert diag["marginal_nodes"] == 64 + 50
+        assert diag["w1_max"] >= 1.0
+        assert 1.0 <= diag["w1_ess"] <= data.n_treated
+        assert diag.get("mu1_ridged") is (False if method != "IPW" else None)
+    assert estimate_curve(data, "OR", specs=SPECS).diagnostics["mu1_ridged"] is False
+    assert "w1_ess" not in estimate_curve(data, "NAIVE").diagnostics
+
+
+def test_flat_dose_density_gives_full_effective_sample(data):
+    models = fit_nuisances(data, SPECS, which=("pi_d", "mu1"))
+    flat_pi_d = models.pi_d.with_parameters(
+        np.concatenate([[3.0], np.zeros(4)]), np.concatenate([[4.0], np.zeros(4)]), data.dose, data.x_treated
+    )
+    m_curve, f_curve = marginalize(models.mu1, flat_pi_d, data, models.dose_nodes)
+    flat = replace(models, pi_d=flat_pi_d, m_marginal=m_curve, f_marginal=f_curve)
+    grid = default_dose_grid(data.dose)
+    _, _, diag = dose_side(data, "MR_PARAMETRIC", flat, grid)
+    assert diag["w1_ess"] == pytest.approx(data.n_treated, rel=1e-10)
+    assert diag["w1_max"] == pytest.approx(1.0, rel=1e-10)

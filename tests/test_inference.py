@@ -1,8 +1,11 @@
 """Sandwich variance and weighted bootstrap contracts."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from dosedid import inference
 from dosedid.curves import EstimatorConfig, estimate_curve
 from dosedid.data import TwoPeriodDataset
 from dosedid.errors import EstimationError
@@ -14,6 +17,7 @@ from dosedid.inference import (
     stacked_sandwich_variance,
     weighted_bootstrap,
 )
+from dosedid.numeric import epanechnikov
 from dosedid.nuisance import NuisanceSpec, default_specs, fit_nuisances
 from dosedid.pseudo import build_pseudo_outcomes
 from dosedid.simulation import generate_scenario_data, stream_seed
@@ -128,6 +132,21 @@ def test_full_system_matches_hand_loops_on_tiny_data(fitted):
     assert abs(sandwich_variance(data, models, curve, delta) - var_hand) < 1e-10 * max(1.0, var_hand)
 
 
+def test_closed_form_corrections_match_dense_quadrature(fitted):
+    """c0/c1 from the per-unit (alpha, phi) equal the trapezoid sums over the
+    dense n_t x nodes deviation matrix."""
+    data, models, curve = fitted
+    ctx = inference._CurveContext(data, models, curve)
+    nodes = models.dose_nodes
+    dev = models.mu1.predict_matrix(nodes, data.x_treated) - models.m_marginal(nodes)[None, :]
+    for delta in curve.grid[[0, 17, 33, 49]]:
+        u = (nodes - delta) / curve.bandwidth
+        q0 = ctx.trapw * epanechnikov(u) * models.f_marginal(nodes)
+        c0, c1 = ctx.corrections(float(delta))
+        for got, ref in ((c0, dev @ q0), (c1, dev @ (q0 * u))):
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def _w0_mean(data, models):
     pa = models.pi_a(data.x)[~data.a]
     return float(np.mean(pa / (1 - pa)))
@@ -180,6 +199,50 @@ def test_augmented_mode_runs_and_vanishes():
     var_base = sandwich_variance(data, models, curve, delta, mode="base")
     assert np.isfinite(var_aug) and var_aug >= 0.0
     assert var_aug < 50 * var_base  # same order of magnitude
+
+
+@pytest.fixture(scope="module")
+def augmented_case():
+    data = generate_scenario_data(200, stream_seed(400, 8, 0))
+    grid = np.linspace(np.percentile(data.dose, 15), np.percentile(data.dose, 85), 4)
+    models = fit_nuisances(data, SPECS, dose_grid=grid)
+    curve = estimate_curve(data, "MR", specs=SPECS, grid=grid, models=models)
+    return data, models, curve
+
+
+def test_augmented_bands_equal_per_delta_systems_bitwise(augmented_case):
+    """Reusing the finite-difference contexts across the grid changes no bit
+    against building them afresh for each delta."""
+    data, models, curve = augmented_case
+    _, _, variances = sandwich_bands(data, models, curve, mode="augmented")
+    for k, delta in enumerate(curve.grid):
+        var, _ = build_estimating_system(data, models, curve, float(delta), mode="augmented").variance()
+        assert variances[k] == var
+
+
+def test_augmented_curve_rebuilds_each_perturbed_set_once(augmented_case, monkeypatch):
+    data, models, curve = augmented_case
+    calls = Counter()
+    original = inference.marginalize
+
+    def counted(*args, **kwargs):
+        calls["marginalize"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "marginalize", counted)
+    sandwich_bands(data, models, curve, mode="augmented")
+    p = sum(
+        c.shape[0]
+        for c in (
+            models.pi_d.mean_coef,
+            models.pi_d.resid_coef,
+            models.mu1.coefficients,
+            models.pi_a.coefficients,
+            models.mu0.coefficients,
+        )
+    )
+    assert curve.grid.shape[0] > 1
+    assert calls["marginalize"] == 2 * p
 
 
 def test_augmented_mode_rejects_flexible_learners():
@@ -270,3 +333,21 @@ def test_bootstrap_width_close_to_sandwich_width():
     sand_width = hi[k] - lo[k]
     boot_width = boot.ci_upper[k] - boot.ci_lower[k]
     assert abs(boot_width - sand_width) < 0.25 * sand_width
+
+
+def test_bootstrap_counts_failures_by_error_class():
+    data = generate_scenario_data(240, stream_seed(400, 9, 0))
+    point = estimate_curve(data, "MR", specs=SPECS)
+    cfg = EstimatorConfig(method="MR", specs=SPECS, grid=point.grid, bandwidth=point.bandwidth, on_out_of_range="clamp")
+
+    def weights(b):
+        w = bootstrap_weights(data.a, 3, b)
+        if b == 2:
+            w[5] = np.inf
+        return w
+
+    result = weighted_bootstrap(data, cfg, 5, seed=3, weight_fn=weights)
+    assert result.failures == {"DataValidationError": 1}
+    assert result.b_failed == 1 and result.b_success == 4
+    clean = weighted_bootstrap(data, cfg, 3, seed=3)
+    assert clean.failures == {} and clean.b_failed == 0

@@ -35,7 +35,7 @@ from .config import (
     parse_schema,
     parse_specs,
 )
-from .curves import METHODS, EstimatorConfig, estimate_curve, write_curve
+from .curves import CONTROL_NEEDS, DOSE_NEEDS, METHODS, EstimatorConfig, estimate_curve, write_curve
 from .data import load_panel, pair_periods, validate
 from .errors import (
     BandwidthError,
@@ -50,7 +50,7 @@ from .errors import (
     SchemaError,
 )
 from .inference import sandwich_bands, weighted_bootstrap
-from .nuisance import default_dose_grid, fit_nuisances
+from .nuisance import ModelBank, default_dose_grid
 from .panel import placebo_curves
 from .simulation import ground_truth_curve, run_permutation_study, run_study
 
@@ -189,11 +189,12 @@ def _cmd_estimate(config: dict, args) -> int:
     grid = _resolve_grid(grid_req, dataset)
     outputs = []
     diagnostics = {}
+    # One bank: every model and marginal is fitted once and shared by the
+    # methods that read it.
+    bank = ModelBank(dataset, grid)
     with _Staging(Path(output), args.force) as stage:
         for method in methods:
-            models = None
-            if method == "MR" and inference.wants_sandwich:
-                models = fit_nuisances(dataset, specs, dose_grid=grid)
+            models = bank.models(specs, DOSE_NEEDS[method] + CONTROL_NEEDS[method])
             curve = estimate_curve(
                 dataset, method, specs=specs, grid=grid, bandwidth=bandwidth, models=models
             )

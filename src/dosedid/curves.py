@@ -32,7 +32,7 @@ import numpy as np
 from .data import TwoPeriodDataset
 from .errors import BandwidthError, EstimationError
 from .numeric import WindowedMoments, default_bandwidth_grid, fit_wls, select_bandwidth
-from .nuisance import VALID_WHICH, NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
+from .nuisance import DENSITY_FLOOR, VALID_WHICH, NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
 from .pseudo import compute_theta0, compute_xi, count_clamped, normalize_weights
 
 __all__ = [
@@ -211,13 +211,18 @@ def _smoothed_theta(data, ys, grid, bandwidth, bandwidth_grid, wt, diagnostics):
     return theta, float(bandwidth)
 
 
-def _weight_health(models, raw_w1, wt, diagnostics) -> None:
-    """Record the marginals' node count, and the normalized dose weights
+def _weight_health(data, models, raw_w1, wt, diagnostics) -> None:
+    """Record the marginals' node count; the treated doses at which f, and
+    pi_d(D_i | X_i), sit at DENSITY_FLOOR; and the normalized dose weights
     w1's maximum and Kish effective sample size (sum v)^2 / sum v^2, where v
     is the sample weight times w1."""
     w1 = normalize_weights(raw_w1, wt)
     v = w1 if wt is None else wt * w1
     diagnostics["marginal_nodes"] = int(models.f_marginal.x.shape[0])
+    diagnostics["f_floor_hits"] = int(np.count_nonzero(models.f_marginal(data.dose) <= DENSITY_FLOOR))
+    diagnostics["pi_d_floor_hits"] = int(
+        np.count_nonzero(models.pi_d(data.dose, data.x_treated) <= DENSITY_FLOOR)
+    )
     diagnostics["w1_max"] = float(np.max(w1))
     diagnostics["w1_ess"] = float(np.sum(v) ** 2 / np.sum(v * v))
 
@@ -237,8 +242,8 @@ def dose_side(
 
     Reads only the models in ``DOSE_NEEDS[method]``. For TWFE, whose curve
     does not split, theta is the whole curve. Methods that read pi_d record
-    ``marginal_nodes``, ``w1_max`` and ``w1_ess`` in the diagnostics; those
-    that read mu1 record ``mu1_ridged``.
+    ``marginal_nodes``, ``f_floor_hits``, ``pi_d_floor_hits``, ``w1_max`` and
+    ``w1_ess`` in the diagnostics; those that read mu1 record ``mu1_ridged``.
     """
     wt = None if sample_weight is None else data.split(np.asarray(sample_weight, dtype=float))[0]
     trend_t, _ = data.split(data.trend)
@@ -248,7 +253,7 @@ def dose_side(
     if method in ("MR", "MR_PARAMETRIC"):
         xi, raw_w1 = compute_xi(data, models, sample_weight, on_out_of_range)
         diagnostics["clamped"] = count_clamped(data, models)
-        _weight_health(models, raw_w1, wt, diagnostics)
+        _weight_health(data, models, raw_w1, wt, diagnostics)
         if method == "MR":
             theta, bandwidth = _smoothed_theta(data, xi, grid, bandwidth, bandwidth_grid, wt, diagnostics)
         else:
@@ -259,7 +264,7 @@ def dose_side(
     elif method == "IPW":
         raw_w1 = models.f_marginal(data.dose) / models.pi_d(data.dose, data.x_treated)
         target = normalize_weights(raw_w1, wt) * trend_t
-        _weight_health(models, raw_w1, wt, diagnostics)
+        _weight_health(data, models, raw_w1, wt, diagnostics)
         theta, bandwidth = _smoothed_theta(data, target, grid, bandwidth, bandwidth_grid, wt, diagnostics)
     elif method == "NAIVE":
         theta, bandwidth = _smoothed_theta(data, trend_t, grid, bandwidth, bandwidth_grid, wt, diagnostics)

@@ -6,15 +6,18 @@ Two routes:
   has four equations per unit: the two local-linear kernel normal equations
   for (theta(delta), beta), and the two mean-type equations for
   theta00/theta01. Each kernel equation carries a quadrature correction: the
-  trapezoid sum, over the marginals' node set, of the kernel times f times
-  the covariate-level deviation mu1(d, X_i) - m(d). mu1 is linear in its
-  coefficients, so the deviation is alpha_i + phi_i * d and a correction
-  costs O(n + nodes). Augmented mode appends the nuisance-model score
-  equations and differentiates through the whole pipeline by central
-  differences. Both modes solve every grid point over one per-curve
-  context, and augmented mode builds its 2p perturbed contexts once per
-  curve. ``stacked_sandwich_variance`` concatenates per-period systems so
-  the variance of an average over periods picks up cross-period
+  integral, over the marginals' node range, of the kernel times f times the
+  covariate-level deviation mu1(d, X_i) - m(d). mu1 is linear in its
+  coefficients, so the deviation is alpha_i + phi_i * d; f is piecewise
+  linear, so the integrand is a polynomial between the nodes and the
+  kernel's ends, and 3-point Gauss-Legendre integrates it exactly. A
+  correction costs O(n + nodes in the window). Augmented mode appends the
+  nuisance-model score equations and differentiates through the whole
+  pipeline by central differences. Both modes solve every grid point over
+  one per-curve context, and augmented mode builds its 2p perturbed
+  contexts once per curve, refitting pi_d and f only for pi_d's own
+  coordinates. ``stacked_sandwich_variance`` concatenates per-period
+  systems so the variance of an average over periods picks up cross-period
   covariance.
 
 * **Weighted bootstrap**: per replicate one exponential(1) weight per unit,
@@ -51,6 +54,9 @@ __all__ = [
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 _FD_STEP = 1e-5
+# 3-point Gauss-Legendre on [-1, 1]: exact for polynomials of degree <= 5.
+_GL_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
+_GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 _PSI_CONTRAST = np.array([1.0, 0.0, -1.0, -1.0])  # psi = theta - theta00 - theta01
 
 
@@ -84,9 +90,9 @@ class EstimatingSystem:
 class _CurveContext:
     """Per-curve quantities reused across grid deltas by the sandwich.
 
-    It holds O(n + nodes) arrays and no models. mu1 is linear in its
-    coefficients, so the covariate-level deviation mu1(d, X_i) - m(d) is
-    ``alpha_i + phi_i * d`` (the dose block cancels), and the quadrature
+    It holds O(n) arrays, f's tabulated values and no models. mu1 is linear
+    in its coefficients, so the covariate-level deviation mu1(d, X_i) - m(d)
+    is ``alpha_i + phi_i * d`` (the dose block cancels), and the quadrature
     corrections need only the two per-unit vectors.
     """
 
@@ -111,34 +117,62 @@ class _CurveContext:
         self.mu0_all = models.mu0(data.x)
         self.window = WindowedMoments(data.dose, self.xi, self.wt)
 
-        nodes = models.dose_nodes
-        self.nodes = nodes
-        tw = np.empty(nodes.shape[0])
-        tw[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
-        tw[0] = 0.5 * (nodes[1] - nodes[0])
-        tw[-1] = 0.5 * (nodes[-1] - nodes[-2])
-        self.trapw = tw
-        self.f_nodes = models.f_marginal(nodes)
+        self.nodes = models.dose_nodes
+        self.f_values = models.f_marginal.y
         level, slope = models.mu1.unit_terms(data.x_treated)
         self.alpha = level - models.m_marginal.level
         self.phi = slope - models.m_marginal.slope
 
-    def corrections(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-treated-unit quadrature terms (c0, c1): the trapezoid sums over
-        the nodes of K(u) f(d) (mu1(d, X_i) - m(d)) and of the same times u,
-        with u = (d - delta) / h."""
-        u_nodes = (self.nodes - delta) / self.h
-        q0 = self.trapw * epanechnikov(u_nodes) * self.f_nodes
-        q1 = q0 * u_nodes
-        c0 = self.alpha * np.sum(q0) + self.phi * (q0 @ self.nodes)
-        c1 = self.alpha * np.sum(q1) + self.phi * (q1 @ self.nodes)
-        return c0, c1
+    def quadrature(self, delta: float) -> tuple[int, np.ndarray]:
+        """``(first, weights)``: a (4, m) matrix whose rows, applied to the
+        values of any piecewise-linear f on the nodes ``first`` to
+        ``first + m - 1``, give the integrals over the node range of
+        K(u) f(d) times 1, d, u and u d, with u = (d - delta) / h.
 
-    def gamma_eta(self, delta: float, eta: np.ndarray) -> np.ndarray:
-        """Base 4-column per-unit estimating equations at (delta, eta)."""
+        The breakpoints are the nodes and the window ends delta +- h, and
+        between them the integrand is a polynomial of degree <= 5, so
+        3-point Gauss-Legendre is exact on each piece. The weights depend
+        only on the nodes, h and delta; contexts sharing the nodes share
+        them.
+        """
+        nodes, h = self.nodes, self.h
+        lo = max(delta - h, float(nodes[0]))
+        hi = min(delta + h, float(nodes[-1]))
+        if not hi > lo:
+            return 0, np.zeros((4, 1))
+        first = min(int(np.searchsorted(nodes, lo, side="right")) - 1, nodes.shape[0] - 2)
+        stop = int(np.searchsorted(nodes, hi, side="left"))
+        breaks = np.concatenate([[lo], nodes[first + 1 : stop], [hi]])
+        half = 0.5 * (breaks[1:] - breaks[:-1])
+        # (3, pieces): the Gauss-Legendre points of each piece, column-wise;
+        # piece p lies between nodes first + p and first + p + 1.
+        d = 0.5 * (breaks[1:] + breaks[:-1]) + _GL_NODES[:, None] * half
+        u = (d - delta) / h
+        kw = 0.75 * (1.0 - u * u) * (_GL_WEIGHTS[:, None] * half)
+        left = nodes[first:stop]
+        t = (d - left) / (nodes[first + 1 : stop + 1] - left)
+        ku = kw * u
+        weights = np.zeros((4, stop - first + 1))
+        for row, moment in enumerate((kw, kw * d, ku, ku * d)):
+            upper = moment * t
+            weights[row, :-1] = (moment - upper).sum(axis=0)
+            weights[row, 1:] += upper.sum(axis=0)
+        return first, weights
+
+    def corrections(self, rule: tuple[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-treated-unit quadrature terms (c0, c1) under a ``quadrature``
+        rule: the integrals of K(u) f(d) (mu1(d, X_i) - m(d)) and of the
+        same times u."""
+        first, weights = rule
+        a0, a1, b0, b1 = weights @ self.f_values[first : first + weights.shape[1]]
+        return self.alpha * a0 + self.phi * a1, self.alpha * b0 + self.phi * b1
+
+    def gamma_eta(self, delta: float, eta: np.ndarray, rule: tuple[int, np.ndarray]) -> np.ndarray:
+        """Base 4-column per-unit estimating equations at (delta, eta), with
+        the corrections under ``rule`` (``quadrature(delta)``)."""
         data = self.data
         theta, beta, theta00, theta01 = eta
-        c0, c1 = self.corrections(delta)
+        c0, c1 = self.corrections(rule)
 
         u = (data.dose - delta) / self.h
         k = epanechnikov(u)
@@ -173,7 +207,9 @@ class _FiniteDifferences:
     The nuisance scores and the 2p central-difference nuisance sets do not
     depend on delta. Each perturbed set is therefore rebuilt, marginalized
     and reduced to a ``_CurveContext`` once, and every grid point reuses the
-    contexts; the rebuilt models themselves are not kept.
+    contexts; the rebuilt models themselves are not kept. Every context
+    tabulates f on the curve's node set, so one quadrature rule per grid
+    point serves them all.
     """
 
     def __init__(self, ctx: _CurveContext, models: NuisanceModelSet):
@@ -247,12 +283,18 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
 
     def rebuild(packed: np.ndarray) -> NuisanceModelSet:
         alpha_d, gamma_r, lam1, alpha_a, lam0 = _unpack(packed, sizes)
-        pi_d = models.pi_d.with_parameters(alpha_d, gamma_r, d, x_t, ctx.wt if models.sample_weight is not None else None)
         mu1 = models.mu1.with_coefficients(lam1)
         pi_a = models.pi_a.with_coefficients(alpha_a)
         mu0 = models.mu0.with_coefficients(lam0)
         # The curve's own node set: marginalize maps a node set to itself.
-        m_curve, f_curve = marginalize(mu1, pi_d, data, models.dose_nodes, models.sample_weight)
+        nodes, sw = models.dose_nodes, models.sample_weight
+        if _pi_d_unchanged(models.pi_d, alpha_d, gamma_r):
+            # Only pi_d's own coordinates move pi_d and f.
+            pi_d = models.pi_d
+            m_curve, f_curve = marginalize(mu1, None, data, nodes, sw)[0], models.f_marginal
+        else:
+            pi_d = models.pi_d.with_parameters(alpha_d, gamma_r, d, x_t, ctx.wt if sw is not None else None)
+            m_curve, f_curve = marginalize(mu1, pi_d, data, nodes, sw)
         return NuisanceModelSet(
             pi_a=pi_a,
             pi_d=pi_d,
@@ -267,6 +309,12 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
         )
 
     return np.concatenate(params), sizes, scores, rebuild
+
+
+def _pi_d_unchanged(pi_d, mean_coef: np.ndarray, resid_coef: np.ndarray) -> bool:
+    """Whether a perturbed parameter vector leaves pi_d's coefficients as
+    they are, so that the fitted pi_d and f serve unchanged."""
+    return bool(np.array_equal(mean_coef, pi_d.mean_coef) and np.array_equal(resid_coef, pi_d.resid_coef))
 
 
 def _unpack(packed: np.ndarray, sizes) -> list[np.ndarray]:
@@ -308,7 +356,8 @@ def _system(ctx: _CurveContext, fd: _FiniteDifferences | None, delta: float) -> 
     """The estimating system at one delta over a curve's shared context;
     augmented when ``fd`` is given."""
     eta, bread = ctx.solve(delta)
-    gamma = ctx.gamma_eta(delta, eta)
+    rule = ctx.quadrature(delta)
+    gamma = ctx.gamma_eta(delta, eta, rule)
 
     if fd is None:
         return EstimatingSystem(
@@ -328,7 +377,7 @@ def _system(ctx: _CurveContext, fd: _FiniteDifferences | None, delta: float) -> 
 
     def summed_gamma_at(end) -> np.ndarray:
         ctx_pt, score_sum = end
-        return np.concatenate([ctx_pt.gamma_eta(delta, eta).sum(axis=0), score_sum])
+        return np.concatenate([ctx_pt.gamma_eta(delta, eta, rule).sum(axis=0), score_sum])
 
     for j, (step, hi, lo) in enumerate(fd.columns):
         bread_full[:, 4 + j] = (summed_gamma_at(hi) - summed_gamma_at(lo)) / (2.0 * step)

@@ -10,9 +10,10 @@ Four models feed the effect-curve estimators:
 plus their treated-population marginals ``m(d)`` (average of mu1 over
 treated covariates) and ``f(d)`` (average of pi_d over treated covariates).
 mu1 is linear in its coefficients, so ``m`` is exact in closed form at any
-dose. ``f`` is tabulated on a node set: the dose grid plus every treated
-dose, or, above ``_MARGINAL_NODE_CAP`` treated units, the grid plus that many
-evenly spaced doses over the range; it interpolates linearly in between.
+dose. ``f`` is tabulated on ``_MARGINAL_NODES`` evenly spaced doses over the
+range of the dose grid and the treated doses together, by binning the units
+and convolving by FFT, and interpolates linearly in between; its tabulated
+values are floored at ``DENSITY_FLOOR`` once (docs/DECISIONS.md, D4).
 Each fit accepts configurable specifications: a covariate map (identity or
 the Kang-Schafer nonlinear transform, used to induce misspecification in
 simulation studies) and a learner (linear / logistic, or a natural cubic
@@ -20,7 +21,8 @@ spline additive expansion).
 
 The dose density is fit in three stages on treated units only: a mean model
 for D given X, a squared-residual model for the conditional variance, and a
-Gaussian kernel density over the standardized residuals.
+Gaussian kernel density over the standardized residuals, tabulated by
+binning and one FFT convolution.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .numeric import (
     fit_logistic,
     fit_wls,
     gaussian_kde,
+    scale_mixture,
     silverman_bandwidth,
 )
 
@@ -59,8 +62,9 @@ __all__ = [
     "default_specs",
 ]
 
-# Conditional dose densities (and their marginal) are floored here before
-# entering any weight denominator, bounding 1/pi_d numerically.
+# Conditional dose densities are floored here before entering any weight
+# denominator, bounding 1/pi_d numerically; the marginal f's tabulated
+# values are floored here once.
 DENSITY_FLOOR = 1e-4
 # Squared-residual predictions are floored before standardization.
 RESIDUAL_VAR_FLOOR = 1e-6
@@ -68,11 +72,9 @@ RESIDUAL_VAR_FLOOR = 1e-6
 _MIN_GROUP = 10
 _KDE_TABLE_SIZE = 4097
 _KDE_TABLE_PAD = 8.0  # bandwidths beyond the sample range
-# Above this many treated units the marginals' node set holds this many
-# evenly spaced doses instead of every treated dose (docs/DECISIONS.md, D3).
-_MARGINAL_NODE_CAP = 4096
-# Elements per units x nodes block when tabulating f.
-_MIXTURE_BLOCK = 16_384
+# f is tabulated on this many evenly spaced doses, set by the tolerance on
+# psi (docs/DECISIONS.md, D4).
+_MARGINAL_NODES = 4096
 
 VALID_WHICH = ("pi_a", "pi_d", "mu1", "mu0")
 VALID_MAPS = ("identity", "kang_schafer")
@@ -365,7 +367,8 @@ class DoseDensityModel:
     Composition of a mean model, a floored squared-residual model, and a
     kernel density over standardized residuals: the returned value is
     ``kde((d - mean(x)) / s(x)) / s(x)``, floored at DENSITY_FLOOR. The kde
-    is evaluated through a dense interpolation table for speed.
+    is evaluated through an interpolation table of ``_KDE_TABLE_SIZE``
+    evenly spaced points, tabulated by ``DensityEstimate.on_grid``.
     """
 
     mean_coef: np.ndarray
@@ -374,6 +377,7 @@ class DoseDensityModel:
     resid_design: CovariateDesign
     table_x: np.ndarray
     table_y: np.ndarray
+    kde_bandwidth: float
     bandwidth_spec: float | None = None
 
     def mean(self, x: np.ndarray) -> np.ndarray:
@@ -394,27 +398,27 @@ class DoseDensityModel:
     def marginal_density(
         self, dose_nodes: np.ndarray, x: np.ndarray, weights: np.ndarray | None = None
     ) -> np.ndarray:
-        """Weighted average of pi_d(node | x_i) over units, per node.
+        """Weighted average over units of the unfloored pi_d(node | x_i), at
+        evenly spaced ``dose_nodes``.
 
-        Units are taken a block of rows at a time, each row holding one
-        unit's standardized nodes. Sorted nodes make every row's queries
-        increase, so ``np.interp`` finds each one next to the previous hit.
+        The units are binned in (mean, log sdev) and each sdev node's
+        histogram is convolved with the KDE table by FFT; sdev outliers are
+        summed directly (``numeric.scale_mixture``).
         """
         nodes = np.asarray(dose_nodes, dtype=float)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        n = x.shape[0]
-        w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-        w = w / np.sum(w)
-        mu = self.mean(x)
-        s = self.sdev(x)
-        out = np.zeros(nodes.shape[0])
-        rows = max(1, _MIXTURE_BLOCK // max(1, nodes.shape[0]))
-        for start in range(0, n, rows):
-            unit = slice(start, start + rows)
-            z = (nodes[None, :] - mu[unit, None]) / s[unit, None]
-            dens = np.interp(z, self.table_x, self.table_y) / s[unit, None]
-            out += w[unit] @ np.maximum(dens, DENSITY_FLOOR)
-        return out
+        w = np.ones(x.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+        return scale_mixture(
+            self.table_x,
+            self.table_y,
+            self.mean(x),
+            self.sdev(x),
+            w / np.sum(w),
+            float(nodes[0]),
+            float(nodes[-1]),
+            nodes.shape[0],
+            self.kde_bandwidth,
+        )
 
     def with_parameters(self, mean_coef, resid_coef, d, x, sample_weight=None) -> "DoseDensityModel":
         """Rebuild the full three-stage model at new mean/variance
@@ -458,8 +462,8 @@ class _NodeCurve:
 
 @dataclass(frozen=True)
 class TabulatedCurve(_NodeCurve):
-    """Piecewise-linear density through ``(x, y)``, floored at DENSITY_FLOOR
-    (hosts f)."""
+    """Piecewise-linear density through ``(x, y)`` (hosts f, whose ``y``
+    ``marginalize`` floors at DENSITY_FLOOR)."""
 
     y: np.ndarray
 
@@ -469,7 +473,7 @@ class TabulatedCurve(_NodeCurve):
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
-        out = np.maximum(np.interp(d, self.x, self.y), DENSITY_FLOOR)
+        out = np.interp(d, self.x, self.y)
         return float(out) if d.ndim == 0 else out
 
 
@@ -552,7 +556,7 @@ def _assemble_dose_density(
     lo = std_resid.min() - _KDE_TABLE_PAD * kde.bandwidth
     hi = std_resid.max() + _KDE_TABLE_PAD * kde.bandwidth
     table_x = np.linspace(lo, hi, _KDE_TABLE_SIZE)
-    table_y = kde(table_x)
+    table_y = kde.on_grid(lo, hi, _KDE_TABLE_SIZE)
     return DoseDensityModel(
         mean_coef=np.asarray(mean_coef, dtype=float),
         resid_coef=np.asarray(resid_coef, dtype=float),
@@ -560,6 +564,7 @@ def _assemble_dose_density(
         resid_design=resid_design,
         table_x=table_x,
         table_y=table_y,
+        kde_bandwidth=kde.bandwidth,
         bandwidth_spec=bandwidth_spec,
     )
 
@@ -649,16 +654,13 @@ def default_dose_grid(doses: np.ndarray, size: int = 50, lo_pct: float = 10.0, h
 
 
 def _node_set(dose_grid: np.ndarray, doses: np.ndarray) -> np.ndarray:
-    """The marginals' nodes: ``dose_grid`` plus every treated dose, or, for
-    more than ``_MARGINAL_NODE_CAP`` doses, plus that many evenly spaced
-    points over the range of the grid and doses together. A node set is
-    its own node set."""
+    """The marginals' nodes: ``_MARGINAL_NODES`` evenly spaced doses over the
+    range of ``dose_grid`` and ``doses`` together. A node set is its own
+    node set, so rebuilds that pass it back as the grid land on it."""
     grid = np.asarray(dose_grid, dtype=float)
-    if doses.shape[0] <= _MARGINAL_NODE_CAP:
-        return np.union1d(grid, doses)
     lo = min(float(grid.min()), float(doses.min()))
     hi = max(float(grid.max()), float(doses.max()))
-    return np.union1d(grid, np.linspace(lo, hi, _MARGINAL_NODE_CAP))
+    return np.linspace(lo, hi, _MARGINAL_NODES)
 
 
 def marginalize(
@@ -670,12 +672,12 @@ def marginalize(
 ) -> tuple[MarginalTrend | None, TabulatedCurve | None]:
     """Average mu1 and pi_d over the treated covariate distribution.
 
-    ``m`` is exact in closed form at any dose. ``f`` is tabulated on the
-    node set (``dose_grid`` plus every treated dose, or plus
-    ``_MARGINAL_NODE_CAP`` evenly spaced doses when there are more treated
-    units than that) and evaluates by linear interpolation in between. Both
-    carry the node set as ``x``; passing it back as ``dose_grid`` reproduces
-    it.
+    ``m`` is exact in closed form at any dose. ``f`` is the binned mixture
+    of the unfloored pi_d on the node set (``_MARGINAL_NODES`` evenly spaced
+    doses over the range of ``dose_grid`` and the treated doses), floored
+    at DENSITY_FLOOR there, and evaluates by linear interpolation in
+    between. Both carry the node set as ``x``; passing it back as
+    ``dose_grid`` reproduces it.
     """
     if data.n_treated == 0:
         raise FitError("cannot marginalize with no treated units")
@@ -688,7 +690,7 @@ def marginalize(
         level, slope = mu1.covariate_means(x_t, wt)
         m_curve = MarginalTrend(x=nodes, model=mu1, level=level, slope=slope)
     if pi_d is not None:
-        f_curve = TabulatedCurve(x=nodes, y=pi_d.marginal_density(nodes, x_t, wt))
+        f_curve = TabulatedCurve(x=nodes, y=np.maximum(pi_d.marginal_density(nodes, x_t, wt), DENSITY_FLOOR))
     return m_curve, f_curve
 
 

@@ -1,11 +1,14 @@
-"""The exact marginals that the node-capped path approximates.
+"""The exact marginals that the binned path approximates.
 
-Below ``nuisance._MARGINAL_NODE_CAP`` treated units the estimator tabulates
-f on the union of the dose grid and every treated dose; above it, on the
-grid plus a fixed number of evenly spaced doses. ``exact_models`` rebuilds a
-model set's marginals on the full union, with f from the dense per-node
-mixture: for each node, the weighted mean over treated units of
-pi_d(node | X_i). That costs O(n_t^2), which is what the cap removes.
+The estimator tabulates pi_d's residual kernel density by linear binning
+and f as a mixture binned over the units' (mean, sdev), both convolved by
+FFT, on evenly spaced nodes, and floors f's tabulated values once.
+``exact_models`` rebuilds a model set with pi_d's table evaluated directly
+by ``DensityEstimate`` and both marginals on the union of the grid and every
+treated dose, with f from the dense per-node mixture: for each node, the
+weighted mean over treated units of pi_d(node | X_i) before its floor,
+floored once as the estimator's f is. That costs O(n_t^2), which is what
+the binning removes.
 """
 
 from __future__ import annotations
@@ -14,36 +17,58 @@ from dataclasses import replace
 
 import numpy as np
 
-from dosedid.nuisance import DENSITY_FLOOR, NuisanceModelSet, TabulatedCurve
+from dosedid.nuisance import DENSITY_FLOOR, DoseDensityModel, NuisanceModelSet, TabulatedCurve
+from dosedid.numeric import gaussian_kde, silverman_bandwidth
 
 _NODE_BLOCK = 256
 
 
-def dense_f(models: NuisanceModelSet, nodes: np.ndarray) -> np.ndarray:
-    """f at each node: the treated-weighted mean of the floored pi_d(node | X_i)."""
+def _treated_weights(models: NuisanceModelSet):
+    data = models.data
+    return None if models.sample_weight is None else data.split(models.sample_weight)[0]
+
+
+def direct_pi_d(models: NuisanceModelSet) -> DoseDensityModel:
+    """``models.pi_d`` with its table evaluated by ``DensityEstimate.__call__``
+    at the same points."""
+    data = models.data
+    pi_d = models.pi_d
+    x_t = data.x_treated
+    wt = _treated_weights(models)
+    resid = (data.dose - pi_d.mean(x_t)) / pi_d.sdev(x_t)
+    bw = pi_d.bandwidth_spec if pi_d.bandwidth_spec is not None else silverman_bandwidth(resid, wt)
+    return replace(pi_d, table_y=gaussian_kde(resid, bw, wt)(pi_d.table_x))
+
+
+def dense_f(models: NuisanceModelSet, nodes: np.ndarray, pi_d: DoseDensityModel | None = None) -> np.ndarray:
+    """f at each node: the treated-weighted mean of the unfloored
+    pi_d(node | X_i), under ``pi_d`` (default ``models.pi_d``)."""
     data = models.data
     x_t = data.x_treated
-    wt = np.ones(data.n_treated) if models.sample_weight is None else data.split(models.sample_weight)[0]
+    wt = _treated_weights(models)
+    wt = np.ones(data.n_treated) if wt is None else wt
     wt = wt / np.sum(wt)
-    pi_d = models.pi_d
+    pi_d = models.pi_d if pi_d is None else pi_d
     mu = pi_d.mean(x_t)
     s = pi_d.sdev(x_t)
     out = np.empty(nodes.shape[0])
     for start in range(0, nodes.shape[0], _NODE_BLOCK):
         block = nodes[start : start + _NODE_BLOCK]
         dens = np.interp((block[:, None] - mu[None, :]) / s[None, :], pi_d.table_x, pi_d.table_y) / s[None, :]
-        out[start : start + _NODE_BLOCK] = np.maximum(dens, DENSITY_FLOOR) @ wt
+        out[start : start + _NODE_BLOCK] = dens @ wt
     return out
 
 
 def exact_models(models: NuisanceModelSet, grid: np.ndarray) -> NuisanceModelSet:
-    """``models`` with both marginals on the union of ``grid`` and every
-    treated dose: f tabulated by ``dense_f``, m the same closed form."""
+    """``models`` with pi_d's directly evaluated table and both marginals on
+    the union of ``grid`` and every treated dose: f the dense mixture
+    ``dense_f`` floored once at DENSITY_FLOOR, m the same closed form."""
     nodes = np.union1d(np.asarray(grid, dtype=float), models.data.dose)
-    f_curve = TabulatedCurve(x=nodes, y=dense_f(models, nodes))
+    pi_d = direct_pi_d(models)
     return replace(
         models,
+        pi_d=pi_d,
         m_marginal=replace(models.m_marginal, x=nodes),
-        f_marginal=f_curve,
+        f_marginal=TabulatedCurve(x=nodes, y=np.maximum(dense_f(models, nodes, pi_d), DENSITY_FLOOR)),
         dose_nodes=nodes,
     )

@@ -79,10 +79,41 @@ def test_estimate_outputs_and_determinism(tmp_path, panel_file):
     assert manifest["diagnostics"]["MR"]["marginal_nodes"] > 0
     assert 0.0 < manifest["diagnostics"]["MR"]["w1_ess"] <= 260
     assert manifest["diagnostics"]["MR"]["mu1_ridged"] is False
+    assert manifest["diagnostics"]["MR"]["f_floor_hits"] == 0
+    assert manifest["diagnostics"]["MR"]["pi_d_floor_hits"] == 0
 
     assert dispatch(["estimate", "-c", str(cfg), "--set", f"output={tmp_path / 'run2'}"]) == 0
     for name in ("curve_MR.csv", "curve_MR_sandwich.csv", "curve_NAIVE.csv"):
         assert (out1 / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
+
+
+def test_estimate_fits_each_model_once(tmp_path, panel_file, monkeypatch):
+    """MR, OR, NAIVE and TWFE with sandwich bands share one model bank: the
+    four nuisance models are fitted once and the m and f marginals formed
+    once each."""
+    from dosedid import nuisance
+
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("fit_pi_a", "fit_pi_d", "fit_mu1", "fit_mu0", "marginalize"):
+        monkeypatch.setattr(nuisance, name, counting(name, getattr(nuisance, name)))
+    payload = {
+        "output": str(tmp_path / "run"),
+        "data": {"path": str(panel_file), "schema": _schema_block()},
+        "methods": ["MR", "OR", "NAIVE", "TWFE"],
+        "grid": {"size": 12},
+        "nuisance": {"mu1": {"dose_powers": [1, 3], "dose_interactions": [0, 2]}},
+        "inference": {"method": "sandwich", "mode": "base"},
+    }
+    assert dispatch(["estimate", "-c", str(_write_config(tmp_path, "estimate.yaml", payload))]) == 0
+    assert calls == {"fit_pi_a": 1, "fit_pi_d": 1, "fit_mu1": 1, "fit_mu0": 1, "marginalize": 2}
 
 
 def test_estimate_fails_fast_without_partial_outputs(tmp_path, panel_file):
@@ -123,7 +154,7 @@ def test_config_error_lists_all_problems(tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["stacked", "bogus"])
 def test_unknown_inference_mode_is_a_config_error(tmp_path, panel_file, capsys, monkeypatch, method, mode):
     fits = []
-    monkeypatch.setattr("dosedid.cli.fit_nuisances", lambda *a, **k: fits.append(a))
+    monkeypatch.setattr("dosedid.cli.ModelBank", lambda *a, **k: fits.append(a))
     monkeypatch.setattr("dosedid.cli.estimate_curve", lambda *a, **k: fits.append(a))
     payload = {
         "output": str(tmp_path / "out"),

@@ -18,7 +18,7 @@ from dosedid.data import TwoPeriodDataset
 from dosedid.errors import BandwidthError, EstimationError, FitError
 from dosedid.inference import bootstrap_weights
 from dosedid.numeric import default_bandwidth_grid, local_linear_fit
-from dosedid.nuisance import default_dose_grid, default_specs, fit_nuisances, marginalize
+from dosedid.nuisance import NuisanceSpec, default_dose_grid, default_specs, fit_nuisances, marginalize
 from dosedid.pseudo import build_pseudo_outcomes
 from dosedid.simulation import (
     generate_null_data,
@@ -257,21 +257,39 @@ def test_bandwidth_diagnostics_mark_grid_edge_and_extension():
     assert "bandwidth_at_grid_edge" not in fixed.diagnostics
 
 
-def test_dose_weight_diagnostics(data, monkeypatch):
-    """MR, MR_PARAMETRIC and IPW report the marginals' node count and the
-    dose weights' maximum and Kish ESS; the methods reading mu1 report
-    whether its fit was ridged. A cap below n_t thins the nodes to the cap
-    plus the grid."""
-    monkeypatch.setattr(nuisance, "_MARGINAL_NODE_CAP", 64)
-    assert data.n_treated > 64
+def test_dose_weight_diagnostics(data):
+    """MR, MR_PARAMETRIC and IPW report the marginals' node count, their
+    DENSITY_FLOOR hits and the dose weights' maximum and Kish ESS; the
+    methods reading mu1 report whether its fit was ridged. The nodes are
+    the same evenly spaced set at every n."""
     for method in ("MR", "MR_PARAMETRIC", "IPW"):
         diag = estimate_curve(data, method, specs=SPECS).diagnostics
-        assert diag["marginal_nodes"] == 64 + 50
+        assert diag["marginal_nodes"] == nuisance._MARGINAL_NODES
+        assert diag["f_floor_hits"] == 0 and diag["pi_d_floor_hits"] == 0
         assert diag["w1_max"] >= 1.0
         assert 1.0 <= diag["w1_ess"] <= data.n_treated
         assert diag.get("mu1_ridged") is (False if method != "IPW" else None)
     assert estimate_curve(data, "OR", specs=SPECS).diagnostics["mu1_ridged"] is False
     assert "w1_ess" not in estimate_curve(data, "NAIVE").diagnostics
+
+
+def test_floor_hits_are_counted(data):
+    """With sdev 1e4 and a unit kernel bandwidth on the standardized
+    residuals, pi_d is about 0.4 / 1e4 = 4e-5 everywhere, so every
+    pi_d(D_i | X_i), and f at every treated dose, sits at DENSITY_FLOOR."""
+    specs = {**SPECS, "pi_d": NuisanceSpec("pi_d", "linear", kde_bandwidth=1.0)}
+    models = fit_nuisances(data, specs, which=("pi_d", "mu1"))
+    wide_pi_d = models.pi_d.with_parameters(
+        np.concatenate([[3.0], np.zeros(4)]), np.concatenate([[1e8], np.zeros(4)]), data.dose, data.x_treated
+    )
+    m_curve, f_curve = marginalize(models.mu1, wide_pi_d, data, models.dose_nodes)
+    wide = replace(models, pi_d=wide_pi_d, m_marginal=m_curve, f_marginal=f_curve)
+    grid = default_dose_grid(data.dose)
+    _, _, diag = dose_side(data, "MR_PARAMETRIC", wide, grid)
+    assert diag["f_floor_hits"] == data.n_treated
+    assert diag["pi_d_floor_hits"] == data.n_treated
+    _, _, diag = dose_side(data, "MR_PARAMETRIC", models, grid)
+    assert diag["f_floor_hits"] == 0 and diag["pi_d_floor_hits"] == 0
 
 
 def test_flat_dose_density_gives_full_effective_sample(data):
@@ -283,5 +301,7 @@ def test_flat_dose_density_gives_full_effective_sample(data):
     flat = replace(models, pi_d=flat_pi_d, m_marginal=m_curve, f_marginal=f_curve)
     grid = default_dose_grid(data.dose)
     _, _, diag = dose_side(data, "MR_PARAMETRIC", flat, grid)
+    # f and pi_d interpolate on different evenly spaced nodes, so w1 is one
+    # to O(step^2): measured 3.6e-6.
     assert diag["w1_ess"] == pytest.approx(data.n_treated, rel=1e-10)
-    assert diag["w1_max"] == pytest.approx(1.0, rel=1e-10)
+    assert diag["w1_max"] == pytest.approx(1.0, rel=5e-5)

@@ -92,12 +92,19 @@ def test_full_system_matches_hand_loops_on_tiny_data(fitted):
     # hand loops
     pseudo = build_pseudo_outcomes(data, models)
     theta, beta, theta00, theta01 = system.eta
+    # The corrections' integrand is a polynomial between the breakpoints (the
+    # nodes of the piecewise-linear f and the window ends), so 5-point
+    # Gauss-Legendre on every piece integrates it exactly.
     nodes = models.dose_nodes
-    tw = np.gradient(nodes)  # simple trapezoid-equivalent on interior
-    tw[0] = (nodes[1] - nodes[0]) / 2
-    tw[-1] = (nodes[-1] - nodes[-2]) / 2
-    f_vals = models.f_marginal(nodes)
-    m_vals = models.m_marginal(nodes)
+    breaks = np.union1d(nodes, np.clip([delta - h, delta + h], nodes[0], nodes[-1]))
+    breaks = breaks[(breaks >= delta - h) & (breaks <= delta + h)]
+    gl_x, gl_w = np.polynomial.legendre.leggauss(5)
+    half = 0.5 * np.diff(breaks)
+    pts = (0.5 * (breaks[1:] + breaks[:-1])[:, None] + half[:, None] * gl_x).ravel()
+    pts_w = (half[:, None] * gl_w).ravel()
+    un = (pts - delta) / h
+    kf = pts_w * 0.75 * (1 - un * un) * models.f_marginal(pts)
+    m_pts = models.m_marginal(pts)
     p_hat = data.n_treated / data.n
     gamma = np.zeros((data.n, 4))
     t_pos = 0
@@ -107,13 +114,9 @@ def test_full_system_matches_hand_loops_on_tiny_data(fitted):
             xi_i = pseudo.xi[t_pos]
             u = (d_i - delta) / h
             k = 0.75 * max(1 - u * u, 0.0) if abs(u) <= 1 else 0.0
-            c0 = c1 = 0.0
-            for j, node in enumerate(nodes):
-                un = (node - delta) / h
-                kn = 0.75 * max(1 - un * un, 0.0) if abs(un) <= 1 else 0.0
-                dev = float(models.mu1(node, data.x[i][None, :])[0]) - m_vals[j]
-                c0 += tw[j] * kn * dev * f_vals[j]
-                c1 += tw[j] * kn * un * dev * f_vals[j]
+            dev = models.mu1(pts, np.tile(data.x[i], (pts.shape[0], 1))) - m_pts
+            c0 = float(np.sum(kf * dev))
+            c1 = float(np.sum(kf * un * dev))
             gamma[i, 0] = (k * (xi_i - theta - u * beta) + c0) / p_hat
             gamma[i, 1] = (k * u * (xi_i - theta - u * beta) + c1) / p_hat
             gamma[i, 3] = float(models.mu0(data.x[i][None, :])[0]) - theta01
@@ -133,17 +136,31 @@ def test_full_system_matches_hand_loops_on_tiny_data(fitted):
 
 
 def test_closed_form_corrections_match_dense_quadrature(fitted):
-    """c0/c1 from the per-unit (alpha, phi) equal the trapezoid sums over the
-    dense n_t x nodes deviation matrix."""
+    """c0/c1 from the per-unit (alpha, phi) and the piecewise Gauss-Legendre
+    rule equal a dense 200,000-panel Simpson quadrature of the same
+    piecewise-linear f against the n_t x doses deviation matrix, to 1e-10
+    relative."""
     data, models, curve = fitted
     ctx = inference._CurveContext(data, models, curve)
+    h = curve.bandwidth
     nodes = models.dose_nodes
-    dev = models.mu1.predict_matrix(nodes, data.x_treated) - models.m_marginal(nodes)[None, :]
+    # mu1(d, X_i) - m(d) is linear in d: read its two coefficients off the
+    # dense deviation matrix at three doses, checking the third.
+    probe = np.array([nodes[0], nodes[-1], 0.5 * (nodes[0] + nodes[-1])])
+    dev = models.mu1.predict_matrix(probe, data.x_treated) - models.m_marginal(probe)[None, :]
+    phi = (dev[:, 1] - dev[:, 0]) / (probe[1] - probe[0])
+    alpha = dev[:, 0] - phi * probe[0]
+    np.testing.assert_allclose(alpha + phi * probe[2], dev[:, 2], rtol=0, atol=1e-10 * np.max(np.abs(dev)))
     for delta in curve.grid[[0, 17, 33, 49]]:
-        u = (nodes - delta) / curve.bandwidth
-        q0 = ctx.trapw * epanechnikov(u) * models.f_marginal(nodes)
-        c0, c1 = ctx.corrections(float(delta))
-        for got, ref in ((c0, dev @ q0), (c1, dev @ (q0 * u))):
+        d = np.linspace(max(delta - h, nodes[0]), min(delta + h, nodes[-1]), 200_001)
+        step = d[1] - d[0]
+        simpson = np.full(d.shape[0], 2.0 * step / 3.0)
+        simpson[1::2] = 4.0 * step / 3.0
+        simpson[[0, -1]] = step / 3.0
+        u = (d - delta) / h
+        q0 = simpson * epanechnikov(u) * models.f_marginal(d)
+        c0, c1 = ctx.corrections(ctx.quadrature(float(delta)))
+        for got, ref in ((c0, alpha * q0.sum() + phi * (q0 @ d)), (c1, alpha * (q0 @ u) + phi * (q0 @ (u * d)))):
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -243,6 +260,30 @@ def test_augmented_curve_rebuilds_each_perturbed_set_once(augmented_case, monkey
     )
     assert curve.grid.shape[0] > 1
     assert calls["marginalize"] == 2 * p
+
+
+def test_augmented_curve_refits_pi_d_only_for_its_own_coordinates(augmented_case, monkeypatch):
+    """pi_d and f are rebuilt for the 2 x 10 perturbations of pi_d's own
+    coefficients and reused for the others, with bitwise the variances of
+    rebuilding them for every perturbation."""
+    data, models, curve = augmented_case
+    rebuilds = Counter()
+    original = type(models.pi_d).with_parameters
+
+    def counted(self, *args, **kwargs):
+        rebuilds["pi_d"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(models.pi_d), "with_parameters", counted)
+    _, _, variances = sandwich_bands(data, models, curve, mode="augmented")
+    p_pi_d = models.pi_d.mean_coef.shape[0] + models.pi_d.resid_coef.shape[0]
+    assert p_pi_d == 10
+    assert rebuilds["pi_d"] == 2 * p_pi_d
+
+    monkeypatch.setattr(inference, "_pi_d_unchanged", lambda *args: False)
+    _, _, refit = sandwich_bands(data, models, curve, mode="augmented")
+    assert rebuilds["pi_d"] > 2 * p_pi_d + 2 * p_pi_d
+    np.testing.assert_array_equal(variances, refit)
 
 
 def test_augmented_mode_rejects_flexible_learners():

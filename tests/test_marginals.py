@@ -1,5 +1,6 @@
-"""Treated marginals: the closed-form m, the node rule for f, and the
-node-capped path against the exact O(n_t^2) reference (docs/DECISIONS.md, D3)."""
+"""Treated marginals: the closed-form m, the node rule for f, the binned KDE
+table and binned f against their exact O(n_t^2) references, and psi and the
+sandwich against the exact path (docs/DECISIONS.md, D3 and D4)."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from dosedid import nuisance
 from dosedid.curves import estimate_curve
 from dosedid.data import TwoPeriodDataset
 from dosedid.inference import bootstrap_weights, sandwich_bands
-from dosedid.nuisance import default_dose_grid, default_specs, fit_nuisances, marginalize
+from dosedid.nuisance import DENSITY_FLOOR, default_dose_grid, default_specs, fit_nuisances, marginalize
+from dosedid.numeric import gaussian_kde
 from dosedid.simulation import generate_scenario_data, stream_seed
 
 from marginal_reference import dense_f, exact_models
@@ -24,6 +26,15 @@ def _subset(n_treated, seed):
     )
 
 
+def _psi_gap(data, grid, sample_weight=None):
+    """max |psi - psi_exact| / sd(psi_exact), and whether LOO picked the
+    same bandwidth on both paths."""
+    models = fit_nuisances(data, SPECS, dose_grid=grid, sample_weight=sample_weight)
+    curve = estimate_curve(data, "MR", grid=grid, models=models, sample_weight=sample_weight)
+    ref = estimate_curve(data, "MR", grid=grid, models=exact_models(models, grid), sample_weight=sample_weight)
+    return np.max(np.abs(curve.psi - ref.psi)) / np.std(ref.psi), curve.bandwidth == ref.bandwidth
+
+
 def test_closed_form_m_matches_loop_mean_off_the_nodes():
     data = _subset(50, 0)
     models = fit_nuisances(data, SPECS, which=("pi_d", "mu1"), dose_grid=default_dose_grid(data.dose, size=9))
@@ -33,7 +44,7 @@ def test_closed_form_m_matches_loop_mean_off_the_nodes():
     for sw in (None, bootstrap_weights(data.a, 4, 0)):
         m_curve, _ = marginalize(models.mu1, None, data, nodes, sw)
         w = np.ones(50) if sw is None else sw[data.a]
-        for d0 in off_nodes:
+        for d0 in off_nodes[::40]:
             loop = np.average([float(models.mu1(d0, x_t[i][None, :])[0]) for i in range(50)], weights=w)
             assert abs(m_curve(d0) - loop) < 1e-12
     # outside the node range m clamps to its endpoint, as f does
@@ -41,50 +52,79 @@ def test_closed_form_m_matches_loop_mean_off_the_nodes():
     assert bool(m_curve.out_of_range(nodes[0] - 1e-9))
 
 
-def test_node_set_rule_and_fixed_point(monkeypatch):
-    monkeypatch.setattr(nuisance, "_MARGINAL_NODE_CAP", 8)
+def test_node_set_rule_and_fixed_point():
+    """The nodes are _MARGINAL_NODES evenly spaced doses over the range of
+    the grid and the doses together, at any n, and a node set is its own
+    node set."""
     grid = np.linspace(1.0, 2.0, 5)
     rng = np.random.default_rng(7)
-    few = rng.uniform(0.0, 3.0, 8)
-    np.testing.assert_array_equal(nuisance._node_set(grid, few), np.union1d(grid, few))
-    many = rng.uniform(0.0, 3.0, 9)
-    thinned = nuisance._node_set(grid, many)
-    expected = np.union1d(grid, np.linspace(many.min(), many.max(), 8))
-    np.testing.assert_array_equal(thinned, expected)
-    assert thinned.shape[0] == 8 + grid.shape[0]
-    for doses in (few, many):
+    for doses in (rng.uniform(0.0, 3.0, 8), rng.uniform(1.2, 1.8, 9_000)):
         nodes = nuisance._node_set(grid, doses)
+        lo, hi = min(1.0, doses.min()), max(2.0, doses.max())
+        np.testing.assert_array_equal(nodes, np.linspace(lo, hi, nuisance._MARGINAL_NODES))
         np.testing.assert_array_equal(nuisance._node_set(nodes, doses), nodes)
 
 
-def test_thinned_path_at_small_cap(monkeypatch):
-    """Above the cap f is interpolated between evenly spaced nodes; at the
-    grid nodes it is still the exact mixture, and psi stays close to the
-    exact path's."""
-    monkeypatch.setattr(nuisance, "_MARGINAL_NODE_CAP", 128)
+def test_binned_kde_table_matches_direct():
+    """The binned table of pi_d's residual density equals DensityEstimate's
+    direct kernel sums within 1e-5 of its peak, unweighted and weighted."""
+    data = generate_scenario_data(2_000, stream_seed(306, 4, 0))
+    for sw in (None, bootstrap_weights(data.a, 5, 0)):
+        pi_d = fit_nuisances(data, SPECS, which=("pi_d",), sample_weight=sw).pi_d
+        x_t = data.x_treated
+        wt = None if sw is None else sw[data.a]
+        resid = (data.dose - pi_d.mean(x_t)) / pi_d.sdev(x_t)
+        direct = gaussian_kde(resid, sample_weight=wt)(pi_d.table_x)
+        assert np.max(np.abs(pi_d.table_y - direct)) <= 1e-5 * np.max(direct)
+
+
+def test_f_integrates_to_one():
+    """The binned mixture of the unfloored pi_d, over nodes reaching well
+    past the doses, integrates to one within 1e-4."""
+    data = generate_scenario_data(2_000, stream_seed(306, 5, 0))
+    for sw in (None, bootstrap_weights(data.a, 6, 0)):
+        pi_d = fit_nuisances(data, SPECS, which=("pi_d",), sample_weight=sw).pi_d
+        wt = None if sw is None else sw[data.a]
+        nodes = np.linspace(data.dose.min() - 25.0, data.dose.max() + 25.0, nuisance._MARGINAL_NODES)
+        f = pi_d.marginal_density(nodes, data.x_treated, wt)
+        assert abs(np.trapezoid(f, nodes) - 1.0) <= 1e-4
+
+
+def test_f_within_tolerance_of_dense_mixture():
+    """At its nodes f is the dense mixture of the unfloored pi_d, floored
+    once, to 1e-6 of its peak, unweighted and weighted; its values are never
+    below DENSITY_FLOOR."""
+    data = generate_scenario_data(600, stream_seed(306, 3, 0))
+    grid = default_dose_grid(data.dose)
+    for sw in (None, bootstrap_weights(data.a, 3, 0)):
+        models = fit_nuisances(data, SPECS, dose_grid=grid, sample_weight=sw)
+        nodes = models.dose_nodes
+        assert nodes.shape[0] == nuisance._MARGINAL_NODES
+        ref = np.maximum(dense_f(models, nodes), DENSITY_FLOOR)
+        assert np.max(np.abs(models.f_marginal.y - ref)) <= 1e-6 * np.max(ref)
+        assert np.all(models.f_marginal.y >= DENSITY_FLOOR)
+
+
+def test_psi_within_tolerance_at_600():
+    """At n = 600 psi lies within 1e-4 sd(psi) of the exact path, with the
+    same bandwidth, and the sandwich variances are finite."""
     data = generate_scenario_data(600, stream_seed(306, 2, 0))
     grid = default_dose_grid(data.dose)
+    gap, same_h = _psi_gap(data, grid)
+    assert same_h
+    assert gap <= 1e-4
     models = fit_nuisances(data, SPECS, dose_grid=grid)
-    assert data.n_treated > 128
-    assert models.dose_nodes.shape[0] == 128 + grid.shape[0]
-    np.testing.assert_allclose(models.f_marginal(grid), dense_f(models, grid), rtol=0, atol=1e-12)
-    exact = exact_models(models, grid)
     curve = estimate_curve(data, "MR", grid=grid, models=models)
-    ref = estimate_curve(data, "MR", grid=grid, models=exact)
-    assert curve.bandwidth == ref.bandwidth
-    assert np.max(np.abs(curve.psi - ref.psi)) <= 1e-3 * np.std(ref.psi)
     assert np.all(np.isfinite(sandwich_bands(data, models, curve)[2]))
 
 
-def test_exact_path_below_the_cap():
-    """At or below the cap the nodes are the grid and every treated dose,
-    and f equals the dense reference there."""
-    data = generate_scenario_data(600, stream_seed(306, 3, 0))
-    grid = default_dose_grid(data.dose)
-    models = fit_nuisances(data, SPECS, dose_grid=grid)
-    np.testing.assert_array_equal(models.dose_nodes, np.union1d(grid, data.dose))
-    nodes = models.dose_nodes
-    np.testing.assert_allclose(models.f_marginal(nodes), dense_f(models, nodes), rtol=1e-12, atol=0)
+@pytest.mark.parametrize("weighted", [False, True])
+def test_psi_within_tolerance_at_5k(weighted):
+    data = generate_scenario_data(5_000, stream_seed(305, 5_000, 0))
+    sw = bootstrap_weights(data.a, 7, 0) if weighted else None
+    gap, same_h = _psi_gap(data, default_dose_grid(data.dose), sw)
+    assert same_h
+    assert gap <= 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -96,9 +136,11 @@ def large():
 
 
 def test_capped_psi_within_tolerance_at_20k(large):
+    """f on the capped node set (_MARGINAL_NODES evenly spaced doses) puts
+    psi within 1e-6 sd(psi) of the exact path at n = 20k."""
     data, grid, models, exact = large
-    assert data.n_treated > nuisance._MARGINAL_NODE_CAP
-    assert models.dose_nodes.shape[0] <= nuisance._MARGINAL_NODE_CAP + grid.shape[0]
+    assert data.n_treated > nuisance._MARGINAL_NODES
+    assert models.dose_nodes.shape[0] == nuisance._MARGINAL_NODES
     curve = estimate_curve(data, "MR", grid=grid, models=models)
     ref = estimate_curve(data, "MR", grid=grid, models=exact)
     assert curve.bandwidth == ref.bandwidth
@@ -116,8 +158,6 @@ def test_capped_sandwich_within_tolerance_at_20k(large):
 
 def test_capped_psi_within_tolerance_at_20k_bootstrap_weights(large):
     data, grid, _, _ = large
-    w = bootstrap_weights(data.a, 7, 0)
-    models = fit_nuisances(data, SPECS, dose_grid=grid, sample_weight=w)
-    curve = estimate_curve(data, "MR", grid=grid, models=models, sample_weight=w)
-    ref = estimate_curve(data, "MR", grid=grid, models=exact_models(models, grid), sample_weight=w, bandwidth=curve.bandwidth)
-    assert np.max(np.abs(curve.psi - ref.psi)) <= 1e-6 * np.std(ref.psi)
+    gap, same_h = _psi_gap(data, grid, bootstrap_weights(data.a, 7, 0))
+    assert same_h
+    assert gap <= 1e-6

@@ -308,7 +308,9 @@ def test_marginalize_single_treated_unit(data_small):
     grid = np.linspace(1.0, 4.0, 7)
     m_curve, f_curve = marginalize(models.mu1, models.pi_d, tiny, grid)
     np.testing.assert_allclose(m_curve(grid), models.mu1(grid, np.tile(x[0], (7, 1))), atol=1e-12)
-    np.testing.assert_allclose(f_curve(grid), models.pi_d(grid, np.tile(x[0], (7, 1))), atol=1e-12)
+    # f interpolates between its own evenly spaced nodes, pi_d between the
+    # KDE table's, so one unit's f is its pi_d to O(step^2): measured 1.1e-6.
+    np.testing.assert_allclose(f_curve(grid), models.pi_d(grid, np.tile(x[0], (7, 1))), rtol=1e-5, atol=0)
 
 
 def test_marginalize_matches_loop_oracle():
@@ -325,11 +327,21 @@ def test_marginalize_matches_loop_oracle():
     grid = default_dose_grid(sub.dose, size=9)
     m_curve, f_curve = marginalize(models.mu1, models.pi_d, sub, grid)
     x_t = sub.x_treated
+    pi_d = models.pi_d
+
+    def unfloored(d0, x):
+        return float(np.interp((d0 - pi_d.mean(x)[0]) / pi_d.sdev(x)[0], pi_d.table_x, pi_d.table_y)) / pi_d.sdev(x)[0]
+
+    f_gap = 0.0
     for d0 in grid:
         m_loop = np.mean([float(models.mu1(d0, x_t[i][None, :])[0]) for i in range(50)])
-        f_loop = np.mean([float(models.pi_d(d0, x_t[i][None, :])[0]) for i in range(50)])
+        f_loop = max(np.mean([unfloored(d0, x_t[i][None, :]) for i in range(50)]), DENSITY_FLOOR)
         assert abs(float(m_curve(d0)) - m_loop) < 1e-12
-        assert abs(float(f_curve(d0)) - f_loop) < 1e-12
+        f_gap = max(f_gap, abs(float(f_curve(d0)) - f_loop))
+    # f is the binned mixture on evenly spaced nodes, interpolated linearly
+    # between them; the mean of the unfloored pi_d, floored once, is its
+    # exact value (docs/DECISIONS.md, D4).
+    assert f_gap <= 1e-5 * np.max(f_curve.y)
 
 
 def test_marginal_density_is_a_mixture(data_small):

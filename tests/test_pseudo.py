@@ -89,8 +89,10 @@ def test_xi_homogeneous_dose_density_gives_unit_weights(fitted):
     m_curve, f_curve = marginalize(models.mu1, flat_pi_d, data, models.dose_nodes)
     flat_models = replace(models, pi_d=flat_pi_d, m_marginal=m_curve, f_marginal=f_curve)
     _, raw_w1 = compute_xi(data, flat_models)
-    np.testing.assert_allclose(raw_w1, 1.0, atol=1e-12)
-    np.testing.assert_allclose(normalize_weights(raw_w1), 1.0, atol=1e-12)
+    # f interpolates linearly between its own evenly spaced nodes, pi_d
+    # between the KDE table's, so they agree to O(step^2): measured 3.0e-6.
+    np.testing.assert_allclose(raw_w1, 1.0, atol=5e-5)
+    np.testing.assert_allclose(normalize_weights(raw_w1), 1.0, atol=5e-5)
 
 
 def test_xi_matches_direct_formula_oracle():

@@ -126,8 +126,6 @@ class EstimatorConfig:
     specs: dict[str, NuisanceSpec] | None = None
     grid: np.ndarray | None = None
     bandwidth: float | None = None
-    bandwidth_grid: np.ndarray | None = None
-    parametric_basis: tuple[int, ...] = (1, 3)
     on_out_of_range: str = "error"
 
     def build(self, data: TwoPeriodDataset, sample_weight: np.ndarray | None = None) -> EffectCurveEstimate:
@@ -137,8 +135,6 @@ class EstimatorConfig:
             specs=self.specs,
             grid=self.grid,
             bandwidth=self.bandwidth,
-            bandwidth_grid=self.bandwidth_grid,
-            parametric_basis=self.parametric_basis,
             on_out_of_range=self.on_out_of_range,
             sample_weight=sample_weight,
         )
@@ -213,9 +209,10 @@ def _smoothed_theta(data, ys, grid, bandwidth, bandwidth_grid, wt, diagnostics):
 
 def _weight_health(data, models, raw_w1, wt, diagnostics) -> None:
     """Record the marginals' node count; the treated doses at which f, and
-    pi_d(D_i | X_i), sit at DENSITY_FLOOR; and the normalized dose weights
-    w1's maximum and Kish effective sample size (sum v)^2 / sum v^2, where v
-    is the sample weight times w1."""
+    pi_d(D_i | X_i), sit at DENSITY_FLOOR; the treated units whose pi_d
+    residual variance is floored at RESIDUAL_VAR_FLOOR; and the normalized
+    dose weights w1's maximum and Kish effective sample size
+    (sum v)^2 / sum v^2, where v is the sample weight times w1."""
     w1 = normalize_weights(raw_w1, wt)
     v = w1 if wt is None else wt * w1
     diagnostics["marginal_nodes"] = int(models.f_marginal.x.shape[0])
@@ -223,6 +220,7 @@ def _weight_health(data, models, raw_w1, wt, diagnostics) -> None:
     diagnostics["pi_d_floor_hits"] = int(
         np.count_nonzero(models.pi_d(data.dose, data.x_treated) <= DENSITY_FLOOR)
     )
+    diagnostics["pi_d_var_floor_hits"] = models.pi_d.variance_floor_hits(data.x_treated)
     diagnostics["w1_max"] = float(np.max(w1))
     diagnostics["w1_ess"] = float(np.sum(v) ** 2 / np.sum(v * v))
 
@@ -242,8 +240,9 @@ def dose_side(
 
     Reads only the models in ``DOSE_NEEDS[method]``. For TWFE, whose curve
     does not split, theta is the whole curve. Methods that read pi_d record
-    ``marginal_nodes``, ``f_floor_hits``, ``pi_d_floor_hits``, ``w1_max`` and
-    ``w1_ess`` in the diagnostics; those that read mu1 record ``mu1_ridged``.
+    ``marginal_nodes``, ``f_floor_hits``, ``pi_d_floor_hits``,
+    ``pi_d_var_floor_hits``, ``w1_max`` and ``w1_ess`` in the diagnostics;
+    those that read mu1 record ``mu1_ridged``.
     """
     wt = None if sample_weight is None else data.split(np.asarray(sample_weight, dtype=float))[0]
     trend_t, _ = data.split(data.trend)

@@ -1,6 +1,7 @@
 """Pointwise uncertainty for the multiply robust effect curve.
 
-Two routes:
+Two routes, each with one implementation; the repeated-period workflow in
+``panel`` feeds its M period pairs to the same code.
 
 * **Sandwich variance** from stacked estimating equations. The base system
   has four equations per unit: the two local-linear kernel normal equations
@@ -16,14 +17,24 @@ Two routes:
   pipeline by central differences. Both modes solve every grid point over
   one per-curve context, and augmented mode builds its 2p perturbed
   contexts once per curve, refitting pi_d and f only for pi_d's own
-  coordinates. ``stacked_sandwich_variance`` concatenates per-period
-  systems so the variance of an average over periods picks up cross-period
-  covariance.
+  coordinates.
+
+  At each delta a system reduces to one per-unit influence column
+  ``iota = Gamma solve(bread^T, contrast)``, and the variance is the squared
+  norm ``iota . iota``: nonnegative by construction, so it is never floored.
+  The variance of an average over M periods that share the unit roster is
+  the squared norm of the mean of the periods' columns, which is the
+  block-diagonal stacked system in closed form and picks up the
+  cross-period covariance within each unit.
 
 * **Weighted bootstrap**: per replicate one exponential(1) weight per unit,
   rescaled so each intervention group's weights sum to its observed size,
   threaded through the entire estimation pipeline; percentile intervals
-  from the replicate curves.
+  from the replicate curves. ``bootstrap_replicates`` is the one replicate
+  loop: it draws and checks the weights, maps them to a stack of psi rows,
+  counts failed replicates by error class and takes the percentiles of each
+  row. ``weighted_bootstrap`` runs it with one row, the repeated-period
+  workflow with one row per period pair plus their average.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ __all__ = [
     "sandwich_bands",
     "stacked_sandwich_variance",
     "bootstrap_weights",
+    "bootstrap_replicates",
     "weighted_bootstrap",
 ]
 
@@ -72,19 +84,33 @@ class EstimatingSystem:
     eta: np.ndarray
     gamma: np.ndarray
     bread: np.ndarray
-    meat: np.ndarray
     contrast: np.ndarray
-    bread_invertible: bool
+
+    @property
+    def meat(self) -> np.ndarray:
+        return self.gamma.T @ self.gamma
+
+    @property
+    def bread_invertible(self) -> bool:
+        try:
+            cond = np.linalg.cond(self.bread)
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.isfinite(cond) and cond < 1e12)
 
     def covariance(self) -> np.ndarray:
         binv = np.linalg.inv(self.bread)
         return binv @ self.meat @ binv.T
 
-    def variance(self) -> tuple[float, bool]:
-        v = float(self.contrast @ self.covariance() @ self.contrast)
-        if v < 0.0:
-            return 0.0, True
-        return v, False
+    def influence(self) -> np.ndarray:
+        """The per-unit influence column ``gamma @ solve(bread^T, contrast)``
+        of the contrast: contrast' B^-1 (Gamma' Gamma) B^-T contrast is its
+        squared norm."""
+        return self.gamma @ np.linalg.solve(self.bread.T, self.contrast)
+
+    def variance(self) -> float:
+        iota = self.influence()
+        return float(iota @ iota)
 
 
 class _CurveContext:
@@ -213,7 +239,7 @@ class _FiniteDifferences:
     """
 
     def __init__(self, ctx: _CurveContext, models: NuisanceModelSet):
-        packed, sizes, scores, rebuild = _augmented_blocks(ctx, models)
+        packed, scores, rebuild = _augmented_blocks(ctx, models)
         self.packed = packed
         self.scores = scores(packed)
 
@@ -256,33 +282,25 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
         models.pi_a.coefficients,
         models.mu0.coefficients,
     ]
-    sizes = [p.shape[0] for p in params]
+    splits = np.cumsum([p.shape[0] for p in params])[:-1]
 
     def scores(packed: np.ndarray) -> np.ndarray:
-        alpha_d, gamma_r, lam1, alpha_a, lam0 = _unpack(packed, sizes)
-        out = np.zeros((data.n, sum(sizes)))
+        """Per-unit scores (n x p), one column block per model; each block
+        is a view into ``out`` and lives on the model's own group."""
+        alpha_d, gamma_r, lam1, alpha_a, lam0 = np.split(packed, splits)
+        out = np.zeros((data.n, packed.shape[0]))
+        blocks = np.split(out, splits, axis=1)
         treated = data.a
         eps = d - r_mean @ alpha_d
-        cols = 0
-        blk = ctx.wt[:, None] * r_mean * eps[:, None]
-        out[treated, cols : cols + sizes[0]] = blk
-        cols += sizes[0]
-        blk = ctx.wt[:, None] * r_resid * (eps**2 - r_resid @ gamma_r)[:, None]
-        out[treated, cols : cols + sizes[1]] = blk
-        cols += sizes[1]
-        blk = ctx.wt[:, None] * x_mu1 * (trend_t - x_mu1 @ lam1)[:, None]
-        out[treated, cols : cols + sizes[2]] = blk
-        cols += sizes[2]
-        out[:, cols : cols + sizes[3]] = (
-            ctx.w_all[:, None] * x_pa * (data.a.astype(float) - expit(x_pa @ alpha_a))[:, None]
-        )
-        cols += sizes[3]
-        blk = ctx.wc[:, None] * x_mu0 * (trend_c - x_mu0 @ lam0)[:, None]
-        out[~treated, cols : cols + sizes[4]] = blk
+        blocks[0][treated] = ctx.wt[:, None] * r_mean * eps[:, None]
+        blocks[1][treated] = ctx.wt[:, None] * r_resid * (eps**2 - r_resid @ gamma_r)[:, None]
+        blocks[2][treated] = ctx.wt[:, None] * x_mu1 * (trend_t - x_mu1 @ lam1)[:, None]
+        blocks[3][:] = ctx.w_all[:, None] * x_pa * (data.a.astype(float) - expit(x_pa @ alpha_a))[:, None]
+        blocks[4][~treated] = ctx.wc[:, None] * x_mu0 * (trend_c - x_mu0 @ lam0)[:, None]
         return out
 
     def rebuild(packed: np.ndarray) -> NuisanceModelSet:
-        alpha_d, gamma_r, lam1, alpha_a, lam0 = _unpack(packed, sizes)
+        alpha_d, gamma_r, lam1, alpha_a, lam0 = np.split(packed, splits)
         mu1 = models.mu1.with_coefficients(lam1)
         pi_a = models.pi_a.with_coefficients(alpha_a)
         mu0 = models.mu0.with_coefficients(lam0)
@@ -308,22 +326,13 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
             sample_weight=models.sample_weight,
         )
 
-    return np.concatenate(params), sizes, scores, rebuild
+    return np.concatenate(params), scores, rebuild
 
 
 def _pi_d_unchanged(pi_d, mean_coef: np.ndarray, resid_coef: np.ndarray) -> bool:
     """Whether a perturbed parameter vector leaves pi_d's coefficients as
     they are, so that the fitted pi_d and f serve unchanged."""
     return bool(np.array_equal(mean_coef, pi_d.mean_coef) and np.array_equal(resid_coef, pi_d.resid_coef))
-
-
-def _unpack(packed: np.ndarray, sizes) -> list[np.ndarray]:
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(packed[start : start + s])
-        start += s
-    return out
 
 
 def _prepare(data, models, curve, mode: str) -> tuple[_CurveContext, _FiniteDifferences | None]:
@@ -358,49 +367,21 @@ def _system(ctx: _CurveContext, fd: _FiniteDifferences | None, delta: float) -> 
     eta, bread = ctx.solve(delta)
     rule = ctx.quadrature(delta)
     gamma = ctx.gamma_eta(delta, eta, rule)
+    contrast = _PSI_CONTRAST
+    if fd is not None:
+        p_extra = fd.packed.shape[0]
+        bread_full = np.zeros((4 + p_extra, 4 + p_extra))
+        bread_full[:4, :4] = bread
 
-    if fd is None:
-        return EstimatingSystem(
-            eta=eta,
-            gamma=gamma,
-            bread=bread,
-            meat=gamma.T @ gamma,
-            contrast=_PSI_CONTRAST,
-            bread_invertible=_invertible(bread),
-        )
+        def summed_gamma_at(end) -> np.ndarray:
+            ctx_pt, score_sum = end
+            return np.concatenate([ctx_pt.gamma_eta(delta, eta, rule).sum(axis=0), score_sum])
 
-    p_extra = fd.packed.shape[0]
-    gamma_full = np.hstack([gamma, fd.scores])
-    p_total = 4 + p_extra
-    bread_full = np.zeros((p_total, p_total))
-    bread_full[:4, :4] = bread
-
-    def summed_gamma_at(end) -> np.ndarray:
-        ctx_pt, score_sum = end
-        return np.concatenate([ctx_pt.gamma_eta(delta, eta, rule).sum(axis=0), score_sum])
-
-    for j, (step, hi, lo) in enumerate(fd.columns):
-        bread_full[:, 4 + j] = (summed_gamma_at(hi) - summed_gamma_at(lo)) / (2.0 * step)
-
-    meat = gamma_full.T @ gamma_full
-    contrast = np.zeros(p_total)
-    contrast[:4] = _PSI_CONTRAST
-    return EstimatingSystem(
-        eta=np.concatenate([eta, fd.packed]),
-        gamma=gamma_full,
-        bread=bread_full,
-        meat=meat,
-        contrast=contrast,
-        bread_invertible=_invertible(bread_full),
-    )
-
-
-def _invertible(mat: np.ndarray) -> bool:
-    try:
-        cond = np.linalg.cond(mat)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(cond) and cond < 1e12)
+        for j, (step, hi, lo) in enumerate(fd.columns):
+            bread_full[:, 4 + j] = (summed_gamma_at(hi) - summed_gamma_at(lo)) / (2.0 * step)
+        eta, gamma, bread = np.concatenate([eta, fd.packed]), np.hstack([gamma, fd.scores]), bread_full
+        contrast = np.concatenate([_PSI_CONTRAST, np.zeros(p_extra)])
+    return EstimatingSystem(eta=eta, gamma=gamma, bread=bread, contrast=contrast)
 
 
 def sandwich_variance(
@@ -410,12 +391,8 @@ def sandwich_variance(
     delta: float,
     mode: str = "base",
 ) -> float:
-    """Sandwich variance of psi-hat at one delta (floored at zero)."""
-    system = build_estimating_system(data, models, curve, delta, mode)
-    if not system.bread_invertible:
-        raise EstimationError(f"singular bread matrix at delta={delta}")
-    var, _ = system.variance()
-    return var
+    """Sandwich variance of psi-hat at one delta."""
+    return float(_variances([_prepare(data, models, curve, mode)], [float(delta)])[0])
 
 
 def sandwich_bands(
@@ -425,49 +402,44 @@ def sandwich_bands(
     mode: str = "base",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """95% pointwise normal-approximation bands along the curve's grid."""
-    ctx, fd = _prepare(data, models, curve, mode)
-    variances = np.empty(curve.grid.shape[0])
-    for k, delta in enumerate(curve.grid):
-        system = _system(ctx, fd, float(delta))
-        if not system.bread_invertible:
-            raise EstimationError(f"singular bread matrix at delta={delta}")
-        variances[k], _ = system.variance()
+    variances = _variances([_prepare(data, models, curve, mode)], curve.grid)
     half = Z_95 * np.sqrt(variances)
     return curve.psi - half, curve.psi + half, variances
 
 
 def stacked_sandwich_variance(
     systems: list[tuple[TwoPeriodDataset, NuisanceModelSet, EffectCurveEstimate]],
-    delta: float,
-) -> float:
-    """Variance of the across-period average curve at one delta.
+    grid,
+) -> np.ndarray:
+    """Base-mode variances of the across-period average curve on ``grid``.
 
-    Stacks the M per-period base systems unit by unit, so the meat picks up
-    within-unit covariance across periods; the contrast averages the M
-    per-period psi contrasts.
+    ``systems`` holds one (data, models, curve) per period, all on one unit
+    roster. Each unit's influence columns are averaged over the periods, so
+    the variance picks up within-unit covariance across periods.
     """
     if not systems:
         raise EstimationError("no per-period systems supplied")
     if any(data_m.n != systems[0][0].n for data_m, _, _ in systems):
         raise EstimationError("stacked periods must share the unit roster")
-    parts = [_system(_CurveContext(*period), None, float(delta)) for period in systems]
-    m_count = len(parts)
-    gamma = np.hstack([part.gamma for part in parts])
-    bread = np.zeros((4 * m_count, 4 * m_count))
-    for j, part in enumerate(parts):
-        bread[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = part.bread
-    system = EstimatingSystem(
-        eta=np.concatenate([part.eta for part in parts]),
-        gamma=gamma,
-        bread=bread,
-        meat=gamma.T @ gamma,
-        contrast=np.tile(_PSI_CONTRAST / m_count, m_count),
-        bread_invertible=_invertible(bread),
-    )
-    if not system.bread_invertible:
-        raise EstimationError(f"singular stacked bread matrix at delta={delta}")
-    var, _ = system.variance()
-    return var
+    return _variances([(_CurveContext(*period), None) for period in systems], grid)
+
+
+def _variances(periods: list[tuple[_CurveContext, _FiniteDifferences | None]], grid) -> np.ndarray:
+    """The squared norm, at each delta of ``grid``, of the mean over
+    ``periods`` of their influence columns; each period's bread must be
+    invertible."""
+    out = np.empty(len(grid))
+    for k, delta in enumerate(grid):
+        delta = float(delta)
+        columns = []
+        for ctx, fd in periods:
+            system = _system(ctx, fd, delta)
+            if not system.bread_invertible:
+                raise EstimationError(f"singular bread matrix at delta={delta}")
+            columns.append(system.influence())
+        iota = sum(columns) / len(columns)
+        out[k] = iota @ iota
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -479,21 +451,29 @@ def stacked_sandwich_variance(
 class BootstrapResult:
     """Percentile confidence bands from unit-weighted replicates.
 
+    ``curves`` holds the surviving replicates' psi rows in replicate order;
     ``failures`` counts the failed replicates by error class name.
     """
 
     b_requested: int
-    b_failed: int
     ci_lower: np.ndarray
     ci_upper: np.ndarray
-    flagged: bool
     seed: int
-    curves: np.ndarray | None = None  # (B_success, K) psi rows, replicate order
+    curves: np.ndarray  # (B_success, K)
     failures: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def b_failed(self) -> int:
+        return sum(self.failures.values())
 
     @property
     def b_success(self) -> int:
         return self.b_requested - self.b_failed
+
+    @property
+    def flagged(self) -> bool:
+        """More than a tenth of the replicates failed."""
+        return self.b_failed > 0.1 * self.b_requested
 
 
 def bootstrap_weights(a: np.ndarray, seed: int, replicate: int) -> np.ndarray:
@@ -513,57 +493,74 @@ def bootstrap_weights(a: np.ndarray, seed: int, replicate: int) -> np.ndarray:
     return w
 
 
-def weighted_bootstrap(
-    data: TwoPeriodDataset,
-    estimator_config: EstimatorConfig,
+def bootstrap_replicates(
+    a: np.ndarray,
+    replicate,
     b_replicates: int,
     seed: int,
-    keep_curves: bool = False,
     weight_fn=None,
-) -> BootstrapResult:
-    """Unit-level exponential weighted bootstrap of an effect curve.
+) -> list[BootstrapResult]:
+    """The weighted bootstrap's replicate loop, one result per psi row.
 
-    Each replicate re-runs the full pipeline described by
-    ``estimator_config`` (nuisance fits, pseudo-outcomes, smoothing) with
-    the drawn unit weights threaded through every weighted fit and mean.
-    Replicates that raise are counted by error class and skipped;
-    percentile bands use the survivors. ``weight_fn`` substitutes the weight
-    stream (testing hook); a replicate whose weights are not finite and
-    nonnegative fails with a DataValidationError.
+    For b in 0..B-1 it draws ``bootstrap_weights(a, seed, b)`` (or
+    ``weight_fn(b)``, a testing hook), and maps them by ``replicate`` to an
+    (M, K) stack of psi rows. A replicate whose weights are not finite and
+    nonnegative fails with a DataValidationError; failed replicates are
+    counted by error class and skipped. Row m's result holds the
+    survivors' m-th rows and their 2.5% and 97.5% percentiles.
 
-    Raises EstimationError when ``b_replicates < 2``.
+    Raises EstimationError when ``b_replicates < 2`` or every replicate
+    fails.
     """
     if b_replicates < 2:
         raise EstimationError("bootstrap needs at least 2 replicates")
-    if estimator_config.grid is None:
-        raise EstimationError("bootstrap requires a fixed evaluation grid in the estimator config")
     if weight_fn is None:
-        weight_fn = lambda b: bootstrap_weights(data.a, seed, b)  # noqa: E731
+        weight_fn = lambda b: bootstrap_weights(a, seed, b)  # noqa: E731
 
-    rows = []
+    stacks = []
     failures: Counter = Counter()
     for b in range(b_replicates):
         w = np.asarray(weight_fn(b), dtype=float)
         try:
             if not np.all(np.isfinite(w)) or np.any(w < 0.0):
                 raise DataValidationError(f"bootstrap replicate {b} has non-finite or negative weights")
-            curve = estimator_config.build(data, sample_weight=w)
+            stacks.append(replicate(w))
         except DoseDidError as err:
             failures[type(err).__name__] += 1
-            continue
-        rows.append(curve.psi)
-    failed = sum(failures.values())
-    if not rows:
+    if not stacks:
         raise EstimationError("every bootstrap replicate failed")
-    curves = np.vstack(rows)
-    lo, hi = np.percentile(curves, [2.5, 97.5], axis=0)
-    return BootstrapResult(
-        b_requested=b_replicates,
-        b_failed=failed,
-        ci_lower=lo,
-        ci_upper=hi,
-        flagged=failed > 0.1 * b_replicates,
-        seed=seed,
-        curves=curves if keep_curves else None,
-        failures=dict(failures),
+    results = []
+    for m in range(len(stacks[0])):
+        curves = np.vstack([stack[m] for stack in stacks])
+        lo, hi = np.percentile(curves, [2.5, 97.5], axis=0)
+        results.append(BootstrapResult(b_replicates, lo, hi, seed, curves, dict(failures)))
+    return results
+
+
+def weighted_bootstrap(
+    data: TwoPeriodDataset,
+    estimator_config: EstimatorConfig,
+    b_replicates: int,
+    seed: int,
+    weight_fn=None,
+) -> BootstrapResult:
+    """Unit-level exponential weighted bootstrap of an effect curve.
+
+    Each replicate re-runs the full pipeline described by
+    ``estimator_config`` (nuisance fits, pseudo-outcomes, smoothing) with
+    the drawn unit weights threaded through every weighted fit and mean,
+    through ``bootstrap_replicates`` with one psi row per replicate.
+
+    Raises EstimationError when ``b_replicates < 2`` or the config has no
+    fixed grid.
+    """
+    if estimator_config.grid is None:
+        raise EstimationError("bootstrap requires a fixed evaluation grid in the estimator config")
+    (result,) = bootstrap_replicates(
+        data.a,
+        lambda w: [estimator_config.build(data, sample_weight=w).psi],
+        b_replicates,
+        seed,
+        weight_fn,
     )
+    return result

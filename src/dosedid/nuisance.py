@@ -384,8 +384,15 @@ class DoseDensityModel:
         return self.mean_design.build(x) @ self.mean_coef
 
     def sdev(self, x: np.ndarray) -> np.ndarray:
-        var = self.resid_design.build(x) @ self.resid_coef
-        return np.sqrt(np.maximum(var, RESIDUAL_VAR_FLOOR))
+        return np.sqrt(np.maximum(self._variance(x), RESIDUAL_VAR_FLOOR))
+
+    def variance_floor_hits(self, x: np.ndarray) -> int:
+        """How many rows of ``x`` the squared-residual model gives a variance
+        below RESIDUAL_VAR_FLOOR, where ``sdev`` floors it."""
+        return int(np.count_nonzero(self._variance(x) < RESIDUAL_VAR_FLOOR))
+
+    def _variance(self, x: np.ndarray) -> np.ndarray:
+        return self.resid_design.build(x) @ self.resid_coef
 
     def __call__(self, d, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -3,10 +3,17 @@
 With M calendar-matched (pre, post) period pairs, per-pair effect curves
 are estimated on a shared dose grid (the exposure is time-invariant, so the
 grid is computed once) with nuisance functions refit separately for each
-pair, then averaged pointwise. Bootstrap uncertainty resamples units once
-per replicate and reuses the same unit weights across all pairs, which is
-what accounts for within-unit correlation over time; sandwich uncertainty
-stacks the per-pair estimating systems.
+pair, then averaged pointwise. Both inference routes are the
+single-dataset ones in ``inference``, given the M pairs as input:
+
+* bootstrap: ``bootstrap_replicates`` draws one weight per unit per
+  replicate and reuses it across all pairs, which is what accounts for
+  within-unit correlation over time; each replicate refits every pair at
+  that pair's point bandwidth and yields M + 1 psi rows, the pairs' and
+  their average;
+* sandwich: ``stacked_sandwich_variance`` builds each pair's context once
+  and takes, at every grid point, the squared norm of the mean of the
+  pairs' per-unit influence columns.
 
 Placebo analyses re-run the same machinery on pairs of pre-intervention
 periods, where the true effect curve is known to be zero.
@@ -18,10 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import EffectCurveEstimate, estimate_curve
+from .curves import EffectCurveEstimate, EstimatorConfig, estimate_curve
 from .data import PanelDataset, pair_periods
-from .errors import DataValidationError, DoseDidError, EstimationError
-from .inference import Z_95, bootstrap_weights, stacked_sandwich_variance
+from .errors import DataValidationError, EstimationError
+from .inference import Z_95, bootstrap_replicates, stacked_sandwich_variance
 from .nuisance import NuisanceSpec, default_dose_grid, fit_nuisances
 
 __all__ = [
@@ -73,9 +80,11 @@ def estimate_repeated(
     """Estimate one curve per (pre, post) pair and their average.
 
     Nuisance models are refit for every pair. With ``inference="bootstrap"``
-    each replicate draws one weight per unit and reuses it across all pairs;
-    with ``inference="sandwich"`` (MR only) the per-pair estimating systems
-    are stacked to give normal-approximation bands for the average.
+    each replicate draws one weight per unit and reuses it across all pairs,
+    and the averaged curve's diagnostics count the failed replicates in all
+    (``bootstrap_failed``) and by error class (``bootstrap_failures``). With
+    ``inference="sandwich"`` (MR only) the pairs' per-unit influence columns
+    are averaged to give normal-approximation bands for the average.
     """
     pairs = [tuple(p) for p in pairs]
     if not pairs:
@@ -97,66 +106,35 @@ def estimate_repeated(
     averaged = _average_curves(per_m)
 
     if inference == "bootstrap":
-        per_m, averaged = _bootstrap_repeated(
-            data, datasets, per_m, averaged, method, specs, grid, b_replicates, seed
+        configs = [
+            EstimatorConfig(method, specs, grid, curve.bandwidth, on_out_of_range="clamp") for curve in per_m
+        ]
+
+        def replicate(w):
+            psis = [config.build(ds, sample_weight=w).psi for config, ds in zip(configs, datasets)]
+            return [*psis, np.mean(psis, axis=0)]
+
+        *per_boot, avg_boot = bootstrap_replicates(data.a, replicate, b_replicates, seed)
+        per_m = [curve.with_bands(r.ci_lower, r.ci_upper) for curve, r in zip(per_m, per_boot)]
+        averaged = replace(
+            averaged.with_bands(avg_boot.ci_lower, avg_boot.ci_upper),
+            diagnostics={
+                **averaged.diagnostics,
+                "bootstrap_failed": avg_boot.b_failed,
+                "bootstrap_failures": avg_boot.failures,
+                "bootstrap_b": b_replicates,
+            },
         )
     elif inference == "sandwich":
         if method != "MR":
             raise EstimationError("stacked sandwich inference is available for the MR method only")
-        variances = np.empty(grid.shape[0])
-        systems = list(zip(datasets, model_sets, per_m))
-        for k, delta in enumerate(grid):
-            variances[k] = stacked_sandwich_variance(systems, float(delta))
+        variances = stacked_sandwich_variance(list(zip(datasets, model_sets, per_m)), grid)
         half = Z_95 * np.sqrt(variances)
         averaged = averaged.with_bands(averaged.psi - half, averaged.psi + half)
     elif inference != "none":
         raise EstimationError(f"unknown inference choice {inference!r}")
 
     return RepeatedEstimate(per_m=tuple(per_m), averaged=averaged)
-
-
-def _bootstrap_repeated(data, datasets, per_m, averaged, method, specs, grid, b_replicates, seed):
-    """Unit-weighted bootstrap with weights shared across period pairs."""
-    if b_replicates < 2:
-        raise EstimationError("bootstrap needs at least 2 replicates")
-    n_pairs = len(datasets)
-    avg_rows = []
-    per_rows = [[] for _ in range(n_pairs)]
-    failed = 0
-    for b in range(b_replicates):
-        w = bootstrap_weights(data.a, seed, b)
-        try:
-            psis = []
-            for ds, point in zip(datasets, per_m):
-                curve = estimate_curve(
-                    ds,
-                    method,
-                    specs=specs,
-                    grid=grid,
-                    bandwidth=point.bandwidth,
-                    sample_weight=w,
-                    on_out_of_range="clamp",
-                )
-                psis.append(curve.psi)
-        except DoseDidError:
-            failed += 1
-            continue
-        for m, psi in enumerate(psis):
-            per_rows[m].append(psi)
-        avg_rows.append(np.mean(psis, axis=0))
-    if not avg_rows:
-        raise EstimationError("every bootstrap replicate failed")
-    lo, hi = np.percentile(np.vstack(avg_rows), [2.5, 97.5], axis=0)
-    averaged = averaged.with_bands(lo, hi)
-    averaged = replace(
-        averaged,
-        diagnostics={**averaged.diagnostics, "bootstrap_failed": failed, "bootstrap_b": b_replicates},
-    )
-    out_per_m = []
-    for m, curve in enumerate(per_m):
-        lo_m, hi_m = np.percentile(np.vstack(per_rows[m]), [2.5, 97.5], axis=0)
-        out_per_m.append(curve.with_bands(lo_m, hi_m))
-    return out_per_m, averaged
 
 
 def placebo_curves(

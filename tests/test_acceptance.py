@@ -450,12 +450,12 @@ def test_criterion_5_invariants():
 
     delta = float(curve.grid[20])
     stacked_gap = abs(
-        stacked_sandwich_variance([(data, models, curve)], delta)
+        stacked_sandwich_variance([(data, models, curve)], [delta])[0]
         - sandwich_variance(data, models, curve, delta)
     )
 
     cfg = EstimatorConfig(method="MR", specs=SPECS, grid=curve.grid, bandwidth=curve.bandwidth)
-    boot = weighted_bootstrap(data, cfg, 2, seed=0, keep_curves=True, weight_fn=lambda b: np.ones(data.n))
+    boot = weighted_bootstrap(data, cfg, 2, seed=0, weight_fn=lambda b: np.ones(data.n))
     forced_bitwise = all(np.array_equal(row, curve.psi) for row in boot.curves)
 
     ok = (

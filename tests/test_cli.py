@@ -81,6 +81,7 @@ def test_estimate_outputs_and_determinism(tmp_path, panel_file):
     assert manifest["diagnostics"]["MR"]["mu1_ridged"] is False
     assert manifest["diagnostics"]["MR"]["f_floor_hits"] == 0
     assert manifest["diagnostics"]["MR"]["pi_d_floor_hits"] == 0
+    assert manifest["diagnostics"]["MR"]["pi_d_var_floor_hits"] == 0
 
     assert dispatch(["estimate", "-c", str(cfg), "--set", f"output={tmp_path / 'run2'}"]) == 0
     for name in ("curve_MR.csv", "curve_MR_sandwich.csv", "curve_NAIVE.csv"):

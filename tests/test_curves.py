@@ -18,7 +18,14 @@ from dosedid.data import TwoPeriodDataset
 from dosedid.errors import BandwidthError, EstimationError, FitError
 from dosedid.inference import bootstrap_weights
 from dosedid.numeric import default_bandwidth_grid, local_linear_fit
-from dosedid.nuisance import NuisanceSpec, default_dose_grid, default_specs, fit_nuisances, marginalize
+from dosedid.nuisance import (
+    RESIDUAL_VAR_FLOOR,
+    NuisanceSpec,
+    default_dose_grid,
+    default_specs,
+    fit_nuisances,
+    marginalize,
+)
 from dosedid.pseudo import build_pseudo_outcomes
 from dosedid.simulation import (
     generate_null_data,
@@ -290,6 +297,31 @@ def test_floor_hits_are_counted(data):
     assert diag["pi_d_floor_hits"] == data.n_treated
     _, _, diag = dose_side(data, "MR_PARAMETRIC", models, grid)
     assert diag["f_floor_hits"] == 0 and diag["pi_d_floor_hits"] == 0
+
+
+def test_pi_d_variance_floor_hits_are_counted():
+    """pi_d's linear squared-residual model predicts a variance below
+    RESIDUAL_VAR_FLOOR for at least one treated unit under bootstrap
+    replicate 0's weights on this dataset, and for none unweighted."""
+    data = generate_scenario_data(500, 41)
+    point = estimate_curve(data, "MR", specs=SPECS)
+    assert point.diagnostics["pi_d_var_floor_hits"] == 0
+    weighted = estimate_curve(
+        data,
+        "MR",
+        specs=SPECS,
+        grid=point.grid,
+        bandwidth=point.bandwidth,
+        sample_weight=bootstrap_weights(data.a, 42, 0),
+        on_out_of_range="clamp",
+    )
+    assert weighted.diagnostics["pi_d_var_floor_hits"] >= 1
+    # A constant variance model just below the floor hits every unit; one
+    # just above it hits none.
+    pi_d = fit_nuisances(data, SPECS, which=("pi_d",)).pi_d
+    for variance, hits in ((0.5 * RESIDUAL_VAR_FLOOR, data.n_treated), (2.0 * RESIDUAL_VAR_FLOOR, 0)):
+        constant = replace(pi_d, resid_coef=np.concatenate([[variance], np.zeros(4)]))
+        assert constant.variance_floor_hits(data.x_treated) == hits
 
 
 def test_flat_dose_density_gives_full_effective_sample(data):

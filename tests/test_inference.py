@@ -199,8 +199,44 @@ def test_stacked_single_period_equals_base(fitted):
     data, models, curve = fitted
     delta = float(curve.grid[14])
     base = sandwich_variance(data, models, curve, delta, mode="base")
-    stacked = stacked_sandwich_variance([(data, models, curve)], delta)
+    (stacked,) = stacked_sandwich_variance([(data, models, curve)], [delta])
     assert stacked == base
+
+
+def test_variance_is_the_squared_norm_of_the_influence_column(fitted):
+    data, models, curve = fitted
+    for delta in (curve.grid[2], curve.grid[30]):
+        system = build_estimating_system(data, models, curve, float(delta))
+        quadratic = float(system.contrast @ system.covariance() @ system.contrast)
+        var = system.variance()
+        assert var == float(system.influence() @ system.influence()) >= 0.0
+        assert abs(var - quadratic) <= 1e-12 * quadratic
+
+
+def test_stacked_variance_equals_block_diagonal_system(fitted):
+    """The mean of two periods' influence columns gives the variance of the
+    block-diagonal stacked system: Gammas side by side, breads on the
+    diagonal, each period's contrast halved."""
+    data, _, _ = fitted
+    rng = np.random.default_rng(4)
+    later = TwoPeriodDataset.from_arrays(
+        x=data.x, a=data.a, dose=data.dose, y0=data.y0, y1=data.y1 + 0.3 * rng.normal(size=data.n)
+    )
+    periods = []
+    for ds in (data, later):
+        models = fit_nuisances(ds, SPECS)
+        periods.append((ds, models, estimate_curve(ds, "MR", specs=SPECS, models=models)))
+    grid = periods[0][2].grid[[5, 24, 40]]
+    stacked = stacked_sandwich_variance(periods, grid)
+    for k, delta in enumerate(grid):
+        parts = [build_estimating_system(*period, float(delta)) for period in periods]
+        gamma = np.hstack([part.gamma for part in parts])
+        bread = np.zeros((8, 8))
+        bread[:4, :4], bread[4:, 4:] = parts[0].bread, parts[1].bread
+        contrast = np.concatenate([part.contrast for part in parts]) / 2.0
+        binv = np.linalg.inv(bread)
+        reference = float(contrast @ binv @ gamma.T @ gamma @ binv.T @ contrast)
+        assert abs(stacked[k] - reference) <= 1e-12 * reference
 
 
 def test_augmented_mode_runs_and_vanishes():
@@ -233,7 +269,7 @@ def test_augmented_bands_equal_per_delta_systems_bitwise(augmented_case):
     data, models, curve = augmented_case
     _, _, variances = sandwich_bands(data, models, curve, mode="augmented")
     for k, delta in enumerate(curve.grid):
-        var, _ = build_estimating_system(data, models, curve, float(delta), mode="augmented").variance()
+        var = build_estimating_system(data, models, curve, float(delta), mode="augmented").variance()
         assert variances[k] == var
 
 
@@ -328,9 +364,7 @@ def test_forced_unit_weights_reproduce_point_estimate_bitwise():
     data = generate_scenario_data(300, stream_seed(400, 5, 0))
     point = estimate_curve(data, "MR", specs=SPECS)
     cfg = EstimatorConfig(method="MR", specs=SPECS, grid=point.grid, bandwidth=point.bandwidth)
-    result = weighted_bootstrap(
-        data, cfg, 3, seed=0, keep_curves=True, weight_fn=lambda b: np.ones(data.n)
-    )
+    result = weighted_bootstrap(data, cfg, 3, seed=0, weight_fn=lambda b: np.ones(data.n))
     assert result.b_failed == 0
     for row in result.curves:
         np.testing.assert_array_equal(row, point.psi)
@@ -342,8 +376,8 @@ def test_bootstrap_deterministic_and_percentile():
     cfg = EstimatorConfig(
         method="MR", specs=SPECS, grid=point.grid, bandwidth=point.bandwidth, on_out_of_range="clamp"
     )
-    r1 = weighted_bootstrap(data, cfg, 24, seed=5, keep_curves=True)
-    r2 = weighted_bootstrap(data, cfg, 24, seed=5, keep_curves=True)
+    r1 = weighted_bootstrap(data, cfg, 24, seed=5)
+    r2 = weighted_bootstrap(data, cfg, 24, seed=5)
     np.testing.assert_array_equal(r1.curves, r2.curves)
     np.testing.assert_array_equal(r1.ci_lower, r2.ci_lower)
     lo, hi = np.percentile(r1.curves, [2.5, 97.5], axis=0)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from dosedid.data import PanelDataset
-from dosedid.errors import DataValidationError, EstimationError
+from dosedid import curves, inference
+from dosedid.curves import EstimatorConfig
+from dosedid.data import PanelDataset, pair_periods
+from dosedid.errors import DataValidationError, EstimationError, FitError
+from dosedid.inference import weighted_bootstrap
 from dosedid.nuisance import default_specs
 from dosedid.panel import estimate_repeated, placebo_curves, scale_outcomes
 from dosedid.simulation import (
@@ -113,6 +116,59 @@ def test_repeated_bootstrap_shares_unit_weights():
     assert rep.averaged.ci_upper is not None
 
 
+def test_one_pair_repeated_bootstrap_equals_weighted_bootstrap():
+    """With one pair, the repeated-period bootstrap is weighted_bootstrap on
+    that pair's dataset at the same seed and bandwidth, bit for bit."""
+    data = generate_scenario_data(300, stream_seed(500, 6, 0))
+    panel = _panel_from_two_period(data, extra_periods=1, seed=4)
+    rep = estimate_repeated(panel, [(0, 2)], "MR", specs=SPECS, inference="bootstrap", b_replicates=12, seed=9)
+    (curve,) = rep.per_m
+    cfg = EstimatorConfig("MR", SPECS, curve.grid, curve.bandwidth, on_out_of_range="clamp")
+    boot = weighted_bootstrap(pair_periods(panel, 0, 2), cfg, 12, seed=9)
+    for estimate in (curve, rep.averaged):
+        np.testing.assert_array_equal(estimate.ci_lower, boot.ci_lower)
+        np.testing.assert_array_equal(estimate.ci_upper, boot.ci_upper)
+    assert rep.averaged.diagnostics["bootstrap_failures"] == boot.failures == {}
+
+
+def test_repeated_bootstrap_counts_failures_by_error_class(monkeypatch):
+    """A fit that fails in replicate 1 (the third weighted fit: two pairs
+    per replicate) fails that replicate alone, counted under its class."""
+    data = generate_scenario_data(260, stream_seed(500, 7, 0))
+    panel = _panel_from_two_period(data, extra_periods=1, seed=5)
+    original = curves.estimate_curve
+    weighted_calls = []
+
+    def failing(*args, **kwargs):
+        if kwargs.get("sample_weight") is not None:
+            weighted_calls.append(1)
+            if len(weighted_calls) == 3:
+                raise FitError("provoked")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(curves, "estimate_curve", failing)
+    rep = estimate_repeated(panel, [(0, 1), (0, 2)], "NAIVE", inference="bootstrap", b_replicates=6, seed=2)
+    assert rep.averaged.diagnostics["bootstrap_failures"] == {"FitError": 1}
+    assert rep.averaged.diagnostics["bootstrap_failed"] == 1
+    assert len(weighted_calls) == 2 * 5 + 1
+
+
+def test_repeated_sandwich_builds_one_context_per_pair(monkeypatch):
+    data = generate_scenario_data(300, stream_seed(500, 4, 0))
+    panel = _panel_from_two_period(data, extra_periods=1, seed=2)
+    original = inference._CurveContext.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(inference._CurveContext, "__init__", counted)
+    rep = estimate_repeated(panel, [(0, 1), (0, 2)], "MR", specs=SPECS, inference="sandwich")
+    assert rep.averaged.grid.shape[0] > 1
+    assert len(built) == 2
+
+
 def test_repeated_stacked_sandwich_runs():
     data = generate_scenario_data(300, stream_seed(500, 4, 0))
     panel = _panel_from_two_period(data, extra_periods=1, seed=2)
@@ -140,10 +196,6 @@ def test_placebo_null_panel_is_flat():
 
 def test_placebo_within_bootstrap_se_under_homogeneous_trends():
     """At most 5% of grid points may exceed 4 bootstrap SEs of zero."""
-    from dosedid.curves import EstimatorConfig
-    from dosedid.data import pair_periods
-    from dosedid.inference import weighted_bootstrap
-
     panel = generate_placebo_panel(5000, 21, confounded=False)
     curve = placebo_curves(panel, 0, [1], "MR", specs=SPECS, intervention_period=2)[0]
     cfg = EstimatorConfig(
@@ -153,7 +205,7 @@ def test_placebo_within_bootstrap_se_under_homogeneous_trends():
         bandwidth=curve.bandwidth,
         on_out_of_range="clamp",
     )
-    boot = weighted_bootstrap(pair_periods(panel, 0, 1), cfg, 100, seed=3, keep_curves=True)
+    boot = weighted_bootstrap(pair_periods(panel, 0, 1), cfg, 100, seed=3)
     se = boot.curves.std(axis=0, ddof=1)
     frac = np.mean(np.abs(curve.psi) > 4 * se)
     assert frac <= 0.05

@@ -116,15 +116,26 @@ def _write_manifest(stage: Path, command: str, config: dict, diagnostics: dict, 
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str), encoding="utf-8")
 
 
-def _load_two_period(config: dict, problems: list):
+def _load_panel(config: dict, problems: list):
+    """The panel that the config's ``data`` block names, or None when that
+    block or any earlier part of the config has problems (the block's own
+    are appended to ``problems``)."""
     data_block = config.get("data")
     if not isinstance(data_block, dict) or "path" not in data_block:
         problems.append("data: need a mapping with a 'path'")
-        return None, None
+        return None
     schema = parse_schema(data_block.get("schema", {}), problems)
     if problems:
-        return None, None
-    panel = load_panel(data_block["path"], schema)
+        return None
+    return load_panel(data_block["path"], schema)
+
+
+def _load_two_period(config: dict, problems: list):
+    """The (pre, post) dataset of the config's panel and pairing, or None
+    as ``_load_panel``; a panel with fatal violations raises."""
+    panel = _load_panel(config, problems)
+    if panel is None:
+        return None
     report = validate(panel)
     if report.fatal:
         raise DataValidationError("; ".join(msg for fatal, msg in report.violations if fatal))
@@ -135,7 +146,7 @@ def _load_two_period(config: dict, problems: list):
         pre, post = panel.period_labels
     else:
         pre, post = int(pairing["pre"]), int(pairing["post"])
-    return panel, pair_periods(panel, pre, post)
+    return pair_periods(panel, pre, post)
 
 
 def _resolve_grid(grid_req, dataset):
@@ -180,7 +191,7 @@ def _cmd_estimate(config: dict, args) -> int:
     output = config.get("output")
     if not output:
         problems.append("output: required")
-    _, dataset = _load_two_period(config, problems)
+    dataset = _load_two_period(config, problems)
     if problems:
         raise ConfigError(problems)
 
@@ -209,7 +220,7 @@ def _cmd_estimate(config: dict, args) -> int:
                         method=method,
                         specs=specs,
                         grid=grid,
-                        bandwidth=None if inference.refit_bandwidth else curve.bandwidth,
+                        bandwidth=curve.bandwidth,
                         on_out_of_range="clamp",
                     )
                     boot = weighted_bootstrap(dataset, est, inference.b_replicates, seed)
@@ -311,15 +322,11 @@ def _cmd_placebo(config: dict, args) -> int:
     block = config.get("placebo")
     if not isinstance(block, dict) or "baseline" not in block or "posts" not in block:
         problems.append("placebo: need a mapping with 'baseline' and 'posts'")
-    data_block = config.get("data")
-    if not isinstance(data_block, dict) or "path" not in data_block:
-        problems.append("data: need a mapping with a 'path'")
-    schema = parse_schema(data_block.get("schema", {}), problems) if isinstance(data_block, dict) else None
+    panel = _load_panel(config, problems)
     if problems:
         raise ConfigError(problems)
 
-    panel = load_panel(data_block["path"], schema)
-    grid = grid_req if isinstance(grid_req, np.ndarray) else default_dose_grid(panel.dose, size=int(grid_req))
+    grid = _resolve_grid(grid_req, panel)
     method = config.get("method", "MR")
     curves = placebo_curves(
         panel,
@@ -365,13 +372,9 @@ def _cmd_truth(config: dict, args) -> int:
 
 def _cmd_validate(config: dict, args) -> int:
     problems: list = []
-    data_block = config.get("data")
-    if not isinstance(data_block, dict) or "path" not in data_block:
-        problems.append("data: need a mapping with a 'path'")
-    schema = parse_schema(data_block.get("schema", {}), problems) if isinstance(data_block, dict) else None
+    panel = _load_panel(config, problems)
     if problems:
         raise ConfigError(problems)
-    panel = load_panel(data_block["path"], schema)
     report = validate(panel)
     for line in report.lines():
         print(line)

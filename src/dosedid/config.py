@@ -97,15 +97,25 @@ def parse_specs(block: dict | None, problems: list) -> dict[str, NuisanceSpec]:
     return out
 
 
+_INFERENCE_KEYS = ("method", "B", "b_replicates", "mode")
+
+
 def parse_inference(block: dict | None, problems: list) -> InferenceConfig:
+    """The inference block; keys other than ``_INFERENCE_KEYS`` are
+    reported as problems."""
     if not block:
         return InferenceConfig()
+    if not isinstance(block, dict):
+        problems.append("inference: expected a mapping")
+        return InferenceConfig()
+    unknown = [str(k) for k in block if k not in _INFERENCE_KEYS]
+    if unknown:
+        problems.append(f"inference: unknown keys {', '.join(unknown)}")
     try:
         return InferenceConfig(
             method=str(block.get("method", "none")),
             b_replicates=int(block.get("B", block.get("b_replicates", 200))),
             mode=str(block.get("mode", "base")),
-            refit_bandwidth=bool(block.get("refit_bandwidth", False)),
         )
     except (TypeError, ValueError) as exc:
         problems.append(f"inference: {exc}")

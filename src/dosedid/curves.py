@@ -17,8 +17,9 @@ Psi(delta), all returning an EffectCurveEstimate:
 * ``TWFE``          pooled two-way fixed effects regression with a linear
                     dose interaction.
 
-Every fit accepts optional per-unit weights, which is how the weighted
-bootstrap threads resampling through the whole pipeline.
+Every fit and mean is weighted by the dataset's per-unit ``weight``: the
+weighted bootstrap reruns the whole pipeline on a copy of the dataset that
+carries its resampling weights.
 """
 
 from __future__ import annotations
@@ -117,9 +118,9 @@ class EffectCurveEstimate:
 class EstimatorConfig:
     """Everything needed to reproduce one curve fit on a dataset.
 
-    The weighted bootstrap re-runs ``build`` with resampled unit weights;
-    holding ``grid`` and ``bandwidth`` fixed here keeps replicates
-    comparable pointwise.
+    The weighted bootstrap re-runs ``build`` on the dataset under
+    resampled unit weights; holding ``grid`` and ``bandwidth`` fixed here
+    keeps replicates comparable pointwise.
     """
 
     method: str
@@ -128,7 +129,7 @@ class EstimatorConfig:
     bandwidth: float | None = None
     on_out_of_range: str = "error"
 
-    def build(self, data: TwoPeriodDataset, sample_weight: np.ndarray | None = None) -> EffectCurveEstimate:
+    def build(self, data: TwoPeriodDataset) -> EffectCurveEstimate:
         return estimate_curve(
             data,
             self.method,
@@ -136,7 +137,6 @@ class EstimatorConfig:
             grid=self.grid,
             bandwidth=self.bandwidth,
             on_out_of_range=self.on_out_of_range,
-            sample_weight=sample_weight,
         )
 
 
@@ -193,7 +193,8 @@ def robust_select_bandwidth(xs, ys, grid=None, sample_weight=None) -> float:
         return select_bandwidth(x, ys, np.concatenate([grid, extension]), sample_weight)
 
 
-def _smoothed_theta(data, ys, grid, bandwidth, bandwidth_grid, wt, diagnostics):
+def _smoothed_theta(data, ys, grid, bandwidth, bandwidth_grid, diagnostics):
+    wt = data.weight_treated
     if bandwidth is None:
         if bandwidth_grid is None:
             bandwidth_grid = default_bandwidth_grid(data.dose)
@@ -207,14 +208,15 @@ def _smoothed_theta(data, ys, grid, bandwidth, bandwidth_grid, wt, diagnostics):
     return theta, float(bandwidth)
 
 
-def _weight_health(data, models, raw_w1, wt, diagnostics) -> None:
+def _weight_health(data, models, raw_w1, diagnostics) -> None:
     """Record the marginals' node count; the treated doses at which f, and
     pi_d(D_i | X_i), sit at DENSITY_FLOOR; the treated units whose pi_d
     residual variance is floored at RESIDUAL_VAR_FLOOR; and the normalized
     dose weights w1's maximum and Kish effective sample size
-    (sum v)^2 / sum v^2, where v is the sample weight times w1."""
+    (sum v)^2 / sum v^2, where v is the unit weight times w1."""
+    wt = data.weight_treated
     w1 = normalize_weights(raw_w1, wt)
-    v = w1 if wt is None else wt * w1
+    v = wt * w1
     diagnostics["marginal_nodes"] = int(models.f_marginal.x.shape[0])
     diagnostics["f_floor_hits"] = int(np.count_nonzero(models.f_marginal(data.dose) <= DENSITY_FLOOR))
     diagnostics["pi_d_floor_hits"] = int(
@@ -233,7 +235,6 @@ def dose_side(
     bandwidth: float | None = None,
     bandwidth_grid: np.ndarray | None = None,
     parametric_basis: tuple[int, ...] = (1, 3),
-    sample_weight: np.ndarray | None = None,
     on_out_of_range: str = "error",
 ) -> tuple[np.ndarray, float | None, dict]:
     """The dose-side curve theta on ``grid``: ``(theta, bandwidth, diagnostics)``.
@@ -244,31 +245,30 @@ def dose_side(
     ``pi_d_var_floor_hits``, ``w1_max`` and ``w1_ess`` in the diagnostics;
     those that read mu1 record ``mu1_ridged``.
     """
-    wt = None if sample_weight is None else data.split(np.asarray(sample_weight, dtype=float))[0]
     trend_t, _ = data.split(data.trend)
     diagnostics: dict = {"clamped": 0, "bandwidth_selected": False}
     if "mu1" in DOSE_NEEDS[method]:
         diagnostics["mu1_ridged"] = bool(models.mu1.ridged)
     if method in ("MR", "MR_PARAMETRIC"):
-        xi, raw_w1 = compute_xi(data, models, sample_weight, on_out_of_range)
+        xi, raw_w1 = compute_xi(data, models, on_out_of_range)
         diagnostics["clamped"] = count_clamped(data, models)
-        _weight_health(data, models, raw_w1, wt, diagnostics)
+        _weight_health(data, models, raw_w1, diagnostics)
         if method == "MR":
-            theta, bandwidth = _smoothed_theta(data, xi, grid, bandwidth, bandwidth_grid, wt, diagnostics)
+            theta, bandwidth = _smoothed_theta(data, xi, grid, bandwidth, bandwidth_grid, diagnostics)
         else:
-            theta = parametric_theta(data.dose, xi, grid, parametric_basis, wt)
+            theta = parametric_theta(data.dose, xi, grid, parametric_basis, data.weight_treated)
             diagnostics["parametric_basis"] = tuple(parametric_basis)
     elif method == "OR":
-        theta = models.mu1.dose_profile(grid, data.x_treated, wt)
+        theta = models.m_marginal(grid)
     elif method == "IPW":
         raw_w1 = models.f_marginal(data.dose) / models.pi_d(data.dose, data.x_treated)
-        target = normalize_weights(raw_w1, wt) * trend_t
-        _weight_health(data, models, raw_w1, wt, diagnostics)
-        theta, bandwidth = _smoothed_theta(data, target, grid, bandwidth, bandwidth_grid, wt, diagnostics)
+        target = normalize_weights(raw_w1, data.weight_treated) * trend_t
+        _weight_health(data, models, raw_w1, diagnostics)
+        theta, bandwidth = _smoothed_theta(data, target, grid, bandwidth, bandwidth_grid, diagnostics)
     elif method == "NAIVE":
-        theta, bandwidth = _smoothed_theta(data, trend_t, grid, bandwidth, bandwidth_grid, wt, diagnostics)
+        theta, bandwidth = _smoothed_theta(data, trend_t, grid, bandwidth, bandwidth_grid, diagnostics)
     else:  # TWFE
-        theta, diagnostics["twfe_coefficients"] = _twfe_curve(data, grid, sample_weight)
+        theta, diagnostics["twfe_coefficients"] = _twfe_curve(data, grid)
     return theta, bandwidth, diagnostics
 
 
@@ -276,28 +276,24 @@ def control_side(
     data: TwoPeriodDataset,
     method: str,
     models: NuisanceModelSet | None,
-    sample_weight: np.ndarray | None = None,
 ) -> tuple[float, dict]:
     """The control-side constant theta0: ``(theta0, diagnostics)``.
 
     Reads only the models in ``CONTROL_NEEDS[method]``; TWFE reports 0.
     """
-    w_all = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    wt, wc = (None, None) if w_all is None else data.split(w_all)
     diagnostics: dict = {}
     if method in ("MR", "MR_PARAMETRIC"):
-        theta00, theta01, _ = compute_theta0(data, models, w_all)
+        theta00, theta01, _ = compute_theta0(data, models)
         theta0 = theta00 + theta01
     elif method == "OR":
-        mu0_t = models.mu0(data.x_treated)
-        wt_ones = np.ones(data.n_treated) if wt is None else wt
-        theta0 = float(np.sum(wt_ones * mu0_t) / np.sum(wt_ones))
+        wt = data.weight_treated
+        theta0 = float(np.sum(wt * models.mu0(data.x_treated)) / np.sum(wt))
     elif method == "IPW":
-        theta0, _, _ = compute_theta0(data, models, w_all, mu0_override=np.zeros(data.n))
+        theta0, _, _ = compute_theta0(data, models, mu0_override=np.zeros(data.n))
     elif method == "NAIVE":
         _, trend_c = data.split(data.trend)
-        wc_ones = np.ones(data.n_control) if wc is None else wc
-        theta0 = float(np.sum(wc_ones * trend_c) / np.sum(wc_ones))
+        wc = data.weight_control
+        theta0 = float(np.sum(wc * trend_c) / np.sum(wc))
     else:  # TWFE
         theta0 = 0.0
     if "pi_a" in CONTROL_NEEDS[method]:
@@ -326,7 +322,6 @@ def estimate_curve(
     specs: dict[str, NuisanceSpec] | None = None,
     grid: np.ndarray | None = None,
     bandwidth: float | None = None,
-    sample_weight: np.ndarray | None = None,
     bandwidth_grid: np.ndarray | None = None,
     parametric_basis: tuple[int, ...] = (1, 3),
     on_out_of_range: str = "error",
@@ -336,7 +331,7 @@ def estimate_curve(
 
     Parameters
     ----------
-    data : TwoPeriodDataset
+    data : TwoPeriodDataset; every fit and mean is weighted by its ``weight``.
     method : one of METHODS.
     specs : nuisance specifications, required for MR/MR_PARAMETRIC/OR/IPW.
     grid : evaluation grid; defaults to 50 points between the 10th and 90th
@@ -345,7 +340,6 @@ def estimate_curve(
     bandwidth : kernel bandwidth shared across the grid; selected by
         leave-one-out cross-validation on the method's own regression target
         when absent.
-    sample_weight : optional per-unit weights threaded through every fit.
     models : pre-fitted nuisance set (must cover the method's needs and be
         marginalized on a grid compatible with ``grid``); fit internally
         when absent.
@@ -362,16 +356,13 @@ def estimate_curve(
     if grid is None:
         grid = default_dose_grid(data.dose)
     grid = np.asarray(grid, dtype=float)
-    w_all = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
     if needed and models is None:
-        models = fit_nuisances(data, specs, needed, dose_grid=grid, sample_weight=w_all)
-    dose = dose_side(
-        data, method, models, grid, bandwidth, bandwidth_grid, parametric_basis, w_all, on_out_of_range
-    )
-    return assemble_curve(method, grid, dose, control_side(data, method, models, w_all))
+        models = fit_nuisances(data, specs, needed, dose_grid=grid)
+    dose = dose_side(data, method, models, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range)
+    return assemble_curve(method, grid, dose, control_side(data, method, models))
 
 
-def _twfe_curve(data: TwoPeriodDataset, grid: np.ndarray, sample_weight):
+def _twfe_curve(data: TwoPeriodDataset, grid: np.ndarray):
     """Two-way fixed effects on the two periods stacked; the curve is the
     post-treatment interaction intercept plus its dose slope."""
     n = data.n
@@ -389,8 +380,7 @@ def _twfe_curve(data: TwoPeriodDataset, grid: np.ndarray, sample_weight):
     x1, y1 = rows(1, data.y1)
     design = np.vstack([x0, x1])
     response = np.concatenate([y0, y1])
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    fit = fit_wls(design, response, np.concatenate([w, w]))
+    fit = fit_wls(design, response, np.concatenate([data.weight, data.weight]))
     p = data.x.shape[1]
     tau0 = fit.coefficients[p + 4]
     tau_d = fit.coefficients[p + 5]

@@ -173,7 +173,11 @@ class TwoPeriodDataset:
     """A panel restricted to one (pre, post) outcome pair.
 
     Invariants enforced at construction: finite outcomes everywhere, at
-    least one treated and one control unit, finite doses for the treated.
+    least one treated and one control unit, finite doses for the treated,
+    and one finite, nonnegative ``weight`` per unit (default: all ones).
+    Every fit and mean over the dataset is weighted by ``weight``; the
+    weighted bootstrap reruns the estimator on
+    ``dataclasses.replace(data, weight=w)``.
     """
 
     ids: tuple[str, ...]
@@ -184,6 +188,7 @@ class TwoPeriodDataset:
     y1: np.ndarray
     covariate_names: tuple[str, ...]
     source_pair: tuple[int, int] = (0, 1)
+    weight: np.ndarray | None = None  # (n,); None gives unit weights
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -192,8 +197,13 @@ class TwoPeriodDataset:
         y0 = np.asarray(self.y0, dtype=float)
         y1 = np.asarray(self.y1, dtype=float)
         n = len(self.ids)
+        weight = np.ones(n) if self.weight is None else np.asarray(self.weight, dtype=float)
         if not (x.shape[0] == a.shape[0] == y0.shape[0] == y1.shape[0] == n):
             raise DataValidationError("field lengths disagree")
+        if weight.shape != (n,):
+            raise DataValidationError(f"weight must have one entry per unit, got shape {weight.shape}")
+        if not np.all(np.isfinite(weight)) or np.any(weight < 0.0):
+            raise DataValidationError("weights must be finite and nonnegative")
         n_a = int(a.sum())
         if n_a == 0 or n_a == n:
             raise DataValidationError("need at least one treated and one control unit")
@@ -211,6 +221,7 @@ class TwoPeriodDataset:
         object.__setattr__(self, "dose", _readonly(dose))
         object.__setattr__(self, "y0", _readonly(y0))
         object.__setattr__(self, "y1", _readonly(y1))
+        object.__setattr__(self, "weight", _readonly(weight))
 
     @classmethod
     def from_arrays(cls, x, a, dose, y0, y1, ids=None, covariate_names=None, source_pair=(0, 1)):
@@ -254,6 +265,14 @@ class TwoPeriodDataset:
     @property
     def x_control(self) -> np.ndarray:
         return self.x[~self.a]
+
+    @property
+    def weight_treated(self) -> np.ndarray:
+        return self.weight[self.a]
+
+    @property
+    def weight_control(self) -> np.ndarray:
+        return self.weight[~self.a]
 
     def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split a length-n vector into (treated part, control part)."""

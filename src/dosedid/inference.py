@@ -29,24 +29,25 @@ Two routes, each with one implementation; the repeated-period workflow in
 
 * **Weighted bootstrap**: per replicate one exponential(1) weight per unit,
   rescaled so each intervention group's weights sum to its observed size,
-  threaded through the entire estimation pipeline; percentile intervals
-  from the replicate curves. ``bootstrap_replicates`` is the one replicate
-  loop: it draws and checks the weights, maps them to a stack of psi rows,
-  counts failed replicates by error class and takes the percentiles of each
-  row. ``weighted_bootstrap`` runs it with one row, the repeated-period
-  workflow with one row per period pair plus their average.
+  set as the dataset's ``weight`` and so read by the entire estimation
+  pipeline; percentile intervals from the replicate curves.
+  ``bootstrap_replicates`` is the one replicate loop: it draws the weights,
+  maps them to a stack of psi rows, counts failed replicates by error class
+  and takes the percentiles of each row. ``weighted_bootstrap`` runs it
+  with one row, the repeated-period workflow with one row per period pair
+  plus their average.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .curves import EffectCurveEstimate, EstimatorConfig
 from .data import TwoPeriodDataset
-from .errors import DataValidationError, DoseDidError, EstimationError
+from .errors import DoseDidError, EstimationError
 from .numeric import WindowedMoments, epanechnikov, expit
 from .nuisance import NuisanceModelSet, marginalize
 from .pseudo import build_pseudo_outcomes
@@ -130,12 +131,10 @@ class _CurveContext:
         self.data = data
         self.curve = curve
         self.h = float(curve.bandwidth)
-        w = models.sample_weight
-        self.w_all = np.ones(data.n) if w is None else np.asarray(w, dtype=float)
-        self.wt, self.wc = data.split(self.w_all)
+        self.w_all, self.wt, self.wc = data.weight, data.weight_treated, data.weight_control
         self.p_hat = float(np.sum(self.wt) / np.sum(self.w_all))
 
-        pseudo = build_pseudo_outcomes(data, models, w, on_out_of_range="clamp")
+        pseudo = build_pseudo_outcomes(data, models, on_out_of_range="clamp")
         self.xi = pseudo.xi
         self.w0n = pseudo.w0
         self.theta00 = pseudo.theta00
@@ -305,14 +304,14 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
         pi_a = models.pi_a.with_coefficients(alpha_a)
         mu0 = models.mu0.with_coefficients(lam0)
         # The curve's own node set: marginalize maps a node set to itself.
-        nodes, sw = models.dose_nodes, models.sample_weight
+        nodes = models.dose_nodes
         if _pi_d_unchanged(models.pi_d, alpha_d, gamma_r):
             # Only pi_d's own coordinates move pi_d and f.
             pi_d = models.pi_d
-            m_curve, f_curve = marginalize(mu1, None, data, nodes, sw)[0], models.f_marginal
+            m_curve, f_curve = marginalize(mu1, None, data, nodes)[0], models.f_marginal
         else:
-            pi_d = models.pi_d.with_parameters(alpha_d, gamma_r, d, x_t, ctx.wt if sw is not None else None)
-            m_curve, f_curve = marginalize(mu1, pi_d, data, nodes, sw)
+            pi_d = models.pi_d.with_parameters(alpha_d, gamma_r, d, x_t, ctx.wt)
+            m_curve, f_curve = marginalize(mu1, pi_d, data, nodes)
         return NuisanceModelSet(
             pi_a=pi_a,
             pi_d=pi_d,
@@ -323,7 +322,6 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
             dose_nodes=m_curve.x,
             specs=models.specs,
             data=data,
-            sample_weight=models.sample_weight,
         )
 
     return np.concatenate(params), scores, rebuild
@@ -504,8 +502,9 @@ def bootstrap_replicates(
 
     For b in 0..B-1 it draws ``bootstrap_weights(a, seed, b)`` (or
     ``weight_fn(b)``, a testing hook), and maps them by ``replicate`` to an
-    (M, K) stack of psi rows. A replicate whose weights are not finite and
-    nonnegative fails with a DataValidationError; failed replicates are
+    (M, K) stack of psi rows. A replicate fails when ``replicate`` raises a
+    DoseDidError, such as the DataValidationError of a dataset given
+    weights that are not finite and nonnegative; failed replicates are
     counted by error class and skipped. Row m's result holds the
     survivors' m-th rows and their 2.5% and 97.5% percentiles.
 
@@ -520,11 +519,8 @@ def bootstrap_replicates(
     stacks = []
     failures: Counter = Counter()
     for b in range(b_replicates):
-        w = np.asarray(weight_fn(b), dtype=float)
         try:
-            if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-                raise DataValidationError(f"bootstrap replicate {b} has non-finite or negative weights")
-            stacks.append(replicate(w))
+            stacks.append(replicate(weight_fn(b)))
         except DoseDidError as err:
             failures[type(err).__name__] += 1
     if not stacks:
@@ -547,9 +543,10 @@ def weighted_bootstrap(
     """Unit-level exponential weighted bootstrap of an effect curve.
 
     Each replicate re-runs the full pipeline described by
-    ``estimator_config`` (nuisance fits, pseudo-outcomes, smoothing) with
-    the drawn unit weights threaded through every weighted fit and mean,
-    through ``bootstrap_replicates`` with one psi row per replicate.
+    ``estimator_config`` (nuisance fits, pseudo-outcomes, smoothing) on
+    ``replace(data, weight=w)``, so the drawn unit weights reach every fit
+    and mean, through ``bootstrap_replicates`` with one psi row per
+    replicate.
 
     Raises EstimationError when ``b_replicates < 2`` or the config has no
     fixed grid.
@@ -558,7 +555,7 @@ def weighted_bootstrap(
         raise EstimationError("bootstrap requires a fixed evaluation grid in the estimator config")
     (result,) = bootstrap_replicates(
         data.a,
-        lambda w: [estimator_config.build(data, sample_weight=w).psi],
+        lambda w: [estimator_config.build(replace(data, weight=w)).psi],
         b_replicates,
         seed,
         weight_fn,

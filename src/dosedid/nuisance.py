@@ -14,6 +14,7 @@ dose. ``f`` is tabulated on ``_MARGINAL_NODES`` evenly spaced doses over the
 range of the dose grid and the treated doses together, by binning the units
 and convolving by FFT, and interpolates linearly in between; its tabulated
 values are floored at ``DENSITY_FLOOR`` once (docs/DECISIONS.md, D4).
+Every fit and marginal is weighted by the dataset's per-unit ``weight``.
 Each fit accepts configurable specifications: a covariate map (identity or
 the Kang-Schafer nonlinear transform, used to induce misspecification in
 simulation studies) and a learner (linear / logistic, or a natural cubic
@@ -295,8 +296,8 @@ class DoseTrendModel:
     """Fitted (d, x) -> expected trend among treated (hosts mu1).
 
     The design is [cov block | dose block | d * mapped covariate j ...]; all
-    blocks are linear in the coefficients, which makes covariate-averaged
-    dose profiles cheap.
+    blocks are linear in the coefficients, which makes the covariate
+    average ``m`` exact in closed form (``MarginalTrend``).
     """
 
     coefficients: np.ndarray
@@ -351,10 +352,6 @@ class DoseTrendModel:
         w = np.ones(level.shape[0]) if weights is None else np.asarray(weights, dtype=float)
         wsum = float(np.sum(w))
         return float(np.sum(w * level) / wsum), float(np.sum(w * slope) / wsum)
-
-    def dose_profile(self, dose_nodes: np.ndarray, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Weighted covariate-average prediction at each dose node."""
-        return self.profile(dose_nodes, *self.covariate_means(x, weights))
 
     def with_coefficients(self, coef: np.ndarray) -> "DoseTrendModel":
         return replace(self, coefficients=np.asarray(coef, dtype=float))
@@ -507,8 +504,8 @@ class MarginalTrend(_NodeCurve):
 class NuisanceModelSet:
     """The fitted nuisance functions plus their treated marginals.
 
-    ``data``, ``sample_weight``, and ``specs`` are retained so inference
-    code can rebuild the set at perturbed parameters.
+    ``data`` (whose ``weight`` every model was fit under) and ``specs`` are
+    retained so inference code can rebuild the set at perturbed parameters.
     """
 
     pi_a: PropensityModel | None
@@ -520,7 +517,6 @@ class NuisanceModelSet:
     dose_nodes: np.ndarray | None
     specs: dict
     data: TwoPeriodDataset
-    sample_weight: np.ndarray | None = None
 
 
 # --------------------------------------------------------------------------
@@ -528,22 +524,13 @@ class NuisanceModelSet:
 # --------------------------------------------------------------------------
 
 
-def _treated_weights(data: TwoPeriodDataset, sample_weight):
-    if sample_weight is None:
-        return None, None
-    w = np.asarray(sample_weight, dtype=float)
-    wt, wc = data.split(w)
-    return wt, wc
-
-
-def fit_pi_a(data: TwoPeriodDataset, spec: NuisanceSpec, sample_weight=None) -> PropensityModel:
+def fit_pi_a(data: TwoPeriodDataset, spec: NuisanceSpec) -> PropensityModel:
     """Logistic regression of A on mapped covariates (spline-expanded for
     the flexible learner)."""
     if spec.which != "pi_a":
         raise ValueError("spec.which must be 'pi_a'")
     design = CovariateDesign.from_training(data.x, spec)
-    w = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    fit = fit_logistic(design.build(data.x), data.a.astype(float), sample_weight=w)
+    fit = fit_logistic(design.build(data.x), data.a.astype(float), sample_weight=data.weight)
     return PropensityModel(fit=fit, design=design)
 
 
@@ -576,23 +563,22 @@ def _assemble_dose_density(
     )
 
 
-def fit_pi_d(data: TwoPeriodDataset, spec: NuisanceSpec, sample_weight=None) -> DoseDensityModel:
+def fit_pi_d(data: TwoPeriodDataset, spec: NuisanceSpec) -> DoseDensityModel:
     """Three-stage conditional density fit on treated units only."""
     if spec.which != "pi_d":
         raise ValueError("spec.which must be 'pi_d'")
     if data.n_treated < _MIN_GROUP:
         raise FitError(f"need at least {_MIN_GROUP} treated units to fit the dose density")
-    wt, _ = _treated_weights(data, sample_weight)
+    wt = data.weight_treated
     x_t = data.x_treated
     d = data.dose
     if float(np.ptp(d)) == 0.0:
         raise FitError("degenerate exposure: constant dose among treated units")
-    ones = np.ones(x_t.shape[0]) if wt is None else wt
 
     design = CovariateDesign.from_training(x_t, spec)
-    mean_fit = fit_wls(design.build(x_t), d, ones)
+    mean_fit = fit_wls(design.build(x_t), d, wt)
     resid = d - mean_fit.predict(design.build(x_t))
-    resid_fit = fit_wls(design.build(x_t), resid**2, ones)
+    resid_fit = fit_wls(design.build(x_t), resid**2, wt)
     return _assemble_dose_density(
         mean_fit.coefficients,
         resid_fit.coefficients,
@@ -605,7 +591,7 @@ def fit_pi_d(data: TwoPeriodDataset, spec: NuisanceSpec, sample_weight=None) -> 
     )
 
 
-def fit_mu1(data: TwoPeriodDataset, spec: NuisanceSpec, sample_weight=None) -> DoseTrendModel:
+def fit_mu1(data: TwoPeriodDataset, spec: NuisanceSpec) -> DoseTrendModel:
     """Trend regression on treated units: covariates, dose powers, and
     configured dose-covariate interactions (smooth additive terms under the
     flexible learner)."""
@@ -613,7 +599,6 @@ def fit_mu1(data: TwoPeriodDataset, spec: NuisanceSpec, sample_weight=None) -> D
         raise ValueError("spec.which must be 'mu1'")
     if data.n_treated < _MIN_GROUP:
         raise FitError(f"need at least {_MIN_GROUP} treated units to fit mu1")
-    wt, _ = _treated_weights(data, sample_weight)
     x_t = data.x_treated
     d = data.dose
     trend_t, _ = data.split(data.trend)
@@ -633,21 +618,20 @@ def fit_mu1(data: TwoPeriodDataset, spec: NuisanceSpec, sample_weight=None) -> D
         interactions=interactions,
     )
     design = model.design(d, x_t)
-    fit = fit_wls(design, trend_t, np.ones(design.shape[0]) if wt is None else wt)
+    fit = fit_wls(design, trend_t, data.weight_treated)
     return replace(model, coefficients=fit.coefficients, ridged=fit.ridged)
 
 
-def fit_mu0(data: TwoPeriodDataset, spec: NuisanceSpec, sample_weight=None) -> CovariateTrendModel:
+def fit_mu0(data: TwoPeriodDataset, spec: NuisanceSpec) -> CovariateTrendModel:
     """Trend regression on control units only."""
     if spec.which != "mu0":
         raise ValueError("spec.which must be 'mu0'")
     if data.n_control < _MIN_GROUP:
         raise FitError(f"need at least {_MIN_GROUP} control units to fit mu0")
-    _, wc = _treated_weights(data, sample_weight)
     x_c = data.x_control
     _, trend_c = data.split(data.trend)
     design = CovariateDesign.from_training(x_c, spec)
-    fit = fit_wls(design.build(x_c), trend_c, np.ones(x_c.shape[0]) if wc is None else wc)
+    fit = fit_wls(design.build(x_c), trend_c, data.weight_control)
     return CovariateTrendModel(fit=fit, design=design)
 
 
@@ -675,9 +659,9 @@ def marginalize(
     pi_d: DoseDensityModel | None,
     data: TwoPeriodDataset,
     dose_grid: np.ndarray,
-    sample_weight=None,
 ) -> tuple[MarginalTrend | None, TabulatedCurve | None]:
-    """Average mu1 and pi_d over the treated covariate distribution.
+    """Average mu1 and pi_d over the treated covariate distribution,
+    weighted by the treated units' ``data.weight``.
 
     ``m`` is exact in closed form at any dose. ``f`` is the binned mixture
     of the unfloored pi_d on the node set (``_MARGINAL_NODES`` evenly spaced
@@ -689,7 +673,7 @@ def marginalize(
     if data.n_treated == 0:
         raise FitError("cannot marginalize with no treated units")
     nodes = _node_set(dose_grid, data.dose)
-    wt, _ = _treated_weights(data, sample_weight)
+    wt = data.weight_treated
     x_t = data.x_treated
     m_curve = None
     f_curve = None
@@ -711,10 +695,9 @@ class ModelBank:
     common.
     """
 
-    def __init__(self, data: TwoPeriodDataset, dose_grid: np.ndarray | None = None, sample_weight=None):
+    def __init__(self, data: TwoPeriodDataset, dose_grid: np.ndarray | None = None):
         self.data = data
         self.dose_grid = dose_grid
-        self.sample_weight = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
         self._fits: dict = {}
         self._marginals: dict = {}
 
@@ -722,7 +705,7 @@ class ModelBank:
         key = (name, spec)
         if key not in self._fits:
             fitter = {"pi_a": fit_pi_a, "pi_d": fit_pi_d, "mu1": fit_mu1, "mu0": fit_mu0}[name]
-            self._fits[key] = fitter(self.data, spec, self.sample_weight)
+            self._fits[key] = fitter(self.data, spec)
         return self._fits[key]
 
     def marginal(self, name: str, spec: NuisanceSpec) -> MarginalTrend | TabulatedCurve:
@@ -733,7 +716,7 @@ class ModelBank:
                 self.dose_grid = default_dose_grid(self.data.dose)
             model = self.fit(name, spec)
             mu1, pi_d = (model, None) if name == "mu1" else (None, model)
-            m_curve, f_curve = marginalize(mu1, pi_d, self.data, self.dose_grid, self.sample_weight)
+            m_curve, f_curve = marginalize(mu1, pi_d, self.data, self.dose_grid)
             self._marginals[key] = m_curve or f_curve
         return self._marginals[key]
 
@@ -757,7 +740,6 @@ class ModelBank:
             dose_nodes=None if nodes is None else nodes.x,
             specs={k: specs[k] for k in which},
             data=self.data,
-            sample_weight=self.sample_weight,
         )
 
 
@@ -766,8 +748,7 @@ def fit_nuisances(
     specs: dict[str, NuisanceSpec],
     which=VALID_WHICH,
     dose_grid: np.ndarray | None = None,
-    sample_weight=None,
 ) -> NuisanceModelSet:
     """Fit the requested nuisance models and assemble the model set with
     marginal curves for whichever of (mu1, pi_d) were fit."""
-    return ModelBank(data, dose_grid, sample_weight).models(specs, which)
+    return ModelBank(data, dose_grid).models(specs, which)

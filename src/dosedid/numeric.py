@@ -225,12 +225,13 @@ def local_linear_fit(
     epanechnikov((x - delta)/h), optionally multiplied by per-point sample
     weights. The intercept is the curve estimate at ``delta``; the slope is
     in rescaled (x - delta)/h units. This literal solve is the reference for
-    ``WindowedMoments.fit`` and its fallback for degenerate windows.
+    ``WindowedMoments.fit`` and its fallback for near-singular windows.
 
     Raises
     ------
     BandwidthError
-        If fewer than two points carry positive kernel weight.
+        If fewer than two points carry positive kernel weight, or if all of
+        them share one dose, where the line is not identified.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -240,15 +241,19 @@ def local_linear_fit(
     k = epanechnikov(u)
     inside = k > 0.0
     if int(np.count_nonzero(inside)) < 2:
-        raise BandwidthError(
-            f"fewer than 2 points inside the kernel window at delta={delta} with h={h}",
-            delta=delta,
-        )
+        raise _window_error(delta, h, tied=False)
+    if np.min(x[inside]) == np.max(x[inside]):
+        raise _window_error(delta, h, tied=True)
     w = k if sample_weight is None else k * np.asarray(sample_weight, dtype=float)
     ui = u[inside]
     design = np.column_stack([np.ones(ui.shape[0]), ui])
     fit = fit_wls(design, y[inside], w[inside])
     return float(fit.coefficients[0]), float(fit.coefficients[1])
+
+
+def _window_error(delta: float, h: float, tied: bool) -> BandwidthError:
+    what = "only tied doses" if tied else "fewer than 2 points"
+    return BandwidthError(f"{what} inside the kernel window at delta={delta} with h={h}", delta=delta)
 
 
 class WindowedMoments:
@@ -312,30 +317,28 @@ class WindowedMoments:
 
     def fit(self, targets: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Intercepts and slopes at each target, as ``local_linear_fit`` gives
-        them; a BandwidthError carries the first infeasible target."""
+        them. A BandwidthError carries the first target whose window holds
+        fewer than two points or only one dose (the prefix sums' rounding
+        would pass for a determinant there)."""
         targets = np.asarray(targets, dtype=float)
         s0, s1, s2, t0, t1, first, stop = self.moments(targets, h)
-        short = np.nonzero(stop - first < 2)[0]
-        if short.size:
-            delta = float(targets[short[0]])
-            raise BandwidthError(
-                f"fewer than 2 points inside the kernel window at delta={delta} with h={h}",
-                delta=delta,
-            )
-        tied = self._xc[first] == self._xc[stop - 1]
+        last = self._xo.shape[0] - 1
+        bad = (stop - first < 2) | (self._xo[np.minimum(first, last)] == self._xo[np.maximum(stop - 1, 0)])
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise _window_error(float(targets[k]), h, tied=bool(stop[k] - first[k] >= 2))
         x, y, sample_weight = self._literal
         return _solve_local_linear(
-            s0, s1, s2, t0, t1, tied, lambda k: local_linear_fit(x, y, h, float(targets[k]), sample_weight)
+            s0, s1, s2, t0, t1, lambda k: local_linear_fit(x, y, h, float(targets[k]), sample_weight)
         )
 
 
-def _solve_local_linear(s0, s1, s2, t0, t1, tied, fallback):
+def _solve_local_linear(s0, s1, s2, t0, t1, fallback):
     """Solve [[s0, s1], [s1, s2]] (a, b) = (t0, t1) per window, or call
-    ``fallback(index)`` where the window is degenerate: all its points
-    ``tied`` (the prefix sums' rounding would pass for a determinant), or a
-    determinant that vanishes relative to s0 * s2."""
+    ``fallback(index)`` where the determinant vanishes relative to s0 * s2.
+    Windows whose points are all tied never get here."""
     den = s0 * s2 - s1 * s1
-    good = ~tied & (np.abs(den) > 1e-12 * np.abs(s0 * s2) + 1e-300)
+    good = np.abs(den) > 1e-12 * np.abs(s0 * s2) + 1e-300
     safe = np.where(good, den, 1.0)
     intercept = (s2 * t0 - s1 * t1) / safe
     slope = (s0 * t1 - s1 * t0) / safe
@@ -415,14 +418,15 @@ def select_bandwidth(
 
 def _loo_score(window: WindowedMoments, h: float) -> float | None:
     """Exact weighted LOO score for one candidate, or None if infeasible."""
-    xo, yo, wo, xc = window._xo, window._yo, window._wo, window._xc
+    xo, yo, wo = window._xo, window._yo, window._wo
     s0, s1, s2, t0, t1, first, stop = window.moments(xo, h)
     # Each LOO fit needs two in-window points besides the held-out one, and
-    # is degenerate when those are all tied.
+    # is not identified when those are all tied.
     if np.any(stop - first < 3):
         return None
     pos = np.arange(xo.shape[0])
-    tied = xc[first + (pos == first)] == xc[stop - 1 - (pos == stop - 1)]
+    if np.any(xo[first + (pos == first)] == xo[stop - 1 - (pos == stop - 1)]):
+        return None
 
     def literal(i):
         keep = pos != i
@@ -430,7 +434,7 @@ def _loo_score(window: WindowedMoments, h: float) -> float | None:
 
     # Dropping point i only touches the zeroth-order sums (u_i = 0 there).
     try:
-        pred, _ = _solve_local_linear(s0 - 0.75 * wo, s1, s2, t0 - 0.75 * wo * yo, t1, tied, literal)
+        pred, _ = _solve_local_linear(s0 - 0.75 * wo, s1, s2, t0 - 0.75 * wo * yo, t1, literal)
     except BandwidthError:
         return None
     resid = yo - pred

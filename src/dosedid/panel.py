@@ -111,7 +111,7 @@ def estimate_repeated(
         ]
 
         def replicate(w):
-            psis = [config.build(ds, sample_weight=w).psi for config, ds in zip(configs, datasets)]
+            psis = [config.build(replace(ds, weight=w)).psi for config, ds in zip(configs, datasets)]
             return [*psis, np.mean(psis, axis=0)]
 
         *per_boot, avg_boot = bootstrap_replicates(data.a, replicate, b_replicates, seed)

@@ -17,8 +17,8 @@ controls. Dividing the control sum by the control count n_0 together with
 the mean-one weights is the self-normalized (Hajek ratio) estimator
 sum w0 * resid / sum w0, which is what keeps theta00 consistent for the
 treated-population residual mean whichever of (pi_a, mu0) is correct. All
-sums generalize to weighted sums when per-unit weights are supplied (the
-bootstrap path).
+sums and means are weighted by the dataset's per-unit ``weight`` (all ones
+unless the bootstrap sets it).
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ def normalize_weights(weights: np.ndarray, sample_weight: np.ndarray | None = No
 def compute_xi(
     data: TwoPeriodDataset,
     models: NuisanceModelSet,
-    sample_weight: np.ndarray | None = None,
     on_out_of_range: str = "error",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-outcomes for the treated group.
@@ -107,13 +106,12 @@ def compute_xi(
 
     x_t = data.x_treated
     trend_t, _ = data.split(data.trend)
-    wt = None if sample_weight is None else data.split(np.asarray(sample_weight, dtype=float))[0]
 
     m_at_d = models.m_marginal(d)
     f_at_d = models.f_marginal(d)
     pi_d_at = models.pi_d(d, x_t)  # floored inside the model
     raw_w1 = f_at_d / pi_d_at
-    w1 = normalize_weights(raw_w1, wt)
+    w1 = normalize_weights(raw_w1, data.weight_treated)
     xi = m_at_d + w1 * (trend_t - models.mu1(d, x_t))
     return xi, raw_w1
 
@@ -121,7 +119,6 @@ def compute_xi(
 def compute_theta0(
     data: TwoPeriodDataset,
     models: NuisanceModelSet,
-    sample_weight: np.ndarray | None = None,
     mu0_override: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray]:
     """Control-side components (theta00, theta01) and the raw ATT weights.
@@ -138,8 +135,7 @@ def compute_theta0(
     else:
         mu0_all = np.asarray(mu0_override, dtype=float)
 
-    w = np.ones(data.n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    wt, wc = data.split(w)
+    wt, wc = data.weight_treated, data.weight_control
     pa = models.pi_a(data.x)
     _, pa_c = data.split(pa)
     raw_w0 = pa_c / (1.0 - pa_c)
@@ -155,23 +151,19 @@ def compute_theta0(
 def build_pseudo_outcomes(
     data: TwoPeriodDataset,
     models: NuisanceModelSet,
-    sample_weight: np.ndarray | None = None,
     on_out_of_range: str = "error",
 ) -> PseudoOutcomeSet:
     """Assemble the full pseudo-outcome set for the multiply robust path."""
-    xi, raw_w1 = compute_xi(data, models, sample_weight, on_out_of_range)
-    theta00, theta01, raw_w0 = compute_theta0(data, models, sample_weight)
-    w = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    wt, wc = (None, None) if w is None else data.split(w)
-    n_a_w = data.n_treated if w is None else float(np.sum(wt))
-    n_w = data.n if w is None else float(np.sum(w))
+    xi, raw_w1 = compute_xi(data, models, on_out_of_range)
+    theta00, theta01, raw_w0 = compute_theta0(data, models)
+    wt = data.weight_treated
     return PseudoOutcomeSet(
         xi=xi,
         w1=normalize_weights(raw_w1, wt),
-        w0=normalize_weights(raw_w0, wc),
+        w0=normalize_weights(raw_w0, data.weight_control),
         theta00=theta00,
         theta01=theta01,
-        p_a1=float(n_a_w / n_w),
+        p_a1=float(np.sum(wt)) / float(np.sum(data.weight)),
         clamped=count_clamped(data, models),
     )
 

@@ -242,7 +242,6 @@ class InferenceConfig:
     method: str = "none"  # none | sandwich | bootstrap | both
     b_replicates: int = 200
     mode: str = "base"  # base | augmented
-    refit_bandwidth: bool = False
 
     def __post_init__(self):
         if self.method not in ("none", "sandwich", "bootstrap", "both"):
@@ -394,7 +393,7 @@ def _replicate_inference(config, data, key, models, curve, rep):
             method="MR",
             specs=models.specs,
             grid=curve.grid,
-            bandwidth=None if config.inference.refit_bandwidth else curve.bandwidth,
+            bandwidth=curve.bandwidth,
             on_out_of_range="clamp",
         )
         result = weighted_bootstrap(data, est, config.inference.b_replicates, boot_seed)

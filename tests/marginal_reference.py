@@ -23,18 +23,13 @@ from dosedid.numeric import gaussian_kde, silverman_bandwidth
 _NODE_BLOCK = 256
 
 
-def _treated_weights(models: NuisanceModelSet):
-    data = models.data
-    return None if models.sample_weight is None else data.split(models.sample_weight)[0]
-
-
 def direct_pi_d(models: NuisanceModelSet) -> DoseDensityModel:
     """``models.pi_d`` with its table evaluated by ``DensityEstimate.__call__``
     at the same points."""
     data = models.data
     pi_d = models.pi_d
     x_t = data.x_treated
-    wt = _treated_weights(models)
+    wt = data.weight_treated
     resid = (data.dose - pi_d.mean(x_t)) / pi_d.sdev(x_t)
     bw = pi_d.bandwidth_spec if pi_d.bandwidth_spec is not None else silverman_bandwidth(resid, wt)
     return replace(pi_d, table_y=gaussian_kde(resid, bw, wt)(pi_d.table_x))
@@ -45,9 +40,7 @@ def dense_f(models: NuisanceModelSet, nodes: np.ndarray, pi_d: DoseDensityModel 
     pi_d(node | X_i), under ``pi_d`` (default ``models.pi_d``)."""
     data = models.data
     x_t = data.x_treated
-    wt = _treated_weights(models)
-    wt = np.ones(data.n_treated) if wt is None else wt
-    wt = wt / np.sum(wt)
+    wt = data.weight_treated / np.sum(data.weight_treated)
     pi_d = models.pi_d if pi_d is None else pi_d
     mu = pi_d.mean(x_t)
     s = pi_d.sdev(x_t)

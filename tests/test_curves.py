@@ -7,6 +7,7 @@ from dataclasses import replace
 
 from dosedid import nuisance
 from dosedid.curves import (
+    METHODS,
     EstimatorConfig,
     dose_side,
     estimate_curve,
@@ -23,7 +24,11 @@ from dosedid.nuisance import (
     NuisanceSpec,
     default_dose_grid,
     default_specs,
+    fit_mu0,
+    fit_mu1,
     fit_nuisances,
+    fit_pi_a,
+    fit_pi_d,
     marginalize,
 )
 from dosedid.pseudo import build_pseudo_outcomes
@@ -116,6 +121,47 @@ def test_estimator_config_reproduces_call(data):
     np.testing.assert_array_equal(cfg.build(data).psi, estimate_curve(data, "IPW", specs=SPECS, grid=grid).psi)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_doubling_the_weights_leaves_the_curve(data, method):
+    """Every fit and mean is scale-free in the dataset's weights: doubling
+    unit or bootstrap weights keeps the bandwidth and moves psi by rounding
+    alone (at most 5.9e-14 sd(psi) on this dataset)."""
+    for w in (np.ones(data.n), bootstrap_weights(data.a, 301, 0)):
+        once = estimate_curve(replace(data, weight=w), method, specs=SPECS)
+        twice = estimate_curve(replace(data, weight=2.0 * w), method, specs=SPECS)
+        assert twice.bandwidth == once.bandwidth
+        assert np.max(np.abs(twice.psi - once.psi)) <= 1e-10 * np.std(once.psi)
+
+
+def test_integer_weights_equal_duplicated_rows(data):
+    """The dataset's weight reaches every fit and mean: under integer
+    weights the four nuisance fits, and OR, NAIVE and TWFE at a fixed
+    bandwidth, equal their fits on the rows repeated that many times (to
+    1.7e-12 sd(psi) when measured). MR, MR_PARAMETRIC and IPW read pi_d's
+    kernel density and the LOO grid, whose bandwidth rules count rows."""
+    counts = np.random.default_rng(304).integers(1, 4, data.n)
+    weighted = replace(data, weight=counts.astype(float))
+    repeated = TwoPeriodDataset.from_arrays(
+        x=np.repeat(data.x, counts, axis=0),
+        a=np.repeat(data.a, counts),
+        dose=np.repeat(data.dose, counts[data.a]),
+        y0=np.repeat(data.y0, counts),
+        y1=np.repeat(data.y1, counts),
+    )
+    for name, fit in (("pi_a", fit_pi_a), ("mu1", fit_mu1), ("mu0", fit_mu0)):
+        np.testing.assert_allclose(
+            fit(weighted, SPECS[name]).coefficients, fit(repeated, SPECS[name]).coefficients, rtol=1e-10, atol=1e-12
+        )
+    pi_d, pi_d_repeated = fit_pi_d(weighted, SPECS["pi_d"]), fit_pi_d(repeated, SPECS["pi_d"])
+    np.testing.assert_allclose(pi_d.mean_coef, pi_d_repeated.mean_coef, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(pi_d.resid_coef, pi_d_repeated.resid_coef, rtol=1e-10, atol=1e-12)
+    grid = default_dose_grid(data.dose)
+    for method in ("OR", "NAIVE", "TWFE"):
+        psi = estimate_curve(weighted, method, specs=SPECS, grid=grid, bandwidth=1.5).psi
+        psi_repeated = estimate_curve(repeated, method, specs=SPECS, grid=grid, bandwidth=1.5).psi
+        assert np.max(np.abs(psi - psi_repeated)) <= 1e-10 * np.std(psi_repeated), method
+
+
 def test_missing_specs_rejected(data):
     with pytest.raises(EstimationError):
         estimate_curve(data, "MR")
@@ -184,8 +230,9 @@ def test_local_linear_curve_matches_per_point_fit_on_mr_pseudo_outcomes(n):
     grid = default_dose_grid(data.dose)
     candidates = default_bandwidth_grid(data.dose)
     for w in (None, bootstrap_weights(data.a, 7, 0)):
-        models = fit_nuisances(data, SPECS, dose_grid=grid, sample_weight=w)
-        xi = build_pseudo_outcomes(data, models, w).xi
+        weighted = data if w is None else replace(data, weight=w)
+        models = fit_nuisances(weighted, SPECS, dose_grid=grid)
+        xi = build_pseudo_outcomes(weighted, models).xi
         wt = None if w is None else data.split(w)[0]
         for h in (robust_select_bandwidth(data.dose, xi, candidates, wt), float(candidates[0])):
             exact = np.array([local_linear_fit(data.dose, xi, h, float(d), wt)[0] for d in grid])
@@ -214,17 +261,24 @@ def test_local_linear_curve_rejects_nonfinite_values_and_negative_weights():
         local_linear_curve(x, x, np.array([0.5]), 0.3, w)
 
 
-def test_local_linear_curve_tied_window_uses_ridge_fallback():
+def test_local_linear_curve_tied_window_raises():
     rng = np.random.default_rng(303)
     x = np.concatenate([rng.uniform(0.0, 4.0, 30), np.full(4, 6.0), rng.uniform(8.0, 10.0, 20)])
     y = rng.normal(size=x.shape[0]) + 5.0
     w = rng.uniform(0.5, 2.0, x.shape[0])
-    # Windows at 6.0 and 6.3 hold only the four tied points.
+    # Windows at 6.0 and 6.3 hold only the four tied points, where no line
+    # is identified; the first of them is reported, by both paths.
     grid = np.array([2.0, 6.0, 6.3, 9.0])
-    exact = np.array([local_linear_fit(x, y, 0.9, float(d), w)[0] for d in grid])
-    theta = local_linear_curve(x, y, grid, 0.9, w)
-    np.testing.assert_array_equal(theta[1:3], exact[1:3])
-    np.testing.assert_allclose(theta, exact, rtol=1e-12)
+    with pytest.raises(BandwidthError, match="only tied doses") as err:
+        local_linear_curve(x, y, grid, 0.9, w)
+    assert err.value.delta == 6.0
+    for d in (6.0, 6.3):
+        with pytest.raises(BandwidthError, match="only tied doses"):
+            local_linear_fit(x, y, 0.9, d, w)
+    # Untied windows are unaffected.
+    untied = np.array([2.0, 9.0])
+    exact = np.array([local_linear_fit(x, y, 0.9, float(d), w)[0] for d in untied])
+    np.testing.assert_allclose(local_linear_curve(x, y, untied, 0.9, w), exact, rtol=1e-12)
 
 
 def _trend_data(dose, trend_t, n_control=20):
@@ -307,12 +361,11 @@ def test_pi_d_variance_floor_hits_are_counted():
     point = estimate_curve(data, "MR", specs=SPECS)
     assert point.diagnostics["pi_d_var_floor_hits"] == 0
     weighted = estimate_curve(
-        data,
+        replace(data, weight=bootstrap_weights(data.a, 42, 0)),
         "MR",
         specs=SPECS,
         grid=point.grid,
         bandwidth=point.bandwidth,
-        sample_weight=bootstrap_weights(data.a, 42, 0),
         on_out_of_range="clamp",
     )
     assert weighted.diagnostics["pi_d_var_floor_hits"] >= 1

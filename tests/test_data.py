@@ -1,5 +1,7 @@
 """Panel ingestion, pairing, and validation contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,30 @@ def test_arrays_are_immutable():
         two.x[0, 0] = 1.0
     with pytest.raises(ValueError):
         two.dose[0] = 2.0
+
+
+def test_default_weight_is_unit_and_read_only():
+    two = generate_scenario_data(60, 1)
+    np.testing.assert_array_equal(two.weight, np.ones(two.n))
+    with pytest.raises(ValueError):
+        two.weight[0] = 2.0
+    np.testing.assert_array_equal(two.weight_treated, np.ones(two.n_treated))
+    np.testing.assert_array_equal(two.weight_control, np.ones(two.n_control))
+
+
+def test_weight_is_checked_when_the_dataset_is_built():
+    two = generate_scenario_data(60, 1)
+    w = np.arange(1.0, 61.0)
+    weighted = replace(two, weight=w)
+    np.testing.assert_array_equal(weighted.weight, w)
+    np.testing.assert_array_equal(weighted.weight_treated, w[two.a])
+    np.testing.assert_array_equal(weighted.weight_control, w[~two.a])
+    assert not weighted.weight.flags.writeable
+    for bad in (np.ones(59), np.ones((60, 1))):
+        with pytest.raises(DataValidationError, match="one entry per unit"):
+            replace(two, weight=bad)
+    for value in (np.nan, np.inf, -1.0):
+        bad = np.ones(60)
+        bad[7] = value
+        with pytest.raises(DataValidationError, match="finite and nonnegative"):
+            replace(two, weight=bad)

@@ -2,6 +2,8 @@
 table and binned f against their exact O(n_t^2) references, and psi and the
 sandwich against the exact path (docs/DECISIONS.md, D3 and D4)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,12 +28,17 @@ def _subset(n_treated, seed):
     )
 
 
+def _weighted(data, sample_weight):
+    return data if sample_weight is None else replace(data, weight=sample_weight)
+
+
 def _psi_gap(data, grid, sample_weight=None):
     """max |psi - psi_exact| / sd(psi_exact), and whether LOO picked the
     same bandwidth on both paths."""
-    models = fit_nuisances(data, SPECS, dose_grid=grid, sample_weight=sample_weight)
-    curve = estimate_curve(data, "MR", grid=grid, models=models, sample_weight=sample_weight)
-    ref = estimate_curve(data, "MR", grid=grid, models=exact_models(models, grid), sample_weight=sample_weight)
+    data = _weighted(data, sample_weight)
+    models = fit_nuisances(data, SPECS, dose_grid=grid)
+    curve = estimate_curve(data, "MR", grid=grid, models=models)
+    ref = estimate_curve(data, "MR", grid=grid, models=exact_models(models, grid))
     return np.max(np.abs(curve.psi - ref.psi)) / np.std(ref.psi), curve.bandwidth == ref.bandwidth
 
 
@@ -42,7 +49,7 @@ def test_closed_form_m_matches_loop_mean_off_the_nodes():
     off_nodes = 0.5 * (nodes[:-1] + nodes[1:])
     x_t = data.x_treated
     for sw in (None, bootstrap_weights(data.a, 4, 0)):
-        m_curve, _ = marginalize(models.mu1, None, data, nodes, sw)
+        m_curve, _ = marginalize(models.mu1, None, _weighted(data, sw), nodes)
         w = np.ones(50) if sw is None else sw[data.a]
         for d0 in off_nodes[::40]:
             loop = np.average([float(models.mu1(d0, x_t[i][None, :])[0]) for i in range(50)], weights=w)
@@ -70,7 +77,7 @@ def test_binned_kde_table_matches_direct():
     direct kernel sums within 1e-5 of its peak, unweighted and weighted."""
     data = generate_scenario_data(2_000, stream_seed(306, 4, 0))
     for sw in (None, bootstrap_weights(data.a, 5, 0)):
-        pi_d = fit_nuisances(data, SPECS, which=("pi_d",), sample_weight=sw).pi_d
+        pi_d = fit_nuisances(_weighted(data, sw), SPECS, which=("pi_d",)).pi_d
         x_t = data.x_treated
         wt = None if sw is None else sw[data.a]
         resid = (data.dose - pi_d.mean(x_t)) / pi_d.sdev(x_t)
@@ -83,7 +90,7 @@ def test_f_integrates_to_one():
     past the doses, integrates to one within 1e-4."""
     data = generate_scenario_data(2_000, stream_seed(306, 5, 0))
     for sw in (None, bootstrap_weights(data.a, 6, 0)):
-        pi_d = fit_nuisances(data, SPECS, which=("pi_d",), sample_weight=sw).pi_d
+        pi_d = fit_nuisances(_weighted(data, sw), SPECS, which=("pi_d",)).pi_d
         wt = None if sw is None else sw[data.a]
         nodes = np.linspace(data.dose.min() - 25.0, data.dose.max() + 25.0, nuisance._MARGINAL_NODES)
         f = pi_d.marginal_density(nodes, data.x_treated, wt)
@@ -97,7 +104,7 @@ def test_f_within_tolerance_of_dense_mixture():
     data = generate_scenario_data(600, stream_seed(306, 3, 0))
     grid = default_dose_grid(data.dose)
     for sw in (None, bootstrap_weights(data.a, 3, 0)):
-        models = fit_nuisances(data, SPECS, dose_grid=grid, sample_weight=sw)
+        models = fit_nuisances(_weighted(data, sw), SPECS, dose_grid=grid)
         nodes = models.dose_nodes
         assert nodes.shape[0] == nuisance._MARGINAL_NODES
         ref = np.maximum(dense_f(models, nodes), DENSITY_FLOOR)

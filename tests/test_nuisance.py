@@ -1,5 +1,7 @@
 """Nuisance fits: specification handling, group discipline, marginals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,7 @@ def test_pi_a_single_class_errors():
     w = np.ones(n)
     w[-1] = 0.0
     with pytest.raises(FitError):
-        fit_pi_a(lop_sided, NuisanceSpec("pi_a", "logistic"), sample_weight=w)
+        fit_pi_a(replace(lop_sided, weight=w), NuisanceSpec("pi_a", "logistic"))
 
 
 def test_pi_a_clipping(data_small):

@@ -309,3 +309,21 @@ def test_expit_stable():
     p = expit(z)
     assert np.all(np.isfinite(p))
     assert abs(p[2] - 0.5) < 1e-15
+
+
+def test_loo_candidate_with_a_tied_leave_one_out_window_is_infeasible():
+    # Integer doses: the lone dose 10 has only the tied 9s beside it for
+    # 1 < h < 2, where its leave-one-out line is not identified, so those
+    # candidates are skipped rather than scored by the prefix sums'
+    # rounding. From h = 2 on, its window reaches the 8s.
+    x = np.array(
+        [3, 8, 1, 6, 7, 2, 1, 3, 7, 6, 2, 4, 7, 4, 6, 10, 7, 4, 2, 3, 5, 9, 8, 3, 9, 5, 7, 1, 1, 2, 9, 7, 8, 6],
+        dtype=float,
+    )
+    rng = np.random.default_rng(2)
+    y = np.sin(x) + 0.3 * rng.normal(size=x.shape[0])
+    w = rng.uniform(0.2, 3.0, x.shape[0])
+    for h in (1.05, 1.3, 1.6):
+        with pytest.raises(BandwidthError):
+            select_bandwidth(x, y, np.array([h]), w)
+    assert select_bandwidth(x, y, np.array([1.3, 2.1]), w) == 2.1

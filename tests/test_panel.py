@@ -140,7 +140,7 @@ def test_repeated_bootstrap_counts_failures_by_error_class(monkeypatch):
     weighted_calls = []
 
     def failing(*args, **kwargs):
-        if kwargs.get("sample_weight") is not None:
+        if not np.all(args[0].weight == 1.0):  # a bootstrap replicate's dataset
             weighted_calls.append(1)
             if len(weighted_calls) == 3:
                 raise FitError("provoked")

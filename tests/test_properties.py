@@ -38,27 +38,31 @@ def _or_error(fn):
         return err
 
 
-def _identified(x, grid, h):
-    """Grid points whose window holds two distinct doses, where the fit is
-    identified; elsewhere both paths return the literal fallback's value."""
-    inside = np.abs(x[None, :] - grid[:, None]) < h
-    lo = np.where(inside, x[None, :], np.inf).min(axis=1)
-    hi = np.where(inside, x[None, :], -np.inf).max(axis=1)
-    return hi > lo
-
-
 def _tolerance(x, y, grid, h, w):
-    """Where the fit is identified, 1e-9 of the response scale times the
-    condition number of the grid point's 2x2 normal matrix (the prefix-sum
-    moments carry relative rounding, and the solve amplifies it by the
-    conditioning); elsewhere zero, as both paths make the same literal fit."""
+    """1e-9 of the response scale times the condition number of each grid
+    point's 2x2 normal matrix: the prefix-sum moments carry relative
+    rounding, and the solve amplifies it by the conditioning. Every window
+    that gets here holds two distinct doses; the others raise."""
     u = (x[None, :] - grid[:, None]) / h
     k = epanechnikov(u) * w[None, :]
     s0, s1, s2 = k.sum(axis=1), (k * u).sum(axis=1), (k * u * u).sum(axis=1)
-    ok = _identified(x, grid, h)
-    cond = np.ones(grid.shape[0])
-    cond[ok] = np.linalg.cond(np.stack([np.stack([s0, s1], -1), np.stack([s1, s2], -1)], -2)[ok])
-    return np.where(ok, 1e-9 * (1.0 + np.max(np.abs(y))) * cond, 0.0)
+    cond = np.linalg.cond(np.stack([np.stack([s0, s1], -1), np.stack([s1, s2], -1)], -2))
+    return 1e-9 * (1.0 + np.max(np.abs(y))) * cond
+
+
+def _per_point(curve, grid):
+    """``curve`` at each grid point on its own: its value there, or the
+    BandwidthError it raises there."""
+    return [_or_error(lambda: curve(np.array([d]))[0]) for d in grid]
+
+
+def _assert_same(first, second, tolerance):
+    """At each grid point both raise, or neither does and they agree within
+    ``tolerance``."""
+    for a, b, tol in zip(first, second, tolerance):
+        assert isinstance(a, BandwidthError) == isinstance(b, BandwidthError)
+        if not isinstance(a, BandwidthError):
+            assert abs(a - b) <= tol
 
 
 @PROPERTY
@@ -77,14 +81,13 @@ def test_curve_matches_per_point_fit_or_both_raise(sample):
 @PROPERTY
 @given(samples(), st.integers(0, 2**32 - 1))
 def test_integer_weights_equal_duplicated_rows(sample, seed):
-    # Only where the fit is identified: the feasibility rule counts points,
-    # so one point of weight 3 is infeasible where three copies are not.
+    # A window with one distinct dose raises either way: one point of
+    # weight 3 has too few points, and its three copies are tied.
     x, y, _, h, grid = sample
-    grid = grid[_identified(x, grid, h)]
     counts = np.random.default_rng(seed).integers(1, 4, x.shape[0])
-    weighted = local_linear_curve(x, y, grid, h, counts.astype(float))
-    duplicated = local_linear_curve(np.repeat(x, counts), np.repeat(y, counts), grid, h)
-    assert np.all(np.abs(weighted - duplicated) <= _tolerance(x, y, grid, h, counts.astype(float)))
+    weighted = _per_point(lambda g: local_linear_curve(x, y, g, h, counts.astype(float)), grid)
+    duplicated = _per_point(lambda g: local_linear_curve(np.repeat(x, counts), np.repeat(y, counts), g, h), grid)
+    _assert_same(weighted, duplicated, _tolerance(x, y, grid, h, counts.astype(float)))
 
 
 @PROPERTY
@@ -92,15 +95,9 @@ def test_integer_weights_equal_duplicated_rows(sample, seed):
 def test_reordering_units_leaves_theta(sample, seed):
     x, y, w, h, grid = sample
     perm = np.random.default_rng(seed).permutation(x.shape[0])
-    grid = grid[_identified(x, grid, h)]
-    theta = local_linear_curve(x, y, grid, h, w)
-    theta_perm = local_linear_curve(x[perm], y[perm], grid, h, w[perm])
-    assert np.all(np.abs(theta - theta_perm) <= _tolerance(x, y, grid, h, w))
-    if np.unique(x).size < x.size:
-        # A leave-one-out window holding only tied doses takes the literal
-        # fit's rounding-determined value, so the selection is order-free
-        # only without ties.
-        return
+    theta = _per_point(lambda g: local_linear_curve(x, y, g, h, w), grid)
+    theta_perm = _per_point(lambda g: local_linear_curve(x[perm], y[perm], g, h, w[perm]), grid)
+    _assert_same(theta, theta_perm, _tolerance(x, y, grid, h, w))
     h_loo = _or_error(lambda: robust_select_bandwidth(x, y, sample_weight=w))
     h_loo_perm = _or_error(lambda: robust_select_bandwidth(x[perm], y[perm], sample_weight=w[perm]))
     if isinstance(h_loo, BandwidthError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dosedid import nuisance
+from dosedid.config import parse_inference
 from dosedid.curves import METHODS, estimate_curve
 from dosedid.numeric import expit
 from dosedid.simulation import (
@@ -240,3 +241,15 @@ def test_scenario_config_validation():
         InferenceConfig(method="jackknife")
     with pytest.raises(ValueError):
         InferenceConfig(method="sandwich", mode="stacked")
+
+
+def test_parse_inference_reports_unknown_keys():
+    problems = []
+    parsed = parse_inference({"method": "bootstrap", "B": 50, "refit_bandwidth": True}, problems)
+    assert problems == ["inference: unknown keys refit_bandwidth"]
+    assert parsed == InferenceConfig(method="bootstrap", b_replicates=50)
+    problems = []
+    assert parse_inference({"method": "both", "b_replicates": 9, "mode": "augmented"}, problems) == InferenceConfig(
+        method="both", b_replicates=9, mode="augmented"
+    )
+    assert problems == []

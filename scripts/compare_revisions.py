@@ -1,0 +1,125 @@
+"""Compare dosedid's numbers between two source trees.
+
+    python scripts/compare_revisions.py dump SRC OUT.pkl
+    python scripts/compare_revisions.py compare BEFORE.pkl AFTER.pkl
+
+``dump`` imports dosedid from SRC and records, on
+``generate_scenario_data(800, s)`` for s = 1, 2, 3: every method's point
+psi, theta, theta0, bandwidth and diagnostics; MR's base and augmented
+sandwich variances on a 10-point grid; and, at n = 500 (seed 1, the
+``inference-n500`` benchmark's data), every method's weighted-bootstrap
+rows (B = 40) and the repeated-period bootstrap bands of the benchmark's
+call. ``compare`` reports the largest difference of each against the
+tolerances: curves and bootstrap rows within 1e-10 of the bootstrap
+standard deviation of psi-hat, variances within 1e-10 relative, counts and
+flags equal, float diagnostics within 1e-10 relative. It exits 1 when any
+tolerance fails.
+"""
+
+from __future__ import annotations
+
+import pickle
+import sys
+
+import numpy as np
+
+METHODS = ("MR", "MR_PARAMETRIC", "OR", "IPW", "NAIVE", "TWFE")
+
+
+def dump(src: str, out: str) -> None:
+    sys.path.insert(0, src)
+    from dosedid import curves, inference, nuisance, panel, simulation
+
+    specs = nuisance.default_specs(mu1_dose_powers=(1, 3), mu1_dose_interactions=(0, 2))
+    record = {}
+    for s in (1, 2, 3):
+        data = simulation.generate_scenario_data(800, s)
+        for method in METHODS:
+            est = curves.estimate_curve(data, method, specs=specs)
+            record[("point", s, method)] = {
+                "psi": est.psi,
+                "theta": est.theta_curve,
+                "theta0": est.theta0,
+                "bandwidth": est.bandwidth,
+                "diagnostics": {k: v for k, v in est.diagnostics.items()},
+            }
+        grid = nuisance.default_dose_grid(data.dose, size=10)
+        models = nuisance.fit_nuisances(data, specs, dose_grid=grid)
+        curve = curves.estimate_curve(data, "MR", specs=specs, grid=grid, models=models)
+        for mode in ("base", "augmented"):
+            record[("sandwich", s, mode)] = inference.sandwich_bands(data, models, curve, mode=mode)[2]
+
+    data = simulation.generate_scenario_data(500, 1)
+    for method in METHODS:
+        point = curves.estimate_curve(data, method, specs=specs)
+        config = curves.EstimatorConfig(method, specs, point.grid, point.bandwidth, on_out_of_range="clamp")
+        boot = inference.weighted_bootstrap(data, config, 40, 2)
+        record[("bootstrap", method)] = {"curves": boot.curves, "failures": boot.failures}
+    placebo = simulation.generate_placebo_panel(500, 1)
+    rep = panel.estimate_repeated(
+        placebo, ((0, 1), (1, 2)), "MR", specs=nuisance.default_specs(), inference="bootstrap", b_replicates=50, seed=2
+    )
+    record["repeated"] = [(c.ci_lower, c.ci_upper) for c in (*rep.per_m, rep.averaged)]
+    with open(out, "wb") as fh:
+        pickle.dump(record, fh)
+
+
+def compare(before_path: str, after_path: str) -> int:
+    with open(before_path, "rb") as fh:
+        before = pickle.load(fh)
+    with open(after_path, "rb") as fh:
+        after = pickle.load(fh)
+    # The scale of psi-hat's sampling error at each grid point: the spread
+    # of the parent's bootstrap rows for each method.
+    sd = {m: before[("bootstrap", m)]["curves"].std(axis=0) for m in METHODS}
+    worst: dict[str, float] = {}
+    bad = []
+
+    def note(label, ratio):
+        worst[label] = max(worst.get(label, 0.0), float(ratio))
+        if ratio > 1e-10:
+            bad.append(label)
+
+    for key, b in before.items():
+        a = after[key]
+        if key[0] == "point":
+            scale = float(np.mean(sd[key[2]]))
+            for name in ("psi", "theta", "theta0"):
+                note("point " + name, np.max(np.abs(np.asarray(a[name]) - np.asarray(b[name]))) / scale)
+            if (a["bandwidth"] is None) != (b["bandwidth"] is None):
+                bad.append(f"bandwidth presence {key}")
+            elif b["bandwidth"] is not None:
+                note("point bandwidth", abs(a["bandwidth"] - b["bandwidth"]) / scale)
+            if set(a["diagnostics"]) != set(b["diagnostics"]):
+                bad.append(f"diagnostic keys {key}")
+            for name, vb in b["diagnostics"].items():
+                va = a["diagnostics"].get(name)
+                if isinstance(vb, float):
+                    note("float diagnostics", abs(va - vb) / max(abs(vb), 1e-300))
+                elif isinstance(vb, np.ndarray):
+                    note("array diagnostics", np.max(np.abs(va - vb) / np.maximum(np.abs(vb), 1e-300)))
+                elif va != vb:
+                    bad.append(f"diagnostic {name} {key}: {vb!r} -> {va!r}")
+        elif key[0] == "sandwich":
+            note(f"sandwich {key[2]} variance", np.max(np.abs(a - b) / b))
+        elif key[0] == "bootstrap":
+            if a["failures"] != b["failures"] or a["curves"].shape != b["curves"].shape:
+                bad.append(f"bootstrap failures or shape {key}")
+            else:
+                note("bootstrap rows", np.max(np.abs(a["curves"] - b["curves"]) / sd[key[1]]))
+        else:  # repeated bands
+            scale = float(np.mean(sd["MR"]))
+            for (lo_a, hi_a), (lo_b, hi_b) in zip(a, b):
+                note("repeated bands", max(np.max(np.abs(lo_a - lo_b)), np.max(np.abs(hi_a - hi_b))) / scale)
+    for label, value in sorted(worst.items()):
+        print(f"{label:28s} largest {value:.3g} (tolerance 1e-10)")
+    for label in sorted(set(bad)):
+        print("FAILED:", label)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "dump":
+        dump(sys.argv[2], sys.argv[3])
+    else:
+        sys.exit(compare(sys.argv[2], sys.argv[3]))

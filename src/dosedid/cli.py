@@ -227,6 +227,7 @@ def _cmd_estimate(config: dict, args) -> int:
                     curve = curve.with_bands(boot.ci_lower, boot.ci_upper)
                     diagnostics[f"{method}_bootstrap_failed"] = boot.b_failed
                     diagnostics[f"{method}_bootstrap_failures"] = boot.failures
+                    diagnostics[f"{method}_bootstrap_pi_a_unconverged"] = boot.pi_a_unconverged
             write_curve(curve, stage / f"curve_{method}.csv")
             outputs.append(f"curve_{method}.csv")
             plot_name = _maybe_plot(config, stage, f"curve_{method}", curve)

@@ -66,8 +66,14 @@ def parse_schema(block: dict, problems: list) -> PanelSchema | None:
         return None
 
 
+_SPEC_KEYS = ("learner", "covariate_map", "kde_bandwidth")
+_MU1_KEYS = ("dose_powers", "dose_interactions")
+
+
 def parse_specs(block: dict | None, problems: list) -> dict[str, NuisanceSpec]:
-    """Build the nuisance spec set; absent blocks fall back to defaults."""
+    """Build the nuisance spec set; absent blocks fall back to defaults.
+    Keys a model's block does not read (``_SPEC_KEYS``, plus ``_MU1_KEYS``
+    for mu1) are reported as problems."""
     specs = default_specs()
     if not block:
         return specs
@@ -79,6 +85,10 @@ def parse_specs(block: dict | None, problems: list) -> dict[str, NuisanceSpec]:
         if not isinstance(sub, dict):
             problems.append(f"nuisance.{name}: expected a mapping")
             continue
+        known = _SPEC_KEYS + (_MU1_KEYS if name == "mu1" else ())
+        unknown = [str(k) for k in sub if k not in known]
+        if unknown:
+            problems.append(f"nuisance.{name}: unknown keys {', '.join(unknown)}")
         kwargs = {"which": name}
         for key in ("learner", "covariate_map", "kde_bandwidth"):
             if key in sub:
@@ -122,11 +132,29 @@ def parse_inference(block: dict | None, problems: list) -> InferenceConfig:
         return InferenceConfig()
 
 
+_SCENARIO_KEYS = (
+    "n",
+    "replicates",
+    "misspecified",
+    "grid_size",
+    "super_n",
+    "keep_curves",
+    "mu1_dose_powers",
+    "mu1_dose_interactions",
+    "permutations",
+)
+
+
 def parse_scenario(config: dict, problems: list) -> ScenarioConfig | None:
+    """The scenario block (``permutations`` is read by the ``simulate``
+    command); keys other than ``_SCENARIO_KEYS`` are reported as problems."""
     block = config.get("scenario")
     if not isinstance(block, dict):
         problems.append("scenario: missing or not a mapping")
         return None
+    unknown = [str(k) for k in block if k not in _SCENARIO_KEYS]
+    if unknown:
+        problems.append(f"scenario: unknown keys {', '.join(unknown)}")
     inference = parse_inference(config.get("inference"), problems)
     methods = config.get("methods", ["MR"])
     try:

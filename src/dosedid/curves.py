@@ -19,7 +19,11 @@ Psi(delta), all returning an EffectCurveEstimate:
 
 Every fit and mean is weighted by the dataset's per-unit ``weight``: the
 weighted bootstrap reruns the whole pipeline on a copy of the dataset that
-carries its resampling weights.
+carries its resampling weights, a chunk of replicates at a time as an
+(R, n) stack of weight rows. On a stacked dataset every method returns
+(R, K) curves, one row per weight row and each the one that row gives
+alone; the bandwidth must then be given, as leave-one-out selection takes
+one weight row.
 """
 
 from __future__ import annotations
@@ -32,12 +36,13 @@ import numpy as np
 
 from .data import TwoPeriodDataset
 from .errors import BandwidthError, EstimationError
-from .numeric import WindowedMoments, default_bandwidth_grid, fit_wls, select_bandwidth
+from .numeric import WindowedMoments, default_bandwidth_grid, fit_wls, linear_predictor, select_bandwidth
 from .nuisance import DENSITY_FLOOR, VALID_WHICH, NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
 from .pseudo import compute_theta0, compute_xi, count_clamped, normalize_weights
 
 __all__ = [
     "METHODS",
+    "SMOOTHED_METHODS",
     "DOSE_NEEDS",
     "CONTROL_NEEDS",
     "EffectCurveEstimate",
@@ -53,6 +58,8 @@ __all__ = [
 ]
 
 METHODS = ("MR", "MR_PARAMETRIC", "OR", "IPW", "NAIVE", "TWFE")
+# The methods whose dose-side curve is a local linear smoother.
+SMOOTHED_METHODS = ("MR", "IPW", "NAIVE")
 
 # Every method but TWFE splits as psi(delta) = theta(delta) - theta0: a
 # dose-side curve over the treated and a control-side constant. Each side
@@ -85,7 +92,8 @@ class EffectCurveEstimate:
 
     ``psi = theta_curve - theta0`` elementwise for the methods with that
     decomposition (TWFE reports theta0 = 0). Confidence bands are attached
-    by the inference module.
+    by the inference module. An estimate on a stacked dataset holds (R, K)
+    curves, (R,) ``theta0`` and per-row diagnostics.
     """
 
     method: str
@@ -118,9 +126,9 @@ class EffectCurveEstimate:
 class EstimatorConfig:
     """Everything needed to reproduce one curve fit on a dataset.
 
-    The weighted bootstrap re-runs ``build`` on the dataset under
-    resampled unit weights; holding ``grid`` and ``bandwidth`` fixed here
-    keeps replicates comparable pointwise.
+    The weighted bootstrap re-runs ``build`` on the dataset under stacks
+    of resampled unit weights; holding ``grid`` and ``bandwidth`` fixed
+    here keeps replicates comparable pointwise.
     """
 
     method: str
@@ -141,18 +149,20 @@ class EstimatorConfig:
 
 
 def local_linear_curve(dose, ys, grid, h, sample_weight=None):
-    """Local linear intercepts of ``ys`` on ``dose`` at every grid point."""
+    """Local linear intercepts of ``ys`` on ``dose`` at every grid point
+    (per row, for stacked ``ys`` or weights)."""
     return WindowedMoments(dose, ys, sample_weight).fit(grid, h)[0]
 
 
 def parametric_theta(dose, ys, grid, basis=(1, 3), sample_weight=None):
-    """Least-squares polynomial dose regression evaluated on the grid."""
+    """Least-squares polynomial dose regression evaluated on the grid (per
+    row, for stacked ``ys`` or weights)."""
     dose = np.asarray(dose, dtype=float)
     design = np.column_stack([dose**p for p in (0, *basis)])
     w = np.ones(dose.shape[0]) if sample_weight is None else np.asarray(sample_weight, dtype=float)
     fit = fit_wls(design, np.asarray(ys, dtype=float), w)
     grid = np.asarray(grid, dtype=float)
-    return np.column_stack([grid**p for p in (0, *basis)]) @ fit.coefficients
+    return linear_predictor(np.column_stack([grid**p for p in (0, *basis)]), fit.coefficients)
 
 
 def _min_feasible_bandwidth(xs) -> float:
@@ -195,6 +205,8 @@ def robust_select_bandwidth(xs, ys, grid=None, sample_weight=None) -> float:
 
 def _smoothed_theta(data, ys, grid, bandwidth, bandwidth_grid, diagnostics):
     wt = data.weight_treated
+    if bandwidth is None and wt.ndim > 1:
+        raise EstimationError("bandwidth selection takes one weight row; give a bandwidth for stacked weights")
     if bandwidth is None:
         if bandwidth_grid is None:
             bandwidth_grid = default_bandwidth_grid(data.dose)
@@ -218,13 +230,20 @@ def _weight_health(data, models, raw_w1, diagnostics) -> None:
     w1 = normalize_weights(raw_w1, wt)
     v = wt * w1
     diagnostics["marginal_nodes"] = int(models.f_marginal.x.shape[0])
-    diagnostics["f_floor_hits"] = int(np.count_nonzero(models.f_marginal(data.dose) <= DENSITY_FLOOR))
-    diagnostics["pi_d_floor_hits"] = int(
-        np.count_nonzero(models.pi_d(data.dose, data.x_treated) <= DENSITY_FLOOR)
+    diagnostics["f_floor_hits"] = _per_row(np.count_nonzero(models.f_marginal(data.dose) <= DENSITY_FLOOR, axis=-1))
+    diagnostics["pi_d_floor_hits"] = _per_row(
+        np.count_nonzero(models.pi_d(data.dose, data.x_treated) <= DENSITY_FLOOR, axis=-1)
     )
     diagnostics["pi_d_var_floor_hits"] = models.pi_d.variance_floor_hits(data.x_treated)
-    diagnostics["w1_max"] = float(np.max(w1))
-    diagnostics["w1_ess"] = float(np.sum(v) ** 2 / np.sum(v * v))
+    diagnostics["w1_max"] = _per_row(np.max(w1, axis=-1))
+    diagnostics["w1_ess"] = _per_row(np.sum(v, axis=-1) ** 2 / np.sum(v * v, axis=-1))
+
+
+def _per_row(values):
+    """A diagnostic as a Python scalar, or as its array of rows when the
+    dataset's weights are stacked."""
+    values = np.asarray(values)
+    return values.item() if values.ndim == 0 else values
 
 
 def dose_side(
@@ -248,7 +267,7 @@ def dose_side(
     trend_t, _ = data.split(data.trend)
     diagnostics: dict = {"clamped": 0, "bandwidth_selected": False}
     if "mu1" in DOSE_NEEDS[method]:
-        diagnostics["mu1_ridged"] = bool(models.mu1.ridged)
+        diagnostics["mu1_ridged"] = _per_row(models.mu1.ridged)
     if method in ("MR", "MR_PARAMETRIC"):
         xi, raw_w1 = compute_xi(data, models, on_out_of_range)
         diagnostics["clamped"] = count_clamped(data, models)
@@ -287,18 +306,18 @@ def control_side(
         theta0 = theta00 + theta01
     elif method == "OR":
         wt = data.weight_treated
-        theta0 = float(np.sum(wt * models.mu0(data.x_treated)) / np.sum(wt))
+        theta0 = np.sum(wt * models.mu0(data.x_treated), axis=-1) / np.sum(wt, axis=-1)
     elif method == "IPW":
         theta0, _, _ = compute_theta0(data, models, mu0_override=np.zeros(data.n))
     elif method == "NAIVE":
         _, trend_c = data.split(data.trend)
         wc = data.weight_control
-        theta0 = float(np.sum(wc * trend_c) / np.sum(wc))
+        theta0 = np.sum(wc * trend_c, axis=-1) / np.sum(wc, axis=-1)
     else:  # TWFE
-        theta0 = 0.0
+        theta0 = np.zeros(data.weight.shape[:-1])
     if "pi_a" in CONTROL_NEEDS[method]:
-        diagnostics["pi_a_converged"] = bool(models.pi_a.fit.converged)
-    return float(theta0), diagnostics
+        diagnostics["pi_a_converged"] = _per_row(models.pi_a.fit.converged)
+    return _per_row(theta0), diagnostics
 
 
 def assemble_curve(method: str, grid: np.ndarray, dose: tuple, control: tuple) -> EffectCurveEstimate:
@@ -308,7 +327,7 @@ def assemble_curve(method: str, grid: np.ndarray, dose: tuple, control: tuple) -
     return EffectCurveEstimate(
         method=method,
         grid=grid,
-        psi=theta - theta0,
+        psi=theta - np.asarray(theta0)[..., None],
         theta_curve=theta,
         theta0=theta0,
         bandwidth=bandwidth,
@@ -331,7 +350,8 @@ def estimate_curve(
 
     Parameters
     ----------
-    data : TwoPeriodDataset; every fit and mean is weighted by its ``weight``.
+    data : TwoPeriodDataset; every fit and mean is weighted by its ``weight``,
+        and an (R, n) stack of weight rows gives (R, K) curves.
     method : one of METHODS.
     specs : nuisance specifications, required for MR/MR_PARAMETRIC/OR/IPW.
     grid : evaluation grid; defaults to 50 points between the 10th and 90th
@@ -339,7 +359,7 @@ def estimate_curve(
         interior of the observed dose support.
     bandwidth : kernel bandwidth shared across the grid; selected by
         leave-one-out cross-validation on the method's own regression target
-        when absent.
+        when absent (required for MR, IPW and NAIVE on stacked weights).
     models : pre-fitted nuisance set (must cover the method's needs and be
         marginalized on a grid compatible with ``grid``); fit internally
         when absent.
@@ -380,10 +400,10 @@ def _twfe_curve(data: TwoPeriodDataset, grid: np.ndarray):
     x1, y1 = rows(1, data.y1)
     design = np.vstack([x0, x1])
     response = np.concatenate([y0, y1])
-    fit = fit_wls(design, response, np.concatenate([data.weight, data.weight]))
+    fit = fit_wls(design, response, np.concatenate([data.weight, data.weight], axis=-1))
     p = data.x.shape[1]
-    tau0 = fit.coefficients[p + 4]
-    tau_d = fit.coefficients[p + 5]
+    tau0 = fit.coefficients[..., p + 4, None]
+    tau_d = fit.coefficients[..., p + 5, None]
     return tau0 + tau_d * grid, fit.coefficients
 
 

@@ -178,6 +178,10 @@ class TwoPeriodDataset:
     Every fit and mean over the dataset is weighted by ``weight``; the
     weighted bootstrap reruns the estimator on
     ``dataclasses.replace(data, weight=w)``.
+
+    ``weight`` may also be an (R, n) stack of weight rows. Every
+    dataset-level function then reduces along the last axis and returns one
+    result per row, each the one that row's (n,) weight gives.
     """
 
     ids: tuple[str, ...]
@@ -188,7 +192,7 @@ class TwoPeriodDataset:
     y1: np.ndarray
     covariate_names: tuple[str, ...]
     source_pair: tuple[int, int] = (0, 1)
-    weight: np.ndarray | None = None  # (n,); None gives unit weights
+    weight: np.ndarray | None = None  # (n,) or (R, n); None gives unit weights
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -200,8 +204,8 @@ class TwoPeriodDataset:
         weight = np.ones(n) if self.weight is None else np.asarray(self.weight, dtype=float)
         if not (x.shape[0] == a.shape[0] == y0.shape[0] == y1.shape[0] == n):
             raise DataValidationError("field lengths disagree")
-        if weight.shape != (n,):
-            raise DataValidationError(f"weight must have one entry per unit, got shape {weight.shape}")
+        if weight.ndim not in (1, 2) or weight.shape[-1] != n or weight.size == 0:
+            raise DataValidationError(f"weight must have one entry per unit (in each row), got shape {weight.shape}")
         if not np.all(np.isfinite(weight)) or np.any(weight < 0.0):
             raise DataValidationError("weights must be finite and nonnegative")
         n_a = int(a.sum())
@@ -268,16 +272,18 @@ class TwoPeriodDataset:
 
     @property
     def weight_treated(self) -> np.ndarray:
-        return self.weight[self.a]
+        return self.weight.compress(self.a, axis=-1)
 
     @property
     def weight_control(self) -> np.ndarray:
-        return self.weight[~self.a]
+        return self.weight.compress(~self.a, axis=-1)
 
     def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a length-n vector into (treated part, control part)."""
+        """Split a length-n vector, or each row of a (..., n) stack, into
+        (treated part, control part). The parts are C-contiguous, so sums
+        along their rows add in the order of a one-row call."""
         v = np.asarray(values)
-        return v[self.a], v[~self.a]
+        return v.compress(self.a, axis=-1), v.compress(~self.a, axis=-1)
 
 
 @dataclass(frozen=True)

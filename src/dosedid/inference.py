@@ -32,10 +32,11 @@ Two routes, each with one implementation; the repeated-period workflow in
   set as the dataset's ``weight`` and so read by the entire estimation
   pipeline; percentile intervals from the replicate curves.
   ``bootstrap_replicates`` is the one replicate loop: it draws the weights,
-  maps them to a stack of psi rows, counts failed replicates by error class
-  and takes the percentiles of each row. ``weighted_bootstrap`` runs it
-  with one row, the repeated-period workflow with one row per period pair
-  plus their average.
+  hands them to the estimator a chunk of replicates at a time as an (R, n)
+  weight stack, so one pass of the pipeline fits R replicates, counts
+  failed replicates by error class and takes the percentiles of each
+  estimate's psi rows. ``weighted_bootstrap`` runs it with one estimate,
+  the repeated-period workflow with one per period pair plus their average.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curves import EffectCurveEstimate, EstimatorConfig
+from .curves import SMOOTHED_METHODS, EffectCurveEstimate, EstimatorConfig
 from .data import TwoPeriodDataset
 from .errors import DoseDidError, EstimationError
 from .numeric import WindowedMoments, epanechnikov, expit
@@ -71,6 +72,9 @@ _FD_STEP = 1e-5
 _GL_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 _PSI_CONTRAST = np.array([1.0, 0.0, -1.0, -1.0])  # psi = theta - theta00 - theta01
+# The bootstrap fits its replicates in chunks of rows whose (rows x units)
+# weight stack holds at most this many elements.
+_STACK_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -450,7 +454,9 @@ class BootstrapResult:
     """Percentile confidence bands from unit-weighted replicates.
 
     ``curves`` holds the surviving replicates' psi rows in replicate order;
-    ``failures`` counts the failed replicates by error class name.
+    ``failures`` counts the failed replicates by error class name;
+    ``pi_a_unconverged`` counts the surviving replicates in which a pi_a
+    fit's IRLS stopped at its iteration limit.
     """
 
     b_requested: int
@@ -459,6 +465,7 @@ class BootstrapResult:
     seed: int
     curves: np.ndarray  # (B_success, K)
     failures: dict[str, int] = field(default_factory=dict)
+    pi_a_unconverged: int = 0
 
     @property
     def b_failed(self) -> int:
@@ -498,15 +505,21 @@ def bootstrap_replicates(
     seed: int,
     weight_fn=None,
 ) -> list[BootstrapResult]:
-    """The weighted bootstrap's replicate loop, one result per psi row.
+    """The weighted bootstrap's replicate loop, one result per estimate.
 
     For b in 0..B-1 it draws ``bootstrap_weights(a, seed, b)`` (or
-    ``weight_fn(b)``, a testing hook), and maps them by ``replicate`` to an
-    (M, K) stack of psi rows. A replicate fails when ``replicate`` raises a
-    DoseDidError, such as the DataValidationError of a dataset given
-    weights that are not finite and nonnegative; failed replicates are
-    counted by error class and skipped. Row m's result holds the
-    survivors' m-th rows and their 2.5% and 97.5% percentiles.
+    ``weight_fn(b)``, a testing hook) and passes them to ``replicate`` a
+    chunk at a time, as an (R, n) stack of rows with R n at most
+    ``_STACK_BLOCK``. ``replicate`` maps such a stack to M estimates with
+    (R, K) psi, and one (n,) weight row to M estimates with (K,) psi, each
+    row of the first being the second. A replicate fails when
+    ``replicate`` raises a DoseDidError on it, such as the
+    DataValidationError of a dataset given weights that are not finite and
+    nonnegative: a chunk that raises is rerun one row at a time, so the
+    failed replicates, counted by error class, are skipped alone. Result m
+    holds the survivors' psi rows of estimate m and their 2.5% and 97.5%
+    percentiles, and counts the survivors in which any estimate's pi_a
+    IRLS stopped at its iteration limit.
 
     Raises EstimationError when ``b_replicates < 2`` or every replicate
     fails.
@@ -515,22 +528,42 @@ def bootstrap_replicates(
         raise EstimationError("bootstrap needs at least 2 replicates")
     if weight_fn is None:
         weight_fn = lambda b: bootstrap_weights(a, seed, b)  # noqa: E731
+    chunk = max(1, _STACK_BLOCK // max(1, np.shape(a)[0]))
 
-    stacks = []
+    parts = []  # (psi of shape (rows, M, K), pi_a stuck flags (rows,)) per chunk or row
     failures: Counter = Counter()
-    for b in range(b_replicates):
+    for start in range(0, b_replicates, chunk):
+        stack = np.stack([weight_fn(b) for b in range(start, min(start + chunk, b_replicates))])
         try:
-            stacks.append(replicate(weight_fn(b)))
-        except DoseDidError as err:
-            failures[type(err).__name__] += 1
-    if not stacks:
+            parts.append(_replicate_rows(replicate(stack)))
+        except DoseDidError:
+            for weight in stack:
+                try:
+                    parts.append(_replicate_rows(replicate(weight)))
+                except DoseDidError as err:
+                    failures[type(err).__name__] += 1
+    if not parts:
         raise EstimationError("every bootstrap replicate failed")
+    psi = np.concatenate([p for p, _ in parts])
+    stuck = int(sum(np.count_nonzero(flags) for _, flags in parts))
     results = []
-    for m in range(len(stacks[0])):
-        curves = np.vstack([stack[m] for stack in stacks])
+    for m in range(psi.shape[1]):
+        curves = np.ascontiguousarray(psi[:, m])
         lo, hi = np.percentile(curves, [2.5, 97.5], axis=0)
-        results.append(BootstrapResult(b_replicates, lo, hi, seed, curves, dict(failures)))
+        results.append(BootstrapResult(b_replicates, lo, hi, seed, curves, dict(failures), stuck))
     return results
+
+
+def _replicate_rows(estimates: list[EffectCurveEstimate]) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, M, K) psi of M estimates, stacked or not, and the (rows,)
+    flags of the replicates in which some pi_a IRLS stopped at max_iter."""
+    psi = np.stack([np.atleast_2d(e.psi) for e in estimates], axis=1)
+    stuck = np.zeros(psi.shape[0], dtype=bool)
+    for estimate in estimates:
+        converged = estimate.diagnostics.get("pi_a_converged")
+        if converged is not None:
+            stuck |= ~np.atleast_1d(converged)
+    return psi, stuck
 
 
 def weighted_bootstrap(
@@ -545,17 +578,23 @@ def weighted_bootstrap(
     Each replicate re-runs the full pipeline described by
     ``estimator_config`` (nuisance fits, pseudo-outcomes, smoothing) on
     ``replace(data, weight=w)``, so the drawn unit weights reach every fit
-    and mean, through ``bootstrap_replicates`` with one psi row per
-    replicate.
+    and mean, through ``bootstrap_replicates`` with one estimate per
+    replicate; a chunk of replicates runs as one stacked estimate.
 
-    Raises EstimationError when ``b_replicates < 2`` or the config has no
-    fixed grid.
+    Raises EstimationError when ``b_replicates < 2``, when the config has
+    no fixed grid, or when it has no fixed bandwidth for a smoothing method
+    (MR, IPW, NAIVE): leave-one-out selection does not run on a weight
+    stack.
     """
     if estimator_config.grid is None:
         raise EstimationError("bootstrap requires a fixed evaluation grid in the estimator config")
+    if estimator_config.bandwidth is None and estimator_config.method in SMOOTHED_METHODS:
+        raise EstimationError(
+            f"bootstrap of {estimator_config.method} requires a fixed bandwidth in the estimator config"
+        )
     (result,) = bootstrap_replicates(
         data.a,
-        lambda w: [estimator_config.build(replace(data, weight=w)).psi],
+        lambda w: [estimator_config.build(replace(data, weight=w))],
         b_replicates,
         seed,
         weight_fn,

@@ -14,7 +14,11 @@ dose. ``f`` is tabulated on ``_MARGINAL_NODES`` evenly spaced doses over the
 range of the dose grid and the treated doses together, by binning the units
 and convolving by FFT, and interpolates linearly in between; its tabulated
 values are floored at ``DENSITY_FLOOR`` once (docs/DECISIONS.md, D4).
-Every fit and marginal is weighted by the dataset's per-unit ``weight``.
+Every fit and marginal is weighted by the dataset's per-unit ``weight``;
+under an (R, n) stack of weight rows every fitted model holds one
+coefficient row (and one KDE table) per weight row, every prediction and
+marginal gains that leading axis, and each row is the one its weight row
+gives alone.
 Each fit accepts configurable specifications: a covariate map (identity or
 the Kang-Schafer nonlinear transform, used to induce misspecification in
 simulation studies) and a learner (linear / logistic, or a natural cubic
@@ -40,6 +44,8 @@ from .numeric import (
     fit_logistic,
     fit_wls,
     gaussian_kde,
+    interp_rows,
+    linear_predictor,
     scale_mixture,
     silverman_bandwidth,
 )
@@ -317,28 +323,30 @@ class DoseTrendModel:
     def __call__(self, d, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         d = np.broadcast_to(np.asarray(d, dtype=float), (x.shape[0],))
-        return self.design(d, x) @ self.coefficients
+        return linear_predictor(self.design(d, x), self.coefficients)
 
     def _split(self):
         """Coefficients of the covariate, dose and interaction blocks."""
         c = self.coefficients
         k_dose = self.dose_basis.columns(np.zeros(1)).shape[1]
-        k_cov = c.shape[0] - k_dose - len(self.interactions)
-        return c[:k_cov], c[k_cov : k_cov + k_dose], c[k_cov + k_dose :]
+        k_cov = c.shape[-1] - k_dose - len(self.interactions)
+        return c[..., :k_cov], c[..., k_cov : k_cov + k_dose], c[..., k_cov + k_dose :]
 
     def unit_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-unit level and dose slope: ``mu1(d, x_i) = level_i +
         dose_basis(d) @ c_dose + slope_i * d``."""
         c_cov, _, c_int = self._split()
-        level = self.cov_design.build(x) @ c_cov
+        level = linear_predictor(self.cov_design.build(x), c_cov)
         if not self.interactions:
-            return level, np.zeros(level.shape[0])
-        return level, self.cov_design.mapped(x)[:, list(self.interactions)] @ c_int
+            return level, np.zeros(level.shape)
+        return level, linear_predictor(self.cov_design.mapped(x)[:, list(self.interactions)], c_int)
 
-    def profile(self, d, level: float, slope: float) -> np.ndarray:
-        """``level + dose_basis(d) @ c_dose + slope * d`` at each dose."""
+    def profile(self, d, level, slope) -> np.ndarray:
+        """``level + dose_basis(d) @ c_dose + slope * d`` at each dose; a
+        stacked model takes one ``level`` and ``slope`` per row."""
         d = np.asarray(d, dtype=float)
-        return level + self.dose_basis.columns(d) @ self._split()[1] + slope * d
+        level, slope = np.asarray(level)[..., None], np.asarray(slope)[..., None]
+        return level + linear_predictor(self.dose_basis.columns(d), self._split()[1]) + slope * d
 
     def predict_matrix(self, dose_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
         """(n_units, n_nodes) predictions, exploiting block linearity."""
@@ -346,12 +354,13 @@ class DoseTrendModel:
         level, slope = self.unit_terms(x)
         return level[:, None] + self.profile(nodes, 0.0, 0.0)[None, :] + np.outer(slope, nodes)
 
-    def covariate_means(self, x: np.ndarray, weights: np.ndarray | None = None) -> tuple[float, float]:
-        """Weighted means of ``unit_terms`` over the units of ``x``."""
+    def covariate_means(self, x: np.ndarray, weights: np.ndarray | None = None):
+        """Weighted means of ``unit_terms`` over the units of ``x``, one
+        pair of floats, or of (R,) arrays for a stack."""
         level, slope = self.unit_terms(x)
-        w = np.ones(level.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-        wsum = float(np.sum(w))
-        return float(np.sum(w * level) / wsum), float(np.sum(w * slope) / wsum)
+        w = np.ones(level.shape[-1]) if weights is None else np.asarray(weights, dtype=float)
+        wsum = np.sum(w, axis=-1)
+        return np.sum(w * level, axis=-1) / wsum, np.sum(w * slope, axis=-1) / wsum
 
     def with_coefficients(self, coef: np.ndarray) -> "DoseTrendModel":
         return replace(self, coefficients=np.asarray(coef, dtype=float))
@@ -365,7 +374,9 @@ class DoseDensityModel:
     kernel density over standardized residuals: the returned value is
     ``kde((d - mean(x)) / s(x)) / s(x)``, floored at DENSITY_FLOOR. The kde
     is evaluated through an interpolation table of ``_KDE_TABLE_SIZE``
-    evenly spaced points, tabulated by ``DensityEstimate.on_grid``.
+    evenly spaced points, tabulated by ``DensityEstimate.on_grid``. A
+    stacked fit holds one coefficient row, table row and ``kde_bandwidth``
+    per weight row.
     """
 
     mean_coef: np.ndarray
@@ -378,25 +389,26 @@ class DoseDensityModel:
     bandwidth_spec: float | None = None
 
     def mean(self, x: np.ndarray) -> np.ndarray:
-        return self.mean_design.build(x) @ self.mean_coef
+        return linear_predictor(self.mean_design.build(x), self.mean_coef)
 
     def sdev(self, x: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(self._variance(x), RESIDUAL_VAR_FLOOR))
 
-    def variance_floor_hits(self, x: np.ndarray) -> int:
+    def variance_floor_hits(self, x: np.ndarray):
         """How many rows of ``x`` the squared-residual model gives a variance
-        below RESIDUAL_VAR_FLOOR, where ``sdev`` floors it."""
-        return int(np.count_nonzero(self._variance(x) < RESIDUAL_VAR_FLOOR))
+        below RESIDUAL_VAR_FLOOR, where ``sdev`` floors it (per fit row)."""
+        hits = np.count_nonzero(self._variance(x) < RESIDUAL_VAR_FLOOR, axis=-1)
+        return int(hits) if np.ndim(hits) == 0 else hits
 
     def _variance(self, x: np.ndarray) -> np.ndarray:
-        return self.resid_design.build(x) @ self.resid_coef
+        return linear_predictor(self.resid_design.build(x), self.resid_coef)
 
     def __call__(self, d, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         d = np.broadcast_to(np.asarray(d, dtype=float), (x.shape[0],))
         mu = self.mean(x)
         s = self.sdev(x)
-        dens = np.interp((d - mu) / s, self.table_x, self.table_y) / s
+        dens = interp_rows((d - mu) / s, self.table_x, self.table_y) / s
         return np.maximum(dens, DENSITY_FLOOR)
 
     def marginal_density(
@@ -417,7 +429,7 @@ class DoseDensityModel:
             self.table_y,
             self.mean(x),
             self.sdev(x),
-            w / np.sum(w),
+            w / np.sum(w, axis=-1, keepdims=True),
             float(nodes[0]),
             float(nodes[-1]),
             nodes.shape[0],
@@ -477,8 +489,8 @@ class TabulatedCurve(_NodeCurve):
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
-        out = np.interp(d, self.x, self.y)
-        return float(out) if d.ndim == 0 else out
+        out = interp_rows(np.broadcast_to(d, self.y.shape[:-1] + d.shape), self.x, self.y)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -487,7 +499,8 @@ class MarginalTrend(_NodeCurve):
     a mu1 ``model``, exact at any dose in [x[0], x[-1]].
 
     ``level`` and ``slope`` are the treated-weighted means of the model's
-    ``unit_terms``; ``x`` is the node set its companion ``f`` is tabulated on.
+    ``unit_terms`` (one per row of a stacked model); ``x`` is the node set
+    its companion ``f`` is tabulated on.
     """
 
     model: DoseTrendModel
@@ -497,7 +510,9 @@ class MarginalTrend(_NodeCurve):
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
         out = self.model.profile(np.clip(np.atleast_1d(d), self.x[0], self.x[-1]), self.level, self.slope)
-        return float(out[0]) if d.ndim == 0 else out
+        if d.ndim == 0:
+            out = out[..., 0]
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -537,19 +552,18 @@ def fit_pi_a(data: TwoPeriodDataset, spec: NuisanceSpec) -> PropensityModel:
 def _assemble_dose_density(
     mean_coef, resid_coef, mean_design, resid_design, d, x, sample_weight, bandwidth_spec
 ) -> DoseDensityModel:
-    mu = mean_design.build(x) @ mean_coef
-    var = np.maximum(resid_design.build(x) @ resid_coef, RESIDUAL_VAR_FLOOR)
+    mu = linear_predictor(mean_design.build(x), mean_coef)
+    var = np.maximum(linear_predictor(resid_design.build(x), resid_coef), RESIDUAL_VAR_FLOOR)
     std_resid = (d - mu) / np.sqrt(var)
     if not np.all(np.isfinite(std_resid)):
         raise FitError("non-finite standardized residuals in dose density fit")
-    spread = float(np.std(std_resid))
-    if spread <= 0.0:
+    if np.any(np.std(std_resid, axis=-1) <= 0.0):
         raise FitError("degenerate exposure: standardized residuals have zero spread")
     bw = bandwidth_spec if bandwidth_spec is not None else silverman_bandwidth(std_resid, sample_weight)
     kde = gaussian_kde(std_resid, bandwidth=bw, sample_weight=sample_weight)
-    lo = std_resid.min() - _KDE_TABLE_PAD * kde.bandwidth
-    hi = std_resid.max() + _KDE_TABLE_PAD * kde.bandwidth
-    table_x = np.linspace(lo, hi, _KDE_TABLE_SIZE)
+    lo = std_resid.min(axis=-1) - _KDE_TABLE_PAD * kde.bandwidth
+    hi = std_resid.max(axis=-1) + _KDE_TABLE_PAD * kde.bandwidth
+    table_x = np.linspace(lo, hi, _KDE_TABLE_SIZE, axis=-1)
     table_y = kde.on_grid(lo, hi, _KDE_TABLE_SIZE)
     return DoseDensityModel(
         mean_coef=np.asarray(mean_coef, dtype=float),
@@ -681,7 +695,8 @@ def marginalize(
         level, slope = mu1.covariate_means(x_t, wt)
         m_curve = MarginalTrend(x=nodes, model=mu1, level=level, slope=slope)
     if pi_d is not None:
-        f_curve = TabulatedCurve(x=nodes, y=np.maximum(pi_d.marginal_density(nodes, x_t, wt), DENSITY_FLOOR))
+        f = pi_d.marginal_density(nodes, x_t, wt)
+        f_curve = TabulatedCurve(x=nodes, y=np.maximum(f, DENSITY_FLOOR, out=f))
     return m_curve, f_curve
 
 

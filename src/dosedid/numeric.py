@@ -4,6 +4,15 @@ Weighted least squares, IRLS logistic regression, Gaussian kernel density
 estimation, binned kernel sums convolved by FFT, the Epanechnikov local
 linear smoother, and leave-one-out bandwidth selection. Everything here is pure: no global state, safe to call
 from parallel workers.
+
+The weighted kernels (``fit_wls``, ``fit_logistic``, ``silverman_bandwidth``,
+``DensityEstimate.on_grid``, ``scale_mixture`` and ``WindowedMoments``) also
+take a stack of weight rows with a leading axis and return one result per
+row. A stack is not a second implementation: a 1-D weight is its unstacked
+case, and each row's result is bitwise the one that row gets alone, because
+every operation on a stack is a per-row BLAS call, FFT, elementwise
+operation, or reduction along a C-contiguous last axis, all of which this
+numpy computes identically row by row (docs/DECISIONS.md, D7).
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ __all__ = [
     "default_bandwidth_grid",
     "select_bandwidth",
     "gaussian_kde",
+    "interp_rows",
+    "linear_predictor",
     "scale_mixture",
     "silverman_bandwidth",
     "PROB_CLIP",
@@ -49,6 +60,10 @@ _SCALE_WINDOW = 1.0
 _MIN_SCALE_NODES = 8
 _SCALE_NODES_PER_LOG = 12
 _DIRECT_BLOCK = 16_384
+# Binned kernel sums over a stack of rows transform at most this many
+# (row x FFT point) elements at a time, counting each of scale_mixture's
+# scale points as a row.
+_SPECTRUM_BLOCK = 1 << 16
 
 
 def epanechnikov(u: np.ndarray) -> np.ndarray:
@@ -62,26 +77,42 @@ def epanechnikov(u: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LinearFit:
     """Weighted least-squares solution; the intercept, when present, is the
-    first coefficient (callers put the 1s column first)."""
+    first coefficient (callers put the 1s column first). A fit under a stack
+    of weight rows holds one coefficient row, and one ``ridged`` flag, per
+    weight row."""
 
-    coefficients: np.ndarray
-    ridged: bool = False
+    coefficients: np.ndarray  # (q,) or (..., q)
+    ridged: bool | np.ndarray = False
 
     def predict(self, design: np.ndarray) -> np.ndarray:
-        return np.asarray(design, dtype=float) @ self.coefficients
+        """(n,) predictions, or (..., n) for stacked coefficients."""
+        return linear_predictor(design, self.coefficients)
 
 
 @dataclass(frozen=True)
 class LogisticFit:
-    """Maximum-likelihood logistic fit via IRLS."""
+    """Maximum-likelihood logistic fit via IRLS; stacked like ``LinearFit``."""
 
     coefficients: np.ndarray
-    converged: bool
-    iterations: int
+    converged: bool | np.ndarray
+    iterations: int | np.ndarray
 
     def predict_proba(self, design: np.ndarray) -> np.ndarray:
-        p = expit(np.asarray(design, dtype=float) @ self.coefficients)
+        p = expit(linear_predictor(design, self.coefficients))
         return np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+
+
+def linear_predictor(design: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """``design @ coefficients`` for a (q,) vector, or for each row of a
+    (..., q) stack, giving (..., n): one matrix-vector product per row, so
+    a row's values are those of the same call on that row alone."""
+    return (np.asarray(design, dtype=float) @ np.asarray(coefficients, dtype=float)[..., None])[..., 0]
+
+
+def _unstacked(values: np.ndarray, shape: tuple):
+    """``values`` in the stack ``shape``: a Python scalar when unstacked."""
+    values = np.asarray(values).reshape(shape)
+    return values.item() if values.ndim == 0 else values
 
 
 def expit(z: np.ndarray) -> np.ndarray:
@@ -95,24 +126,34 @@ def expit(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_normal_equations(xtwx: np.ndarray, xtwy: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve a PSD normal system by Cholesky, adding the documented ridge
-    jitter 1e-8 * trace/q when the matrix is numerically singular."""
-    q = xtwx.shape[0]
+def _solve_normal_equations(xtwx: np.ndarray, xtwy: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
+    """Solve a PSD normal system, or each of a (..., q, q) stack, by
+    Cholesky, adding the documented ridge jitter 1e-8 * trace/q when a
+    matrix is numerically singular. When any matrix of a stack needs the
+    jitter, each is solved on its own, so the jitter reaches only the
+    singular ones."""
+    q = xtwx.shape[-1]
+    try:
+        chol = np.linalg.cholesky(xtwx)
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is not None:
+        return _cho_solve(chol, xtwy), np.zeros(xtwx.shape[:-2], dtype=bool) if xtwx.ndim > 2 else False
+    if xtwx.ndim > 2:
+        solved = [_solve_normal_equations(m, v) for m, v in zip(xtwx.reshape(-1, q, q), xtwy.reshape(-1, q))]
+        beta = np.stack([b for b, _ in solved]).reshape(xtwy.shape)
+        return beta, np.array([r for _, r in solved]).reshape(xtwx.shape[:-2])
+    jitter = _RIDGE_REL * (np.trace(xtwx) / q)
+    if jitter <= 0.0 or not np.isfinite(jitter):
+        raise FitError("normal matrix has nonpositive trace; design is degenerate")
     mat = xtwx
-    ridged = False
-    for attempt in range(_WLS_MAX_CHOLESKY_RETRIES + 1):
+    for attempt in range(_WLS_MAX_CHOLESKY_RETRIES):
+        mat = mat + (jitter * 10.0**attempt) * np.eye(q)
         try:
             chol = np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
-            jitter = _RIDGE_REL * (np.trace(xtwx) / q)
-            if jitter <= 0.0 or not np.isfinite(jitter):
-                raise FitError("normal matrix has nonpositive trace; design is degenerate")
-            mat = mat + (jitter * 10.0**attempt) * np.eye(q)
-            ridged = True
             continue
-        beta = _cho_solve(chol, xtwy)
-        return beta, ridged
+        return _cho_solve(chol, xtwy), True
     raise FitError("normal matrix remained singular after ridge jitter")
 
 
@@ -121,8 +162,8 @@ def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     # Two triangular solves; numpy lacks a dedicated triangular solver in its
     # public API so fall back to generic solve on the factors.
-    y = solve(chol, rhs)
-    return solve(chol.T, y)
+    y = solve(chol, rhs[..., None])
+    return solve(chol.swapaxes(-1, -2), y)[..., 0]
 
 
 def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> LinearFit:
@@ -131,14 +172,16 @@ def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> Li
     Parameters
     ----------
     design : (n, q) array
-    response : (n,) array
-    weights : (n,) array of nonnegative weights, not all zero.
+    response : (n,) array, or (..., n) with one response per weight row.
+    weights : (n,) array of nonnegative weights, not all zero; or a (..., n)
+        stack of such rows, each fit on its own.
 
     Returns
     -------
     LinearFit
         ``ridged`` is set when a singular normal matrix required the
-        1e-8 * trace/q jitter.
+        1e-8 * trace/q jitter. A row's coefficients are those of the same
+        call on that row alone.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -146,20 +189,20 @@ def fit_wls(design: np.ndarray, response: np.ndarray, weights: np.ndarray) -> Li
     if x.ndim != 2:
         raise FitError("design must be a 2-D matrix")
     n, q = x.shape
-    if y.shape != (n,) or w.shape != (n,):
+    if y.shape[-1:] != (n,) or w.shape[-1:] != (n,):
         raise FitError(f"dimension mismatch: design {x.shape}, response {y.shape}, weights {w.shape}")
     if q > n:
         raise FitError(f"more columns ({q}) than rows ({n})")
     if np.any(w < 0):
         raise FitError("weights must be nonnegative")
-    if not np.any(w > 0):
+    if not np.all(np.any(w > 0, axis=-1)):
         raise FitError("weights are all zero")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
         raise FitError("non-finite value in WLS inputs")
 
-    wx = x * w[:, None]
+    wx = x * w[..., :, None]
     xtwx = x.T @ wx
-    xtwy = wx.T @ y
+    xtwy = linear_predictor(wx.swapaxes(-1, -2), y)
     beta, ridged = _solve_normal_equations(xtwx, xtwy)
     return LinearFit(coefficients=beta, ridged=ridged)
 
@@ -177,6 +220,10 @@ def fit_logistic(
     ``tol``; otherwise the fit stops at ``max_iter`` with ``converged=False``
     (the separable-data case). Predictions are always clipped into
     [PROB_CLIP, 1 - PROB_CLIP].
+
+    A (..., n) stack of weight rows fits each row: a row stops iterating
+    when it converges, so its iterates, ``converged`` and ``iterations``
+    are those it has alone.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -188,28 +235,39 @@ def fit_logistic(
     if not np.all((y == 0.0) | (y == 1.0)):
         raise FitError("labels must be binary 0/1")
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    pos = float(np.sum(w * y))
-    tot = float(np.sum(w))
-    if pos <= 0.0 or pos >= tot:
+    pos = np.sum(w * y, axis=-1)
+    tot = np.sum(w, axis=-1)
+    if np.any(pos <= 0.0) or np.any(pos >= tot):
         raise FitError("both label classes must be present (with positive weight)")
     if q > n:
         raise FitError(f"more columns ({q}) than rows ({n})")
 
-    beta = np.zeros(q)
-    converged = False
-    it = 0
+    rows = w.reshape(-1, n)
+    beta = np.zeros((rows.shape[0], q))
+    converged = np.zeros(rows.shape[0], dtype=bool)
+    iterations = np.zeros(rows.shape[0], dtype=int)
+    active = np.arange(rows.shape[0])
     for it in range(1, max_iter + 1):
-        p = expit(x @ beta)
+        b, wa = beta[active], rows[active]
+        p = expit(linear_predictor(x, b))
         p = np.clip(p, 1e-10, 1.0 - 1e-10)
-        irls_w = w * p * (1.0 - p)
-        score = x.T @ (w * (y - p))
-        hess = x.T @ (x * irls_w[:, None])
+        irls_w = wa * p * (1.0 - p)
+        score = linear_predictor(x.T, wa * (y - p))
+        hess = x.T @ (x * irls_w[..., None])
         step, _ = _solve_normal_equations(hess, score)
-        beta = beta + step
-        if np.max(np.abs(step)) < tol:
-            converged = True
+        beta[active] = b + step
+        iterations[active] = it
+        done = np.max(np.abs(step), axis=-1) < tol
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
             break
-    return LogisticFit(coefficients=beta, converged=converged, iterations=it)
+    shape = w.shape[:-1]
+    return LogisticFit(
+        coefficients=beta.reshape(shape + (q,)),
+        converged=_unstacked(converged, shape),
+        iterations=_unstacked(iterations, shape),
+    )
 
 
 def local_linear_fit(
@@ -264,26 +322,33 @@ class WindowedMoments:
     support, so each is a binomial combination of the window's power sums of
     w x^k and w y x^k, kept as prefix sums of the sorted, centred sample:
     any window costs two binary searches (Fan & Marron 1994, JCGS).
+
+    ``ys`` and ``sample_weight`` may be (..., n) stacks over the shared
+    ``xs``: the sample is sorted once, the prefix sums run along each row,
+    and every moment and fit gains the stack's leading axes, each row as
+    its own sample gives it.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, sample_weight: np.ndarray | None = None):
         x = np.asarray(xs, dtype=float)
         y = np.asarray(ys, dtype=float)
         w = np.ones(x.shape[0]) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-        if x.ndim != 1 or y.shape != x.shape or w.shape != x.shape:
+        if x.ndim != 1 or y.shape[-1:] != x.shape or w.shape[-1:] != x.shape:
             raise FitError(f"dimension mismatch: xs {x.shape}, ys {y.shape}, weights {w.shape}")
         # One non-finite value would spread to every later prefix sum.
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
             raise FitError("non-finite value in local linear inputs")
         if np.any(w < 0):
             raise FitError("weights must be nonnegative")
-        self._literal = (x, y, sample_weight)
+        self._literal = (x, y, None if sample_weight is None else w)
         order = np.argsort(x, kind="stable")
-        self._xo, self._yo, self._wo = xo, yo, wo = x[order], y[order], w[order]
+        xo, yo, wo = x[order], np.ascontiguousarray(y[..., order]), np.ascontiguousarray(w[..., order])
+        self._xo, self._yo, self._wo = xo, yo, wo
         self._centre = float(np.mean(xo))
         self._xc = xc = xo - self._centre  # centring bounds the power sums
-        self._pref = [np.concatenate([[0.0], np.cumsum(wo * xc**k)]) for k in range(5)]
-        self._qref = [np.concatenate([[0.0], np.cumsum(wo * yo * xc**k)]) for k in range(4)]
+        self._pref = [_prefix_sums(wo * xc**k) for k in range(5)]
+        self._qref = [_prefix_sums(wo * yo * xc**k) for k in range(4)]
+        self._rows = (slice(None),) * (self._qref[0].ndim - 1)
 
     def moments(self, targets: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
         """``(s0, s1, s2, t0, t1, first, stop)`` at each target: the sorted
@@ -295,8 +360,11 @@ class WindowedMoments:
         xc = self._xc
         first = np.searchsorted(xc, t - h, side="right")
         stop = np.searchsorted(xc, t + h, side="left")
-        m = [p[stop] - p[first] for p in self._pref]
-        q = [p[stop] - p[first] for p in self._qref]
+        # Plain indexing of each row's prefix sums (``_rows`` is empty when
+        # unstacked, numpy's fastest gather).
+        hi, lo = self._rows + (stop,), self._rows + (first,)
+        m = [p[hi] - p[lo] for p in self._pref]
+        q = [p[hi] - p[lo] for p in self._qref]
         t2 = t * t
         a1 = m[1] - t * m[0]
         a2 = m[2] - 2.0 * t * m[1] + t2 * m[0]
@@ -327,23 +395,36 @@ class WindowedMoments:
         if np.any(bad):
             k = int(np.argmax(bad))
             raise _window_error(float(targets[k]), h, tied=bool(stop[k] - first[k] >= 2))
-        x, y, sample_weight = self._literal
-        return _solve_local_linear(
-            s0, s1, s2, t0, t1, lambda k: local_linear_fit(x, y, h, float(targets[k]), sample_weight)
-        )
+        x, y, w = self._literal
+
+        def literal(index):
+            row = index[:-1]
+            weight = None if w is None else w[row if w.ndim > 1 else ()]
+            return local_linear_fit(x, y[row if y.ndim > 1 else ()], h, float(targets[index[-1]]), weight)
+
+        return _solve_local_linear(s0, s1, s2, t0, t1, literal)
+
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, after a leading zero."""
+    out = np.empty(values.shape[:-1] + (values.shape[-1] + 1,))
+    out[..., 0] = 0.0
+    np.cumsum(values, axis=-1, out=out[..., 1:])
+    return out
 
 
 def _solve_local_linear(s0, s1, s2, t0, t1, fallback):
     """Solve [[s0, s1], [s1, s2]] (a, b) = (t0, t1) per window, or call
-    ``fallback(index)`` where the determinant vanishes relative to s0 * s2.
+    ``fallback(index)`` where the determinant vanishes relative to s0 * s2
+    (``index`` is the window's index tuple, its last entry the target's).
     Windows whose points are all tied never get here."""
     den = s0 * s2 - s1 * s1
     good = np.abs(den) > 1e-12 * np.abs(s0 * s2) + 1e-300
     safe = np.where(good, den, 1.0)
     intercept = (s2 * t0 - s1 * t1) / safe
     slope = (s0 * t1 - s1 * t0) / safe
-    for i in np.nonzero(~good)[0]:
-        intercept[i], slope[i] = fallback(i)
+    for index in zip(*np.nonzero(~good)):
+        intercept[index], slope[index] = fallback(index)
     return intercept, slope
 
 
@@ -428,9 +509,9 @@ def _loo_score(window: WindowedMoments, h: float) -> float | None:
     if np.any(xo[first + (pos == first)] == xo[stop - 1 - (pos == stop - 1)]):
         return None
 
-    def literal(i):
-        keep = pos != i
-        return local_linear_fit(xo[keep], yo[keep], h, float(xo[i]), sample_weight=wo[keep])
+    def literal(index):
+        keep = pos != index[-1]
+        return local_linear_fit(xo[keep], yo[keep], h, float(xo[index[-1]]), sample_weight=wo[keep])
 
     # Dropping point i only touches the zeroth-order sums (u_i = 0 there).
     try:
@@ -441,23 +522,24 @@ def _loo_score(window: WindowedMoments, h: float) -> float | None:
     return float(np.sum(wo * resid * resid))
 
 
-def silverman_bandwidth(samples: np.ndarray, sample_weight: np.ndarray | None = None) -> float:
+def silverman_bandwidth(samples: np.ndarray, sample_weight: np.ndarray | None = None) -> float | np.ndarray:
     """Silverman's rule of thumb, 1.06 * sigma * n^(-1/5).
 
     Sigma is the ddof-1 sample deviation; with weights, its frequency-weight
     analog (identical arithmetic when the weights are all ones, so weighted
-    and unweighted calls agree bitwise on unit weights).
+    and unweighted calls agree bitwise on unit weights). (..., n) stacks of
+    samples or weights give one bandwidth per row.
     """
     s = np.asarray(samples, dtype=float)
-    n = s.shape[0]
+    n = s.shape[-1]
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    wsum = np.sum(w)
-    mu = np.sum(w * s) / wsum
-    denom = wsum - np.sum(w * w) / wsum
-    if denom <= 0.0:
+    wsum = np.sum(w, axis=-1)
+    mu = np.sum(w * s, axis=-1) / wsum
+    denom = wsum - np.sum(w * w, axis=-1) / wsum
+    if np.any(denom <= 0.0):
         raise FitError("cannot form a bandwidth from fewer than 2 effective samples")
-    sigma = float(np.sqrt(np.sum(w * (s - mu) ** 2) / denom))
-    return 1.06 * sigma * n ** (-0.2)
+    sigma = np.sqrt(np.sum(w * (s - mu[..., None]) ** 2, axis=-1) / denom)
+    return _unstacked(1.06 * sigma * n ** (-0.2), sigma.shape)
 
 
 @dataclass(frozen=True)
@@ -466,19 +548,23 @@ class DensityEstimate:
 
     Evaluates to a nonnegative density integrating to one (up to quadrature
     tolerance) over any range padded by a few bandwidths beyond the samples.
+    ``samples`` and ``weights`` may be (..., n) stacks with one
+    ``bandwidth`` per row; ``on_grid`` then tabulates every row's density,
+    while ``__call__`` evaluates one sample's.
     """
 
     samples: np.ndarray
-    bandwidth: float
-    weights: np.ndarray = field(default=None)  # normalized to sum 1
+    bandwidth: float | np.ndarray
+    weights: np.ndarray = field(default=None)  # normalized to sum 1 along the last axis
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        samples = np.asarray(self.samples, dtype=float)
+        object.__setattr__(self, "samples", samples)
         if self.weights is None:
-            w = np.full(self.samples.shape[0], 1.0 / self.samples.shape[0])
+            w = np.full(samples.shape, 1.0 / samples.shape[-1])
         else:
             w = np.asarray(self.weights, dtype=float)
-            w = w / np.sum(w)
+            w = w / np.sum(w, axis=-1, keepdims=True)
         object.__setattr__(self, "weights", w)
 
     def __call__(self, x) -> np.ndarray | float:
@@ -499,7 +585,7 @@ class DensityEstimate:
         result = out.reshape(np.atleast_1d(xq).shape)
         return float(result[0]) if scalar else result
 
-    def on_grid(self, lo: float, hi: float, size: int) -> np.ndarray:
+    def on_grid(self, lo, hi, size: int) -> np.ndarray:
         """The density at ``np.linspace(lo, hi, size)`` by binning.
 
         Each weighted sample is spread over its four neighbouring points of
@@ -510,17 +596,51 @@ class DensityEstimate:
         estimator of Silverman 1982, AS 176, and Hall & Wand 1996, with
         weights that reproduce cubics, so the error is fourth order in the
         working step; see ``_work_grid``). Samples must lie in [lo, hi].
+
+        A stack gives (..., size), and ``lo`` and ``hi`` may hold one value
+        per row. Each row keeps its own working grid; the rows whose grids
+        share a step count share one batched FFT, so every row's table is
+        the one it gets alone (at most ``_SPECTRUM_BLOCK`` FFT points at a
+        time).
         """
-        step = (hi - lo) / (size - 1)
-        coarse, work = _work_grid(self.bandwidth, step, size)
-        step *= coarse
-        first, lag_w = _lagrange4((self.samples - lo) / step, work)
-        mass = np.bincount(
-            (first + np.arange(4)[:, None]).ravel(), (lag_w * self.weights).ravel(), minlength=work
-        )
-        z = np.arange(1 - work, work) * (step / self.bandwidth)
-        kernel = np.exp(-0.5 * z * z) / (self.bandwidth * np.sqrt(2.0 * np.pi))
-        return np.maximum(_refine(_convolve_valid(mass, kernel, work), coarse, size), 0.0)
+        bandwidth = np.asarray(self.bandwidth, dtype=float)
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        shape = np.broadcast_shapes(self.samples.shape[:-1], self.weights.shape[:-1], bandwidth.shape, lo.shape, hi.shape)
+        n = self.samples.shape[-1]
+        samples, weights = (np.broadcast_to(v, shape + (n,)).reshape(-1, n) for v in (self.samples, self.weights))
+        bandwidth, lo, hi = (np.broadcast_to(v, shape).reshape(-1) for v in (bandwidth, lo, hi))
+        steps = (hi - lo) / (size - 1)
+        grids = [_work_grid(b, step, size) for b, step in zip(bandwidth, steps)]
+        out = np.empty((lo.shape[0], size))
+        for (coarse, work), group in _groups(grids).items():
+            per_block = max(1, _SPECTRUM_BLOCK // _fft_length(int(2 * work - 1)))
+            for first_row in range(0, group.shape[0], per_block):
+                rows = group[first_row : first_row + per_block]
+                step = steps[rows] * coarse
+                first, lag_w = _lagrange4((samples[rows] - lo[rows, None]) / step[:, None], work)
+                mass = _bin_rows(first, lag_w * weights[rows], work)
+                z = np.arange(1 - work, work) * (step / bandwidth[rows])[:, None]
+                kernel = np.exp(-0.5 * z * z) / (bandwidth[rows, None] * np.sqrt(2.0 * np.pi))
+                out[rows] = np.maximum(_refine(_convolve_valid(mass, kernel, work), coarse, size), 0.0)
+        return out.reshape(shape + (size,))
+
+
+def _groups(keys) -> dict:
+    """The indices of the rows sharing each key, keys in first-seen order."""
+    groups: dict = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
+    return {key: np.array(rows) for key, rows in groups.items()}
+
+
+def _bin_rows(first: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """(rows, count) sums of ``values[j]`` (a (4, rows, n) array) into the
+    bins ``first + j`` of their row: each bin adds its terms in the order
+    of a one-row call."""
+    rows = first.shape[0]
+    index = np.arange(rows)[:, None, None] * count + first[:, None, :] + np.arange(4)[:, None]
+    mass = np.bincount(index.ravel(), values.swapaxes(0, 1).ravel(), minlength=rows * count)
+    return mass.reshape(rows, count)
 
 
 def _fft_length(n: int) -> int:
@@ -530,11 +650,12 @@ def _fft_length(n: int) -> int:
 
 def _convolve_valid(signal: np.ndarray, kernel: np.ndarray, size: int) -> np.ndarray:
     """``out[j] = sum_m signal[m] * kernel[j - m + len(signal) - 1]`` for
-    ``j < size``, by one FFT product. ``kernel`` holds the lags from
-    ``1 - len(signal)`` to ``size - 1``, so no output wraps around."""
-    n = _fft_length(kernel.shape[0])
+    ``j < size``, by one FFT product along the last axis. ``kernel`` holds
+    the lags from ``1 - len(signal)`` to ``size - 1``, so no output wraps
+    around."""
+    n = _fft_length(kernel.shape[-1])
     full = np.fft.irfft(np.fft.rfft(signal, n) * np.fft.rfft(kernel, n), n)
-    return full[signal.shape[0] - 1 : signal.shape[0] - 1 + size]
+    return full[..., signal.shape[-1] - 1 : signal.shape[-1] - 1 + size]
 
 
 def _work_grid(feature_width: float, step: float, size: int) -> tuple[int, int]:
@@ -551,20 +672,29 @@ def _work_grid(feature_width: float, step: float, size: int) -> tuple[int, int]:
 
 
 def _refine(values: np.ndarray, coarse: int, size: int) -> np.ndarray:
-    """Values on a working grid ``coarse`` output steps apart, carried to
-    the ``size`` output points by 4-point Lagrange interpolation."""
+    """Values on a working grid ``coarse`` output steps apart (the last
+    axis), carried to the ``size`` output points by 4-point Lagrange
+    interpolation."""
     if coarse == 1:
-        return values[:size]
-    first, weights = _lagrange4(np.arange(size) / coarse, values.shape[0])
-    return np.sum(weights * values[first + np.arange(4)[:, None]], axis=0)
+        return values[..., :size]
+    first, weights = _lagrange4(np.arange(size) / coarse, values.shape[-1])
+    out = np.take(values, first, axis=-1)
+    out *= weights[0]
+    term = np.empty_like(out)
+    for j in range(1, 4):
+        np.take(values, first + j, axis=-1, out=term)
+        term *= weights[j]
+        out += term
+    return out
 
 
-def _lagrange4(pos: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """First index and (4, n) weights of 4-point Lagrange interpolation at
-    fractional positions ``pos`` on the points 0 .. count - 1 (count >= 4).
-    Each position uses the four points around it, shifted inward at the
-    ends; the weights sum to one and reproduce cubics exactly."""
-    first = np.clip(np.floor(pos).astype(np.intp) - 1, 0, count - 4)
+def _lagrange4(pos: np.ndarray, count) -> tuple[np.ndarray, np.ndarray]:
+    """First index and (4, ...) weights of 4-point Lagrange interpolation at
+    fractional positions ``pos`` on the points 0 .. count - 1 (count >= 4,
+    or an array of counts broadcasting against ``pos``). Each position uses
+    the four points around it, shifted inward at the ends; the weights sum
+    to one and reproduce cubics exactly."""
+    first = np.clip(np.floor(pos).astype(np.intp) - 1, 0, np.asarray(count) - 4)
     t = pos - first
     weights = np.stack(
         [
@@ -577,24 +707,44 @@ def _lagrange4(pos: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return first, weights
 
 
-def _chebyshev_weights(x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` Chebyshev points of the second kind over [min x, max x] and
-    the (count, n) barycentric weights that interpolate a function of x
-    from its values there. A constant x needs one point."""
-    lo, hi = float(x.min()), float(x.max())
-    if not hi > lo:
-        return np.array([lo]), np.ones((1, x.shape[0]))
-    k = np.arange(count)
-    cheb = np.cos(np.pi * k / (count - 1))
-    bary = (-1.0) ** k
-    bary[[0, -1]] *= 0.5
-    diff = (2.0 * x - lo - hi) / (hi - lo) - cheb[:, None]
-    on_node = diff == 0.0
-    ratio = bary[:, None] / np.where(on_node, 1.0, diff)
-    weights = ratio / np.sum(ratio, axis=0)
-    hit = np.any(on_node, axis=0)
-    weights[:, hit] = on_node[:, hit]
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * cheb, weights
+def _chebyshev_weights(x: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (rows, n) ``x``: ``count[row]`` Chebyshev points of
+    the second kind over [min x, max x], and the barycentric weights that
+    interpolate a function of x from its values there. A constant row
+    needs one point. The result is (rows, S) points and (rows, S, n)
+    weights for S the largest count; a row's points beyond its own count
+    carry zero weight, so sums over the points equal the row's own."""
+    lo, hi = x.min(axis=-1), x.max(axis=-1)
+    flat = ~(hi > lo)
+    count = np.where(flat, 1, count)
+    k = np.arange(int(count.max()))
+    live = k < count[:, None]
+    cheb = np.cos(np.pi * k / np.maximum(count - 1, 1)[:, None])
+    bary = np.where(k % 2 == 0, 1.0, -1.0) * np.where((k == 0) | (k == count[:, None] - 1), 0.5, 1.0) * live
+    span = np.where(flat, 1.0, hi - lo)
+    diff = ((2.0 * x - lo[:, None] - hi[:, None]) / span[:, None])[:, None, :] - cheb[:, :, None]
+    on_node = (diff == 0.0) & live[:, :, None]
+    ratio = bary[:, :, None] / np.where(on_node | ~live[:, :, None], 1.0, diff)
+    weights = ratio / np.sum(ratio, axis=-2, keepdims=True)
+    weights = np.where(np.any(on_node, axis=-2, keepdims=True), on_node, weights)
+    nodes = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * cheb
+    nodes[flat, 0] = lo[flat]
+    weights[flat] = k[:, None] == 0
+    return nodes, weights
+
+
+def interp_rows(values: np.ndarray, table_x: np.ndarray, table_y: np.ndarray) -> np.ndarray:
+    """``np.interp(values, table_x, table_y)``, where either table may be a
+    (rows, T) stack: row r of ``values`` (its first axis) is then read
+    through the tables' row r, by the same call a one-row table makes."""
+    table_x, table_y = np.asarray(table_x), np.asarray(table_y)
+    if table_x.ndim == 1 and table_y.ndim == 1:
+        return np.interp(values, table_x, table_y)
+    values = np.asarray(values, dtype=float)
+    out = np.empty(values.shape)
+    for r in range(values.shape[0]):
+        out[r] = np.interp(values[r], table_x[r] if table_x.ndim > 1 else table_x, table_y[r] if table_y.ndim > 1 else table_y)
+    return out
 
 
 def scale_mixture(
@@ -606,7 +756,7 @@ def scale_mixture(
     lo: float,
     hi: float,
     size: int,
-    feature_width: float,
+    feature_width,
 ) -> np.ndarray:
     """``sum_i weights_i * g((d - centres_i) / scales_i) / scales_i`` at
     ``d = np.linspace(lo, hi, size)``, for g the piecewise-linear function
@@ -620,34 +770,51 @@ def scale_mixture(
     such as a variance fit near its floor, are summed directly at the
     output points, so no outlier widens the binned scale range or narrows
     its working grid.
+
+    The table, the units and ``feature_width`` may carry a leading row
+    axis: the result is then one (rows, size) mixture per row over the
+    shared output points, and each row's is the one it gets alone.
     """
-    reach_lo = lo - centres > scales * table_x[-1]
-    reach_hi = hi - centres < scales * table_x[0]
-    keep = ~(reach_lo | reach_hi)
-    centres, scales, weights = centres[keep], scales[keep], weights[keep]
-    out = np.zeros(size)
-    if centres.size == 0:
-        return out
-    log_s = np.log(scales)
-    ordered = np.sort(log_s)
-    reach = np.searchsorted(ordered, ordered + _SCALE_WINDOW, side="right") - np.arange(ordered.shape[0])
-    start = ordered[int(np.argmax(reach))]
-    binned = (log_s >= start) & (log_s <= start + _SCALE_WINDOW)
-    out += _binned_mixture(
-        table_x, table_y, centres[binned], scales[binned], weights[binned], lo, hi, size, feature_width
-    )
+    centres, scales, weights = np.broadcast_arrays(centres, scales, weights)
+    lead = centres.shape[:-1]
+    n = centres.shape[-1]
+    c, s, w = (v.reshape(-1, n) for v in (centres, scales, weights))
+    rows = c.shape[0]
+    tx, ty = (np.broadcast_to(v, (rows, np.shape(v)[-1])) for v in (table_x, table_y))
+    fw = np.broadcast_to(np.asarray(feature_width, dtype=float), lead).reshape(-1)
+    keep = ~((lo - c > s * tx[:, -1:]) | (hi - c < s * tx[:, :1]))
+    log_s = np.log(s)
+    binned = _densest_window(log_s, keep)
+    out = np.zeros((rows, size))
+    _binned_mixture(tx, ty, c, s, w, binned, lo, hi, size, fw, out)
     d = np.linspace(lo, hi, size)
-    rows = max(1, _DIRECT_BLOCK // size)
-    rest = np.nonzero(~binned)[0]
-    for first in range(0, rest.shape[0], rows):
-        unit = rest[first : first + rows]
-        dens = np.interp((d[None, :] - centres[unit, None]) / scales[unit, None], table_x, table_y)
-        out += weights[unit] @ (dens / scales[unit, None])
-    return out
+    block = max(1, _DIRECT_BLOCK // size)
+    for r in np.nonzero(np.any(keep & ~binned, axis=-1))[0]:
+        rest = np.nonzero(keep[r] & ~binned[r])[0]
+        for first in range(0, rest.shape[0], block):
+            unit = rest[first : first + block]
+            dens = np.interp((d[None, :] - c[r, unit, None]) / s[r, unit, None], tx[r], ty[r])
+            out[r] += w[r, unit] @ (dens / s[r, unit, None])
+    return out.reshape(lead + (size,))
 
 
-def _binned_mixture(table_x, table_y, centres, scales, weights, lo, hi, size, feature_width) -> np.ndarray:
-    """``scale_mixture`` by binning. The sum is formed on a working grid
+def _densest_window(log_s: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per row of ``log_s``, the kept units whose log scale lies in the
+    densest window of width ``_SCALE_WINDOW`` (the lowest such window)."""
+    low = np.min(log_s, axis=-1, where=keep, initial=np.inf)
+    high = np.max(log_s, axis=-1, where=keep, initial=-np.inf)
+    binned = keep.copy()
+    for r in np.nonzero(high > low + _SCALE_WINDOW)[0]:
+        ordered = np.sort(log_s[r, keep[r]])
+        reach = np.searchsorted(ordered, ordered + _SCALE_WINDOW, side="right") - np.arange(ordered.shape[0])
+        start = ordered[int(np.argmax(reach))]
+        binned[r] &= (log_s[r] >= start) & (log_s[r] <= start + _SCALE_WINDOW)
+    return binned
+
+
+def _binned_mixture(table_x, table_y, centres, scales, weights, binned, lo, hi, size, feature_width, out) -> None:
+    """Add to each row of ``out`` the ``scale_mixture`` of that row's
+    ``binned`` units, by binning. The sum is formed on a working grid
     (``_work_grid``, for the narrowest scaled feature) and carried to the
     output points by ``_refine``. Each unit's weight is spread by 4-point
     Lagrange weights over a grid of centres with the working step, and by
@@ -656,51 +823,81 @@ def _binned_mixture(table_x, table_y, centres, scales, weights, lo, hi, size, fe
     whose error falls geometrically with S, and S is ``_MIN_SCALE_NODES``
     plus ``_SCALE_NODES_PER_LOG`` per unit of log-scale range. Each scale's
     centre histogram is convolved with g at that scale by FFT, and the
-    products are summed before one inverse transform."""
-    step = (hi - lo) / (size - 1)
-    coarse, work_size = _work_grid(feature_width * float(scales.min()), step, size)
-    step *= coarse
+    products are summed before one inverse transform.
 
+    Every row keeps its own working grid, centre grid and scale points.
+    Rows whose working step and FFT length agree are transformed together,
+    at most ``_SPECTRUM_BLOCK`` elements at a time; the centre grids and
+    scale points of shorter rows are padded with empty bins and points,
+    which add exact zeros."""
+    live = np.nonzero(np.any(binned, axis=-1))[0]
+    binned, centres, scales, weights = binned[live], centres[live], scales[live], weights[live]
+    step = (hi - lo) / (size - 1)
+    low_s = np.min(scales, axis=-1, where=binned, initial=np.inf)
+    grids = np.array([_work_grid(f * m, step, size) for f, m in zip(feature_width[live], low_s)]).reshape(-1, 2)
+    step = step * grids[:, 0]
     # Centre grid: the working step, offset by whole steps so that the
     # d - centre lags are whole steps too.
-    below = int(max(0.0, np.ceil((lo - centres.min()) / step))) + 2
+    low_c = np.min(centres, axis=-1, where=binned, initial=np.inf)
+    high_c = np.max(centres, axis=-1, where=binned, initial=-np.inf)
+    below = np.maximum(0.0, np.ceil((lo - low_c) / step)).astype(np.intp) + 2
     origin = lo - below * step
-    c_pos = (centres - origin) / step
-    c_count = int(np.floor(c_pos.max())) + 4
-    c_first, c_w = _lagrange4(c_pos, c_count)
-
+    c_count = np.floor((high_c - origin) / step).astype(np.intp) + 4
     log_s = np.log(scales)
-    scale_nodes = _MIN_SCALE_NODES + int(np.ceil(_SCALE_NODES_PER_LOG * float(np.ptp(log_s))))
-    log_nodes, s_w = _chebyshev_weights(log_s, scale_nodes)
-    s_nodes = np.exp(log_nodes)
-    count = s_nodes.shape[0]
-    rows = (np.arange(count) * c_count)[:, None] + c_first
-    mass = np.zeros(count * c_count)
-    for j in range(4):
-        mass += np.bincount((rows + j).ravel(), (s_w * (weights * c_w[j])).ravel(), minlength=count * c_count)
-    mass = mass.reshape(count, c_count)
+    low_log = np.min(log_s, axis=-1, where=binned, initial=np.inf)
+    high_log = np.max(log_s, axis=-1, where=binned, initial=-np.inf)
+    scale_nodes = _MIN_SCALE_NODES + np.ceil(_SCALE_NODES_PER_LOG * (high_log - low_log)).astype(np.intp)
+    n_fft = [_fft_length(int(k + work) - 1) for k, work in zip(c_count, grids[:, 1])]
+    # A unit outside its row's binned set sits at the row's lowest binned
+    # centre and log scale with zero weight: inside both grids, adding zeros.
+    centres = np.where(binned, centres, low_c[:, None])
+    log_s = np.where(binned, log_s, low_log[:, None])
+    weights = np.where(binned, weights, 0.0)
 
-    lags = np.arange(below - c_count + 1, below + work_size) * step
-    kernels = np.interp(lags / s_nodes[:, None], table_x, table_y) / s_nodes[:, None]
-    n = _fft_length(lags.shape[0])
-    spectrum = np.sum(np.fft.rfft(mass, n) * np.fft.rfft(kernels, n), axis=0)
-    return _refine(np.fft.irfft(spectrum, n)[c_count - 1 : c_count - 1 + work_size], coarse, size)
+    keys = [(int(coarse), int(work), length) for (coarse, work), length in zip(grids, n_fft)]
+    for (coarse, work, length), group in _groups(keys).items():
+        per_block = max(1, _SPECTRUM_BLOCK // (int(scale_nodes[group].max()) * int(length)))
+        for first in range(0, group.shape[0], per_block):
+            r = group[first : first + per_block]
+            c_pos = (centres[r] - origin[r, None]) / step[r, None]
+            c_first, c_w = _lagrange4(c_pos, c_count[r, None])
+            log_nodes, s_w = _chebyshev_weights(log_s[r], scale_nodes[r])
+            s_nodes = np.exp(log_nodes)
+            nodes, bins = s_nodes.shape[1], int(c_count[r].max())
+            index = ((np.arange(r.shape[0])[:, None] * nodes + np.arange(nodes)) * bins)[:, :, None] + c_first[:, None, :]
+            mass = np.zeros(r.shape[0] * nodes * bins)
+            for j in range(4):
+                mass += np.bincount((index + j).ravel(), (s_w * (weights[r] * c_w[j])[:, None, :]).ravel(), minlength=mass.shape[0])
+            mass = mass.reshape(r.shape[0], nodes, bins)
+            kernels = np.zeros((r.shape[0], nodes, int(c_count[r].max() + work) - 1))
+            for i, row in enumerate(r):
+                count = scale_nodes[row] if high_log[row] > low_log[row] else 1
+                lags = np.arange(below[row] - c_count[row] + 1, below[row] + work) * step[row]
+                scaled = s_nodes[i, :count, None]
+                table = live[row]
+                kernels[i, :count, : lags.shape[0]] = np.interp(lags / scaled, table_x[table], table_y[table]) / scaled
+            spectrum = np.sum(np.fft.rfft(mass, length) * np.fft.rfft(kernels, length), axis=-2)
+            full = np.fft.irfft(spectrum, length)
+            values = full[np.arange(r.shape[0])[:, None], (c_count[r] - 1)[:, None] + np.arange(work)]
+            out[live[r]] += _refine(values, coarse, size)
 
 
 def gaussian_kde(
     samples: np.ndarray,
-    bandwidth: float | None = None,
+    bandwidth=None,
     sample_weight: np.ndarray | None = None,
 ) -> DensityEstimate:
     """Gaussian-kernel density estimate; Silverman's rule when ``bandwidth``
-    is omitted."""
+    is omitted. (..., n) stacks of samples or weights give one density, and
+    one bandwidth, per row."""
     s = np.asarray(samples, dtype=float)
-    if s.ndim != 1 or s.shape[0] < 2:
-        raise FitError("kernel density estimation needs at least 2 one-dimensional samples")
+    if s.ndim < 1 or s.shape[-1] < 2:
+        raise FitError("kernel density estimation needs at least 2 samples along the last axis")
     if not np.all(np.isfinite(s)):
         raise FitError("non-finite sample passed to gaussian_kde")
     if bandwidth is None:
         bandwidth = silverman_bandwidth(s, sample_weight)
-    if bandwidth <= 0.0 or not np.isfinite(bandwidth):
+    bw = np.asarray(bandwidth, dtype=float)
+    if np.any(bw <= 0.0) or not np.all(np.isfinite(bw)):
         raise FitError(f"kernel density bandwidth must be positive, got {bandwidth}")
-    return DensityEstimate(samples=s, bandwidth=float(bandwidth), weights=sample_weight)
+    return DensityEstimate(samples=s, bandwidth=_unstacked(bw, bw.shape), weights=sample_weight)

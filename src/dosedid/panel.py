@@ -8,9 +8,9 @@ single-dataset ones in ``inference``, given the M pairs as input:
 
 * bootstrap: ``bootstrap_replicates`` draws one weight per unit per
   replicate and reuses it across all pairs, which is what accounts for
-  within-unit correlation over time; each replicate refits every pair at
-  that pair's point bandwidth and yields M + 1 psi rows, the pairs' and
-  their average;
+  within-unit correlation over time; each chunk of replicates refits every
+  pair at that pair's point bandwidth on the chunk's weight stack and
+  yields M + 1 estimates, the pairs' and their average;
 * sandwich: ``stacked_sandwich_variance`` builds each pair's context once
   and takes, at every grid point, the squared norm of the mean of the
   pairs' per-unit influence columns.
@@ -52,9 +52,12 @@ class RepeatedEstimate:
 
 
 def _average_curves(per_m: list[EffectCurveEstimate]) -> EffectCurveEstimate:
+    """The pointwise average of per-pair curves (of per-pair stacks, row by
+    row)."""
     psi = np.mean([c.psi for c in per_m], axis=0)
     theta = np.mean([c.theta_curve for c in per_m], axis=0)
-    theta0 = float(np.mean([c.theta0 for c in per_m]))
+    theta0 = np.mean([c.theta0 for c in per_m], axis=0)
+    theta0 = float(theta0) if theta0.ndim == 0 else theta0
     return EffectCurveEstimate(
         method=per_m[0].method,
         grid=per_m[0].grid,
@@ -82,7 +85,9 @@ def estimate_repeated(
     Nuisance models are refit for every pair. With ``inference="bootstrap"``
     each replicate draws one weight per unit and reuses it across all pairs,
     and the averaged curve's diagnostics count the failed replicates in all
-    (``bootstrap_failed``) and by error class (``bootstrap_failures``). With
+    (``bootstrap_failed``) and by error class (``bootstrap_failures``), and
+    the replicates in which a pair's pi_a IRLS stopped at its iteration
+    limit (``bootstrap_pi_a_unconverged``). With
     ``inference="sandwich"`` (MR only) the pairs' per-unit influence columns
     are averaged to give normal-approximation bands for the average.
     """
@@ -111,8 +116,8 @@ def estimate_repeated(
         ]
 
         def replicate(w):
-            psis = [config.build(replace(ds, weight=w)).psi for config, ds in zip(configs, datasets)]
-            return [*psis, np.mean(psis, axis=0)]
+            curves = [config.build(replace(ds, weight=w)) for config, ds in zip(configs, datasets)]
+            return [*curves, _average_curves(curves)]
 
         *per_boot, avg_boot = bootstrap_replicates(data.a, replicate, b_replicates, seed)
         per_m = [curve.with_bands(r.ci_lower, r.ci_upper) for curve, r in zip(per_m, per_boot)]
@@ -122,6 +127,7 @@ def estimate_repeated(
                 **averaged.diagnostics,
                 "bootstrap_failed": avg_boot.b_failed,
                 "bootstrap_failures": avg_boot.failures,
+                "bootstrap_pi_a_unconverged": avg_boot.pi_a_unconverged,
                 "bootstrap_b": b_replicates,
             },
         )

@@ -18,7 +18,8 @@ the mean-one weights is the self-normalized (Hajek ratio) estimator
 sum w0 * resid / sum w0, which is what keeps theta00 consistent for the
 treated-population residual mean whichever of (pi_a, mu0) is correct. All
 sums and means are weighted by the dataset's per-unit ``weight`` (all ones
-unless the bootstrap sets it).
+unless the bootstrap sets it); under an (R, n) stack of weight rows every
+quantity gains a leading row axis.
 """
 
 from __future__ import annotations
@@ -64,17 +65,18 @@ class PseudoOutcomeSet:
 
 
 def normalize_weights(weights: np.ndarray, sample_weight: np.ndarray | None = None) -> np.ndarray:
-    """Rescale positive weights to (weighted) mean one, preserving ratios."""
+    """Rescale positive weights to (weighted) mean one, preserving ratios;
+    each row of a (..., n) stack to its own mean."""
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
         raise DataValidationError("cannot normalize an empty weight vector")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise DataValidationError("weights must be finite and strictly positive")
     if sample_weight is None:
-        mean = float(np.mean(w))
+        mean = np.mean(w, axis=-1, keepdims=True)
     else:
         sw = np.asarray(sample_weight, dtype=float)
-        mean = float(np.sum(sw * w) / np.sum(sw))
+        mean = np.sum(sw * w, axis=-1, keepdims=True) / np.sum(sw, axis=-1, keepdims=True)
     return w / mean
 
 
@@ -143,8 +145,8 @@ def compute_theta0(
 
     trend_t, trend_c = data.split(data.trend)
     mu0_t, mu0_c = data.split(mu0_all)
-    theta00 = float(np.sum(wc * w0 * (trend_c - mu0_c)) / np.sum(wc))
-    theta01 = float(np.sum(wt * mu0_t) / np.sum(wt))
+    theta00 = np.sum(wc * w0 * (trend_c - mu0_c), axis=-1) / np.sum(wc, axis=-1)
+    theta01 = np.sum(wt * mu0_t, axis=-1) / np.sum(wt, axis=-1)
     return theta00, theta01, raw_w0
 
 
@@ -163,7 +165,7 @@ def build_pseudo_outcomes(
         w0=normalize_weights(raw_w0, data.weight_control),
         theta00=theta00,
         theta01=theta01,
-        p_a1=float(np.sum(wt)) / float(np.sum(data.weight)),
+        p_a1=np.sum(wt, axis=-1) / np.sum(data.weight, axis=-1),
         clamped=count_clamped(data, models),
     )
 

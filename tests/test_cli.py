@@ -76,6 +76,7 @@ def test_estimate_outputs_and_determinism(tmp_path, panel_file):
     assert manifest["diagnostics"]["NAIVE"]["bandwidth_at_grid_edge"] in (None, "low", "high")
     assert manifest["diagnostics"]["NAIVE"]["bandwidth_extended"] in (True, False)
     assert manifest["diagnostics"]["MR_bootstrap_failures"] == {}
+    assert manifest["diagnostics"]["MR_bootstrap_pi_a_unconverged"] == 0
     assert manifest["diagnostics"]["MR"]["marginal_nodes"] > 0
     assert 0.0 < manifest["diagnostics"]["MR"]["w1_ess"] <= 260
     assert manifest["diagnostics"]["MR"]["mu1_ridged"] is False

@@ -240,7 +240,12 @@ def test_weight_is_checked_when_the_dataset_is_built():
     np.testing.assert_array_equal(weighted.weight_treated, w[two.a])
     np.testing.assert_array_equal(weighted.weight_control, w[~two.a])
     assert not weighted.weight.flags.writeable
-    for bad in (np.ones(59), np.ones((60, 1))):
+    stack = np.stack([w, 2.0 * w])
+    stacked = replace(two, weight=stack)
+    np.testing.assert_array_equal(stacked.weight_treated, stack[:, two.a])
+    np.testing.assert_array_equal(stacked.split(stack)[1], stack[:, ~two.a])
+    assert stacked.weight_control.flags.c_contiguous and stacked.split(stack)[0].flags.c_contiguous
+    for bad in (np.ones(59), np.ones((60, 1)), np.ones((2, 3, 60))):
         with pytest.raises(DataValidationError, match="one entry per unit"):
             replace(two, weight=bad)
     for value in (np.nan, np.inf, -1.0):

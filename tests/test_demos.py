@@ -23,3 +23,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not any(tmp_path.iterdir()), "the demo left files in its temporary directory"

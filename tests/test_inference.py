@@ -1,13 +1,14 @@
 """Sandwich variance and weighted bootstrap contracts."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dosedid import inference
-from dosedid.curves import EstimatorConfig, estimate_curve
-from dosedid.data import TwoPeriodDataset
+from dosedid import curves, inference, panel
+from dosedid.curves import METHODS, EstimatorConfig, estimate_curve
+from dosedid.data import PanelDataset, TwoPeriodDataset, pair_periods
 from dosedid.errors import EstimationError
 from dosedid.inference import (
     bootstrap_weights,
@@ -20,7 +21,7 @@ from dosedid.inference import (
 from dosedid.numeric import epanechnikov
 from dosedid.nuisance import NuisanceSpec, default_specs, fit_nuisances
 from dosedid.pseudo import build_pseudo_outcomes
-from dosedid.simulation import generate_scenario_data, stream_seed
+from dosedid.simulation import generate_placebo_panel, generate_scenario_data, stream_seed
 
 SPECS = default_specs(mu1_dose_powers=(1, 3), mu1_dose_interactions=(0, 2))
 
@@ -426,3 +427,154 @@ def test_bootstrap_counts_failures_by_error_class():
     assert result.b_failed == 1 and result.b_success == 4
     clean = weighted_bootstrap(data, cfg, 3, seed=3)
     assert clean.failures == {} and clean.b_failed == 0
+
+
+def test_bootstrap_needs_a_bandwidth_for_smoothing_methods(fitted):
+    """Leave-one-out selection takes one weight row, so a smoothing method's
+    bootstrap needs the bandwidth fixed; OR and TWFE need none."""
+    data, _, curve = fitted
+    for method in ("MR", "IPW", "NAIVE"):
+        with pytest.raises(EstimationError, match="bandwidth"):
+            weighted_bootstrap(data, EstimatorConfig(method=method, specs=SPECS, grid=curve.grid), 4, seed=0)
+    stacked = replace(data, weight=np.stack([bootstrap_weights(data.a, 1, b) for b in range(2)]))
+    with pytest.raises(EstimationError, match="bandwidth"):
+        estimate_curve(stacked, "NAIVE", grid=curve.grid)
+    result = weighted_bootstrap(data, EstimatorConfig(method="TWFE", grid=curve.grid), 4, seed=0)
+    assert result.curves.shape == (4, curve.grid.shape[0])
+
+
+def _separable(data: TwoPeriodDataset) -> TwoPeriodDataset:
+    """``data`` with a fourth covariate that splits the treated units from
+    the controls, so no pi_a maximum-likelihood fit exists."""
+    x = data.x.copy()
+    x[:, 3] = np.where(data.a, 1.0, -1.0) * (1.0 + np.abs(x[:, 3]))
+    return TwoPeriodDataset.from_arrays(x=x, a=data.a, dose=data.dose, y0=data.y0, y1=data.y1)
+
+
+def test_bootstrap_counts_replicates_whose_pi_a_did_not_converge():
+    clean = generate_scenario_data(240, stream_seed(400, 10, 0))
+    for data, stuck in ((clean, 0), (_separable(clean), 6)):
+        point = estimate_curve(data, "MR", specs=SPECS)
+        assert point.diagnostics["pi_a_converged"] is (stuck == 0)
+        cfg = EstimatorConfig("MR", SPECS, point.grid, point.bandwidth, on_out_of_range="clamp")
+        result = weighted_bootstrap(data, cfg, 6, seed=4)
+        assert result.b_failed == 0
+        assert result.pi_a_unconverged == stuck
+        placebo = PanelDataset(
+            ids=data.ids,
+            x=data.x,
+            a=data.a,
+            dose=data.dose,
+            y=np.column_stack([data.y0, data.y1, data.y1 + 0.1]),
+            period_labels=(0, 1, 2),
+            covariate_names=data.covariate_names,
+        )
+        rep = panel.estimate_repeated(placebo, [(0, 1), (0, 2)], "MR", specs=SPECS, inference="bootstrap", b_replicates=3)
+        assert rep.averaged.diagnostics["bootstrap_pi_a_unconverged"] == stuck // 2
+
+
+# ------------------------------------------------------ stacked replicates
+
+B_STACKED = 37
+
+
+@pytest.fixture(scope="module")
+def stack_data():
+    return generate_scenario_data(300, stream_seed(400, 11, 0))
+
+
+def _chunks_of_16(monkeypatch, n: int) -> list:
+    """Make the bootstrap stack 16 replicates per chunk (so B = 37 runs as
+    16 + 16 + 5) and record the weight shape of every estimator call."""
+    monkeypatch.setattr(inference, "_STACK_BLOCK", 16 * n)
+    shapes = []
+    original = curves.estimate_curve
+
+    def recording(data, *args, **kwargs):
+        shapes.append(data.weight.shape)
+        return original(data, *args, **kwargs)
+
+    monkeypatch.setattr(curves, "estimate_curve", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_stacked_replicates_equal_single_runs(stack_data, method, monkeypatch):
+    """Every row of a chunked, stacked bootstrap is the estimator run alone
+    on that replicate's weights, within 1e-10 of psi-hat's bootstrap
+    standard deviation."""
+    data = stack_data
+    point = estimate_curve(data, method, specs=SPECS)
+    cfg = EstimatorConfig(method, SPECS, point.grid, point.bandwidth, on_out_of_range="clamp")
+    shapes = _chunks_of_16(monkeypatch, data.n)
+    result = weighted_bootstrap(data, cfg, B_STACKED, seed=21)
+    assert shapes == [(16, data.n), (16, data.n), (5, data.n)]
+    assert result.b_failed == 0 and result.curves.shape == (B_STACKED, point.grid.shape[0])
+    tol = 1e-10 * result.curves.std(axis=0)
+    for b, row in enumerate(result.curves):
+        alone = cfg.build(replace(data, weight=bootstrap_weights(data.a, 21, b))).psi
+        assert np.all(np.abs(row - alone) <= tol)
+
+
+def test_stacked_rows_with_floored_variances_equal_single_runs():
+    """Rows whose pi_d variance fit dips below RESIDUAL_VAR_FLOOR put scale
+    outliers outside f's binned window, summed directly, row by row: such
+    rows are still the estimator run alone on their weights."""
+    data = generate_scenario_data(500, 41)
+    point = estimate_curve(data, "MR", specs=SPECS)
+    weights = np.stack([bootstrap_weights(data.a, 42, b) for b in range(9)])
+    cfg = EstimatorConfig("MR", SPECS, point.grid, point.bandwidth, on_out_of_range="clamp")
+    stacked = cfg.build(replace(data, weight=weights))
+    assert np.count_nonzero(stacked.diagnostics["pi_d_var_floor_hits"]) >= 2
+    tol = 1e-10 * stacked.psi.std(axis=0)
+    for row, w in zip(stacked.psi, weights):
+        assert np.all(np.abs(row - cfg.build(replace(data, weight=w)).psi) <= tol)
+
+
+def test_a_failed_replicate_fails_alone_in_its_stack(stack_data, monkeypatch):
+    """A non-finite weight in the middle of a chunk costs that replicate
+    alone; the chunk's other replicates, rerun one at a time, are bitwise
+    the rows of the clean run."""
+    data = stack_data
+    point = estimate_curve(data, "MR", specs=SPECS)
+    cfg = EstimatorConfig("MR", SPECS, point.grid, point.bandwidth, on_out_of_range="clamp")
+    shapes = _chunks_of_16(monkeypatch, data.n)
+    clean = weighted_bootstrap(data, cfg, B_STACKED, seed=21)
+
+    def weights(b):
+        w = bootstrap_weights(data.a, 21, b)
+        if b == 20:
+            w[7] = np.nan
+        return w
+
+    del shapes[:]
+    result = weighted_bootstrap(data, cfg, B_STACKED, seed=21, weight_fn=weights)
+    assert result.failures == {"DataValidationError": 1}
+    np.testing.assert_array_equal(result.curves, np.delete(clean.curves, 20, axis=0))
+    # The middle chunk fails as a stack before its replicates run one by one
+    # (replicate 20 fails building its dataset, before the estimator).
+    assert shapes == [(16, data.n)] + [(data.n,)] * 15 + [(5, data.n)]
+
+
+def test_repeated_bootstrap_rows_equal_per_pair_single_runs(monkeypatch):
+    placebo = generate_placebo_panel(300, 12)
+    specs = default_specs()
+    pairs = [(0, 1), (1, 2)]
+    _chunks_of_16(monkeypatch, placebo.n)
+    captured = []
+    original = panel.bootstrap_replicates
+    monkeypatch.setattr(panel, "bootstrap_replicates", lambda *a, **k: captured.extend(original(*a, **k)) or captured)
+    rep = panel.estimate_repeated(placebo, pairs, "MR", specs=specs, inference="bootstrap", b_replicates=B_STACKED, seed=5)
+    *per_pair, average = captured
+    scale = 1e-10 * average.curves.std(axis=0)
+    for b in range(B_STACKED):
+        w = bootstrap_weights(placebo.a, 5, b)
+        alone = [
+            EstimatorConfig("MR", specs, curve.grid, curve.bandwidth, on_out_of_range="clamp")
+            .build(replace(pair_periods(placebo, *pair), weight=w))
+            .psi
+            for curve, pair in zip(rep.per_m, pairs)
+        ]
+        for result, row in zip(per_pair, alone):
+            assert np.all(np.abs(result.curves[b] - row) <= scale)
+        assert np.all(np.abs(average.curves[b] - np.mean(alone, axis=0)) <= scale)

@@ -88,6 +88,23 @@ def test_wls_singular_design_gets_ridge_flag():
     assert np.all(np.isfinite(fit.coefficients))
 
 
+def test_wls_stack_ridges_only_the_singular_row():
+    """Each row of a weight stack is the fit on that row alone; a row whose
+    normal matrix is singular takes the ridge jitter on its own."""
+    rng = np.random.default_rng(15)
+    x = np.column_stack([np.ones(30), rng.normal(size=30), rng.normal(size=30)])
+    x[:10, 2] = x[:10, 1]
+    y = rng.normal(size=30)
+    weights = rng.uniform(0.5, 2.0, size=(3, 30))
+    weights[1, 10:] = 0.0  # row 1 sees only the units whose two columns coincide
+    stacked = fit_wls(x, y, weights)
+    singles = [fit_wls(x, y, w) for w in weights]
+    assert [fit.ridged for fit in singles] == [False, True, False]
+    np.testing.assert_array_equal(stacked.ridged, [False, True, False])
+    for row, single in zip(stacked.coefficients, singles):
+        np.testing.assert_array_equal(row, single.coefficients)
+
+
 def test_wls_errors():
     with pytest.raises(FitError):
         fit_wls(np.ones((5, 1)), np.ones(4), np.ones(5))
@@ -125,6 +142,24 @@ def test_logistic_separable_data_no_panic():
     assert not fit.converged
     p = fit.predict_proba(np.column_stack([np.ones(3), np.array([-50.0, 0.0, 50.0])]))
     assert np.all(p >= 1e-6) and np.all(p <= 1 - 1e-6)
+
+
+def test_logistic_stack_rows_stop_at_their_own_convergence():
+    """Each row of a weight stack iterates until it converges alone: its
+    coefficients, ``converged`` and ``iterations`` are the single fit's, here
+    with a row whose weights make the data separable."""
+    rng = np.random.default_rng(14)
+    x = np.column_stack([np.ones(80), rng.normal(size=80)])
+    y = (x[:, 1] + 0.8 * rng.normal(size=80) > 0).astype(float)
+    weights = rng.exponential(size=(4, 80))
+    weights[3, (y == 1) != (x[:, 1] > 0)] = 0.0  # drop every unit on the wrong side
+    stacked = fit_logistic(x, y, weights)
+    singles = [fit_logistic(x, y, w) for w in weights]
+    assert [fit.converged for fit in singles] == [True, True, True, False]
+    for row, single in enumerate(singles):
+        np.testing.assert_array_equal(stacked.coefficients[row], single.coefficients)
+        assert stacked.converged[row] == single.converged
+        assert stacked.iterations[row] == single.iterations
 
 
 def test_logistic_single_class_errors():

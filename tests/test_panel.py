@@ -132,17 +132,21 @@ def test_one_pair_repeated_bootstrap_equals_weighted_bootstrap():
 
 
 def test_repeated_bootstrap_counts_failures_by_error_class(monkeypatch):
-    """A fit that fails in replicate 1 (the third weighted fit: two pairs
-    per replicate) fails that replicate alone, counted under its class."""
+    """A fit that fails on replicate 1's weights (the second pair's) fails
+    that replicate alone: the six replicates run as one stack per pair, the
+    failing stack is rerun one replicate at a time, and the failure is
+    counted under its class."""
     data = generate_scenario_data(260, stream_seed(500, 7, 0))
     panel = _panel_from_two_period(data, extra_periods=1, seed=5)
     original = curves.estimate_curve
+    provoking = inference.bootstrap_weights(data.a, 2, 1)
     weighted_calls = []
 
     def failing(*args, **kwargs):
-        if not np.all(args[0].weight == 1.0):  # a bootstrap replicate's dataset
-            weighted_calls.append(1)
-            if len(weighted_calls) == 3:
+        weight = args[0].weight
+        if not np.all(weight == 1.0):  # a bootstrap replicate's dataset
+            weighted_calls.append(weight.shape)
+            if args[0].source_pair == (0, 2) and np.any(np.all(weight == provoking, axis=-1)):
                 raise FitError("provoked")
         return original(*args, **kwargs)
 
@@ -150,7 +154,7 @@ def test_repeated_bootstrap_counts_failures_by_error_class(monkeypatch):
     rep = estimate_repeated(panel, [(0, 1), (0, 2)], "NAIVE", inference="bootstrap", b_replicates=6, seed=2)
     assert rep.averaged.diagnostics["bootstrap_failures"] == {"FitError": 1}
     assert rep.averaged.diagnostics["bootstrap_failed"] == 1
-    assert len(weighted_calls) == 2 * 5 + 1
+    assert weighted_calls == [(6, data.n)] * 2 + [(data.n,)] * (2 * 5 + 2)
 
 
 def test_repeated_sandwich_builds_one_context_per_pair(monkeypatch):

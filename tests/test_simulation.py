@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dosedid import nuisance
-from dosedid.config import parse_inference
+from dosedid.config import parse_inference, parse_scenario, parse_specs
 from dosedid.curves import METHODS, estimate_curve
 from dosedid.numeric import expit
 from dosedid.simulation import (
@@ -252,4 +252,25 @@ def test_parse_inference_reports_unknown_keys():
     assert parse_inference({"method": "both", "b_replicates": 9, "mode": "augmented"}, problems) == InferenceConfig(
         method="both", b_replicates=9, mode="augmented"
     )
+    assert problems == []
+
+
+def test_parse_specs_reports_unknown_keys():
+    problems = []
+    specs = parse_specs({"mu1": {"dose_power": [1, 3]}, "pi_d": {"kde_bandwidth": 0.3, "dose_powers": [2]}}, problems)
+    assert problems == ["nuisance.mu1: unknown keys dose_power", "nuisance.pi_d: unknown keys dose_powers"]
+    assert specs["pi_d"].kde_bandwidth == 0.3
+    problems = []
+    specs = parse_specs({"mu1": {"dose_powers": [1, 3], "dose_interactions": [0]}}, problems)
+    assert problems == [] and specs["mu1"].dose_powers == (1, 3)
+
+
+def test_parse_scenario_reports_unknown_keys():
+    problems = []
+    parsed = parse_scenario({"scenario": {"n": 100, "replicate": 5}}, problems)
+    assert problems == ["scenario: unknown keys replicate"]
+    assert parsed.replicates == 200
+    problems = []
+    block = {"n": 100, "replicates": 5, "permutations": "all", "keep_curves": True}
+    assert parse_scenario({"scenario": block, "workers": 1}, problems).replicates == 5
     assert problems == []

@@ -9,17 +9,24 @@ psi, theta, theta0, bandwidth and diagnostics; MR's base and augmented
 sandwich variances on a 10-point grid; and, at n = 500 (seed 1, the
 ``inference-n500`` benchmark's data), every method's weighted-bootstrap
 rows (B = 40) and the repeated-period bootstrap bands of the benchmark's
-call. ``compare`` reports the largest difference of each against the
+call. At n = 20,000 (seed 1, the ``estimate-n20k`` benchmark's data) it
+records ``load_panel`` of the panel as ``write_panel`` writes it, and MR's
+base sandwich variances on the default 50-point grid; on the 500-unit
+placebo panel, the stacked sandwich variances of ``estimate_repeated``
+over the pairs (0, 1) and (1, 2), recovered from its band widths.
+``compare`` reports the largest difference of each against the
 tolerances: curves and bootstrap rows within 1e-10 of the bootstrap
 standard deviation of psi-hat, variances within 1e-10 relative, counts and
-flags equal, float diagnostics within 1e-10 relative. It exits 1 when any
-tolerance fails.
+flags equal, float diagnostics within 1e-10 relative, the loaded panel's
+ids and arrays bitwise equal. It exits 1 when any tolerance fails.
 """
 
 from __future__ import annotations
 
 import pickle
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +35,7 @@ METHODS = ("MR", "MR_PARAMETRIC", "OR", "IPW", "NAIVE", "TWFE")
 
 def dump(src: str, out: str) -> None:
     sys.path.insert(0, src)
-    from dosedid import curves, inference, nuisance, panel, simulation
+    from dosedid import curves, data as panel_io, inference, nuisance, panel, simulation
 
     specs = nuisance.default_specs(mu1_dose_powers=(1, 3), mu1_dose_interactions=(0, 2))
     record = {}
@@ -60,6 +67,30 @@ def dump(src: str, out: str) -> None:
         placebo, ((0, 1), (1, 2)), "MR", specs=nuisance.default_specs(), inference="bootstrap", b_replicates=50, seed=2
     )
     record["repeated"] = [(c.ci_lower, c.ci_upper) for c in (*rep.per_m, rep.averaged)]
+    stacked = panel.estimate_repeated(
+        placebo, ((0, 1), (1, 2)), "MR", specs=nuisance.default_specs(), inference="sandwich"
+    )
+    half = 0.5 * (stacked.averaged.ci_upper - stacked.averaged.ci_lower)
+    record[("sandwich", "placebo", "stacked")] = (half / inference.Z_95) ** 2
+
+    big = simulation.generate_scenario_data(20_000, 1)
+    written = panel_io.PanelDataset(
+        ids=big.ids,
+        x=big.x,
+        a=big.a,
+        dose=big.dose,
+        y=np.column_stack([big.y0, big.y1]),
+        period_labels=(0, 1),
+        covariate_names=big.covariate_names,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        loaded = panel_io.load_panel(path, panel_io.write_panel(written, path))
+    record["loaded"] = {"ids": loaded.ids, **{name: getattr(loaded, name) for name in ("x", "a", "dose", "y")}}
+    grid = nuisance.default_dose_grid(big.dose, size=50)
+    models = nuisance.fit_nuisances(big, specs, dose_grid=grid)
+    curve = curves.estimate_curve(big, "MR", specs=specs, grid=grid, models=models)
+    record[("sandwich", "n20k", "base")] = inference.sandwich_bands(big, models, curve)[2]
     with open(out, "wb") as fh:
         pickle.dump(record, fh)
 
@@ -101,7 +132,14 @@ def compare(before_path: str, after_path: str) -> int:
                 elif va != vb:
                     bad.append(f"diagnostic {name} {key}: {vb!r} -> {va!r}")
         elif key[0] == "sandwich":
-            note(f"sandwich {key[2]} variance", np.max(np.abs(a - b) / b))
+            where = "" if isinstance(key[1], int) else f" ({key[1]})"
+            note(f"sandwich {key[2]} variance{where}", np.max(np.abs(a - b) / b))
+        elif key == "loaded":
+            for name, vb in b.items():
+                va = a[name]
+                same = va == vb if name == "ids" else va.dtype == vb.dtype and va.tobytes() == vb.tobytes()
+                if not same:
+                    bad.append(f"loaded panel {name}")
         elif key[0] == "bootstrap":
             if a["failures"] != b["failures"] or a["curves"].shape != b["curves"].shape:
                 bad.append(f"bootstrap failures or shape {key}")

@@ -36,6 +36,7 @@ from .errors import (
 from .inference import (
     BootstrapResult,
     EstimatingSystem,
+    SandwichBands,
     bootstrap_weights,
     sandwich_bands,
     sandwich_variance,

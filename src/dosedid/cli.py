@@ -211,8 +211,10 @@ def _cmd_estimate(config: dict, args) -> int:
             )
             if method == "MR" and inference.method != "none":
                 if inference.wants_sandwich:
-                    lo, hi, _ = sandwich_bands(dataset, models, curve, mode=inference.mode)
+                    bands = sandwich_bands(dataset, models, curve, mode=inference.mode)
+                    lo, hi, _ = bands
                     sandwich_curve = curve.with_bands(lo, hi)
+                    diagnostics[f"{method}_sandwich_bread_cond_max"] = bands.bread_cond_max
                     write_curve(sandwich_curve, stage / f"curve_{method}_sandwich.csv")
                     outputs.append(f"curve_{method}_sandwich.csv")
                 if inference.wants_bootstrap:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +320,12 @@ def load_panel(path, schema: PanelSchema) -> PanelDataset:
     SchemaError for missing columns, DataParseError for non-numeric cells
     (with row/column in the message), and DataValidationError when a treated
     unit lacks a dose or a control carries one.
+
+    Rows whose cells are all blank are skipped; row numbers count them, with
+    the header on row 1. Cells are read column by column: ``float`` strips
+    surrounding whitespace itself, so each value is the one ``float`` gives
+    the stripped cell. Any fault sends the file to ``_check_row``, row by
+    row, which reports the first bad row in file order.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -335,53 +343,91 @@ def load_panel(path, schema: PanelSchema) -> PanelDataset:
         raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
 
     labels = tuple(sorted(schema.outcomes))
-    ids, xs, a_flags, doses, ys = [], [], [], [], []
+    names = [schema.id, schema.treatment, schema.dose, *schema.covariates, *(schema.outcomes[m] for m in labels)]
+    filled = list(compress(rows, _nonblank(rows)))
+    if not filled:
+        raise DataParseError(f"{path}: no data rows")
+    columns = _columns(filled, [col[name] for name in names])
+    if columns is None:
+        for row_no, row in compress(enumerate(rows, start=2), _nonblank(rows)):  # 1-based with header on line 1
+            _check_row(path, col, names, row, row_no)
+        raise AssertionError(f"{path}: the column pass failed on a file without a bad row")
 
-    def cell(row, row_no, name):
+    ids, treated, dose, values = columns
+    p = len(schema.covariates)
+    return PanelDataset(
+        ids=ids,
+        x=values[:, :p],
+        a=treated,
+        dose=dose,
+        y=values[:, p:],
+        period_labels=labels,
+        covariate_names=tuple(schema.covariates),
+    )
+
+
+def _nonblank(rows: list):
+    """Per row, its cells joined and stripped: empty, so false, exactly when
+    every cell is blank."""
+    return map(str.strip, map("".join, rows))
+
+
+def _columns(rows: list, indexes: list):
+    """``(ids, treated, dose, values)`` from the cells at ``indexes`` (id,
+    treatment, dose, then the numeric columns) of every row, read column by
+    column; None when a row is short, a cell is not a number, a treatment
+    is not 0 or 1, or a dose is blank where the treatment is 1 or filled
+    where it is 0."""
+    if min(map(len, rows)) <= max(indexes):
+        return None
+    id_col, a_col, dose_col, *numeric_cols = (list(map(itemgetter(k), rows)) for k in indexes)
+    try:
+        a_val = np.fromiter(map(float, a_col), float, len(rows))
+        treated = a_val == 1.0
+        has_dose = np.fromiter(map(bool, map(str.strip, dose_col)), bool, len(rows))
+        if not (np.all(treated | (a_val == 0.0)) and np.array_equal(has_dose, treated)):
+            return None
+        dose = np.fromiter(map(float, compress(dose_col, has_dose)), float)
+        values = np.empty((len(numeric_cols), len(rows)))
+        for k, cells in enumerate(numeric_cols):
+            values[k] = np.fromiter(map(float, cells), float, len(rows))
+    except ValueError:
+        return None
+    return tuple(map(str.strip, id_col)), treated, dose, values.T
+
+
+def _check_row(path, col: dict, names: list, row: list, row_no: int) -> None:
+    """Raise the loader's error for a non-blank row's first fault. ``names``
+    are the id, treatment and dose columns, then the numeric ones, in the
+    order they are checked."""
+
+    def cell(name):
         try:
             return row[col[name]]
         except IndexError:
             raise DataParseError(f"{path}: row {row_no}: short row; no column {name!r}") from None
 
-    def numeric(row, row_no, name):
-        raw = cell(row, row_no, name).strip()
+    def numeric(name):
+        raw = cell(name).strip()
         try:
             return float(raw)
         except ValueError:
-            raise DataParseError(
-                f"{path}: row {row_no}, column {name!r}: non-numeric value {raw!r}"
-            ) from None
+            raise DataParseError(f"{path}: row {row_no}, column {name!r}: non-numeric value {raw!r}") from None
 
-    for row_no, row in enumerate(rows, start=2):  # 1-based with header on line 1
-        if not any(f.strip() for f in row):
-            continue
-        uid = cell(row, row_no, schema.id).strip()
-        a_val = numeric(row, row_no, schema.treatment)
-        if a_val not in (0.0, 1.0):
-            raise DataValidationError(f"{path}: row {row_no}: treatment must be 0 or 1, got {a_val}")
-        dose_raw = cell(row, row_no, schema.dose).strip()
-        if a_val == 1.0:
-            if dose_raw == "":
-                raise DataValidationError(f"{path}: row {row_no}: treated unit {uid!r} has no dose")
-            doses.append(numeric(row, row_no, schema.dose))
-        elif dose_raw != "":
-            raise DataValidationError(f"{path}: row {row_no}: control unit {uid!r} carries a dose value")
-        ids.append(uid)
-        a_flags.append(bool(a_val))
-        xs.append([numeric(row, row_no, c) for c in schema.covariates])
-        ys.append([numeric(row, row_no, schema.outcomes[m]) for m in labels])
-
-    if not ids:
-        raise DataParseError(f"{path}: no data rows")
-    return PanelDataset(
-        ids=tuple(ids),
-        x=np.array(xs, dtype=float),
-        a=np.array(a_flags, dtype=bool),
-        dose=np.array(doses, dtype=float),
-        y=np.array(ys, dtype=float),
-        period_labels=labels,
-        covariate_names=tuple(schema.covariates),
-    )
+    id_name, treatment, dose, *numeric_names = names
+    uid = cell(id_name).strip()
+    a_val = numeric(treatment)
+    if a_val not in (0.0, 1.0):
+        raise DataValidationError(f"{path}: row {row_no}: treatment must be 0 or 1, got {a_val}")
+    dose_raw = cell(dose).strip()
+    if a_val == 1.0:
+        if dose_raw == "":
+            raise DataValidationError(f"{path}: row {row_no}: treated unit {uid!r} has no dose")
+        numeric(dose)
+    elif dose_raw != "":
+        raise DataValidationError(f"{path}: row {row_no}: control unit {uid!r} carries a dose value")
+    for name in numeric_names:
+        numeric(name)
 
 
 def write_panel(data: PanelDataset, path, schema: PanelSchema | None = None) -> PanelSchema:

@@ -11,17 +11,25 @@ Two routes, each with one implementation; the repeated-period workflow in
   covariate-level deviation mu1(d, X_i) - m(d). mu1 is linear in its
   coefficients, so the deviation is alpha_i + phi_i * d; f is piecewise
   linear, so the integrand is a polynomial between the nodes and the
-  kernel's ends, and 3-point Gauss-Legendre integrates it exactly. A
-  correction costs O(n + nodes in the window). Augmented mode appends the
-  nuisance-model score equations and differentiates through the whole
-  pipeline by central differences. Both modes solve every grid point over
-  one per-curve context, and augmented mode builds its 2p perturbed
-  contexts once per curve, refitting pi_d and f only for pi_d's own
-  coordinates.
+  kernel's ends, and 3-point Gauss-Legendre integrates it exactly. The
+  corrections of all units share four moments of f, so a grid point costs
+  one quadrature over the nodes in the kernel window. Augmented mode
+  appends the nuisance-model score equations and differentiates through
+  the whole pipeline by central differences. Both modes solve every grid
+  point over one per-curve context, and augmented mode builds its 2p
+  perturbed contexts once per curve, refitting pi_d and f only for pi_d's
+  own coordinates.
 
   At each delta a system reduces to one per-unit influence column
   ``iota = Gamma solve(bread^T, contrast)``, and the variance is the squared
   norm ``iota . iota``: nonnegative by construction, so it is never floored.
+  Gamma is a dense part ``E Z``, with E fixed per curve (n x q: six columns
+  of the base equations, then the nuisance scores) and Z small (q x P,
+  from delta, eta and the moments of f), plus a kernel part on the treated
+  units inside the kernel window. So iota costs one (n x q) product and
+  O(window) arithmetic, a finite-difference bread column only a perturbed
+  context's fixed column sums and window sums, and no n x P array is built
+  at a grid point (``EstimatingSystem.gamma`` builds one for inspection).
   The variance of an average over M periods that share the unit roster is
   the squared norm of the mean of the periods' columns, which is the
   block-diagonal stacked system in closed form and picks up the
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +65,7 @@ from .pseudo import build_pseudo_outcomes
 __all__ = [
     "Z_95",
     "EstimatingSystem",
+    "SandwichBands",
     "BootstrapResult",
     "build_estimating_system",
     "sandwich_variance",
@@ -81,27 +91,45 @@ _STACK_BLOCK = 16_384
 class EstimatingSystem:
     """One solved estimating-equation system at a fixed delta.
 
-    ``gamma`` holds per-unit equation values (n x P); ``bread`` the summed
-    Jacobian estimate; ``meat`` the outer-product sum. ``contrast`` maps the
+    The per-unit equation values (n x P) are ``gamma = dense @ coefficients``
+    plus the kernel part: ``dense`` (n x q) is fixed per curve,
+    ``coefficients`` (q x P) depends on delta and eta, and ``kernel`` (w x 2)
+    adds to the first two equations of the units ``kernel_units`` only, the
+    treated units inside the kernel window. ``bread`` is the summed Jacobian
+    estimate; ``meat`` the outer-product sum. ``contrast`` maps the
     parameter vector to the scalar of interest.
     """
 
     eta: np.ndarray
-    gamma: np.ndarray
     bread: np.ndarray
     contrast: np.ndarray
+    dense: np.ndarray
+    coefficients: np.ndarray
+    kernel_units: np.ndarray
+    kernel: np.ndarray
+
+    @property
+    def gamma(self) -> np.ndarray:
+        gamma = self.dense @ self.coefficients
+        gamma[self.kernel_units, :2] += self.kernel
+        return gamma
 
     @property
     def meat(self) -> np.ndarray:
-        return self.gamma.T @ self.gamma
+        gamma = self.gamma
+        return gamma.T @ gamma
+
+    @cached_property
+    def condition(self) -> float:
+        """The bread's 2-norm condition number; inf when it is singular."""
+        try:
+            return float(np.linalg.cond(self.bread))
+        except np.linalg.LinAlgError:
+            return np.inf
 
     @property
     def bread_invertible(self) -> bool:
-        try:
-            cond = np.linalg.cond(self.bread)
-        except np.linalg.LinAlgError:
-            return False
-        return bool(np.isfinite(cond) and cond < 1e12)
+        return bool(np.isfinite(self.condition) and self.condition < 1e12)
 
     def covariance(self) -> np.ndarray:
         binv = np.linalg.inv(self.bread)
@@ -111,20 +139,41 @@ class EstimatingSystem:
         """The per-unit influence column ``gamma @ solve(bread^T, contrast)``
         of the contrast: contrast' B^-1 (Gamma' Gamma) B^-T contrast is its
         squared norm."""
-        return self.gamma @ np.linalg.solve(self.bread.T, self.contrast)
+        return _influence([self])
 
     def variance(self) -> float:
         iota = self.influence()
         return float(iota @ iota)
 
 
+def _influence(systems: list[EstimatingSystem]) -> np.ndarray:
+    """The mean over ``systems`` (one per period, on one unit roster) of
+    their influence columns. With v = solve(bread^T, contrast) a column is
+    ``dense @ (coefficients @ v)`` plus ``kernel @ v[:2]`` on its kernel
+    units, so it costs one (n x q) product and a pass over the window."""
+    iota = 0.0
+    for system in systems:
+        v = np.linalg.solve(system.bread.T, system.contrast)
+        column = system.dense @ (system.coefficients @ v)
+        column[system.kernel_units] += system.kernel @ v[:2]
+        iota = iota + column
+    return iota / len(systems)
+
+
 class _CurveContext:
     """Per-curve quantities reused across grid deltas by the sandwich.
 
-    It holds O(n) arrays, f's tabulated values and no models. mu1 is linear
-    in its coefficients, so the covariate-level deviation mu1(d, X_i) - m(d)
-    is ``alpha_i + phi_i * d`` (the dose block cancels), and the quadrature
-    corrections need only the two per-unit vectors.
+    The base system's four per-unit equations split into two parts. The
+    dense part ``dense @ coefficients(rule, eta)`` has six fixed columns:
+    wt alpha / p and wt phi / p on the treated (the quadrature corrections
+    are their combinations with f's quadrature weights; mu1 is linear in its
+    coefficients, so the covariate-level deviation mu1(d, X_i) - m(d) is
+    ``alpha_i + phi_i * d``), the theta00 equation's data term and weight on
+    the controls, and the theta01 equation's on the treated. The kernel part
+    lives on the treated units inside the kernel window, a slice of the
+    dose-sorted order. At a delta the context costs one quadrature rule over
+    the nodes in the window and O(window) arithmetic; the fixed columns and
+    their sums are formed once.
     """
 
     def __init__(self, data: TwoPeriodDataset, models: NuisanceModelSet, curve: EffectCurveEstimate):
@@ -135,22 +184,48 @@ class _CurveContext:
         self.data = data
         self.curve = curve
         self.h = float(curve.bandwidth)
-        self.w_all, self.wt, self.wc = data.weight, data.weight_treated, data.weight_control
-        self.p_hat = float(np.sum(self.wt) / np.sum(self.w_all))
+        self.wt, self.wc = data.weight_treated, data.weight_control
+        self.p_hat = float(np.sum(self.wt) / np.sum(data.weight))
 
         pseudo = build_pseudo_outcomes(data, models, on_out_of_range="clamp")
-        self.xi = pseudo.xi
-        self.w0n = pseudo.w0
         self.theta00 = pseudo.theta00
         self.theta01 = pseudo.theta01
-        self.mu0_all = models.mu0(data.x)
-        self.window = WindowedMoments(data.dose, self.xi, self.wt)
+        self.xi = pseudo.xi
 
         self.nodes = models.dose_nodes
         self.f_values = models.f_marginal.y
         level, slope = models.mu1.unit_terms(data.x_treated)
         self.alpha = level - models.m_marginal.level
         self.phi = slope - models.m_marginal.slope
+
+        # theta00/theta01 are self-normalized group means, so their
+        # equations live on their own group only.
+        treated = data.a
+        mu0 = models.mu0(data.x)
+        trend_c = data.trend[~treated]
+        # Column-major: a product with a coefficient vector streams each
+        # column once.
+        self.dense = np.zeros((data.n, 6), order="F")
+        self.dense[treated, 0] = self.wt * self.alpha / self.p_hat
+        self.dense[treated, 1] = self.wt * self.phi / self.p_hat
+        self.dense[~treated, 2] = self.wc * pseudo.w0 * (trend_c - mu0[~treated])
+        self.dense[treated, 3] = self.wt * mu0[treated]
+        self.dense[~treated, 4] = self.wc
+        self.dense[treated, 5] = self.wt
+        self.dense_sums = self.dense.sum(axis=0)
+
+        # The window's sort: ``solve``'s span indexes this order.
+        order = np.argsort(data.dose, kind="stable")
+        self.units_sorted = np.flatnonzero(treated)[order]
+        self.dose_sorted = data.dose[order]
+        self.xi_sorted = pseudo.xi[order]
+        self.wt_sorted = self.wt[order]
+
+    @cached_property
+    def window(self) -> WindowedMoments:
+        """The local linear moments of xi; only ``solve`` reads them, so the
+        finite-difference contexts never build them."""
+        return WindowedMoments(self.data.dose, self.xi, self.wt)
 
     def quadrature(self, delta: float) -> tuple[int, np.ndarray]:
         """``(first, weights)``: a (4, m) matrix whose rows, applied to the
@@ -188,69 +263,88 @@ class _CurveContext:
             weights[row, 1:] += upper.sum(axis=0)
         return first, weights
 
+    def moments_of_f(self, rule: tuple[int, np.ndarray]) -> np.ndarray:
+        """``(a0, a1, b0, b1)``: the integrals of K(u) f(d) times 1, d, u and
+        u d under a ``quadrature`` rule."""
+        first, weights = rule
+        return weights @ self.f_values[first : first + weights.shape[1]]
+
     def corrections(self, rule: tuple[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Per-treated-unit quadrature terms (c0, c1) under a ``quadrature``
         rule: the integrals of K(u) f(d) (mu1(d, X_i) - m(d)) and of the
         same times u."""
-        first, weights = rule
-        a0, a1, b0, b1 = weights @ self.f_values[first : first + weights.shape[1]]
+        a0, a1, b0, b1 = self.moments_of_f(rule)
         return self.alpha * a0 + self.phi * a1, self.alpha * b0 + self.phi * b1
 
-    def gamma_eta(self, delta: float, eta: np.ndarray, rule: tuple[int, np.ndarray]) -> np.ndarray:
-        """Base 4-column per-unit estimating equations at (delta, eta), with
-        the corrections under ``rule`` (``quadrature(delta)``)."""
-        data = self.data
-        theta, beta, theta00, theta01 = eta
-        c0, c1 = self.corrections(rule)
+    def coefficients(self, rule: tuple[int, np.ndarray], eta: np.ndarray) -> np.ndarray:
+        """The (6, 4) map from the fixed columns to the four equations'
+        dense parts at eta, with the corrections under ``rule``."""
+        a0, a1, b0, b1 = self.moments_of_f(rule)
+        out = np.zeros((6, 4))
+        out[:2, :2] = [[a0, b0], [a1, b1]]
+        out[2, 2] = out[3, 3] = 1.0
+        out[4, 2], out[5, 3] = -eta[2], -eta[3]
+        return out
 
-        u = (data.dose - delta) / self.h
-        k = epanechnikov(u)
-        resid = self.xi - theta - u * beta
+    def kernel(self, delta: float, eta: np.ndarray, span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel part of the two local-linear equations at (delta, eta):
+        the unit positions of the dose-sorted treated units ``first`` to
+        ``stop - 1`` of ``span`` and their (w, 2) values
+        wt K(u) (xi - theta - u beta) / p times 1 and u."""
+        first, stop = span
+        u = (self.dose_sorted[first:stop] - delta) / self.h
+        resid = self.xi_sorted[first:stop] - eta[0] - u * eta[1]
+        lead = self.wt_sorted[first:stop] * (epanechnikov(u) * resid) / self.p_hat
+        return self.units_sorted[first:stop], np.column_stack([lead, lead * u])
 
-        gamma = np.zeros((data.n, 4))
-        treated = data.a
-        gamma[treated, 0] = self.wt * (k * resid + c0) / self.p_hat
-        gamma[treated, 1] = self.wt * (k * u * resid + c1) / self.p_hat
-        trend_c = data.trend[~treated]
-        mu0_c = self.mu0_all[~treated]
-        # theta00/theta01 are self-normalized group means, so their
-        # equations live on their own group only.
-        gamma[~treated, 2] = self.wc * (self.w0n * (trend_c - mu0_c) - theta00)
-        gamma[treated, 3] = self.wt * (self.mu0_all[treated] - theta01)
+    def summed_gamma(
+        self, delta: float, eta: np.ndarray, rule: tuple[int, np.ndarray], span: tuple[int, int]
+    ) -> np.ndarray:
+        """The four equations summed over the units: the fixed columns' sums
+        through ``coefficients`` plus the kernel part's sums over ``span``."""
+        summed = self.dense_sums @ self.coefficients(rule, eta)
+        summed[:2] += self.kernel(delta, eta, span)[1].sum(axis=0)
+        return summed
 
-        return gamma
-
-    def solve(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        """eta at delta, and the analytic Jacobian of the summed base
-        equations in eta."""
+    def solve(self, delta: float) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+        """eta at delta, the analytic Jacobian of the summed base equations
+        in eta, and the kernel window's span ``(first, stop)``: the
+        dose-sorted treated units ``first`` to ``stop - 1`` have positive
+        kernel weight."""
         (theta,), (beta,) = self.window.fit([delta], self.h)
-        s0, s1, s2 = (float(m[0]) / self.p_hat for m in self.window.moments([delta], self.h)[:3])
+        s0, s1, s2, _, _, (first,), (stop,) = self.window.moments([delta], self.h)
+        s0, s1, s2 = (float(m[0]) / self.p_hat for m in (s0, s1, s2))
         bread = np.diag([-s0, -s2, -float(np.sum(self.wc)), -float(np.sum(self.wt))])
         bread[0, 1] = bread[1, 0] = -s1
-        return np.array([theta, beta, self.theta00, self.theta01]), bread
+        return np.array([theta, beta, self.theta00, self.theta01]), bread, (int(first), int(stop))
 
 
-class _FiniteDifferences:
-    """The augmented mode's nuisance blocks for one curve.
+class _NuisanceBlock:
+    """The nuisance-model equations a curve's systems append.
 
-    The nuisance scores and the 2p central-difference nuisance sets do not
-    depend on delta. Each perturbed set is therefore rebuilt, marginalized
-    and reduced to a ``_CurveContext`` once, and every grid point reuses the
-    contexts; the rebuilt models themselves are not kept. Every context
-    tabulates f on the curve's node set, so one quadrature rule per grid
-    point serves them all.
+    In base mode there are none. In augmented mode they are the four
+    parametric fits' score equations; the scores and the 2p central-
+    difference nuisance sets do not depend on delta, so each perturbed set
+    is rebuilt, marginalized and reduced to a ``_CurveContext`` once, and
+    every grid point reuses the contexts; the rebuilt models themselves are
+    not kept. Every context tabulates f on the curve's node set, so one
+    quadrature rule per grid point serves them all.
     """
 
-    def __init__(self, ctx: _CurveContext, models: NuisanceModelSet):
+    def __init__(self, ctx: _CurveContext, models: NuisanceModelSet | None):
+        # per parameter: (step, (context, summed scores) at +step, the same at -step)
+        self.columns = []
+        if models is None:
+            self.packed = np.zeros(0)
+            self.dense = ctx.dense
+            return
         packed, scores, rebuild = _augmented_blocks(ctx, models)
         self.packed = packed
-        self.scores = scores(packed)
+        self.dense = np.asfortranarray(np.hstack([ctx.dense, scores(packed)]))
 
         def end(packed_pt: np.ndarray):
             return _CurveContext(ctx.data, rebuild(packed_pt), ctx.curve), scores(packed_pt).sum(axis=0)
 
-        # per parameter: (step, (context, summed scores) at +step, the same at -step)
-        self.columns = []
         for j in range(packed.shape[0]):
             step = _FD_STEP * max(1.0, abs(packed[j]))
             hi = packed.copy()
@@ -298,7 +392,7 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
         blocks[0][treated] = ctx.wt[:, None] * r_mean * eps[:, None]
         blocks[1][treated] = ctx.wt[:, None] * r_resid * (eps**2 - r_resid @ gamma_r)[:, None]
         blocks[2][treated] = ctx.wt[:, None] * x_mu1 * (trend_t - x_mu1 @ lam1)[:, None]
-        blocks[3][:] = ctx.w_all[:, None] * x_pa * (data.a.astype(float) - expit(x_pa @ alpha_a))[:, None]
+        blocks[3][:] = data.weight[:, None] * x_pa * (data.a.astype(float) - expit(x_pa @ alpha_a))[:, None]
         blocks[4][~treated] = ctx.wc[:, None] * x_mu0 * (trend_c - x_mu0 @ lam0)[:, None]
         return out
 
@@ -337,13 +431,13 @@ def _pi_d_unchanged(pi_d, mean_coef: np.ndarray, resid_coef: np.ndarray) -> bool
     return bool(np.array_equal(mean_coef, pi_d.mean_coef) and np.array_equal(resid_coef, pi_d.resid_coef))
 
 
-def _prepare(data, models, curve, mode: str) -> tuple[_CurveContext, _FiniteDifferences | None]:
-    """A curve's sandwich context, and its finite-difference blocks in
-    augmented mode."""
+def _prepare(data, models, curve, mode: str) -> tuple[_CurveContext, _NuisanceBlock]:
+    """A curve's sandwich context and its nuisance block: empty in base
+    mode, the finite-difference blocks in augmented mode."""
     if mode not in ("base", "augmented"):
         raise EstimationError(f"unknown sandwich mode {mode!r}")
     ctx = _CurveContext(data, models, curve)
-    return ctx, _FiniteDifferences(ctx, models) if mode == "augmented" else None
+    return ctx, _NuisanceBlock(ctx, models if mode == "augmented" else None)
 
 
 def build_estimating_system(
@@ -363,27 +457,48 @@ def build_estimating_system(
     return _system(*_prepare(data, models, curve, mode), float(delta))
 
 
-def _system(ctx: _CurveContext, fd: _FiniteDifferences | None, delta: float) -> EstimatingSystem:
-    """The estimating system at one delta over a curve's shared context;
-    augmented when ``fd`` is given."""
-    eta, bread = ctx.solve(delta)
+def _system(ctx: _CurveContext, block: _NuisanceBlock, delta: float) -> EstimatingSystem:
+    """The estimating system at one delta over a curve's shared context,
+    with the block's nuisance equations appended. A finite-difference
+    column needs only the perturbed contexts' summed equations."""
+    eta, bread, span = ctx.solve(delta)
     rule = ctx.quadrature(delta)
-    gamma = ctx.gamma_eta(delta, eta, rule)
-    contrast = _PSI_CONTRAST
-    if fd is not None:
-        p_extra = fd.packed.shape[0]
-        bread_full = np.zeros((4 + p_extra, 4 + p_extra))
-        bread_full[:4, :4] = bread
+    p = block.packed.shape[0]
+    bread_full = np.zeros((4 + p, 4 + p))
+    bread_full[:4, :4] = bread
 
-        def summed_gamma_at(end) -> np.ndarray:
-            ctx_pt, score_sum = end
-            return np.concatenate([ctx_pt.gamma_eta(delta, eta, rule).sum(axis=0), score_sum])
+    def summed_at(end) -> np.ndarray:
+        ctx_pt, score_sum = end
+        return np.concatenate([ctx_pt.summed_gamma(delta, eta, rule, span), score_sum])
 
-        for j, (step, hi, lo) in enumerate(fd.columns):
-            bread_full[:, 4 + j] = (summed_gamma_at(hi) - summed_gamma_at(lo)) / (2.0 * step)
-        eta, gamma, bread = np.concatenate([eta, fd.packed]), np.hstack([gamma, fd.scores]), bread_full
-        contrast = np.concatenate([_PSI_CONTRAST, np.zeros(p_extra)])
-    return EstimatingSystem(eta=eta, gamma=gamma, bread=bread, contrast=contrast)
+    for j, (step, hi, lo) in enumerate(block.columns):
+        bread_full[:, 4 + j] = (summed_at(hi) - summed_at(lo)) / (2.0 * step)
+    coefficients = np.zeros((6 + p, 4 + p))
+    coefficients[:6, :4] = ctx.coefficients(rule, eta)
+    coefficients[6:, 4:] = np.eye(p)
+    units, kernel = ctx.kernel(delta, eta, span)
+    return EstimatingSystem(
+        eta=np.concatenate([eta, block.packed]),
+        bread=bread_full,
+        contrast=np.concatenate([_PSI_CONTRAST, np.zeros(p)]),
+        dense=block.dense,
+        coefficients=coefficients,
+        kernel_units=units,
+        kernel=kernel,
+    )
+
+
+class SandwichBands(tuple):
+    """``(lower, upper, variances)`` along a curve's grid, with the largest
+    condition number of the bread over the grid as ``bread_cond_max``."""
+
+    def __new__(cls, lower: np.ndarray, upper: np.ndarray, variances: np.ndarray, bread_cond_max: float):
+        bands = super().__new__(cls, (lower, upper, variances))
+        bands.bread_cond_max = bread_cond_max
+        return bands
+
+    def __getnewargs__(self):
+        return (*self, self.bread_cond_max)
 
 
 def sandwich_variance(
@@ -394,7 +509,7 @@ def sandwich_variance(
     mode: str = "base",
 ) -> float:
     """Sandwich variance of psi-hat at one delta."""
-    return float(_variances([_prepare(data, models, curve, mode)], [float(delta)])[0])
+    return float(_variances([_prepare(data, models, curve, mode)], [float(delta)])[0][0])
 
 
 def sandwich_bands(
@@ -402,11 +517,11 @@ def sandwich_bands(
     models: NuisanceModelSet,
     curve: EffectCurveEstimate,
     mode: str = "base",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> SandwichBands:
     """95% pointwise normal-approximation bands along the curve's grid."""
-    variances = _variances([_prepare(data, models, curve, mode)], curve.grid)
+    variances, cond_max = _variances([_prepare(data, models, curve, mode)], curve.grid)
     half = Z_95 * np.sqrt(variances)
-    return curve.psi - half, curve.psi + half, variances
+    return SandwichBands(curve.psi - half, curve.psi + half, variances, cond_max)
 
 
 def stacked_sandwich_variance(
@@ -423,25 +538,26 @@ def stacked_sandwich_variance(
         raise EstimationError("no per-period systems supplied")
     if any(data_m.n != systems[0][0].n for data_m, _, _ in systems):
         raise EstimationError("stacked periods must share the unit roster")
-    return _variances([(_CurveContext(*period), None) for period in systems], grid)
+    contexts = [_CurveContext(*period) for period in systems]
+    return _variances([(ctx, _NuisanceBlock(ctx, None)) for ctx in contexts], grid)[0]
 
 
-def _variances(periods: list[tuple[_CurveContext, _FiniteDifferences | None]], grid) -> np.ndarray:
+def _variances(periods: list[tuple[_CurveContext, _NuisanceBlock]], grid) -> tuple[np.ndarray, float]:
     """The squared norm, at each delta of ``grid``, of the mean over
-    ``periods`` of their influence columns; each period's bread must be
-    invertible."""
+    ``periods`` of their influence columns, and the largest condition number
+    of a bread; each period's bread must be invertible."""
     out = np.empty(len(grid))
+    cond_max = 0.0
     for k, delta in enumerate(grid):
         delta = float(delta)
-        columns = []
-        for ctx, fd in periods:
-            system = _system(ctx, fd, delta)
+        systems = [_system(ctx, block, delta) for ctx, block in periods]
+        for system in systems:
             if not system.bread_invertible:
                 raise EstimationError(f"singular bread matrix at delta={delta}")
-            columns.append(system.influence())
-        iota = sum(columns) / len(columns)
+            cond_max = max(cond_max, system.condition)
+        iota = _influence(systems)
         out[k] = iota @ iota
-    return out
+    return out, cond_max
 
 
 # --------------------------------------------------------------------------

@@ -77,6 +77,7 @@ def test_estimate_outputs_and_determinism(tmp_path, panel_file):
     assert manifest["diagnostics"]["NAIVE"]["bandwidth_extended"] in (True, False)
     assert manifest["diagnostics"]["MR_bootstrap_failures"] == {}
     assert manifest["diagnostics"]["MR_bootstrap_pi_a_unconverged"] == 0
+    assert 1.0 <= manifest["diagnostics"]["MR_sandwich_bread_cond_max"] < 1e12
     assert manifest["diagnostics"]["MR"]["marginal_nodes"] > 0
     assert 0.0 < manifest["diagnostics"]["MR"]["w1_ess"] <= 260
     assert manifest["diagnostics"]["MR"]["mu1_ridged"] is False
@@ -129,6 +130,33 @@ def test_estimate_fails_fast_without_partial_outputs(tmp_path, panel_file):
     assert code == 3  # data-error
     assert not (tmp_path / "broken").exists()
     assert not (tmp_path / "broken.staging").exists()
+
+
+def test_non_finite_cells_are_one_data_error_naming_each_unit(tmp_path, panel_file, capsys):
+    """nan, inf and -Infinity parse as numbers; the panel's validation then
+    names every unit that carries one, in one classified line."""
+    rows = [line.split(",") for line in panel_file.read_text(encoding="utf-8").splitlines()]
+    col = {name: k for k, name in enumerate(rows[0])}
+    treated = [r for r in rows[1:] if r[col["a"]] == "1"]
+    control = [r for r in rows[1:] if r[col["a"]] == "0"]
+    treated[0][col["y_1"]] = "nan"
+    control[0][col["x2"]] = "inf"
+    treated[1][col["d"]] = "-Infinity"
+    path = tmp_path / "non_finite.csv"
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+    payload = {
+        "output": str(tmp_path / "out"),
+        "data": {"path": str(path), "schema": _schema_block()},
+        "methods": ["NAIVE"],
+    }
+    code = dispatch(["estimate", "-c", str(_write_config(tmp_path, "nonfinite.yaml", payload))])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1
+    assert err.startswith("dosedid: data-error: non-finite ")
+    for kind, row in (("outcome", treated[0]), ("covariate", control[0]), ("dose", treated[1])):
+        assert f"non-finite {kind} for unit {row[col['id']]!r}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_error_line_is_single_and_classified(tmp_path, capsys):

@@ -253,3 +253,99 @@ def test_weight_is_checked_when_the_dataset_is_built():
         bad[7] = value
         with pytest.raises(DataValidationError, match="finite and nonnegative"):
             replace(two, weight=bad)
+
+
+# ------------------------------------------------- loader semantics, pinned
+#
+# BASIC's data rows are file rows 2-5; each case below names the row and
+# the exact message the loader gives.
+
+
+def _rows(*lines):
+    return BASIC.splitlines()[0] + "\n" + "".join(line + "\n" for line in lines)
+
+
+def _load_error(tmp_path, text):
+    path = _write(tmp_path, text)
+    with pytest.raises((DataParseError, DataValidationError)) as err:
+        load_panel(path, SCHEMA)
+    return path, err
+
+
+def test_short_row_names_row_and_first_missing_column(tmp_path):
+    path, err = _load_error(tmp_path, _rows("s1,6.4,83.0,1,2.5,140.0,120.0", "s2,6.8,66.0,1"))
+    assert err.type is DataParseError
+    assert str(err.value) == f"{path}: row 3: short row; no column 'dist'"
+
+
+def test_non_numeric_treatment_is_a_parse_error(tmp_path):
+    path, err = _load_error(tmp_path, BASIC.replace("s2,6.8,66.0,1,", "s2,6.8,66.0, yes ,"))
+    assert err.type is DataParseError
+    assert str(err.value) == f"{path}: row 3, column 'a': non-numeric value 'yes'"
+
+
+def test_treatment_outside_zero_one_is_a_validation_error(tmp_path):
+    path, err = _load_error(tmp_path, BASIC.replace("s2,6.8,66.0,1,", "s2,6.8,66.0,2,"))
+    assert err.type is DataValidationError
+    assert str(err.value) == f"{path}: row 3: treatment must be 0 or 1, got 2.0"
+    # Without a dose the row would pass for a control's.
+    for value, shown in (("2", "2.0"), ("nan", "nan"), ("0.5", "0.5")):
+        path, err = _load_error(tmp_path, BASIC.replace("s4,7.3,17.0,0,,", f"s4,7.3,17.0,{value},,"))
+        assert str(err.value) == f"{path}: row 5: treatment must be 0 or 1, got {shown}"
+
+
+def test_treated_dose_and_control_dose_messages(tmp_path):
+    path, err = _load_error(tmp_path, BASIC.replace("s2,6.8,66.0,1,4.0,", "s2,6.8,66.0,1,far,"))
+    assert err.type is DataParseError
+    assert str(err.value) == f"{path}: row 3, column 'dist': non-numeric value 'far'"
+    path, err = _load_error(tmp_path, BASIC.replace("s4,7.3,17.0,0,,", "s4,7.3,17.0,0,x,"))
+    assert err.type is DataValidationError
+    assert str(err.value) == f"{path}: row 5: control unit 's4' carries a dose value"
+    path, err = _load_error(tmp_path, BASIC.replace("s2,6.8,66.0,1,4.0,", "s2,6.8,66.0,1, ,"))
+    assert str(err.value) == f"{path}: row 3: treated unit 's2' has no dose"
+
+
+def test_blank_rows_are_skipped_but_counted(tmp_path):
+    lines = BASIC.splitlines()
+    spaced = "\n".join([lines[0], lines[1], "", "   ", " , ,,", lines[2], "", lines[3], lines[4]]) + "\n"
+    plain = load_panel(_write(tmp_path, BASIC, "plain.csv"), SCHEMA)
+    skipped = load_panel(_write(tmp_path, spaced, "spaced.csv"), SCHEMA)
+    assert skipped.ids == plain.ids
+    for name in ("x", "a", "dose", "y"):
+        np.testing.assert_array_equal(getattr(skipped, name), getattr(plain, name))
+    # s3 sits on file row 8 once the four blank rows before it count.
+    bad = spaced.replace("s3,6.7,77.0,0,,143.0", "s3,6.7,77.0,0,,oops")
+    path, err = _load_error(tmp_path, bad)
+    assert str(err.value) == f"{path}: row 8, column 'y_0': non-numeric value 'oops'"
+
+
+def test_padded_cells_and_ids_are_stripped(tmp_path):
+    padded = "\n".join(
+        ",".join(f"  {cell}\t" for cell in line.split(",")) if k else line
+        for k, line in enumerate(BASIC.splitlines())
+    )
+    plain = load_panel(_write(tmp_path, BASIC, "plain.csv"), SCHEMA)
+    back = load_panel(_write(tmp_path, padded + "\n", "padded.csv"), SCHEMA)
+    assert back.ids == ("s1", "s2", "s3", "s4")
+    for name in ("x", "a", "dose", "y"):
+        assert getattr(back, name).tobytes() == getattr(plain, name).tobytes()
+
+
+def test_first_bad_row_in_file_order_is_reported(tmp_path):
+    text = BASIC.replace("s2,6.8,66.0", "s2,6.8,bad").replace("s4,7.3,17.0,0,", "s4,7.3,17.0,7,")
+    path, err = _load_error(tmp_path, text)
+    assert str(err.value) == f"{path}: row 3, column 'sdi': non-numeric value 'bad'"
+    # Within a row the checks run id, treatment, dose, covariates, outcomes.
+    path, err = _load_error(tmp_path, _rows("s1,nan?,83.0,5"))
+    assert str(err.value) == f"{path}: row 2: treatment must be 0 or 1, got 5.0"
+    path, err = _load_error(tmp_path, _rows("s1,6.4,83.0,1,,x,y"))
+    assert str(err.value) == f"{path}: row 2: treated unit 's1' has no dose"
+
+
+def test_header_only_file_has_no_data_rows(tmp_path):
+    for text in (BASIC.splitlines()[0] + "\n", BASIC.splitlines()[0] + "\n\n  \n"):
+        path, err = _load_error(tmp_path, text)
+        assert err.type is DataParseError
+        assert str(err.value) == f"{path}: no data rows"
+    path, err = _load_error(tmp_path, "")
+    assert str(err.value) == f"{path}: empty file"

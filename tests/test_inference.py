@@ -1,5 +1,6 @@
 """Sandwich variance and weighted bootstrap contracts."""
 
+import pickle
 from collections import Counter
 from dataclasses import replace
 
@@ -338,6 +339,124 @@ def test_sandwich_requires_mr(fitted):
     naive = estimate_curve(data, "NAIVE")
     with pytest.raises(EstimationError):
         sandwich_variance(data, models, naive, float(naive.grid[0]))
+
+
+def _explicit_gamma(ctx, models, delta, eta, rule):
+    """The four base equations of the context built from ``models`` as a
+    dense (n, 4) array, each written out over every unit: the window-free
+    form that the sandwich reduces."""
+    data = ctx.data
+    theta, beta, theta00, theta01 = eta
+    c0, c1 = ctx.corrections(rule)
+    u = (data.dose - delta) / ctx.h
+    resid = ctx.xi - theta - u * beta
+    mu0 = models.mu0(data.x)
+    w0 = build_pseudo_outcomes(data, models, on_out_of_range="clamp").w0
+    gamma = np.zeros((data.n, 4))
+    t, c = data.a, ~data.a
+    gamma[t, 0] = ctx.wt * (epanechnikov(u) * resid + c0) / ctx.p_hat
+    gamma[t, 1] = ctx.wt * (epanechnikov(u) * u * resid + c1) / ctx.p_hat
+    gamma[c, 2] = ctx.wc * (w0 * (data.trend[c] - mu0[c]) - theta00)
+    gamma[t, 3] = ctx.wt * (mu0[t] - theta01)
+    return gamma
+
+
+def _explicit_variance(periods, models_of, delta):
+    """The variance of the periods' mean influence column, each column
+    Gamma solve(B^T, c) from the dense Gamma, and in augmented mode the
+    finite-difference bread columns from the dense Gamma of each perturbed
+    context, summed over every unit. ``models_of`` maps a context's id to
+    its models."""
+
+    def summed(end, eta, rule):
+        ctx_pt, score_sum = end
+        gamma = _explicit_gamma(ctx_pt, models_of[id(ctx_pt)], delta, eta, rule)
+        return np.concatenate([gamma.sum(axis=0), score_sum])
+
+    columns = []
+    for ctx, block in periods:
+        eta, bread, _ = ctx.solve(delta)
+        rule = ctx.quadrature(delta)
+        scores = block.dense[:, 6:]
+        p = scores.shape[1]
+        full = np.zeros((4 + p, 4 + p))
+        full[:4, :4] = bread
+        for j, (step, hi, lo) in enumerate(block.columns):
+            full[:, 4 + j] = (summed(hi, eta, rule) - summed(lo, eta, rule)) / (2.0 * step)
+        gamma = np.hstack([_explicit_gamma(ctx, models_of[id(ctx)], delta, eta, rule), scores])
+        contrast = np.concatenate([[1.0, 0.0, -1.0, -1.0], np.zeros(p)])
+        columns.append(gamma @ np.linalg.solve(full.T, contrast))
+    iota = sum(columns) / len(columns)
+    return float(iota @ iota)
+
+
+def test_window_local_variances_match_the_explicit_gamma_path(fitted, monkeypatch):
+    """Base, augmented and stacked variances from the fixed columns and the
+    window's kernel part against the dense Gamma over every unit, on
+    weighted data, at grid points whose kernel window the node range clips
+    and at inner ones. Base and stacked agree to 1e-12 relative. Augmented
+    agrees to 1e-10: its finite-difference columns divide summed equations
+    by 2e-5, so the order in which the units are summed moves them; summing
+    the dense path's own units in reverse order moves its variance by up to
+    3e-12."""
+    models_of = {}
+    original = inference._CurveContext.__init__
+
+    def remembering(self, data, models, curve):
+        models_of[id(self)] = models
+        original(self, data, models, curve)
+
+    monkeypatch.setattr(inference._CurveContext, "__init__", remembering)
+    rng = np.random.default_rng(4)
+    data = replace(fitted[0], weight=rng.uniform(0.5, 2.0, fitted[0].n))
+    later = replace(data, y1=data.y1 + 0.3 * rng.normal(size=data.n))
+    pairs = []
+    for ds in (data, later):
+        models = fit_nuisances(ds, SPECS)
+        pairs.append((ds, models, estimate_curve(ds, "MR", specs=SPECS, models=models)))
+    (data, models, curve), _ = pairs
+    grid = curve.grid[[0, 1, 24, 48, 49]]
+    cases = [
+        ("base", [inference._prepare(data, models, curve, "base")], 1e-12),
+        ("stacked", [inference._prepare(*pair, "base") for pair in pairs], 1e-12),
+        ("augmented", [inference._prepare(data, models, curve, "augmented")], 1e-10),
+    ]
+    ctx = cases[0][1][0][0]
+    clipped = [d for d in grid if d - ctx.h < ctx.nodes[0] or d + ctx.h > ctx.nodes[-1]]
+    assert 0 < len(clipped) < len(grid)
+    for name, periods, tol in cases:
+        variances, _ = inference._variances(periods, grid)
+        for k, delta in enumerate(grid):
+            reference = _explicit_variance(periods, models_of, float(delta))
+            assert abs(variances[k] - reference) <= tol * reference, (name, delta)
+
+
+def test_kernel_part_lives_on_the_window(fitted):
+    data, models, curve = fitted
+    treated = np.flatnonzero(data.a)
+    for delta in curve.grid[[0, 20, 49]]:
+        system = build_estimating_system(data, models, curve, float(delta))
+        inside = treated[np.abs(data.dose - delta) < curve.bandwidth]
+        np.testing.assert_array_equal(np.sort(system.kernel_units), inside)
+        assert system.kernel.shape == (inside.shape[0], 2)
+        assert system.dense.shape == (data.n, 6)
+
+
+def test_bands_record_the_largest_bread_condition_number(fitted):
+    """On the full grid the bread is worst conditioned at the last point, on
+    its first 30 points at the first."""
+    data, models, full = fitted
+    part = estimate_curve(data, "MR", specs=SPECS, grid=full.grid[:30], bandwidth=full.bandwidth, models=models)
+    for curve, worst in ((full, 49), (part, 0)):
+        bands = sandwich_bands(data, models, curve)
+        lower, upper, variances = bands
+        assert len(bands) == 3 and bands[2] is variances
+        conds = [np.linalg.cond(build_estimating_system(data, models, curve, float(d)).bread) for d in curve.grid]
+        assert int(np.argmax(conds)) == worst
+        assert bands.bread_cond_max == max(conds)
+        assert 1.0 < bands.bread_cond_max < 1e12
+        copied = pickle.loads(pickle.dumps(bands))
+        assert copied.bread_cond_max == bands.bread_cond_max and len(copied) == 3
 
 
 # ---------------------------------------------------------------- bootstrap

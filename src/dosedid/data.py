@@ -322,10 +322,10 @@ def load_panel(path, schema: PanelSchema) -> PanelDataset:
     unit lacks a dose or a control carries one.
 
     Rows whose cells are all blank are skipped; row numbers count them, with
-    the header on row 1. Cells are read column by column: ``float`` strips
-    surrounding whitespace itself, so each value is the one ``float`` gives
-    the stripped cell. Any fault sends the file to ``_check_row``, row by
-    row, which reports the first bad row in file order.
+    the header on row 1. Cells are read column by column, each value the one
+    ``float`` gives the stripped cell (``_floats``). Any fault sends the
+    file to ``_check_row``, row by row, which reports the first bad row in
+    file order.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -382,18 +382,28 @@ def _columns(rows: list, indexes: list):
         return None
     id_col, a_col, dose_col, *numeric_cols = (list(map(itemgetter(k), rows)) for k in indexes)
     try:
-        a_val = np.fromiter(map(float, a_col), float, len(rows))
+        a_val = _floats(a_col)
         treated = a_val == 1.0
         has_dose = np.fromiter(map(bool, map(str.strip, dose_col)), bool, len(rows))
         if not (np.all(treated | (a_val == 0.0)) and np.array_equal(has_dose, treated)):
             return None
-        dose = np.fromiter(map(float, compress(dose_col, has_dose)), float)
+        dose = _floats(list(compress(dose_col, has_dose)))
         values = np.empty((len(numeric_cols), len(rows)))
         for k, cells in enumerate(numeric_cols):
-            values[k] = np.fromiter(map(float, cells), float, len(rows))
+            values[k] = _floats(cells)
     except ValueError:
         return None
     return tuple(map(str.strip, id_col)), treated, dose, values.T
+
+
+def _floats(cells: list) -> np.ndarray:
+    """``float`` of each stripped cell. ``float`` strips the whitespace that
+    ``str.strip`` does, except the separators U+001C to U+001F, so only a
+    column in which some cell fails is stripped first."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return np.fromiter(map(float, map(str.strip, cells)), float, len(cells))
 
 
 def _check_row(path, col: dict, names: list, row: list, row_no: int) -> None:

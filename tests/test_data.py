@@ -320,15 +320,18 @@ def test_blank_rows_are_skipped_but_counted(tmp_path):
 
 
 def test_padded_cells_and_ids_are_stripped(tmp_path):
-    padded = "\n".join(
-        ",".join(f"  {cell}\t" for cell in line.split(",")) if k else line
-        for k, line in enumerate(BASIC.splitlines())
-    )
+    """Every character ``str.strip`` removes is stripped, the information
+    separators U+001C to U+001F included, which ``float`` alone keeps."""
     plain = load_panel(_write(tmp_path, BASIC, "plain.csv"), SCHEMA)
-    back = load_panel(_write(tmp_path, padded + "\n", "padded.csv"), SCHEMA)
-    assert back.ids == ("s1", "s2", "s3", "s4")
-    for name in ("x", "a", "dose", "y"):
-        assert getattr(back, name).tobytes() == getattr(plain, name).tobytes()
+    for pad in (("  ", "\t"), ("\x1f", "\u00a0"), ("\x1c\u2003", " ")):
+        padded = "\n".join(
+            ",".join(f"{pad[0]}{cell}{pad[1]}" for cell in line.split(",")) if k else line
+            for k, line in enumerate(BASIC.splitlines())
+        )
+        back = load_panel(_write(tmp_path, padded + "\n", "padded.csv"), SCHEMA)
+        assert back.ids == ("s1", "s2", "s3", "s4")
+        for name in ("x", "a", "dose", "y"):
+            assert getattr(back, name).tobytes() == getattr(plain, name).tobytes()
 
 
 def test_first_bad_row_in_file_order_is_reported(tmp_path):

@@ -27,7 +27,7 @@ for k in range(0, truth.grid.shape[0], 7):
     row = "  ".join(f"{curves[m].psi[k]:6.3f}" for m in ("MR", "OR", "IPW", "NAIVE", "TWFE"))
     print(f"{truth.grid[k]:6.2f}  {truth.psi_true[k]:6.3f}  {row}")
 
-print("\nintegrated |bias| against the super-population truth:")
+print("\nintegrated |bias| against the exact truth:")
 for method, curve in curves.items():
     bias = float(np.sum(truth.density_weights * np.abs(curve.psi - truth.psi_true)))
     print(f"  {method:>5}: {bias:.4f}")

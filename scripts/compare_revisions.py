@@ -13,12 +13,19 @@ call. At n = 20,000 (seed 1, the ``estimate-n20k`` benchmark's data) it
 records ``load_panel`` of the panel as ``write_panel`` writes it, and MR's
 base sandwich variances on the default 50-point grid; on the 500-unit
 placebo panel, the stacked sandwich variances of ``estimate_repeated``
-over the pairs (0, 1) and (1, 2), recovered from its band widths.
+over the pairs (0, 1) and (1, 2), recovered from its band widths. It
+also records every curve of one 16-permutation, six-method study replicate
+at n = 1,000 (study seed 1, as the ``study-n1000`` benchmark runs it) on a
+``GroundTruth`` built from a fixed 50-point grid, so the study engine's
+curves do not depend on how the truth is computed; and the study truth,
+``ground_truth_curve(1)``.
 ``compare`` reports the largest difference of each against the
 tolerances: curves and bootstrap rows within 1e-10 of the bootstrap
 standard deviation of psi-hat, variances within 1e-10 relative, counts and
 flags equal, float diagnostics within 1e-10 relative, the loaded panel's
-ids and arrays bitwise equal. It exits 1 when any tolerance fails.
+ids and arrays and the study replicate's curves bitwise equal. It prints
+the truth's largest differences (grid, psi, density weights) without a
+tolerance. It exits 1 when any tolerance fails.
 """
 
 from __future__ import annotations
@@ -91,6 +98,14 @@ def dump(src: str, out: str) -> None:
     models = nuisance.fit_nuisances(big, specs, dose_grid=grid)
     curve = curves.estimate_curve(big, "MR", specs=specs, grid=grid, models=models)
     record[("sandwich", "n20k", "base")] = inference.sandwich_bands(big, models, curve)[2]
+
+    grid = np.linspace(0.4, 5.7, 50)
+    fixed = simulation.GroundTruth(grid, np.zeros(50), np.full(50, 1 / 50), super_n=1_000_000, seed=1)
+    config = simulation.ScenarioConfig(n=1000, replicates=1, seed=1, methods=METHODS, keep_curves=True)
+    reports = simulation.run_permutation_study(config, simulation.all_permutations(), truth=fixed)
+    record["study"] = {(key, m): c for key, report in reports.items() for m, c in report.curves.items()}
+    truth = simulation.ground_truth_curve(1)
+    record["truth"] = {name: getattr(truth, name) for name in ("grid", "psi_true", "density_weights")}
     with open(out, "wb") as fh:
         pickle.dump(record, fh)
 
@@ -134,6 +149,15 @@ def compare(before_path: str, after_path: str) -> int:
         elif key[0] == "sandwich":
             where = "" if isinstance(key[1], int) else f" ({key[1]})"
             note(f"sandwich {key[2]} variance{where}", np.max(np.abs(a - b) / b))
+        elif key == "study":
+            if set(a) != set(b):
+                bad.append("study curve keys")
+            for name, vb in b.items():
+                if name in a and a[name].tobytes() != vb.tobytes():
+                    bad.append(f"study curve {name}")
+        elif key == "truth":
+            for name, vb in b.items():
+                print(f"truth {name:22s} largest difference {np.max(np.abs(a[name] - vb)):.3g} (not gated)")
         elif key == "loaded":
             for name, vb in b.items():
                 va = a[name]

@@ -259,6 +259,8 @@ def _report_rows(report):
                 "coverage_bootstrap": mr.coverage.get("bootstrap", ""),
                 "width_sandwich": mr.mean_width.get("sandwich", ""),
                 "width_bootstrap": mr.mean_width.get("bootstrap", ""),
+                "bandwidth_at_grid_edge": "" if mr.bandwidth_at_grid_edge is None else mr.bandwidth_at_grid_edge,
+                "bandwidth_extended": "" if mr.bandwidth_extended is None else mr.bandwidth_extended,
             }
         )
     return rows
@@ -302,6 +304,8 @@ def _cmd_simulate(config: dict, args) -> int:
                         "failures": r.failures,
                         "coverage": r.coverage,
                         "mean_width": r.mean_width,
+                        "bandwidth_at_grid_edge": r.bandwidth_at_grid_edge,
+                        "bandwidth_extended": r.bandwidth_extended,
                     }
                     for m, r in reports[key].methods.items()
                 }

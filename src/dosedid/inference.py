@@ -311,8 +311,9 @@ class _CurveContext:
         in eta, and the kernel window's span ``(first, stop)``: the
         dose-sorted treated units ``first`` to ``stop - 1`` have positive
         kernel weight."""
-        (theta,), (beta,) = self.window.fit([delta], self.h)
-        s0, s1, s2, _, _, (first,), (stop,) = self.window.moments([delta], self.h)
+        moments = self.window.moments([delta], self.h)
+        (theta,), (beta,) = self.window.solve([delta], self.h, moments)
+        s0, s1, s2, _, _, (first,), (stop,) = moments
         s0, s1, s2 = (float(m[0]) / self.p_hat for m in (s0, s1, s2))
         bread = np.diag([-s0, -s2, -float(np.sum(self.wc)), -float(np.sum(self.wt))])
         bread[0, 1] = bread[1, 0] = -s1

@@ -388,8 +388,12 @@ class WindowedMoments:
         them. A BandwidthError carries the first target whose window holds
         fewer than two points or only one dose (the prefix sums' rounding
         would pass for a determinant there)."""
+        return self.solve(targets, h, self.moments(targets, h))
+
+    def solve(self, targets: np.ndarray, h: float, moments: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """``fit`` from the ``moments(targets, h)`` a caller already holds."""
         targets = np.asarray(targets, dtype=float)
-        s0, s1, s2, t0, t1, first, stop = self.moments(targets, h)
+        s0, s1, s2, t0, t1, first, stop = moments
         last = self._xo.shape[0] - 1
         bad = (stop - first < 2) | (self._xo[np.minimum(first, last)] == self._xo[np.maximum(stop - 1, 0)])
         if np.any(bad):

@@ -9,9 +9,10 @@ cubic terms. Misspecification is induced by handing the estimators the
 Kang-Schafer transform of the covariates instead of the covariates
 themselves.
 
-The ground-truth curve is Monte-Carlo integrated over a super-population of
-treated units; study metrics integrate pointwise bias, dispersion, and
-coverage against the super-population dose density on the evaluation grid.
+The ground-truth curve and the treated-dose law are integrated exactly, by
+Gauss-Hermite quadrature over the covariates weighted by the known
+propensity; study metrics integrate pointwise bias, dispersion, and
+coverage against that dose law binned to the evaluation grid.
 
 Replicate-level randomness is counter-based: every stream is keyed by
 (study seed, replicate, role), so runs with different nuisance
@@ -27,6 +28,7 @@ bitwise.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -42,7 +44,6 @@ from .nuisance import ModelBank, NuisanceSpec, default_specs, kang_schafer_map
 
 __all__ = [
     "ROLE_DATA",
-    "ROLE_TRUTH",
     "ROLE_BOOTSTRAP",
     "stream_seed",
     "treated_trend_mean",
@@ -64,7 +65,6 @@ __all__ = [
 ]
 
 ROLE_DATA = 0
-ROLE_TRUTH = 1
 ROLE_BOOTSTRAP = 2
 
 # Simulation-correct mu1 design: dose, dose^3, and dose interactions with
@@ -99,18 +99,36 @@ def control_trend_mean(x: np.ndarray) -> np.ndarray:
     return -3.0 - x[..., 0] + 0.7 * x[..., 1] + 0.6 * x[..., 2] - 0.6 * x[..., 3]
 
 
+# (intercept, slopes) of the two linear indices in X: P(A=1 | X) is expit of
+# the first, and a treated unit's dose is the second plus _DOSE_SD times
+# standard normal noise.
+_PROPENSITY_INDEX = (-0.1, (0.05, 0.05, -0.05, 0.15))
+_DOSE_INDEX = (3.0, (0.2, 0.25, -0.3, 0.5))
+_DOSE_SD = 2.0
+
+
+def _linear_index(x: np.ndarray, index) -> np.ndarray:
+    # Summed term by term from the left, as the written-out formula sums, so
+    # the generated data do not depend on how the coefficients are stored.
+    intercept, slopes = index
+    out = intercept + slopes[0] * x[:, 0]
+    for j in range(1, len(slopes)):
+        out = out + slopes[j] * x[:, j]
+    return out
+
+
 def _treatment_probability(x: np.ndarray) -> np.ndarray:
-    return expit(-0.1 + 0.05 * x[:, 0] + 0.05 * x[:, 1] - 0.05 * x[:, 2] + 0.15 * x[:, 3])
+    return expit(_linear_index(x, _PROPENSITY_INDEX))
 
 
 def _dose_mean(x: np.ndarray) -> np.ndarray:
-    return 3.0 + 0.2 * x[:, 0] + 0.25 * x[:, 1] - 0.3 * x[:, 2] + 0.5 * x[:, 3]
+    return _linear_index(x, _DOSE_INDEX)
 
 
 def _simulate_arrays(n: int, rng: np.random.Generator):
     x = rng.standard_normal((n, 4))
     a = rng.random(n) < _treatment_probability(x)
-    dose_all = _dose_mean(x) + 2.0 * rng.standard_normal(n)
+    dose_all = _dose_mean(x) + _DOSE_SD * rng.standard_normal(n)
     y0 = (
         10.0
         + 0.4 * x[:, 0]
@@ -139,7 +157,7 @@ def generate_null_data(n: int, seed, effect: float = 0.0) -> TwoPeriodDataset:
     rng = _rng(seed)
     x = rng.standard_normal((n, 4))
     a = rng.random(n) < _treatment_probability(x)
-    dose_all = _dose_mean(x) + 2.0 * rng.standard_normal(n)
+    dose_all = _dose_mean(x) + _DOSE_SD * rng.standard_normal(n)
     y0 = 10.0 + x @ np.array([0.4, -1.0, 0.4, 0.3]) + 2.0 * a + 0.3 * rng.standard_normal(n)
     y1 = y0 + effect + 0.7 * rng.standard_normal(n)
     return TwoPeriodDataset.from_arrays(x=x, a=a, dose=dose_all[a], y0=y0, y1=y1)
@@ -177,7 +195,11 @@ def generate_placebo_panel(n: int, seed, confounded: bool = True) -> PanelDatase
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Monte-Carlo integrated truth on the shared evaluation grid."""
+    """The study's true effect curve on the shared evaluation grid, with the
+    treated-dose law binned to the grid, both by quadrature (D9).
+
+    ``super_n`` and ``seed`` are recorded as given; no number depends on
+    them."""
 
     grid: np.ndarray
     psi_true: np.ndarray
@@ -192,6 +214,74 @@ class GroundTruth:
             object.__setattr__(self, name, arr)
 
 
+# Gauss-Hermite nodes per covariate of the tensor rule for psi, and of the
+# one-dimensional rule for the treated-dose law. With 10 nodes per axis psi
+# of the study trends sits within 3e-15 of its closed form, and 14 nodes
+# per axis or 100 for the dose law move no output by more than 4e-15 (D9).
+_TRUTH_NODES = 10
+_DOSE_LAW_NODES = 60
+
+
+def _normal_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (summing to 1) of E[g(Z)], Z ~ N(0, 1)."""
+    z, w = np.polynomial.hermite_e.hermegauss(nodes)
+    return z, w / w.sum()
+
+
+def _treated_covariate_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Tensor nodes for X ~ N(0, I_4) with weights proportional to the rule
+    weight times p(X), summing to 1: a rule for E[g(X) | A=1]."""
+    z, w = _normal_rule(_TRUTH_NODES)
+    p = len(_PROPENSITY_INDEX[1])
+    x = np.stack([axis.ravel() for axis in np.meshgrid(*[z] * p, indexing="ij")], axis=1)
+    weight = np.prod(np.meshgrid(*[w] * p, indexing="ij"), axis=0).ravel() * _treatment_probability(x)
+    return x, weight / weight.sum()
+
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _treated_dose_cdf():
+    """F(d) = P(D <= d | A=1) as a function of an array of doses.
+
+    Given X the dose is N(m(X), _DOSE_SD^2) with m linear. Write X's
+    component along the propensity slopes b as U = b.X / |b| ~ N(0, 1); m(X)
+    given U is normal with mean c0 + alpha U and variance s^2, the squared
+    norm of the dose slopes' part orthogonal to b. So D given U is
+    N(c0 + alpha U, _DOSE_SD^2 + s^2), and F is a one-dimensional average
+    over U weighted by p = expit(b0 + |b| U)."""
+    b0, b = _PROPENSITY_INDEX
+    c0, c = _DOSE_INDEX
+    b, c = np.asarray(b), np.asarray(c)
+    norm_b = float(np.linalg.norm(b))
+    alpha = float(c @ b) / norm_b
+    scale = math.sqrt(_DOSE_SD**2 + float(c @ c) - alpha * alpha)
+    u, w = _normal_rule(_DOSE_LAW_NODES)
+    weight = w * expit(b0 + norm_b * u)
+    weight = weight / weight.sum()
+    means = c0 + alpha * u
+    width = scale * math.sqrt(2.0)
+
+    def cdf(doses) -> np.ndarray:
+        z = (np.asarray(doses, dtype=float)[..., None] - means) / width
+        # Phi(t) = erfc(-t / sqrt 2) / 2, accurate in both tails.
+        return 0.5 * (_erfc(-z) @ weight)
+
+    return cdf
+
+
+def _quantile(cdf, level: float) -> float:
+    """Solve cdf(d) = level by bisection, to adjacent floating-point numbers.
+    The dose law puts no mass in floating point beyond +-1e3."""
+    lo, hi = -1e3, 1e3
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if cdf(mid) < level:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def ground_truth_curve(
     seed: int,
     super_n: int = 1_000_000,
@@ -199,10 +289,16 @@ def ground_truth_curve(
     treated_trend=None,
     control_trend=None,
 ) -> GroundTruth:
-    """Average treated-minus-control expected trends over a treated
-    super-population, on a grid between the treated-dose 10th and 90th
-    percentiles; density weights come from the super-population dose
-    histogram binned to the grid.
+    """The study's true effect curve, psi(delta) = E[mu1(X, delta) - mu0(X)
+    | A=1], on a grid between the treated-dose 10th and 90th percentiles,
+    with density weights the treated-dose probability of each grid point's
+    bin (edges halfway between grid points), normalised to sum 1.
+
+    All of it is quadrature over X ~ N(0, I_4) weighted by the known
+    propensity p(X) (D9): psi on a tensor Gauss-Hermite rule, and the
+    treated-dose law, a p(X)-weighted mixture of normals, by a
+    one-dimensional rule. Nothing is drawn: ``seed`` and ``super_n`` change
+    no number and are kept for the callers that pass them.
 
     ``treated_trend(x, d)`` / ``control_trend(x)`` override the study trend
     functions (used to validate the integration against DGP variants with
@@ -213,23 +309,17 @@ def ground_truth_curve(
         treated_trend = treated_trend_mean
     if control_trend is None:
         control_trend = control_trend_mean
-    rng = _rng(stream_seed(seed, ROLE_TRUTH))
-    x = rng.standard_normal((super_n, 4))
-    a = rng.random(super_n) < _treatment_probability(x)
-    x_t = x[a]
-    dose_t = _dose_mean(x_t) + 2.0 * rng.standard_normal(x_t.shape[0])
+    cdf = _treated_dose_cdf()
+    grid = np.linspace(_quantile(cdf, 0.1), _quantile(cdf, 0.9), grid_size)
 
-    lo, hi = np.percentile(dose_t, [10.0, 90.0])
-    grid = np.linspace(lo, hi, grid_size)
-    lam0 = control_trend(x_t)
-    psi_true = np.empty(grid_size)
-    for k, delta in enumerate(grid):
-        psi_true[k] = float(np.mean(treated_trend(x_t, delta) - lam0))
+    x, weight = _treated_covariate_rule()
+    lam0 = control_trend(x)
+    psi_true = np.array([weight @ (treated_trend(x, delta) - lam0) for delta in grid])
 
     spacing = grid[1] - grid[0]
     edges = np.concatenate([[grid[0] - spacing / 2.0], grid + spacing / 2.0])
-    counts, _ = np.histogram(dose_t, bins=edges)
-    weights = counts / counts.sum()
+    probabilities = np.diff(cdf(edges))
+    weights = probabilities / probabilities.sum()
     return GroundTruth(
         grid=grid, psi_true=psi_true, density_weights=weights, super_n=int(super_n), seed=int(seed)
     )
@@ -296,6 +386,11 @@ class MethodReport:
     flagged: bool
     coverage: dict = field(default_factory=dict)  # ci-method -> percent
     mean_width: dict = field(default_factory=dict)
+    # Shares of the successful replicates whose leave-one-out bandwidth sat
+    # at the top of its candidate grid or beyond it, and beyond it (the
+    # widening fallback ran); None for methods that select no bandwidth.
+    bandwidth_at_grid_edge: float | None = None
+    bandwidth_extended: float | None = None
 
 
 @dataclass(frozen=True)
@@ -343,6 +438,10 @@ def _replicate_worker(config: ScenarioConfig, perm_keys, truth: GroundTruth, rep
     pi_d/mu1 variants and the control-side constant only on the pi_a/mu0
     variants, so a 16-permutation replicate costs 8 fits, 4 marginals and
     4 MR smoothing passes.
+
+    Returns the curves, the MR bands and the failure messages, each keyed
+    by (method, permutation), and for each curve whose bandwidth was
+    selected the pair (at the grid's high edge, extended).
     """
     data = generate_scenario_data(config.n, stream_seed(config.seed, rep, ROLE_DATA))
     grid = truth.grid
@@ -351,6 +450,7 @@ def _replicate_worker(config: ScenarioConfig, perm_keys, truth: GroundTruth, rep
     out_curves: dict = {}
     out_bands: dict = {}
     failures: dict = {}
+    edges: dict = {}
 
     def side(kind, method, specs):
         needs = (DOSE_NEEDS if kind == "dose" else CONTROL_NEEDS)[method]
@@ -373,12 +473,17 @@ def _replicate_worker(config: ScenarioConfig, perm_keys, truth: GroundTruth, rep
                 failures[(method, key)] = str(exc)
                 continue
             out_curves[(method, key)] = curve.psi
+            if curve.diagnostics["bandwidth_selected"]:
+                edges[(method, key)] = (
+                    curve.diagnostics["bandwidth_at_grid_edge"] == "high",
+                    curve.diagnostics["bandwidth_extended"],
+                )
             if method == "MR" and wants_bands:
                 try:
                     out_bands.update(_replicate_inference(config, data, key, bank.models(specs), curve, rep))
                 except DoseDidError as exc:
                     failures[("inference", key)] = str(exc)
-    return out_curves, out_bands, failures
+    return out_curves, out_bands, failures, edges
 
 
 def _replicate_inference(config, data, key, models, curve, rep):
@@ -430,7 +535,7 @@ def run_permutation_study(
             data = generate_scenario_data(config.n, stream_seed(config.seed, rep, ROLE_DATA))
             psi = np.asarray(estimator_hook(data, grid), dtype=float)
             curves = {(m, k): psi for m in config.methods for k in perm_keys}
-            results.append((curves, {}, {}))
+            results.append((curves, {}, {}, {}))
     elif config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(
@@ -454,7 +559,7 @@ def run_permutation_study(
         for method in config.methods:
             psis = np.full((reps, k_grid), np.nan)
             n_fail = 0
-            for r, (curves, _, failures) in enumerate(results):
+            for r, (curves, *_) in enumerate(results):
                 if (method, key) in curves:
                     psis[r] = curves[(method, key)]
                 else:
@@ -478,7 +583,7 @@ def run_permutation_study(
                 for ci_method in ("sandwich", "bootstrap"):
                     covers = []
                     widths = []
-                    for curves, bands, _ in results:
+                    for _, bands, *_ in results:
                         if (ci_method, key) not in bands:
                             continue
                         lo, hi = bands[(ci_method, key)]
@@ -490,6 +595,8 @@ def run_permutation_study(
                         width[ci_method] = _integrate(
                             truth.density_weights, np.mean(np.asarray(widths), axis=0)
                         )
+            flags = [edges[(method, key)] for *_, edges in results if (method, key) in edges]
+            at_edge, extended = (float(share) for share in np.mean(flags, axis=0)) if flags else (None, None)
             method_reports[method] = MethodReport(
                 method=method,
                 misspecified=key,
@@ -500,6 +607,8 @@ def run_permutation_study(
                 flagged=n_fail > 0.1 * reps,
                 coverage=coverage,
                 mean_width=width,
+                bandwidth_at_grid_edge=at_edge,
+                bandwidth_extended=extended,
             )
             if curve_archive is not None:
                 curve_archive[method] = psis

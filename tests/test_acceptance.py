@@ -110,32 +110,34 @@ def test_criterion_1_model_based_bands(table1_reports):
 # Half-width. The study's integrated bias is sum_k w_k |m_k - psi_k| with m
 # the mean of R replicate curves. By the triangle inequality it differs from
 # the reference's by at most sum_k w_k |m_k - ref_k|, whose scale is the
-# integrated Monte-Carlo SE, sum_k w_k sd_k / sqrt(R). The study's truth
-# curve adds its own Monte-Carlo error: its density-weighted level varies
-# with sd 0.0028 across truth seeds at 1M units, hence TRUTH_SE. The
-# reference adds at most MC_ERROR, which also covers its own density weights
-# (they move its integrated biases by < 3e-4 against the truth's). So
-#     half-width = Z * (integrated SE + TRUTH_SE) + MC_ERROR.
+# integrated Monte-Carlo SE, sum_k w_k sd_k / sqrt(R). The study's truth is
+# exact (quadrature, D9). The reference adds at most MC_ERROR, which also
+# covers its own density weights (they move its integrated biases by < 3e-4
+# against the truth's). So
+#     half-width = Z * integrated SE + MC_ERROR.
 # At this fixture the integrated SEs are 0.0092 (NAIVE) and 0.0078 (TWFE):
-#     NAIVE 4 * (0.0092 + 0.003) + 0.002 = 0.051 <= 0.055,
-#     TWFE  4 * (0.0078 + 0.003) + 0.002 = 0.045 <= 0.075,
+#     NAIVE 4 * 0.0092 + 0.002 = 0.039 <= 0.055,
+#     TWFE  4 * 0.0078 + 0.002 = 0.033 <= 0.075,
 # the half-widths of the bands they replace, [0.27, 0.38] and [0.35, 0.50].
 # The reference curves' own pointwise error (sd < 0.003 against replicate
 # SEs >= 0.0069) is left inside the pointwise Z.
 Z = 4.0
-TRUTH_SE = 3e-3
 REPLACED_HALF_WIDTH = {"NAIVE": 0.055, "TWFE": 0.075}
 
 
-def _naive_bandwidths(config):
+@pytest.fixture(scope="module")
+def naive_bandwidths(table1_reports):
     """The leave-one-out bandwidth the NAIVE smoother picks in each
-    replicate, on the default grid the study passes it."""
+    replicate, on the default grid the study passes it, with that grid's
+    top candidate: (R, 2)."""
+    config = table1_reports[()].config
     out = []
     for rep in range(config.replicates):
         data = generate_scenario_data(config.n, stream_seed(config.seed, rep, ROLE_DATA))
         trend_t, _ = data.split(data.trend)
-        out.append(robust_select_bandwidth(data.dose, trend_t, default_bandwidth_grid(data.dose)))
-    return out
+        candidates = default_bandwidth_grid(data.dose)
+        out.append((robust_select_bandwidth(data.dose, trend_t, candidates), candidates.max()))
+    return np.array(out)
 
 
 def _comparator_check(report, method, ref, ref_curve):
@@ -144,14 +146,14 @@ def _comparator_check(report, method, ref, ref_curve):
     se = curves.std(axis=0, ddof=1) / np.sqrt(curves.shape[0])
     z_max = float(np.max(np.abs(curves.mean(axis=0) - ref_curve) / se))
     bias = report.methods[method].integrated_abs_bias
-    half = Z * (float(report.truth.density_weights @ se) + TRUTH_SE) + MC_ERROR
+    half = Z * float(report.truth.density_weights @ se) + MC_ERROR
     return bias, ref.integrated_bias(ref_curve), half, z_max
 
 
-def test_criterion_1_naive_twfe_bands(table1_reports):
+def test_criterion_1_naive_twfe_bands(table1_reports, naive_bandwidths):
     report = table1_reports[()]
     ref = comparator_reference(report.truth.grid, SEED)
-    naive_ref = np.mean([ref.naive_smoothed(h) for h in _naive_bandwidths(report.config)], axis=0)
+    naive_ref = np.mean([ref.naive_smoothed(h) for h in naive_bandwidths[:, 0]], axis=0)
     checks = {
         "NAIVE": _comparator_check(report, "NAIVE", ref, naive_ref),
         "TWFE": _comparator_check(report, "TWFE", ref, ref.twfe),
@@ -174,6 +176,23 @@ def test_criterion_1_naive_twfe_bands(table1_reports):
         assert half <= REPLACED_HALF_WIDTH[m], f"{m} band half-width {half:.4f} wider than it replaces"
         assert abs(bias - centre) <= half, f"{m} integrated bias {bias:.4f} outside {centre:.4f}+-{half:.4f}"
         assert z_max <= Z, f"{m} mean curve {z_max:.2f} Monte-Carlo SEs from its reference"
+
+
+def test_study_reports_bandwidth_edge_shares(table1_reports, naive_bandwidths):
+    # At n=1000 the default candidate grid is too narrow for NAIVE: in most
+    # replicates its top candidate, or the widening fallback beyond it, sets
+    # the bandwidth. The study reports both shares per method, equal to the
+    # selector's choices rerun replicate by replicate.
+    methods = table1_reports[()].methods
+    h, top = naive_bandwidths.T
+    naive = methods["NAIVE"]
+    assert naive.bandwidth_at_grid_edge == pytest.approx(np.mean(h >= top), abs=1e-12)
+    assert naive.bandwidth_extended == pytest.approx(np.mean(h > top), abs=1e-12)
+    assert 0.6 <= naive.bandwidth_at_grid_edge <= 0.8
+    assert 0.0 < naive.bandwidth_extended < naive.bandwidth_at_grid_edge
+    for method in ("MR", "IPW"):
+        assert 0.0 <= methods[method].bandwidth_at_grid_edge <= 1.0
+    assert methods["OR"].bandwidth_at_grid_edge is None and methods["TWFE"].bandwidth_extended is None
 
 
 # =====================================================================

@@ -1,5 +1,6 @@
 """Batch CLI: config handling, outputs, atomicity, determinism."""
 
+import csv
 import json
 
 import numpy as np
@@ -228,6 +229,12 @@ def test_simulate_command(tmp_path):
     assert len(report) == 3
     summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
     assert "pi_a" in summary["scenarios"]
+    # MR selects its bandwidth; OR smooths nothing, so its shares are empty.
+    rows = {row["method"]: row for row in csv.DictReader(report)}
+    mr, or_ = summary["scenarios"]["pi_a"]["MR"], summary["scenarios"]["pi_a"]["OR"]
+    for name in ("bandwidth_at_grid_edge", "bandwidth_extended"):
+        assert float(rows["MR"][name]) == mr[name] and 0.0 <= mr[name] <= 1.0
+        assert rows["OR"][name] == "" and or_[name] is None
 
 
 def test_simulate_permutations_list(tmp_path):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from comparator_reference import MC_ERROR, comparator_reference
+from comparator_reference import MC_ERROR, SUPER_N, comparator_reference
 
 from dosedid.simulation import ground_truth_curve
 
@@ -11,7 +11,7 @@ SEED = 20240801
 
 @pytest.fixture(scope="module")
 def study_truth():
-    return ground_truth_curve(SEED, super_n=1_000_000)
+    return ground_truth_curve(SEED)
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +43,25 @@ def test_documented_dgp_estimand_biases(documented):
 
 
 def test_draw_matches_study_truth(documented, study_truth):
-    # Both integrate the same DGP: psi within the truth curve's own
-    # Monte-Carlo error, density weights within histogram noise.
-    assert np.max(np.abs(documented.psi - study_truth.psi_true)) < 0.01
-    assert np.max(np.abs(documented.density_weights - study_truth.density_weights)) < 2e-3
+    # Both integrate the same DGP, and the study truth is exact, so the
+    # differences are the reference draw's own Monte-Carlo error.
+    #
+    # psi: a p-weighted mean over SUPER_N draws of tau(X, delta), whose sd is
+    # |TAU_X + delta TAU_XD| (X given A=1 is close to N(m, I)). p(X) varies
+    # little (sd 0.04 about 0.48), so weighting inflates the standard error
+    # by under 1%. Bound: 4 standard errors at each grid point.
+    tau_x = np.array([1.6, -0.1, 0.3, 0.3])
+    tau_xd = np.array([-0.1, 0.0, 0.1, 0.0])
+    sd = np.linalg.norm(tau_x[None, :] + np.outer(study_truth.grid, tau_xd), axis=1)
+    assert np.all(np.abs(documented.psi - study_truth.psi_true) <= 4.0 * 1.01 * sd / np.sqrt(SUPER_N))
+    # Density weights: the reference's f(delta) averages the dose density
+    # phi((delta - m(X)) / 2) over the draw. m(X) has sd 0.67, so that
+    # average's relative sd per draw is about |delta - 3| / 4 * 0.67 <= 0.5
+    # on the grid; 4 standard errors is 1.4e-3 relative, doubled for the
+    # normalisation. The truth's weights are bin probabilities, not f at the
+    # bin centre: they differ by f'' spacing^2 / 24, under 1e-4 relative.
+    rel = documented.density_weights / study_truth.density_weights - 1.0
+    assert np.max(np.abs(rel)) <= 2 * 4.0 * 0.5 / np.sqrt(SUPER_N) + 1e-4
 
 
 def test_smoothing_bias_grows_with_bandwidth(documented):

@@ -19,7 +19,7 @@ from dosedid.inference import (
     stacked_sandwich_variance,
     weighted_bootstrap,
 )
-from dosedid.numeric import epanechnikov
+from dosedid.numeric import WindowedMoments, epanechnikov
 from dosedid.nuisance import NuisanceSpec, default_specs, fit_nuisances
 from dosedid.pseudo import build_pseudo_outcomes
 from dosedid.simulation import generate_placebo_panel, generate_scenario_data, stream_seed
@@ -460,6 +460,20 @@ def test_bands_record_the_largest_bread_condition_number(fitted):
 
 
 # ---------------------------------------------------------------- bootstrap
+
+
+def test_each_grid_point_reads_the_window_moments_once(fitted, monkeypatch):
+    data, models, curve = fitted
+    calls = Counter()
+    moments = WindowedMoments.moments
+
+    def counted(self, targets, h):
+        calls[len(targets)] += 1
+        return moments(self, targets, h)
+
+    monkeypatch.setattr(WindowedMoments, "moments", counted)
+    sandwich_bands(data, models, curve)
+    assert calls == Counter({1: curve.grid.shape[0]})
 
 
 def test_bootstrap_weights_group_sums():

@@ -1,11 +1,12 @@
 """DGP moments, ground truth, and the study harness."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from dosedid import nuisance
+from dosedid import curves, nuisance
 from dosedid.config import parse_inference, parse_scenario, parse_specs
 from dosedid.curves import METHODS, estimate_curve
 from dosedid.numeric import expit
@@ -117,21 +118,131 @@ def test_ground_truth_shape_and_determinism():
     assert np.all(np.diff(t1.grid) > 0)
 
 
-def test_ground_truth_analytic_oracle_at_delta():
-    """Hand-evaluated expectation using treated-population covariate means."""
-    truth = ground_truth_curve(6, super_n=200_000)
-    rng_twin = ground_truth_curve(6, super_n=200_000)  # same super-population
-    # recompute from the formula: psi(3) = 6.039 + 1.3 m1 - 0.1 m2 + 0.6 m3 + 0.3 m4
-    from dosedid.simulation import _rng, _treatment_probability
+# The study DGP's printed coefficients, copied so that the oracles below
+# share no code with dosedid.simulation: P(A=1 | X) = expit(B0 + B.X), and
+# the treated-minus-control expected trend at dose d is
+#     tau(X, d) = 6 + 0.04 d - 0.003 d^3 + (TAU_X + d TAU_XD).X.
+B0 = -0.1
+B = np.array([0.05, 0.05, -0.05, 0.15])
+TAU_X = np.array([1.6, -0.1, 0.3, 0.3])
+TAU_XD = np.array([-0.1, 0.0, 0.1, 0.0])
+DOSE_C0 = 3.0
+DOSE_C = np.array([0.2, 0.25, -0.3, 0.5])
+DOSE_SD = 2.0
 
-    rng = _rng(stream_seed(6, 1))
-    x = rng.standard_normal((200_000, 4))
-    a = rng.random(200_000) < _treatment_probability(x)
-    m = x[a].mean(axis=0)
-    psi3_hand = 6.0 + 3 * (0.04 - 0.003 * 9) + 1.3 * m[0] - 0.1 * m[1] + 0.6 * m[2] + 0.3 * m[3]
-    psi3_interp = float(np.interp(3.0, truth.grid, truth.psi_true))
-    assert abs(psi3_interp - psi3_hand) < 5e-3
-    np.testing.assert_array_equal(truth.psi_true, rng_twin.psi_true)
+
+def _propensity_expectations(shift=0.0, nodes=80):
+    """E[expit^(k)(B0 + shift + |B| Z)] for k = 0, 1, 2, Z ~ N(0, 1), by
+    Gauss-Hermite quadrature."""
+    z, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / np.sqrt(2.0 * np.pi)
+    p = expit(B0 + shift + np.linalg.norm(B) * z)
+    return w @ p, w @ (p * (1 - p)), w @ (p * (1 - p) * (1 - 2 * p))
+
+
+def test_ground_truth_analytic_oracle_at_delta():
+    """psi against its closed form at every grid point. tau is linear in X,
+    and by Stein's lemma E[X p(X)] = B E[expit'(B0 + B.X)] with B.X ~
+    N(0, |B|^2), so E[X | A=1] = B E[expit'] / E[expit]."""
+    truth = ground_truth_curve(6)
+    e_p, e_dp, _ = _propensity_expectations()
+    m = B * e_dp / e_p
+    d = truth.grid
+    psi = 6.0 + 0.04 * d - 0.003 * d**3 + m @ TAU_X + d * (m @ TAU_XD)
+    np.testing.assert_allclose(truth.psi_true, psi, rtol=0.0, atol=1e-10)
+
+
+def test_ground_truth_nonlinear_trends_against_closed_forms():
+    """A trend nonlinear in X: mu1(X, d) = d exp(X1 / 2) + X2^2, mu0(X) = X3.
+    By the Gaussian shift, E[exp(t X1) p(X)] = exp(t^2/2) E[expit(B0 + t B1 +
+    |B| Z)]; by Stein's lemma twice, E[X2^2 p(X)] = E[p] + B2^2 E[expit''];
+    and E[X3 p(X)] = B3 E[expit']."""
+
+    def treated(x, d):
+        return d * np.exp(0.5 * x[..., 0]) + x[..., 1] ** 2
+
+    def control(x):
+        return x[..., 2]
+
+    truth = ground_truth_curve(0, treated_trend=treated, control_trend=control)
+    e_p, e_dp, e_ddp = _propensity_expectations()
+    e_shifted = _propensity_expectations(shift=0.5 * B[0])[0]
+    psi = (truth.grid * np.exp(0.125) * e_shifted + e_p + B[1] ** 2 * e_ddp - B[2] * e_dp) / e_p
+    np.testing.assert_allclose(truth.psi_true, psi, rtol=0.0, atol=1e-12)
+
+
+def test_ground_truth_dose_law_on_a_tensor_rule():
+    """F(d) = E[p(X) Phi((d - m(X)) / 2)] / E[p(X)] integrated over all four
+    covariates on a tensor Gauss-Hermite rule, with no reduction to one
+    dimension: the grid's ends sit at F = 0.1 and 0.9, and each density
+    weight is its bin's probability, normalised. 12 nodes per axis move
+    this rule's numbers by under 3e-16."""
+    truth = ground_truth_curve(0)
+    z, w = np.polynomial.hermite_e.hermegauss(10)
+    x = np.array(np.meshgrid(z, z, z, z, indexing="ij")).reshape(4, -1).T
+    weight = np.prod(np.array(np.meshgrid(w, w, w, w, indexing="ij")).reshape(4, -1), axis=0)
+    weight = weight * expit(B0 + x @ B)
+    weight /= weight.sum()
+    mean = DOSE_C0 + x @ DOSE_C
+    erfc = np.vectorize(math.erfc, otypes=[float])
+
+    def cdf(d):
+        return weight @ (0.5 * erfc((mean - d) / (DOSE_SD * np.sqrt(2.0))))
+
+    np.testing.assert_allclose([cdf(truth.grid[0]), cdf(truth.grid[-1])], [0.1, 0.9], rtol=0.0, atol=1e-13)
+    spacing = truth.grid[1] - truth.grid[0]
+    edges = np.concatenate([[truth.grid[0] - spacing / 2], truth.grid + spacing / 2])
+    probabilities = np.diff([cdf(e) for e in edges])
+    np.testing.assert_allclose(truth.density_weights, probabilities / probabilities.sum(), rtol=0.0, atol=1e-13)
+
+
+def test_ground_truth_dose_law_matches_a_weighted_draw():
+    """Grid ends and density weights against a draw of the treated-dose law
+    that weights each covariate draw by p(X) in place of sampling A. Each
+    share is a ratio of p-weighted sums, sum_A p / sum_S p with A inside S;
+    its linearised variance is E[p^2 (1_A - r 1_S)^2] / (N E[p 1_S]^2), and
+    (1_A - r 1_S)^2 = (1 - 2r) 1_A + r^2 1_S. Every share lies within 4
+    standard errors of the truth's."""
+    truth = ground_truth_curve(0)
+    n = 1_000_000
+    rng = np.random.default_rng(20261018)
+    x = rng.standard_normal((n, 4))
+    p = expit(B0 + x @ B)
+    dose = DOSE_C0 + x @ DOSE_C + DOSE_SD * rng.standard_normal(n)
+    order = np.argsort(dose)
+    dose, p = dose[order], p[order]
+    cum_p = np.concatenate([[0.0], np.cumsum(p)]) / n
+    cum_p2 = np.concatenate([[0.0], np.cumsum(p * p)]) / n
+
+    def at(e):
+        k = np.searchsorted(dose, e, side="right")
+        return cum_p[k], cum_p2[k]
+
+    spacing = truth.grid[1] - truth.grid[0]
+    edges = np.concatenate([[truth.grid[0] - spacing / 2], truth.grid + spacing / 2])
+    p_edges, p2_edges = at(edges)
+    p_ends, p2_ends = at(truth.grid[[0, -1]])
+    # Shares of the whole law below the grid's ends, then of the grid's span
+    # in each bin.
+    num = np.concatenate([p_ends, np.diff(p_edges)])
+    num2 = np.concatenate([p2_ends, np.diff(p2_edges)])
+    den = np.concatenate([[cum_p[-1]] * 2, [p_edges[-1] - p_edges[0]] * 50])
+    den2 = np.concatenate([[cum_p2[-1]] * 2, [p2_edges[-1] - p2_edges[0]] * 50])
+    share = num / den
+    se = np.sqrt(((1 - 2 * share) * num2 + share**2 * den2) / n) / den
+    expected = np.concatenate([[0.1, 0.9], truth.density_weights])
+    z = np.abs(share - expected) / se
+    assert z.max() <= 4.0, f"largest z {z.max():.2f} at share {int(np.argmax(z))}"
+
+
+def test_ground_truth_ignores_super_n_and_seed():
+    first = ground_truth_curve(0, super_n=10_000)
+    second = ground_truth_curve(987_654, super_n=5_000_000)
+    for name in ("grid", "psi_true", "density_weights"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
+    assert (second.super_n, second.seed) == (5_000_000, 987_654)
+    with pytest.raises(ValueError, match="10,000"):
+        ground_truth_curve(0, super_n=9_999)
 
 
 def test_metric_sanity_with_oracle_estimator():
@@ -150,6 +261,7 @@ def test_study_engine_matches_direct_estimates():
     perms = all_permutations()
     truth = ground_truth_curve(31, 20_000)
     reports = run_permutation_study(cfg, perms, truth=truth)
+    edges = {}
     for rep in range(2):
         data = generate_scenario_data(400, stream_seed(31, rep, ROLE_DATA))
         for perm in perms:
@@ -162,6 +274,30 @@ def test_study_engine_matches_direct_estimates():
                     direct.psi,
                     err_msg=f"{method} perm={key} rep={rep}",
                 )
+                if direct.diagnostics["bandwidth_selected"]:
+                    diag = direct.diagnostics
+                    flags = (diag["bandwidth_at_grid_edge"] == "high", diag["bandwidth_extended"])
+                    edges.setdefault((method, key), []).append(flags)
+    for perm in perms:
+        key = tuple(sorted(perm))
+        for method in METHODS:
+            report = reports[key].methods[method]
+            shares = np.mean(edges[(method, key)], axis=0) if (method, key) in edges else (None, None)
+            assert (report.bandwidth_at_grid_edge, report.bandwidth_extended) == tuple(shares), (method, key)
+
+
+@pytest.mark.parametrize(
+    "pick, shares",
+    [(np.min, (0.0, 0.0)), (np.max, (1.0, 0.0)), (lambda grid: 1.5 * np.max(grid), (1.0, 1.0))],
+    ids=["bottom", "top", "beyond"],
+)
+def test_study_counts_bandwidths_at_and_beyond_the_grid_top(monkeypatch, pick, shares):
+    monkeypatch.setattr(curves, "robust_select_bandwidth", lambda x, ys, grid, weight: float(pick(grid)))
+    cfg = ScenarioConfig(n=300, replicates=2, seed=61, methods=("MR", "NAIVE", "OR"))
+    methods = run_study(cfg, truth=ground_truth_curve(61)).methods
+    for method in ("MR", "NAIVE"):
+        assert (methods[method].bandwidth_at_grid_edge, methods[method].bandwidth_extended) == shares
+    assert (methods["OR"].bandwidth_at_grid_edge, methods["OR"].bandwidth_extended) == (None, None)
 
 
 def test_model_bank_shares_fits_across_permutations(monkeypatch):
@@ -178,7 +314,7 @@ def test_model_bank_shares_fits_across_permutations(monkeypatch):
         monkeypatch.setattr(nuisance, name, counted(name, getattr(nuisance, name)))
     cfg = ScenarioConfig(n=300, replicates=1, seed=33, methods=METHODS, super_n=20_000)
     truth = ground_truth_curve(33, 20_000)
-    curves, _, failures = _replicate_worker(cfg, [tuple(sorted(p)) for p in all_permutations()], truth, 0)
+    curves, _, failures, _ = _replicate_worker(cfg, [tuple(sorted(p)) for p in all_permutations()], truth, 0)
     assert failures == {}
     assert len(curves) == 16 * len(METHODS)
     assert calls == Counter(fit_pi_a=2, fit_pi_d=2, fit_mu1=2, fit_mu0=2, marginalize=4)

@@ -18,31 +18,37 @@ also records every curve of one 16-permutation, six-method study replicate
 at n = 1,000 (study seed 1, as the ``study-n1000`` benchmark runs it) on a
 ``GroundTruth`` built from a fixed 50-point grid, so the study engine's
 curves do not depend on how the truth is computed; and the study truth,
-``ground_truth_curve(1)``.
+``ground_truth_curve(1)``. It records the type name of every point
+estimate's theta0 and diagnostics, and the per-method diagnostics of the
+``run_manifest.json`` that ``dosedid estimate`` writes for all six methods,
+with base sandwich bands for MR, on the seed-1 panel at n = 800.
 ``compare`` reports the largest difference of each against the
 tolerances: curves and bootstrap rows within 1e-10 of the bootstrap
 standard deviation of psi-hat, variances within 1e-10 relative, counts and
 flags equal, float diagnostics within 1e-10 relative, the loaded panel's
-ids and arrays and the study replicate's curves bitwise equal. It prints
+ids and arrays and the study replicate's curves bitwise equal, and the
+type names and the manifest's diagnostics equal. It prints
 the truth's largest differences (grid, psi, density weights) without a
 tolerance. It exits 1 when any tolerance fails.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 METHODS = ("MR", "MR_PARAMETRIC", "OR", "IPW", "NAIVE", "TWFE")
 
 
 def dump(src: str, out: str) -> None:
     sys.path.insert(0, src)
-    from dosedid import curves, data as panel_io, inference, nuisance, panel, simulation
+    from dosedid import cli, curves, data as panel_io, inference, nuisance, panel, simulation
 
     specs = nuisance.default_specs(mu1_dose_powers=(1, 3), mu1_dose_interactions=(0, 2))
     record = {}
@@ -56,12 +62,18 @@ def dump(src: str, out: str) -> None:
                 "theta0": est.theta0,
                 "bandwidth": est.bandwidth,
                 "diagnostics": {k: v for k, v in est.diagnostics.items()},
+                "types": {
+                    "theta0": type(est.theta0).__name__,
+                    **{k: type(v).__name__ for k, v in est.diagnostics.items()},
+                },
             }
         grid = nuisance.default_dose_grid(data.dose, size=10)
         models = nuisance.fit_nuisances(data, specs, dose_grid=grid)
         curve = curves.estimate_curve(data, "MR", specs=specs, grid=grid, models=models)
         for mode in ("base", "augmented"):
             record[("sandwich", s, mode)] = inference.sandwich_bands(data, models, curve, mode=mode)[2]
+
+    record["manifest"] = _manifest_diagnostics(cli, panel_io, simulation.generate_scenario_data(800, 1))
 
     data = simulation.generate_scenario_data(500, 1)
     for method in METHODS:
@@ -81,15 +93,7 @@ def dump(src: str, out: str) -> None:
     record[("sandwich", "placebo", "stacked")] = (half / inference.Z_95) ** 2
 
     big = simulation.generate_scenario_data(20_000, 1)
-    written = panel_io.PanelDataset(
-        ids=big.ids,
-        x=big.x,
-        a=big.a,
-        dose=big.dose,
-        y=np.column_stack([big.y0, big.y1]),
-        period_labels=(0, 1),
-        covariate_names=big.covariate_names,
-    )
+    written = _panel(panel_io, big)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "panel.csv"
         loaded = panel_io.load_panel(path, panel_io.write_panel(written, path))
@@ -110,6 +114,46 @@ def dump(src: str, out: str) -> None:
         pickle.dump(record, fh)
 
 
+def _panel(panel_io, data):
+    """A two-period dataset as the panel that ``write_panel`` writes."""
+    return panel_io.PanelDataset(
+        ids=data.ids,
+        x=data.x,
+        a=data.a,
+        dose=data.dose,
+        y=np.column_stack([data.y0, data.y1]),
+        period_labels=(0, 1),
+        covariate_names=data.covariate_names,
+    )
+
+
+def _manifest_diagnostics(cli, panel_io, data) -> dict:
+    """The ``diagnostics`` of the manifest that ``dosedid estimate`` writes
+    for all six methods, with base sandwich bands for MR."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        panel_io.write_panel(_panel(panel_io, data), path)
+        config = {
+            "data": {
+                "path": str(path),
+                "schema": {
+                    "id": "id",
+                    "treatment": "a",
+                    "dose": "d",
+                    "covariates": list(data.covariate_names),
+                    "outcomes": {0: "y_0", 1: "y_1"},
+                },
+            },
+            "methods": list(METHODS),
+            "inference": {"method": "sandwich"},
+            "output": str(Path(tmp) / "run"),
+        }
+        (Path(tmp) / "run.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+        if cli.dispatch(["estimate", "-c", str(Path(tmp) / "run.yaml")]) != 0:
+            raise SystemExit("dosedid estimate failed")
+        return json.loads((Path(tmp) / "run" / "run_manifest.json").read_text(encoding="utf-8"))["diagnostics"]
+
+
 def compare(before_path: str, after_path: str) -> int:
     with open(before_path, "rb") as fh:
         before = pickle.load(fh)
@@ -119,6 +163,7 @@ def compare(before_path: str, after_path: str) -> int:
     # of the parent's bootstrap rows for each method.
     sd = {m: before[("bootstrap", m)]["curves"].std(axis=0) for m in METHODS}
     worst: dict[str, float] = {}
+    unequal = {"point types": 0, "manifest diagnostics": 0}  # gated as equal
     bad = []
 
     def note(label, ratio):
@@ -136,6 +181,9 @@ def compare(before_path: str, after_path: str) -> int:
                 bad.append(f"bandwidth presence {key}")
             elif b["bandwidth"] is not None:
                 note("point bandwidth", abs(a["bandwidth"] - b["bandwidth"]) / scale)
+            unequal["point types"] += a["types"] != b["types"]
+            if a["types"] != b["types"]:
+                bad.append(f"types {key}: {b['types']} -> {a['types']}")
             if set(a["diagnostics"]) != set(b["diagnostics"]):
                 bad.append(f"diagnostic keys {key}")
             for name, vb in b["diagnostics"].items():
@@ -155,6 +203,10 @@ def compare(before_path: str, after_path: str) -> int:
             for name, vb in b.items():
                 if name in a and a[name].tobytes() != vb.tobytes():
                     bad.append(f"study curve {name}")
+        elif key == "manifest":
+            unequal["manifest diagnostics"] += a != b
+            if a != b:
+                bad.append("manifest diagnostics")
         elif key == "truth":
             for name, vb in b.items():
                 print(f"truth {name:22s} largest difference {np.max(np.abs(a[name] - vb)):.3g} (not gated)")
@@ -175,6 +227,8 @@ def compare(before_path: str, after_path: str) -> int:
                 note("repeated bands", max(np.max(np.abs(lo_a - lo_b)), np.max(np.abs(hi_a - hi_b))) / scale)
     for label, value in sorted(worst.items()):
         print(f"{label:28s} largest {value:.3g} (tolerance 1e-10)")
+    for label, count in unequal.items():
+        print(f"{label:28s} {count} unequal (must be equal)")
     for label in sorted(set(bad)):
         print("FAILED:", label)
     return 1 if bad else 0

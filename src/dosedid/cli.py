@@ -235,9 +235,11 @@ def _cmd_estimate(config: dict, args) -> int:
             plot_name = _maybe_plot(config, stage, f"curve_{method}", curve)
             if plot_name:
                 outputs.append(plot_name)
+            # TWFE's coefficient vector is the one array-valued diagnostic;
+            # every other one is a JSON value and is kept.
             diagnostics[method] = {
                 "bandwidth": curve.bandwidth,
-                **{k: v for k, v in curve.diagnostics.items() if not isinstance(v, np.ndarray)},
+                **{k: v for k, v in curve.diagnostics.items() if k != "twfe_coefficients"},
             }
         _write_manifest(stage, "estimate", config, diagnostics, outputs)
     return 0

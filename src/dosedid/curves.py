@@ -23,7 +23,9 @@ carries its resampling weights, a chunk of replicates at a time as an
 (R, n) stack of weight rows. On a stacked dataset every method returns
 (R, K) curves, one row per weight row and each the one that row gives
 alone; the bandwidth must then be given, as leave-one-out selection takes
-one weight row.
+one weight row. A single run's per-row values become Python scalars only
+where ``dose_side``, ``control_side`` and ``EffectCurveEstimate`` return
+them (docs/DECISIONS.md, D10).
 """
 
 from __future__ import annotations
@@ -93,14 +95,15 @@ class EffectCurveEstimate:
     ``psi = theta_curve - theta0`` elementwise for the methods with that
     decomposition (TWFE reports theta0 = 0). Confidence bands are attached
     by the inference module. An estimate on a stacked dataset holds (R, K)
-    curves, (R,) ``theta0`` and per-row diagnostics.
+    curves, (R,) ``theta0`` and per-row diagnostics; a single run's
+    ``theta0`` is a Python float.
     """
 
     method: str
     grid: np.ndarray
     psi: np.ndarray
     theta_curve: np.ndarray
-    theta0: float
+    theta0: float | np.ndarray
     bandwidth: float | None = None
     ci_lower: np.ndarray | None = None
     ci_upper: np.ndarray | None = None
@@ -110,6 +113,7 @@ class EffectCurveEstimate:
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
             raise EstimationError("grid must be one-dimensional and strictly increasing")
+        object.__setattr__(self, "theta0", _scalar(self.theta0))
         for name in ("grid", "psi", "theta_curve", "ci_lower", "ci_upper"):
             arr = getattr(self, name)
             if arr is None:
@@ -150,17 +154,16 @@ class EstimatorConfig:
 
 def local_linear_curve(dose, ys, grid, h, sample_weight=None):
     """Local linear intercepts of ``ys`` on ``dose`` at every grid point
-    (per row, for stacked ``ys`` or weights)."""
-    return WindowedMoments(dose, ys, sample_weight).fit(grid, h)[0]
+    (per row, for stacked ``ys`` or weights; unit weights by default)."""
+    return WindowedMoments(dose, ys, np.ones(np.shape(dose)) if sample_weight is None else sample_weight).fit(grid, h)[0]
 
 
-def parametric_theta(dose, ys, grid, basis=(1, 3), sample_weight=None):
+def parametric_theta(dose, ys, grid, sample_weight, basis=(1, 3)):
     """Least-squares polynomial dose regression evaluated on the grid (per
     row, for stacked ``ys`` or weights)."""
     dose = np.asarray(dose, dtype=float)
     design = np.column_stack([dose**p for p in (0, *basis)])
-    w = np.ones(dose.shape[0]) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    fit = fit_wls(design, np.asarray(ys, dtype=float), w)
+    fit = fit_wls(design, np.asarray(ys, dtype=float), sample_weight)
     grid = np.asarray(grid, dtype=float)
     return linear_predictor(np.column_stack([grid**p for p in (0, *basis)]), fit.coefficients)
 
@@ -230,20 +233,19 @@ def _weight_health(data, models, raw_w1, diagnostics) -> None:
     w1 = normalize_weights(raw_w1, wt)
     v = wt * w1
     diagnostics["marginal_nodes"] = int(models.f_marginal.x.shape[0])
-    diagnostics["f_floor_hits"] = _per_row(np.count_nonzero(models.f_marginal(data.dose) <= DENSITY_FLOOR, axis=-1))
-    diagnostics["pi_d_floor_hits"] = _per_row(
-        np.count_nonzero(models.pi_d(data.dose, data.x_treated) <= DENSITY_FLOOR, axis=-1)
-    )
+    diagnostics["f_floor_hits"] = np.count_nonzero(models.f_marginal(data.dose) <= DENSITY_FLOOR, axis=-1)
+    diagnostics["pi_d_floor_hits"] = np.count_nonzero(models.pi_d(data.dose, data.x_treated) <= DENSITY_FLOOR, axis=-1)
     diagnostics["pi_d_var_floor_hits"] = models.pi_d.variance_floor_hits(data.x_treated)
-    diagnostics["w1_max"] = _per_row(np.max(w1, axis=-1))
-    diagnostics["w1_ess"] = _per_row(np.sum(v, axis=-1) ** 2 / np.sum(v * v, axis=-1))
+    diagnostics["w1_max"] = np.max(w1, axis=-1)
+    diagnostics["w1_ess"] = np.sum(v, axis=-1) ** 2 / np.sum(v * v, axis=-1)
 
 
-def _per_row(values):
-    """A diagnostic as a Python scalar, or as its array of rows when the
-    dataset's weights are stacked."""
-    values = np.asarray(values)
-    return values.item() if values.ndim == 0 else values
+def _scalar(value):
+    """A per-row value as a Python scalar when it has no rows (a single
+    run's); any other value as it is."""
+    if isinstance(value, (np.ndarray, np.generic)) and value.shape == ():
+        return value.item()
+    return value
 
 
 def dose_side(
@@ -262,12 +264,14 @@ def dose_side(
     does not split, theta is the whole curve. Methods that read pi_d record
     ``marginal_nodes``, ``f_floor_hits``, ``pi_d_floor_hits``,
     ``pi_d_var_floor_hits``, ``w1_max`` and ``w1_ess`` in the diagnostics;
-    those that read mu1 record ``mu1_ridged``.
+    those that read mu1 record ``mu1_ridged``. A per-row diagnostic is an
+    array of the weight's leading shape, and a Python scalar for a 1-D
+    weight.
     """
     trend_t, _ = data.split(data.trend)
     diagnostics: dict = {"clamped": 0, "bandwidth_selected": False}
     if "mu1" in DOSE_NEEDS[method]:
-        diagnostics["mu1_ridged"] = _per_row(models.mu1.ridged)
+        diagnostics["mu1_ridged"] = models.mu1.ridged
     if method in ("MR", "MR_PARAMETRIC"):
         xi, raw_w1 = compute_xi(data, models, on_out_of_range)
         diagnostics["clamped"] = count_clamped(data, models)
@@ -275,7 +279,7 @@ def dose_side(
         if method == "MR":
             theta, bandwidth = _smoothed_theta(data, xi, grid, bandwidth, bandwidth_grid, diagnostics)
         else:
-            theta = parametric_theta(data.dose, xi, grid, parametric_basis, data.weight_treated)
+            theta = parametric_theta(data.dose, xi, grid, data.weight_treated, parametric_basis)
             diagnostics["parametric_basis"] = tuple(parametric_basis)
     elif method == "OR":
         theta = models.m_marginal(grid)
@@ -288,17 +292,19 @@ def dose_side(
         theta, bandwidth = _smoothed_theta(data, trend_t, grid, bandwidth, bandwidth_grid, diagnostics)
     else:  # TWFE
         theta, diagnostics["twfe_coefficients"] = _twfe_curve(data, grid)
-    return theta, bandwidth, diagnostics
+    return theta, bandwidth, {name: _scalar(value) for name, value in diagnostics.items()}
 
 
 def control_side(
     data: TwoPeriodDataset,
     method: str,
     models: NuisanceModelSet | None,
-) -> tuple[float, dict]:
+) -> tuple[float | np.ndarray, dict]:
     """The control-side constant theta0: ``(theta0, diagnostics)``.
 
     Reads only the models in ``CONTROL_NEEDS[method]``; TWFE reports 0.
+    theta0 and ``pi_a_converged`` are arrays of the weight's leading shape,
+    and Python scalars for a 1-D weight.
     """
     diagnostics: dict = {}
     if method in ("MR", "MR_PARAMETRIC"):
@@ -316,8 +322,8 @@ def control_side(
     else:  # TWFE
         theta0 = np.zeros(data.weight.shape[:-1])
     if "pi_a" in CONTROL_NEEDS[method]:
-        diagnostics["pi_a_converged"] = _per_row(models.pi_a.fit.converged)
-    return _per_row(theta0), diagnostics
+        diagnostics["pi_a_converged"] = models.pi_a.fit.converged
+    return _scalar(theta0), {name: _scalar(value) for name, value in diagnostics.items()}
 
 
 def assemble_curve(method: str, grid: np.ndarray, dose: tuple, control: tuple) -> EffectCurveEstimate:

@@ -14,11 +14,11 @@ dose. ``f`` is tabulated on ``_MARGINAL_NODES`` evenly spaced doses over the
 range of the dose grid and the treated doses together, by binning the units
 and convolving by FFT, and interpolates linearly in between; its tabulated
 values are floored at ``DENSITY_FLOOR`` once (docs/DECISIONS.md, D4).
-Every fit and marginal is weighted by the dataset's per-unit ``weight``;
-under an (R, n) stack of weight rows every fitted model holds one
-coefficient row (and one KDE table) per weight row, every prediction and
-marginal gains that leading axis, and each row is the one its weight row
-gives alone.
+Every fit and marginal is weighted by the dataset's per-unit ``weight`` of
+shape (..., n): every fitted model holds one coefficient row (and one KDE
+table) per row of the weight's leading shape, every prediction and
+marginal has that leading shape, and each row is the one its weight row
+gives alone (docs/DECISIONS.md, D7 and D10).
 Each fit accepts configurable specifications: a covariate map (identity or
 the Kang-Schafer nonlinear transform, used to induce misspecification in
 simulation studies) and a learner (linear / logistic, or a natural cubic
@@ -310,7 +310,7 @@ class DoseTrendModel:
     cov_design: CovariateDesign
     dose_basis: _DoseBasis
     interactions: tuple[int, ...]
-    ridged: bool = False
+    ridged: bool | np.ndarray = False
 
     def design(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
@@ -321,8 +321,7 @@ class DoseTrendModel:
         return np.hstack(blocks)
 
     def __call__(self, d, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        d = np.broadcast_to(np.asarray(d, dtype=float), (x.shape[0],))
+        d = np.broadcast_to(np.asarray(d, dtype=float), (np.shape(x)[0],))
         return linear_predictor(self.design(d, x), self.coefficients)
 
     def _split(self):
@@ -354,13 +353,12 @@ class DoseTrendModel:
         level, slope = self.unit_terms(x)
         return level[:, None] + self.profile(nodes, 0.0, 0.0)[None, :] + np.outer(slope, nodes)
 
-    def covariate_means(self, x: np.ndarray, weights: np.ndarray | None = None):
-        """Weighted means of ``unit_terms`` over the units of ``x``, one
-        pair of floats, or of (R,) arrays for a stack."""
+    def covariate_means(self, x: np.ndarray, weights: np.ndarray):
+        """Weighted means of ``unit_terms`` over the units of ``x``, a pair
+        of arrays of the leading shape of the model and the weights."""
         level, slope = self.unit_terms(x)
-        w = np.ones(level.shape[-1]) if weights is None else np.asarray(weights, dtype=float)
-        wsum = np.sum(w, axis=-1)
-        return np.sum(w * level, axis=-1) / wsum, np.sum(w * slope, axis=-1) / wsum
+        wsum = np.sum(weights, axis=-1)
+        return np.sum(weights * level, axis=-1) / wsum, np.sum(weights * slope, axis=-1) / wsum
 
     def with_coefficients(self, coef: np.ndarray) -> "DoseTrendModel":
         return replace(self, coefficients=np.asarray(coef, dtype=float))
@@ -385,7 +383,7 @@ class DoseDensityModel:
     resid_design: CovariateDesign
     table_x: np.ndarray
     table_y: np.ndarray
-    kde_bandwidth: float
+    kde_bandwidth: np.ndarray
     bandwidth_spec: float | None = None
 
     def mean(self, x: np.ndarray) -> np.ndarray:
@@ -397,33 +395,28 @@ class DoseDensityModel:
     def variance_floor_hits(self, x: np.ndarray):
         """How many rows of ``x`` the squared-residual model gives a variance
         below RESIDUAL_VAR_FLOOR, where ``sdev`` floors it (per fit row)."""
-        hits = np.count_nonzero(self._variance(x) < RESIDUAL_VAR_FLOOR, axis=-1)
-        return int(hits) if np.ndim(hits) == 0 else hits
+        return np.count_nonzero(self._variance(x) < RESIDUAL_VAR_FLOOR, axis=-1)
 
     def _variance(self, x: np.ndarray) -> np.ndarray:
         return linear_predictor(self.resid_design.build(x), self.resid_coef)
 
     def __call__(self, d, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        d = np.broadcast_to(np.asarray(d, dtype=float), (x.shape[0],))
+        d = np.broadcast_to(np.asarray(d, dtype=float), (np.shape(x)[0],))
         mu = self.mean(x)
         s = self.sdev(x)
         dens = interp_rows((d - mu) / s, self.table_x, self.table_y) / s
         return np.maximum(dens, DENSITY_FLOOR)
 
-    def marginal_density(
-        self, dose_nodes: np.ndarray, x: np.ndarray, weights: np.ndarray | None = None
-    ) -> np.ndarray:
+    def marginal_density(self, dose_nodes: np.ndarray, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Weighted average over units of the unfloored pi_d(node | x_i), at
-        evenly spaced ``dose_nodes``.
+        evenly spaced ``dose_nodes`` (unit weights when none are given).
 
         The units are binned in (mean, log sdev) and each sdev node's
         histogram is convolved with the KDE table by FFT; sdev outliers are
         summed directly (``numeric.scale_mixture``).
         """
+        w = np.ones(np.shape(x)[0]) if weights is None else np.asarray(weights, dtype=float)
         nodes = np.asarray(dose_nodes, dtype=float)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        w = np.ones(x.shape[0]) if weights is None else np.asarray(weights, dtype=float)
         return scale_mixture(
             self.table_x,
             self.table_y,
@@ -439,7 +432,7 @@ class DoseDensityModel:
     def with_parameters(self, mean_coef, resid_coef, d, x, sample_weight=None) -> "DoseDensityModel":
         """Rebuild the full three-stage model at new mean/variance
         coefficients, re-deriving residuals and their kernel density from
-        the supplied training data."""
+        the supplied training data (unit weights by default)."""
         return _assemble_dose_density(
             np.asarray(mean_coef, dtype=float),
             np.asarray(resid_coef, dtype=float),
@@ -447,7 +440,7 @@ class DoseDensityModel:
             self.resid_design,
             np.asarray(d, dtype=float),
             np.asarray(x, dtype=float),
-            sample_weight,
+            np.ones(np.shape(d)) if sample_weight is None else sample_weight,
             self.bandwidth_spec,
         )
 
@@ -489,8 +482,7 @@ class TabulatedCurve(_NodeCurve):
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
-        out = interp_rows(np.broadcast_to(d, self.y.shape[:-1] + d.shape), self.x, self.y)
-        return float(out) if out.ndim == 0 else out
+        return interp_rows(np.broadcast_to(d, self.y.shape[:-1] + d.shape), self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -504,15 +496,13 @@ class MarginalTrend(_NodeCurve):
     """
 
     model: DoseTrendModel
-    level: float
-    slope: float
+    level: np.ndarray
+    slope: np.ndarray
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
-        out = self.model.profile(np.clip(np.atleast_1d(d), self.x[0], self.x[-1]), self.level, self.slope)
-        if d.ndim == 0:
-            out = out[..., 0]
-        return float(out) if out.ndim == 0 else out
+        out = self.model.profile(np.clip(d.reshape(-1), self.x[0], self.x[-1]), self.level, self.slope)
+        return out.reshape(out.shape[:-1] + d.shape)
 
 
 @dataclass(frozen=True)
@@ -654,7 +644,7 @@ def default_dose_grid(doses: np.ndarray, size: int = 50, lo_pct: float = 10.0, h
     d = np.asarray(doses, dtype=float)
     lo, hi = np.percentile(d, [lo_pct, hi_pct])
     if not hi > lo:
-        raise ValueError("degenerate dose distribution: percentile range is empty")
+        raise FitError("degenerate dose distribution: percentile range is empty")
     return np.linspace(lo, hi, size)
 
 

@@ -6,18 +6,19 @@ linear smoother, and leave-one-out bandwidth selection. Everything here is pure:
 from parallel workers.
 
 The weighted kernels (``fit_wls``, ``fit_logistic``, ``silverman_bandwidth``,
-``DensityEstimate.on_grid``, ``scale_mixture`` and ``WindowedMoments``) also
-take a stack of weight rows with a leading axis and return one result per
-row. A stack is not a second implementation: a 1-D weight is its unstacked
-case, and each row's result is bitwise the one that row gets alone, because
-every operation on a stack is a per-row BLAS call, FFT, elementwise
-operation, or reduction along a C-contiguous last axis, all of which this
-numpy computes identically row by row (docs/DECISIONS.md, D7).
+``DensityEstimate.on_grid``, ``scale_mixture`` and ``WindowedMoments``) are
+written once over (..., n) weights, and each per-row result has the
+weight's leading shape: 0-d for a 1-D weight (docs/DECISIONS.md, D10). Each
+row's result is bitwise the one that row gets alone, because every
+operation on a stack is a per-row BLAS call, FFT, elementwise operation, or
+reduction along a C-contiguous last axis, all of which this numpy computes
+identically row by row (D7).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,8 +82,8 @@ class LinearFit:
     of weight rows holds one coefficient row, and one ``ridged`` flag, per
     weight row."""
 
-    coefficients: np.ndarray  # (q,) or (..., q)
-    ridged: bool | np.ndarray = False
+    coefficients: np.ndarray  # (..., q)
+    ridged: bool | np.ndarray = False  # (...,)
 
     def predict(self, design: np.ndarray) -> np.ndarray:
         """(n,) predictions, or (..., n) for stacked coefficients."""
@@ -94,8 +95,8 @@ class LogisticFit:
     """Maximum-likelihood logistic fit via IRLS; stacked like ``LinearFit``."""
 
     coefficients: np.ndarray
-    converged: bool | np.ndarray
-    iterations: int | np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
 
     def predict_proba(self, design: np.ndarray) -> np.ndarray:
         p = expit(linear_predictor(design, self.coefficients))
@@ -109,12 +110,6 @@ def linear_predictor(design: np.ndarray, coefficients: np.ndarray) -> np.ndarray
     return (np.asarray(design, dtype=float) @ np.asarray(coefficients, dtype=float)[..., None])[..., 0]
 
 
-def _unstacked(values: np.ndarray, shape: tuple):
-    """``values`` in the stack ``shape``: a Python scalar when unstacked."""
-    values = np.asarray(values).reshape(shape)
-    return values.item() if values.ndim == 0 else values
-
-
 def expit(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     z = np.asarray(z, dtype=float)
@@ -126,34 +121,41 @@ def expit(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_normal_equations(xtwx: np.ndarray, xtwy: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
-    """Solve a PSD normal system, or each of a (..., q, q) stack, by
-    Cholesky, adding the documented ridge jitter 1e-8 * trace/q when a
-    matrix is numerically singular. When any matrix of a stack needs the
-    jitter, each is solved on its own, so the jitter reaches only the
-    singular ones."""
-    q = xtwx.shape[-1]
+def _solve_normal_equations(xtwx: np.ndarray, xtwy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each PSD normal system of a (..., q, q) stack by Cholesky, and
+    flag the numerically singular ones, which take the documented ridge
+    jitter 1e-8 * trace/q. When any matrix needs the jitter, each is solved
+    on its own, so the jitter reaches only the singular ones."""
     try:
-        chol = np.linalg.cholesky(xtwx)
+        return _cho_solve(np.linalg.cholesky(xtwx), xtwy), np.zeros(xtwx.shape[:-2], dtype=bool)
     except np.linalg.LinAlgError:
-        chol = None
-    if chol is not None:
-        return _cho_solve(chol, xtwy), np.zeros(xtwx.shape[:-2], dtype=bool) if xtwx.ndim > 2 else False
-    if xtwx.ndim > 2:
-        solved = [_solve_normal_equations(m, v) for m, v in zip(xtwx.reshape(-1, q, q), xtwy.reshape(-1, q))]
-        beta = np.stack([b for b, _ in solved]).reshape(xtwy.shape)
-        return beta, np.array([r for _, r in solved]).reshape(xtwx.shape[:-2])
-    jitter = _RIDGE_REL * (np.trace(xtwx) / q)
-    if jitter <= 0.0 or not np.isfinite(jitter):
-        raise FitError("normal matrix has nonpositive trace; design is degenerate")
-    mat = xtwx
-    for attempt in range(_WLS_MAX_CHOLESKY_RETRIES):
-        mat = mat + (jitter * 10.0**attempt) * np.eye(q)
+        pass
+    q = xtwx.shape[-1]
+    mats, rhs = xtwx.reshape(-1, q, q), xtwy.reshape(-1, q)
+    beta, ridged = np.empty(rhs.shape), np.zeros(mats.shape[0], dtype=bool)
+    for r, mat in enumerate(mats):
         try:
             chol = np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
+            chol, ridged[r] = _ridged_cholesky(mat), True
+        beta[r] = _cho_solve(chol, rhs[r])
+    return beta.reshape(xtwy.shape), ridged.reshape(xtwx.shape[:-2])
+
+
+def _ridged_cholesky(mat: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of ``mat`` after adding the ridge jitter, ten
+    and a hundred times more, until it factors."""
+    q = mat.shape[-1]
+    jitter = _RIDGE_REL * (np.trace(mat) / q)
+    if jitter <= 0.0 or not np.isfinite(jitter):
+        raise FitError("normal matrix has nonpositive trace; design is degenerate")
+    ridged = mat
+    for attempt in range(_WLS_MAX_CHOLESKY_RETRIES):
+        ridged = ridged + (jitter * 10.0**attempt) * np.eye(q)
+        try:
+            return np.linalg.cholesky(ridged)
+        except np.linalg.LinAlgError:
             continue
-        return _cho_solve(chol, xtwy), True
     raise FitError("normal matrix remained singular after ridge jitter")
 
 
@@ -265,8 +267,8 @@ def fit_logistic(
     shape = w.shape[:-1]
     return LogisticFit(
         coefficients=beta.reshape(shape + (q,)),
-        converged=_unstacked(converged, shape),
-        iterations=_unstacked(iterations, shape),
+        converged=converged.reshape(shape),
+        iterations=iterations.reshape(shape),
     )
 
 
@@ -293,6 +295,7 @@ def local_linear_fit(
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
+    sample_weight = np.ones(x.shape) if sample_weight is None else np.asarray(sample_weight, dtype=float)
     if h <= 0 or not np.isfinite(h):
         raise BandwidthError(f"bandwidth must be positive, got {h}", delta=delta)
     u = (x - delta) / h
@@ -302,7 +305,7 @@ def local_linear_fit(
         raise _window_error(delta, h, tied=False)
     if np.min(x[inside]) == np.max(x[inside]):
         raise _window_error(delta, h, tied=True)
-    w = k if sample_weight is None else k * np.asarray(sample_weight, dtype=float)
+    w = k * sample_weight
     ui = u[inside]
     design = np.column_stack([np.ones(ui.shape[0]), ui])
     fit = fit_wls(design, y[inside], w[inside])
@@ -323,16 +326,16 @@ class WindowedMoments:
     w x^k and w y x^k, kept as prefix sums of the sorted, centred sample:
     any window costs two binary searches (Fan & Marron 1994, JCGS).
 
-    ``ys`` and ``sample_weight`` may be (..., n) stacks over the shared
-    ``xs``: the sample is sorted once, the prefix sums run along each row,
-    and every moment and fit gains the stack's leading axes, each row as
-    its own sample gives it.
+    ``ys`` and ``sample_weight`` are (..., n) over the shared ``xs``: the
+    sample is sorted once, the prefix sums run along the last axis, and
+    every moment and fit has the leading shape of ``ys`` and
+    ``sample_weight`` broadcast, each row as its own sample gives it.
     """
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, sample_weight: np.ndarray | None = None):
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, sample_weight: np.ndarray):
         x = np.asarray(xs, dtype=float)
         y = np.asarray(ys, dtype=float)
-        w = np.ones(x.shape[0]) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+        w = np.asarray(sample_weight, dtype=float)
         if x.ndim != 1 or y.shape[-1:] != x.shape or w.shape[-1:] != x.shape:
             raise FitError(f"dimension mismatch: xs {x.shape}, ys {y.shape}, weights {w.shape}")
         # One non-finite value would spread to every later prefix sum.
@@ -340,7 +343,8 @@ class WindowedMoments:
             raise FitError("non-finite value in local linear inputs")
         if np.any(w < 0):
             raise FitError("weights must be nonnegative")
-        self._literal = (x, y, None if sample_weight is None else w)
+        # The literal fallback's rows: ``ys`` and weights broadcast together.
+        self._literal = (x, *np.broadcast_arrays(y, w))
         order = np.argsort(x, kind="stable")
         xo, yo, wo = x[order], np.ascontiguousarray(y[..., order]), np.ascontiguousarray(w[..., order])
         self._xo, self._yo, self._wo = xo, yo, wo
@@ -348,7 +352,6 @@ class WindowedMoments:
         self._xc = xc = xo - self._centre  # centring bounds the power sums
         self._pref = [_prefix_sums(wo * xc**k) for k in range(5)]
         self._qref = [_prefix_sums(wo * yo * xc**k) for k in range(4)]
-        self._rows = (slice(None),) * (self._qref[0].ndim - 1)
 
     def moments(self, targets: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
         """``(s0, s1, s2, t0, t1, first, stop)`` at each target: the sorted
@@ -360,11 +363,9 @@ class WindowedMoments:
         xc = self._xc
         first = np.searchsorted(xc, t - h, side="right")
         stop = np.searchsorted(xc, t + h, side="left")
-        # Plain indexing of each row's prefix sums (``_rows`` is empty when
-        # unstacked, numpy's fastest gather).
-        hi, lo = self._rows + (stop,), self._rows + (first,)
-        m = [p[hi] - p[lo] for p in self._pref]
-        q = [p[hi] - p[lo] for p in self._qref]
+        # ``take`` is numpy's fastest gather along the last axis, stacked or not.
+        m = [p.take(stop, axis=-1) - p.take(first, axis=-1) for p in self._pref]
+        q = [p.take(stop, axis=-1) - p.take(first, axis=-1) for p in self._qref]
         t2 = t * t
         a1 = m[1] - t * m[0]
         a2 = m[2] - 2.0 * t * m[1] + t2 * m[0]
@@ -402,9 +403,7 @@ class WindowedMoments:
         x, y, w = self._literal
 
         def literal(index):
-            row = index[:-1]
-            weight = None if w is None else w[row if w.ndim > 1 else ()]
-            return local_linear_fit(x, y[row if y.ndim > 1 else ()], h, float(targets[index[-1]]), weight)
+            return local_linear_fit(x, y[index[:-1]], h, float(targets[index[-1]]), w[index[:-1]])
 
         return _solve_local_linear(s0, s1, s2, t0, t1, literal)
 
@@ -483,7 +482,7 @@ def select_bandwidth(
     if cand.size == 0:
         raise BandwidthError("empty bandwidth grid")
 
-    window = WindowedMoments(xs, ys, sample_weight)
+    window = WindowedMoments(xs, ys, np.ones(np.shape(xs)) if sample_weight is None else sample_weight)
     zero_tol = _loo_zero_tolerance(window._yo, window._wo)
     best_h = None
     best_score = np.inf
@@ -532,7 +531,8 @@ def silverman_bandwidth(samples: np.ndarray, sample_weight: np.ndarray | None = 
     Sigma is the ddof-1 sample deviation; with weights, its frequency-weight
     analog (identical arithmetic when the weights are all ones, so weighted
     and unweighted calls agree bitwise on unit weights). (..., n) stacks of
-    samples or weights give one bandwidth per row.
+    samples or weights give one bandwidth per row: an array of their
+    leading shape.
     """
     s = np.asarray(samples, dtype=float)
     n = s.shape[-1]
@@ -543,7 +543,7 @@ def silverman_bandwidth(samples: np.ndarray, sample_weight: np.ndarray | None = 
     if np.any(denom <= 0.0):
         raise FitError("cannot form a bandwidth from fewer than 2 effective samples")
     sigma = np.sqrt(np.sum(w * (s - mu[..., None]) ** 2, axis=-1) / denom)
-    return _unstacked(1.06 * sigma * n ** (-0.2), sigma.shape)
+    return 1.06 * sigma * n ** (-0.2)
 
 
 @dataclass(frozen=True)
@@ -552,24 +552,19 @@ class DensityEstimate:
 
     Evaluates to a nonnegative density integrating to one (up to quadrature
     tolerance) over any range padded by a few bandwidths beyond the samples.
-    ``samples`` and ``weights`` may be (..., n) stacks with one
-    ``bandwidth`` per row; ``on_grid`` then tabulates every row's density,
+    ``samples`` and ``weights`` are (..., n), with one ``bandwidth`` per
+    row of their leading shape; ``on_grid`` tabulates every row's density,
     while ``__call__`` evaluates one sample's.
     """
 
     samples: np.ndarray
-    bandwidth: float | np.ndarray
-    weights: np.ndarray = field(default=None)  # normalized to sum 1 along the last axis
+    bandwidth: np.ndarray
+    weights: np.ndarray  # normalized to sum 1 along the last axis
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
-        if self.weights is None:
-            w = np.full(samples.shape, 1.0 / samples.shape[-1])
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            w = w / np.sum(w, axis=-1, keepdims=True)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        w = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "weights", w / np.sum(w, axis=-1, keepdims=True))
 
     def __call__(self, x) -> np.ndarray | float:
         xq = np.asarray(x, dtype=float)
@@ -738,16 +733,21 @@ def _chebyshev_weights(x: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np
 
 
 def interp_rows(values: np.ndarray, table_x: np.ndarray, table_y: np.ndarray) -> np.ndarray:
-    """``np.interp(values, table_x, table_y)``, where either table may be a
-    (rows, T) stack: row r of ``values`` (its first axis) is then read
-    through the tables' row r, by the same call a one-row table makes."""
+    """``np.interp`` through (..., T) tables: for each index of the tables'
+    broadcast leading shape, the values at that index of ``values``'s
+    leading axes are read through the tables at that index, by the same
+    call one table makes. Tables without leading axes read all of
+    ``values``; the result has its shape."""
     table_x, table_y = np.asarray(table_x), np.asarray(table_y)
-    if table_x.ndim == 1 and table_y.ndim == 1:
-        return np.interp(values, table_x, table_y)
+    lead = np.broadcast(table_x[..., 0], table_y[..., 0]).shape
+    # Only a table whose leading shape differs is broadcast (a view).
+    table_x, table_y = (
+        t if t.shape[:-1] == lead else np.broadcast_to(t, lead + t.shape[-1:]) for t in (table_x, table_y)
+    )
     values = np.asarray(values, dtype=float)
     out = np.empty(values.shape)
-    for r in range(values.shape[0]):
-        out[r] = np.interp(values[r], table_x[r] if table_x.ndim > 1 else table_x, table_y[r] if table_y.ndim > 1 else table_y)
+    for row in itertools.product(*map(range, lead)):
+        out[row] = np.interp(values[row], table_x[row], table_y[row])
     return out
 
 
@@ -895,6 +895,8 @@ def gaussian_kde(
     is omitted. (..., n) stacks of samples or weights give one density, and
     one bandwidth, per row."""
     s = np.asarray(samples, dtype=float)
+    if sample_weight is None:
+        sample_weight = np.ones(s.shape)
     if s.ndim < 1 or s.shape[-1] < 2:
         raise FitError("kernel density estimation needs at least 2 samples along the last axis")
     if not np.all(np.isfinite(s)):
@@ -904,4 +906,4 @@ def gaussian_kde(
     bw = np.asarray(bandwidth, dtype=float)
     if np.any(bw <= 0.0) or not np.all(np.isfinite(bw)):
         raise FitError(f"kernel density bandwidth must be positive, got {bandwidth}")
-    return DensityEstimate(samples=s, bandwidth=_unstacked(bw, bw.shape), weights=sample_weight)
+    return DensityEstimate(samples=s, bandwidth=bw, weights=sample_weight)

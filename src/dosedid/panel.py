@@ -56,14 +56,12 @@ def _average_curves(per_m: list[EffectCurveEstimate]) -> EffectCurveEstimate:
     row)."""
     psi = np.mean([c.psi for c in per_m], axis=0)
     theta = np.mean([c.theta_curve for c in per_m], axis=0)
-    theta0 = np.mean([c.theta0 for c in per_m], axis=0)
-    theta0 = float(theta0) if theta0.ndim == 0 else theta0
     return EffectCurveEstimate(
         method=per_m[0].method,
         grid=per_m[0].grid,
         psi=psi,
         theta_curve=theta,
-        theta0=theta0,
+        theta0=np.mean([c.theta0 for c in per_m], axis=0),
         bandwidth=None,
         diagnostics={"pair_count": len(per_m)},
     )

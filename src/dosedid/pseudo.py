@@ -18,8 +18,9 @@ the mean-one weights is the self-normalized (Hajek ratio) estimator
 sum w0 * resid / sum w0, which is what keeps theta00 consistent for the
 treated-population residual mean whichever of (pi_a, mu0) is correct. All
 sums and means are weighted by the dataset's per-unit ``weight`` (all ones
-unless the bootstrap sets it); under an (R, n) stack of weight rows every
-quantity gains a leading row axis.
+unless the bootstrap sets it), of shape (..., n): every quantity has the
+weight's leading shape, so a 1-D weight gives numpy scalars and an (R, n)
+stack of weight rows (R,) arrays.
 """
 
 from __future__ import annotations
@@ -66,17 +67,15 @@ class PseudoOutcomeSet:
 
 def normalize_weights(weights: np.ndarray, sample_weight: np.ndarray | None = None) -> np.ndarray:
     """Rescale positive weights to (weighted) mean one, preserving ratios;
-    each row of a (..., n) stack to its own mean."""
+    each row of a (..., n) stack to its own mean. Without sample weights
+    every unit weighs one."""
     w = np.asarray(weights, dtype=float)
+    sw = np.ones(w.shape[-1:]) if sample_weight is None else np.asarray(sample_weight, dtype=float)
     if w.size == 0:
         raise DataValidationError("cannot normalize an empty weight vector")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise DataValidationError("weights must be finite and strictly positive")
-    if sample_weight is None:
-        mean = np.mean(w, axis=-1, keepdims=True)
-    else:
-        sw = np.asarray(sample_weight, dtype=float)
-        mean = np.sum(sw * w, axis=-1, keepdims=True) / np.sum(sw, axis=-1, keepdims=True)
+    mean = np.sum(sw * w, axis=-1, keepdims=True) / np.sum(sw, axis=-1, keepdims=True)
     return w / mean
 
 

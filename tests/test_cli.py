@@ -2,13 +2,14 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
 from dosedid.cli import dispatch
-from dosedid.data import PanelDataset, write_panel
+from dosedid.data import PanelDataset, TwoPeriodDataset, write_panel
 from dosedid.simulation import generate_placebo_panel, generate_scenario_data
 
 
@@ -290,3 +291,98 @@ def test_placebo_command(tmp_path):
     cfg = _write_config(tmp_path, "plc.yaml", payload)
     assert dispatch(["placebo", "-c", str(cfg)]) == 0
     assert (tmp_path / "plc" / "placebo_NAIVE_post1.csv").exists()
+
+
+def _panel_from(tmp_path, data):
+    """Write a two-period dataset as a panel file in the layout of
+    ``panel_file``."""
+    panel = PanelDataset(
+        ids=data.ids,
+        x=data.x,
+        a=data.a,
+        dose=data.dose,
+        y=np.column_stack([data.y0, data.y1]),
+        period_labels=(0, 1),
+        covariate_names=data.covariate_names,
+    )
+    path = tmp_path / "edge.csv"
+    write_panel(panel, path)
+    return path
+
+
+def _estimate(tmp_path, path, **extra):
+    payload = {"output": str(tmp_path / "out"), "data": {"path": str(path), "schema": _schema_block()}, **extra}
+    return dispatch(["estimate", "-c", str(_write_config(tmp_path, "edge.yaml", payload))])
+
+
+def test_estimate_manifest_keeps_every_diagnostic(tmp_path, panel_file, monkeypatch):
+    """Each method's manifest entry holds every diagnostic of its curve but
+    TWFE's coefficient vector, with equal values."""
+    from dosedid import cli
+
+    curves = {}
+    original = cli.estimate_curve
+
+    def recording(data, method, *args, **kwargs):
+        curves[method] = original(data, method, *args, **kwargs)
+        return curves[method]
+
+    monkeypatch.setattr(cli, "estimate_curve", recording)
+    methods = ["MR", "MR_PARAMETRIC", "OR", "IPW", "NAIVE", "TWFE"]
+    assert _estimate(tmp_path, panel_file, methods=methods) == 0
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["diagnostics"]
+    for method in methods:
+        expected = {k: v for k, v in curves[method].diagnostics.items() if k != "twfe_coefficients"}
+        entry = manifest[method]
+        assert entry.pop("bandwidth") == curves[method].bandwidth
+        assert set(entry) == set(expected), method
+        for name, value in expected.items():
+            assert entry[name] == (list(value) if isinstance(value, tuple) else value), (method, name)
+
+
+def test_too_few_treated_units_is_one_estimation_error(tmp_path, capsys):
+    data = generate_scenario_data(260, 61)
+    treated = np.flatnonzero(data.a)
+    keep = np.sort(np.concatenate([treated[:9], np.flatnonzero(~data.a)]))
+    rank = np.cumsum(data.a) - 1
+    small = TwoPeriodDataset.from_arrays(
+        data.x[keep],
+        data.a[keep],
+        data.dose[rank[keep[data.a[keep]]]],
+        data.y0[keep],
+        data.y1[keep],
+        ids=[data.ids[i] for i in keep],
+        covariate_names=data.covariate_names,
+    )
+    assert _estimate(tmp_path, _panel_from(tmp_path, small)) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("dosedid: estimation-error: ") and "need at least 10 treated units" in err
+
+
+def test_constant_treated_dose_is_one_estimation_error(tmp_path, capsys):
+    data = generate_scenario_data(260, 61)
+    constant = replace(data, dose=np.full(data.n_treated, 2.0))
+    assert _estimate(tmp_path, _panel_from(tmp_path, constant)) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("dosedid: estimation-error: degenerate dose distribution")
+
+
+def test_infeasible_fixed_bandwidth_is_one_estimation_error(tmp_path, panel_file, capsys):
+    assert _estimate(tmp_path, panel_file, bandwidth=1e-6) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("dosedid: estimation-error: fewer than 2 points inside the kernel window")
+
+
+def test_separable_propensity_is_flagged_in_the_manifest(tmp_path, capsys):
+    """A covariate that separates treated from control units stops pi_a's
+    IRLS at its iteration limit: the run succeeds and the manifest says so."""
+    data = generate_scenario_data(260, 61)
+    x = data.x.copy()
+    x[:, 0] = np.where(data.a, np.abs(x[:, 0]) + 0.5, -np.abs(x[:, 0]) - 0.5)
+    assert _estimate(tmp_path, _panel_from(tmp_path, replace(data, x=x))) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["diagnostics"]["MR"]["pi_a_converged"] is False

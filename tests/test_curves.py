@@ -1,5 +1,7 @@
 """Effect-curve estimators: decompositions, invariances, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -390,3 +392,28 @@ def test_flat_dose_density_gives_full_effective_sample(data):
     # to O(step^2): measured 3.6e-6.
     assert diag["w1_ess"] == pytest.approx(data.n_treated, rel=1e-10)
     assert diag["w1_max"] == pytest.approx(1.0, rel=5e-5)
+
+
+def test_constant_treated_dose_is_a_fit_error(data):
+    """A constant treated dose has no default grid: the estimator raises the
+    FitError that fit_pi_d raises for the same condition, inside the
+    package's error hierarchy, for every method."""
+    constant = replace(data, dose=np.full(data.n_treated, 2.0))
+    with pytest.raises(FitError, match="degenerate dose distribution"):
+        default_dose_grid(constant.dose)
+    for method in METHODS:
+        with pytest.raises(FitError, match="degenerate dose distribution"):
+            estimate_curve(constant, method, specs=SPECS)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_single_run_values_are_python_scalars(data, method):
+    """A single run's theta0 and every diagnostic but TWFE's coefficient
+    vector are plain Python values (no numpy scalar or array), so that the
+    manifest writes them as JSON numbers and booleans."""
+    est = estimate_curve(data, method, specs=SPECS)
+    values = {"theta0": est.theta0, **{k: v for k, v in est.diagnostics.items() if k != "twfe_coefficients"}}
+    for name, value in values.items():
+        assert value is None or type(value) in (bool, int, float, str, tuple), (name, type(value))
+        assert not isinstance(value, (np.bool_, np.int64, np.ndarray)), name
+    json.dumps(values)

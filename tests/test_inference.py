@@ -649,6 +649,26 @@ def test_stacked_replicates_equal_single_runs(stack_data, method, monkeypatch):
         assert np.all(np.abs(row - alone) <= tol)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_one_row_stack_equals_single_run(stack_data, method):
+    """A (1, n) weight stack runs the stacked pipeline on one row: it gives
+    (1, K) psi, (1,) theta0 and one-row diagnostics, bitwise those of the
+    same weights as an (n,) single run."""
+    data = stack_data
+    point = estimate_curve(data, method, specs=SPECS)
+    cfg = EstimatorConfig(method, SPECS, point.grid, point.bandwidth, on_out_of_range="clamp")
+    w = bootstrap_weights(data.a, 21, 0)
+    single = cfg.build(replace(data, weight=w))
+    one = cfg.build(replace(data, weight=w[None, :]))
+    assert one.psi.shape == (1, point.grid.shape[0]) and np.shape(one.theta0) == (1,)
+    np.testing.assert_array_equal(one.psi[0], single.psi)
+    np.testing.assert_array_equal(one.theta_curve[0], single.theta_curve)
+    assert one.theta0[0] == single.theta0
+    assert set(one.diagnostics) == set(single.diagnostics)
+    for name, value in single.diagnostics.items():
+        np.testing.assert_array_equal(np.ravel(one.diagnostics[name]), np.ravel(value), err_msg=name)
+
+
 def test_stacked_rows_with_floored_variances_equal_single_runs():
     """Rows whose pi_d variance fit dips below RESIDUAL_VAR_FLOOR put scale
     outliers outside f's binned window, summed directly, row by row: such

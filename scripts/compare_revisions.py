@@ -17,7 +17,10 @@ over the pairs (0, 1) and (1, 2), recovered from its band widths. It
 also records every curve of one 16-permutation, six-method study replicate
 at n = 1,000 (study seed 1, as the ``study-n1000`` benchmark runs it) on a
 ``GroundTruth`` built from a fixed 50-point grid, so the study engine's
-curves do not depend on how the truth is computed; and the study truth,
+curves do not depend on how the truth is computed, with each curve's
+bandwidth and its two edge flags (``bandwidth_at_grid_edge``,
+``bandwidth_extended``) as the engine's ``assemble_curve`` returns them;
+and the study truth,
 ``ground_truth_curve(1)``. It records the type name of every point
 estimate's theta0 and diagnostics, and the per-method diagnostics of the
 ``run_manifest.json`` that ``dosedid estimate`` writes for all six methods,
@@ -27,7 +30,8 @@ tolerances: curves and bootstrap rows within 1e-10 of the bootstrap
 standard deviation of psi-hat, variances within 1e-10 relative, counts and
 flags equal, float diagnostics within 1e-10 relative, the loaded panel's
 ids and arrays and the study replicate's curves bitwise equal, and the
-type names and the manifest's diagnostics equal. It prints
+study replicate's bandwidths and edge flags, the type names and the
+manifest's diagnostics equal. It prints
 the truth's largest differences (grid, psi, density weights) without a
 tolerance. It exits 1 when any tolerance fails.
 """
@@ -106,8 +110,24 @@ def dump(src: str, out: str) -> None:
     grid = np.linspace(0.4, 5.7, 50)
     fixed = simulation.GroundTruth(grid, np.zeros(50), np.full(50, 1 / 50), super_n=1_000_000, seed=1)
     config = simulation.ScenarioConfig(n=1000, replicates=1, seed=1, methods=METHODS, keep_curves=True)
-    reports = simulation.run_permutation_study(config, simulation.all_permutations(), truth=fixed)
+    selections = {}
+    assemble = simulation.assemble_curve
+
+    def recording(method, *args):
+        curve = assemble(method, *args)
+        diag = curve.diagnostics
+        flags = (diag.get("bandwidth_at_grid_edge"), diag.get("bandwidth_extended"))
+        selections[(method, curve.psi.tobytes())] = (curve.bandwidth, *flags)
+        return curve
+
+    simulation.assemble_curve = recording
+    try:
+        reports = simulation.run_permutation_study(config, simulation.all_permutations(), truth=fixed)
+    finally:
+        simulation.assemble_curve = assemble
     record["study"] = {(key, m): c for key, report in reports.items() for m, c in report.curves.items()}
+    # A report holds each curve's psi, which finds the curve's selection.
+    record["study bandwidths"] = {name: selections[(name[1], c[0].tobytes())] for name, c in record["study"].items()}
     truth = simulation.ground_truth_curve(1)
     record["truth"] = {name: getattr(truth, name) for name in ("grid", "psi_true", "density_weights")}
     with open(out, "wb") as fh:
@@ -163,7 +183,7 @@ def compare(before_path: str, after_path: str) -> int:
     # of the parent's bootstrap rows for each method.
     sd = {m: before[("bootstrap", m)]["curves"].std(axis=0) for m in METHODS}
     worst: dict[str, float] = {}
-    unequal = {"point types": 0, "manifest diagnostics": 0}  # gated as equal
+    unequal = {"point types": 0, "manifest diagnostics": 0, "study bandwidths": 0}  # gated as equal
     bad = []
 
     def note(label, ratio):
@@ -203,6 +223,11 @@ def compare(before_path: str, after_path: str) -> int:
             for name, vb in b.items():
                 if name in a and a[name].tobytes() != vb.tobytes():
                     bad.append(f"study curve {name}")
+        elif key == "study bandwidths":
+            for name, vb in b.items():
+                unequal["study bandwidths"] += a.get(name) != vb
+                if a.get(name) != vb:
+                    bad.append(f"study bandwidth {name}: {vb!r} -> {a.get(name)!r}")
         elif key == "manifest":
             unequal["manifest diagnostics"] += a != b
             if a != b:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import datetime
 import json
 import shutil
 import sys
@@ -113,7 +114,25 @@ def _write_manifest(stage: Path, command: str, config: dict, diagnostics: dict, 
         },
     }
     path = stage / "run_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str), encoding="utf-8")
+    path.write_text(json.dumps(_json_value(manifest, "manifest"), indent=2, sort_keys=True), encoding="utf-8")
+
+
+def _json_value(value, key: str):
+    """``value`` with every numpy scalar and 0-d array inside it made a
+    Python value, and each date or time that YAML reads from the config
+    written as text. Anything else JSON cannot hold raises a TypeError that
+    names its key, instead of reaching the manifest as a string."""
+    if isinstance(value, dict):
+        return {name: _json_value(item, f"{key}.{name}") for name, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item, f"{key}[{i}]") for i, item in enumerate(value)]
+    if isinstance(value, (np.ndarray, np.generic)) and value.shape == ():
+        return value.item()
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, datetime.date):
+        return str(value)
+    raise TypeError(f"{key} is not a JSON value: {type(value).__name__} {value!r}")
 
 
 def _load_panel(config: dict, problems: list):

@@ -37,10 +37,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import TwoPeriodDataset
-from .errors import BandwidthError, EstimationError
+from .errors import BandwidthError, DoseDidError, EstimationError
 from .numeric import WindowedMoments, default_bandwidth_grid, fit_wls, linear_predictor, select_bandwidth
 from .nuisance import DENSITY_FLOOR, VALID_WHICH, NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
-from .pseudo import compute_theta0, compute_xi, count_clamped, normalize_weights
+from .pseudo import compute_theta0, compute_xi_terms, count_clamped, normalize_weights
 
 __all__ = [
     "METHODS",
@@ -51,6 +51,7 @@ __all__ = [
     "EstimatorConfig",
     "estimate_curve",
     "dose_side",
+    "dose_sides",
     "control_side",
     "assemble_curve",
     "local_linear_curve",
@@ -183,13 +184,16 @@ def _min_feasible_bandwidth(xs) -> float:
     return req * (1.0 + 1e-9)
 
 
-def robust_select_bandwidth(xs, ys, grid=None, sample_weight=None) -> float:
+def robust_select_bandwidth(xs, ys, grid=None, sample_weight=None) -> float | np.ndarray:
     """Leave-one-out bandwidth selection with a widening fallback.
 
     When every candidate in the (default) grid is infeasible — an isolated
     extreme point with no neighbour inside the widest window — the grid is
     extended upward to the smallest everywhere-feasible bandwidth, so the
     estimator degrades to a smoother fit instead of failing outright.
+    Feasibility depends on the doses alone, so an (R, n) stack of ``ys``
+    over one weight row shares the extension and gets one bandwidth per row
+    (``numeric.select_bandwidth``).
     """
     x = np.asarray(xs, dtype=float)
     if grid is None:
@@ -206,35 +210,50 @@ def robust_select_bandwidth(xs, ys, grid=None, sample_weight=None) -> float:
         return select_bandwidth(x, ys, np.concatenate([grid, extension]), sample_weight)
 
 
-def _smoothed_theta(data, ys, grid, bandwidth, bandwidth_grid, diagnostics):
-    wt = data.weight_treated
-    if bandwidth is None and wt.ndim > 1:
-        raise EstimationError("bandwidth selection takes one weight row; give a bandwidth for stacked weights")
-    if bandwidth is None:
+def _select_bandwidths(data, targets: dict, bandwidth_grid) -> dict:
+    """Each key of ``targets`` (its dose-side regression target) mapped to
+    ``(bandwidth, diagnostics)``, from one ``robust_select_bandwidth`` call
+    on the (R, n_t) stack of the targets, or else to the DoseDidError that
+    call raises. Only a non-finite target raises an error that the other
+    targets would not raise alone."""
+    if not targets:
+        return {}
+    try:
+        if data.weight_treated.ndim > 1:
+            raise EstimationError("bandwidth selection takes one weight row; give a bandwidth for stacked weights")
         if bandwidth_grid is None:
             bandwidth_grid = default_bandwidth_grid(data.dose)
-        low, high = float(np.min(bandwidth_grid)), float(np.max(bandwidth_grid))
-        bandwidth = robust_select_bandwidth(data.dose, ys, bandwidth_grid, wt)
-        diagnostics["bandwidth_selected"] = True
-        # The widening fallback picks beyond the top of the grid.
-        diagnostics["bandwidth_extended"] = bandwidth > high
-        diagnostics["bandwidth_at_grid_edge"] = "high" if bandwidth >= high else "low" if bandwidth <= low else None
-    theta = local_linear_curve(data.dose, ys, grid, bandwidth, wt)
-    return theta, float(bandwidth)
+        stack = np.stack(list(targets.values()))
+        chosen = robust_select_bandwidth(data.dose, stack, bandwidth_grid, data.weight_treated)
+    except DoseDidError as exc:
+        return dict.fromkeys(targets, exc)
+    low, high = float(np.min(bandwidth_grid)), float(np.max(bandwidth_grid))
+    picked = {}
+    # One bandwidth per row; a scalar serves every row.
+    for key, h in zip(targets, np.broadcast_to(chosen, len(targets)).tolist()):
+        picked[key] = h, {
+            "bandwidth_selected": True,
+            # The widening fallback picks beyond the top of the grid.
+            "bandwidth_extended": h > high,
+            "bandwidth_at_grid_edge": "high" if h >= high else "low" if h <= low else None,
+        }
+    return picked
 
 
-def _weight_health(data, models, raw_w1, diagnostics) -> None:
+def _weight_health(data, models, f_at_d, pi_d_at, diagnostics) -> None:
     """Record the marginals' node count; the treated doses at which f, and
     pi_d(D_i | X_i), sit at DENSITY_FLOOR; the treated units whose pi_d
     residual variance is floored at RESIDUAL_VAR_FLOOR; and the normalized
     dose weights w1's maximum and Kish effective sample size
-    (sum v)^2 / sum v^2, where v is the unit weight times w1."""
+    (sum v)^2 / sum v^2, where v is the unit weight times w1. ``f_at_d``
+    and ``pi_d_at`` are f and pi_d at the treated units, as the dose side
+    has evaluated them."""
     wt = data.weight_treated
-    w1 = normalize_weights(raw_w1, wt)
+    w1 = normalize_weights(f_at_d / pi_d_at, wt)
     v = wt * w1
     diagnostics["marginal_nodes"] = int(models.f_marginal.x.shape[0])
-    diagnostics["f_floor_hits"] = np.count_nonzero(models.f_marginal(data.dose) <= DENSITY_FLOOR, axis=-1)
-    diagnostics["pi_d_floor_hits"] = np.count_nonzero(models.pi_d(data.dose, data.x_treated) <= DENSITY_FLOOR, axis=-1)
+    diagnostics["f_floor_hits"] = np.count_nonzero(f_at_d <= DENSITY_FLOOR, axis=-1)
+    diagnostics["pi_d_floor_hits"] = np.count_nonzero(pi_d_at <= DENSITY_FLOOR, axis=-1)
     diagnostics["pi_d_var_floor_hits"] = models.pi_d.variance_floor_hits(data.x_treated)
     diagnostics["w1_max"] = np.max(w1, axis=-1)
     diagnostics["w1_ess"] = np.sum(v, axis=-1) ** 2 / np.sum(v * v, axis=-1)
@@ -246,6 +265,80 @@ def _scalar(value):
     if isinstance(value, (np.ndarray, np.generic)) and value.shape == ():
         return value.item()
     return value
+
+
+def _dose_target(data, method, models, on_out_of_range) -> tuple[np.ndarray | None, dict]:
+    """The regression target of ``method``'s dose-side curve (None for OR
+    and TWFE) and the diagnostics of forming it."""
+    diagnostics: dict = {"clamped": 0, "bandwidth_selected": False}
+    if "mu1" in DOSE_NEEDS[method]:
+        diagnostics["mu1_ridged"] = models.mu1.ridged
+    if method in ("MR", "MR_PARAMETRIC"):
+        xi, f_at_d, pi_d_at = compute_xi_terms(data, models, on_out_of_range)
+        diagnostics["clamped"] = count_clamped(data, models)
+        _weight_health(data, models, f_at_d, pi_d_at, diagnostics)
+        return xi, diagnostics
+    trend_t, _ = data.split(data.trend)
+    if method == "IPW":
+        f_at_d, pi_d_at = models.f_marginal(data.dose), models.pi_d(data.dose, data.x_treated)
+        target = normalize_weights(f_at_d / pi_d_at, data.weight_treated) * trend_t
+        _weight_health(data, models, f_at_d, pi_d_at, diagnostics)
+        return target, diagnostics
+    return (trend_t if method == "NAIVE" else None), diagnostics
+
+
+def dose_sides(
+    data: TwoPeriodDataset,
+    jobs: dict,
+    grid: np.ndarray,
+    bandwidth: float | None = None,
+    bandwidth_grid: np.ndarray | None = None,
+    parametric_basis: tuple[int, ...] = (1, 3),
+    on_out_of_range: str = "error",
+) -> dict:
+    """``dose_side`` for every ``key: (method, models)`` of ``jobs``: each key
+    maps to its ``(theta, bandwidth, diagnostics)``, or to the DoseDidError
+    that ``dose_side`` raises for it.
+
+    Without a ``bandwidth``, the regression targets of all the smoothed
+    methods share one leave-one-out pass: they are one stack over the one
+    treated dose vector and weight row, and each gets the bandwidth it gets
+    alone (docs/DECISIONS.md, D11).
+    """
+    out: dict = {}
+    targets: dict = {}
+    for key, (method, models) in jobs.items():
+        try:
+            targets[key] = _dose_target(data, method, models, on_out_of_range)
+        except DoseDidError as exc:
+            out[key] = exc
+    smoothed = {key: target for key, (target, _) in targets.items() if jobs[key][0] in SMOOTHED_METHODS}
+    picked = {} if bandwidth is not None else _select_bandwidths(data, smoothed, bandwidth_grid)
+    for key, (target, diagnostics) in targets.items():
+        method, models = jobs[key]
+        h = bandwidth
+        if isinstance(picked.get(key), DoseDidError):
+            out[key] = picked[key]
+            continue
+        if key in picked:
+            h, selection = picked[key]
+            diagnostics.update(selection)
+        try:
+            if method in SMOOTHED_METHODS:
+                theta = local_linear_curve(data.dose, target, grid, h, data.weight_treated)
+                h = float(h)
+            elif method == "MR_PARAMETRIC":
+                theta = parametric_theta(data.dose, target, grid, data.weight_treated, parametric_basis)
+                diagnostics["parametric_basis"] = tuple(parametric_basis)
+            elif method == "OR":
+                theta = models.m_marginal(grid)
+            else:  # TWFE
+                theta, diagnostics["twfe_coefficients"] = _twfe_curve(data, grid)
+        except DoseDidError as exc:
+            out[key] = exc
+            continue
+        out[key] = theta, h, {name: _scalar(value) for name, value in diagnostics.items()}
+    return out
 
 
 def dose_side(
@@ -266,33 +359,13 @@ def dose_side(
     ``pi_d_var_floor_hits``, ``w1_max`` and ``w1_ess`` in the diagnostics;
     those that read mu1 record ``mu1_ridged``. A per-row diagnostic is an
     array of the weight's leading shape, and a Python scalar for a 1-D
-    weight.
+    weight. This is ``dose_sides`` with one job.
     """
-    trend_t, _ = data.split(data.trend)
-    diagnostics: dict = {"clamped": 0, "bandwidth_selected": False}
-    if "mu1" in DOSE_NEEDS[method]:
-        diagnostics["mu1_ridged"] = models.mu1.ridged
-    if method in ("MR", "MR_PARAMETRIC"):
-        xi, raw_w1 = compute_xi(data, models, on_out_of_range)
-        diagnostics["clamped"] = count_clamped(data, models)
-        _weight_health(data, models, raw_w1, diagnostics)
-        if method == "MR":
-            theta, bandwidth = _smoothed_theta(data, xi, grid, bandwidth, bandwidth_grid, diagnostics)
-        else:
-            theta = parametric_theta(data.dose, xi, grid, data.weight_treated, parametric_basis)
-            diagnostics["parametric_basis"] = tuple(parametric_basis)
-    elif method == "OR":
-        theta = models.m_marginal(grid)
-    elif method == "IPW":
-        raw_w1 = models.f_marginal(data.dose) / models.pi_d(data.dose, data.x_treated)
-        target = normalize_weights(raw_w1, data.weight_treated) * trend_t
-        _weight_health(data, models, raw_w1, diagnostics)
-        theta, bandwidth = _smoothed_theta(data, target, grid, bandwidth, bandwidth_grid, diagnostics)
-    elif method == "NAIVE":
-        theta, bandwidth = _smoothed_theta(data, trend_t, grid, bandwidth, bandwidth_grid, diagnostics)
-    else:  # TWFE
-        theta, diagnostics["twfe_coefficients"] = _twfe_curve(data, grid)
-    return theta, bandwidth, {name: _scalar(value) for name, value in diagnostics.items()}
+    jobs = {method: (method, models)}
+    result = dose_sides(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range)[method]
+    if isinstance(result, DoseDidError):
+        raise result
+    return result
 
 
 def control_side(

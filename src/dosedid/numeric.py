@@ -426,7 +426,9 @@ def _solve_local_linear(s0, s1, s2, t0, t1, fallback):
     safe = np.where(good, den, 1.0)
     intercept = (s2 * t0 - s1 * t1) / safe
     slope = (s0 * t1 - s1 * t0) / safe
-    for index in zip(*np.nonzero(~good)):
+    # A row of ``t0``, ``t1`` over shared weight moments falls back wherever
+    # the shared determinant does.
+    for index in zip(*np.nonzero(~np.broadcast_to(good, intercept.shape))):
         intercept[index], slope[index] = fallback(index)
     return intercept, slope
 
@@ -462,7 +464,7 @@ def select_bandwidth(
     ys: np.ndarray,
     grid: np.ndarray | None = None,
     sample_weight: np.ndarray | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Pick the candidate bandwidth minimizing leave-one-out squared error.
 
     For each candidate h the exact leave-one-out local linear prediction is
@@ -470,6 +472,12 @@ def select_bandwidth(
     infeasible (fewer than two remaining in-window points) are skipped.
     Scores below the interpolation tolerance (see ``_loo_zero_tolerance``)
     count as exact zeros, and ties go to the smaller bandwidth.
+
+    ``ys`` may be an (R, n) stack of targets over the shared ``xs`` and one
+    1-D weight: each row gets the bandwidth it gets alone, from one pass
+    over the candidates that forms the weight's moments once (see
+    ``_loo_score``). A 1-D ``ys`` gives a Python float, a stack an (R,)
+    array.
 
     Raises
     ------
@@ -481,27 +489,38 @@ def select_bandwidth(
     cand = np.unique(np.asarray(grid, dtype=float))
     if cand.size == 0:
         raise BandwidthError("empty bandwidth grid")
+    weight = np.ones(np.shape(xs)) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+    if weight.ndim != 1:
+        raise FitError(f"bandwidth selection takes one weight row, got weights {weight.shape}")
 
-    window = WindowedMoments(xs, ys, np.ones(np.shape(xs)) if sample_weight is None else sample_weight)
-    zero_tol = _loo_zero_tolerance(window._yo, window._wo)
-    best_h = None
-    best_score = np.inf
+    window = WindowedMoments(xs, ys, weight)
+    shape = window._yo.shape[:-1]
+    rows = window._yo.reshape(-1, window._xo.size)
+    zero_tol = np.reshape([_loo_zero_tolerance(y, window._wo) for y in rows], shape)
+    best_h = np.full(shape, np.nan)
+    best_score = np.full(shape, np.inf)
     for h in cand:
         score = _loo_score(window, float(h))
         if score is None:
             continue
-        if score < zero_tol:
-            score = 0.0
-        if score < best_score:
-            best_score = score
-            best_h = float(h)
-    if best_h is None:
+        score = np.where(score < zero_tol, 0.0, score)
+        better = score < best_score
+        best_score = np.where(better, score, best_score)
+        best_h = np.where(better, h, best_h)
+    if np.any(np.isnan(best_h)):
         raise BandwidthError("no feasible bandwidth candidate (all leave-one-out fits failed)")
-    return best_h
+    return best_h.item() if best_h.ndim == 0 else best_h
 
 
-def _loo_score(window: WindowedMoments, h: float) -> float | None:
-    """Exact weighted LOO score for one candidate, or None if infeasible."""
+def _loo_score(window: WindowedMoments, h: float) -> np.ndarray | None:
+    """Exact weighted LOO score of each row of ``window``'s ``ys`` for one
+    candidate, or None if the candidate is infeasible.
+
+    Feasibility, and which windows take the literal fallback, depend only
+    on the doses, the 1-D weight and h, so every row skips the same
+    candidates and falls back at the same windows; the weight's moments
+    s0, s1, s2 are formed once for all rows (docs/DECISIONS.md, D11).
+    """
     xo, yo, wo = window._xo, window._yo, window._wo
     s0, s1, s2, t0, t1, first, stop = window.moments(xo, h)
     # Each LOO fit needs two in-window points besides the held-out one, and
@@ -514,7 +533,7 @@ def _loo_score(window: WindowedMoments, h: float) -> float | None:
 
     def literal(index):
         keep = pos != index[-1]
-        return local_linear_fit(xo[keep], yo[keep], h, float(xo[index[-1]]), sample_weight=wo[keep])
+        return local_linear_fit(xo[keep], yo[index[:-1]][keep], h, float(xo[index[-1]]), sample_weight=wo[keep])
 
     # Dropping point i only touches the zeroth-order sums (u_i = 0 there).
     try:
@@ -522,7 +541,7 @@ def _loo_score(window: WindowedMoments, h: float) -> float | None:
     except BandwidthError:
         return None
     resid = yo - pred
-    return float(np.sum(wo * resid * resid))
+    return np.sum(wo * resid * resid, axis=-1)
 
 
 def silverman_bandwidth(samples: np.ndarray, sample_weight: np.ndarray | None = None) -> float | np.ndarray:

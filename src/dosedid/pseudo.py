@@ -37,6 +37,7 @@ __all__ = [
     "PseudoOutcomeSet",
     "normalize_weights",
     "compute_xi",
+    "compute_xi_terms",
     "compute_theta0",
     "build_pseudo_outcomes",
     "count_clamped",
@@ -91,6 +92,18 @@ def compute_xi(
     when a treated dose falls outside the marginals' node range: ``"error"``
     raises (naming the unit), ``"clamp"`` evaluates at the nearest endpoint.
     """
+    xi, f_at_d, pi_d_at = compute_xi_terms(data, models, on_out_of_range)
+    return xi, f_at_d / pi_d_at
+
+
+def compute_xi_terms(
+    data: TwoPeriodDataset,
+    models: NuisanceModelSet,
+    on_out_of_range: str = "error",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``compute_xi`` with the two densities of its weight: ``(xi, f(D_i),
+    pi_d(D_i | X_i))``, where raw_w1 = f / pi_d and pi_d is floored inside
+    the model."""
     if models.m_marginal is None or models.f_marginal is None or models.mu1 is None or models.pi_d is None:
         raise DataValidationError("compute_xi needs fitted mu1/pi_d models and their marginals")
     d = data.dose
@@ -111,10 +124,9 @@ def compute_xi(
     m_at_d = models.m_marginal(d)
     f_at_d = models.f_marginal(d)
     pi_d_at = models.pi_d(d, x_t)  # floored inside the model
-    raw_w1 = f_at_d / pi_d_at
-    w1 = normalize_weights(raw_w1, data.weight_treated)
+    w1 = normalize_weights(f_at_d / pi_d_at, data.weight_treated)
     xi = m_at_d + w1 * (trend_t - models.mu1(d, x_t))
-    return xi, raw_w1
+    return xi, f_at_d, pi_d_at
 
 
 def compute_theta0(

@@ -360,6 +360,22 @@ def test_too_few_treated_units_is_one_estimation_error(tmp_path, capsys):
     assert err.startswith("dosedid: estimation-error: ") and "need at least 10 treated units" in err
 
 
+def test_too_few_control_units_is_one_estimation_error(tmp_path, capsys):
+    data = generate_scenario_data(260, 61)
+    keep = np.sort(np.concatenate([np.flatnonzero(data.a), np.flatnonzero(~data.a)[:9]]))
+    small = TwoPeriodDataset.from_arrays(
+        data.x[keep],
+        data.a[keep],
+        data.dose,
+        data.y0[keep],
+        data.y1[keep],
+        ids=[data.ids[i] for i in keep],
+        covariate_names=data.covariate_names,
+    )
+    assert _estimate(tmp_path, _panel_from(tmp_path, small)) == 4
+    assert capsys.readouterr().err == "dosedid: estimation-error: need at least 10 control units to fit mu0\n"
+
+
 def test_constant_treated_dose_is_one_estimation_error(tmp_path, capsys):
     data = generate_scenario_data(260, 61)
     constant = replace(data, dose=np.full(data.n_treated, 2.0))
@@ -386,3 +402,19 @@ def test_separable_propensity_is_flagged_in_the_manifest(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["diagnostics"]["MR"]["pi_a_converged"] is False
+
+
+def test_manifest_values_are_json_values(tmp_path):
+    """numpy scalars and 0-d arrays reach the manifest as JSON numbers and
+    booleans; any other value that JSON cannot hold is an error naming its
+    key, not a string."""
+    from dosedid import cli
+
+    diagnostics = {"MR": {"converged": np.bool_(True), "hits": np.int64(3), "ess": np.array(2.5), "basis": (1, 3)}}
+    config = yaml.safe_load("seed: 7\nrun_date: 2026-03-01\n")
+    cli._write_manifest(tmp_path, "estimate", {**config, "seed": np.int64(7)}, diagnostics, ["curve_MR.csv"])
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["config"] == {"seed": 7, "run_date": "2026-03-01"}
+    assert manifest["diagnostics"]["MR"] == {"converged": True, "hits": 3, "ess": 2.5, "basis": [1, 3]}
+    with pytest.raises(TypeError, match=r"manifest\.diagnostics\.MR\.coefficients"):
+        cli._write_manifest(tmp_path, "estimate", {}, {"MR": {"coefficients": np.zeros(3)}}, [])

@@ -242,6 +242,19 @@ def test_local_linear_curve_matches_per_point_fit_on_mr_pseudo_outcomes(n):
             assert gap <= 1e-6 * np.std(exact), (w is None, h, gap)
 
 
+def test_robust_select_bandwidth_extends_a_target_stack_as_each_row_alone():
+    # An isolated extreme dose has no partner inside the widest default
+    # candidate: every row takes the same extension of the grid.
+    rng = np.random.default_rng(305)
+    dose = np.append(rng.uniform(0.0, 1.0, 59), 25.0)
+    ys = np.stack([rng.normal(size=60), 3.0 * dose + rng.normal(size=60), np.sin(dose)])
+    w = rng.uniform(0.5, 2.0, 60)
+    alone = [robust_select_bandwidth(dose, y, None, w) for y in ys]
+    stacked = robust_select_bandwidth(dose, ys, None, w)
+    assert stacked.tolist() == alone
+    assert min(alone) > np.max(default_bandwidth_grid(dose))
+
+
 def test_local_linear_curve_error_carries_first_infeasible_delta():
     x = np.array([0.0, 0.1, 0.2, 5.0, 9.0, 9.1])
     # 3.0 has no point within h, 5.0 one; the first of them is reported.
@@ -353,6 +366,36 @@ def test_floor_hits_are_counted(data):
     assert diag["pi_d_floor_hits"] == data.n_treated
     _, _, diag = dose_side(data, "MR_PARAMETRIC", models, grid)
     assert diag["f_floor_hits"] == 0 and diag["pi_d_floor_hits"] == 0
+
+
+class _Counted:
+    """A model whose calls are counted; every attribute is the model's."""
+
+    def __init__(self, model, name, calls):
+        self._model, self._name, self._calls = model, name, calls
+
+    def __call__(self, *args):
+        self._calls.append(self._name)
+        return self._model(*args)
+
+    def __getattr__(self, attr):
+        return getattr(self._model, attr)
+
+
+@pytest.mark.parametrize("method", ["MR", "MR_PARAMETRIC", "IPW"])
+def test_dose_side_evaluates_f_and_pi_d_once(data, method):
+    """The weight-health diagnostics reuse the f and pi_d values the dose
+    side forms its weights from."""
+    models = fit_nuisances(data, SPECS, which=("pi_d", "mu1"))
+    calls = []
+    counted = replace(
+        models, f_marginal=_Counted(models.f_marginal, "f", calls), pi_d=_Counted(models.pi_d, "pi_d", calls)
+    )
+    grid = default_dose_grid(data.dose)
+    theta, h, diag = dose_side(data, method, counted, grid)
+    assert sorted(calls) == ["f", "pi_d"]
+    expected = dose_side(data, method, models, grid)
+    assert theta.tobytes() == expected[0].tobytes() and h == expected[1] and diag == expected[2]
 
 
 def test_pi_d_variance_floor_hits_are_counted():

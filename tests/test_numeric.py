@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dosedid import numeric
 from dosedid.errors import BandwidthError, FitError
 from dosedid.numeric import (
     default_bandwidth_grid,
@@ -286,6 +287,73 @@ def test_select_bandwidth_skips_infeasible_candidates():
     y = np.sin(x) + 0.1 * rng.normal(size=x.shape[0])
     grid = np.array([0.05, 0.5, 30.0])  # only the widest can cover the gap
     assert select_bandwidth(x, y, grid) == 30.0
+
+
+def _stack_case(name):
+    """(x, (R, n) targets, grid, weight) for one target-stack case."""
+    rng = np.random.default_rng(18)
+    if name == "scales":
+        # Per-row zero tolerances: the tolerance of a noiseless line 1e15
+        # times larger would zero every score of the small noisy row.
+        x = np.sort(rng.uniform(0, 10, 120))
+        noisy = np.sin(x) + 0.3 * rng.normal(size=120)
+        return x, np.stack([1e-6 * noisy, 1e9 * (1.0 + 2.0 * x), 1e3 * noisy[::-1]]), default_bandwidth_grid(x), None
+    if name == "line":
+        # Every candidate interpolates the line: the smallest wins.
+        x = np.sort(rng.uniform(0, 10, 80))
+        return x, np.stack([1.0 + 2.0 * x, np.cos(x) + 0.2 * rng.normal(size=80)]), np.array([1.5, 2.5, 4.0, 8.0]), None
+    if name == "infeasible":
+        # Only the widest candidate covers the gap below the far cluster.
+        x = np.sort(np.concatenate([rng.uniform(0, 1, 50), [25.0, 25.3, 25.6]]))
+        ys = np.stack([np.sin(x), np.cos(x), x * x]) + 0.1 * rng.normal(size=(3, x.shape[0]))
+        return x, ys, np.array([0.05, 0.5, 30.0]), None
+    # "fallback": the zero-weight point leaves the far cluster's
+    # leave-one-out windows one weighted point, a singular 2 x 2 system.
+    x = np.concatenate([rng.uniform(0, 1, 40), [3.0, 3.3, 3.6]])
+    w = np.ones(x.shape[0])
+    w[-2] = 0.0
+    ys = np.stack([np.sin(x), 5.0 * np.cos(x), -x]) + 0.1 * rng.normal(size=(3, x.shape[0]))
+    return x, ys, np.array([1.0, 2.5]), w
+
+
+@pytest.mark.parametrize("name", ["scales", "line", "infeasible", "fallback"])
+def test_select_bandwidth_on_a_target_stack_equals_each_row_alone(monkeypatch, name):
+    x, ys, grid, w = _stack_case(name)
+    weight = np.ones(x.shape[0]) if w is None else w
+    literal_calls = []
+    original = numeric.local_linear_fit
+    monkeypatch.setattr(numeric, "local_linear_fit", lambda *a, **k: literal_calls.append(a) or original(*a, **k))
+    alone = [select_bandwidth(x, y, grid, w) for y in ys]
+    calls_alone = len(literal_calls)
+    stacked = select_bandwidth(x, ys, grid, w)
+    # Each row takes the literal fit at the same windows, alone or stacked.
+    assert len(literal_calls) == 2 * calls_alone
+    assert all(type(h) is float for h in alone)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (ys.shape[0],)
+    assert stacked.tolist() == alone
+    # The scores too, candidate by candidate: bitwise, infeasible alike.
+    window = numeric.WindowedMoments(x, ys, weight)
+    for h in np.unique(grid):
+        score = numeric._loo_score(window, float(h))
+        rows = [numeric._loo_score(numeric.WindowedMoments(x, y, weight), float(h)) for y in ys]
+        if score is None:
+            assert rows == [None] * ys.shape[0]
+        else:
+            assert score.tobytes() == np.array(rows).tobytes()
+    if name == "scales":
+        assert alone[0] > np.min(grid) and alone[1] == np.min(grid)
+    if name == "line":
+        assert alone[0] == 1.5
+    if name == "infeasible":
+        assert alone == [30.0] * 3
+    if name == "fallback":
+        assert calls_alone > 0
+
+
+def test_select_bandwidth_takes_one_weight_row():
+    x = np.linspace(0.0, 1.0, 30)
+    with pytest.raises(FitError, match="one weight row"):
+        select_bandwidth(x, np.sin(x), np.array([0.3, 0.5]), np.ones((2, 30)))
 
 
 # ---------------------------------------------------------------- kde

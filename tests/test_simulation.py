@@ -320,6 +320,26 @@ def test_model_bank_shares_fits_across_permutations(monkeypatch):
     assert calls == Counter(fit_pi_a=2, fit_pi_d=2, fit_mu1=2, fit_mu0=2, marginalize=4)
 
 
+def test_one_leave_one_out_pass_per_replicate(monkeypatch):
+    """A 16-permutation, six-method replicate selects the bandwidths of its
+    7 smoothed dose sides (4 MR, 2 IPW, 1 NAIVE) in one call."""
+    stacks = []
+    original = curves.robust_select_bandwidth
+
+    def counted(x, ys, grid, weight):
+        stacks.append(np.shape(ys))
+        return original(x, ys, grid, weight)
+
+    monkeypatch.setattr(curves, "robust_select_bandwidth", counted)
+    cfg = ScenarioConfig(n=300, replicates=1, seed=33, methods=METHODS, super_n=20_000)
+    truth = ground_truth_curve(33, 20_000)
+    out, _, failures, edges = _replicate_worker(cfg, [tuple(sorted(p)) for p in all_permutations()], truth, 0)
+    assert failures == {}
+    assert len(out) == 16 * len(METHODS)
+    assert stacks == [(7, generate_scenario_data(300, stream_seed(33, 0, ROLE_DATA)).n_treated)]
+    assert len(edges) == 16 * 3
+
+
 def test_run_study_with_inference_smoke():
     cfg = ScenarioConfig(
         n=150,

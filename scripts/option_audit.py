@@ -1,0 +1,172 @@
+"""List the defaulted parameters of dosedid that no call sets.
+
+    python scripts/option_audit.py [ROOT]
+
+A name-based AST scan. Every function, method and dataclass field of
+``src/dosedid`` that has a default is an option; every call anywhere in
+``src``, ``tests``, ``demos``, ``scripts`` and ``perfbench`` sets the
+options it passes, by keyword or by position. Matching is by name only: a
+call ``f(...)`` or ``obj.f(...)`` counts for every function or method named
+``f``, a call of a class name counts for that class's ``__init__`` or its
+dataclass fields, and the keywords of ``replace(obj, ...)`` count for every
+dataclass field of that name. A ``*args`` or ``**kwargs`` splat sets
+nothing. So the scan can miss an option a call sets through a renamed
+reference (a callback, a dict of functions) and can credit a call to the
+wrong function of a shared name; read its list as candidates, not proof.
+
+It prints every option that no call sets, with the reason it is kept when
+``KEPT`` names one (docs/DECISIONS.md, D12), then, for information, the
+options that only tests set. It exits 1 when an option that no call sets
+is not in ``KEPT``.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+CALLER_DIRS = ("src", "tests", "demos", "scripts", "perfbench")
+
+# Options that no call sets but that stay, each with its reason.
+KEPT = {
+    ("write_panel", "schema"): "load_panel's counterpart; the file layout is a deployment setting",
+    ("estimate_repeated", "grid"): "estimate_curve's public estimation argument",
+    ("estimate_repeated", "bandwidth"): "estimate_curve's public estimation argument",
+    ("placebo_curves", "bandwidth"): "estimate_curve's public estimation argument",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
+            isinstance(target, ast.Attribute) and target.attr == "dataclass"
+        ):
+            return True
+    return False
+
+
+def _function_options(fn, skip_first: bool) -> dict:
+    """``{defaulted name: positional index, or None if keyword-only}``."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args][1 if skip_first else 0 :]
+    defaulted = {name: positional.index(name) for name in positional[len(positional) - len(args.defaults) :]}
+    for a, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            defaulted[a.arg] = None
+    return defaulted
+
+
+def collect_options(package: Path) -> list[dict]:
+    """One entry per callable of the package that has defaulted options."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defaulted = _function_options(node, skip_first=False)
+                found.append(dict(file=path.name, name=node.name, label=node.name, defaulted=defaulted))
+            elif isinstance(node, ast.ClassDef):
+                found.extend(_class_options(path.name, node))
+    return [entry for entry in found if entry["defaulted"]]
+
+
+def _class_options(file: str, node: ast.ClassDef) -> list[dict]:
+    out = []
+    if _is_dataclass(node):
+        fields = [s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+        defaulted = {s.target.id: i for i, s in enumerate(fields) if s.value is not None}
+        out.append(dict(file=file, name=node.name, label=node.name, defaulted=defaulted, fields=True))
+    for item in node.body:
+        if not isinstance(item, ast.FunctionDef):
+            continue
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+        defaulted = _function_options(item, skip_first=not static)
+        if item.name == "__init__":
+            out.append(dict(file=file, name=node.name, label=node.name, defaulted=defaulted))
+        else:
+            out.append(dict(file=file, name=item.name, label=f"{node.name}.{item.name}", defaulted=defaulted))
+    return out
+
+
+class _CallCollector(ast.NodeVisitor):
+    """Callee names with their positional counts and keywords; ``cls(...)``
+    inside a class body names that class."""
+
+    def __init__(self, rel: str, calls, replaced):
+        self.rel, self.calls, self.replaced = rel, calls, replaced
+        self.classes: list[str] = []
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        if name == "cls" and self.classes:
+            name = self.classes[-1]
+        if name is not None:
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            self.calls[name].append((self.rel, sum(not isinstance(a, ast.Starred) for a in node.args), keywords))
+            if name == "replace":
+                for key in keywords:
+                    self.replaced[key].append(self.rel)
+        self.generic_visit(node)
+
+
+def collect_calls(root: Path):
+    """``{callee name: [(file, positional count, keywords)]}`` and, for each
+    keyword of a ``replace`` call, the files that pass it."""
+    calls, replaced = defaultdict(list), defaultdict(list)
+    for folder in CALLER_DIRS:
+        for path in sorted((root / folder).rglob("*.py")):
+            collector = _CallCollector(path.relative_to(root).as_posix(), calls, replaced)
+            collector.visit(ast.parse(path.read_text(encoding="utf-8")))
+    return calls, replaced
+
+
+def audit(root: Path):
+    """``(unset, test_only)``: lists of ``(file, callable, option)``."""
+    options = collect_options(root / "src" / "dosedid")
+    calls, replaced = collect_calls(root)
+    unset, test_only = [], []
+    for entry in options:
+        for option, index in entry["defaulted"].items():
+            setters = [
+                rel
+                for rel, n_pos, keywords in calls.get(entry["name"], ())
+                if option in keywords or (index is not None and index < n_pos)
+            ]
+            if entry.get("fields"):
+                setters += replaced.get(option, [])
+            label = (entry["file"], entry["label"], option)
+            if not setters:
+                unset.append(label)
+            elif all(rel.startswith("tests/") for rel in setters):
+                test_only.append(label)
+    return unset, test_only
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
+    unset, test_only = audit(root)
+    unexplained = 0
+    print("Defaulted options that no call sets:")
+    for file, name, option in unset:
+        reason = KEPT.get((name.rsplit(".", 1)[-1], option))
+        unexplained += reason is None
+        print(f"  {file}: {name}({option})" + (f"  -- kept: {reason}" if reason else ""))
+    print("Defaulted options that only tests set:")
+    for file, name, option in test_only:
+        print(f"  {file}: {name}({option})")
+    if unexplained:
+        print(f"{unexplained} option(s) that no call sets and no entry of KEPT explains")
+    return 1 if unexplained else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

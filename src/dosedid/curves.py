@@ -40,7 +40,7 @@ from .data import TwoPeriodDataset
 from .errors import BandwidthError, DoseDidError, EstimationError
 from .numeric import WindowedMoments, default_bandwidth_grid, fit_wls, linear_predictor, select_bandwidth
 from .nuisance import DENSITY_FLOOR, VALID_WHICH, NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
-from .pseudo import compute_theta0, compute_xi_terms, count_clamped, normalize_weights
+from .pseudo import compute_theta0, compute_xi_terms, dose_weight_terms, normalize_weights
 
 __all__ = [
     "METHODS",
@@ -274,16 +274,14 @@ def _dose_target(data, method, models, on_out_of_range) -> tuple[np.ndarray | No
     if "mu1" in DOSE_NEEDS[method]:
         diagnostics["mu1_ridged"] = models.mu1.ridged
     if method in ("MR", "MR_PARAMETRIC"):
-        xi, f_at_d, pi_d_at = compute_xi_terms(data, models, on_out_of_range)
-        diagnostics["clamped"] = count_clamped(data, models)
+        xi, f_at_d, pi_d_at, diagnostics["clamped"] = compute_xi_terms(data, models, on_out_of_range)
         _weight_health(data, models, f_at_d, pi_d_at, diagnostics)
         return xi, diagnostics
     trend_t, _ = data.split(data.trend)
     if method == "IPW":
-        f_at_d, pi_d_at = models.f_marginal(data.dose), models.pi_d(data.dose, data.x_treated)
-        target = normalize_weights(f_at_d / pi_d_at, data.weight_treated) * trend_t
+        w1, f_at_d, pi_d_at, diagnostics["clamped"] = dose_weight_terms(data, models, on_out_of_range)
         _weight_health(data, models, f_at_d, pi_d_at, diagnostics)
-        return target, diagnostics
+        return w1 * trend_t, diagnostics
     return (trend_t if method == "NAIVE" else None), diagnostics
 
 
@@ -300,18 +298,29 @@ def dose_sides(
     maps to its ``(theta, bandwidth, diagnostics)``, or to the DoseDidError
     that ``dose_side`` raises for it.
 
-    Without a ``bandwidth``, the regression targets of all the smoothed
-    methods share one leave-one-out pass: they are one stack over the one
-    treated dose vector and weight row, and each gets the bandwidth it gets
-    alone (docs/DECISIONS.md, D11).
+    MR and MR_PARAMETRIC jobs on the same fitted pi_d, mu1 and marginals
+    share one set of pseudo-outcomes. Without a ``bandwidth``, the
+    regression targets of all the smoothed methods share one leave-one-out
+    pass: they are one stack over the one treated dose vector and weight
+    row, and each gets the bandwidth it gets alone (docs/DECISIONS.md, D11).
     """
     out: dict = {}
     targets: dict = {}
+    formed: dict = {}
     for key, (method, models) in jobs.items():
-        try:
-            targets[key] = _dose_target(data, method, models, on_out_of_range)
-        except DoseDidError as exc:
-            out[key] = exc
+        source = ("job", key)
+        if method in ("MR", "MR_PARAMETRIC"):
+            source = tuple(map(id, (models.pi_d, models.mu1, models.m_marginal, models.f_marginal)))
+        if source not in formed:
+            try:
+                formed[source] = _dose_target(data, method, models, on_out_of_range)
+            except DoseDidError as exc:
+                formed[source] = exc, None
+        target, diagnostics = formed[source]
+        if isinstance(target, DoseDidError):
+            out[key] = target
+        else:
+            targets[key] = target, dict(diagnostics)
     smoothed = {key: target for key, (target, _) in targets.items() if jobs[key][0] in SMOOTHED_METHODS}
     picked = {} if bandwidth is not None else _select_bandwidths(data, smoothed, bandwidth_grid)
     for key, (target, diagnostics) in targets.items():
@@ -486,11 +495,11 @@ def _twfe_curve(data: TwoPeriodDataset, grid: np.ndarray):
     return tau0 + tau_d * grid, fit.coefficients
 
 
-def write_curve(estimate: EffectCurveEstimate, path, delimiter: str = ",") -> None:
-    """Write one curve as delimited text with the documented columns."""
+def write_curve(estimate: EffectCurveEstimate, path) -> None:
+    """Write one curve as comma-delimited text with the documented columns."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(["delta", "psi", "theta", "ci_lower", "ci_upper", "method", "bandwidth"])
         bw = "" if estimate.bandwidth is None else repr(float(estimate.bandwidth))
         for k in range(estimate.grid.shape[0]):

@@ -72,15 +72,15 @@ class PanelSchema:
         )
 
     @classmethod
-    def default(cls, covariates, periods, delimiter: str = ",") -> "PanelSchema":
-        """Canonical schema with outcome columns named ``y_<period>``."""
+    def default(cls, covariates, periods) -> "PanelSchema":
+        """Canonical comma-delimited schema with outcome columns named
+        ``y_<period>``."""
         return cls(
             id="id",
             treatment="a",
             dose="d",
             covariates=tuple(covariates),
             outcomes={int(m): f"y_{int(m)}" for m in periods},
-            delimiter=delimiter,
         )
 
 
@@ -230,7 +230,7 @@ class TwoPeriodDataset:
         object.__setattr__(self, "weight", _readonly(weight))
 
     @classmethod
-    def from_arrays(cls, x, a, dose, y0, y1, ids=None, covariate_names=None, source_pair=(0, 1)):
+    def from_arrays(cls, x, a, dose, y0, y1, ids=None, covariate_names=None):
         x = np.asarray(x, dtype=float)
         n = x.shape[0]
         if ids is None:
@@ -245,7 +245,6 @@ class TwoPeriodDataset:
             y0=y0,
             y1=y1,
             covariate_names=tuple(covariate_names),
-            source_pair=tuple(source_pair),
         )
 
     @property

@@ -367,8 +367,8 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
     d = data.dose
     trend_t, trend_c = data.split(data.trend)
 
-    r_mean = models.pi_d.mean_design.build(x_t)
-    r_resid = models.pi_d.resid_design.build(x_t)
+    # pi_d's mean and squared-residual models share one design.
+    r = models.pi_d.design.build(x_t)
     x_mu1 = models.mu1.design(d, x_t)
     x_pa = models.pi_a.design.build(data.x)
     x_mu0 = models.mu0.design.build(data.x_control)
@@ -389,9 +389,9 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
         out = np.zeros((data.n, packed.shape[0]))
         blocks = np.split(out, splits, axis=1)
         treated = data.a
-        eps = d - r_mean @ alpha_d
-        blocks[0][treated] = ctx.wt[:, None] * r_mean * eps[:, None]
-        blocks[1][treated] = ctx.wt[:, None] * r_resid * (eps**2 - r_resid @ gamma_r)[:, None]
+        eps = d - r @ alpha_d
+        blocks[0][treated] = ctx.wt[:, None] * r * eps[:, None]
+        blocks[1][treated] = ctx.wt[:, None] * r * (eps**2 - r @ gamma_r)[:, None]
         blocks[2][treated] = ctx.wt[:, None] * x_mu1 * (trend_t - x_mu1 @ lam1)[:, None]
         blocks[3][:] = data.weight[:, None] * x_pa * (data.a.astype(float) - expit(x_pa @ alpha_a))[:, None]
         blocks[4][~treated] = ctx.wc[:, None] * x_mu0 * (trend_c - x_mu0 @ lam0)[:, None]

@@ -47,7 +47,6 @@ from .numeric import (
     interp_rows,
     linear_predictor,
     scale_mixture,
-    silverman_bandwidth,
 )
 
 __all__ = [
@@ -77,6 +76,7 @@ DENSITY_FLOOR = 1e-4
 RESIDUAL_VAR_FLOOR = 1e-6
 
 _MIN_GROUP = 10
+_SPLINE_INTERIOR_KNOTS = 4  # at evenly spaced percentiles of each variable
 _KDE_TABLE_SIZE = 4097
 _KDE_TABLE_PAD = 8.0  # bandwidths beyond the sample range
 # f is tabulated on this many evenly spaced doses, set by the tolerance on
@@ -188,8 +188,8 @@ class _SplineBasis:
     knots: np.ndarray  # sorted, boundary knots included
 
     @classmethod
-    def from_data(cls, values: np.ndarray, n_interior: int = 4) -> "_SplineBasis":
-        qs = np.linspace(0.0, 100.0, n_interior + 2)
+    def from_data(cls, values: np.ndarray) -> "_SplineBasis":
+        qs = np.linspace(0.0, 100.0, _SPLINE_INTERIOR_KNOTS + 2)
         knots = np.unique(np.percentile(np.asarray(values, dtype=float), qs))
         return cls(knots=knots)
 
@@ -213,10 +213,11 @@ class _SplineBasis:
 
 @dataclass(frozen=True)
 class CovariateDesign:
-    """Maps raw covariates to a design block [1, g1(x), ..., gk(x)]."""
+    """Maps raw covariates to a design block [1, g1(x), ..., gk(x)]: the
+    mapped covariates under the linear learner, their natural splines
+    (``splines``) under the flexible one."""
 
     covariate_map: str
-    learner: str
     splines: tuple[_SplineBasis, ...] | None = None
 
     @classmethod
@@ -226,13 +227,17 @@ class CovariateDesign:
             splines = tuple(_SplineBasis.from_data(mapped[:, j]) for j in range(mapped.shape[1]))
         else:
             splines = None
-        return cls(covariate_map=spec.covariate_map, learner=spec.learner, splines=splines)
+        return cls(covariate_map=spec.covariate_map, splines=splines)
 
     def mapped(self, x: np.ndarray) -> np.ndarray:
         return _apply_map(x, self.covariate_map)
 
     def build(self, x: np.ndarray) -> np.ndarray:
-        mapped = self.mapped(x)
+        return self.assemble(self.mapped(x))
+
+    def assemble(self, mapped: np.ndarray) -> np.ndarray:
+        """The design block of already mapped covariates; every nuisance
+        design matrix is assembled here."""
         n = mapped.shape[0]
         if self.splines is None:
             return np.column_stack([np.ones(n), mapped])
@@ -243,15 +248,15 @@ class CovariateDesign:
 
 @dataclass(frozen=True)
 class _DoseBasis:
-    """Dose-only design columns: monomial powers or a natural spline."""
+    """Dose-only design columns: monomial powers, or a natural spline when
+    one is given."""
 
-    kind: str  # "powers" | "spline"
     powers: tuple[int, ...] = (1,)
     spline: _SplineBasis | None = None
 
     def columns(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
-        if self.kind == "powers":
+        if self.spline is None:
             return np.column_stack([d**p for p in self.powers])
         return self.spline.transform(d)
 
@@ -262,39 +267,32 @@ class _DoseBasis:
 
 
 @dataclass(frozen=True)
-class PropensityModel:
-    """Fitted P(A=1 | x); outputs clipped into [1e-6, 1 - 1e-6]."""
+class _CovariateModel:
+    """A fit on one covariate design (hosts pi_a and mu0)."""
 
-    fit: LogisticFit
+    fit: LinearFit | LogisticFit
     design: CovariateDesign
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.fit.coefficients
+
+    def with_coefficients(self, coef: np.ndarray):
+        return replace(self, fit=replace(self.fit, coefficients=np.asarray(coef, dtype=float)))
+
+
+class PropensityModel(_CovariateModel):
+    """Fitted P(A=1 | x); outputs clipped into [1e-6, 1 - 1e-6]."""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fit.predict_proba(self.design.build(x))
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.fit.coefficients
 
-    def with_coefficients(self, coef: np.ndarray) -> "PropensityModel":
-        return replace(self, fit=replace(self.fit, coefficients=np.asarray(coef, dtype=float)))
-
-
-@dataclass(frozen=True)
-class CovariateTrendModel:
+class CovariateTrendModel(_CovariateModel):
     """Fitted x -> expected trend (hosts mu0)."""
-
-    fit: LinearFit
-    design: CovariateDesign
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fit.predict(self.design.build(x))
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.fit.coefficients
-
-    def with_coefficients(self, coef: np.ndarray) -> "CovariateTrendModel":
-        return replace(self, fit=replace(self.fit, coefficients=np.asarray(coef, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -314,9 +312,9 @@ class DoseTrendModel:
 
     def design(self, d: np.ndarray, x: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)
-        blocks = [self.cov_design.build(x), self.dose_basis.columns(d)]
+        mapped = self.cov_design.mapped(x)
+        blocks = [self.cov_design.assemble(mapped), self.dose_basis.columns(d)]
         if self.interactions:
-            mapped = self.cov_design.mapped(x)
             blocks.append(d[:, None] * mapped[:, list(self.interactions)])
         return np.hstack(blocks)
 
@@ -335,10 +333,11 @@ class DoseTrendModel:
         """Per-unit level and dose slope: ``mu1(d, x_i) = level_i +
         dose_basis(d) @ c_dose + slope_i * d``."""
         c_cov, _, c_int = self._split()
-        level = linear_predictor(self.cov_design.build(x), c_cov)
+        mapped = self.cov_design.mapped(x)
+        level = linear_predictor(self.cov_design.assemble(mapped), c_cov)
         if not self.interactions:
             return level, np.zeros(level.shape)
-        return level, linear_predictor(self.cov_design.mapped(x)[:, list(self.interactions)], c_int)
+        return level, linear_predictor(mapped[:, list(self.interactions)], c_int)
 
     def profile(self, d, level, slope) -> np.ndarray:
         """``level + dose_basis(d) @ c_dose + slope * d`` at each dose; a
@@ -372,38 +371,39 @@ class DoseDensityModel:
     kernel density over standardized residuals: the returned value is
     ``kde((d - mean(x)) / s(x)) / s(x)``, floored at DENSITY_FLOOR. The kde
     is evaluated through an interpolation table of ``_KDE_TABLE_SIZE``
-    evenly spaced points, tabulated by ``DensityEstimate.on_grid``. A
+    evenly spaced points, tabulated by ``DensityEstimate.on_grid``. The
+    mean and squared-residual models share one covariate ``design``. A
     stacked fit holds one coefficient row, table row and ``kde_bandwidth``
     per weight row.
     """
 
     mean_coef: np.ndarray
     resid_coef: np.ndarray
-    mean_design: CovariateDesign
-    resid_design: CovariateDesign
+    design: CovariateDesign
     table_x: np.ndarray
     table_y: np.ndarray
     kde_bandwidth: np.ndarray
     bandwidth_spec: float | None = None
 
+    def location_scale(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(mean(x), sdev(x))`` from one design matrix."""
+        return _location_scale(self.mean_coef, self.resid_coef, self.design.build(x))
+
     def mean(self, x: np.ndarray) -> np.ndarray:
-        return linear_predictor(self.mean_design.build(x), self.mean_coef)
+        return self.location_scale(x)[0]
 
     def sdev(self, x: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(self._variance(x), RESIDUAL_VAR_FLOOR))
+        return self.location_scale(x)[1]
 
     def variance_floor_hits(self, x: np.ndarray):
         """How many rows of ``x`` the squared-residual model gives a variance
         below RESIDUAL_VAR_FLOOR, where ``sdev`` floors it (per fit row)."""
-        return np.count_nonzero(self._variance(x) < RESIDUAL_VAR_FLOOR, axis=-1)
-
-    def _variance(self, x: np.ndarray) -> np.ndarray:
-        return linear_predictor(self.resid_design.build(x), self.resid_coef)
+        variance = linear_predictor(self.design.build(x), self.resid_coef)
+        return np.count_nonzero(variance < RESIDUAL_VAR_FLOOR, axis=-1)
 
     def __call__(self, d, x: np.ndarray) -> np.ndarray:
         d = np.broadcast_to(np.asarray(d, dtype=float), (np.shape(x)[0],))
-        mu = self.mean(x)
-        s = self.sdev(x)
+        mu, s = self.location_scale(x)
         dens = interp_rows((d - mu) / s, self.table_x, self.table_y) / s
         return np.maximum(dens, DENSITY_FLOOR)
 
@@ -420,8 +420,7 @@ class DoseDensityModel:
         return scale_mixture(
             self.table_x,
             self.table_y,
-            self.mean(x),
-            self.sdev(x),
+            *self.location_scale(x),
             w / np.sum(w, axis=-1, keepdims=True),
             float(nodes[0]),
             float(nodes[-1]),
@@ -433,16 +432,10 @@ class DoseDensityModel:
         """Rebuild the full three-stage model at new mean/variance
         coefficients, re-deriving residuals and their kernel density from
         the supplied training data (unit weights by default)."""
-        return _assemble_dose_density(
-            np.asarray(mean_coef, dtype=float),
-            np.asarray(resid_coef, dtype=float),
-            self.mean_design,
-            self.resid_design,
-            np.asarray(d, dtype=float),
-            np.asarray(x, dtype=float),
-            np.ones(np.shape(d)) if sample_weight is None else sample_weight,
-            self.bandwidth_spec,
-        )
+        d = np.asarray(d, dtype=float)
+        weight = np.ones(d.shape) if sample_weight is None else sample_weight
+        matrix = self.design.build(x)
+        return _assemble_dose_density(mean_coef, resid_coef, self.design, matrix, d, weight, self.bandwidth_spec)
 
 
 def _frozen(values) -> np.ndarray:
@@ -539,18 +532,22 @@ def fit_pi_a(data: TwoPeriodDataset, spec: NuisanceSpec) -> PropensityModel:
     return PropensityModel(fit=fit, design=design)
 
 
-def _assemble_dose_density(
-    mean_coef, resid_coef, mean_design, resid_design, d, x, sample_weight, bandwidth_spec
-) -> DoseDensityModel:
-    mu = linear_predictor(mean_design.build(x), mean_coef)
-    var = np.maximum(linear_predictor(resid_design.build(x), resid_coef), RESIDUAL_VAR_FLOOR)
-    std_resid = (d - mu) / np.sqrt(var)
+def _location_scale(mean_coef, resid_coef, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and the floored residual deviation on a built design."""
+    variance = linear_predictor(matrix, resid_coef)
+    return linear_predictor(matrix, mean_coef), np.sqrt(np.maximum(variance, RESIDUAL_VAR_FLOOR))
+
+
+def _assemble_dose_density(mean_coef, resid_coef, design, matrix, d, sample_weight, bandwidth_spec) -> DoseDensityModel:
+    """The three-stage model at the given coefficients; ``matrix`` is
+    ``design`` built on the training covariates."""
+    mu, s = _location_scale(mean_coef, resid_coef, matrix)
+    std_resid = (d - mu) / s
     if not np.all(np.isfinite(std_resid)):
         raise FitError("non-finite standardized residuals in dose density fit")
     if np.any(np.std(std_resid, axis=-1) <= 0.0):
         raise FitError("degenerate exposure: standardized residuals have zero spread")
-    bw = bandwidth_spec if bandwidth_spec is not None else silverman_bandwidth(std_resid, sample_weight)
-    kde = gaussian_kde(std_resid, bandwidth=bw, sample_weight=sample_weight)
+    kde = gaussian_kde(std_resid, bandwidth=bandwidth_spec, sample_weight=sample_weight)
     lo = std_resid.min(axis=-1) - _KDE_TABLE_PAD * kde.bandwidth
     hi = std_resid.max(axis=-1) + _KDE_TABLE_PAD * kde.bandwidth
     table_x = np.linspace(lo, hi, _KDE_TABLE_SIZE, axis=-1)
@@ -558,8 +555,7 @@ def _assemble_dose_density(
     return DoseDensityModel(
         mean_coef=np.asarray(mean_coef, dtype=float),
         resid_coef=np.asarray(resid_coef, dtype=float),
-        mean_design=mean_design,
-        resid_design=resid_design,
+        design=design,
         table_x=table_x,
         table_y=table_y,
         kde_bandwidth=kde.bandwidth,
@@ -580,18 +576,11 @@ def fit_pi_d(data: TwoPeriodDataset, spec: NuisanceSpec) -> DoseDensityModel:
         raise FitError("degenerate exposure: constant dose among treated units")
 
     design = CovariateDesign.from_training(x_t, spec)
-    mean_fit = fit_wls(design.build(x_t), d, wt)
-    resid = d - mean_fit.predict(design.build(x_t))
-    resid_fit = fit_wls(design.build(x_t), resid**2, wt)
+    matrix = design.build(x_t)
+    mean_fit = fit_wls(matrix, d, wt)
+    resid_fit = fit_wls(matrix, (d - mean_fit.predict(matrix)) ** 2, wt)
     return _assemble_dose_density(
-        mean_fit.coefficients,
-        resid_fit.coefficients,
-        design,
-        design,
-        d,
-        x_t,
-        wt,
-        spec.kde_bandwidth,
+        mean_fit.coefficients, resid_fit.coefficients, design, matrix, d, wt, spec.kde_bandwidth
     )
 
 
@@ -609,10 +598,10 @@ def fit_mu1(data: TwoPeriodDataset, spec: NuisanceSpec) -> DoseTrendModel:
 
     cov_design = CovariateDesign.from_training(x_t, spec)
     if spec.learner == "flexible-additive":
-        dose_basis = _DoseBasis(kind="spline", spline=_SplineBasis.from_data(d))
+        dose_basis = _DoseBasis(spline=_SplineBasis.from_data(d))
         interactions: tuple[int, ...] = ()
     else:
-        dose_basis = _DoseBasis(kind="powers", powers=spec.dose_powers)
+        dose_basis = _DoseBasis(powers=spec.dose_powers)
         interactions = spec.dose_interactions
 
     model = DoseTrendModel(
@@ -639,10 +628,10 @@ def fit_mu0(data: TwoPeriodDataset, spec: NuisanceSpec) -> CovariateTrendModel:
     return CovariateTrendModel(fit=fit, design=design)
 
 
-def default_dose_grid(doses: np.ndarray, size: int = 50, lo_pct: float = 10.0, hi_pct: float = 90.0) -> np.ndarray:
-    """Evenly spaced grid between dose percentiles (defaults: 10th-90th)."""
+def default_dose_grid(doses: np.ndarray, size: int = 50) -> np.ndarray:
+    """``size`` evenly spaced doses between the 10th and 90th dose percentiles."""
     d = np.asarray(doses, dtype=float)
-    lo, hi = np.percentile(d, [lo_pct, hi_pct])
+    lo, hi = np.percentile(d, [10.0, 90.0])
     if not hi > lo:
         raise FitError("degenerate dose distribution: percentile range is empty")
     return np.linspace(lo, hi, size)

@@ -50,6 +50,9 @@ PROB_CLIP = 1e-6
 
 _RIDGE_REL = 1e-8
 _WLS_MAX_CHOLESKY_RETRIES = 3
+_LOGISTIC_TOL = 1e-8  # on IRLS's largest coefficient step
+_LOGISTIC_MAX_ITER = 100
+_BANDWIDTH_GRID_SIZE = 20  # default leave-one-out candidates
 # Binned kernel sums work on a grid coarser than their output by a power of
 # two, with at least this many steps across the narrowest kernel feature.
 _STEPS_PER_FEATURE = 16
@@ -213,15 +216,13 @@ def fit_logistic(
     design: np.ndarray,
     labels: np.ndarray,
     sample_weight: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 100,
 ) -> LogisticFit:
     """IRLS maximum-likelihood logistic regression.
 
     Convergence is declared when the largest coefficient change drops below
-    ``tol``; otherwise the fit stops at ``max_iter`` with ``converged=False``
-    (the separable-data case). Predictions are always clipped into
-    [PROB_CLIP, 1 - PROB_CLIP].
+    ``_LOGISTIC_TOL``; otherwise the fit stops after ``_LOGISTIC_MAX_ITER``
+    iterations with ``converged=False`` (the separable-data case).
+    Predictions are always clipped into [PROB_CLIP, 1 - PROB_CLIP].
 
     A (..., n) stack of weight rows fits each row: a row stops iterating
     when it converges, so its iterates, ``converged`` and ``iterations``
@@ -249,7 +250,7 @@ def fit_logistic(
     converged = np.zeros(rows.shape[0], dtype=bool)
     iterations = np.zeros(rows.shape[0], dtype=int)
     active = np.arange(rows.shape[0])
-    for it in range(1, max_iter + 1):
+    for it in range(1, _LOGISTIC_MAX_ITER + 1):
         b, wa = beta[active], rows[active]
         p = expit(linear_predictor(x, b))
         p = np.clip(p, 1e-10, 1.0 - 1e-10)
@@ -259,7 +260,7 @@ def fit_logistic(
         step, _ = _solve_normal_equations(hess, score)
         beta[active] = b + step
         iterations[active] = it
-        done = np.max(np.abs(step), axis=-1) < tol
+        done = np.max(np.abs(step), axis=-1) < _LOGISTIC_TOL
         converged[active[done]] = True
         active = active[~done]
         if active.size == 0:
@@ -433,7 +434,7 @@ def _solve_local_linear(s0, s1, s2, t0, t1, fallback):
     return intercept, slope
 
 
-def default_bandwidth_grid(xs: np.ndarray, size: int = 20) -> np.ndarray:
+def default_bandwidth_grid(xs: np.ndarray) -> np.ndarray:
     """Log-spaced candidate bandwidths from 0.5 to 4 times sigma * n^(-1/5).
 
     The n^(-1/5) scaling keeps the default grid inside the h -> 0,
@@ -448,7 +449,7 @@ def default_bandwidth_grid(xs: np.ndarray, size: int = 20) -> np.ndarray:
     if sigma <= 0.0:
         raise BandwidthError("zero spread in xs; no meaningful bandwidth grid")
     scale = sigma * n ** (-0.2)
-    return np.geomspace(0.5 * scale, 4.0 * scale, size)
+    return np.geomspace(0.5 * scale, 4.0 * scale, _BANDWIDTH_GRID_SIZE)
 
 
 def _loo_zero_tolerance(ys: np.ndarray, weights: np.ndarray) -> float:

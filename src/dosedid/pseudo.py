@@ -38,6 +38,7 @@ __all__ = [
     "normalize_weights",
     "compute_xi",
     "compute_xi_terms",
+    "dose_weight_terms",
     "compute_theta0",
     "build_pseudo_outcomes",
     "count_clamped",
@@ -80,19 +81,14 @@ def normalize_weights(weights: np.ndarray, sample_weight: np.ndarray | None = No
     return w / mean
 
 
-def compute_xi(
-    data: TwoPeriodDataset,
-    models: NuisanceModelSet,
-    on_out_of_range: str = "error",
-) -> tuple[np.ndarray, np.ndarray]:
+def compute_xi(data: TwoPeriodDataset, models: NuisanceModelSet) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-outcomes for the treated group.
 
     Returns ``(xi, raw_w1)``; the Hajek-normalized weights are applied to
-    the residual term internally. ``on_out_of_range`` controls what happens
-    when a treated dose falls outside the marginals' node range: ``"error"``
-    raises (naming the unit), ``"clamp"`` evaluates at the nearest endpoint.
+    the residual term internally. A treated dose outside the marginals'
+    node range raises (``dose_weight_terms`` under ``"error"``).
     """
-    xi, f_at_d, pi_d_at = compute_xi_terms(data, models, on_out_of_range)
+    xi, f_at_d, pi_d_at, _ = compute_xi_terms(data, models)
     return xi, f_at_d / pi_d_at
 
 
@@ -100,33 +96,34 @@ def compute_xi_terms(
     data: TwoPeriodDataset,
     models: NuisanceModelSet,
     on_out_of_range: str = "error",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``compute_xi`` with the two densities of its weight: ``(xi, f(D_i),
-    pi_d(D_i | X_i))``, where raw_w1 = f / pi_d and pi_d is floored inside
-    the model."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(xi, f(D_i), pi_d(D_i | X_i), clamped)``: ``compute_xi``'s xi with
+    ``dose_weight_terms``'s densities and clamp count."""
     if models.m_marginal is None or models.f_marginal is None or models.mu1 is None or models.pi_d is None:
         raise DataValidationError("compute_xi needs fitted mu1/pi_d models and their marginals")
-    d = data.dose
-    if on_out_of_range == "error":
-        outside = models.m_marginal.out_of_range(d)
-        if np.any(outside):
-            treated_ids = [uid for uid, flag in zip(data.ids, data.a) if flag]
-            bad = int(np.nonzero(outside)[0][0])
-            raise ExtrapolationError(
-                f"dose {d[bad]} of unit {treated_ids[bad]!r} lies outside the marginals' node range"
-            )
-    elif on_out_of_range != "clamp":
-        raise ValueError("on_out_of_range must be 'error' or 'clamp'")
-
-    x_t = data.x_treated
+    w1, f_at_d, pi_d_at, clamped = dose_weight_terms(data, models, on_out_of_range)
     trend_t, _ = data.split(data.trend)
+    xi = models.m_marginal(data.dose) + w1 * (trend_t - models.mu1(data.dose, data.x_treated))
+    return xi, f_at_d, pi_d_at, clamped
 
-    m_at_d = models.m_marginal(d)
-    f_at_d = models.f_marginal(d)
-    pi_d_at = models.pi_d(d, x_t)  # floored inside the model
-    w1 = normalize_weights(f_at_d / pi_d_at, data.weight_treated)
-    xi = m_at_d + w1 * (trend_t - models.mu1(d, x_t))
-    return xi, f_at_d, pi_d_at
+
+def dose_weight_terms(data: TwoPeriodDataset, models: NuisanceModelSet, on_out_of_range: str):
+    """``(w1, f(D_i), pi_d(D_i | X_i), clamped)`` at the treated units: the
+    normalized weight f / pi_d (pi_d is floored inside the model) of MR's
+    pseudo-outcomes and IPW's target alike, and ``count_clamped``'s count.
+    ``on_out_of_range`` controls what happens when a treated dose falls
+    outside the marginals' node range: ``"error"`` raises (naming the
+    unit), ``"clamp"`` evaluates at the nearest endpoint."""
+    if on_out_of_range not in ("error", "clamp"):
+        raise ValueError("on_out_of_range must be 'error' or 'clamp'")
+    d = data.dose
+    clamped = count_clamped(data, models)
+    if clamped and on_out_of_range == "error":
+        treated_ids = [uid for uid, flag in zip(data.ids, data.a) if flag]
+        bad = int(np.nonzero(models.f_marginal.out_of_range(d))[0][0])
+        raise ExtrapolationError(f"dose {d[bad]} of unit {treated_ids[bad]!r} lies outside the marginals' node range")
+    f_at_d, pi_d_at = models.f_marginal(d), models.pi_d(d, data.x_treated)
+    return normalize_weights(f_at_d / pi_d_at, data.weight_treated), f_at_d, pi_d_at, clamped
 
 
 def compute_theta0(
@@ -167,21 +164,21 @@ def build_pseudo_outcomes(
     on_out_of_range: str = "error",
 ) -> PseudoOutcomeSet:
     """Assemble the full pseudo-outcome set for the multiply robust path."""
-    xi, raw_w1 = compute_xi(data, models, on_out_of_range)
+    xi, f_at_d, pi_d_at, clamped = compute_xi_terms(data, models, on_out_of_range)
     theta00, theta01, raw_w0 = compute_theta0(data, models)
     wt = data.weight_treated
     return PseudoOutcomeSet(
         xi=xi,
-        w1=normalize_weights(raw_w1, wt),
+        w1=normalize_weights(f_at_d / pi_d_at, wt),
         w0=normalize_weights(raw_w0, data.weight_control),
         theta00=theta00,
         theta01=theta01,
         p_a1=np.sum(wt, axis=-1) / np.sum(data.weight, axis=-1),
-        clamped=count_clamped(data, models),
+        clamped=clamped,
     )
 
 
 def count_clamped(data: TwoPeriodDataset, models: NuisanceModelSet) -> int:
     """Treated doses outside the marginals' node range, which the
     ``"clamp"`` policy evaluates at the nearest endpoint."""
-    return int(np.count_nonzero(models.m_marginal.out_of_range(data.dose)))
+    return int(np.count_nonzero(models.f_marginal.out_of_range(data.dose)))

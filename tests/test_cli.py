@@ -392,6 +392,18 @@ def test_infeasible_fixed_bandwidth_is_one_estimation_error(tmp_path, panel_file
     assert err.startswith("dosedid: estimation-error: fewer than 2 points inside the kernel window")
 
 
+@pytest.mark.parametrize("method", ["NAIVE", "MR", "IPW"])
+def test_no_feasible_bandwidth_candidate_is_one_estimation_error(tmp_path, capsys, method):
+    """Treated doses on two points 8 apart: no candidate's window reaches
+    across, so every leave-one-out window holds one tied dose value."""
+    data = generate_scenario_data(400, 5)
+    two_point = replace(data, dose=np.where(np.arange(data.n_treated) % 2 == 0, 1.0, 9.0))
+    assert _estimate(tmp_path, _panel_from(tmp_path, two_point), methods=[method]) == 4
+    assert capsys.readouterr().err == (
+        "dosedid: estimation-error: no feasible bandwidth candidate (all leave-one-out fits failed)\n"
+    )
+
+
 def test_separable_propensity_is_flagged_in_the_manifest(tmp_path, capsys):
     """A covariate that separates treated from control units stops pi_a's
     IRLS at its iteration limit: the run succeeds and the manifest says so."""

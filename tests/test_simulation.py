@@ -340,6 +340,32 @@ def test_one_leave_one_out_pass_per_replicate(monkeypatch):
     assert len(edges) == 16 * 3
 
 
+def test_one_replicate_assembles_each_design_once_per_call(monkeypatch):
+    """A 16-permutation, six-method replicate at n = 1,000 assembles at most
+    48 nuisance design matrices, every one through
+    ``CovariateDesign.assemble``, and applies the Kang-Schafer map at most
+    34 times (measured: 48 and 28)."""
+    counts = Counter()
+    assemble, mapping = nuisance.CovariateDesign.assemble, nuisance.kang_schafer_map
+
+    def counted_assemble(self, mapped):
+        counts["designs"] += 1
+        return assemble(self, mapped)
+
+    def counted_map(x):
+        counts["maps"] += 1
+        return mapping(x)
+
+    monkeypatch.setattr(nuisance.CovariateDesign, "assemble", counted_assemble)
+    monkeypatch.setattr(nuisance, "kang_schafer_map", counted_map)
+    cfg = ScenarioConfig(n=1000, replicates=1, seed=1, methods=METHODS)
+    perms = [tuple(sorted(p)) for p in all_permutations()]
+    out, _, failures, _ = _replicate_worker(cfg, perms, ground_truth_curve(1), 0)
+    assert failures == {} and len(out) == 16 * len(METHODS)
+    assert counts["designs"] <= 48
+    assert counts["maps"] <= 34
+
+
 def test_run_study_with_inference_smoke():
     cfg = ScenarioConfig(
         n=150,

@@ -19,8 +19,8 @@ at n = 1,000 (study seed 1, as the ``study-n1000`` benchmark runs it) on a
 ``GroundTruth`` built from a fixed 50-point grid, so the study engine's
 curves do not depend on how the truth is computed, with each curve's
 bandwidth and its two edge flags (``bandwidth_at_grid_edge``,
-``bandwidth_extended``) as the engine's ``assemble_curve`` returns them;
-and the study truth,
+``bandwidth_extended``) as the ``EffectCurveEstimate`` the engine builds
+holds them; and the study truth,
 ``ground_truth_curve(1)``. It records the type name of every point
 estimate's theta0 and diagnostics, and the per-method diagnostics of the
 ``run_manifest.json`` that ``dosedid estimate`` writes for all six methods,
@@ -111,20 +111,20 @@ def dump(src: str, out: str) -> None:
     fixed = simulation.GroundTruth(grid, np.zeros(50), np.full(50, 1 / 50), super_n=1_000_000, seed=1)
     config = simulation.ScenarioConfig(n=1000, replicates=1, seed=1, methods=METHODS, keep_curves=True)
     selections = {}
-    assemble = simulation.assemble_curve
+    post_init = curves.EffectCurveEstimate.__post_init__
 
-    def recording(method, *args):
-        curve = assemble(method, *args)
+    def recording(curve):
+        post_init(curve)
         diag = curve.diagnostics
         flags = (diag.get("bandwidth_at_grid_edge"), diag.get("bandwidth_extended"))
-        selections[(method, curve.psi.tobytes())] = (curve.bandwidth, *flags)
-        return curve
+        selections[(curve.method, curve.psi.tobytes())] = (curve.bandwidth, *flags)
 
-    simulation.assemble_curve = recording
+    # Every study curve is built as an EffectCurveEstimate, on either tree.
+    curves.EffectCurveEstimate.__post_init__ = recording
     try:
         reports = simulation.run_permutation_study(config, simulation.all_permutations(), truth=fixed)
     finally:
-        simulation.assemble_curve = assemble
+        curves.EffectCurveEstimate.__post_init__ = post_init
     record["study"] = {(key, m): c for key, report in reports.items() for m, c in report.curves.items()}
     # A report holds each curve's psi, which finds the curve's selection.
     record["study bandwidths"] = {name: selections[(name[1], c[0].tobytes())] for name, c in record["study"].items()}

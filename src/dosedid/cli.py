@@ -36,7 +36,7 @@ from .config import (
     parse_schema,
     parse_specs,
 )
-from .curves import CONTROL_NEEDS, DOSE_NEEDS, METHODS, EstimatorConfig, estimate_curve, write_curve
+from .curves import CONTROL_NEEDS, DOSE_NEEDS, METHODS, EstimatorConfig, estimate_curves, write_curve
 from .data import load_panel, pair_periods, validate
 from .errors import (
     BandwidthError,
@@ -223,11 +223,12 @@ def _cmd_estimate(config: dict, args) -> int:
     # methods that read it.
     bank = ModelBank(dataset, grid)
     with _Staging(Path(output), args.force) as stage:
+        jobs = {method: (method, bank.models(specs, DOSE_NEEDS[method] + CONTROL_NEEDS[method])) for method in methods}
+        curves = estimate_curves(dataset, jobs, grid, bandwidth)
         for method in methods:
-            models = bank.models(specs, DOSE_NEEDS[method] + CONTROL_NEEDS[method])
-            curve = estimate_curve(
-                dataset, method, specs=specs, grid=grid, bandwidth=bandwidth, models=models
-            )
+            curve, models = curves[method], jobs[method][1]
+            if isinstance(curve, DoseDidError):
+                raise curve
             if method == "MR" and inference.method != "none":
                 if inference.wants_sandwich:
                     bands = sandwich_bands(dataset, models, curve, mode=inference.mode)
@@ -247,6 +248,7 @@ def _cmd_estimate(config: dict, args) -> int:
                     boot = weighted_bootstrap(dataset, est, inference.b_replicates, seed)
                     curve = curve.with_bands(boot.ci_lower, boot.ci_upper)
                     diagnostics[f"{method}_bootstrap_failed"] = boot.b_failed
+                    diagnostics[f"{method}_bootstrap_flagged"] = boot.flagged
                     diagnostics[f"{method}_bootstrap_failures"] = boot.failures
                     diagnostics[f"{method}_bootstrap_pi_a_unconverged"] = boot.pi_a_unconverged
             write_curve(curve, stage / f"curve_{method}.csv")

@@ -24,8 +24,8 @@ carries its resampling weights, a chunk of replicates at a time as an
 (R, K) curves, one row per weight row and each the one that row gives
 alone; the bandwidth must then be given, as leave-one-out selection takes
 one weight row. A single run's per-row values become Python scalars only
-where ``dose_side``, ``control_side`` and ``EffectCurveEstimate`` return
-them (docs/DECISIONS.md, D10).
+in ``EffectCurveEstimate`` (docs/DECISIONS.md, D10). Every caller goes
+through one engine, ``estimate_curves`` (D13).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .data import TwoPeriodDataset
 from .errors import BandwidthError, DoseDidError, EstimationError
 from .numeric import WindowedMoments, default_bandwidth_grid, fit_wls, linear_predictor, select_bandwidth
 from .nuisance import DENSITY_FLOOR, VALID_WHICH, NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
-from .pseudo import compute_theta0, compute_xi_terms, dose_weight_terms, normalize_weights
+from .pseudo import compute_theta0, compute_xi_terms, dose_weight_terms
 
 __all__ = [
     "METHODS",
@@ -50,10 +50,8 @@ __all__ = [
     "EffectCurveEstimate",
     "EstimatorConfig",
     "estimate_curve",
-    "dose_side",
+    "estimate_curves",
     "dose_sides",
-    "control_side",
-    "assemble_curve",
     "local_linear_curve",
     "parametric_theta",
     "robust_select_bandwidth",
@@ -87,6 +85,12 @@ _NEEDS = {
     method: tuple(name for name in VALID_WHICH if name in DOSE_NEEDS[method] + CONTROL_NEEDS[method])
     for method in METHODS
 }
+# The fitted objects that reading each model means: pi_d and mu1 come with
+# their treated marginals f and m.
+_FITTED = {"pi_a": ("pi_a",), "pi_d": ("pi_d", "f_marginal"), "mu1": ("mu1", "m_marginal"), "mu0": ("mu0",)}
+# MR_PARAMETRIC forms MR's pseudo-outcomes and MR's theta0; only its dose
+# regression differs.
+_SHARES = {"MR_PARAMETRIC": "MR"}
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,7 @@ class EffectCurveEstimate:
         if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
             raise EstimationError("grid must be one-dimensional and strictly increasing")
         object.__setattr__(self, "theta0", _scalar(self.theta0))
+        object.__setattr__(self, "diagnostics", {name: _scalar(value) for name, value in self.diagnostics.items()})
         for name in ("grid", "psi", "theta_curve", "ci_lower", "ci_upper"):
             arr = getattr(self, name)
             if arr is None:
@@ -210,51 +215,66 @@ def robust_select_bandwidth(xs, ys, grid=None, sample_weight=None) -> float | np
         return select_bandwidth(x, ys, np.concatenate([grid, extension]), sample_weight)
 
 
-def _select_bandwidths(data, targets: dict, bandwidth_grid) -> dict:
-    """Each key of ``targets`` (its dose-side regression target) mapped to
-    ``(bandwidth, diagnostics)``, from one ``robust_select_bandwidth`` call
-    on the (R, n_t) stack of the targets, or else to the DoseDidError that
-    call raises. Only a non-finite target raises an error that the other
-    targets would not raise alone."""
-    if not targets:
-        return {}
-    try:
-        if data.weight_treated.ndim > 1:
-            raise EstimationError("bandwidth selection takes one weight row; give a bandwidth for stacked weights")
-        if bandwidth_grid is None:
-            bandwidth_grid = default_bandwidth_grid(data.dose)
-        stack = np.stack(list(targets.values()))
-        chosen = robust_select_bandwidth(data.dose, stack, bandwidth_grid, data.weight_treated)
-    except DoseDidError as exc:
-        return dict.fromkeys(targets, exc)
+def _bandwidths(data, stack, bandwidth, bandwidth_grid) -> list:
+    """``(bandwidth, diagnostics)`` of each row of ``stack``, the (S, n_t)
+    dose-side regression targets: the given ``bandwidth``, or else the
+    rows' own from one ``robust_select_bandwidth`` call (D11)."""
+    if bandwidth is not None:
+        return [(bandwidth, {})] * len(stack)
+    if data.weight_treated.ndim > 1:
+        raise EstimationError("bandwidth selection takes one weight row; give a bandwidth for stacked weights")
+    if bandwidth_grid is None:
+        bandwidth_grid = default_bandwidth_grid(data.dose)
+    chosen = robust_select_bandwidth(data.dose, stack, bandwidth_grid, data.weight_treated)
     low, high = float(np.min(bandwidth_grid)), float(np.max(bandwidth_grid))
-    picked = {}
+    picked = []
     # One bandwidth per row; a scalar serves every row.
-    for key, h in zip(targets, np.broadcast_to(chosen, len(targets)).tolist()):
-        picked[key] = h, {
-            "bandwidth_selected": True,
-            # The widening fallback picks beyond the top of the grid.
-            "bandwidth_extended": h > high,
-            "bandwidth_at_grid_edge": "high" if h >= high else "low" if h <= low else None,
-        }
+    for h in np.broadcast_to(chosen, len(stack)).tolist():
+        edge = "high" if h >= high else "low" if h <= low else None
+        # The widening fallback picks beyond the top of the grid.
+        picked.append((h, {"bandwidth_selected": True, "bandwidth_extended": h > high, "bandwidth_at_grid_edge": edge}))
     return picked
 
 
-def _weight_health(data, models, f_at_d, pi_d_at, diagnostics) -> None:
+def _smoothed_curves(data, formed: dict, grid, bandwidth, bandwidth_grid) -> dict:
+    """Each key of ``formed``, a dose-side regression target and its
+    diagnostics, mapped to ``(theta, bandwidth, diagnostics)`` of its local
+    linear curve on ``grid``, or to the DoseDidError of forming it: one
+    ``WindowedMoments`` over the stacked targets serves every curve, one
+    ``fit`` per distinct bandwidth, each row bitwise its target's alone
+    (D13)."""
+    if not formed:
+        return {}
+    # A row per target, each over the weight's rows (NAIVE's trend is 1-D).
+    stack = np.stack([np.broadcast_to(target, data.weight_treated.shape) for target, _ in formed.values()])
+    fits: dict = {}
+    out = {}
+    try:
+        picked = _bandwidths(data, stack, bandwidth, bandwidth_grid)
+        window = WindowedMoments(data.dose, stack, data.weight_treated)
+    except DoseDidError as exc:
+        return dict.fromkeys(formed, exc)
+    for row, ((key, (_, diagnostics)), (h, selection)) in enumerate(zip(formed.items(), picked)):
+        try:
+            out[key] = _once(fits, h, window.fit, grid, h)[0][row], float(h), {**diagnostics, **selection}
+        except DoseDidError as exc:
+            out[key] = exc
+    return out
+
+
+def _weight_health(wt, models, weights, diagnostics) -> None:
     """Record the marginals' node count; the treated doses at which f, and
     pi_d(D_i | X_i), sit at DENSITY_FLOOR; the treated units whose pi_d
     residual variance is floored at RESIDUAL_VAR_FLOOR; and the normalized
     dose weights w1's maximum and Kish effective sample size
-    (sum v)^2 / sum v^2, where v is the unit weight times w1. ``f_at_d``
-    and ``pi_d_at`` are f and pi_d at the treated units, as the dose side
-    has evaluated them."""
-    wt = data.weight_treated
-    w1 = normalize_weights(f_at_d / pi_d_at, wt)
+    (sum v)^2 / sum v^2, where v is the unit weight ``wt`` times w1, all
+    from the ``dose_weight_terms`` the dose side formed its target from."""
+    w1, f_at_d, pi_d_at, var_floor_hits, diagnostics["clamped"] = weights
     v = wt * w1
     diagnostics["marginal_nodes"] = int(models.f_marginal.x.shape[0])
     diagnostics["f_floor_hits"] = np.count_nonzero(f_at_d <= DENSITY_FLOOR, axis=-1)
     diagnostics["pi_d_floor_hits"] = np.count_nonzero(pi_d_at <= DENSITY_FLOOR, axis=-1)
-    diagnostics["pi_d_var_floor_hits"] = models.pi_d.variance_floor_hits(data.x_treated)
+    diagnostics["pi_d_var_floor_hits"] = var_floor_hits
     diagnostics["w1_max"] = np.max(w1, axis=-1)
     diagnostics["w1_ess"] = np.sum(v, axis=-1) ** 2 / np.sum(v * v, axis=-1)
 
@@ -267,25 +287,113 @@ def _scalar(value):
     return value
 
 
-def _dose_target(data, method, models, on_out_of_range) -> tuple[np.ndarray | None, dict]:
-    """The regression target of ``method``'s dose-side curve (None for OR
+def _once(memo: dict, key, make, *args):
+    """``make(*args)``, made once per ``key`` of ``memo``; a DoseDidError it
+    raises is kept and raised again on every use."""
+    if key not in memo:
+        try:
+            memo[key] = make(*args)
+        except DoseDidError as exc:
+            memo[key] = exc
+    if isinstance(memo[key], DoseDidError):
+        raise memo[key]
+    return memo[key]
+
+
+def _source(models, needs) -> tuple:
+    """The identities of the fitted objects that a side reading the models
+    ``needs`` reads: the jobs of one formula and one source share it."""
+    return tuple(id(getattr(models, attr)) for name in needs for attr in _FITTED[name])
+
+
+def _dose_target(data, formula, models, on_out_of_range) -> tuple[np.ndarray | None, dict]:
+    """The regression target of ``formula``'s dose-side curve (None for OR
     and TWFE) and the diagnostics of forming it."""
     diagnostics: dict = {"clamped": 0, "bandwidth_selected": False}
-    if "mu1" in DOSE_NEEDS[method]:
+    if "mu1" in DOSE_NEEDS[formula]:
         diagnostics["mu1_ridged"] = models.mu1.ridged
-    if method in ("MR", "MR_PARAMETRIC"):
-        xi, f_at_d, pi_d_at, diagnostics["clamped"] = compute_xi_terms(data, models, on_out_of_range)
-        _weight_health(data, models, f_at_d, pi_d_at, diagnostics)
+    if formula == "MR":
+        xi, weights = compute_xi_terms(data, models, on_out_of_range)
+        _weight_health(data.weight_treated, models, weights, diagnostics)
         return xi, diagnostics
     trend_t, _ = data.split(data.trend)
-    if method == "IPW":
-        w1, f_at_d, pi_d_at, diagnostics["clamped"] = dose_weight_terms(data, models, on_out_of_range)
-        _weight_health(data, models, f_at_d, pi_d_at, diagnostics)
-        return w1 * trend_t, diagnostics
-    return (trend_t if method == "NAIVE" else None), diagnostics
+    if formula == "IPW":
+        weights = dose_weight_terms(data, models, on_out_of_range)
+        _weight_health(data.weight_treated, models, weights, diagnostics)
+        return weights[0] * trend_t, diagnostics
+    return (trend_t if formula == "NAIVE" else None), diagnostics
 
 
-def dose_sides(
+def _unsmoothed_curve(data, method, models, formed, grid, bandwidth, parametric_basis):
+    """``(theta, bandwidth, diagnostics)`` of an MR_PARAMETRIC, OR or TWFE
+    job from its ``_dose_target``."""
+    target, diagnostics = formed[0], dict(formed[1])
+    if method == "MR_PARAMETRIC":
+        theta = parametric_theta(data.dose, target, grid, data.weight_treated, parametric_basis)
+        diagnostics["parametric_basis"] = tuple(parametric_basis)
+    elif method == "OR":
+        theta = models.m_marginal(grid)
+    else:  # TWFE
+        theta, diagnostics["twfe_coefficients"] = _twfe_curve(data, grid)
+    return theta, bandwidth, diagnostics
+
+
+def dose_sides(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range) -> dict:
+    """The dose-side curve theta on ``grid`` of every ``key: (method,
+    models)`` of ``jobs``: each key maps to ``(theta, bandwidth,
+    diagnostics)``, or to the DoseDidError of forming it.
+
+    A job reads only the models in ``DOSE_NEEDS[method]``; for TWFE, whose
+    curve does not split, theta is the whole curve. Methods that read pi_d
+    record ``marginal_nodes``, ``f_floor_hits``, ``pi_d_floor_hits``,
+    ``pi_d_var_floor_hits``, ``w1_max`` and ``w1_ess``; those that read mu1
+    record ``mu1_ridged``. Each curve is formed once per (method,
+    ``_source``), and MR and MR_PARAMETRIC on one source share their
+    pseudo-outcomes.
+    """
+    curve_of: dict = {}
+    formed: dict = {}
+    done: dict = {}
+    smoothed: dict = {}
+    for key, (method, models) in jobs.items():
+        formula, source = _SHARES.get(method, method), _source(models, DOSE_NEEDS[method])
+        curve_of[key] = curve = method, source
+        try:
+            target = _once(formed, (formula, source), _dose_target, data, formula, models, on_out_of_range)
+            if method in SMOOTHED_METHODS:
+                smoothed[curve] = target
+            else:
+                _once(done, curve, _unsmoothed_curve, data, method, models, target, grid, bandwidth, parametric_basis)
+        except DoseDidError as exc:
+            done[curve] = exc
+    done.update(_smoothed_curves(data, smoothed, grid, bandwidth, bandwidth_grid))
+    return {key: done[curve] for key, curve in curve_of.items()}
+
+
+def _control_side(data, formula, models) -> tuple[float | np.ndarray, dict]:
+    """``formula``'s control-side constant theta0 and its diagnostics.
+
+    Reads only the models in ``CONTROL_NEEDS[formula]``; TWFE reports 0.
+    theta0 and ``pi_a_converged`` have the weight's leading shape.
+    """
+    if formula == "MR":
+        theta00, theta01, _ = compute_theta0(data, models)
+        theta0 = theta00 + theta01
+    elif formula == "OR":
+        wt = data.weight_treated
+        theta0 = np.sum(wt * models.mu0(data.x_treated), axis=-1) / np.sum(wt, axis=-1)
+    elif formula == "IPW":
+        theta0, _, _ = compute_theta0(data, models, mu0_override=np.zeros(data.n))
+    elif formula == "NAIVE":
+        _, trend_c = data.split(data.trend)
+        wc = data.weight_control
+        theta0 = np.sum(wc * trend_c, axis=-1) / np.sum(wc, axis=-1)
+    else:  # TWFE
+        theta0 = np.zeros(data.weight.shape[:-1])
+    return theta0, ({"pi_a_converged": models.pi_a.fit.converged} if "pi_a" in CONTROL_NEEDS[formula] else {})
+
+
+def estimate_curves(
     data: TwoPeriodDataset,
     jobs: dict,
     grid: np.ndarray,
@@ -294,133 +402,38 @@ def dose_sides(
     parametric_basis: tuple[int, ...] = (1, 3),
     on_out_of_range: str = "error",
 ) -> dict:
-    """``dose_side`` for every ``key: (method, models)`` of ``jobs``: each key
-    maps to its ``(theta, bandwidth, diagnostics)``, or to the DoseDidError
-    that ``dose_side`` raises for it.
+    """Estimate every ``key: (method, models)`` of ``jobs`` on ``data``:
+    each key maps to its EffectCurveEstimate, or to the DoseDidError that
+    ``estimate_curve`` raises for it alone.
 
-    MR and MR_PARAMETRIC jobs on the same fitted pi_d, mu1 and marginals
-    share one set of pseudo-outcomes. Without a ``bandwidth``, the
-    regression targets of all the smoothed methods share one leave-one-out
-    pass: they are one stack over the one treated dose vector and weight
-    row, and each gets the bandwidth it gets alone (docs/DECISIONS.md, D11).
+    ``models`` covers the method's needs, marginalized on nodes compatible
+    with ``grid`` (NAIVE and TWFE read none). psi = theta - theta0 joins
+    the job's dose side (``dose_sides``) and control side; a control side
+    is computed once per formula (MR_PARAMETRIC's is MR's) and ``_source``
+    (docs/DECISIONS.md, D13).
     """
+    doses = dose_sides(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range)
+    controls: dict = {}
     out: dict = {}
-    targets: dict = {}
-    formed: dict = {}
     for key, (method, models) in jobs.items():
-        source = ("job", key)
-        if method in ("MR", "MR_PARAMETRIC"):
-            source = tuple(map(id, (models.pi_d, models.mu1, models.m_marginal, models.f_marginal)))
-        if source not in formed:
-            try:
-                formed[source] = _dose_target(data, method, models, on_out_of_range)
-            except DoseDidError as exc:
-                formed[source] = exc, None
-        target, diagnostics = formed[source]
-        if isinstance(target, DoseDidError):
-            out[key] = target
-        else:
-            targets[key] = target, dict(diagnostics)
-    smoothed = {key: target for key, (target, _) in targets.items() if jobs[key][0] in SMOOTHED_METHODS}
-    picked = {} if bandwidth is not None else _select_bandwidths(data, smoothed, bandwidth_grid)
-    for key, (target, diagnostics) in targets.items():
-        method, models = jobs[key]
-        h = bandwidth
-        if isinstance(picked.get(key), DoseDidError):
-            out[key] = picked[key]
-            continue
-        if key in picked:
-            h, selection = picked[key]
-            diagnostics.update(selection)
+        source = _SHARES.get(method, method), _source(models, CONTROL_NEEDS[method])
         try:
-            if method in SMOOTHED_METHODS:
-                theta = local_linear_curve(data.dose, target, grid, h, data.weight_treated)
-                h = float(h)
-            elif method == "MR_PARAMETRIC":
-                theta = parametric_theta(data.dose, target, grid, data.weight_treated, parametric_basis)
-                diagnostics["parametric_basis"] = tuple(parametric_basis)
-            elif method == "OR":
-                theta = models.m_marginal(grid)
-            else:  # TWFE
-                theta, diagnostics["twfe_coefficients"] = _twfe_curve(data, grid)
+            if isinstance(doses[key], DoseDidError):
+                raise doses[key]
+            theta, h, dose_diagnostics = doses[key]
+            theta0, control_diagnostics = _once(controls, source, _control_side, data, source[0], models)
+            out[key] = EffectCurveEstimate(
+                method=method,
+                grid=grid,
+                psi=theta - np.asarray(theta0)[..., None],
+                theta_curve=theta,
+                theta0=theta0,
+                bandwidth=h,
+                diagnostics={**dose_diagnostics, **control_diagnostics},
+            )
         except DoseDidError as exc:
             out[key] = exc
-            continue
-        out[key] = theta, h, {name: _scalar(value) for name, value in diagnostics.items()}
     return out
-
-
-def dose_side(
-    data: TwoPeriodDataset,
-    method: str,
-    models: NuisanceModelSet | None,
-    grid: np.ndarray,
-    bandwidth: float | None = None,
-    bandwidth_grid: np.ndarray | None = None,
-    parametric_basis: tuple[int, ...] = (1, 3),
-    on_out_of_range: str = "error",
-) -> tuple[np.ndarray, float | None, dict]:
-    """The dose-side curve theta on ``grid``: ``(theta, bandwidth, diagnostics)``.
-
-    Reads only the models in ``DOSE_NEEDS[method]``. For TWFE, whose curve
-    does not split, theta is the whole curve. Methods that read pi_d record
-    ``marginal_nodes``, ``f_floor_hits``, ``pi_d_floor_hits``,
-    ``pi_d_var_floor_hits``, ``w1_max`` and ``w1_ess`` in the diagnostics;
-    those that read mu1 record ``mu1_ridged``. A per-row diagnostic is an
-    array of the weight's leading shape, and a Python scalar for a 1-D
-    weight. This is ``dose_sides`` with one job.
-    """
-    jobs = {method: (method, models)}
-    result = dose_sides(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range)[method]
-    if isinstance(result, DoseDidError):
-        raise result
-    return result
-
-
-def control_side(
-    data: TwoPeriodDataset,
-    method: str,
-    models: NuisanceModelSet | None,
-) -> tuple[float | np.ndarray, dict]:
-    """The control-side constant theta0: ``(theta0, diagnostics)``.
-
-    Reads only the models in ``CONTROL_NEEDS[method]``; TWFE reports 0.
-    theta0 and ``pi_a_converged`` are arrays of the weight's leading shape,
-    and Python scalars for a 1-D weight.
-    """
-    diagnostics: dict = {}
-    if method in ("MR", "MR_PARAMETRIC"):
-        theta00, theta01, _ = compute_theta0(data, models)
-        theta0 = theta00 + theta01
-    elif method == "OR":
-        wt = data.weight_treated
-        theta0 = np.sum(wt * models.mu0(data.x_treated), axis=-1) / np.sum(wt, axis=-1)
-    elif method == "IPW":
-        theta0, _, _ = compute_theta0(data, models, mu0_override=np.zeros(data.n))
-    elif method == "NAIVE":
-        _, trend_c = data.split(data.trend)
-        wc = data.weight_control
-        theta0 = np.sum(wc * trend_c, axis=-1) / np.sum(wc, axis=-1)
-    else:  # TWFE
-        theta0 = np.zeros(data.weight.shape[:-1])
-    if "pi_a" in CONTROL_NEEDS[method]:
-        diagnostics["pi_a_converged"] = models.pi_a.fit.converged
-    return _scalar(theta0), {name: _scalar(value) for name, value in diagnostics.items()}
-
-
-def assemble_curve(method: str, grid: np.ndarray, dose: tuple, control: tuple) -> EffectCurveEstimate:
-    """psi = theta - theta0 from the results of ``dose_side`` and ``control_side``."""
-    theta, bandwidth, dose_diagnostics = dose
-    theta0, control_diagnostics = control
-    return EffectCurveEstimate(
-        method=method,
-        grid=grid,
-        psi=theta - np.asarray(theta0)[..., None],
-        theta_curve=theta,
-        theta0=theta0,
-        bandwidth=bandwidth,
-        diagnostics={**dose_diagnostics, **control_diagnostics},
-    )
 
 
 def estimate_curve(
@@ -451,6 +464,8 @@ def estimate_curve(
     models : pre-fitted nuisance set (must cover the method's needs and be
         marginalized on a grid compatible with ``grid``); fit internally
         when absent.
+
+    This is ``estimate_curves`` with one job.
     """
     if method not in METHODS:
         raise EstimationError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -466,8 +481,11 @@ def estimate_curve(
     grid = np.asarray(grid, dtype=float)
     if needed and models is None:
         models = fit_nuisances(data, specs, needed, dose_grid=grid)
-    dose = dose_side(data, method, models, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range)
-    return assemble_curve(method, grid, dose, control_side(data, method, models))
+    jobs = {method: (method, models)}
+    curve = estimate_curves(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range)[method]
+    if isinstance(curve, DoseDidError):
+        raise curve
+    return curve
 
 
 def _twfe_curve(data: TwoPeriodDataset, grid: np.ndarray):

@@ -395,17 +395,19 @@ class DoseDensityModel:
     def sdev(self, x: np.ndarray) -> np.ndarray:
         return self.location_scale(x)[1]
 
-    def variance_floor_hits(self, x: np.ndarray):
-        """How many rows of ``x`` the squared-residual model gives a variance
-        below RESIDUAL_VAR_FLOOR, where ``sdev`` floors it (per fit row)."""
-        variance = linear_predictor(self.design.build(x), self.resid_coef)
-        return np.count_nonzero(variance < RESIDUAL_VAR_FLOOR, axis=-1)
-
     def __call__(self, d, x: np.ndarray) -> np.ndarray:
+        return self.density_and_floor_hits(d, x)[0]
+
+    def density_and_floor_hits(self, d, x: np.ndarray):
+        """pi_d(d_i | x_i) at each row of ``x``, and how many rows the
+        squared-residual model gives a variance below RESIDUAL_VAR_FLOOR,
+        where ``sdev`` floors it (per fit row), from one design matrix."""
         d = np.broadcast_to(np.asarray(d, dtype=float), (np.shape(x)[0],))
-        mu, s = self.location_scale(x)
+        matrix = self.design.build(x)
+        mu, s = _location_scale(self.mean_coef, self.resid_coef, matrix)
         dens = interp_rows((d - mu) / s, self.table_x, self.table_y) / s
-        return np.maximum(dens, DENSITY_FLOOR)
+        hits = np.count_nonzero(linear_predictor(matrix, self.resid_coef) < RESIDUAL_VAR_FLOOR, axis=-1)
+        return np.maximum(dens, DENSITY_FLOOR), hits
 
     def marginal_density(self, dose_nodes: np.ndarray, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Weighted average over units of the unfloored pi_d(node | x_i), at

@@ -88,32 +88,31 @@ def compute_xi(data: TwoPeriodDataset, models: NuisanceModelSet) -> tuple[np.nda
     the residual term internally. A treated dose outside the marginals'
     node range raises (``dose_weight_terms`` under ``"error"``).
     """
-    xi, f_at_d, pi_d_at, _ = compute_xi_terms(data, models)
+    xi, (_, f_at_d, pi_d_at, _, _) = compute_xi_terms(data, models)
     return xi, f_at_d / pi_d_at
 
 
-def compute_xi_terms(
-    data: TwoPeriodDataset,
-    models: NuisanceModelSet,
-    on_out_of_range: str = "error",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``(xi, f(D_i), pi_d(D_i | X_i), clamped)``: ``compute_xi``'s xi with
-    ``dose_weight_terms``'s densities and clamp count."""
+def compute_xi_terms(data: TwoPeriodDataset, models: NuisanceModelSet, on_out_of_range: str = "error"):
+    """``(xi, dose_weight_terms(...))``: ``compute_xi``'s xi with the dose
+    weights it is formed from."""
     if models.m_marginal is None or models.f_marginal is None or models.mu1 is None or models.pi_d is None:
         raise DataValidationError("compute_xi needs fitted mu1/pi_d models and their marginals")
-    w1, f_at_d, pi_d_at, clamped = dose_weight_terms(data, models, on_out_of_range)
+    weights = dose_weight_terms(data, models, on_out_of_range)
     trend_t, _ = data.split(data.trend)
-    xi = models.m_marginal(data.dose) + w1 * (trend_t - models.mu1(data.dose, data.x_treated))
-    return xi, f_at_d, pi_d_at, clamped
+    xi = models.m_marginal(data.dose) + weights[0] * (trend_t - models.mu1(data.dose, data.x_treated))
+    return xi, weights
 
 
 def dose_weight_terms(data: TwoPeriodDataset, models: NuisanceModelSet, on_out_of_range: str):
-    """``(w1, f(D_i), pi_d(D_i | X_i), clamped)`` at the treated units: the
-    normalized weight f / pi_d (pi_d is floored inside the model) of MR's
-    pseudo-outcomes and IPW's target alike, and ``count_clamped``'s count.
-    ``on_out_of_range`` controls what happens when a treated dose falls
-    outside the marginals' node range: ``"error"`` raises (naming the
-    unit), ``"clamp"`` evaluates at the nearest endpoint."""
+    """``(w1, f(D_i), pi_d(D_i | X_i), var_floor_hits, clamped)`` at the
+    treated units: the normalized weight f / pi_d (pi_d is floored inside
+    the model) of MR's pseudo-outcomes and IPW's target alike, the count of
+    treated units whose pi_d variance is floored, from the same design
+    matrix (``DoseDensityModel.density_and_floor_hits``), and
+    ``count_clamped``'s count. ``on_out_of_range`` controls what happens
+    when a treated dose falls outside the marginals' node range:
+    ``"error"`` raises (naming the unit), ``"clamp"`` evaluates at the
+    nearest endpoint."""
     if on_out_of_range not in ("error", "clamp"):
         raise ValueError("on_out_of_range must be 'error' or 'clamp'")
     d = data.dose
@@ -122,8 +121,9 @@ def dose_weight_terms(data: TwoPeriodDataset, models: NuisanceModelSet, on_out_o
         treated_ids = [uid for uid, flag in zip(data.ids, data.a) if flag]
         bad = int(np.nonzero(models.f_marginal.out_of_range(d))[0][0])
         raise ExtrapolationError(f"dose {d[bad]} of unit {treated_ids[bad]!r} lies outside the marginals' node range")
-    f_at_d, pi_d_at = models.f_marginal(d), models.pi_d(d, data.x_treated)
-    return normalize_weights(f_at_d / pi_d_at, data.weight_treated), f_at_d, pi_d_at, clamped
+    f_at_d = models.f_marginal(d)
+    pi_d_at, var_floor_hits = models.pi_d.density_and_floor_hits(d, data.x_treated)
+    return normalize_weights(f_at_d / pi_d_at, data.weight_treated), f_at_d, pi_d_at, var_floor_hits, clamped
 
 
 def compute_theta0(
@@ -164,12 +164,12 @@ def build_pseudo_outcomes(
     on_out_of_range: str = "error",
 ) -> PseudoOutcomeSet:
     """Assemble the full pseudo-outcome set for the multiply robust path."""
-    xi, f_at_d, pi_d_at, clamped = compute_xi_terms(data, models, on_out_of_range)
+    xi, (w1, _, _, _, clamped) = compute_xi_terms(data, models, on_out_of_range)
     theta00, theta01, raw_w0 = compute_theta0(data, models)
     wt = data.weight_treated
     return PseudoOutcomeSet(
         xi=xi,
-        w1=normalize_weights(f_at_d / pi_d_at, wt),
+        w1=w1,
         w0=normalize_weights(raw_w0, data.weight_control),
         theta00=theta00,
         theta01=theta01,

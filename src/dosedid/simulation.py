@@ -20,10 +20,9 @@ specifications see identical datasets and replicates can execute in any
 order or process without changing results.
 
 The study engine has no estimator code of its own. Each replicate fits its
-models through one ``nuisance.ModelBank`` and builds every curve from
-``curves.dose_sides`` and ``curves.control_side``, the two halves of
-``curves.estimate_curve``, so its curves equal ``estimate_curve``'s
-bitwise.
+models through one ``nuisance.ModelBank`` and builds every curve in one
+``curves.estimate_curves`` call, the engine behind ``curves.estimate_curve``,
+so its curves equal ``estimate_curve``'s bitwise.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .curves import CONTROL_NEEDS, DOSE_NEEDS, METHODS, EstimatorConfig, assemble_curve, control_side, dose_sides
+from .curves import CONTROL_NEEDS, DOSE_NEEDS, METHODS, EstimatorConfig, estimate_curves
 from .data import PanelDataset, TwoPeriodDataset
 from .errors import DoseDidError, EstimationError
 from .inference import sandwich_bands, weighted_bootstrap
@@ -432,73 +431,48 @@ def _perm_key(perm) -> tuple[str, ...]:
 def _replicate_worker(config: ScenarioConfig, perm_keys, truth: GroundTruth, rep: int):
     """One replicate: shared dataset, per-specification estimates.
 
-    Every curve comes from ``curves.dose_sides`` and ``curves.control_side``
-    over one ``ModelBank``. Each side is computed once per (method, specs
-    of the models that side reads): the dose-side curve depends only on the
-    pi_d/mu1 variants and the control-side constant only on the pi_a/mu0
-    variants, so a 16-permutation replicate costs 8 fits, 4 marginals and
-    4 MR smoothing passes. The dose sides are all formed first, so the
-    bandwidths of every smoothed curve (4 MR, 2 IPW, 1 NAIVE) come from one
-    leave-one-out pass.
+    Every curve comes from one ``curves.estimate_curves`` call, with one job
+    per (method, permutation) over one ``ModelBank``. The bank fits each
+    model and marginal once per spec, and the engine computes each side once
+    per set of fitted objects it reads, so a 16-permutation, six-method
+    replicate costs 8 fits, 4 marginals, 6 theta0s (4 MR, 2 IPW), one
+    leave-one-out pass for the bandwidths of its 7 smoothed curves (4 MR,
+    2 IPW, 1 NAIVE) and one smoother window for evaluating them.
 
     Returns the curves, the MR bands and the failure messages, each keyed
     by (method, permutation), and for each curve whose bandwidth was
     selected the pair (at the grid's high edge, extended).
     """
     data = generate_scenario_data(config.n, stream_seed(config.seed, rep, ROLE_DATA))
-    grid = truth.grid
-    bank = ModelBank(data, grid)
-    specs_of = {key: simulation_specs(config, key) for key in perm_keys}
-    out_curves: dict = {}
-    out_bands: dict = {}
-    failures: dict = {}
-    edges: dict = {}
-
-    def side_key(needs, method, specs):
-        return method, tuple(specs[name] for name in needs[method])
-
+    bank = ModelBank(data, truth.grid)
     jobs: dict = {}
-    doses: dict = {}
+    failures: dict = {}
     for key in perm_keys:
+        specs = simulation_specs(config, key)
         for method in config.methods:
-            dose_key = side_key(DOSE_NEEDS, method, specs_of[key])
-            if dose_key not in jobs and dose_key not in doses:
-                try:
-                    jobs[dose_key] = method, bank.models(specs_of[key], DOSE_NEEDS[method])
-                except DoseDidError as exc:
-                    doses[dose_key] = exc
-    doses.update(dose_sides(data, jobs, grid))
-    controls: dict = {}
-
-    def control(method, specs):
-        control_key = side_key(CONTROL_NEEDS, method, specs)
-        if control_key not in controls:
-            controls[control_key] = control_side(data, method, bank.models(specs, CONTROL_NEEDS[method]))
-        return controls[control_key]
-
-    wants_bands = config.inference.wants_sandwich or config.inference.wants_bootstrap
-    for key in perm_keys:
-        specs = specs_of[key]
-        for method in config.methods:
-            dose = doses[side_key(DOSE_NEEDS, method, specs)]
             try:
-                if isinstance(dose, DoseDidError):
-                    raise dose
-                curve = assemble_curve(method, grid, dose, control(method, specs))
+                jobs[(method, key)] = method, bank.models(specs, DOSE_NEEDS[method] + CONTROL_NEEDS[method])
             except DoseDidError as exc:
                 failures[(method, key)] = str(exc)
-                continue
-            out_curves[(method, key)] = curve.psi
-            if curve.diagnostics["bandwidth_selected"]:
-                edges[(method, key)] = (
-                    curve.diagnostics["bandwidth_at_grid_edge"] == "high",
-                    curve.diagnostics["bandwidth_extended"],
-                )
-            if method == "MR" and wants_bands:
-                try:
-                    out_bands.update(_replicate_inference(config, data, key, bank.models(specs), curve, rep))
-                except DoseDidError as exc:
-                    failures[("inference", key)] = str(exc)
+    out_curves: dict = {}
+    out_bands: dict = {}
+    edges: dict = {}
+    wants_bands = config.inference.wants_sandwich or config.inference.wants_bootstrap
+    for (method, key), curve in estimate_curves(data, jobs, truth.grid).items():
+        if isinstance(curve, DoseDidError):
+            failures[(method, key)] = str(curve)
+            continue
+        out_curves[(method, key)] = curve.psi
+        if curve.diagnostics["bandwidth_selected"]:
+            edges[(method, key)] = (
+                curve.diagnostics["bandwidth_at_grid_edge"] == "high",
+                curve.diagnostics["bandwidth_extended"],
+            )
+        if method == "MR" and wants_bands:
+            try:
+                out_bands.update(_replicate_inference(config, data, key, jobs[(method, key)][1], curve, rep))
+            except DoseDidError as exc:
+                failures[("inference", key)] = str(exc)
     return out_curves, out_bands, failures, edges
 
 

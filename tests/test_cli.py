@@ -187,7 +187,7 @@ def test_config_error_lists_all_problems(tmp_path, capsys):
 def test_unknown_inference_mode_is_a_config_error(tmp_path, panel_file, capsys, monkeypatch, method, mode):
     fits = []
     monkeypatch.setattr("dosedid.cli.ModelBank", lambda *a, **k: fits.append(a))
-    monkeypatch.setattr("dosedid.cli.estimate_curve", lambda *a, **k: fits.append(a))
+    monkeypatch.setattr("dosedid.cli.estimate_curves", lambda *a, **k: fits.append(a))
     payload = {
         "output": str(tmp_path / "out"),
         "data": {"path": str(panel_file), "schema": _schema_block()},
@@ -321,13 +321,13 @@ def test_estimate_manifest_keeps_every_diagnostic(tmp_path, panel_file, monkeypa
     from dosedid import cli
 
     curves = {}
-    original = cli.estimate_curve
+    original = cli.estimate_curves
 
-    def recording(data, method, *args, **kwargs):
-        curves[method] = original(data, method, *args, **kwargs)
-        return curves[method]
+    def recording(*args, **kwargs):
+        curves.update(original(*args, **kwargs))
+        return curves
 
-    monkeypatch.setattr(cli, "estimate_curve", recording)
+    monkeypatch.setattr(cli, "estimate_curves", recording)
     methods = ["MR", "MR_PARAMETRIC", "OR", "IPW", "NAIVE", "TWFE"]
     assert _estimate(tmp_path, panel_file, methods=methods) == 0
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["diagnostics"]
@@ -338,6 +338,46 @@ def test_estimate_manifest_keeps_every_diagnostic(tmp_path, panel_file, monkeypa
         assert set(entry) == set(expected), method
         for name, value in expected.items():
             assert entry[name] == (list(value) if isinstance(value, tuple) else value), (method, name)
+
+
+def test_estimate_selects_every_bandwidth_in_one_pass(tmp_path, panel_file, monkeypatch):
+    """MR's and NAIVE's bandwidths come from one leave-one-out pass."""
+    from dosedid import curves
+
+    calls = []
+    original = curves.select_bandwidth
+
+    def counted(*args):
+        calls.append(np.shape(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(curves, "select_bandwidth", counted)
+    assert _estimate(tmp_path, panel_file, methods=["MR", "OR", "NAIVE", "TWFE"]) == 0
+    assert len(calls) == 1 and calls[0][0] == 2
+
+
+def test_many_failed_bootstrap_replicates_are_flagged(tmp_path, panel_file, capsys, monkeypatch):
+    """When more than a tenth of the bootstrap replicates fail, the run
+    still succeeds and the manifest flags it: every 4th replicate's weights
+    hold a NaN, so 5 of 20 fail with the DataValidationError of a weight
+    that is not finite."""
+    from dosedid import inference
+
+    draw = inference.bootstrap_weights
+
+    def poisoned(a, seed, replicate):
+        w = draw(a, seed, replicate)
+        if replicate % 4 == 0:
+            w[0] = np.nan
+        return w
+
+    monkeypatch.setattr(inference, "bootstrap_weights", poisoned)
+    assert _estimate(tmp_path, panel_file, inference={"method": "bootstrap", "B": 20}) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["diagnostics"]
+    assert manifest["MR_bootstrap_failures"] == {"DataValidationError": 5}
+    assert manifest["MR_bootstrap_failed"] == 5
+    assert manifest["MR_bootstrap_flagged"] is True
 
 
 def test_too_few_treated_units_is_one_estimation_error(tmp_path, capsys):

@@ -9,16 +9,19 @@ from dataclasses import replace
 
 from dosedid import nuisance
 from dosedid.curves import (
+    CONTROL_NEEDS,
+    DOSE_NEEDS,
     METHODS,
     EstimatorConfig,
-    dose_side,
+    dose_sides,
     estimate_curve,
+    estimate_curves,
     local_linear_curve,
     robust_select_bandwidth,
     write_curve,
 )
 from dosedid.data import TwoPeriodDataset
-from dosedid.errors import BandwidthError, EstimationError, ExtrapolationError, FitError
+from dosedid.errors import BandwidthError, DoseDidError, EstimationError, ExtrapolationError, FitError
 from dosedid.inference import bootstrap_weights
 from dosedid.numeric import default_bandwidth_grid, local_linear_fit
 from dosedid.nuisance import (
@@ -46,6 +49,14 @@ SPECS = default_specs(mu1_dose_powers=(1, 3), mu1_dose_interactions=(0, 2))
 @pytest.fixture(scope="module")
 def data():
     return generate_scenario_data(800, stream_seed(300, 0, 0))
+
+
+def dose_side(data, method, models, grid, bandwidth=None, on_out_of_range="error"):
+    """``dose_sides`` with one job: its ``(theta, bandwidth, diagnostics)``."""
+    side = dose_sides(data, {method: (method, models)}, grid, bandwidth, None, (1, 3), on_out_of_range)[method]
+    if isinstance(side, DoseDidError):
+        raise side
+    return side
 
 
 def test_decomposition_identity(data):
@@ -378,6 +389,10 @@ class _Counted:
         self._calls.append(self._name)
         return self._model(*args)
 
+    def density_and_floor_hits(self, *args):
+        self._calls.append(self._name)
+        return self._model.density_and_floor_hits(*args)
+
     def __getattr__(self, attr):
         return getattr(self._model, attr)
 
@@ -436,7 +451,7 @@ def test_pi_d_variance_floor_hits_are_counted():
     pi_d = fit_nuisances(data, SPECS, which=("pi_d",)).pi_d
     for variance, hits in ((0.5 * RESIDUAL_VAR_FLOOR, data.n_treated), (2.0 * RESIDUAL_VAR_FLOOR, 0)):
         constant = replace(pi_d, resid_coef=np.concatenate([[variance], np.zeros(4)]))
-        assert constant.variance_floor_hits(data.x_treated) == hits
+        assert constant.density_and_floor_hits(data.dose, data.x_treated)[1] == hits
 
 
 def test_flat_dose_density_gives_full_effective_sample(data):
@@ -476,6 +491,34 @@ def test_unit_order_leaves_every_curve(bandwidth):
         assert np.max(np.abs(moved.psi - est.psi)) <= 1e-12 * np.max(np.abs(est.psi)), method
         if est.bandwidth is not None:
             assert abs(moved.bandwidth - est.bandwidth) <= 1e-12 * est.bandwidth, method
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("bandwidth", [1.0, None])
+def test_affine_outcome_rescaling_scales_psi(seed, bandwidth):
+    """Mapping both outcomes to 3 + b y, b = -2.5, multiplies every method's
+    psi by b and leaves a leave-one-out bandwidth where it was (measured:
+    4.0e-14 relative, equal bandwidths). The six jobs of one
+    ``estimate_curves`` call are each ``estimate_curve``'s estimate
+    bitwise."""
+    data = generate_scenario_data(600, seed)
+    b = -2.5
+    scaled = replace(data, y0=3.0 + b * data.y0, y1=3.0 + b * data.y1)
+    grid = default_dose_grid(data.dose)
+    bank = nuisance.ModelBank(data, grid)
+    jobs = {method: (method, bank.models(SPECS, DOSE_NEEDS[method] + CONTROL_NEEDS[method])) for method in METHODS}
+    together = estimate_curves(data, jobs, grid, bandwidth)
+    for method in METHODS:
+        est = estimate_curve(data, method, specs=SPECS, grid=grid, bandwidth=bandwidth)
+        moved = estimate_curve(scaled, method, specs=SPECS, grid=grid, bandwidth=bandwidth)
+        assert np.max(np.abs(moved.psi - b * est.psi)) <= 1e-12 * np.max(np.abs(b * est.psi)), method
+        assert moved.bandwidth == est.bandwidth, method
+        one = together[method]
+        assert one.psi.tobytes() == est.psi.tobytes() and one.theta_curve.tobytes() == est.theta_curve.tobytes()
+        assert (one.theta0, one.bandwidth) == (est.theta0, est.bandwidth), method
+        coefficients = est.diagnostics.pop("twfe_coefficients", np.zeros(0))
+        assert one.diagnostics.pop("twfe_coefficients", np.zeros(0)).tobytes() == coefficients.tobytes()
+        assert one.diagnostics == est.diagnostics, method
 
 
 def test_constant_treated_dose_is_a_fit_error(data):

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dosedid import curves, nuisance
+from dosedid import curves, nuisance, numeric
 from dosedid.config import parse_inference, parse_scenario, parse_specs
 from dosedid.curves import METHODS, estimate_curve
 from dosedid.numeric import expit
@@ -342,28 +342,35 @@ def test_one_leave_one_out_pass_per_replicate(monkeypatch):
 
 def test_one_replicate_assembles_each_design_once_per_call(monkeypatch):
     """A 16-permutation, six-method replicate at n = 1,000 assembles at most
-    48 nuisance design matrices, every one through
-    ``CovariateDesign.assemble``, and applies the Kang-Schafer map at most
-    34 times (measured: 48 and 28)."""
+    34 nuisance design matrices, every one through
+    ``CovariateDesign.assemble``, applies the Kang-Schafer map at most 34
+    times, computes theta0 at most 6 times (4 MR and MR_PARAMETRIC pairs,
+    2 IPW) and builds at most 2 smoother windows, one for the
+    leave-one-out pass and one for every smoothed curve (measured: 34, 28,
+    6 and 2)."""
     counts = Counter()
     assemble, mapping = nuisance.CovariateDesign.assemble, nuisance.kang_schafer_map
+    theta0, window = curves.compute_theta0, numeric.WindowedMoments.__init__
 
-    def counted_assemble(self, mapped):
-        counts["designs"] += 1
-        return assemble(self, mapped)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
 
-    def counted_map(x):
-        counts["maps"] += 1
-        return mapping(x)
+        return wrapper
 
-    monkeypatch.setattr(nuisance.CovariateDesign, "assemble", counted_assemble)
-    monkeypatch.setattr(nuisance, "kang_schafer_map", counted_map)
+    monkeypatch.setattr(nuisance.CovariateDesign, "assemble", counted("designs", assemble))
+    monkeypatch.setattr(nuisance, "kang_schafer_map", counted("maps", mapping))
+    monkeypatch.setattr(curves, "compute_theta0", counted("theta0", theta0))
+    monkeypatch.setattr(numeric.WindowedMoments, "__init__", counted("windows", window))
     cfg = ScenarioConfig(n=1000, replicates=1, seed=1, methods=METHODS)
     perms = [tuple(sorted(p)) for p in all_permutations()]
     out, _, failures, _ = _replicate_worker(cfg, perms, ground_truth_curve(1), 0)
     assert failures == {} and len(out) == 16 * len(METHODS)
-    assert counts["designs"] <= 48
+    assert counts["designs"] <= 34
     assert counts["maps"] <= 34
+    assert counts["theta0"] <= 6
+    assert counts["windows"] <= 2
 
 
 def test_run_study_with_inference_smoke():

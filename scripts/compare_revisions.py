@@ -9,8 +9,11 @@ psi, theta, theta0, bandwidth and diagnostics; MR's base and augmented
 sandwich variances on a 10-point grid; and, at n = 500 (seed 1, the
 ``inference-n500`` benchmark's data), every method's weighted-bootstrap
 rows (B = 40) and the repeated-period bootstrap bands of the benchmark's
-call. At n = 20,000 (seed 1, the ``estimate-n20k`` benchmark's data) it
-records ``load_panel`` of the panel as ``write_panel`` writes it, and MR's
+call. On a tree whose bootstrap runs its chunks on forked workers
+(docs/DECISIONS.md, D14), both run on every usable CPU, so ``compare``
+checks pooled rows against the parent's. At n = 20,000 (seed 1, the
+``estimate-n20k`` benchmark's data) it records ``load_panel`` of the panel
+as ``write_panel`` writes it, and MR's
 base sandwich variances on the default 50-point grid; on the 500-unit
 placebo panel, the stacked sandwich variances of ``estimate_repeated``
 over the pairs (0, 1) and (1, 2), recovered from its band widths. It

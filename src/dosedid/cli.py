@@ -444,7 +444,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override a scalar config key (repeatable)",
         )
         p.add_argument("--force", action="store_true", help="replace the output directory if present")
-        p.add_argument("--workers", type=int, default=None, help="cap parallel workers")
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=None,
+            help="cap the study's replicate worker processes (simulate only; default: the usable CPUs). "
+            "The bootstrap uses every CPU of the process's affinity set; restrict it with taskset",
+        )
     return parser
 
 

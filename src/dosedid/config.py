@@ -8,7 +8,6 @@ config surfaces all its issues at once.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +15,7 @@ import yaml
 
 from .data import PanelSchema
 from .errors import ConfigError
+from .inference import pool_size
 from .nuisance import NuisanceSpec, default_specs
 from .simulation import InferenceConfig, ScenarioConfig
 
@@ -167,7 +167,7 @@ def parse_scenario(config: dict, problems: list) -> ScenarioConfig | None:
             grid_size=int(block.get("grid_size", 50)),
             super_n=int(block.get("super_n", 1_000_000)),
             inference=inference,
-            workers=int(config.get("workers", os.cpu_count() or 1)),
+            workers=int(config.get("workers", pool_size())),
             keep_curves=bool(block.get("keep_curves", False)),
             mu1_dose_powers=tuple(block.get("mu1_dose_powers", (1, 3))),
             mu1_dose_interactions=tuple(block.get("mu1_dose_interactions", (0, 2))),

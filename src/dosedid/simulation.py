@@ -28,7 +28,6 @@ so its curves equal ``estimate_curve``'s bitwise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -37,7 +36,7 @@ import numpy as np
 from .curves import CONTROL_NEEDS, DOSE_NEEDS, METHODS, EstimatorConfig, estimate_curves
 from .data import PanelDataset, TwoPeriodDataset
 from .errors import DoseDidError, EstimationError
-from .inference import sandwich_bands, weighted_bootstrap
+from .inference import fork_map, pool_size, sandwich_bands, weighted_bootstrap
 from .numeric import expit
 from .nuisance import ModelBank, NuisanceSpec, default_specs, kang_schafer_map
 
@@ -509,8 +508,10 @@ def run_permutation_study(
     """Run the study once per specification permutation with shared data.
 
     Returns a dict mapping each permutation (as a sorted name tuple) to its
-    ScenarioReport. ``estimator_hook(data, grid) -> psi`` substitutes every
-    estimator (testing hook for metric plumbing).
+    ScenarioReport. The replicates run through ``inference.fork_map`` on
+    at most ``config.workers`` processes, capped by ``pool_size()``.
+    ``estimator_hook(data, grid) -> psi`` substitutes every estimator
+    (testing hook for metric plumbing).
     """
     perms = [frozenset(p) for p in permutations]
     perm_keys = [_perm_key(p) for p in perms]
@@ -526,20 +527,12 @@ def run_permutation_study(
             psi = np.asarray(estimator_hook(data, grid), dtype=float)
             curves = {(m, k): psi for m in config.methods for k in perm_keys}
             results.append((curves, {}, {}, {}))
-    elif config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(
-                pool.map(
-                    _replicate_worker,
-                    [config] * reps,
-                    [perm_keys] * reps,
-                    [truth] * reps,
-                    range(reps),
-                    chunksize=max(1, reps // (4 * config.workers)),
-                )
-            )
     else:
-        results = [_replicate_worker(config, perm_keys, truth, rep) for rep in range(reps)]
+        results = fork_map(
+            lambda rep: _replicate_worker(config, perm_keys, truth, rep),
+            range(reps),
+            min(config.workers, pool_size()),
+        )
 
     reports = {}
     k_grid = grid.shape[0]

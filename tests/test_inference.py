@@ -1,7 +1,10 @@
 """Sandwich variance and weighted bootstrap contracts."""
 
+import multiprocessing
+import os
 import pickle
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -617,8 +620,10 @@ def stack_data():
 
 
 def _chunks_of_16(monkeypatch, n: int) -> list:
-    """Make the bootstrap stack 16 replicates per chunk (so B = 37 runs as
-    16 + 16 + 5) and record the weight shape of every estimator call."""
+    """Make the bootstrap stack at most 16 replicates per chunk, in-process
+    (so B = 37 runs as 13 + 13 + 11), and record the weight shape of every
+    estimator call; a forked worker's calls could not be recorded."""
+    monkeypatch.setattr(inference, "pool_size", lambda: 1)
     monkeypatch.setattr(inference, "_STACK_BLOCK", 16 * n)
     shapes = []
     original = curves.estimate_curve
@@ -641,7 +646,7 @@ def test_stacked_replicates_equal_single_runs(stack_data, method, monkeypatch):
     cfg = EstimatorConfig(method, SPECS, point.grid, point.bandwidth, on_out_of_range="clamp")
     shapes = _chunks_of_16(monkeypatch, data.n)
     result = weighted_bootstrap(data, cfg, B_STACKED, seed=21)
-    assert shapes == [(16, data.n), (16, data.n), (5, data.n)]
+    assert shapes == [(13, data.n), (13, data.n), (11, data.n)]
     assert result.b_failed == 0 and result.curves.shape == (B_STACKED, point.grid.shape[0])
     tol = 1e-10 * result.curves.std(axis=0)
     for b, row in enumerate(result.curves):
@@ -706,7 +711,7 @@ def test_a_failed_replicate_fails_alone_in_its_stack(stack_data, monkeypatch):
     np.testing.assert_array_equal(result.curves, np.delete(clean.curves, 20, axis=0))
     # The middle chunk fails as a stack before its replicates run one by one
     # (replicate 20 fails building its dataset, before the estimator).
-    assert shapes == [(16, data.n)] + [(data.n,)] * 15 + [(5, data.n)]
+    assert shapes == [(13, data.n)] + [(data.n,)] * 12 + [(11, data.n)]
 
 
 def test_repeated_bootstrap_rows_equal_per_pair_single_runs(monkeypatch):
@@ -731,3 +736,98 @@ def test_repeated_bootstrap_rows_equal_per_pair_single_runs(monkeypatch):
         for result, row in zip(per_pair, alone):
             assert np.all(np.abs(result.curves[b] - row) <= scale)
         assert np.all(np.abs(average.curves[b] - np.mean(alone, axis=0)) <= scale)
+
+
+# ------------------------------------------------------------ process pool
+
+
+def _bootstrap_at(monkeypatch, size, *args, **kwargs):
+    """``weighted_bootstrap`` with the pool size forced to ``size``; no
+    worker outlives the call."""
+    monkeypatch.setattr(inference, "pool_size", lambda: size)
+    result = weighted_bootstrap(*args, **kwargs)
+    assert multiprocessing.active_children() == []
+    return result
+
+
+def _assert_same_result(pooled, alone):
+    assert pooled.curves.tobytes() == alone.curves.tobytes()
+    assert pooled.ci_lower.tobytes() == alone.ci_lower.tobytes()
+    assert pooled.ci_upper.tobytes() == alone.ci_upper.tobytes()
+    assert pooled.failures == alone.failures
+    assert pooled.pi_a_unconverged == alone.pi_a_unconverged
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_pooled_bootstrap_equals_in_process(stack_data, method, monkeypatch):
+    """Two workers (chunks of 19 + 18 rows) give the in-process loop's one
+    37-row chunk bitwise: curves, bands and counts."""
+    data = stack_data
+    point = estimate_curve(data, method, specs=SPECS)
+    cfg = EstimatorConfig(method, SPECS, point.grid, point.bandwidth, on_out_of_range="clamp")
+    alone = _bootstrap_at(monkeypatch, 1, data, cfg, B_STACKED, seed=21)
+    pooled = _bootstrap_at(monkeypatch, 2, data, cfg, B_STACKED, seed=21)
+    _assert_same_result(pooled, alone)
+
+
+def test_a_failed_replicate_fails_alone_in_a_pooled_chunk(stack_data, monkeypatch):
+    """Replicate 20 sits in the second worker's chunk (rows 19-36); its NaN
+    weight fails it alone, counted as in-process, and the result is the
+    in-process one bitwise."""
+    data = stack_data
+    point = estimate_curve(data, "MR", specs=SPECS)
+    cfg = EstimatorConfig("MR", SPECS, point.grid, point.bandwidth, on_out_of_range="clamp")
+
+    def weights(b):
+        w = bootstrap_weights(data.a, 21, b)
+        if b == 20:
+            w[7] = np.nan
+        return w
+
+    alone = _bootstrap_at(monkeypatch, 1, data, cfg, B_STACKED, seed=21, weight_fn=weights)
+    pooled = _bootstrap_at(monkeypatch, 2, data, cfg, B_STACKED, seed=21, weight_fn=weights)
+    assert pooled.failures == {"DataValidationError": 1}
+    assert pooled.curves.shape == (B_STACKED - 1, point.grid.shape[0])
+    _assert_same_result(pooled, alone)
+
+
+@pytest.mark.parametrize(
+    "n, b, size, rows",
+    [
+        (500, 200, 2, [25] * 8),
+        (500, 50, 2, [25, 25]),
+        (300, 37, 2, [19, 18]),
+        (500, 200, 1, [29] * 6 + [26]),
+        (500, 200, 3, [23] * 8 + [16]),
+    ],
+)
+def test_chunks_are_equal_and_a_multiple_of_the_pool_size(monkeypatch, n, b, size, rows):
+    """The fewest chunks that fit the 16,384-element stack, rounded up to a
+    multiple of the pool size, ceil(B / chunks) rows each; the rows of the
+    chunks come back in replicate order."""
+    seen = []
+
+    def in_process(fn, items, workers):
+        seen.append(([len(c) for c in items], workers))
+        return [fn(c) for c in items]
+
+    monkeypatch.setattr(inference, "pool_size", lambda: size)
+    monkeypatch.setattr(inference, "fork_map", in_process)
+    a = np.arange(n) % 3 == 0
+    (result,) = inference.bootstrap_replicates(a, lambda w: [_Rows(w[..., :4])], b, seed=1)
+    assert seen == [(rows, size)]
+    np.testing.assert_array_equal(result.curves, [bootstrap_weights(a, 1, r)[:4] for r in range(b)])
+
+
+class _Rows:
+    """A stand-in estimate whose psi rows are the weights' first columns."""
+
+    def __init__(self, psi):
+        self.psi = psi
+        self.diagnostics = {}
+
+
+def test_pool_size_is_one_inside_a_multiprocessing_child():
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert pool.submit(inference.pool_size).result(timeout=60) == 1
+    assert inference.pool_size() == len(os.sched_getaffinity(0))

@@ -1,5 +1,7 @@
 """Repeated-period averaging, placebo curves, and outcome scaling."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -151,10 +153,30 @@ def test_repeated_bootstrap_counts_failures_by_error_class(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(curves, "estimate_curve", failing)
+    monkeypatch.setattr(inference, "pool_size", lambda: 1)  # a forked worker's calls go unrecorded
     rep = estimate_repeated(panel, [(0, 1), (0, 2)], "NAIVE", inference="bootstrap", b_replicates=6, seed=2)
     assert rep.averaged.diagnostics["bootstrap_failures"] == {"FitError": 1}
     assert rep.averaged.diagnostics["bootstrap_failed"] == 1
     assert weighted_calls == [(6, data.n)] * 2 + [(data.n,)] * (2 * 5 + 2)
+
+
+def test_pooled_repeated_bootstrap_equals_in_process(monkeypatch):
+    """Per-pair and averaged bootstrap bands and counts at pool sizes 1 and
+    2 (chunks of 13 + 12 rows) are bitwise equal, and no worker outlives
+    the call."""
+    placebo = generate_placebo_panel(300, 13)
+    runs = []
+    for size in (1, 2):
+        monkeypatch.setattr(inference, "pool_size", lambda: size)
+        runs.append(
+            estimate_repeated(placebo, [(0, 1), (1, 2)], "MR", specs=SPECS, inference="bootstrap", b_replicates=25, seed=3)
+        )
+        assert multiprocessing.active_children() == []
+    alone, pooled = runs
+    for a, b in zip((*alone.per_m, alone.averaged), (*pooled.per_m, pooled.averaged)):
+        assert a.ci_lower.tobytes() == b.ci_lower.tobytes()
+        assert a.ci_upper.tobytes() == b.ci_upper.tobytes()
+    assert alone.averaged.diagnostics == pooled.averaged.diagnostics
 
 
 def test_repeated_sandwich_builds_one_context_per_pair(monkeypatch):

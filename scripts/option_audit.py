@@ -1,4 +1,4 @@
-"""List the defaulted parameters of dosedid that no call sets.
+"""List the defaulted parameters and public names of dosedid that no code uses.
 
     python scripts/option_audit.py [ROOT]
 
@@ -14,10 +14,19 @@ nothing. So the scan can miss an option a call sets through a renamed
 reference (a callback, a dict of functions) and can credit a call to the
 wrong function of a shared name; read its list as candidates, not proof.
 
+The public names are each module's ``__all__`` and the names
+``dosedid/__init__.py`` imports. A name is reached when code in ``src``,
+``demos``, ``scripts`` or ``perfbench`` reads it, as a name, an attribute
+or an import, other than the package's re-export in ``__init__``; tests do
+not count, since a name only tests reach belongs in ``tests/``
+(docs/DECISIONS.md, D15). The same name-only matching applies.
+
 It prints every option that no call sets, with the reason it is kept when
 ``KEPT`` names one (docs/DECISIONS.md, D12), then, for information, the
-options that only tests set. It exits 1 when an option that no call sets
-is not in ``KEPT``.
+options that only tests set, then every public name that nothing outside
+the tests reaches, with the reason it is kept when ``KEPT_PUBLIC`` names
+one. It exits 1 when an option that no call sets is not in ``KEPT``, or an
+unreached public name is not in ``KEPT_PUBLIC``.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ from collections import defaultdict
 from pathlib import Path
 
 CALLER_DIRS = ("src", "tests", "demos", "scripts", "perfbench")
+# The code whose use of a public name keeps it public.
+USER_DIRS = ("src", "demos", "scripts", "perfbench")
 
 # Options that no call sets but that stay, each with its reason.
 KEPT = {
@@ -35,6 +46,14 @@ KEPT = {
     ("estimate_repeated", "grid"): "estimate_curve's public estimation argument",
     ("estimate_repeated", "bandwidth"): "estimate_curve's public estimation argument",
     ("placebo_curves", "bandwidth"): "estimate_curve's public estimation argument",
+}
+
+
+# Public names that nothing outside the tests reaches but that stay, each
+# with its reason.
+KEPT_PUBLIC = {
+    "scale_outcomes": "a documented panel preparation step (README's dosedid.panel row) for callers' own data",
+    "generate_null_data": "the no-effect DGP that criterion 6 and the null tests draw from, for users' checks",
 }
 
 
@@ -151,6 +170,38 @@ def audit(root: Path):
     return unset, test_only
 
 
+def public_names(package: Path) -> list[tuple[str, str]]:
+    """``(file, name)`` for each entry of a module's ``__all__`` and each
+    name ``__init__.py`` imports."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                found += [(path.name, elt.value) for elt in node.value.elts]
+            elif path.name == "__init__.py" and isinstance(node, ast.ImportFrom):
+                found += [(path.name, alias.asname or alias.name) for alias in node.names]
+    return found
+
+
+def reached_names(root: Path) -> set[str]:
+    """Every name read, as a name, an attribute or an import, by the code in
+    ``USER_DIRS`` other than the package's ``__init__.py``."""
+    init = root / "src" / "dosedid" / "__init__.py"
+    reached = set()
+    for folder in USER_DIRS:
+        for path in sorted((root / folder).rglob("*.py")):
+            if path == init:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reached.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reached.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    reached.update(alias.name for alias in node.names)
+    return reached
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     unset, test_only = audit(root)
@@ -165,7 +216,18 @@ def main(argv: list[str]) -> int:
         print(f"  {file}: {name}({option})")
     if unexplained:
         print(f"{unexplained} option(s) that no call sets and no entry of KEPT explains")
-    return 1 if unexplained else 0
+    reached = reached_names(root)
+    unreached = 0
+    print("Public names that no code in " + ", ".join(USER_DIRS) + " reaches:")
+    for file, name in public_names(root / "src" / "dosedid"):
+        if name in reached:
+            continue
+        reason = KEPT_PUBLIC.get(name)
+        unreached += reason is None
+        print(f"  {file}: {name}" + (f"  -- kept: {reason}" if reason else ""))
+    if unreached:
+        print(f"{unreached} public name(s) that nothing outside the tests reaches and no entry of KEPT_PUBLIC explains")
+    return 1 if unexplained or unreached else 0
 
 
 if __name__ == "__main__":

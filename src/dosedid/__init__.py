@@ -35,11 +35,9 @@ from .errors import (
 )
 from .inference import (
     BootstrapResult,
-    EstimatingSystem,
     SandwichBands,
     bootstrap_weights,
     sandwich_bands,
-    sandwich_variance,
     stacked_sandwich_variance,
     weighted_bootstrap,
 )
@@ -66,7 +64,7 @@ from .nuisance import (
     marginalize,
 )
 from .panel import RepeatedEstimate, estimate_repeated, placebo_curves, scale_outcomes
-from .pseudo import PseudoOutcomeSet, build_pseudo_outcomes, compute_theta0, compute_xi, normalize_weights
+from .pseudo import compute_theta0, normalize_weights
 from .simulation import (
     GroundTruth,
     InferenceConfig,

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .curves import checked_grid
 from .data import PanelSchema
-from .errors import ConfigError
+from .errors import ConfigError, EstimationError
 from .inference import pool_size
 from .nuisance import NuisanceSpec, default_specs
 from .simulation import InferenceConfig, ScenarioConfig
@@ -107,7 +108,7 @@ def parse_specs(block: dict | None, problems: list) -> dict[str, NuisanceSpec]:
     return out
 
 
-_INFERENCE_KEYS = ("method", "B", "b_replicates", "mode")
+_INFERENCE_KEYS = ("method", "B", "mode")
 
 
 def parse_inference(block: dict | None, problems: list) -> InferenceConfig:
@@ -124,7 +125,7 @@ def parse_inference(block: dict | None, problems: list) -> InferenceConfig:
     try:
         return InferenceConfig(
             method=str(block.get("method", "none")),
-            b_replicates=int(block.get("B", block.get("b_replicates", 200))),
+            b_replicates=int(block.get("B", 200)),
             mode=str(block.get("mode", "base")),
         )
     except (TypeError, ValueError) as exc:
@@ -179,21 +180,24 @@ def parse_scenario(config: dict, problems: list) -> ScenarioConfig | None:
 
 def parse_grid(config: dict, problems: list):
     """Grid request: an explicit ndarray of points, or an int size for the
-    default percentile rule."""
+    default percentile rule. A size below 1, or points that
+    ``curves.checked_grid`` rejects, are reported as problems."""
     block = config.get("grid")
     if block is None:
         return 50
     if isinstance(block, dict):
         try:
             if "points" in block:
-                return np.asarray([float(v) for v in block["points"]], dtype=float)
+                return checked_grid([float(v) for v in block["points"]])
             size = int(block.get("size", 50))
+            if size < 1:
+                raise ValueError(f"size must be at least 1, got {size}")
             lo = block.get("lo")
             hi = block.get("hi")
             if lo is not None and hi is not None:
-                return np.linspace(float(lo), float(hi), size)
+                return checked_grid(np.linspace(float(lo), float(hi), size))
             return size
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, EstimationError) as exc:
             problems.append(f"grid: {exc}")
             return 50
     problems.append("grid: expected a mapping")

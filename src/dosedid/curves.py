@@ -49,10 +49,10 @@ __all__ = [
     "CONTROL_NEEDS",
     "EffectCurveEstimate",
     "EstimatorConfig",
+    "checked_grid",
     "estimate_curve",
     "estimate_curves",
     "dose_sides",
-    "local_linear_curve",
     "parametric_theta",
     "robust_select_bandwidth",
     "write_curve",
@@ -115,9 +115,7 @@ class EffectCurveEstimate:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
-            raise EstimationError("grid must be one-dimensional and strictly increasing")
+        checked_grid(self.grid)
         object.__setattr__(self, "theta0", _scalar(self.theta0))
         object.__setattr__(self, "diagnostics", {name: _scalar(value) for name, value in self.diagnostics.items()})
         for name in ("grid", "psi", "theta_curve", "ci_lower", "ci_upper"):
@@ -158,10 +156,15 @@ class EstimatorConfig:
         )
 
 
-def local_linear_curve(dose, ys, grid, h, sample_weight=None):
-    """Local linear intercepts of ``ys`` on ``dose`` at every grid point
-    (per row, for stacked ``ys`` or weights; unit weights by default)."""
-    return WindowedMoments(dose, ys, np.ones(np.shape(dose)) if sample_weight is None else sample_weight).fit(grid, h)[0]
+def checked_grid(grid) -> np.ndarray:
+    """``grid`` as a float array; an EstimationError unless it is
+    non-empty, one-dimensional, finite and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise EstimationError(f"evaluation grid must hold at least one point, got shape {grid.shape}")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise EstimationError("evaluation grid must be finite and strictly increasing")
+    return grid
 
 
 def parametric_theta(dose, ys, grid, sample_weight, basis=(1, 3)):
@@ -455,9 +458,10 @@ def estimate_curve(
         and an (R, n) stack of weight rows gives (R, K) curves.
     method : one of METHODS.
     specs : nuisance specifications, required for MR/MR_PARAMETRIC/OR/IPW.
-    grid : evaluation grid; defaults to 50 points between the 10th and 90th
-        treated-dose percentiles. Estimates are never produced outside the
-        interior of the observed dose support.
+    grid : evaluation grid, non-empty, finite and strictly increasing
+        (``checked_grid``; checked before any fit); defaults to 50 points
+        between the 10th and 90th treated-dose percentiles. Estimates are
+        never produced outside the interior of the observed dose support.
     bandwidth : kernel bandwidth shared across the grid; selected by
         leave-one-out cross-validation on the method's own regression target
         when absent (required for MR, IPW and NAIVE on stacked weights).
@@ -476,9 +480,7 @@ def estimate_curve(
         missing = [k for k in needed if k not in specs]
         if missing:
             raise EstimationError(f"method {method} is missing nuisance specs: {', '.join(missing)}")
-    if grid is None:
-        grid = default_dose_grid(data.dose)
-    grid = np.asarray(grid, dtype=float)
+    grid = checked_grid(default_dose_grid(data.dose) if grid is None else grid)
     if needed and models is None:
         models = fit_nuisances(data, specs, needed, dose_grid=grid)
     jobs = {method: (method, models)}

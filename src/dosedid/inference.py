@@ -29,7 +29,7 @@ Two routes, each with one implementation; the repeated-period workflow in
   units inside the kernel window. So iota costs one (n x q) product and
   O(window) arithmetic, a finite-difference bread column only a perturbed
   context's fixed column sums and window sums, and no n x P array is built
-  at a grid point (``EstimatingSystem.gamma`` builds one for inspection).
+  at a grid point.
   The variance of an average over M periods that share the unit roster is
   the squared norm of the mean of the periods' columns, which is the
   block-diagonal stacked system in closed form and picks up the
@@ -69,15 +69,12 @@ from .data import TwoPeriodDataset
 from .errors import DoseDidError, EstimationError
 from .numeric import WindowedMoments, epanechnikov, expit
 from .nuisance import NuisanceModelSet, marginalize
-from .pseudo import build_pseudo_outcomes
+from .pseudo import compute_theta0, compute_xi_terms, normalize_weights
 
 __all__ = [
     "Z_95",
-    "EstimatingSystem",
     "SandwichBands",
     "BootstrapResult",
-    "build_estimating_system",
-    "sandwich_variance",
     "sandwich_bands",
     "stacked_sandwich_variance",
     "bootstrap_weights",
@@ -107,8 +104,8 @@ class EstimatingSystem:
     ``coefficients`` (q x P) depends on delta and eta, and ``kernel`` (w x 2)
     adds to the first two equations of the units ``kernel_units`` only, the
     treated units inside the kernel window. ``bread`` is the summed Jacobian
-    estimate; ``meat`` the outer-product sum. ``contrast`` maps the
-    parameter vector to the scalar of interest.
+    estimate; ``contrast`` maps the parameter vector to the scalar of
+    interest.
     """
 
     eta: np.ndarray
@@ -118,17 +115,6 @@ class EstimatingSystem:
     coefficients: np.ndarray
     kernel_units: np.ndarray
     kernel: np.ndarray
-
-    @property
-    def gamma(self) -> np.ndarray:
-        gamma = self.dense @ self.coefficients
-        gamma[self.kernel_units, :2] += self.kernel
-        return gamma
-
-    @property
-    def meat(self) -> np.ndarray:
-        gamma = self.gamma
-        return gamma.T @ gamma
 
     @cached_property
     def condition(self) -> float:
@@ -141,20 +127,6 @@ class EstimatingSystem:
     @property
     def bread_invertible(self) -> bool:
         return bool(np.isfinite(self.condition) and self.condition < 1e12)
-
-    def covariance(self) -> np.ndarray:
-        binv = np.linalg.inv(self.bread)
-        return binv @ self.meat @ binv.T
-
-    def influence(self) -> np.ndarray:
-        """The per-unit influence column ``gamma @ solve(bread^T, contrast)``
-        of the contrast: contrast' B^-1 (Gamma' Gamma) B^-T contrast is its
-        squared norm."""
-        return _influence([self])
-
-    def variance(self) -> float:
-        iota = self.influence()
-        return float(iota @ iota)
 
 
 def _influence(systems: list[EstimatingSystem]) -> np.ndarray:
@@ -184,7 +156,9 @@ class _CurveContext:
     lives on the treated units inside the kernel window, a slice of the
     dose-sorted order. At a delta the context costs one quadrature rule over
     the nodes in the window and O(window) arithmetic; the fixed columns and
-    their sums are formed once.
+    their sums are formed once. xi, theta00, theta01 and the control
+    weight come from ``compute_xi_terms`` and ``compute_theta0``, the
+    routines the MR curve's two sides call.
     """
 
     def __init__(self, data: TwoPeriodDataset, models: NuisanceModelSet, curve: EffectCurveEstimate):
@@ -198,10 +172,8 @@ class _CurveContext:
         self.wt, self.wc = data.weight_treated, data.weight_control
         self.p_hat = float(np.sum(self.wt) / np.sum(data.weight))
 
-        pseudo = build_pseudo_outcomes(data, models, on_out_of_range="clamp")
-        self.theta00 = pseudo.theta00
-        self.theta01 = pseudo.theta01
-        self.xi = pseudo.xi
+        self.xi, _ = compute_xi_terms(data, models, "clamp")
+        self.theta00, self.theta01, raw_w0 = compute_theta0(data, models)
 
         self.nodes = models.dose_nodes
         self.f_values = models.f_marginal.y
@@ -219,7 +191,7 @@ class _CurveContext:
         self.dense = np.zeros((data.n, 6), order="F")
         self.dense[treated, 0] = self.wt * self.alpha / self.p_hat
         self.dense[treated, 1] = self.wt * self.phi / self.p_hat
-        self.dense[~treated, 2] = self.wc * pseudo.w0 * (trend_c - mu0[~treated])
+        self.dense[~treated, 2] = self.wc * normalize_weights(raw_w0, self.wc) * (trend_c - mu0[~treated])
         self.dense[treated, 3] = self.wt * mu0[treated]
         self.dense[~treated, 4] = self.wc
         self.dense[treated, 5] = self.wt
@@ -229,7 +201,7 @@ class _CurveContext:
         order = np.argsort(data.dose, kind="stable")
         self.units_sorted = np.flatnonzero(treated)[order]
         self.dose_sorted = data.dose[order]
-        self.xi_sorted = pseudo.xi[order]
+        self.xi_sorted = self.xi[order]
         self.wt_sorted = self.wt[order]
 
     @cached_property
@@ -431,7 +403,6 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
             f_marginal=f_curve,
             dose_nodes=m_curve.x,
             specs=models.specs,
-            data=data,
         )
 
     return np.concatenate(params), scores, rebuild
@@ -450,23 +421,6 @@ def _prepare(data, models, curve, mode: str) -> tuple[_CurveContext, _NuisanceBl
         raise EstimationError(f"unknown sandwich mode {mode!r}")
     ctx = _CurveContext(data, models, curve)
     return ctx, _NuisanceBlock(ctx, models if mode == "augmented" else None)
-
-
-def build_estimating_system(
-    data: TwoPeriodDataset,
-    models: NuisanceModelSet,
-    curve: EffectCurveEstimate,
-    delta: float,
-    mode: str = "base",
-) -> EstimatingSystem:
-    """Assemble Gamma, bread, and meat for one delta.
-
-    ``mode="base"`` treats the nuisance fits as fixed; ``mode="augmented"``
-    appends their score equations (parametric learners only), with the
-    cross-derivative bread entries taken by central finite differences of
-    the full pipeline.
-    """
-    return _system(*_prepare(data, models, curve, mode), float(delta))
 
 
 def _system(ctx: _CurveContext, block: _NuisanceBlock, delta: float) -> EstimatingSystem:
@@ -511,17 +465,6 @@ class SandwichBands(tuple):
 
     def __getnewargs__(self):
         return (*self, self.bread_cond_max)
-
-
-def sandwich_variance(
-    data: TwoPeriodDataset,
-    models: NuisanceModelSet,
-    curve: EffectCurveEstimate,
-    delta: float,
-    mode: str = "base",
-) -> float:
-    """Sandwich variance of psi-hat at one delta."""
-    return float(_variances([_prepare(data, models, curve, mode)], [float(delta)])[0][0])
 
 
 def sandwich_bands(

@@ -389,19 +389,14 @@ class DoseDensityModel:
         """``(mean(x), sdev(x))`` from one design matrix."""
         return _location_scale(self.mean_coef, self.resid_coef, self.design.build(x))
 
-    def mean(self, x: np.ndarray) -> np.ndarray:
-        return self.location_scale(x)[0]
-
-    def sdev(self, x: np.ndarray) -> np.ndarray:
-        return self.location_scale(x)[1]
-
     def __call__(self, d, x: np.ndarray) -> np.ndarray:
         return self.density_and_floor_hits(d, x)[0]
 
     def density_and_floor_hits(self, d, x: np.ndarray):
         """pi_d(d_i | x_i) at each row of ``x``, and how many rows the
         squared-residual model gives a variance below RESIDUAL_VAR_FLOOR,
-        where ``sdev`` floors it (per fit row), from one design matrix."""
+        where ``location_scale`` floors it (per fit row), from one design
+        matrix."""
         d = np.broadcast_to(np.asarray(d, dtype=float), (np.shape(x)[0],))
         matrix = self.design.build(x)
         mu, s = _location_scale(self.mean_coef, self.resid_coef, matrix)
@@ -504,8 +499,9 @@ class MarginalTrend(_NodeCurve):
 class NuisanceModelSet:
     """The fitted nuisance functions plus their treated marginals.
 
-    ``data`` (whose ``weight`` every model was fit under) and ``specs`` are
-    retained so inference code can rebuild the set at perturbed parameters.
+    ``specs`` records each model's specification; the augmented sandwich
+    reads it to require parametric learners. The set does not keep the
+    dataset it was fit on: every caller passes that dataset beside it.
     """
 
     pi_a: PropensityModel | None
@@ -516,7 +512,6 @@ class NuisanceModelSet:
     f_marginal: TabulatedCurve | None
     dose_nodes: np.ndarray | None
     specs: dict
-    data: TwoPeriodDataset
 
 
 # --------------------------------------------------------------------------
@@ -735,7 +730,6 @@ class ModelBank:
             f_marginal=f_curve,
             dose_nodes=None if nodes is None else nodes.x,
             specs={k: specs[k] for k in which},
-            data=self.data,
         )
 
 

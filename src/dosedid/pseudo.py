@@ -25,8 +25,6 @@ stack of weight rows (R,) arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import TwoPeriodDataset
@@ -34,37 +32,12 @@ from .errors import DataValidationError, ExtrapolationError
 from .nuisance import NuisanceModelSet
 
 __all__ = [
-    "PseudoOutcomeSet",
     "normalize_weights",
-    "compute_xi",
     "compute_xi_terms",
     "dose_weight_terms",
     "compute_theta0",
-    "build_pseudo_outcomes",
     "count_clamped",
 ]
-
-
-@dataclass(frozen=True)
-class PseudoOutcomeSet:
-    """Per-unit pseudo-outcomes and normalized weights.
-
-    ``xi`` and ``w1`` align with treated units in unit order; ``w0`` aligns
-    with control units. ``clamped`` counts doses evaluated outside the
-    marginals' node range (possible in bootstrap resamples).
-    """
-
-    xi: np.ndarray
-    w1: np.ndarray
-    w0: np.ndarray
-    theta00: float
-    theta01: float
-    p_a1: float
-    clamped: int = 0
-
-    @property
-    def theta0(self) -> float:
-        return self.theta00 + self.theta01
 
 
 def normalize_weights(weights: np.ndarray, sample_weight: np.ndarray | None = None) -> np.ndarray:
@@ -81,22 +54,13 @@ def normalize_weights(weights: np.ndarray, sample_weight: np.ndarray | None = No
     return w / mean
 
 
-def compute_xi(data: TwoPeriodDataset, models: NuisanceModelSet) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-outcomes for the treated group.
-
-    Returns ``(xi, raw_w1)``; the Hajek-normalized weights are applied to
-    the residual term internally. A treated dose outside the marginals'
-    node range raises (``dose_weight_terms`` under ``"error"``).
-    """
-    xi, (_, f_at_d, pi_d_at, _, _) = compute_xi_terms(data, models)
-    return xi, f_at_d / pi_d_at
-
-
 def compute_xi_terms(data: TwoPeriodDataset, models: NuisanceModelSet, on_out_of_range: str = "error"):
-    """``(xi, dose_weight_terms(...))``: ``compute_xi``'s xi with the dose
-    weights it is formed from."""
+    """``(xi, dose_weight_terms(...))``: the treated units' pseudo-outcomes
+    in unit order, with the dose weights they are formed from; the
+    residual term carries the normalized weight w1. The MR curve and its
+    sandwich both read xi from here."""
     if models.m_marginal is None or models.f_marginal is None or models.mu1 is None or models.pi_d is None:
-        raise DataValidationError("compute_xi needs fitted mu1/pi_d models and their marginals")
+        raise DataValidationError("compute_xi_terms needs fitted mu1/pi_d models and their marginals")
     weights = dose_weight_terms(data, models, on_out_of_range)
     trend_t, _ = data.split(data.trend)
     xi = models.m_marginal(data.dose) + weights[0] * (trend_t - models.mu1(data.dose, data.x_treated))
@@ -156,26 +120,6 @@ def compute_theta0(
     theta00 = np.sum(wc * w0 * (trend_c - mu0_c), axis=-1) / np.sum(wc, axis=-1)
     theta01 = np.sum(wt * mu0_t, axis=-1) / np.sum(wt, axis=-1)
     return theta00, theta01, raw_w0
-
-
-def build_pseudo_outcomes(
-    data: TwoPeriodDataset,
-    models: NuisanceModelSet,
-    on_out_of_range: str = "error",
-) -> PseudoOutcomeSet:
-    """Assemble the full pseudo-outcome set for the multiply robust path."""
-    xi, (w1, _, _, _, clamped) = compute_xi_terms(data, models, on_out_of_range)
-    theta00, theta01, raw_w0 = compute_theta0(data, models)
-    wt = data.weight_treated
-    return PseudoOutcomeSet(
-        xi=xi,
-        w1=w1,
-        w0=normalize_weights(raw_w0, data.weight_control),
-        theta00=theta00,
-        theta01=theta01,
-        p_a1=np.sum(wt, axis=-1) / np.sum(data.weight, axis=-1),
-        clamped=clamped,
-    )
 
 
 def count_clamped(data: TwoPeriodDataset, models: NuisanceModelSet) -> int:

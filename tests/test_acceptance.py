@@ -15,21 +15,20 @@ records the derivation and why the earlier fixed bands were dropped.
 
 import numpy as np
 import pytest
+import sandwich_reference as explicit
 from comparator_reference import MC_ERROR, comparator_reference
 
 from dosedid.curves import EstimatorConfig, estimate_curve, robust_select_bandwidth
 from dosedid.data import TwoPeriodDataset
 from dosedid.inference import (
     bootstrap_weights,
-    build_estimating_system,
-    sandwich_variance,
     stacked_sandwich_variance,
     weighted_bootstrap,
 )
 from dosedid.nuisance import DENSITY_FLOOR, default_specs, fit_nuisances
 from dosedid.numeric import default_bandwidth_grid, local_linear_fit, select_bandwidth
 from dosedid.panel import placebo_curves
-from dosedid.pseudo import build_pseudo_outcomes, compute_theta0, compute_xi
+from dosedid.pseudo import compute_theta0, compute_xi_terms, normalize_weights
 from dosedid.simulation import (
     ROLE_DATA,
     InferenceConfig,
@@ -308,7 +307,7 @@ def test_criterion_4_oracles():
         y1=data_full.y1[idx],
     )
     models = fit_nuisances(data, SPECS)
-    xi, raw_w1 = compute_xi(data, models)
+    xi, _ = compute_xi_terms(data, models)
     theta00, theta01, raw_w0 = compute_theta0(data, models)
 
     # brute-force loops
@@ -347,14 +346,14 @@ def test_criterion_4_oracles():
     # D4), tabulated by a binned mixture whose error is second order in the
     # node step: it is checked to 1e-5 of its peak, the others to 1e-12.
     pi_d = models.pi_d
+    loc = [pi_d.location_scale(x_t[i][None, :]) for i in range(30)]
     f_loop = np.array(
         [
             max(
                 np.mean(
                     [
-                        float(np.interp((d0 - pi_d.mean(x_t[i][None, :])[0]) / pi_d.sdev(x_t[i][None, :])[0], pi_d.table_x, pi_d.table_y))
-                        / pi_d.sdev(x_t[i][None, :])[0]
-                        for i in range(30)
+                        float(np.interp((d0 - mu[0]) / s[0], pi_d.table_x, pi_d.table_y)) / s[0]
+                        for mu, s in loc
                     ]
                 ),
                 DENSITY_FLOOR,
@@ -391,14 +390,15 @@ def test_criterion_4_oracles():
     big = generate_scenario_data(400, stream_seed(SEED + 4, 1, ROLE_DATA))
     models_big = fit_nuisances(big, SPECS)
     curve = estimate_curve(big, "MR", specs=SPECS, models=models_big)
-    system = build_estimating_system(big, models_big, curve, float(curve.grid[25]))
-    v = system.covariance()
-    pseudo = build_pseudo_outcomes(big, models_big)
+    system = explicit.system_at(big, models_big, curve, float(curve.grid[25]))
+    v = explicit.covariance(system)
+    big_theta00, big_theta01, big_raw_w0 = compute_theta0(big, models_big)
+    big_w0 = normalize_weights(big_raw_w0, big.weight_control)
     resid_c = (big.trend - models_big.mu0(big.x))[~big.a]
-    psi3 = pseudo.w0 * resid_c - pseudo.theta00
+    psi3 = big_w0 * resid_c - big_theta00
     var00 = float(psi3 @ psi3) / big.n_control**2
     mu0_t = models_big.mu0(big.x)[big.a]
-    var01 = float((mu0_t - pseudo.theta01) @ (mu0_t - pseudo.theta01)) / big.n_treated**2
+    var01 = float((mu0_t - big_theta01) @ (mu0_t - big_theta01)) / big.n_treated**2
     sand_gap = max(abs(v[2, 2] - var00), abs(v[3, 3] - var01))
     ok = ok and sand_gap < 1e-8
 
@@ -445,9 +445,11 @@ def test_criterion_4_oracles():
 def test_criterion_5_invariants():
     data = generate_scenario_data(400, stream_seed(SEED + 5, 0, ROLE_DATA))
     models = fit_nuisances(data, SPECS)
-    pseudo = build_pseudo_outcomes(data, models)
+    _, (w1, *_) = compute_xi_terms(data, models)
+    theta00, theta01, raw_w0 = compute_theta0(data, models)
+    w0 = normalize_weights(raw_w0, data.weight_control)
 
-    hajek = max(abs(pseudo.w1.mean() - 1.0), abs(pseudo.w0.mean() - 1.0))
+    hajek = max(abs(w1.mean() - 1.0), abs(w0.mean() - 1.0))
 
     nodes = models.dose_nodes
     tw = np.empty(nodes.shape[0])
@@ -459,7 +461,7 @@ def test_criterion_5_invariants():
 
     curve = estimate_curve(data, "MR", specs=SPECS, models=models)
     identity_gap = float(
-        np.max(np.abs(curve.psi - (curve.theta_curve - pseudo.theta00 - pseudo.theta01)))
+        np.max(np.abs(curve.psi - (curve.theta_curve - theta00 - theta01)))
     )
 
     w = bootstrap_weights(data.a, SEED, 3)
@@ -470,7 +472,7 @@ def test_criterion_5_invariants():
     delta = float(curve.grid[20])
     stacked_gap = abs(
         stacked_sandwich_variance([(data, models, curve)], [delta])[0]
-        - sandwich_variance(data, models, curve, delta)
+        - explicit.variance_at(data, models, curve, delta)
     )
 
     cfg = EstimatorConfig(method="MR", specs=SPECS, grid=curve.grid, bandwidth=curve.bandwidth)

@@ -315,6 +315,27 @@ def _estimate(tmp_path, path, **extra):
     return dispatch(["estimate", "-c", str(_write_config(tmp_path, "edge.yaml", payload))])
 
 
+@pytest.mark.parametrize(
+    ("grid", "message"),
+    [
+        ({"size": 0}, "size must be at least 1, got 0"),
+        ({"size": -3}, "size must be at least 1, got -3"),
+        ({"points": []}, "evaluation grid must hold at least one point"),
+        ({"points": [3, 1, 2]}, "evaluation grid must be finite and strictly increasing"),
+    ],
+    ids=["size-zero", "size-negative", "points-empty", "points-unsorted"],
+)
+def test_bad_grid_is_one_config_error(tmp_path, panel_file, capsys, monkeypatch, grid, message):
+    fits = []
+    monkeypatch.setattr("dosedid.cli.ModelBank", lambda *a, **k: fits.append(a))
+    assert _estimate(tmp_path, panel_file, grid=grid) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("dosedid: config-error: grid: ") and message in err
+    assert fits == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_estimate_manifest_keeps_every_diagnostic(tmp_path, panel_file, monkeypatch):
     """Each method's manifest entry holds every diagnostic of its curve but
     TWFE's coefficient vector, with equal values."""

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from sandwich_reference import local_linear_curve
 
 from dataclasses import replace
 
@@ -16,7 +17,6 @@ from dosedid.curves import (
     dose_sides,
     estimate_curve,
     estimate_curves,
-    local_linear_curve,
     robust_select_bandwidth,
     write_curve,
 )
@@ -36,7 +36,7 @@ from dosedid.nuisance import (
     fit_pi_d,
     marginalize,
 )
-from dosedid.pseudo import build_pseudo_outcomes
+from dosedid.pseudo import compute_xi_terms
 from dosedid.simulation import (
     generate_null_data,
     generate_scenario_data,
@@ -175,6 +175,15 @@ def test_integer_weights_equal_duplicated_rows(data):
         assert np.max(np.abs(psi - psi_repeated)) <= 1e-10 * np.std(psi_repeated), method
 
 
+@pytest.mark.parametrize("grid", [[], [3.0, 1.0, 2.0], [1.0, 1.0], [0.5, np.nan], [[1.0, 2.0]]])
+def test_bad_grid_is_rejected_before_any_fit(data, monkeypatch, grid):
+    fits = []
+    monkeypatch.setattr("dosedid.curves.fit_nuisances", lambda *a, **k: fits.append(a))
+    with pytest.raises(EstimationError, match="evaluation grid"):
+        estimate_curve(data, "MR", specs=SPECS, grid=grid)
+    assert fits == []
+
+
 def test_missing_specs_rejected(data):
     with pytest.raises(EstimationError):
         estimate_curve(data, "MR")
@@ -188,13 +197,13 @@ def test_aggregate_consistency():
     data = generate_scenario_data(1200, stream_seed(300, 1, 0))
     models = fit_nuisances(data, SPECS)
     est = estimate_curve(data, "MR", specs=SPECS)
-    pseudo = build_pseudo_outcomes(data, models)
+    xi, _ = compute_xi_terms(data, models)
     grid = est.grid
     f_vals = models.f_marginal(grid)
     mass = np.trapezoid(f_vals, grid)
     smoothed_mean = np.trapezoid(est.theta_curve * f_vals, grid) / mass
     in_grid = (data.dose >= grid[0]) & (data.dose <= grid[-1])
-    assert abs(smoothed_mean - pseudo.xi[in_grid].mean()) < 0.05
+    assert abs(smoothed_mean - xi[in_grid].mean()) < 0.05
 
 
 def test_null_dgp_all_methods_near_zero():
@@ -245,7 +254,7 @@ def test_local_linear_curve_matches_per_point_fit_on_mr_pseudo_outcomes(n):
     for w in (None, bootstrap_weights(data.a, 7, 0)):
         weighted = data if w is None else replace(data, weight=w)
         models = fit_nuisances(weighted, SPECS, dose_grid=grid)
-        xi = build_pseudo_outcomes(weighted, models).xi
+        xi, _ = compute_xi_terms(weighted, models)
         wt = None if w is None else data.split(w)[0]
         for h in (robust_select_bandwidth(data.dose, xi, candidates, wt), float(candidates[0])):
             exact = np.array([local_linear_fit(data.dose, xi, h, float(d), wt)[0] for d in grid])

@@ -9,22 +9,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import sandwich_reference as explicit
 
-from dosedid import curves, inference, panel
+from dosedid import curves, inference, nuisance, panel, pseudo
 from dosedid.curves import METHODS, EstimatorConfig, estimate_curve
 from dosedid.data import PanelDataset, TwoPeriodDataset, pair_periods
 from dosedid.errors import EstimationError
 from dosedid.inference import (
     bootstrap_weights,
-    build_estimating_system,
     sandwich_bands,
-    sandwich_variance,
     stacked_sandwich_variance,
     weighted_bootstrap,
 )
 from dosedid.numeric import WindowedMoments, epanechnikov
 from dosedid.nuisance import NuisanceSpec, default_specs, fit_nuisances
-from dosedid.pseudo import build_pseudo_outcomes
+from dosedid.pseudo import compute_theta0, compute_xi_terms, normalize_weights
 from dosedid.simulation import generate_placebo_panel, generate_scenario_data, stream_seed
 
 SPECS = default_specs(mu1_dose_powers=(1, 3), mu1_dose_interactions=(0, 2))
@@ -41,16 +40,16 @@ def fitted():
 def test_estimating_equations_vanish_at_solution(fitted):
     data, models, curve = fitted
     for delta in (curve.grid[3], curve.grid[25], curve.grid[-4]):
-        system = build_estimating_system(data, models, curve, float(delta))
-        sums = system.gamma.sum(axis=0)
-        scales = np.abs(system.gamma).mean(axis=0) + 1e-12
+        system = explicit.system_at(data, models, curve, float(delta))
+        sums = explicit.gamma(system).sum(axis=0)
+        scales = np.abs(explicit.gamma(system)).mean(axis=0) + 1e-12
         assert np.all(np.abs(sums) <= 1e-6 * data.n * scales)
 
 
 def test_sandwich_covariance_symmetric_psd(fitted):
     data, models, curve = fitted
-    system = build_estimating_system(data, models, curve, float(curve.grid[10]))
-    v = system.covariance()
+    system = explicit.system_at(data, models, curve, float(curve.grid[10]))
+    v = explicit.covariance(system)
     assert np.max(np.abs(v - v.T)) < 1e-10 * max(1.0, np.max(np.abs(v)))
     eig = np.linalg.eigvalsh(0.5 * (v + v.T))
     assert eig.min() > -1e-10 * max(1.0, eig.max())
@@ -58,18 +57,19 @@ def test_sandwich_covariance_symmetric_psd(fitted):
 
 def test_theta0_block_matches_closed_form_oracle(fitted):
     data, models, curve = fitted
-    system = build_estimating_system(data, models, curve, float(curve.grid[20]))
-    v = system.covariance()
+    system = explicit.system_at(data, models, curve, float(curve.grid[20]))
+    v = explicit.covariance(system)
 
     # independent direct formulas for the self-normalized group means
-    pseudo = build_pseudo_outcomes(data, models)
+    theta00, theta01, raw_w0 = compute_theta0(data, models)
+    w0 = normalize_weights(raw_w0, data.weight_control)
     resid_c = (data.y1 - data.y0 - models.mu0(data.x))[~data.a]
     n0 = data.n_control
     na = data.n_treated
-    psi3 = pseudo.w0 * resid_c - pseudo.theta00
+    psi3 = w0 * resid_c - theta00
     var_theta00 = float(psi3 @ psi3) / n0**2
     mu0_t = models.mu0(data.x)[data.a]
-    psi4 = mu0_t - pseudo.theta01
+    psi4 = mu0_t - theta01
     var_theta01 = float(psi4 @ psi4) / na**2
     assert abs(v[2, 2] - var_theta00) < 1e-8 * max(1.0, var_theta00)
     assert abs(v[3, 3] - var_theta01) < 1e-8 * max(1.0, var_theta01)
@@ -92,10 +92,10 @@ def test_full_system_matches_hand_loops_on_tiny_data(fitted):
     h = 2.0 * np.ptp(data.dose)
     curve = estimate_curve(data, "MR", specs=SPECS, grid=np.sort(data.dose[:3]), bandwidth=h, models=models)
     delta = float(curve.grid[1])
-    system = build_estimating_system(data, models, curve, delta)
+    system = explicit.system_at(data, models, curve, delta)
 
     # hand loops
-    pseudo = build_pseudo_outcomes(data, models)
+    xi, _ = compute_xi_terms(data, models)
     theta, beta, theta00, theta01 = system.eta
     # The corrections' integrand is a polynomial between the breakpoints (the
     # nodes of the piecewise-linear f and the window ends), so 5-point
@@ -116,7 +116,7 @@ def test_full_system_matches_hand_loops_on_tiny_data(fitted):
     for i in range(data.n):
         if data.a[i]:
             d_i = data.dose[t_pos]
-            xi_i = pseudo.xi[t_pos]
+            xi_i = xi[t_pos]
             u = (d_i - delta) / h
             k = 0.75 * max(1 - u * u, 0.0) if abs(u) <= 1 else 0.0
             dev = models.mu1(pts, np.tile(data.x[i], (pts.shape[0], 1))) - m_pts
@@ -131,13 +131,13 @@ def test_full_system_matches_hand_loops_on_tiny_data(fitted):
             w0_raw = pa / (1 - pa)
             resid = data.y1[i] - data.y0[i] - float(models.mu0(data.x[i][None, :])[0])
             gamma[i, 2] = w0_raw / _w0_mean(data, models) * resid - theta00
-    np.testing.assert_allclose(gamma, system.gamma, atol=1e-10)
-    np.testing.assert_allclose(system.meat, gamma.T @ gamma, atol=1e-9)
+    np.testing.assert_allclose(gamma, explicit.gamma(system), atol=1e-10)
+    np.testing.assert_allclose(explicit.meat(system), gamma.T @ gamma, atol=1e-9)
     binv = np.linalg.inv(system.bread)
     v_hand = binv @ (gamma.T @ gamma) @ binv.T
     contrast = np.array([1.0, 0.0, -1.0, -1.0])
     var_hand = float(contrast @ v_hand @ contrast)
-    assert abs(sandwich_variance(data, models, curve, delta) - var_hand) < 1e-10 * max(1.0, var_hand)
+    assert abs(explicit.variance_at(data, models, curve, delta) - var_hand) < 1e-10 * max(1.0, var_hand)
 
 
 def test_closed_form_corrections_match_dense_quadrature(fitted):
@@ -197,13 +197,13 @@ def test_duplication_halves_variance():
 def _var_at(data, specs, grid, h, delta):
     models = fit_nuisances(data, specs, dose_grid=grid)
     curve = estimate_curve(data, "MR", specs=specs, grid=grid, bandwidth=h, models=models)
-    return sandwich_variance(data, models, curve, delta)
+    return explicit.variance_at(data, models, curve, delta)
 
 
 def test_stacked_single_period_equals_base(fitted):
     data, models, curve = fitted
     delta = float(curve.grid[14])
-    base = sandwich_variance(data, models, curve, delta, mode="base")
+    base = explicit.variance_at(data, models, curve, delta, mode="base")
     (stacked,) = stacked_sandwich_variance([(data, models, curve)], [delta])
     assert stacked == base
 
@@ -211,10 +211,10 @@ def test_stacked_single_period_equals_base(fitted):
 def test_variance_is_the_squared_norm_of_the_influence_column(fitted):
     data, models, curve = fitted
     for delta in (curve.grid[2], curve.grid[30]):
-        system = build_estimating_system(data, models, curve, float(delta))
-        quadratic = float(system.contrast @ system.covariance() @ system.contrast)
-        var = system.variance()
-        assert var == float(system.influence() @ system.influence()) >= 0.0
+        system = explicit.system_at(data, models, curve, float(delta))
+        quadratic = float(system.contrast @ explicit.covariance(system) @ system.contrast)
+        var = explicit.variance(system)
+        assert var == float(explicit.influence(system) @ explicit.influence(system)) >= 0.0
         assert abs(var - quadratic) <= 1e-12 * quadratic
 
 
@@ -234,8 +234,8 @@ def test_stacked_variance_equals_block_diagonal_system(fitted):
     grid = periods[0][2].grid[[5, 24, 40]]
     stacked = stacked_sandwich_variance(periods, grid)
     for k, delta in enumerate(grid):
-        parts = [build_estimating_system(*period, float(delta)) for period in periods]
-        gamma = np.hstack([part.gamma for part in parts])
+        parts = [explicit.system_at(*period, float(delta)) for period in periods]
+        gamma = np.hstack([explicit.gamma(part) for part in parts])
         bread = np.zeros((8, 8))
         bread[:4, :4], bread[4:, 4:] = parts[0].bread, parts[1].bread
         contrast = np.concatenate([part.contrast for part in parts]) / 2.0
@@ -249,12 +249,12 @@ def test_augmented_mode_runs_and_vanishes():
     models = fit_nuisances(data, SPECS)
     curve = estimate_curve(data, "MR", specs=SPECS)
     delta = float(curve.grid[25])
-    system = build_estimating_system(data, models, curve, delta, mode="augmented")
-    sums = system.gamma.sum(axis=0)
-    scales = np.abs(system.gamma).mean(axis=0) + 1e-9
+    system = explicit.system_at(data, models, curve, delta, mode="augmented")
+    sums = explicit.gamma(system).sum(axis=0)
+    scales = np.abs(explicit.gamma(system)).mean(axis=0) + 1e-9
     assert np.all(np.abs(sums) <= 1e-5 * data.n * scales)
-    var_aug = sandwich_variance(data, models, curve, delta, mode="augmented")
-    var_base = sandwich_variance(data, models, curve, delta, mode="base")
+    var_aug = explicit.variance_at(data, models, curve, delta, mode="augmented")
+    var_base = explicit.variance_at(data, models, curve, delta, mode="base")
     assert np.isfinite(var_aug) and var_aug >= 0.0
     assert var_aug < 50 * var_base  # same order of magnitude
 
@@ -274,7 +274,7 @@ def test_augmented_bands_equal_per_delta_systems_bitwise(augmented_case):
     data, models, curve = augmented_case
     _, _, variances = sandwich_bands(data, models, curve, mode="augmented")
     for k, delta in enumerate(curve.grid):
-        var = build_estimating_system(data, models, curve, float(delta), mode="augmented").variance()
+        var = explicit.variance(explicit.system_at(data, models, curve, float(delta), mode="augmented"))
         assert variances[k] == var
 
 
@@ -334,14 +334,14 @@ def test_augmented_mode_rejects_flexible_learners():
     models = fit_nuisances(data, specs)
     curve = estimate_curve(data, "MR", specs=specs)
     with pytest.raises(EstimationError):
-        sandwich_variance(data, models, curve, float(curve.grid[0]), mode="augmented")
+        explicit.variance_at(data, models, curve, float(curve.grid[0]), mode="augmented")
 
 
 def test_sandwich_requires_mr(fitted):
     data, models, _ = fitted
     naive = estimate_curve(data, "NAIVE")
     with pytest.raises(EstimationError):
-        sandwich_variance(data, models, naive, float(naive.grid[0]))
+        explicit.variance_at(data, models, naive, float(naive.grid[0]))
 
 
 def _explicit_gamma(ctx, models, delta, eta, rule):
@@ -354,7 +354,7 @@ def _explicit_gamma(ctx, models, delta, eta, rule):
     u = (data.dose - delta) / ctx.h
     resid = ctx.xi - theta - u * beta
     mu0 = models.mu0(data.x)
-    w0 = build_pseudo_outcomes(data, models, on_out_of_range="clamp").w0
+    w0 = normalize_weights(compute_theta0(data, models)[2], data.weight_control)
     gamma = np.zeros((data.n, 4))
     t, c = data.a, ~data.a
     gamma[t, 0] = ctx.wt * (epanechnikov(u) * resid + c0) / ctx.p_hat
@@ -438,7 +438,7 @@ def test_kernel_part_lives_on_the_window(fitted):
     data, models, curve = fitted
     treated = np.flatnonzero(data.a)
     for delta in curve.grid[[0, 20, 49]]:
-        system = build_estimating_system(data, models, curve, float(delta))
+        system = explicit.system_at(data, models, curve, float(delta))
         inside = treated[np.abs(data.dose - delta) < curve.bandwidth]
         np.testing.assert_array_equal(np.sort(system.kernel_units), inside)
         assert system.kernel.shape == (inside.shape[0], 2)
@@ -454,7 +454,7 @@ def test_bands_record_the_largest_bread_condition_number(fitted):
         bands = sandwich_bands(data, models, curve)
         lower, upper, variances = bands
         assert len(bands) == 3 and bands[2] is variances
-        conds = [np.linalg.cond(build_estimating_system(data, models, curve, float(d)).bread) for d in curve.grid]
+        conds = [np.linalg.cond(explicit.system_at(data, models, curve, float(d)).bread) for d in curve.grid]
         assert int(np.argmax(conds)) == worst
         assert bands.bread_cond_max == max(conds)
         assert 1.0 < bands.bread_cond_max < 1e12
@@ -477,6 +477,34 @@ def test_each_grid_point_reads_the_window_moments_once(fitted, monkeypatch):
     monkeypatch.setattr(WindowedMoments, "moments", counted)
     sandwich_bands(data, models, curve)
     assert calls == Counter({1: curve.grid.shape[0]})
+
+
+def test_base_bands_assemble_the_pseudo_outcomes_once(monkeypatch):
+    """The base bands of one MR curve at n = 800 form xi, theta00 and
+    theta01 through the routines the curve's two sides call, bitwise their
+    values: one ``dose_weight_terms`` call and at most 6 design assemblies
+    (measured: 1 and 6)."""
+    data = generate_scenario_data(800, 1)
+    models = fit_nuisances(data, SPECS)
+    curve = estimate_curve(data, "MR", models=models)
+    counts = Counter()
+    assemble, weights = nuisance.CovariateDesign.assemble, pseudo.dose_weight_terms
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(nuisance.CovariateDesign, "assemble", counted("designs", assemble))
+    monkeypatch.setattr(pseudo, "dose_weight_terms", counted("dose weights", weights))
+    sandwich_bands(data, models, curve)
+    assert counts["dose weights"] == 1
+    assert counts["designs"] <= 6
+    ctx = inference._CurveContext(data, models, curve)
+    np.testing.assert_array_equal(ctx.xi, compute_xi_terms(data, models)[0])
+    assert ctx.theta00 + ctx.theta01 == curve.theta0
 
 
 def test_bootstrap_weights_group_sums():

@@ -38,7 +38,7 @@ def _psi_gap(data, grid, sample_weight=None):
     data = _weighted(data, sample_weight)
     models = fit_nuisances(data, SPECS, dose_grid=grid)
     curve = estimate_curve(data, "MR", grid=grid, models=models)
-    ref = estimate_curve(data, "MR", grid=grid, models=exact_models(models, grid))
+    ref = estimate_curve(data, "MR", grid=grid, models=exact_models(data, models, grid))
     return np.max(np.abs(curve.psi - ref.psi)) / np.std(ref.psi), curve.bandwidth == ref.bandwidth
 
 
@@ -80,7 +80,8 @@ def test_binned_kde_table_matches_direct():
         pi_d = fit_nuisances(_weighted(data, sw), SPECS, which=("pi_d",)).pi_d
         x_t = data.x_treated
         wt = None if sw is None else sw[data.a]
-        resid = (data.dose - pi_d.mean(x_t)) / pi_d.sdev(x_t)
+        mu, s = pi_d.location_scale(x_t)
+        resid = (data.dose - mu) / s
         direct = gaussian_kde(resid, sample_weight=wt)(pi_d.table_x)
         assert np.max(np.abs(pi_d.table_y - direct)) <= 1e-5 * np.max(direct)
 
@@ -107,7 +108,7 @@ def test_f_within_tolerance_of_dense_mixture():
         models = fit_nuisances(_weighted(data, sw), SPECS, dose_grid=grid)
         nodes = models.dose_nodes
         assert nodes.shape[0] == nuisance._MARGINAL_NODES
-        ref = np.maximum(dense_f(models, nodes), DENSITY_FLOOR)
+        ref = np.maximum(dense_f(_weighted(data, sw), models, nodes), DENSITY_FLOOR)
         assert np.max(np.abs(models.f_marginal.y - ref)) <= 1e-6 * np.max(ref)
         assert np.all(models.f_marginal.y >= DENSITY_FLOOR)
 
@@ -139,7 +140,7 @@ def large():
     data = generate_scenario_data(20_000, stream_seed(305, 20_000, 0))
     grid = default_dose_grid(data.dose)
     models = fit_nuisances(data, SPECS, dose_grid=grid)
-    return data, grid, models, exact_models(models, grid)
+    return data, grid, models, exact_models(data, models, grid)
 
 
 def test_capped_psi_within_tolerance_at_20k(large):

@@ -113,7 +113,7 @@ def test_pi_a_clipping(data_small):
 
 def test_pi_d_recovers_homoskedastic_variance(data_big):
     model = fit_pi_d(data_big, NuisanceSpec("pi_d", "linear"))
-    s2 = model.sdev(data_big.x_treated) ** 2
+    s2 = model.location_scale(data_big.x_treated)[1] ** 2
     assert abs(s2.mean() - 4.0) < 0.6  # within 15% of sigma^2 = 4
 
 
@@ -332,7 +332,8 @@ def test_marginalize_matches_loop_oracle():
     pi_d = models.pi_d
 
     def unfloored(d0, x):
-        return float(np.interp((d0 - pi_d.mean(x)[0]) / pi_d.sdev(x)[0], pi_d.table_x, pi_d.table_y)) / pi_d.sdev(x)[0]
+        mu, s = pi_d.location_scale(x)
+        return float(np.interp((d0 - mu[0]) / s[0], pi_d.table_x, pi_d.table_y)) / s[0]
 
     f_gap = 0.0
     for d0 in grid:

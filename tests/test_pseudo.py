@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from dosedid import inference
+from dosedid.curves import estimate_curve
 from dosedid.data import TwoPeriodDataset
 from dosedid.errors import DataValidationError, ExtrapolationError
 from dosedid.nuisance import default_specs, fit_nuisances
 from dosedid.pseudo import (
-    build_pseudo_outcomes,
     compute_theta0,
-    compute_xi,
+    compute_xi_terms,
     normalize_weights,
 )
 from dosedid.simulation import generate_scenario_data, stream_seed
@@ -70,7 +71,7 @@ def test_xi_zero_residual_collapses_to_marginal(fitted):
     exact = TwoPeriodDataset.from_arrays(
         x=data.x, a=data.a, dose=data.dose, y0=data.y0, y1=y1
     )
-    xi, _ = compute_xi(exact, models)
+    xi, _ = compute_xi_terms(exact, models)
     np.testing.assert_allclose(xi, models.m_marginal(data.dose), atol=1e-10)
 
 
@@ -88,7 +89,8 @@ def test_xi_homogeneous_dose_density_gives_unit_weights(fitted):
 
     m_curve, f_curve = marginalize(models.mu1, flat_pi_d, data, models.dose_nodes)
     flat_models = replace(models, pi_d=flat_pi_d, m_marginal=m_curve, f_marginal=f_curve)
-    _, raw_w1 = compute_xi(data, flat_models)
+    _, (_, f_at_d, pi_d_at, _, _) = compute_xi_terms(data, flat_models)
+    raw_w1 = f_at_d / pi_d_at
     # f interpolates linearly between its own evenly spaced nodes, pi_d
     # between the KDE table's, so they agree to O(step^2): measured 3.0e-6.
     np.testing.assert_allclose(raw_w1, 1.0, atol=5e-5)
@@ -102,7 +104,8 @@ def test_xi_matches_direct_formula_oracle():
         x=data.x[idx], a=data.a[idx], dose=data.dose[:30], y0=data.y0[idx], y1=data.y1[idx]
     )
     models = fit_nuisances(sub, default_specs())
-    xi, raw_w1 = compute_xi(sub, models)
+    xi, (_, f_at_d, pi_d_at, _, _) = compute_xi_terms(sub, models)
+    raw_w1 = f_at_d / pi_d_at
 
     # independently coded elementwise evaluation
     x_t = sub.x_treated
@@ -134,9 +137,9 @@ def test_xi_out_of_range_dose_errors_or_clamps(fitted):
         x=data.x, a=data.a, dose=dose, y0=data.y0, y1=data.y1
     )
     with pytest.raises(ExtrapolationError) as err:
-        compute_xi(shifted, models)
+        compute_xi_terms(shifted, models)
     assert shifted.ids[np.nonzero(shifted.a)[0][0]] in str(err.value)
-    assert build_pseudo_outcomes(shifted, models, on_out_of_range="clamp").clamped == 1
+    assert compute_xi_terms(shifted, models, "clamp")[1][4] == 1
 
 
 # ---------------------------------------------------------------- theta0
@@ -195,12 +198,15 @@ def test_theta0_matches_loop_oracle():
 
 def test_pseudo_outcome_set_invariants(fitted):
     data, models = fitted
-    pseudo = build_pseudo_outcomes(data, models)
-    assert abs(pseudo.w1.mean() - 1.0) < 1e-10
-    assert abs(pseudo.w0.mean() - 1.0) < 1e-10
-    assert abs(pseudo.theta0 - (pseudo.theta00 + pseudo.theta01)) < 1e-15
-    assert abs(pseudo.p_a1 - data.n_treated / data.n) < 1e-15
-    assert pseudo.clamped == 0
+    _, (w1, _, _, _, clamped) = compute_xi_terms(data, models)
+    theta00, theta01, raw_w0 = compute_theta0(data, models)
+    w0 = normalize_weights(raw_w0, data.weight_control)
+    curve = estimate_curve(data, "MR", models=models)
+    assert abs(w1.mean() - 1.0) < 1e-10
+    assert abs(w0.mean() - 1.0) < 1e-10
+    assert abs(curve.theta0 - (theta00 + theta01)) < 1e-15
+    assert abs(inference._CurveContext(data, models, curve).p_hat - data.n_treated / data.n) < 1e-15
+    assert clamped == 0
 
 
 def test_j_term_quadrature_is_zero(fitted):
@@ -226,8 +232,8 @@ def test_scale_equivariance():
     )
     m1 = fit_nuisances(data, specs)
     m2 = fit_nuisances(scaled, specs)
-    xi1, _ = compute_xi(data, m1)
-    xi2, _ = compute_xi(scaled, m2)
+    xi1, _ = compute_xi_terms(data, m1)
+    xi2, _ = compute_xi_terms(scaled, m2)
     np.testing.assert_allclose(
         xi2 - m2.m_marginal(scaled.dose), c * (xi1 - m1.m_marginal(data.dose)), rtol=1e-9, atol=1e-9
     )

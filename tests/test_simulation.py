@@ -438,10 +438,16 @@ def test_parse_inference_reports_unknown_keys():
     assert problems == ["inference: unknown keys refit_bandwidth"]
     assert parsed == InferenceConfig(method="bootstrap", b_replicates=50)
     problems = []
-    assert parse_inference({"method": "both", "b_replicates": 9, "mode": "augmented"}, problems) == InferenceConfig(
+    assert parse_inference({"method": "both", "B": 9, "mode": "augmented"}, problems) == InferenceConfig(
         method="both", b_replicates=9, mode="augmented"
     )
     assert problems == []
+
+
+def test_b_replicates_is_an_unknown_inference_key():
+    problems = []
+    assert parse_inference({"method": "bootstrap", "b_replicates": 9}, problems) == InferenceConfig(method="bootstrap")
+    assert problems == ["inference: unknown keys b_replicates"]
 
 
 def test_parse_specs_reports_unknown_keys():

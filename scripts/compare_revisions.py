@@ -16,7 +16,11 @@ checks pooled rows against the parent's. At n = 20,000 (seed 1, the
 as ``write_panel`` writes it, and MR's
 base sandwich variances on the default 50-point grid; on the 500-unit
 placebo panel, the stacked sandwich variances of ``estimate_repeated``
-over the pairs (0, 1) and (1, 2), recovered from its band widths. It
+over the pairs (0, 1) and (1, 2), recovered from its band widths, the same
+call's per-pair and averaged point psi and bandwidths with no inference,
+and the MR ``placebo_curves`` of baseline 0 and posts 1 and 2; and MR's
+augmented sandwich variances on the ``inference-n500`` benchmark's
+10-point grid (n = 500, seed 1). It
 also records every curve of one 16-permutation, six-method study replicate
 at n = 1,000 (study seed 1, as the ``study-n1000`` benchmark runs it) on a
 ``GroundTruth`` built from a fixed 50-point grid, so the study engine's
@@ -29,8 +33,9 @@ estimate's theta0 and diagnostics, and the per-method diagnostics of the
 ``run_manifest.json`` that ``dosedid estimate`` writes for all six methods,
 with base sandwich bands for MR, on the seed-1 panel at n = 800.
 ``compare`` reports the largest difference of each against the
-tolerances: curves and bootstrap rows within 1e-10 of the bootstrap
-standard deviation of psi-hat, variances within 1e-10 relative, counts and
+tolerances: curves, the repeated and placebo point psi and bootstrap rows
+within 1e-10 of the bootstrap standard deviation of psi-hat, their
+bandwidths equal, variances within 1e-10 relative, counts and
 flags equal, float diagnostics within 1e-10 relative, the loaded panel's
 ids and arrays and the study replicate's curves bitwise equal, and the
 study replicate's bandwidths and edge flags, the type names and the
@@ -83,6 +88,10 @@ def dump(src: str, out: str) -> None:
     record["manifest"] = _manifest_diagnostics(cli, panel_io, simulation.generate_scenario_data(800, 1))
 
     data = simulation.generate_scenario_data(500, 1)
+    grid = nuisance.default_dose_grid(data.dose, size=10)
+    models = nuisance.fit_nuisances(data, specs, dose_grid=grid)
+    curve = curves.estimate_curve(data, "MR", specs=specs, grid=grid, models=models)
+    record[("sandwich", "n500", "augmented")] = inference.sandwich_bands(data, models, curve, mode="augmented")[2]
     for method in METHODS:
         point = curves.estimate_curve(data, method, specs=specs)
         config = curves.EstimatorConfig(method, specs, point.grid, point.bandwidth, on_out_of_range="clamp")
@@ -98,6 +107,10 @@ def dump(src: str, out: str) -> None:
     )
     half = 0.5 * (stacked.averaged.ci_upper - stacked.averaged.ci_lower)
     record[("sandwich", "placebo", "stacked")] = (half / inference.Z_95) ** 2
+    point = panel.estimate_repeated(placebo, ((0, 1), (1, 2)), "MR", specs=nuisance.default_specs())
+    record[("pair curves", "repeated")] = [(c.psi, c.bandwidth) for c in (*point.per_m, point.averaged)]
+    placebos = panel.placebo_curves(placebo, 0, [1, 2], "MR", specs=nuisance.default_specs())
+    record[("pair curves", "placebo")] = [(c.psi, c.bandwidth) for c in placebos]
 
     big = simulation.generate_scenario_data(20_000, 1)
     written = _panel(panel_io, big)
@@ -244,6 +257,12 @@ def compare(before_path: str, after_path: str) -> int:
                 same = va == vb if name == "ids" else va.dtype == vb.dtype and va.tobytes() == vb.tobytes()
                 if not same:
                     bad.append(f"loaded panel {name}")
+        elif key[0] == "pair curves":
+            scale = float(np.mean(sd["MR"]))
+            for (psi_a, h_a), (psi_b, h_b) in zip(a, b):
+                note(f"{key[1]} point psi", np.max(np.abs(psi_a - psi_b)) / scale)
+                if h_a != h_b:
+                    bad.append(f"{key[1]} bandwidth: {h_b!r} -> {h_a!r}")
         elif key[0] == "bootstrap":
             if a["failures"] != b["failures"] or a["curves"].shape != b["curves"].shape:
                 bad.append(f"bootstrap failures or shape {key}")

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .config import (
     apply_overrides,
+    grid_size,
     load_config,
     parse_grid,
     parse_inference,
@@ -382,12 +383,15 @@ def _cmd_truth(config: dict, args) -> int:
     output = config.get("output")
     if not output:
         problems.append("output: required")
+    try:
+        size = grid_size(config.get("grid_size", 50))
+    except (TypeError, ValueError) as exc:
+        problems.append(f"grid_size: {exc}")
     if problems:
         raise ConfigError(problems)
     seed = int(config.get("seed", 0))
     super_n = int(config.get("super_n", 1_000_000))
-    grid_size = int(config.get("grid_size", 50))
-    truth = ground_truth_curve(seed, super_n, grid_size)
+    truth = ground_truth_curve(seed, super_n, size)
     with _Staging(Path(output), args.force) as stage:
         with (stage / "truth.csv").open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

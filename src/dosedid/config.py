@@ -165,7 +165,7 @@ def parse_scenario(config: dict, problems: list) -> ScenarioConfig | None:
             misspecified=frozenset(block.get("misspecified", [])),
             seed=int(config.get("seed", 0)),
             methods=tuple(methods),
-            grid_size=int(block.get("grid_size", 50)),
+            grid_size=grid_size(block.get("grid_size", 50)),
             super_n=int(block.get("super_n", 1_000_000)),
             inference=inference,
             workers=int(config.get("workers", pool_size())),
@@ -178,9 +178,18 @@ def parse_scenario(config: dict, problems: list) -> ScenarioConfig | None:
         return None
 
 
+def grid_size(value) -> int:
+    """``value`` as a grid size; a ValueError below 1. ``parse_grid``,
+    ``parse_scenario`` and the ``truth`` command read every size here."""
+    size = int(value)
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
+    return size
+
+
 def parse_grid(config: dict, problems: list):
     """Grid request: an explicit ndarray of points, or an int size for the
-    default percentile rule. A size below 1, or points that
+    default percentile rule. A size below 1 (``grid_size``), or points that
     ``curves.checked_grid`` rejects, are reported as problems."""
     block = config.get("grid")
     if block is None:
@@ -189,9 +198,7 @@ def parse_grid(config: dict, problems: list):
         try:
             if "points" in block:
                 return checked_grid([float(v) for v in block["points"]])
-            size = int(block.get("size", 50))
-            if size < 1:
-                raise ValueError(f"size must be at least 1, got {size}")
+            size = grid_size(block.get("size", 50))
             lo = block.get("lo")
             hi = block.get("hi")
             if lo is not None and hi is not None:

@@ -16,9 +16,9 @@ Two routes, each with one implementation; the repeated-period workflow in
   one quadrature over the nodes in the kernel window. Augmented mode
   appends the nuisance-model score equations and differentiates through
   the whole pipeline by central differences. Both modes solve every grid
-  point over one per-curve context, and augmented mode builds its 2p
-  perturbed contexts once per curve, refitting pi_d and f only for pi_d's
-  own coordinates.
+  point over one per-curve context, and augmented mode reduces its 2p
+  perturbed nuisance sets once per curve, as two stacks: pi_d's own
+  coordinates refit pi_d and f in one stacked call, the others reuse them.
 
   At each delta a system reduces to one per-unit influence column
   ``iota = Gamma solve(bread^T, contrast)``, and the variance is the squared
@@ -27,9 +27,9 @@ Two routes, each with one implementation; the repeated-period workflow in
   of the base equations, then the nuisance scores) and Z small (q x P,
   from delta, eta and the moments of f), plus a kernel part on the treated
   units inside the kernel window. So iota costs one (n x q) product and
-  O(window) arithmetic, a finite-difference bread column only a perturbed
-  context's fixed column sums and window sums, and no n x P array is built
-  at a grid point.
+  O(window) arithmetic, the finite-difference bread columns only the
+  perturbed sets' fixed column sums and window sums, all in one array
+  expression, and no n x P array is built at a grid point.
   The variance of an average over M periods that share the unit roster is
   the squared norm of the mean of the periods' columns, which is the
   block-diagonal stacked system in closed form and picks up the
@@ -67,7 +67,7 @@ import numpy as np
 from .curves import SMOOTHED_METHODS, EffectCurveEstimate, EstimatorConfig
 from .data import TwoPeriodDataset
 from .errors import DoseDidError, EstimationError
-from .numeric import WindowedMoments, epanechnikov, expit
+from .numeric import WindowedMoments, epanechnikov, expit, linear_predictor
 from .nuisance import NuisanceModelSet, marginalize
 from .pseudo import compute_theta0, compute_xi_terms, normalize_weights
 
@@ -158,7 +158,10 @@ class _CurveContext:
     the nodes in the window and O(window) arithmetic; the fixed columns and
     their sums are formed once. xi, theta00, theta01 and the control
     weight come from ``compute_xi_terms`` and ``compute_theta0``, the
-    routines the MR curve's two sides call.
+    routines the MR curve's two sides call. A model set with (R, k)
+    coefficient stacks gives one row per stacked set in every per-unit
+    array and in ``dense_sums``, each bitwise the set's alone; the augmented
+    block builds its perturbed sets so.
     """
 
     def __init__(self, data: TwoPeriodDataset, models: NuisanceModelSet, curve: EffectCurveEstimate):
@@ -178,30 +181,31 @@ class _CurveContext:
         self.nodes = models.dose_nodes
         self.f_values = models.f_marginal.y
         level, slope = models.mu1.unit_terms(data.x_treated)
-        self.alpha = level - models.m_marginal.level
-        self.phi = slope - models.m_marginal.slope
+        self.alpha = level - np.asarray(models.m_marginal.level)[..., None]
+        self.phi = slope - np.asarray(models.m_marginal.slope)[..., None]
 
         # theta00/theta01 are self-normalized group means, so their
         # equations live on their own group only.
         treated = data.a
         mu0 = models.mu0(data.x)
         trend_c = data.trend[~treated]
-        # Column-major: a product with a coefficient vector streams each
-        # column once.
-        self.dense = np.zeros((data.n, 6), order="F")
-        self.dense[treated, 0] = self.wt * self.alpha / self.p_hat
-        self.dense[treated, 1] = self.wt * self.phi / self.p_hat
-        self.dense[~treated, 2] = self.wc * normalize_weights(raw_w0, self.wc) * (trend_c - mu0[~treated])
-        self.dense[treated, 3] = self.wt * mu0[treated]
-        self.dense[~treated, 4] = self.wc
-        self.dense[treated, 5] = self.wt
-        self.dense_sums = self.dense.sum(axis=0)
+        columns = np.zeros(self.xi.shape[:-1] + (6, data.n))
+        columns[..., 0, treated] = self.wt * self.alpha / self.p_hat
+        columns[..., 1, treated] = self.wt * self.phi / self.p_hat
+        columns[..., 2, ~treated] = self.wc * normalize_weights(raw_w0, self.wc) * (trend_c - mu0[..., ~treated])
+        columns[..., 3, treated] = self.wt * mu0[..., treated]
+        columns[..., 4, ~treated] = self.wc
+        columns[..., 5, treated] = self.wt
+        # (n, 6) column-major: a product with a coefficient vector streams
+        # each column once.
+        self.dense = np.swapaxes(columns, -1, -2)
+        self.dense_sums = columns.sum(axis=-1)
 
         # The window's sort: ``solve``'s span indexes this order.
         order = np.argsort(data.dose, kind="stable")
         self.units_sorted = np.flatnonzero(treated)[order]
         self.dose_sorted = data.dose[order]
-        self.xi_sorted = self.xi[order]
+        self.xi_sorted = self.xi[..., order]
         self.wt_sorted = self.wt[order]
 
     @cached_property
@@ -262,32 +266,25 @@ class _CurveContext:
     def coefficients(self, rule: tuple[int, np.ndarray], eta: np.ndarray) -> np.ndarray:
         """The (6, 4) map from the fixed columns to the four equations'
         dense parts at eta, with the corrections under ``rule``."""
-        a0, a1, b0, b1 = self.moments_of_f(rule)
-        out = np.zeros((6, 4))
-        out[:2, :2] = [[a0, b0], [a1, b1]]
-        out[2, 2] = out[3, 3] = 1.0
-        out[4, 2], out[5, 3] = -eta[2], -eta[3]
-        return out
+        return _coefficients(self.moments_of_f(rule), eta)
+
+    def kernel_terms(self, delta: float, eta: np.ndarray, span: tuple[int, int], xi_sorted: np.ndarray):
+        """``(u, lead)`` at the dose-sorted treated units ``first`` to ``stop
+        - 1`` of ``span``: the column u = (D - delta) / h and lead = wt K(u)
+        (xi - theta - u beta) / p, one column per column of the (n_t, R)
+        ``xi_sorted``."""
+        first, stop = span
+        u = ((self.dose_sorted[first:stop] - delta) / self.h)[:, None]
+        resid = xi_sorted[first:stop] - eta[0] - u * eta[1]
+        return u, self.wt_sorted[first:stop, None] * (epanechnikov(u) * resid) / self.p_hat
 
     def kernel(self, delta: float, eta: np.ndarray, span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """The kernel part of the two local-linear equations at (delta, eta):
         the unit positions of the dose-sorted treated units ``first`` to
         ``stop - 1`` of ``span`` and their (w, 2) values
         wt K(u) (xi - theta - u beta) / p times 1 and u."""
-        first, stop = span
-        u = (self.dose_sorted[first:stop] - delta) / self.h
-        resid = self.xi_sorted[first:stop] - eta[0] - u * eta[1]
-        lead = self.wt_sorted[first:stop] * (epanechnikov(u) * resid) / self.p_hat
-        return self.units_sorted[first:stop], np.column_stack([lead, lead * u])
-
-    def summed_gamma(
-        self, delta: float, eta: np.ndarray, rule: tuple[int, np.ndarray], span: tuple[int, int]
-    ) -> np.ndarray:
-        """The four equations summed over the units: the fixed columns' sums
-        through ``coefficients`` plus the kernel part's sums over ``span``."""
-        summed = self.dense_sums @ self.coefficients(rule, eta)
-        summed[:2] += self.kernel(delta, eta, span)[1].sum(axis=0)
-        return summed
+        u, lead = self.kernel_terms(delta, eta, span, self.xi_sorted[:, None])
+        return self.units_sorted[span[0] : span[1]], np.hstack([lead, lead * u])
 
     def solve(self, delta: float) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
         """eta at delta, the analytic Jacobian of the summed base equations
@@ -307,39 +304,85 @@ class _NuisanceBlock:
     """The nuisance-model equations a curve's systems append.
 
     In base mode there are none. In augmented mode they are the four
-    parametric fits' score equations; the scores and the 2p central-
-    difference nuisance sets do not depend on delta, so each perturbed set
-    is rebuilt, marginalized and reduced to a ``_CurveContext`` once, and
-    every grid point reuses the contexts; the rebuilt models themselves are
-    not kept. Every context tabulates f on the curve's node set, so one
-    quadrature rule per grid point serves them all.
+    parametric fits' score equations, and their bread columns are central
+    differences of the summed equations between the 2p perturbed parameter
+    vectors ``packed +- step_j e_j``. Neither the scores nor the perturbed
+    sets depend on delta, so the block reduces every perturbed set once, as
+    rows of two stacks: the rows that move one of pi_d's coordinates refit
+    pi_d, its KDE table and f in one rank-generic call, and the others
+    reuse the fitted pi_d and f. Each stack is built in blocks of at most
+    ``_STACK_BLOCK // n`` rows through one stacked ``_CurveContext``, and
+    only what a grid point reads is kept, one row per perturbed set: the
+    sums of the six fixed columns (2p, 6), the dose-sorted xi as columns
+    (n_t, 2p), an index into the f tables (row 0 the curve's own f), and
+    the summed scores (2p, p). Every context tabulates f on the curve's
+    node set, so one quadrature rule per grid point serves them all, and
+    ``fd_columns`` forms every finite-difference column at a delta from one
+    array expression, bitwise the per-coordinate rebuilds' (D16).
     """
 
     def __init__(self, ctx: _CurveContext, models: NuisanceModelSet | None):
-        # per parameter: (step, (context, summed scores) at +step, the same at -step)
-        self.columns = []
+        self.packed = np.zeros(0)
+        self.dense = ctx.dense
         if models is None:
-            self.packed = np.zeros(0)
-            self.dense = ctx.dense
             return
-        packed, scores, rebuild = _augmented_blocks(ctx, models)
+        packed, scores, score_sums, rebuild = _augmented_blocks(ctx, models)
+        p = packed.shape[0]
         self.packed = packed
         self.dense = np.asfortranarray(np.hstack([ctx.dense, scores(packed)]))
+        self.steps = _FD_STEP * np.maximum(1.0, np.abs(packed))
+        # Row j moves coordinate j up by its step, row p + j down.
+        ends = np.concatenate([packed + np.diag(self.steps), packed - np.diag(self.steps)])
+        self.dense_sums = np.empty((2 * p, 6))
+        self.score_sums = np.empty((2 * p, p))
+        self.xi_sorted = np.empty((ctx.xi_sorted.shape[0], 2 * p))
+        self.f_row = np.zeros(2 * p, dtype=np.intp)
+        f_values = [ctx.f_values]
+        moves_pi_d = np.arange(2 * p) % p < models.pi_d.mean_coef.shape[0] + models.pi_d.resid_coef.shape[0]
+        cap = max(1, _STACK_BLOCK // ctx.data.n)
+        for refit in (True, False):
+            rows = np.flatnonzero(moves_pi_d == refit)
+            for chunk in np.array_split(rows, -(-rows.shape[0] // cap)):
+                stack = _CurveContext(ctx.data, rebuild(ends[chunk], refit), ctx.curve)
+                self.dense_sums[chunk] = stack.dense_sums
+                self.score_sums[chunk] = score_sums(ends[chunk])
+                self.xi_sorted[:, chunk] = stack.xi_sorted.T
+                if refit:
+                    self.f_row[chunk] = len(f_values) + np.arange(chunk.shape[0])
+                    f_values.extend(stack.f_values)
+        self.f_values = np.array(f_values)
 
-        def end(packed_pt: np.ndarray):
-            return _CurveContext(ctx.data, rebuild(packed_pt), ctx.curve), scores(packed_pt).sum(axis=0)
+    def fd_columns(self, ctx: _CurveContext, delta: float, eta: np.ndarray, rule, span) -> np.ndarray:
+        """The (4 + p, p) central-difference bread columns at delta: each
+        perturbed row's summed equations, its fixed column sums through
+        ``_coefficients`` plus its kernel part over ``span``, and its summed
+        scores, differenced and divided by twice the step."""
+        first, weights = rule
+        moments = np.matmul(weights, self.f_values[:, first : first + weights.shape[1], None])[self.f_row, :, 0]
+        summed = np.matmul(self.dense_sums[:, None, :], _coefficients(moments, eta))[:, 0]
+        u, lead = ctx.kernel_terms(delta, eta, span, self.xi_sorted)
+        summed[:, 0] += lead.sum(axis=0)
+        summed[:, 1] += (lead * u).sum(axis=0)
+        ends = np.hstack([summed, self.score_sums])
+        p = self.packed.shape[0]
+        return ((ends[:p] - ends[p:]) / (2.0 * self.steps)[:, None]).T
 
-        for j in range(packed.shape[0]):
-            step = _FD_STEP * max(1.0, abs(packed[j]))
-            hi = packed.copy()
-            hi[j] += step
-            lo = packed.copy()
-            lo[j] -= step
-            self.columns.append((step, end(hi), end(lo)))
+
+def _coefficients(moments: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The (..., 6, 4) maps from the fixed columns to the four equations'
+    dense parts at eta, one per row of the (..., 4) moments (a0, a1, b0,
+    b1) of f."""
+    out = np.zeros(moments.shape[:-1] + (6, 4))
+    out[..., 0, 0], out[..., 1, 0], out[..., 0, 1], out[..., 1, 1] = np.moveaxis(moments, -1, 0)
+    out[..., 2, 2] = out[..., 3, 3] = 1.0
+    out[..., 4, 2], out[..., 5, 3] = -eta[2], -eta[3]
+    return out
 
 
 def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
-    """Parameter packing and score equations for the four parametric fits."""
+    """Parameter packing, score equations and rebuilds for the four
+    parametric fits; the summed scores and the rebuild take one packed
+    vector or a (R, p) stack of them."""
     for name, spec in models.specs.items():
         if spec.learner == "flexible-additive":
             raise EstimationError(
@@ -365,35 +408,48 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
     ]
     splits = np.cumsum([p.shape[0] for p in params])[:-1]
 
-    def scores(packed: np.ndarray) -> np.ndarray:
-        """Per-unit scores (n x p), one column block per model; each block
-        is a view into ``out`` and lives on the model's own group."""
-        alpha_d, gamma_r, lam1, alpha_a, lam0 = np.split(packed, splits)
-        out = np.zeros((data.n, packed.shape[0]))
-        blocks = np.split(out, splits, axis=1)
+    def parts(packed: np.ndarray) -> list:
+        """Each model's per-unit scores on its own group: one ``(group,
+        (..., n_group, k))`` pair per column block."""
+        alpha_d, gamma_r, lam1, alpha_a, lam0 = np.split(packed, splits, axis=-1)
         treated = data.a
-        eps = d - r @ alpha_d
-        blocks[0][treated] = ctx.wt[:, None] * r * eps[:, None]
-        blocks[1][treated] = ctx.wt[:, None] * r * (eps**2 - r @ gamma_r)[:, None]
-        blocks[2][treated] = ctx.wt[:, None] * x_mu1 * (trend_t - x_mu1 @ lam1)[:, None]
-        blocks[3][:] = data.weight[:, None] * x_pa * (data.a.astype(float) - expit(x_pa @ alpha_a))[:, None]
-        blocks[4][~treated] = ctx.wc[:, None] * x_mu0 * (trend_c - x_mu0 @ lam0)[:, None]
+        eps = d - linear_predictor(r, alpha_d)
+        residual_a = data.a.astype(float) - expit(linear_predictor(x_pa, alpha_a))
+        return [
+            (treated, ctx.wt[:, None] * r * eps[..., None]),
+            (treated, ctx.wt[:, None] * r * (eps**2 - linear_predictor(r, gamma_r))[..., None]),
+            (treated, ctx.wt[:, None] * x_mu1 * (trend_t - linear_predictor(x_mu1, lam1))[..., None]),
+            (slice(None), data.weight[:, None] * x_pa * residual_a[..., None]),
+            (~treated, ctx.wc[:, None] * x_mu0 * (trend_c - linear_predictor(x_mu0, lam0))[..., None]),
+        ]
+
+    def scores(packed: np.ndarray) -> np.ndarray:
+        """Per-unit scores (n x p), one column block per model."""
+        out = np.zeros((data.n, packed.shape[0]))
+        for block, (group, values) in zip(np.split(out, splits, axis=1), parts(packed)):
+            block[group] = values
         return out
 
-    def rebuild(packed: np.ndarray) -> NuisanceModelSet:
-        alpha_d, gamma_r, lam1, alpha_a, lam0 = np.split(packed, splits)
+    def score_sums(packed: np.ndarray) -> np.ndarray:
+        """The scores summed over the units, (..., p): each block over its
+        own group, in unit order."""
+        return np.concatenate([values.sum(axis=-2) for _, values in parts(packed)], axis=-1)
+
+    def rebuild(packed: np.ndarray, refit_pi_d: bool) -> NuisanceModelSet:
+        """The model set at ``packed``; pi_d and f are refit only when
+        ``refit_pi_d``, and otherwise the fitted ones serve."""
+        alpha_d, gamma_r, lam1, alpha_a, lam0 = np.split(packed, splits, axis=-1)
         mu1 = models.mu1.with_coefficients(lam1)
         pi_a = models.pi_a.with_coefficients(alpha_a)
         mu0 = models.mu0.with_coefficients(lam0)
         # The curve's own node set: marginalize maps a node set to itself.
         nodes = models.dose_nodes
-        if _pi_d_unchanged(models.pi_d, alpha_d, gamma_r):
-            # Only pi_d's own coordinates move pi_d and f.
-            pi_d = models.pi_d
-            m_curve, f_curve = marginalize(mu1, None, data, nodes)[0], models.f_marginal
-        else:
+        if refit_pi_d:
             pi_d = models.pi_d.with_parameters(alpha_d, gamma_r, d, x_t, ctx.wt)
             m_curve, f_curve = marginalize(mu1, pi_d, data, nodes)
+        else:
+            pi_d = models.pi_d
+            m_curve, f_curve = marginalize(mu1, None, data, nodes)[0], models.f_marginal
         return NuisanceModelSet(
             pi_a=pi_a,
             pi_d=pi_d,
@@ -405,13 +461,7 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
             specs=models.specs,
         )
 
-    return np.concatenate(params), scores, rebuild
-
-
-def _pi_d_unchanged(pi_d, mean_coef: np.ndarray, resid_coef: np.ndarray) -> bool:
-    """Whether a perturbed parameter vector leaves pi_d's coefficients as
-    they are, so that the fitted pi_d and f serve unchanged."""
-    return bool(np.array_equal(mean_coef, pi_d.mean_coef) and np.array_equal(resid_coef, pi_d.resid_coef))
+    return np.concatenate(params), scores, score_sums, rebuild
 
 
 def _prepare(data, models, curve, mode: str) -> tuple[_CurveContext, _NuisanceBlock]:
@@ -425,20 +475,14 @@ def _prepare(data, models, curve, mode: str) -> tuple[_CurveContext, _NuisanceBl
 
 def _system(ctx: _CurveContext, block: _NuisanceBlock, delta: float) -> EstimatingSystem:
     """The estimating system at one delta over a curve's shared context,
-    with the block's nuisance equations appended. A finite-difference
-    column needs only the perturbed contexts' summed equations."""
+    with the block's nuisance equations appended."""
     eta, bread, span = ctx.solve(delta)
     rule = ctx.quadrature(delta)
     p = block.packed.shape[0]
     bread_full = np.zeros((4 + p, 4 + p))
     bread_full[:4, :4] = bread
-
-    def summed_at(end) -> np.ndarray:
-        ctx_pt, score_sum = end
-        return np.concatenate([ctx_pt.summed_gamma(delta, eta, rule, span), score_sum])
-
-    for j, (step, hi, lo) in enumerate(block.columns):
-        bread_full[:, 4 + j] = (summed_at(hi) - summed_at(lo)) / (2.0 * step)
+    if p:
+        bread_full[:, 4:] = block.fd_columns(ctx, delta, eta, rule, span)
     coefficients = np.zeros((6 + p, 4 + p))
     coefficients[:6, :4] = ctx.coefficients(rule, eta)
     coefficients[6:, 4:] = np.eye(p)

@@ -84,6 +84,8 @@ _KDE_TABLE_PAD = 8.0  # bandwidths beyond the sample range
 _MARGINAL_NODES = 4096
 
 VALID_WHICH = ("pi_a", "pi_d", "mu1", "mu0")
+# The models that read no outcome; neither does pi_d's marginal f.
+_TREATMENT_SIDE = ("pi_a", "pi_d")
 VALID_MAPS = ("identity", "kang_schafer")
 
 
@@ -684,15 +686,27 @@ class ModelBank:
     ``marginalize`` derives from ``dose_grid``. Model sets for different
     specification permutations therefore share every fit they have in
     common.
+
+    ``treatment_side``, a bank on another period pair of the same units
+    (covariates, treatment, doses and weight) and the same ``dose_grid``,
+    serves this bank's pi_a, pi_d and f: they read no outcome, so the pairs
+    share them and fit only mu1, m and mu0 each (docs/DECISIONS.md, D16).
     """
 
-    def __init__(self, data: TwoPeriodDataset, dose_grid: np.ndarray | None = None):
+    def __init__(
+        self, data: TwoPeriodDataset, dose_grid: np.ndarray | None = None, treatment_side: "ModelBank | None" = None
+    ):
+        if treatment_side is not None and not _same_treatment_side(treatment_side, data, dose_grid):
+            raise ValueError("a treatment-side bank must hold the same units, doses, weight and dose grid")
         self.data = data
         self.dose_grid = dose_grid
+        self.treatment_side = treatment_side
         self._fits: dict = {}
         self._marginals: dict = {}
 
     def fit(self, name: str, spec: NuisanceSpec):
+        if self.treatment_side is not None and name in _TREATMENT_SIDE:
+            return self.treatment_side.fit(name, spec)
         key = (name, spec)
         if key not in self._fits:
             fitter = {"pi_a": fit_pi_a, "pi_d": fit_pi_d, "mu1": fit_mu1, "mu0": fit_mu0}[name]
@@ -701,6 +715,8 @@ class ModelBank:
 
     def marginal(self, name: str, spec: NuisanceSpec) -> MarginalTrend | TabulatedCurve:
         """The treated marginal ``m`` (name ``"mu1"``) or ``f`` (``"pi_d"``)."""
+        if self.treatment_side is not None and name in _TREATMENT_SIDE:
+            return self.treatment_side.marginal(name, spec)
         key = (name, spec)
         if key not in self._marginals:
             if self.dose_grid is None:
@@ -731,6 +747,13 @@ class ModelBank:
             dose_nodes=None if nodes is None else nodes.x,
             specs={k: specs[k] for k in which},
         )
+
+
+def _same_treatment_side(bank: "ModelBank", data: TwoPeriodDataset, dose_grid) -> bool:
+    """Whether ``bank`` was built on the units, doses, weight and dose grid
+    of ``data`` and ``dose_grid``."""
+    fields = [(getattr(bank.data, name), getattr(data, name)) for name in ("x", "a", "dose", "weight")]
+    return all(np.array_equal(mine, theirs) for mine, theirs in [(bank.dose_grid, dose_grid), *fields])
 
 
 def fit_nuisances(

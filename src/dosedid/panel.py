@@ -2,15 +2,19 @@
 
 With M calendar-matched (pre, post) period pairs, per-pair effect curves
 are estimated on a shared dose grid (the exposure is time-invariant, so the
-grid is computed once) with nuisance functions refit separately for each
-pair, then averaged pointwise. Both inference routes are the
-single-dataset ones in ``inference``, given the M pairs as input:
+grid is computed once), then averaged pointwise. The pairs share the
+units' covariates, treatment, doses and weight, so the models that read no
+outcome, pi_a, pi_d and its marginal f, are fit once and serve every pair;
+mu1, m and mu0 are fit per pair (``_pair_curves``, docs/DECISIONS.md,
+D16). Both inference routes are the single-dataset ones in ``inference``,
+given the M pairs as input:
 
 * bootstrap: ``bootstrap_replicates`` draws one weight per unit per
   replicate and reuses it across all pairs, which is what accounts for
   within-unit correlation over time; each chunk of replicates refits every
-  pair at that pair's point bandwidth on the chunk's weight stack and
-  yields M + 1 estimates, the pairs' and their average;
+  pair at that pair's point bandwidth on the chunk's weight stack, sharing
+  the treatment side within the chunk, and yields M + 1 estimates, the
+  pairs' and their average;
 * sandwich: ``stacked_sandwich_variance`` builds each pair's context once
   and takes, at every grid point, the squared norm of the mean of the
   pairs' per-unit influence columns.
@@ -25,11 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import EffectCurveEstimate, EstimatorConfig, estimate_curve
-from .data import PanelDataset, pair_periods
+from .curves import CONTROL_NEEDS, DOSE_NEEDS, EffectCurveEstimate, checked_grid, estimate_curve
+from .data import PanelDataset, TwoPeriodDataset, pair_periods
 from .errors import DataValidationError, EstimationError
 from .inference import Z_95, bootstrap_replicates, stacked_sandwich_variance
-from .nuisance import NuisanceSpec, default_dose_grid, fit_nuisances
+from .nuisance import ModelBank, NuisanceSpec, default_dose_grid
 
 __all__ = [
     "RepeatedEstimate",
@@ -67,6 +71,33 @@ def _average_curves(per_m: list[EffectCurveEstimate]) -> EffectCurveEstimate:
     )
 
 
+def _pair_curves(
+    datasets: list[TwoPeriodDataset], method, specs, grid, bandwidths, on_out_of_range="error"
+) -> tuple[list[EffectCurveEstimate], list]:
+    """Each pair's curve at its bandwidth, and the model set it was built
+    on (None for a method that reads no model, or when ``specs`` miss one
+    it reads, where ``estimate_curve`` reports the problem). The datasets
+    are period pairs of one panel under one weight: the first pair's bank
+    fits pi_a, pi_d and f, and every later pair's bank draws them from it."""
+    needs = DOSE_NEEDS.get(method, ()) + CONTROL_NEEDS.get(method, ())
+    shared = needs and specs is not None and all(name in specs for name in needs)
+    first = None
+    curves, model_sets = [], []
+    for ds, bandwidth in zip(datasets, bandwidths):
+        models = None
+        if shared:
+            bank = ModelBank(ds, grid, treatment_side=first)
+            first = first or bank
+            models = bank.models(specs, needs)
+        curves.append(
+            estimate_curve(
+                ds, method, specs=specs, grid=grid, bandwidth=bandwidth, on_out_of_range=on_out_of_range, models=models
+            )
+        )
+        model_sets.append(models)
+    return curves, model_sets
+
+
 def estimate_repeated(
     data: PanelDataset,
     pairs,
@@ -80,41 +111,31 @@ def estimate_repeated(
 ) -> RepeatedEstimate:
     """Estimate one curve per (pre, post) pair and their average.
 
-    Nuisance models are refit for every pair. With ``inference="bootstrap"``
-    each replicate draws one weight per unit and reuses it across all pairs,
-    and the averaged curve's diagnostics count the failed replicates in all
-    (``bootstrap_failed``) and by error class (``bootstrap_failures``), and
-    the replicates in which a pair's pi_a IRLS stopped at its iteration
-    limit (``bootstrap_pi_a_unconverged``). With
-    ``inference="sandwich"`` (MR only) the pairs' per-unit influence columns
-    are averaged to give normal-approximation bands for the average.
+    The pairs share pi_a, pi_d and f; mu1 and mu0 are fit per pair. With
+    ``inference="bootstrap"`` each replicate draws one weight per unit and
+    reuses it across all pairs, and the averaged curve's diagnostics count
+    the failed replicates in all (``bootstrap_failed``) and by error class
+    (``bootstrap_failures``), and the replicates in which a pair's pi_a
+    IRLS stopped at its iteration limit (``bootstrap_pi_a_unconverged``).
+    With ``inference="sandwich"`` (MR only) the pairs' per-unit influence
+    columns are averaged to give normal-approximation bands for the
+    average.
     """
     pairs = [tuple(p) for p in pairs]
     if not pairs:
         raise EstimationError("need at least one period pair")
-    if grid is None:
-        grid = default_dose_grid(data.dose)
-    grid = np.asarray(grid, dtype=float)
+    grid = checked_grid(default_dose_grid(data.dose) if grid is None else grid)
 
     datasets = [pair_periods(data, pre, post) for pre, post in pairs]
-    per_m: list[EffectCurveEstimate] = []
-    model_sets = []
-    for ds in datasets:
-        models = None
-        if method == "MR" and inference == "sandwich":
-            models = fit_nuisances(ds, specs, dose_grid=grid)
-        curve = estimate_curve(ds, method, specs=specs, grid=grid, bandwidth=bandwidth, models=models)
-        per_m.append(curve)
-        model_sets.append(models)
+    per_m, model_sets = _pair_curves(datasets, method, specs, grid, [bandwidth] * len(datasets))
     averaged = _average_curves(per_m)
 
     if inference == "bootstrap":
-        configs = [
-            EstimatorConfig(method, specs, grid, curve.bandwidth, on_out_of_range="clamp") for curve in per_m
-        ]
+        bandwidths = [curve.bandwidth for curve in per_m]
 
         def replicate(w):
-            curves = [config.build(replace(ds, weight=w)) for config, ds in zip(configs, datasets)]
+            weighted = [replace(ds, weight=w) for ds in datasets]
+            curves, _ = _pair_curves(weighted, method, specs, grid, bandwidths, on_out_of_range="clamp")
             return [*curves, _average_curves(curves)]
 
         *per_boot, avg_boot = bootstrap_replicates(data.a, replicate, b_replicates, seed)
@@ -154,8 +175,8 @@ def placebo_curves(
     """Effect curves for pre-intervention period pairs (known truth: zero).
 
     Each placebo post period is paired with the baseline period and run
-    through the ordinary estimator. When ``intervention_period`` is given,
-    any index at or after it is rejected.
+    through the ordinary estimator; the pairs share pi_a, pi_d and f. When
+    ``intervention_period`` is given, any index at or after it is rejected.
     """
     posts = [int(p) for p in placebo_posts]
     if int(baseline) in posts:
@@ -166,13 +187,9 @@ def placebo_curves(
             raise DataValidationError(
                 f"placebo periods must precede the intervention ({intervention_period}): {offenders}"
             )
-    if grid is None:
-        grid = default_dose_grid(data.dose)
-    out = []
-    for post in posts:
-        ds = pair_periods(data, baseline, post)
-        out.append(estimate_curve(ds, method, specs=specs, grid=grid, bandwidth=bandwidth))
-    return out
+    grid = checked_grid(default_dose_grid(data.dose) if grid is None else grid)
+    datasets = [pair_periods(data, baseline, post) for post in posts]
+    return _pair_curves(datasets, method, specs, grid, [bandwidth] * len(datasets))[0]
 
 
 def scale_outcomes(data: PanelDataset, baseline_periods) -> PanelDataset:

@@ -336,6 +336,26 @@ def test_bad_grid_is_one_config_error(tmp_path, panel_file, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("size", [0, -2], ids=["zero", "negative"])
+@pytest.mark.parametrize("command", ["truth", "simulate"])
+def test_bad_grid_size_is_one_config_error(tmp_path, capsys, command, size):
+    """``truth``'s ``grid_size`` and ``simulate``'s ``scenario.grid_size``
+    follow ``grid.size``'s rule: below 1 is one config-error line, exit 2,
+    before any output."""
+    payload = {"output": str(tmp_path / "out"), "seed": 1}
+    if command == "truth":
+        payload["grid_size"] = size
+        key = "grid_size"
+    else:
+        payload["scenario"] = {"n": 200, "replicates": 1, "grid_size": size}
+        key = "scenario"
+    assert dispatch([command, "-c", str(_write_config(tmp_path, "size.yaml", payload))]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"dosedid: config-error: {key}: ") and f"size must be at least 1, got {size}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_estimate_manifest_keeps_every_diagnostic(tmp_path, panel_file, monkeypatch):
     """Each method's manifest entry holds every diagnostic of its curve but
     TWFE's coefficient vector, with equal values."""

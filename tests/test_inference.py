@@ -278,16 +278,26 @@ def test_augmented_bands_equal_per_delta_systems_bitwise(augmented_case):
         assert variances[k] == var
 
 
-def test_augmented_curve_rebuilds_each_perturbed_set_once(augmented_case, monkeypatch):
+def test_augmented_curve_rebuilds_its_perturbed_sets_in_two_stacks(augmented_case, monkeypatch):
+    """At n = 200 the 2p = 58 perturbed sets are two stacks: pi_d's 20 rows
+    refit pi_d in one ``with_parameters`` call, the other 38 reuse it, so
+    ``marginalize`` runs twice and ``_CurveContext`` three times, the
+    curve's own and one per stack, with no per-coordinate context."""
     data, models, curve = augmented_case
     calls = Counter()
-    original = inference.marginalize
+    marginalize, refit = inference.marginalize, type(models.pi_d).with_parameters
+    context = inference._CurveContext.__init__
 
-    def counted(*args, **kwargs):
-        calls["marginalize"] += 1
-        return original(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(inference, "marginalize", counted)
+        return wrapper
+
+    monkeypatch.setattr(inference, "marginalize", counted("marginalize", marginalize))
+    monkeypatch.setattr(type(models.pi_d), "with_parameters", counted("with_parameters", refit))
+    monkeypatch.setattr(inference._CurveContext, "__init__", counted("contexts", context))
     sandwich_bands(data, models, curve, mode="augmented")
     p = sum(
         c.shape[0]
@@ -299,32 +309,26 @@ def test_augmented_curve_rebuilds_each_perturbed_set_once(augmented_case, monkey
             models.mu0.coefficients,
         )
     )
-    assert curve.grid.shape[0] > 1
-    assert calls["marginalize"] == 2 * p
+    assert p == 29 and curve.grid.shape[0] > 1
+    assert calls == Counter({"with_parameters": 1, "marginalize": 2, "contexts": 3})
 
 
-def test_augmented_curve_refits_pi_d_only_for_its_own_coordinates(augmented_case, monkeypatch):
-    """pi_d and f are rebuilt for the 2 x 10 perturbations of pi_d's own
-    coefficients and reused for the others, with bitwise the variances of
-    rebuilding them for every perturbation."""
+def test_stacked_fd_columns_equal_per_coordinate_rebuilds(augmented_case, monkeypatch):
+    """Every finite-difference bread column of the two stacks, at every grid
+    point, is bitwise the one from rebuilding each perturbed set alone with
+    pi_d and f refit for every coordinate; the bands are bitwise the same
+    with stacks of at most 5 rows."""
     data, models, curve = augmented_case
-    rebuilds = Counter()
-    original = type(models.pi_d).with_parameters
-
-    def counted(self, *args, **kwargs):
-        rebuilds["pi_d"] += 1
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(type(models.pi_d), "with_parameters", counted)
+    ctx, block = inference._prepare(data, models, curve, "augmented")
+    ends = explicit.perturbed_ends(ctx, models, block)
+    for delta in curve.grid:
+        eta, _, span = ctx.solve(float(delta))
+        got = block.fd_columns(ctx, float(delta), eta, ctx.quadrature(float(delta)), span)
+        np.testing.assert_array_equal(got, explicit.fd_columns(ctx, ends, float(delta)))
     _, _, variances = sandwich_bands(data, models, curve, mode="augmented")
-    p_pi_d = models.pi_d.mean_coef.shape[0] + models.pi_d.resid_coef.shape[0]
-    assert p_pi_d == 10
-    assert rebuilds["pi_d"] == 2 * p_pi_d
-
-    monkeypatch.setattr(inference, "_pi_d_unchanged", lambda *args: False)
-    _, _, refit = sandwich_bands(data, models, curve, mode="augmented")
-    assert rebuilds["pi_d"] > 2 * p_pi_d + 2 * p_pi_d
-    np.testing.assert_array_equal(variances, refit)
+    monkeypatch.setattr(inference, "_STACK_BLOCK", 5 * data.n)
+    _, _, small = sandwich_bands(data, models, curve, mode="augmented")
+    np.testing.assert_array_equal(small, variances)
 
 
 def test_augmented_mode_rejects_flexible_learners():
@@ -368,12 +372,12 @@ def _explicit_variance(periods, models_of, delta):
     """The variance of the periods' mean influence column, each column
     Gamma solve(B^T, c) from the dense Gamma, and in augmented mode the
     finite-difference bread columns from the dense Gamma of each perturbed
-    context, summed over every unit. ``models_of`` maps a context's id to
-    its models."""
+    set, rebuilt alone (``perturbed_ends``), summed over every unit.
+    ``models_of`` maps a context's id to its models."""
 
     def summed(end, eta, rule):
-        ctx_pt, score_sum = end
-        gamma = _explicit_gamma(ctx_pt, models_of[id(ctx_pt)], delta, eta, rule)
+        ctx_pt, models_pt, score_sum = end
+        gamma = _explicit_gamma(ctx_pt, models_pt, delta, eta, rule)
         return np.concatenate([gamma.sum(axis=0), score_sum])
 
     columns = []
@@ -384,8 +388,9 @@ def _explicit_variance(periods, models_of, delta):
         p = scores.shape[1]
         full = np.zeros((4 + p, 4 + p))
         full[:4, :4] = bread
-        for j, (step, hi, lo) in enumerate(block.columns):
-            full[:, 4 + j] = (summed(hi, eta, rule) - summed(lo, eta, rule)) / (2.0 * step)
+        if p:
+            for j, (step, hi, lo) in enumerate(explicit.perturbed_ends(ctx, models_of[id(ctx)], block)):
+                full[:, 4 + j] = (summed(hi, eta, rule) - summed(lo, eta, rule)) / (2.0 * step)
         gamma = np.hstack([_explicit_gamma(ctx, models_of[id(ctx)], delta, eta, rule), scores])
         contrast = np.concatenate([[1.0, 0.0, -1.0, -1.0], np.zeros(p)])
         columns.append(gamma @ np.linalg.solve(full.T, contrast))

@@ -1,11 +1,13 @@
 """Repeated-period averaging, placebo curves, and outcome scaling."""
 
 import multiprocessing
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dosedid import curves, inference
+from dosedid import curves, inference, nuisance
 from dosedid.curves import EstimatorConfig
 from dosedid.data import PanelDataset, pair_periods
 from dosedid.errors import DataValidationError, EstimationError, FitError
@@ -152,7 +154,8 @@ def test_repeated_bootstrap_counts_failures_by_error_class(monkeypatch):
                 raise FitError("provoked")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(curves, "estimate_curve", failing)
+    # Each pair's curve is built in ``panel`` (``_pair_curves``).
+    monkeypatch.setattr("dosedid.panel.estimate_curve", failing)
     monkeypatch.setattr(inference, "pool_size", lambda: 1)  # a forked worker's calls go unrecorded
     rep = estimate_repeated(panel, [(0, 1), (0, 2)], "NAIVE", inference="bootstrap", b_replicates=6, seed=2)
     assert rep.averaged.diagnostics["bootstrap_failures"] == {"FitError": 1}
@@ -177,6 +180,68 @@ def test_pooled_repeated_bootstrap_equals_in_process(monkeypatch):
         assert a.ci_lower.tobytes() == b.ci_lower.tobytes()
         assert a.ci_upper.tobytes() == b.ci_upper.tobytes()
     assert alone.averaged.diagnostics == pooled.averaged.diagnostics
+
+
+def _count_fits(monkeypatch) -> Counter:
+    """Count each nuisance fit and each f marginal from here on."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fit_pi_a", "fit_pi_d", "fit_mu1", "fit_mu0"):
+        monkeypatch.setattr(nuisance, name, counted(name, getattr(nuisance, name)))
+    f = nuisance.DoseDensityModel.marginal_density
+    monkeypatch.setattr(nuisance.DoseDensityModel, "marginal_density", counted("f", f))
+    return counts
+
+
+@pytest.mark.parametrize(("choice", "weights"), [("none", 1), ("sandwich", 1), ("bootstrap", 2)])
+def test_pairs_fit_the_treatment_side_once_per_weight(monkeypatch, choice, weights):
+    """Over three pairs, pi_a, pi_d and f are fit once per weight: once for
+    the point curves and, in-process with B = 25 at n = 300, once for the
+    bootstrap's one chunk; mu1 and mu0 once per pair and weight (measured:
+    1, 1 and 2 for pi_a, pi_d and f; on the parent, once per pair). The
+    point curves are bitwise each pair's alone."""
+    placebo = generate_placebo_panel(300, 13)
+    pairs = [(0, 1), (1, 2), (0, 2)]
+    monkeypatch.setattr(inference, "pool_size", lambda: 1)
+    counts = _count_fits(monkeypatch)
+    rep = estimate_repeated(placebo, pairs, "MR", specs=SPECS, inference=choice, b_replicates=25, seed=3)
+    assert counts == Counter(
+        {"fit_pi_a": weights, "fit_pi_d": weights, "f": weights, "fit_mu1": 3 * weights, "fit_mu0": 3 * weights}
+    )
+    for curve, (pre, post) in zip(rep.per_m, pairs):
+        alone = curves.estimate_curve(pair_periods(placebo, pre, post), "MR", specs=SPECS, grid=curve.grid)
+        assert alone.psi.tobytes() == curve.psi.tobytes() and alone.bandwidth == curve.bandwidth
+
+
+def test_placebo_pairs_fit_the_treatment_side_once(monkeypatch):
+    """Two placebo posts on one baseline fit pi_a, pi_d and f once."""
+    placebo = generate_placebo_panel(300, 13)
+    counts = _count_fits(monkeypatch)
+    out = placebo_curves(placebo, 0, [1, 2], "MR", specs=SPECS)
+    assert len(out) == 2
+    assert counts == Counter({"fit_pi_a": 1, "fit_pi_d": 1, "f": 1, "fit_mu1": 2, "fit_mu0": 2})
+
+
+def test_treatment_side_bank_serves_only_the_same_units_and_weight():
+    placebo = generate_placebo_panel(200, 4)
+    first, second = pair_periods(placebo, 0, 1), pair_periods(placebo, 1, 2)
+    grid = nuisance.default_dose_grid(first.dose)
+    bank = nuisance.ModelBank(first, grid)
+    sibling = nuisance.ModelBank(second, grid, treatment_side=bank)
+    assert sibling.fit("pi_d", SPECS["pi_d"]) is bank.fit("pi_d", SPECS["pi_d"])
+    assert sibling.marginal("pi_d", SPECS["pi_d"]) is bank.marginal("pi_d", SPECS["pi_d"])
+    assert sibling.fit("mu1", SPECS["mu1"]) is not bank.fit("mu1", SPECS["mu1"])
+    weighted = replace(second, weight=np.full(second.n, 2.0))
+    for data, dose_grid in ((weighted, grid), (second, grid[1:]), (second, None)):
+        with pytest.raises(ValueError, match="treatment-side bank"):
+            nuisance.ModelBank(data, dose_grid, treatment_side=bank)
 
 
 def test_repeated_sandwich_builds_one_context_per_pair(monkeypatch):

@@ -1,18 +1,23 @@
-"""Property tests of the local linear smoother over small random samples.
+"""Property tests of the local linear smoother over small random samples,
+and of the whole estimator under a constant dose shift.
 
 Samples have 5 to 60 points; doses are continuous or rounded to create
 ties, and weights are positive. Examples are derandomized so the suite is
 deterministic.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sandwich_reference import local_linear_curve
 
-from dosedid.curves import robust_select_bandwidth
+from dosedid.curves import METHODS, estimate_curve, robust_select_bandwidth
 from dosedid.errors import BandwidthError
 from dosedid.numeric import epanechnikov, local_linear_fit
+from dosedid.nuisance import default_specs
+from dosedid.simulation import generate_scenario_data
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -106,3 +111,48 @@ def test_reordering_units_leaves_theta(sample, seed):
     else:
         # The candidates scale with the dose sd, whose sum runs in unit order.
         assert abs(h_loo_perm - h_loo) <= 1e-12 * h_loo
+
+
+def _shifted(data, shift):
+    return replace(data, dose=data.dose + shift)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(150, 400),
+    st.integers(0, 2**32 - 1),
+    st.floats(-5.0, 5.0).filter(lambda c: abs(c) > 1e-3),
+    st.sampled_from([(1,), (1, 2)]),
+)
+def test_dose_shift_translates_the_grid_and_leaves_psi(n, seed, shift, powers):
+    """Adding c to every dose adds c to the default grid and leaves every
+    method's psi as it is, when mu1's dose terms span a space closed under
+    translation: all powers from 1 up to the highest, here (1,) and (1, 2),
+    with any dose-covariate interactions, whose shifted terms c * g_j(x)
+    the covariate block spans. MR_PARAMETRIC's dose regression needs the
+    same, so it runs on the basis (1, 2, 3). pi_d's mean model absorbs c in
+    its intercept, so its residuals, its KDE and f (on translated nodes) do
+    not move; the smoothers and TWFE read doses only through differences or
+    a linear term beside an intercept. The tolerance, stated before
+    measuring, is 1e-8 of (1 + max |psi|) and 1e-12 of the dose scale for
+    the grid: the shift only re-rounds the doses and the nodes."""
+    data = generate_scenario_data(n, seed)
+    moved = _shifted(data, shift)
+    specs = default_specs(mu1_dose_powers=powers, mu1_dose_interactions=(0, 2))
+    scale = 1.0 + np.max(np.abs(data.dose)) + abs(shift)
+    for method in METHODS:
+        basis = {"parametric_basis": (1, 2, 3)} if method == "MR_PARAMETRIC" else {}
+        base = estimate_curve(data, method, specs=specs, **basis)
+        shifted = estimate_curve(moved, method, specs=specs, **basis)
+        assert np.max(np.abs(shifted.grid - (base.grid + shift))) <= 1e-12 * scale, method
+        assert np.max(np.abs(shifted.psi - base.psi)) <= 1e-8 * (1.0 + np.max(np.abs(base.psi))), method
+
+
+def test_dose_shift_moves_psi_when_mu1_misses_a_power():
+    """mu1 with dose powers (1, 3) lacks d^2, which (d + c)^3 brings in, so
+    a shift moves MR's psi by far more than the tolerance above."""
+    data = generate_scenario_data(300, 3)
+    specs = default_specs(mu1_dose_powers=(1, 3), mu1_dose_interactions=(0, 2))
+    base = estimate_curve(data, "MR", specs=specs)
+    shifted = estimate_curve(_shifted(data, 2.0), "MR", specs=specs)
+    assert np.max(np.abs(shifted.psi - base.psi)) > 1e-4 * (1.0 + np.max(np.abs(base.psi)))

@@ -8,10 +8,11 @@
 psi, theta, theta0, bandwidth and diagnostics; MR's base and augmented
 sandwich variances on a 10-point grid; and, at n = 500 (seed 1, the
 ``inference-n500`` benchmark's data), every method's weighted-bootstrap
-rows (B = 40) and the repeated-period bootstrap bands of the benchmark's
-call. On a tree whose bootstrap runs its chunks on forked workers
-(docs/DECISIONS.md, D14), both run on every usable CPU, so ``compare``
-checks pooled rows against the parent's. At n = 20,000 (seed 1, the
+rows (B = 40), which of those replicates fit a pi_d whose residual
+variance is floored at some treated unit, and the repeated-period
+bootstrap bands of the benchmark's call. On a tree whose bootstrap runs
+its chunks on forked workers (docs/DECISIONS.md, D14), both run on every
+usable CPU, so ``compare`` checks pooled rows against the parent's. At n = 20,000 (seed 1, the
 ``estimate-n20k`` benchmark's data) it records ``load_panel`` of the panel
 as ``write_panel`` writes it, and MR's
 base sandwich variances on the default 50-point grid; on the 500-unit
@@ -34,10 +35,12 @@ estimate's theta0 and diagnostics, and the per-method diagnostics of the
 with base sandwich bands for MR, on the seed-1 panel at n = 800.
 ``compare`` reports the largest difference of each against the
 tolerances: curves, the repeated and placebo point psi and bootstrap rows
+(split into the replicates with and without a floored pi_d variance)
 within 1e-10 of the bootstrap standard deviation of psi-hat, their
 bandwidths equal, variances within 1e-10 relative, counts and
 flags equal, float diagnostics within 1e-10 relative, the loaded panel's
-ids and arrays and the study replicate's curves bitwise equal, and the
+ids and arrays and the study replicate's curves bitwise equal (their
+largest difference is printed, in bootstrap standard deviations), and the
 study replicate's bandwidths and edge flags, the type names and the
 manifest's diagnostics equal. It prints
 the truth's largest differences (grid, psi, density weights) without a
@@ -46,6 +49,7 @@ tolerance. It exits 1 when any tolerance fails.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 import sys
@@ -97,6 +101,9 @@ def dump(src: str, out: str) -> None:
         config = curves.EstimatorConfig(method, specs, point.grid, point.bandwidth, on_out_of_range="clamp")
         boot = inference.weighted_bootstrap(data, config, 40, 2)
         record[("bootstrap", method)] = {"curves": boot.curves, "failures": boot.failures}
+    weights = np.stack([inference.bootstrap_weights(data.a, 2, b) for b in range(40)])
+    pi_d = nuisance.fit_nuisances(dataclasses.replace(data, weight=weights), specs, which=("pi_d",)).pi_d
+    record["bootstrap floored"] = pi_d.density_and_floor_hits(data.dose, data.x_treated)[1] > 0
     placebo = simulation.generate_placebo_panel(500, 1)
     rep = panel.estimate_repeated(
         placebo, ((0, 1), (1, 2)), "MR", specs=nuisance.default_specs(), inference="bootstrap", b_replicates=50, seed=2
@@ -198,6 +205,7 @@ def compare(before_path: str, after_path: str) -> int:
     # The scale of psi-hat's sampling error at each grid point: the spread
     # of the parent's bootstrap rows for each method.
     sd = {m: before[("bootstrap", m)]["curves"].std(axis=0) for m in METHODS}
+    floored = before["bootstrap floored"]
     worst: dict[str, float] = {}
     unequal = {"point types": 0, "manifest diagnostics": 0, "study bandwidths": 0}  # gated as equal
     bad = []
@@ -237,8 +245,11 @@ def compare(before_path: str, after_path: str) -> int:
             if set(a) != set(b):
                 bad.append("study curve keys")
             for name, vb in b.items():
-                if name in a and a[name].tobytes() != vb.tobytes():
-                    bad.append(f"study curve {name}")
+                if name in a:
+                    gap = float(np.nanmax(np.abs(a[name] - vb)) / np.mean(sd[name[1]]))
+                    worst["study curves (bitwise)"] = max(worst.get("study curves (bitwise)", 0.0), gap)
+                    if a[name].tobytes() != vb.tobytes():
+                        bad.append(f"study curve {name}")
         elif key == "study bandwidths":
             for name, vb in b.items():
                 unequal["study bandwidths"] += a.get(name) != vb
@@ -267,15 +278,22 @@ def compare(before_path: str, after_path: str) -> int:
             if a["failures"] != b["failures"] or a["curves"].shape != b["curves"].shape:
                 bad.append(f"bootstrap failures or shape {key}")
             else:
-                note("bootstrap rows", np.max(np.abs(a["curves"] - b["curves"]) / sd[key[1]]))
+                gap = np.max(np.abs(a["curves"] - b["curves"]) / sd[key[1]], axis=-1)
+                split = floored if gap.shape == floored.shape else np.zeros(gap.shape, dtype=bool)
+                note("bootstrap rows", np.max(gap[~split], initial=0.0))
+                note("bootstrap rows, pi_d var floored", np.max(gap[split], initial=0.0))
+        elif key == "bootstrap floored":
+            if not np.array_equal(a, b):
+                bad.append("bootstrap floored replicates")
         else:  # repeated bands
             scale = float(np.mean(sd["MR"]))
             for (lo_a, hi_a), (lo_b, hi_b) in zip(a, b):
                 note("repeated bands", max(np.max(np.abs(lo_a - lo_b)), np.max(np.abs(hi_a - hi_b))) / scale)
     for label, value in sorted(worst.items()):
-        print(f"{label:28s} largest {value:.3g} (tolerance 1e-10)")
+        gate = "must be 0" if label == "study curves (bitwise)" else "tolerance 1e-10"
+        print(f"{label:33s} largest {value:.3g} ({gate})")
     for label, count in unequal.items():
-        print(f"{label:28s} {count} unequal (must be equal)")
+        print(f"{label:33s} {count} unequal (must be equal)")
     for label in sorted(set(bad)):
         print("FAILED:", label)
     return 1 if bad else 0

@@ -252,6 +252,7 @@ def _cmd_estimate(config: dict, args) -> int:
                     diagnostics[f"{method}_bootstrap_flagged"] = boot.flagged
                     diagnostics[f"{method}_bootstrap_failures"] = boot.failures
                     diagnostics[f"{method}_bootstrap_pi_a_unconverged"] = boot.pi_a_unconverged
+                    diagnostics[f"{method}_bootstrap_pi_d_var_floored"] = boot.pi_d_var_floored
             write_curve(curve, stage / f"curve_{method}.csv")
             outputs.append(f"curve_{method}.csv")
             plot_name = _maybe_plot(config, stage, f"curve_{method}", curve)

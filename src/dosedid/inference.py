@@ -571,7 +571,10 @@ class BootstrapResult:
     ``curves`` holds the surviving replicates' psi rows in replicate order;
     ``failures`` counts the failed replicates by error class name;
     ``pi_a_unconverged`` counts the surviving replicates in which a pi_a
-    fit's IRLS stopped at its iteration limit.
+    fit's IRLS stopped at its iteration limit, and ``pi_d_var_floored``
+    those in which pi_d's residual variance model fell below
+    RESIDUAL_VAR_FLOOR at some treated unit: that unit's sdev is the
+    floor's, and through its residual so are pi_d's KDE bandwidth and f.
     """
 
     b_requested: int
@@ -581,6 +584,7 @@ class BootstrapResult:
     curves: np.ndarray  # (B_success, K)
     failures: dict[str, int] = field(default_factory=dict)
     pi_a_unconverged: int = 0
+    pi_d_var_floored: int = 0
 
     @property
     def b_failed(self) -> int:
@@ -641,7 +645,8 @@ def bootstrap_replicates(
     so the failed replicates, counted by error class, are skipped alone.
     Result m holds the survivors' psi rows of estimate m and their 2.5% and
     97.5% percentiles, and counts the survivors in which any estimate's
-    pi_a IRLS stopped at its iteration limit.
+    pi_a IRLS stopped at its iteration limit, and those in which any
+    estimate's pi_d residual variance was floored.
 
     Raises EstimationError when ``b_replicates < 2`` or every replicate
     fails.
@@ -657,20 +662,21 @@ def bootstrap_replicates(
     rows = -(-b_replicates // n_chunks)
     chunks = [range(start, min(start + rows, b_replicates)) for start in range(0, b_replicates, rows)]
 
-    parts = []  # (psi of shape (rows, M, K), pi_a stuck flags (rows,)) per chunk or row
+    parts = []  # (psi of shape (rows, M, K), pi_a stuck and pi_d floored flags (rows,)) per chunk or row
     failures: Counter = Counter()
     for chunk_parts, chunk_failures in fork_map(lambda c: _run_chunk(replicate, weight_fn, c), chunks, workers):
         parts.extend(chunk_parts)
         failures.update(chunk_failures)
     if not parts:
         raise EstimationError("every bootstrap replicate failed")
-    psi = np.concatenate([p for p, _ in parts])
-    stuck = int(sum(np.count_nonzero(flags) for _, flags in parts))
+    psi = np.concatenate([p for p, _, _ in parts])
+    stuck = int(sum(np.count_nonzero(flags) for _, flags, _ in parts))
+    floored = int(sum(np.count_nonzero(flags) for _, _, flags in parts))
     results = []
     for m in range(psi.shape[1]):
         curves = np.ascontiguousarray(psi[:, m])
         lo, hi = np.percentile(curves, [2.5, 97.5], axis=0)
-        results.append(BootstrapResult(b_replicates, lo, hi, seed, curves, dict(failures), stuck))
+        results.append(BootstrapResult(b_replicates, lo, hi, seed, curves, dict(failures), stuck, floored))
     return results
 
 
@@ -694,16 +700,21 @@ def _run_chunk(replicate, weight_fn, chunk: range) -> tuple[list, Counter]:
     return parts, failures
 
 
-def _replicate_rows(estimates: list[EffectCurveEstimate]) -> tuple[np.ndarray, np.ndarray]:
+def _replicate_rows(estimates: list[EffectCurveEstimate]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (rows, M, K) psi of M estimates, stacked or not, and the (rows,)
-    flags of the replicates in which some pi_a IRLS stopped at max_iter."""
+    flags of the replicates in which some pi_a IRLS stopped at max_iter and
+    of those in which some pi_d residual variance was floored."""
     psi = np.stack([np.atleast_2d(e.psi) for e in estimates], axis=1)
     stuck = np.zeros(psi.shape[0], dtype=bool)
+    floored = np.zeros(psi.shape[0], dtype=bool)
     for estimate in estimates:
         converged = estimate.diagnostics.get("pi_a_converged")
         if converged is not None:
             stuck |= ~np.atleast_1d(converged)
-    return psi, stuck
+        hits = estimate.diagnostics.get("pi_d_var_floor_hits")
+        if hits is not None:
+            floored |= np.atleast_1d(hits) > 0
+    return psi, stuck, floored
 
 
 def weighted_bootstrap(

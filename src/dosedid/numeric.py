@@ -54,8 +54,11 @@ _LOGISTIC_TOL = 1e-8  # on IRLS's largest coefficient step
 _LOGISTIC_MAX_ITER = 100
 _BANDWIDTH_GRID_SIZE = 20  # default leave-one-out candidates
 # Binned kernel sums work on a grid coarser than their output by a power of
-# two, with at least this many steps across the narrowest kernel feature.
-_STEPS_PER_FEATURE = 16
+# two, with at least this many steps across the narrowest kernel feature:
+# the KDE table's, and scale_mixture's, whose error at 8 steps is still far
+# below that of interpolating f between its nodes (docs/DECISIONS.md, D17).
+_TABLE_STEPS_PER_FEATURE = 16
+_MIXTURE_STEPS_PER_FEATURE = 8
 # scale_mixture bins the units whose log scales lie in the densest window of
 # this width, over this many Chebyshev points plus this many per unit of the
 # window's occupied log-scale range; it sums the others directly, a block of
@@ -65,8 +68,9 @@ _MIN_SCALE_NODES = 8
 _SCALE_NODES_PER_LOG = 12
 _DIRECT_BLOCK = 16_384
 # Binned kernel sums over a stack of rows transform at most this many
-# (row x FFT point) elements at a time, counting each of scale_mixture's
-# scale points as a row.
+# (row x FFT point) elements at a time; scale_mixture counts each scale
+# point as a row, of its FFT length plus its unit count (the scale point's
+# interpolation weights, one per unit).
 _SPECTRUM_BLOCK = 1 << 16
 
 
@@ -614,13 +618,15 @@ class DensityEstimate:
         size) in place of ``__call__``'s n x size kernel sums (the binned
         estimator of Silverman 1982, AS 176, and Hall & Wand 1996, with
         weights that reproduce cubics, so the error is fourth order in the
-        working step; see ``_work_grid``). Samples must lie in [lo, hi].
+        working step; see ``_work_grid``, here with
+        ``_TABLE_STEPS_PER_FEATURE`` steps across the bandwidth). Samples
+        must lie in [lo, hi].
 
         A stack gives (..., size), and ``lo`` and ``hi`` may hold one value
         per row. Each row keeps its own working grid; the rows whose grids
-        share a step count share one batched FFT, so every row's table is
-        the one it gets alone (at most ``_SPECTRUM_BLOCK`` FFT points at a
-        time).
+        share a step count share one batched FFT and one set of refinement
+        weights, so every row's table is the one it gets alone (at most
+        ``_SPECTRUM_BLOCK`` FFT points at a time).
         """
         bandwidth = np.asarray(self.bandwidth, dtype=float)
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -629,9 +635,10 @@ class DensityEstimate:
         samples, weights = (np.broadcast_to(v, shape + (n,)).reshape(-1, n) for v in (self.samples, self.weights))
         bandwidth, lo, hi = (np.broadcast_to(v, shape).reshape(-1) for v in (bandwidth, lo, hi))
         steps = (hi - lo) / (size - 1)
-        grids = [_work_grid(b, step, size) for b, step in zip(bandwidth, steps)]
+        grids = [_work_grid(b, step, size, _TABLE_STEPS_PER_FEATURE) for b, step in zip(bandwidth, steps)]
         out = np.empty((lo.shape[0], size))
         for (coarse, work), group in _groups(grids).items():
+            refine = _refinement(coarse, work, size)
             per_block = max(1, _SPECTRUM_BLOCK // _fft_length(int(2 * work - 1)))
             for first_row in range(0, group.shape[0], per_block):
                 rows = group[first_row : first_row + per_block]
@@ -640,7 +647,7 @@ class DensityEstimate:
                 mass = _bin_rows(first, lag_w * weights[rows], work)
                 z = np.arange(1 - work, work) * (step / bandwidth[rows])[:, None]
                 kernel = np.exp(-0.5 * z * z) / (bandwidth[rows, None] * np.sqrt(2.0 * np.pi))
-                out[rows] = np.maximum(_refine(_convolve_valid(mass, kernel, work), coarse, size), 0.0)
+                out[rows] = np.maximum(_refine(_convolve_valid(mass, kernel, work), size, refine), 0.0)
         return out.reshape(shape + (size,))
 
 
@@ -677,26 +684,37 @@ def _convolve_valid(signal: np.ndarray, kernel: np.ndarray, size: int) -> np.nda
     return full[..., signal.shape[-1] - 1 : signal.shape[-1] - 1 + size]
 
 
-def _work_grid(feature_width: float, step: float, size: int) -> tuple[int, int]:
+def _work_grid(feature_width: float, step: float, size: int, steps_per_feature: int) -> tuple[int, int]:
     """``(coarse, work)``: the working grid of a binned kernel sum whose
     ``size`` output points lie ``step`` apart. Its step is ``coarse`` output
-    steps, the largest power of two leaving ``_STEPS_PER_FEATURE`` steps
-    across ``feature_width`` (4-point Lagrange binning and interpolation
-    then err by a few 1e-8 of the peak), and it has ``work`` >= 4 points
-    from the first output point to at or past the last."""
+    steps, the largest power of two leaving ``steps_per_feature`` steps
+    across ``feature_width``; 4-point Lagrange binning and interpolation
+    err in the fourth power of the working step over the feature width:
+    a few 1e-8 of the peak at 16 steps, which ``on_grid``'s KDE table
+    takes, and up to about 1.5e-7 more at 8, which ``_binned_mixture``
+    takes (docs/DECISIONS.md, D17). It has ``work`` >= 4 points from the first
+    output point to at or past the last."""
     coarse = 1
-    while feature_width >= 2 * coarse * step * _STEPS_PER_FEATURE and 2 * coarse <= (size - 1) // 3:
+    while feature_width >= 2 * coarse * step * steps_per_feature and 2 * coarse <= (size - 1) // 3:
         coarse *= 2
     return coarse, -(-(size - 1) // coarse) + 1
 
 
-def _refine(values: np.ndarray, coarse: int, size: int) -> np.ndarray:
-    """Values on a working grid ``coarse`` output steps apart (the last
-    axis), carried to the ``size`` output points by 4-point Lagrange
-    interpolation."""
-    if coarse == 1:
+def _refinement(coarse: int, work: int, size: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """What ``_refine`` reads to carry values on the ``work`` points of a
+    working grid ``coarse`` output steps apart to the ``size`` output
+    points: nothing when the grids coincide, else the first indices and
+    weights of 4-point Lagrange interpolation. Formed once per group of
+    rows on one working grid, and read by each block of the group."""
+    return None if coarse == 1 else _lagrange4(np.arange(size) / coarse, work)
+
+
+def _refine(values: np.ndarray, size: int, refinement) -> np.ndarray:
+    """Values on a working grid (the last axis) carried to the ``size``
+    output points by the ``_refinement`` of that grid."""
+    if refinement is None:
         return values[..., :size]
-    first, weights = _lagrange4(np.arange(size) / coarse, values.shape[-1])
+    first, weights = refinement
     out = np.take(values, first, axis=-1)
     out *= weights[0]
     term = np.empty_like(out)
@@ -789,11 +807,13 @@ def scale_mixture(
 
     Units whose kernel support misses [lo, hi] add nothing and are dropped.
     The units whose log scale lies in the densest window of width
-    ``_SCALE_WINDOW`` are binned (``_binned_mixture``): O(n + S size log
-    size) in place of n x size kernel evaluations. The rest, scale outliers
-    such as a variance fit near its floor, are summed directly at the
-    output points, so no outlier widens the binned scale range or narrows
-    its working grid.
+    ``_SCALE_WINDOW`` are binned (``_binned_mixture``): O(n + S W log W)
+    for a working grid of W <= size points with
+    ``_MIXTURE_STEPS_PER_FEATURE`` steps across the narrowest scaled
+    feature, in place of n x size kernel evaluations. The rest, scale
+    outliers such as a variance fit near its floor, are summed directly at
+    the output points, so no outlier widens the binned scale range or
+    narrows its working grid.
 
     The table, the units and ``feature_width`` may carry a leading row
     axis: the result is then one (rows, size) mixture per row over the
@@ -839,9 +859,12 @@ def _densest_window(log_s: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def _binned_mixture(table_x, table_y, centres, scales, weights, binned, lo, hi, size, feature_width, out) -> None:
     """Add to each row of ``out`` the ``scale_mixture`` of that row's
     ``binned`` units, by binning. The sum is formed on a working grid
-    (``_work_grid``, for the narrowest scaled feature) and carried to the
-    output points by ``_refine``. Each unit's weight is spread by 4-point
-    Lagrange weights over a grid of centres with the working step, and by
+    (``_work_grid`` with ``_MIXTURE_STEPS_PER_FEATURE`` steps across the
+    narrowest scaled feature: half the KDE table's, as the mixture's error
+    there stays below that of interpolating f between its nodes; see
+    docs/DECISIONS.md, D17) and carried to the output points by
+    ``_refine``. Each unit's weight is spread by 4-point Lagrange weights
+    over a grid of centres with the working step, and by
     barycentric weights over S Chebyshev points in log scale between the
     smallest and largest scale: polynomial interpolation in log scale,
     whose error falls geometrically with S, and S is ``_MIN_SCALE_NODES``
@@ -850,15 +873,16 @@ def _binned_mixture(table_x, table_y, centres, scales, weights, binned, lo, hi, 
     products are summed before one inverse transform.
 
     Every row keeps its own working grid, centre grid and scale points.
-    Rows whose working step and FFT length agree are transformed together,
-    at most ``_SPECTRUM_BLOCK`` elements at a time; the centre grids and
-    scale points of shorter rows are padded with empty bins and points,
-    which add exact zeros."""
+    Rows whose working step and FFT length agree are transformed together
+    and share one ``_refinement``, in blocks within ``_SPECTRUM_BLOCK``;
+    the centre grids and scale points of shorter rows are padded with
+    empty bins and points, which add exact zeros."""
     live = np.nonzero(np.any(binned, axis=-1))[0]
     binned, centres, scales, weights = binned[live], centres[live], scales[live], weights[live]
     step = (hi - lo) / (size - 1)
     low_s = np.min(scales, axis=-1, where=binned, initial=np.inf)
-    grids = np.array([_work_grid(f * m, step, size) for f, m in zip(feature_width[live], low_s)]).reshape(-1, 2)
+    grids = [_work_grid(f * m, step, size, _MIXTURE_STEPS_PER_FEATURE) for f, m in zip(feature_width[live], low_s)]
+    grids = np.array(grids).reshape(-1, 2)
     step = step * grids[:, 0]
     # Centre grid: the working step, offset by whole steps so that the
     # d - centre lags are whole steps too.
@@ -880,7 +904,9 @@ def _binned_mixture(table_x, table_y, centres, scales, weights, binned, lo, hi, 
 
     keys = [(int(coarse), int(work), length) for (coarse, work), length in zip(grids, n_fft)]
     for (coarse, work, length), group in _groups(keys).items():
-        per_block = max(1, _SPECTRUM_BLOCK // (int(scale_nodes[group].max()) * int(length)))
+        refine = _refinement(coarse, work, size)
+        point_size = int(length) + centres.shape[-1]
+        per_block = max(1, _SPECTRUM_BLOCK // (int(scale_nodes[group].max()) * point_size))
         for first in range(0, group.shape[0], per_block):
             r = group[first : first + per_block]
             c_pos = (centres[r] - origin[r, None]) / step[r, None]
@@ -903,7 +929,7 @@ def _binned_mixture(table_x, table_y, centres, scales, weights, binned, lo, hi, 
             spectrum = np.sum(np.fft.rfft(mass, length) * np.fft.rfft(kernels, length), axis=-2)
             full = np.fft.irfft(spectrum, length)
             values = full[np.arange(r.shape[0])[:, None], (c_count[r] - 1)[:, None] + np.arange(work)]
-            out[live[r]] += _refine(values, coarse, size)
+            out[live[r]] += _refine(values, size, refine)
 
 
 def gaussian_kde(

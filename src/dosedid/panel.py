@@ -115,8 +115,10 @@ def estimate_repeated(
     ``inference="bootstrap"`` each replicate draws one weight per unit and
     reuses it across all pairs, and the averaged curve's diagnostics count
     the failed replicates in all (``bootstrap_failed``) and by error class
-    (``bootstrap_failures``), and the replicates in which a pair's pi_a
-    IRLS stopped at its iteration limit (``bootstrap_pi_a_unconverged``).
+    (``bootstrap_failures``), the replicates in which a pair's pi_a IRLS
+    stopped at its iteration limit (``bootstrap_pi_a_unconverged``), and
+    those in which pi_d's residual variance was floored at some treated
+    unit (``bootstrap_pi_d_var_floored``).
     With ``inference="sandwich"`` (MR only) the pairs' per-unit influence
     columns are averaged to give normal-approximation bands for the
     average.
@@ -147,6 +149,7 @@ def estimate_repeated(
                 "bootstrap_failed": avg_boot.b_failed,
                 "bootstrap_failures": avg_boot.failures,
                 "bootstrap_pi_a_unconverged": avg_boot.pi_a_unconverged,
+                "bootstrap_pi_d_var_floored": avg_boot.pi_d_var_floored,
                 "bootstrap_b": b_replicates,
             },
         )

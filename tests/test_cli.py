@@ -79,6 +79,7 @@ def test_estimate_outputs_and_determinism(tmp_path, panel_file):
     assert manifest["diagnostics"]["NAIVE"]["bandwidth_extended"] in (True, False)
     assert manifest["diagnostics"]["MR_bootstrap_failures"] == {}
     assert manifest["diagnostics"]["MR_bootstrap_pi_a_unconverged"] == 0
+    assert manifest["diagnostics"]["MR_bootstrap_pi_d_var_floored"] == 0
     assert 1.0 <= manifest["diagnostics"]["MR_sandwich_bread_cond_max"] < 1e12
     assert manifest["diagnostics"]["MR"]["marginal_nodes"] > 0
     assert 0.0 < manifest["diagnostics"]["MR"]["w1_ess"] <= 260

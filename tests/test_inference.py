@@ -629,17 +629,46 @@ def test_bootstrap_counts_replicates_whose_pi_a_did_not_converge():
         result = weighted_bootstrap(data, cfg, 6, seed=4)
         assert result.b_failed == 0
         assert result.pi_a_unconverged == stuck
-        placebo = PanelDataset(
-            ids=data.ids,
-            x=data.x,
-            a=data.a,
-            dose=data.dose,
-            y=np.column_stack([data.y0, data.y1, data.y1 + 0.1]),
-            period_labels=(0, 1, 2),
-            covariate_names=data.covariate_names,
+        rep = panel.estimate_repeated(
+            _three_periods(data), [(0, 1), (0, 2)], "MR", specs=SPECS, inference="bootstrap", b_replicates=3
         )
-        rep = panel.estimate_repeated(placebo, [(0, 1), (0, 2)], "MR", specs=SPECS, inference="bootstrap", b_replicates=3)
         assert rep.averaged.diagnostics["bootstrap_pi_a_unconverged"] == stuck // 2
+
+
+def _three_periods(data: TwoPeriodDataset) -> PanelDataset:
+    """``data`` as a three-period panel whose third period is the second
+    shifted by 0.1."""
+    return PanelDataset(
+        ids=data.ids,
+        x=data.x,
+        a=data.a,
+        dose=data.dose,
+        y=np.column_stack([data.y0, data.y1, data.y1 + 0.1]),
+        period_labels=(0, 1, 2),
+        covariate_names=data.covariate_names,
+    )
+
+
+def test_bootstrap_counts_replicates_whose_pi_d_variance_was_floored():
+    """In inference-n500's bootstrap (n = 500, seed 2), pi_d's
+    squared-residual fit falls below RESIDUAL_VAR_FLOOR at some treated
+    unit in replicates 4, 14, 24, 26 and 32 of the first 40; their pi_d and
+    f are the floor's. Methods that read pi_d count them; OR does not."""
+    data = generate_scenario_data(500, 1)
+    weights = np.stack([bootstrap_weights(data.a, 2, b) for b in range(40)])
+    pi_d = fit_nuisances(replace(data, weight=weights), SPECS, which=("pi_d",)).pi_d
+    hits = pi_d.density_and_floor_hits(data.dose, data.x_treated)[1]
+    np.testing.assert_array_equal(np.nonzero(hits)[0], [4, 14, 24, 26, 32])
+    for method, floored in (("MR", 5), ("IPW", 5), ("OR", 0)):
+        point = estimate_curve(data, method, specs=SPECS)
+        cfg = EstimatorConfig(method, SPECS, point.grid, point.bandwidth, on_out_of_range="clamp")
+        result = weighted_bootstrap(data, cfg, 40, seed=2)
+        assert result.b_failed == 0
+        assert result.pi_d_var_floored == floored
+    rep = panel.estimate_repeated(
+        _three_periods(data), [(0, 1), (0, 2)], "MR", specs=SPECS, inference="bootstrap", b_replicates=40, seed=2
+    )
+    assert rep.averaged.diagnostics["bootstrap_pi_d_var_floored"] == 5
 
 
 # ------------------------------------------------------ stacked replicates

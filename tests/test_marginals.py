@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dosedid import nuisance
+from dosedid import nuisance, numeric
 from dosedid.curves import estimate_curve
 from dosedid.data import TwoPeriodDataset
 from dosedid.inference import bootstrap_weights, sandwich_bands
@@ -111,6 +111,34 @@ def test_f_within_tolerance_of_dense_mixture():
         ref = np.maximum(dense_f(_weighted(data, sw), models, nodes), DENSITY_FLOOR)
         assert np.max(np.abs(models.f_marginal.y - ref)) <= 1e-6 * np.max(ref)
         assert np.all(models.f_marginal.y >= DENSITY_FLOOR)
+
+
+def test_f_of_a_stacked_bootstrap_chunk(monkeypatch):
+    """f of inference-n500's first bootstrap chunk on two CPUs (n = 500,
+    seed 2, replicates 0-24) as one (25, n) weight stack. Every row is
+    bitwise f of its weight alone. Every row whose pi_d variance was not
+    floored lies within 1e-6 of its peak of f binned at the KDE table's 16
+    steps per feature, and within 2e-6 of the dense mixture: replicate 20
+    errs 1.4e-6 at either resolution, from the scale-node rule and the
+    table's piecewise-linear step, which the working grid does not set
+    (docs/DECISIONS.md, D17). Replicates 4, 14 and 24 are floored."""
+    data = generate_scenario_data(500, 1)
+    grid = default_dose_grid(data.dose)
+    weights = np.stack([bootstrap_weights(data.a, 2, b) for b in range(25)])
+    stacked = fit_nuisances(_weighted(data, weights), default_specs(), which=("pi_d",), dose_grid=grid)
+    f, nodes = stacked.f_marginal.y, stacked.dose_nodes
+    floored = stacked.pi_d.density_and_floor_hits(data.dose, data.x_treated)[1] > 0
+    np.testing.assert_array_equal(np.nonzero(floored)[0], [4, 14, 24])
+    for row, w in enumerate(weights):
+        alone = fit_nuisances(_weighted(data, w), default_specs(), which=("pi_d",), dose_grid=grid)
+        np.testing.assert_array_equal(f[row], alone.f_marginal.y)
+        if not floored[row]:
+            ref = np.maximum(dense_f(_weighted(data, w), alone, nodes), DENSITY_FLOOR)
+            assert np.max(np.abs(f[row] - ref)) <= 2e-6 * np.max(ref)
+    monkeypatch.setattr(numeric, "_MIXTURE_STEPS_PER_FEATURE", numeric._TABLE_STEPS_PER_FEATURE)
+    fine = marginalize(None, stacked.pi_d, _weighted(data, weights), nodes)[1].y
+    gap = np.max(np.abs(f - fine), axis=-1) / np.max(fine, axis=-1)
+    assert np.all(gap[~floored] <= 1e-6)
 
 
 def test_psi_within_tolerance_at_600():

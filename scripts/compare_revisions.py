@@ -14,7 +14,10 @@ bootstrap bands of the benchmark's call. On a tree whose bootstrap runs
 its chunks on forked workers (docs/DECISIONS.md, D14), both run on every
 usable CPU, so ``compare`` checks pooled rows against the parent's. At n = 20,000 (seed 1, the
 ``estimate-n20k`` benchmark's data) it records ``load_panel`` of the panel
-as ``write_panel`` writes it, and MR's
+as ``write_panel`` writes it, and of five small panels (n = 60, seed 1)
+whose text holds the reader's edges: CRLF line ends, quoted ids that hold
+the delimiter and doubled quotes, cells padded with U+001C and U+00A0,
+all-blank rows between the rows, and a long non-ASCII id; and MR's
 base sandwich variances on the default 50-point grid; on the 500-unit
 placebo panel, the stacked sandwich variances of ``estimate_repeated``
 over the pairs (0, 1) and (1, 2), recovered from its band widths, the same
@@ -39,7 +42,8 @@ tolerances: curves, the repeated and placebo point psi and bootstrap rows
 within 1e-10 of the bootstrap standard deviation of psi-hat, their
 bandwidths equal, variances within 1e-10 relative, counts and
 flags equal, float diagnostics within 1e-10 relative, the loaded panel's
-ids and arrays and the study replicate's curves bitwise equal (their
+ids and arrays (every file's) and the study replicate's curves bitwise
+equal (their
 largest difference is printed, in bootstrap standard deviations), and the
 study replicate's bandwidths and edge flags, the type names and the
 manifest's diagnostics equal. It prints
@@ -124,7 +128,7 @@ def dump(src: str, out: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "panel.csv"
         loaded = panel_io.load_panel(path, panel_io.write_panel(written, path))
-    record["loaded"] = {"ids": loaded.ids, **{name: getattr(loaded, name) for name in ("x", "a", "dose", "y")}}
+    record["loaded"] = {"benchmark panel": _fields(loaded), **_edge_loads(panel_io, simulation.generate_scenario_data(60, 1))}
     grid = nuisance.default_dose_grid(big.dose, size=50)
     models = nuisance.fit_nuisances(big, specs, dose_grid=grid)
     curve = curves.estimate_curve(big, "MR", specs=specs, grid=grid, models=models)
@@ -170,6 +174,35 @@ def _panel(panel_io, data):
     )
 
 
+def _fields(panel) -> dict:
+    return {"ids": panel.ids, **{name: getattr(panel, name) for name in ("x", "a", "dose", "y")}}
+
+
+def _edge_loads(panel_io, data) -> dict:
+    """The loaded fields of ``data``'s panel file rewritten five ways, each
+    at an edge of the file syntax ``load_panel`` reads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        schema = panel_io.write_panel(_panel(panel_io, data), path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+
+        def with_id(k, uid):
+            return ",".join([uid, *rows[k].split(",")[1:]])
+
+        texts = {
+            "crlf": "\r\n".join([header, *rows]),
+            "quoted ids": "\n".join([header, *(with_id(k, f'"unit, ""{k}"""') for k in range(len(rows)))]),
+            "padded cells": "\n".join([header, *(",".join(f"\x1c{c}\u00a0" for c in row.split(",")) for row in rows)]),
+            "blank rows": "\n".join([header, *(line for row in rows for line in (row, " , ,,"))]),
+            "long non-ascii id": "\n".join([header, with_id(0, "\u00fcnit-\u0394\u00e9-" * 40), *rows[1:]]),
+        }
+        out = {}
+        for name, text in texts.items():
+            path.write_bytes((text + "\n").encode("utf-8"))
+            out[name] = _fields(panel_io.load_panel(path, schema))
+    return out
+
+
 def _manifest_diagnostics(cli, panel_io, data) -> dict:
     """The ``diagnostics`` of the manifest that ``dosedid estimate`` writes
     for all six methods, with base sandwich bands for MR."""
@@ -207,7 +240,7 @@ def compare(before_path: str, after_path: str) -> int:
     sd = {m: before[("bootstrap", m)]["curves"].std(axis=0) for m in METHODS}
     floored = before["bootstrap floored"]
     worst: dict[str, float] = {}
-    unequal = {"point types": 0, "manifest diagnostics": 0, "study bandwidths": 0}  # gated as equal
+    unequal = {"point types": 0, "manifest diagnostics": 0, "study bandwidths": 0, "loaded panel fields": 0}  # gated as equal
     bad = []
 
     def note(label, ratio):
@@ -263,11 +296,13 @@ def compare(before_path: str, after_path: str) -> int:
             for name, vb in b.items():
                 print(f"truth {name:22s} largest difference {np.max(np.abs(a[name] - vb)):.3g} (not gated)")
         elif key == "loaded":
-            for name, vb in b.items():
-                va = a[name]
-                same = va == vb if name == "ids" else va.dtype == vb.dtype and va.tobytes() == vb.tobytes()
-                if not same:
-                    bad.append(f"loaded panel {name}")
+            for panel_name, fields in b.items():
+                for name, vb in fields.items():
+                    va = a[panel_name][name]
+                    same = va == vb if name == "ids" else va.dtype == vb.dtype and va.tobytes() == vb.tobytes()
+                    unequal["loaded panel fields"] += not same
+                    if not same:
+                        bad.append(f"loaded panel {panel_name}: {name}")
         elif key[0] == "pair curves":
             scale = float(np.mean(sd["MR"]))
             for (psi_a, h_a), (psi_b, h_b) in zip(a, b):

@@ -6,7 +6,8 @@ Subcommands bind YAML run configurations to the library:
 * ``simulate``  synthetic replication studies with integrated metrics,
 * ``placebo``   pre-intervention placebo curves,
 * ``truth``     the simulation ground-truth curve table,
-* ``validate``  structural checks on a panel file.
+* ``validate``  structural checks on a panel file; fatal violations exit
+  with a data error.
 
 All outputs are written into a staging directory that is atomically renamed
 to the requested output directory on success, so no partial results ever
@@ -156,9 +157,7 @@ def _load_two_period(config: dict, problems: list):
     panel = _load_panel(config, problems)
     if panel is None:
         return None
-    report = validate(panel)
-    if report.fatal:
-        raise DataValidationError("; ".join(msg for fatal, msg in report.violations if fatal))
+    _raise_fatal(validate(panel))
     pairing = config.get("pairing")
     if pairing is None:
         if len(panel.period_labels) != 2:
@@ -167,6 +166,13 @@ def _load_two_period(config: dict, problems: list):
     else:
         pre, post = int(pairing["pre"]), int(pairing["post"])
     return pair_periods(panel, pre, post)
+
+
+def _raise_fatal(report) -> None:
+    """Raise a DataValidationError naming a report's fatal violations, if
+    it has any."""
+    if report.fatal:
+        raise DataValidationError("; ".join(msg for fatal, msg in report.violations if fatal))
 
 
 def _resolve_grid(grid_req, dataset):
@@ -418,6 +424,8 @@ def _cmd_validate(config: dict, args) -> int:
         with _Staging(Path(output), args.force) as stage:
             (stage / "validation.txt").write_text("\n".join(report.lines()) + "\n", encoding="utf-8")
             _write_manifest(stage, "validate", config, {"fatal": report.fatal}, ["validation.txt"])
+    # The report is printed and written either way; a fatal one is a data error.
+    _raise_fatal(report)
     return 0
 
 

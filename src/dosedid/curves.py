@@ -38,7 +38,7 @@ import numpy as np
 
 from .data import TwoPeriodDataset
 from .errors import BandwidthError, DoseDidError, EstimationError
-from .numeric import WindowedMoments, default_bandwidth_grid, fit_wls, linear_predictor, select_bandwidth
+from .numeric import WindowedMoments, default_bandwidth_grid, fit_wls, linear_predictor
 from .nuisance import DENSITY_FLOOR, VALID_WHICH, NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
 from .pseudo import compute_theta0, compute_xi_terms, dose_weight_terms
 
@@ -202,37 +202,44 @@ def robust_select_bandwidth(xs, ys, grid=None, sample_weight=None) -> float | np
     Feasibility depends on the doses alone, so an (R, n) stack of ``ys``
     over one weight row shares the extension and gets one bandwidth per row
     (``numeric.select_bandwidth``).
+
+    ``ys`` may also be a ``WindowedMoments`` already built over ``xs``, the
+    targets and ``sample_weight``, as the curve engine's smoother builds it;
+    both tries then read that window.
     """
     x = np.asarray(xs, dtype=float)
     if grid is None:
         grid = default_bandwidth_grid(x)
     grid = np.asarray(grid, dtype=float)
+    if not isinstance(ys, WindowedMoments):
+        ys = WindowedMoments(x, ys, np.ones(x.shape) if sample_weight is None else sample_weight)
     try:
-        return select_bandwidth(x, ys, grid, sample_weight)
+        return ys.select_bandwidth(grid)
     except BandwidthError:
         top = float(np.max(grid))
         need = _min_feasible_bandwidth(x)
         if need <= top:
             raise
         extension = np.geomspace(top, need, 6)[1:]
-        return select_bandwidth(x, ys, np.concatenate([grid, extension]), sample_weight)
+        return ys.select_bandwidth(np.concatenate([grid, extension]))
 
 
-def _bandwidths(data, stack, bandwidth, bandwidth_grid) -> list:
-    """``(bandwidth, diagnostics)`` of each row of ``stack``, the (S, n_t)
-    dose-side regression targets: the given ``bandwidth``, or else the
-    rows' own from one ``robust_select_bandwidth`` call (D11)."""
+def _bandwidths(data, window: WindowedMoments, rows: int, bandwidth, bandwidth_grid) -> list:
+    """``(bandwidth, diagnostics)`` of each of the ``rows`` dose-side
+    regression targets that ``window`` holds over the treated doses: the
+    given ``bandwidth``, or else the rows' own from one
+    ``robust_select_bandwidth`` pass over the window (D11)."""
     if bandwidth is not None:
-        return [(bandwidth, {})] * len(stack)
+        return [(bandwidth, {})] * rows
     if data.weight_treated.ndim > 1:
         raise EstimationError("bandwidth selection takes one weight row; give a bandwidth for stacked weights")
     if bandwidth_grid is None:
         bandwidth_grid = default_bandwidth_grid(data.dose)
-    chosen = robust_select_bandwidth(data.dose, stack, bandwidth_grid, data.weight_treated)
+    chosen = robust_select_bandwidth(data.dose, window, bandwidth_grid, data.weight_treated)
     low, high = float(np.min(bandwidth_grid)), float(np.max(bandwidth_grid))
     picked = []
     # One bandwidth per row; a scalar serves every row.
-    for h in np.broadcast_to(chosen, len(stack)).tolist():
+    for h in np.broadcast_to(chosen, rows).tolist():
         edge = "high" if h >= high else "low" if h <= low else None
         # The widening fallback picks beyond the top of the grid.
         picked.append((h, {"bandwidth_selected": True, "bandwidth_extended": h > high, "bandwidth_at_grid_edge": edge}))
@@ -243,9 +250,9 @@ def _smoothed_curves(data, formed: dict, grid, bandwidth, bandwidth_grid) -> dic
     """Each key of ``formed``, a dose-side regression target and its
     diagnostics, mapped to ``(theta, bandwidth, diagnostics)`` of its local
     linear curve on ``grid``, or to the DoseDidError of forming it: one
-    ``WindowedMoments`` over the stacked targets serves every curve, one
-    ``fit`` per distinct bandwidth, each row bitwise its target's alone
-    (D13)."""
+    ``WindowedMoments`` over the stacked targets serves the leave-one-out
+    pass and every curve, one ``fit`` per distinct bandwidth, each row
+    bitwise its target's alone (D13)."""
     if not formed:
         return {}
     # A row per target, each over the weight's rows (NAIVE's trend is 1-D).
@@ -253,8 +260,8 @@ def _smoothed_curves(data, formed: dict, grid, bandwidth, bandwidth_grid) -> dic
     fits: dict = {}
     out = {}
     try:
-        picked = _bandwidths(data, stack, bandwidth, bandwidth_grid)
         window = WindowedMoments(data.dose, stack, data.weight_treated)
+        picked = _bandwidths(data, window, len(formed), bandwidth, bandwidth_grid)
     except DoseDidError as exc:
         return dict.fromkeys(formed, exc)
     for row, ((key, (_, diagnostics)), (h, selection)) in enumerate(zip(formed.items(), picked)):

@@ -12,9 +12,9 @@ read-only) and safe to share across parallel workers.
 from __future__ import annotations
 
 import csv
+import warnings
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -315,43 +315,35 @@ class ValidationReport:
 def load_panel(path, schema: PanelSchema) -> PanelDataset:
     """Read a delimited text panel with a header row.
 
-    The schema mapping, not column position, binds semantics. Raises
-    SchemaError for missing columns, DataParseError for non-numeric cells
-    (with row/column in the message), and DataValidationError when a treated
-    unit lacks a dose or a control carries one.
+    The file is UTF-8, with or without a byte-order mark. Its cells follow
+    the csv module's default dialect with the schema's delimiter: a cell
+    that starts with ``"`` is quoted, may hold the delimiter and line
+    breaks, and writes a quote as ``""``. The schema mapping, not column
+    position, binds semantics. Ids and cells are stripped of the whitespace
+    ``str.strip`` removes. A numeric cell is any text that Python's
+    ``float`` reads once stripped: decimal and exponent forms, ``inf`` and
+    ``nan`` in any case, digits grouped by underscores and non-ASCII decimal
+    digits. The treatment reads as 0 or 1, and the dose is blank exactly
+    where the treatment is 0.
 
-    Rows whose cells are all blank are skipped; row numbers count them, with
-    the header on row 1. Cells are read column by column, each value the one
-    ``float`` gives the stripped cell (``_floats``). Any fault sends the
-    file to ``_check_row``, row by row, which reports the first bad row in
-    file order.
+    Raises SchemaError for missing columns, DataParseError for non-numeric
+    cells (with row/column in the message), and DataValidationError when a
+    treatment is not 0 or 1, a treated unit lacks a dose or a control
+    carries one. Rows whose cells are all blank are skipped; row numbers
+    count them, with the header on row 1.
+
+    numpy's C reader reads the wanted columns in one pass (``_read_table``).
+    A file it refuses, or whose treatment or dose cells break the rules
+    above, is read again by ``_read_rows``, which checks it row by row in
+    file order and so reports the first bad row. Both give every file the
+    same bits (docs/DECISIONS.md, D18).
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataParseError(f"{path}: empty file") from None
-        rows = list(reader)
-
-    col = {name: idx for idx, name in enumerate(header)}
-    wanted = [schema.id, schema.treatment, schema.dose, *schema.covariates, *schema.outcomes.values()]
-    missing = [c for c in wanted if c not in col]
-    if missing:
-        raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
-
     labels = tuple(sorted(schema.outcomes))
     names = [schema.id, schema.treatment, schema.dose, *schema.covariates, *(schema.outcomes[m] for m in labels)]
-    filled = list(compress(rows, _nonblank(rows)))
-    if not filled:
-        raise DataParseError(f"{path}: no data rows")
-    columns = _columns(filled, [col[name] for name in names])
+    columns = _read_table(path, names, schema.delimiter)
     if columns is None:
-        for row_no, row in compress(enumerate(rows, start=2), _nonblank(rows)):  # 1-based with header on line 1
-            _check_row(path, col, names, row, row_no)
-        raise AssertionError(f"{path}: the column pass failed on a file without a bad row")
-
+        columns = _read_rows(path, schema, names)
     ids, treated, dose, values = columns
     p = len(schema.covariates)
     return PanelDataset(
@@ -365,50 +357,82 @@ def load_panel(path, schema: PanelSchema) -> PanelDataset:
     )
 
 
-def _nonblank(rows: list):
-    """Per row, its cells joined and stripped: empty, so false, exactly when
-    every cell is blank."""
-    return map(str.strip, map("".join, rows))
+def _read_table(path: Path, names: list, delimiter: str):
+    """``(ids, treated, dose, values)`` from one ``np.loadtxt`` call over the
+    columns ``names`` (id, treatment, dose, then the numeric ones), or None
+    when the header lacks one of them, the reader refuses the file (a short
+    row, a cell that is not an ASCII number, an all-blank row, an empty
+    body, a delimiter it does not take) or a treatment or dose cell breaks
+    ``load_panel``'s rules.
 
-
-def _columns(rows: list, indexes: list):
-    """``(ids, treated, dose, values)`` from the cells at ``indexes`` (id,
-    treatment, dose, then the numeric columns) of every row, read column by
-    column; None when a row is short, a cell is not a number, a treatment
-    is not 0 or 1, or a dose is blank where the treatment is 1 or filled
-    where it is 0."""
-    if min(map(len, rows)) <= max(indexes):
-        return None
-    id_col, a_col, dose_col, *numeric_cols = (list(map(itemgetter(k), rows)) for k in indexes)
-    try:
-        a_val = _floats(a_col)
-        treated = a_val == 1.0
-        has_dose = np.fromiter(map(bool, map(str.strip, dose_col)), bool, len(rows))
-        if not (np.all(treated | (a_val == 0.0)) and np.array_equal(has_dose, treated)):
+    Id and dose read as text, every other column as float64. Where numpy
+    reads a number, its value is the one ``float`` gives the stripped cell:
+    both strip the same whitespace and parse ASCII with
+    ``PyOS_string_to_double``."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh, delimiter=delimiter), None)
+        col = {name: idx for idx, name in enumerate(header or ())}
+        if not all(name in col for name in names):
             return None
-        dose = _floats(list(compress(dose_col, has_dose)))
-        values = np.empty((len(numeric_cols), len(rows)))
-        for k, cells in enumerate(numeric_cols):
-            values[k] = _floats(cells)
+        dtype = np.dtype([("id", object), ("a", float), ("d", object), ("values", float, (len(names) - 3,))])
+        try:
+            # An empty body warns, then reads as no rows.
+            with warnings.catch_warnings(action="ignore"):
+                table = np.loadtxt(
+                    fh,
+                    dtype=dtype,
+                    delimiter=delimiter,
+                    comments=None,
+                    quotechar='"',
+                    usecols=[col[name] for name in names],
+                    ndmin=1,
+                )
+        except (ValueError, TypeError):
+            return None
+    a_val = table["a"]
+    treated = a_val == 1.0
+    dose_cells = table["d"]
+    has_dose = np.fromiter(map(bool, map(str.strip, dose_cells)), bool, dose_cells.shape[0])
+    if not (table.size and np.all(treated | (a_val == 0.0)) and np.array_equal(has_dose, treated)):
+        return None
+    try:
+        dose = np.fromiter(map(float, map(str.strip, dose_cells[treated])), float)
     except ValueError:
         return None
-    return tuple(map(str.strip, id_col)), treated, dose, values.T
+    return tuple(map(str.strip, table["id"])), treated, dose, table["values"]
 
 
-def _floats(cells: list) -> np.ndarray:
-    """``float`` of each stripped cell. ``float`` strips the whitespace that
-    ``str.strip`` does, except the separators U+001C to U+001F, so only a
-    column in which some cell fails is stripped first."""
-    try:
-        return np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        return np.fromiter(map(float, map(str.strip, cells)), float, len(cells))
+def _read_rows(path: Path, schema: PanelSchema, names: list):
+    """``_read_table``'s columns, read with the csv module and checked row by
+    row in file order by ``_check_row``; raises the loader's error for the
+    first fault."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, delimiter=schema.delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataParseError(f"{path}: empty file") from None
+        rows = list(reader)
+
+    col = {name: idx for idx, name in enumerate(header)}
+    wanted = [schema.id, schema.treatment, schema.dose, *schema.covariates, *schema.outcomes.values()]
+    missing = [c for c in wanted if c not in col]
+    if missing:
+        raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
+    # 1-based with the header on row 1; a row whose cells are all blank is skipped.
+    filled = [(row_no, row) for row_no, row in enumerate(rows, start=2) if "".join(row).strip()]
+    if not filled:
+        raise DataParseError(f"{path}: no data rows")
+    ids, treated, doses, values = zip(*(_check_row(path, col, names, row, row_no) for row_no, row in filled))
+    dose = np.array([d for d in doses if d is not None], dtype=float)
+    return ids, np.array(treated), dose, np.array(values, dtype=float).reshape(len(ids), len(names) - 3)
 
 
-def _check_row(path, col: dict, names: list, row: list, row_no: int) -> None:
-    """Raise the loader's error for a non-blank row's first fault. ``names``
-    are the id, treatment and dose columns, then the numeric ones, in the
-    order they are checked."""
+def _check_row(path, col: dict, names: list, row: list, row_no: int) -> tuple:
+    """A non-blank row's ``(id, treated, dose, values)``, the dose None for
+    a control; raises the loader's error for the row's first fault.
+    ``names`` are the id, treatment and dose columns, then the numeric ones,
+    in the order they are checked."""
 
     def cell(name):
         try:
@@ -429,14 +453,14 @@ def _check_row(path, col: dict, names: list, row: list, row_no: int) -> None:
     if a_val not in (0.0, 1.0):
         raise DataValidationError(f"{path}: row {row_no}: treatment must be 0 or 1, got {a_val}")
     dose_raw = cell(dose).strip()
+    d_val = None
     if a_val == 1.0:
         if dose_raw == "":
             raise DataValidationError(f"{path}: row {row_no}: treated unit {uid!r} has no dose")
-        numeric(dose)
+        d_val = numeric(dose)
     elif dose_raw != "":
         raise DataValidationError(f"{path}: row {row_no}: control unit {uid!r} carries a dose value")
-    for name in numeric_names:
-        numeric(name)
+    return uid, a_val == 1.0, d_val, [numeric(name) for name in numeric_names]
 
 
 def write_panel(data: PanelDataset, path, schema: PanelSchema | None = None) -> PanelSchema:
@@ -484,6 +508,10 @@ def pair_periods(data: PanelDataset, pre: int, post: int) -> TwoPeriodDataset:
     )
 
 
+# A report names at most this many repeated ids.
+_NAMED_REPEATS = 5
+
+
 def validate(data: PanelDataset) -> ValidationReport:
     """Structural health report; violations are reported, never thrown."""
     violations: list[tuple[bool, str]] = []
@@ -492,6 +520,12 @@ def validate(data: PanelDataset) -> ValidationReport:
         violations.append((True, "no treated units"))
     if n_a == data.n:
         violations.append((True, "no control units"))
+    if len(set(data.ids)) < data.n:
+        # Every fit and bootstrap weight would count a repeated unit once per row.
+        counts = Counter(data.ids)
+        repeated = [f"{uid!r} ({k} rows)" for uid, k in counts.items() if k > 1]
+        more = f" and {len(repeated) - _NAMED_REPEATS} more" if len(repeated) > _NAMED_REPEATS else ""
+        violations.append((True, f"repeated unit ids: {', '.join(repeated[:_NAMED_REPEATS])}{more}"))
     bad_y = ~np.all(np.isfinite(data.y), axis=1)
     for i in np.nonzero(bad_y)[0]:
         violations.append((True, f"non-finite outcome for unit {data.ids[i]!r}"))

@@ -26,10 +26,15 @@ Two routes, each with one implementation; the repeated-period workflow in
   Gamma is a dense part ``E Z``, with E fixed per curve (n x q: six columns
   of the base equations, then the nuisance scores) and Z small (q x P,
   from delta, eta and the moments of f), plus a kernel part on the treated
-  units inside the kernel window. So iota costs one (n x q) product and
-  O(window) arithmetic, the finite-difference bread columns only the
-  perturbed sets' fixed column sums and window sums, all in one array
-  expression, and no n x P array is built at a grid point.
+  units inside the kernel window. The systems of all K grid points are
+  formed in one pass over arrays (``_GridSystems``): one window-moments
+  call gives eta, the breads and the kernel spans, the quadrature rules
+  are a (K, 4, pieces) array, the breads are conditioned as a (K, P, P)
+  stack, and the finite-difference bread columns come from the perturbed
+  sets' fixed column sums and window sums. What is left per grid point is
+  the bread's solve and O(n) work: iota is one (n x q) matrix-vector
+  product plus a pass over the window. Every variance is bitwise the one
+  of the system built at that delta alone (docs/DECISIONS.md, D18).
   The variance of an average over M periods that share the unit roster is
   the squared norm of the mean of the periods' columns, which is the
   block-diagonal stacked system in closed form and picks up the
@@ -55,6 +60,7 @@ Two routes, each with one implementation; the repeated-period workflow in
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 from collections import Counter
@@ -95,68 +101,21 @@ _PSI_CONTRAST = np.array([1.0, 0.0, -1.0, -1.0])  # psi = theta - theta00 - thet
 _STACK_BLOCK = 16_384
 
 
-@dataclass(frozen=True)
-class EstimatingSystem:
-    """One solved estimating-equation system at a fixed delta.
-
-    The per-unit equation values (n x P) are ``gamma = dense @ coefficients``
-    plus the kernel part: ``dense`` (n x q) is fixed per curve,
-    ``coefficients`` (q x P) depends on delta and eta, and ``kernel`` (w x 2)
-    adds to the first two equations of the units ``kernel_units`` only, the
-    treated units inside the kernel window. ``bread`` is the summed Jacobian
-    estimate; ``contrast`` maps the parameter vector to the scalar of
-    interest.
-    """
-
-    eta: np.ndarray
-    bread: np.ndarray
-    contrast: np.ndarray
-    dense: np.ndarray
-    coefficients: np.ndarray
-    kernel_units: np.ndarray
-    kernel: np.ndarray
-
-    @cached_property
-    def condition(self) -> float:
-        """The bread's 2-norm condition number; inf when it is singular."""
-        try:
-            return float(np.linalg.cond(self.bread))
-        except np.linalg.LinAlgError:
-            return np.inf
-
-    @property
-    def bread_invertible(self) -> bool:
-        return bool(np.isfinite(self.condition) and self.condition < 1e12)
-
-
-def _influence(systems: list[EstimatingSystem]) -> np.ndarray:
-    """The mean over ``systems`` (one per period, on one unit roster) of
-    their influence columns. With v = solve(bread^T, contrast) a column is
-    ``dense @ (coefficients @ v)`` plus ``kernel @ v[:2]`` on its kernel
-    units, so it costs one (n x q) product and a pass over the window."""
-    iota = 0.0
-    for system in systems:
-        v = np.linalg.solve(system.bread.T, system.contrast)
-        column = system.dense @ (system.coefficients @ v)
-        column[system.kernel_units] += system.kernel @ v[:2]
-        iota = iota + column
-    return iota / len(systems)
-
-
 class _CurveContext:
     """Per-curve quantities reused across grid deltas by the sandwich.
 
     The base system's four per-unit equations split into two parts. The
-    dense part ``dense @ coefficients(rule, eta)`` has six fixed columns:
+    dense part ``dense @ _coefficients(moments of f, eta)`` has six fixed
+    columns:
     wt alpha / p and wt phi / p on the treated (the quadrature corrections
     are their combinations with f's quadrature weights; mu1 is linear in its
     coefficients, so the covariate-level deviation mu1(d, X_i) - m(d) is
     ``alpha_i + phi_i * d``), the theta00 equation's data term and weight on
     the controls, and the theta01 equation's on the treated. The kernel part
     lives on the treated units inside the kernel window, a slice of the
-    dose-sorted order. At a delta the context costs one quadrature rule over
-    the nodes in the window and O(window) arithmetic; the fixed columns and
-    their sums are formed once. xi, theta00, theta01 and the control
+    dose-sorted order. A grid costs one array of quadrature rules over the
+    nodes in the windows and O(window) arithmetic per point; the fixed
+    columns and their sums are formed once. xi, theta00, theta01 and the control
     weight come from ``compute_xi_terms`` and ``compute_theta0``, the
     routines the MR curve's two sides call. A model set with (R, k)
     coefficient stacks gives one row per stacked set in every per-unit
@@ -214,59 +173,58 @@ class _CurveContext:
         finite-difference contexts never build them."""
         return WindowedMoments(self.data.dose, self.xi, self.wt)
 
-    def quadrature(self, delta: float) -> tuple[int, np.ndarray]:
-        """``(first, weights)``: a (4, m) matrix whose rows, applied to the
-        values of any piecewise-linear f on the nodes ``first`` to
-        ``first + m - 1``, give the integrals over the node range of
-        K(u) f(d) times 1, d, u and u d, with u = (d - delta) / h.
+    def rules(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(first, counts, weights)``: at grid point k, the (4, counts[k])
+        matrix ``weights[k, :, :counts[k]]`` whose rows, applied to the values
+        of any piecewise-linear f on the nodes ``first[k]`` to ``first[k] +
+        counts[k] - 1``, give the integrals over the node range of K(u) f(d)
+        times 1, d, u and u d, with u = (d - delta) / h; ``weights`` is zero
+        beyond ``counts``.
 
         The breakpoints are the nodes and the window ends delta +- h, and
         between them the integrand is a polynomial of degree <= 5, so
-        3-point Gauss-Legendre is exact on each piece. The weights depend
-        only on the nodes, h and delta; contexts sharing the nodes share
-        them.
+        3-point Gauss-Legendre is exact on each piece. Piece j of a grid
+        point lies between nodes first + j and first + j + 1; every grid
+        point is padded to the most pieces any has, the padding of zero
+        width. The weights depend only on the nodes, h and delta; contexts
+        sharing the nodes share them.
         """
         nodes, h = self.nodes, self.h
-        lo = max(delta - h, float(nodes[0]))
-        hi = min(delta + h, float(nodes[-1]))
-        if not hi > lo:
-            return 0, np.zeros((4, 1))
-        first = min(int(np.searchsorted(nodes, lo, side="right")) - 1, nodes.shape[0] - 2)
-        stop = int(np.searchsorted(nodes, hi, side="left"))
-        breaks = np.concatenate([[lo], nodes[first + 1 : stop], [hi]])
-        half = 0.5 * (breaks[1:] - breaks[:-1])
-        # (3, pieces): the Gauss-Legendre points of each piece, column-wise;
-        # piece p lies between nodes first + p and first + p + 1.
-        d = 0.5 * (breaks[1:] + breaks[:-1]) + _GL_NODES[:, None] * half
-        u = (d - delta) / h
-        kw = 0.75 * (1.0 - u * u) * (_GL_WEIGHTS[:, None] * half)
-        left = nodes[first:stop]
-        t = (d - left) / (nodes[first + 1 : stop + 1] - left)
-        ku = kw * u
-        weights = np.zeros((4, stop - first + 1))
-        for row, moment in enumerate((kw, kw * d, ku, ku * d)):
-            upper = moment * t
-            weights[row, :-1] = (moment - upper).sum(axis=0)
-            weights[row, 1:] += upper.sum(axis=0)
-        return first, weights
-
-    def moments_of_f(self, rule: tuple[int, np.ndarray]) -> np.ndarray:
-        """``(a0, a1, b0, b1)``: the integrals of K(u) f(d) times 1, d, u and
-        u d under a ``quadrature`` rule."""
-        first, weights = rule
-        return weights @ self.f_values[first : first + weights.shape[1]]
-
-    def corrections(self, rule: tuple[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Per-treated-unit quadrature terms (c0, c1) under a ``quadrature``
-        rule: the integrals of K(u) f(d) (mu1(d, X_i) - m(d)) and of the
-        same times u."""
-        a0, a1, b0, b1 = self.moments_of_f(rule)
-        return self.alpha * a0 + self.phi * a1, self.alpha * b0 + self.phi * b1
-
-    def coefficients(self, rule: tuple[int, np.ndarray], eta: np.ndarray) -> np.ndarray:
-        """The (6, 4) map from the fixed columns to the four equations'
-        dense parts at eta, with the corrections under ``rule``."""
-        return _coefficients(self.moments_of_f(rule), eta)
+        delta = np.asarray(grid, dtype=float)[:, None]
+        lo = np.maximum(delta - h, nodes[0])
+        hi = np.minimum(delta + h, nodes[-1])
+        inside = hi > lo
+        first = np.where(inside, np.minimum(np.searchsorted(nodes, lo, side="right") - 1, nodes.shape[0] - 2), 0)
+        pieces = np.where(inside, np.searchsorted(nodes, hi, side="left") - first, 0)
+        j = np.arange(max(int(pieces.max(initial=0)), 1))
+        real = j < pieces
+        left_node = np.minimum(first + j, nodes.shape[0] - 2)
+        left, right = nodes[left_node], nodes[left_node + 1]
+        # (K, pieces); padded pieces have zero width and weigh nothing.
+        start = np.where(real, np.maximum(left, lo), left)
+        stop = np.where(real, np.minimum(right, hi), left)
+        half = 0.5 * (stop - start)
+        mid = 0.5 * (stop + start)
+        weights = np.zeros((delta.shape[0], 4, j.shape[0] + 1))
+        upper = np.empty((4,) + half.shape)
+        # One Gauss-Legendre point of every piece at a time; each node's
+        # weight sums the points in order, then adds the piece below's.
+        for g, (node, weight) in enumerate(zip(_GL_NODES, _GL_WEIGHTS)):
+            d = mid + node * half
+            u = (d - delta) / h
+            kw = 0.75 * (1.0 - u * u) * (weight * half)
+            t = (d - left) / (right - left)
+            ku = kw * u
+            for row, moment in enumerate((kw, kw * d, ku, ku * d)):
+                up = moment * t
+                if g:
+                    weights[:, row, :-1] += moment - up
+                    upper[row] += up
+                else:
+                    weights[:, row, :-1] = moment - up
+                    upper[row] = up
+        weights[:, :, 1:] += np.moveaxis(upper, 0, 1)
+        return first[:, 0], pieces[:, 0] + 1, weights
 
     def kernel_terms(self, delta: float, eta: np.ndarray, span: tuple[int, int], xi_sorted: np.ndarray):
         """``(u, lead)`` at the dose-sorted treated units ``first`` to ``stop
@@ -278,26 +236,32 @@ class _CurveContext:
         resid = xi_sorted[first:stop] - eta[0] - u * eta[1]
         return u, self.wt_sorted[first:stop, None] * (epanechnikov(u) * resid) / self.p_hat
 
-    def kernel(self, delta: float, eta: np.ndarray, span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """The kernel part of the two local-linear equations at (delta, eta):
-        the unit positions of the dose-sorted treated units ``first`` to
-        ``stop - 1`` of ``span`` and their (w, 2) values
-        wt K(u) (xi - theta - u beta) / p times 1 and u."""
-        u, lead = self.kernel_terms(delta, eta, span, self.xi_sorted[:, None])
-        return self.units_sorted[span[0] : span[1]], np.hstack([lead, lead * u])
+    def solve(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """At every grid point, from one ``WindowedMoments.moments`` call: eta
+        (K, 4), the analytic Jacobian of the summed base equations in eta
+        (K, 4, 4), and the kernel windows' spans ``(first, stop)``: at grid
+        point k the dose-sorted treated units ``first[k]`` to ``stop[k] - 1``
+        have positive kernel weight."""
+        moments = self.window.moments(grid, self.h)
+        theta, beta = self.window.solve(grid, self.h, moments)
+        s0, s1, s2, _, _, first, stop = moments
+        bread = np.zeros((theta.shape[0], 4, 4))
+        bread[:, 0, 0], bread[:, 1, 1] = -(s0 / self.p_hat), -(s2 / self.p_hat)
+        bread[:, 0, 1] = bread[:, 1, 0] = -(s1 / self.p_hat)
+        bread[:, 2, 2], bread[:, 3, 3] = -float(np.sum(self.wc)), -float(np.sum(self.wt))
+        eta = np.column_stack([theta, beta, np.full_like(theta, self.theta00), np.full_like(theta, self.theta01)])
+        return eta, bread, (first, stop)
 
-    def solve(self, delta: float) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-        """eta at delta, the analytic Jacobian of the summed base equations
-        in eta, and the kernel window's span ``(first, stop)``: the
-        dose-sorted treated units ``first`` to ``stop - 1`` have positive
-        kernel weight."""
-        moments = self.window.moments([delta], self.h)
-        (theta,), (beta,) = self.window.solve([delta], self.h, moments)
-        s0, s1, s2, _, _, (first,), (stop,) = moments
-        s0, s1, s2 = (float(m[0]) / self.p_hat for m in (s0, s1, s2))
-        bread = np.diag([-s0, -s2, -float(np.sum(self.wc)), -float(np.sum(self.wt))])
-        bread[0, 1] = bread[1, 0] = -s1
-        return np.array([theta, beta, self.theta00, self.theta01]), bread, (int(first), int(stop))
+
+def _moments_of_f(rules, f_values: np.ndarray) -> np.ndarray:
+    """``(a0, a1, b0, b1)``, the integrals of K(u) f(d) times 1, d, u and u
+    d under each grid point's quadrature rule (``_CurveContext.rules``), for
+    f tabulated as the (..., nodes) ``f_values``: (K, ..., 4)."""
+    first, counts, weights = rules
+    out = np.empty((first.shape[0],) + f_values.shape[:-1] + (4,))
+    for k, (lo, m) in enumerate(zip(first.tolist(), counts.tolist())):
+        out[k] = np.matmul(weights[k, :, :m], f_values[..., lo : lo + m, None])[..., 0]
+    return out
 
 
 class _NuisanceBlock:
@@ -317,8 +281,9 @@ class _NuisanceBlock:
     (n_t, 2p), an index into the f tables (row 0 the curve's own f), and
     the summed scores (2p, p). Every context tabulates f on the curve's
     node set, so one quadrature rule per grid point serves them all, and
-    ``fd_columns`` forms every finite-difference column at a delta from one
-    array expression, bitwise the per-coordinate rebuilds' (D16).
+    ``fd_columns`` forms every finite-difference column of the grid from
+    array expressions over the grid points and the perturbed rows, bitwise
+    the per-coordinate rebuilds' (D16, D18).
     """
 
     def __init__(self, ctx: _CurveContext, models: NuisanceModelSet | None):
@@ -352,30 +317,31 @@ class _NuisanceBlock:
                     f_values.extend(stack.f_values)
         self.f_values = np.array(f_values)
 
-    def fd_columns(self, ctx: _CurveContext, delta: float, eta: np.ndarray, rule, span) -> np.ndarray:
-        """The (4 + p, p) central-difference bread columns at delta: each
-        perturbed row's summed equations, its fixed column sums through
-        ``_coefficients`` plus its kernel part over ``span``, and its summed
-        scores, differenced and divided by twice the step."""
-        first, weights = rule
-        moments = np.matmul(weights, self.f_values[:, first : first + weights.shape[1], None])[self.f_row, :, 0]
-        summed = np.matmul(self.dense_sums[:, None, :], _coefficients(moments, eta))[:, 0]
-        u, lead = ctx.kernel_terms(delta, eta, span, self.xi_sorted)
-        summed[:, 0] += lead.sum(axis=0)
-        summed[:, 1] += (lead * u).sum(axis=0)
-        ends = np.hstack([summed, self.score_sums])
+    def fd_columns(self, ctx: _CurveContext, grid: np.ndarray, eta: np.ndarray, rules, spans) -> np.ndarray:
+        """The (K, 4 + p, p) central-difference bread columns at the grid
+        points: each perturbed row's summed equations, its fixed column sums
+        through ``_coefficients`` plus its kernel part over the grid point's
+        span, and its summed scores, differenced and divided by twice the
+        step."""
+        moments = _moments_of_f(rules, self.f_values)[:, self.f_row]
+        summed = np.matmul(self.dense_sums[:, None, :], _coefficients(moments, eta[:, None, :]))[..., 0, :]
+        for k, (delta, first, stop) in enumerate(zip(grid.tolist(), *(span.tolist() for span in spans))):
+            u, lead = ctx.kernel_terms(delta, eta[k], (first, stop), self.xi_sorted)
+            summed[k, :, 0] += lead.sum(axis=0)
+            summed[k, :, 1] += (lead * u).sum(axis=0)
+        ends = np.concatenate([summed, np.broadcast_to(self.score_sums, summed.shape[:1] + self.score_sums.shape)], -1)
         p = self.packed.shape[0]
-        return ((ends[:p] - ends[p:]) / (2.0 * self.steps)[:, None]).T
+        return np.swapaxes((ends[:, :p] - ends[:, p:]) / (2.0 * self.steps)[:, None], -1, -2)
 
 
 def _coefficients(moments: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The (..., 6, 4) maps from the fixed columns to the four equations'
     dense parts at eta, one per row of the (..., 4) moments (a0, a1, b0,
-    b1) of f."""
+    b1) of f and the (..., 4) eta broadcast against them."""
     out = np.zeros(moments.shape[:-1] + (6, 4))
     out[..., 0, 0], out[..., 1, 0], out[..., 0, 1], out[..., 1, 1] = np.moveaxis(moments, -1, 0)
     out[..., 2, 2] = out[..., 3, 3] = 1.0
-    out[..., 4, 2], out[..., 5, 3] = -eta[2], -eta[3]
+    out[..., 4, 2], out[..., 5, 3] = -eta[..., 2], -eta[..., 3]
     return out
 
 
@@ -473,31 +439,6 @@ def _prepare(data, models, curve, mode: str) -> tuple[_CurveContext, _NuisanceBl
     return ctx, _NuisanceBlock(ctx, models if mode == "augmented" else None)
 
 
-def _system(ctx: _CurveContext, block: _NuisanceBlock, delta: float) -> EstimatingSystem:
-    """The estimating system at one delta over a curve's shared context,
-    with the block's nuisance equations appended."""
-    eta, bread, span = ctx.solve(delta)
-    rule = ctx.quadrature(delta)
-    p = block.packed.shape[0]
-    bread_full = np.zeros((4 + p, 4 + p))
-    bread_full[:4, :4] = bread
-    if p:
-        bread_full[:, 4:] = block.fd_columns(ctx, delta, eta, rule, span)
-    coefficients = np.zeros((6 + p, 4 + p))
-    coefficients[:6, :4] = ctx.coefficients(rule, eta)
-    coefficients[6:, 4:] = np.eye(p)
-    units, kernel = ctx.kernel(delta, eta, span)
-    return EstimatingSystem(
-        eta=np.concatenate([eta, block.packed]),
-        bread=bread_full,
-        contrast=np.concatenate([_PSI_CONTRAST, np.zeros(p)]),
-        dense=block.dense,
-        coefficients=coefficients,
-        kernel_units=units,
-        kernel=kernel,
-    )
-
-
 class SandwichBands(tuple):
     """``(lower, upper, variances)`` along a curve's grid, with the largest
     condition number of the bread over the grid as ``bread_cond_max``."""
@@ -544,19 +485,69 @@ def stacked_sandwich_variance(
 def _variances(periods: list[tuple[_CurveContext, _NuisanceBlock]], grid) -> tuple[np.ndarray, float]:
     """The squared norm, at each delta of ``grid``, of the mean over
     ``periods`` of their influence columns, and the largest condition number
-    of a bread; each period's bread must be invertible."""
-    out = np.empty(len(grid))
-    cond_max = 0.0
-    for k, delta in enumerate(grid):
-        delta = float(delta)
-        systems = [_system(ctx, block, delta) for ctx, block in periods]
-        for system in systems:
-            if not system.bread_invertible:
-                raise EstimationError(f"singular bread matrix at delta={delta}")
-            cond_max = max(cond_max, system.condition)
-        iota = _influence(systems)
+    of a bread; each period's bread must be invertible at every delta."""
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    passes = [_GridSystems(ctx, block, grid) for ctx, block in periods]
+    out = np.empty(grid.shape[0])
+    for k in range(grid.shape[0]):
+        iota = sum(systems.influence(k) for systems in passes) / len(passes)
         out[k] = iota @ iota
-    return out, cond_max
+    return out, max(float(systems.condition.max(initial=0.0)) for systems in passes)
+
+
+class _GridSystems:
+    """A curve's estimating systems at every grid point, formed as arrays
+    over the grid: eta, the bread with the block's finite-difference
+    columns and its condition number, and the coefficient map Z.
+
+    At grid point k the system reduces to one per-unit influence column
+    ``iota = Gamma solve(bread^T, contrast)``. With v = solve(bread^T,
+    contrast), Gamma's dense part ``E Z`` gives ``E (Z v)``, one matrix-vector
+    product over the fixed columns E, and its kernel part adds to the
+    window's treated units only. Raises EstimationError at the first grid
+    point whose bread is not invertible.
+    """
+
+    def __init__(self, ctx: _CurveContext, block: _NuisanceBlock, grid: np.ndarray):
+        self.ctx, self.block, self.grid = ctx, block, grid
+        self.eta, bread, self.spans = ctx.solve(grid)
+        rules = ctx.rules(grid)
+        p = block.packed.shape[0]
+        self.bread = np.zeros((grid.shape[0], 4 + p, 4 + p))
+        self.bread[:, :4, :4] = bread
+        if p:
+            self.bread[:, :, 4:] = block.fd_columns(ctx, grid, self.eta, rules, self.spans)
+        self.condition = _conditions(self.bread)
+        singular = ~(np.isfinite(self.condition) & (self.condition < 1e12))
+        if np.any(singular):
+            raise EstimationError(f"singular bread matrix at delta={float(grid[np.argmax(singular)])}")
+        self.coefficients = np.zeros((grid.shape[0], 6 + p, 4 + p))
+        self.coefficients[:, :6, :4] = _coefficients(_moments_of_f(rules, ctx.f_values), self.eta)
+        self.coefficients[:, 6:, 4:] = np.eye(p)
+        self.contrast = np.concatenate([_PSI_CONTRAST, np.zeros(p)])
+
+    def influence(self, k: int) -> np.ndarray:
+        """The (n,) influence column at grid point k."""
+        ctx = self.ctx
+        first, stop = int(self.spans[0][k]), int(self.spans[1][k])
+        v = np.linalg.solve(self.bread[k].T, self.contrast)
+        column = self.block.dense @ (self.coefficients[k] @ v)
+        u, lead = ctx.kernel_terms(float(self.grid[k]), self.eta[k], (first, stop), ctx.xi_sorted[:, None])
+        column[ctx.units_sorted[first:stop]] += np.hstack([lead, lead * u]) @ v[:2]
+        return column
+
+
+def _conditions(breads: np.ndarray) -> np.ndarray:
+    """Each bread's 2-norm condition number; inf where it is singular or
+    its SVD does not converge."""
+    try:
+        return np.linalg.cond(breads)
+    except np.linalg.LinAlgError:
+        out = np.full(breads.shape[0], np.inf)
+        for k, bread in enumerate(breads):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[k] = np.linalg.cond(bread)
+        return out
 
 
 # --------------------------------------------------------------------------

@@ -412,6 +412,32 @@ class WindowedMoments:
 
         return _solve_local_linear(s0, s1, s2, t0, t1, literal)
 
+    def select_bandwidth(self, grid: np.ndarray) -> float | np.ndarray:
+        """``select_bandwidth`` over this window's sample: the candidate of
+        ``grid`` minimizing each row's leave-one-out squared error. The
+        window must hold one weight row."""
+        cand = np.unique(np.asarray(grid, dtype=float))
+        if cand.size == 0:
+            raise BandwidthError("empty bandwidth grid")
+        if self._wo.ndim != 1:
+            raise FitError(f"bandwidth selection takes one weight row, got weights {self._wo.shape}")
+        shape = self._yo.shape[:-1]
+        rows = self._yo.reshape(-1, self._xo.size)
+        zero_tol = np.reshape([_loo_zero_tolerance(y, self._wo) for y in rows], shape)
+        best_h = np.full(shape, np.nan)
+        best_score = np.full(shape, np.inf)
+        for h in cand:
+            score = _loo_score(self, float(h))
+            if score is None:
+                continue
+            score = np.where(score < zero_tol, 0.0, score)
+            better = score < best_score
+            best_score = np.where(better, score, best_score)
+            best_h = np.where(better, h, best_h)
+        if np.any(np.isnan(best_h)):
+            raise BandwidthError("no feasible bandwidth candidate (all leave-one-out fits failed)")
+        return best_h.item() if best_h.ndim == 0 else best_h
+
 
 def _prefix_sums(values: np.ndarray) -> np.ndarray:
     """Cumulative sums along the last axis, after a leading zero."""
@@ -491,30 +517,8 @@ def select_bandwidth(
     """
     if grid is None:
         grid = default_bandwidth_grid(xs)
-    cand = np.unique(np.asarray(grid, dtype=float))
-    if cand.size == 0:
-        raise BandwidthError("empty bandwidth grid")
-    weight = np.ones(np.shape(xs)) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-    if weight.ndim != 1:
-        raise FitError(f"bandwidth selection takes one weight row, got weights {weight.shape}")
-
-    window = WindowedMoments(xs, ys, weight)
-    shape = window._yo.shape[:-1]
-    rows = window._yo.reshape(-1, window._xo.size)
-    zero_tol = np.reshape([_loo_zero_tolerance(y, window._wo) for y in rows], shape)
-    best_h = np.full(shape, np.nan)
-    best_score = np.full(shape, np.inf)
-    for h in cand:
-        score = _loo_score(window, float(h))
-        if score is None:
-            continue
-        score = np.where(score < zero_tol, 0.0, score)
-        better = score < best_score
-        best_score = np.where(better, score, best_score)
-        best_h = np.where(better, h, best_h)
-    if np.any(np.isnan(best_h)):
-        raise BandwidthError("no feasible bandwidth candidate (all leave-one-out fits failed)")
-    return best_h.item() if best_h.ndim == 0 else best_h
+    weight = np.ones(np.shape(xs)) if sample_weight is None else sample_weight
+    return WindowedMoments(xs, ys, weight).select_bandwidth(grid)
 
 
 def _loo_score(window: WindowedMoments, h: float) -> np.ndarray | None:

@@ -1,11 +1,15 @@
 """The explicit forms the sandwich reduces, and the one-sample smoother.
 
-At each grid point the package reduces an estimating system to one per-unit
-influence column and never forms the per-unit equation values Gamma
-(n x P). ``system_at`` builds the system at one delta through the context
-``sandwich_bands`` uses, and ``gamma``, ``meat`` and ``covariance`` write
-out Gamma, Gamma' Gamma and bread^-1 meat bread^-T from its parts, so
-tests can compare the reduced path against them. ``perturbed_ends`` and
+The package solves every grid point of a curve in one pass over arrays
+(``inference._variances``). ``system`` is the per-delta form it reduces:
+the estimating system at one delta over the same context, from one
+quadrature rule (``quadrature``), one window solve (``solve``), the
+coefficient map, the kernel part and, in augmented mode, the stacked
+finite-difference columns, each at that delta alone. ``variances`` takes
+the squared norm of the periods' mean influence column one delta at a
+time, and ``gamma``, ``meat`` and ``covariance`` write out Gamma (n x P),
+Gamma' Gamma and bread^-1 meat bread^-T from a system's parts, so tests can
+compare the reduced path against them. ``perturbed_ends`` and
 ``fd_columns`` rebuild the augmented mode's perturbed nuisance sets one
 coordinate at a time, refitting pi_d and f for every one, the form its two
 stacks reduce. ``local_linear_curve`` is the smoother on one sample, the
@@ -14,17 +18,182 @@ form the tests hold the pipeline's shared window to.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from dosedid import inference
+from dosedid.errors import EstimationError
 from dosedid.numeric import WindowedMoments
 
 
-def system_at(data, models, curve, delta, mode="base") -> inference.EstimatingSystem:
+@dataclass(frozen=True)
+class EstimatingSystem:
+    """One solved estimating-equation system at a fixed delta.
+
+    The per-unit equation values (n x P) are ``gamma = dense @ coefficients``
+    plus the kernel part: ``dense`` (n x q) is fixed per curve,
+    ``coefficients`` (q x P) depends on delta and eta, and ``kernel`` (w x 2)
+    adds to the first two equations of the units ``kernel_units`` only, the
+    treated units inside the kernel window. ``bread`` is the summed Jacobian
+    estimate; ``contrast`` maps the parameter vector to the scalar of
+    interest.
+    """
+
+    eta: np.ndarray
+    bread: np.ndarray
+    contrast: np.ndarray
+    dense: np.ndarray
+    coefficients: np.ndarray
+    kernel_units: np.ndarray
+    kernel: np.ndarray
+
+    @cached_property
+    def condition(self) -> float:
+        """The bread's 2-norm condition number; inf when it is singular."""
+        try:
+            return float(np.linalg.cond(self.bread))
+        except np.linalg.LinAlgError:
+            return np.inf
+
+    @property
+    def bread_invertible(self) -> bool:
+        return bool(np.isfinite(self.condition) and self.condition < 1e12)
+
+
+def quadrature(ctx, delta: float) -> tuple[int, np.ndarray]:
+    """``(first, weights)``: a (4, m) matrix whose rows, applied to the
+    values of any piecewise-linear f on the nodes ``first`` to ``first + m -
+    1``, give the integrals over the node range of K(u) f(d) times 1, d, u
+    and u d, with u = (d - delta) / h: 3-point Gauss-Legendre on each piece
+    between the nodes and the window ends."""
+    nodes, h = ctx.nodes, ctx.h
+    lo = max(delta - h, float(nodes[0]))
+    hi = min(delta + h, float(nodes[-1]))
+    if not hi > lo:
+        return 0, np.zeros((4, 1))
+    first = min(int(np.searchsorted(nodes, lo, side="right")) - 1, nodes.shape[0] - 2)
+    stop = int(np.searchsorted(nodes, hi, side="left"))
+    breaks = np.concatenate([[lo], nodes[first + 1 : stop], [hi]])
+    half = 0.5 * (breaks[1:] - breaks[:-1])
+    # (3, pieces): piece p lies between nodes first + p and first + p + 1.
+    d = 0.5 * (breaks[1:] + breaks[:-1]) + inference._GL_NODES[:, None] * half
+    u = (d - delta) / h
+    kw = 0.75 * (1.0 - u * u) * (inference._GL_WEIGHTS[:, None] * half)
+    left = nodes[first:stop]
+    t = (d - left) / (nodes[first + 1 : stop + 1] - left)
+    ku = kw * u
+    weights = np.zeros((4, stop - first + 1))
+    for row, moment in enumerate((kw, kw * d, ku, ku * d)):
+        upper = moment * t
+        weights[row, :-1] = (moment - upper).sum(axis=0)
+        weights[row, 1:] += upper.sum(axis=0)
+    return first, weights
+
+
+def moments_of_f(f_values, rule) -> np.ndarray:
+    """``(a0, a1, b0, b1)`` of f tabulated as ``f_values`` under a rule."""
+    first, weights = rule
+    return weights @ f_values[first : first + weights.shape[1]]
+
+
+def corrections(ctx, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Per-treated-unit quadrature terms (c0, c1) under a rule: the
+    integrals of K(u) f(d) (mu1(d, X_i) - m(d)) and of the same times u."""
+    a0, a1, b0, b1 = moments_of_f(ctx.f_values, rule)
+    return ctx.alpha * a0 + ctx.phi * a1, ctx.alpha * b0 + ctx.phi * b1
+
+
+def coefficients(ctx, rule, eta) -> np.ndarray:
+    """The (6, 4) map from the fixed columns to the four equations' dense
+    parts at eta, with the corrections under ``rule``."""
+    return inference._coefficients(moments_of_f(ctx.f_values, rule), eta)
+
+
+def solve(ctx, delta: float):
+    """eta at delta, the analytic Jacobian of the summed base equations in
+    eta, and the kernel window's span ``(first, stop)``, from the window's
+    moments at delta alone."""
+    moments = ctx.window.moments([delta], ctx.h)
+    (theta,), (beta,) = ctx.window.solve([delta], ctx.h, moments)
+    s0, s1, s2, _, _, (first,), (stop,) = moments
+    s0, s1, s2 = (float(m[0]) / ctx.p_hat for m in (s0, s1, s2))
+    bread = np.diag([-s0, -s2, -float(np.sum(ctx.wc)), -float(np.sum(ctx.wt))])
+    bread[0, 1] = bread[1, 0] = -s1
+    return np.array([theta, beta, ctx.theta00, ctx.theta01]), bread, (int(first), int(stop))
+
+
+def kernel(ctx, delta: float, eta, span):
+    """The unit positions of the dose-sorted treated units in ``span`` and
+    their (w, 2) kernel parts wt K(u) (xi - theta - u beta) / p times 1 and
+    u."""
+    u, lead = ctx.kernel_terms(delta, eta, span, ctx.xi_sorted[:, None])
+    return ctx.units_sorted[span[0] : span[1]], np.hstack([lead, lead * u])
+
+
+def block_fd_columns(block, ctx, delta: float, eta, rule, span) -> np.ndarray:
+    """The (4 + p, p) central-difference bread columns of ``block``'s two
+    stacks at one delta."""
+    first, weights = rule
+    moments = np.matmul(weights, block.f_values[:, first : first + weights.shape[1], None])[block.f_row, :, 0]
+    summed = np.matmul(block.dense_sums[:, None, :], inference._coefficients(moments, eta))[:, 0]
+    u, lead = ctx.kernel_terms(delta, eta, span, block.xi_sorted)
+    summed[:, 0] += lead.sum(axis=0)
+    summed[:, 1] += (lead * u).sum(axis=0)
+    ends = np.hstack([summed, block.score_sums])
+    p = block.packed.shape[0]
+    return ((ends[:p] - ends[p:]) / (2.0 * block.steps)[:, None]).T
+
+
+def system(ctx, block, delta: float) -> EstimatingSystem:
+    """The estimating system at one delta over a curve's shared context,
+    with the block's nuisance equations appended."""
+    eta, bread, span = solve(ctx, delta)
+    rule = quadrature(ctx, delta)
+    p = block.packed.shape[0]
+    bread_full = np.zeros((4 + p, 4 + p))
+    bread_full[:4, :4] = bread
+    if p:
+        bread_full[:, 4:] = block_fd_columns(block, ctx, delta, eta, rule, span)
+    coef = np.zeros((6 + p, 4 + p))
+    coef[:6, :4] = coefficients(ctx, rule, eta)
+    coef[6:, 4:] = np.eye(p)
+    units, kern = kernel(ctx, delta, eta, span)
+    return EstimatingSystem(
+        eta=np.concatenate([eta, block.packed]),
+        bread=bread_full,
+        contrast=np.concatenate([inference._PSI_CONTRAST, np.zeros(p)]),
+        dense=block.dense,
+        coefficients=coef,
+        kernel_units=units,
+        kernel=kern,
+    )
+
+
+def system_at(data, models, curve, delta, mode="base") -> EstimatingSystem:
     """The estimating system of ``curve`` at one delta: base mode treats the
     nuisance fits as fixed, augmented mode appends their score equations
     with finite-difference bread columns."""
-    return inference._system(*inference._prepare(data, models, curve, mode), float(delta))
+    return system(*inference._prepare(data, models, curve, mode), float(delta))
+
+
+def variances(periods, grid) -> tuple[np.ndarray, float]:
+    """``inference._variances`` one delta at a time: the squared norm of the
+    mean over ``periods`` of their influence columns, each period's system
+    built at that delta alone, and the largest condition number of a
+    bread."""
+    out = np.empty(len(grid))
+    cond_max = 0.0
+    for k, delta in enumerate(grid):
+        systems = [system(ctx, block, float(delta)) for ctx, block in periods]
+        for one in systems:
+            if not one.bread_invertible:
+                raise EstimationError(f"singular bread matrix at delta={float(delta)}")
+            cond_max = max(cond_max, one.condition)
+        iota = sum(influence(one) for one in systems) / len(systems)
+        out[k] = iota @ iota
+    return out, cond_max
 
 
 def variance_at(data, models, curve, delta, mode="base") -> float:
@@ -54,13 +223,13 @@ def fd_columns(ctx, ends, delta) -> np.ndarray:
     """The (4 + p, p) central-difference bread columns at delta from
     ``perturbed_ends``: each end's fixed column sums through its
     coefficients plus its kernel part, then its summed scores."""
-    eta, _, span = ctx.solve(delta)
-    rule = ctx.quadrature(delta)
+    eta, _, span = solve(ctx, delta)
+    rule = quadrature(ctx, delta)
 
     def summed(end):
         ctx_pt, _, score_sum = end
-        out = ctx_pt.dense_sums @ ctx_pt.coefficients(rule, eta)
-        out[:2] += ctx_pt.kernel(delta, eta, span)[1].sum(axis=0)
+        out = ctx_pt.dense_sums @ coefficients(ctx_pt, rule, eta)
+        out[:2] += kernel(ctx_pt, delta, eta, span)[1].sum(axis=0)
         return np.concatenate([out, score_sum])
 
     return np.column_stack([(summed(up) - summed(down)) / (2.0 * step) for step, up, down in ends])
@@ -86,8 +255,13 @@ def covariance(system) -> np.ndarray:
 
 def influence(system) -> np.ndarray:
     """The per-unit influence column Gamma solve(bread^T, contrast):
-    contrast' bread^-1 meat bread^-T contrast is its squared norm."""
-    return inference._influence([system])
+    contrast' bread^-1 meat bread^-T contrast is its squared norm. With v =
+    solve(bread^T, contrast) it is ``dense @ (coefficients @ v)`` plus
+    ``kernel @ v[:2]`` on the kernel units."""
+    v = np.linalg.solve(system.bread.T, system.contrast)
+    column = system.dense @ (system.coefficients @ v)
+    column[system.kernel_units] += system.kernel @ v[:2]
+    return column
 
 
 def variance(system) -> float:

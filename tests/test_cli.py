@@ -55,6 +55,30 @@ def test_validate_command(tmp_path, panel_file, capsys):
     assert "no violations" in out
 
 
+def test_repeated_unit_id_is_a_data_error(tmp_path, panel_file, capsys):
+    """A panel that repeats a unit id fails ``validate`` and ``estimate``
+    with a data error naming it; ``validate`` still prints and writes its
+    report."""
+    lines = panel_file.read_text(encoding="utf-8").splitlines()
+    second_id = lines[2].split(",")[0]
+    lines[2] = ",".join(["u0", *lines[2].split(",")[1:]])
+    panel_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert second_id != "u0" and lines[1].startswith("u0,")
+    cfg = _write_config(
+        tmp_path,
+        "validate.yaml",
+        {"output": str(tmp_path / "report"), "data": {"path": str(panel_file), "schema": _schema_block()}},
+    )
+    assert dispatch(["validate", "-c", str(cfg)]) == 3
+    captured = capsys.readouterr()
+    assert "FATAL: repeated unit ids: 'u0' (2 rows)" in captured.out
+    assert captured.err == "dosedid: data-error: repeated unit ids: 'u0' (2 rows)\n"
+    assert "FATAL: repeated unit ids" in (tmp_path / "report" / "validation.txt").read_text(encoding="utf-8")
+    assert _estimate(tmp_path, panel_file) == 3
+    assert capsys.readouterr().err == "dosedid: data-error: repeated unit ids: 'u0' (2 rows)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_estimate_outputs_and_determinism(tmp_path, panel_file):
     payload = {
         "seed": 3,
@@ -387,13 +411,13 @@ def test_estimate_selects_every_bandwidth_in_one_pass(tmp_path, panel_file, monk
     from dosedid import curves
 
     calls = []
-    original = curves.select_bandwidth
+    original = curves.robust_select_bandwidth
 
-    def counted(*args):
-        calls.append(np.shape(args[1]))
-        return original(*args)
+    def counted(x, window, grid, weight):
+        calls.append(window._yo.shape)
+        return original(x, window, grid, weight)
 
-    monkeypatch.setattr(curves, "select_bandwidth", counted)
+    monkeypatch.setattr(curves, "robust_select_bandwidth", counted)
     assert _estimate(tmp_path, panel_file, methods=["MR", "OR", "NAIVE", "TWFE"]) == 0
     assert len(calls) == 1 and calls[0][0] == 2
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dosedid import data as panel_io
 from dosedid.data import (
     PanelDataset,
     PanelSchema,
@@ -402,3 +403,74 @@ def test_header_only_file_has_no_data_rows(tmp_path):
         assert str(err.value) == f"{path}: no data rows"
     path, err = _load_error(tmp_path, "")
     assert str(err.value) == f"{path}: empty file"
+
+
+def _same_panel(got, want):
+    assert got.ids == want.ids
+    for name in ("x", "a", "dose", "y"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_column(tmp_path):
+    """A panel saved with a UTF-8 byte-order mark, as spreadsheet programs
+    write "CSV UTF-8", loads bitwise like the plain file; its first header
+    cell is not read as "\ufeffstore"."""
+    plain = load_panel(_write(tmp_path, BASIC, "plain.csv"), SCHEMA)
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + BASIC.encode("utf-8"))
+    _same_panel(load_panel(path, SCHEMA), plain)
+    # The row loop reads the mark the same way.
+    bad = BASIC.replace("150.0,140.0", "150.0,oops")
+    path.write_bytes(b"\xef\xbb\xbf" + bad.encode("utf-8"))
+    with pytest.raises(DataParseError, match="row 3, column 'y_1'"):
+        load_panel(path, SCHEMA)
+
+
+def test_quoting_and_line_ends_follow_the_csv_dialect(tmp_path):
+    """Quoted ids may hold the delimiter, a doubled quote and a line break,
+    kept as the file holds it; CRLF and CR line ends read like LF."""
+    plain = load_panel(_write(tmp_path, BASIC, "plain.csv"), SCHEMA)
+    quoted = BASIC.replace("s1,", '"s,1",').replace("s2,", '"s""2""",')
+    cases = {
+        "quoted": (quoted.replace("s3,", '"s\r\n3",'), ("s,1", 's"2"', "s\r\n3", "s4")),
+        "crlf": (quoted.replace("\n", "\r\n"), ("s,1", 's"2"', "s3", "s4")),
+        "cr": (BASIC.replace("\n", "\r"), plain.ids),
+    }
+    for name, (text, ids) in cases.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _same_panel(load_panel(path, SCHEMA), replace(plain, ids=ids))
+
+
+def test_numbers_the_c_reader_refuses_load_through_the_row_loop(tmp_path):
+    """Digits grouped by underscores and non-ASCII decimal digits, which
+    ``float`` reads and numpy's C reader does not, and an all-blank row,
+    which the C reader refuses, load through the row loop bitwise as the
+    plain file; the plain file takes the C reader."""
+    schema_names = [SCHEMA.id, SCHEMA.treatment, SCHEMA.dose, *SCHEMA.covariates, "y_0", "y_1"]
+    plain_path = _write(tmp_path, BASIC, "plain.csv")
+    plain = load_panel(plain_path, SCHEMA)
+    assert panel_io._read_table(plain_path, schema_names, ",") is not None
+    variants = {
+        "underscore": BASIC.replace("140.0,120.0", "1_40.0,1_2_0.0"),
+        "arabic-indic": BASIC.replace("s4,7.3,17.0", "s4,\u0667.\u0663,\u0661\u0667.0"),
+        "blank row": BASIC.replace("s3,", " , ,,,,,\ns3,"),
+    }
+    for name, text in variants.items():
+        path = _write(tmp_path, text, "variant.csv")
+        assert panel_io._read_table(path, schema_names, ",") is None, name
+        _same_panel(load_panel(path, SCHEMA), plain)
+
+
+def test_validate_flags_repeated_unit_ids(tmp_path):
+    """A file that repeats a unit id loads, and ``validate`` reports each
+    repeated id, with its row count, as one fatal violation."""
+    text = BASIC.replace("s3,", "s1,").replace("s4,", "s2,")
+    report = validate(load_panel(_write(tmp_path, text), SCHEMA))
+    assert report.fatal
+    assert (True, "repeated unit ids: 's1' (2 rows), 's2' (2 rows)") in report.violations
+    assert not validate(load_panel(_write(tmp_path, BASIC), SCHEMA)).violations
+    many = _panel(n=20)
+    many = replace(many, ids=tuple(f"u{i // 2}" for i in range(20)))
+    (message,) = [msg for fatal, msg in validate(many).violations if fatal]
+    assert message.startswith("repeated unit ids: 'u0' (2 rows), 'u1' (2 rows)") and message.endswith("and 5 more")

@@ -164,7 +164,7 @@ def test_closed_form_corrections_match_dense_quadrature(fitted):
         simpson[[0, -1]] = step / 3.0
         u = (d - delta) / h
         q0 = simpson * epanechnikov(u) * models.f_marginal(d)
-        c0, c1 = ctx.corrections(ctx.quadrature(float(delta)))
+        c0, c1 = explicit.corrections(ctx, explicit.quadrature(ctx, float(delta)))
         for got, ref in ((c0, alpha * q0.sum() + phi * (q0 @ d)), (c1, alpha * (q0 @ u) + phi * (q0 @ (u * d)))):
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -321,10 +321,10 @@ def test_stacked_fd_columns_equal_per_coordinate_rebuilds(augmented_case, monkey
     data, models, curve = augmented_case
     ctx, block = inference._prepare(data, models, curve, "augmented")
     ends = explicit.perturbed_ends(ctx, models, block)
-    for delta in curve.grid:
-        eta, _, span = ctx.solve(float(delta))
-        got = block.fd_columns(ctx, float(delta), eta, ctx.quadrature(float(delta)), span)
-        np.testing.assert_array_equal(got, explicit.fd_columns(ctx, ends, float(delta)))
+    eta, _, spans = ctx.solve(curve.grid)
+    got = block.fd_columns(ctx, curve.grid, eta, ctx.rules(curve.grid), spans)
+    for k, delta in enumerate(curve.grid):
+        np.testing.assert_array_equal(got[k], explicit.fd_columns(ctx, ends, float(delta)))
     _, _, variances = sandwich_bands(data, models, curve, mode="augmented")
     monkeypatch.setattr(inference, "_STACK_BLOCK", 5 * data.n)
     _, _, small = sandwich_bands(data, models, curve, mode="augmented")
@@ -354,7 +354,7 @@ def _explicit_gamma(ctx, models, delta, eta, rule):
     form that the sandwich reduces."""
     data = ctx.data
     theta, beta, theta00, theta01 = eta
-    c0, c1 = ctx.corrections(rule)
+    c0, c1 = explicit.corrections(ctx, rule)
     u = (data.dose - delta) / ctx.h
     resid = ctx.xi - theta - u * beta
     mu0 = models.mu0(data.x)
@@ -382,8 +382,8 @@ def _explicit_variance(periods, models_of, delta):
 
     columns = []
     for ctx, block in periods:
-        eta, bread, _ = ctx.solve(delta)
-        rule = ctx.quadrature(delta)
+        eta, bread, _ = explicit.solve(ctx, delta)
+        rule = explicit.quadrature(ctx, delta)
         scores = block.dense[:, 6:]
         p = scores.shape[1]
         full = np.zeros((4 + p, 4 + p))
@@ -439,6 +439,45 @@ def test_window_local_variances_match_the_explicit_gamma_path(fitted, monkeypatc
             assert abs(variances[k] - reference) <= tol * reference, (name, delta)
 
 
+def test_grid_rules_are_the_per_delta_quadrature_rules(fitted):
+    """Each grid point's row of ``rules`` is bitwise the quadrature rule
+    built for that delta alone, at clipped and inner windows and at a delta
+    whose window misses the node range; beyond its count it is zero."""
+    data, models, curve = fitted
+    ctx = inference._CurveContext(data, models, curve)
+    grid = np.concatenate([curve.grid, [ctx.nodes[0] - 2.0 * ctx.h, ctx.nodes[-1] + 2.0 * ctx.h, ctx.nodes[0]]])
+    first, counts, weights = ctx.rules(grid)
+    for k, delta in enumerate(grid):
+        lo, reference = explicit.quadrature(ctx, float(delta))
+        assert (first[k], counts[k]) == (lo, reference.shape[1])
+        np.testing.assert_array_equal(weights[k, :, : counts[k]], reference)
+        assert not np.any(weights[k, :, counts[k] :])
+
+
+def test_grid_pass_is_bitwise_the_per_delta_systems(fitted):
+    """Base, stacked and augmented variances over a whole 50-point grid,
+    with every system formed in the one grid pass, are bitwise those of the
+    systems built one delta at a time, with the same largest condition
+    number."""
+    data, models, curve = fitted
+    later = replace(data, y1=data.y1 + 0.3 * np.random.default_rng(5).normal(size=data.n))
+    models_later = fit_nuisances(later, SPECS)
+    curve_later = estimate_curve(later, "MR", specs=SPECS, models=models_later)
+    cases = {
+        "base": [inference._prepare(data, models, curve, "base")],
+        "stacked": [
+            inference._prepare(data, models, curve, "base"),
+            inference._prepare(later, models_later, curve_later, "base"),
+        ],
+        "augmented": [inference._prepare(data, models, curve, "augmented")],
+    }
+    for name, periods in cases.items():
+        got, cond = inference._variances(periods, curve.grid)
+        want, cond_want = explicit.variances(periods, curve.grid)
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert cond == cond_want, name
+
+
 def test_kernel_part_lives_on_the_window(fitted):
     data, models, curve = fitted
     treated = np.flatnonzero(data.a)
@@ -471,6 +510,8 @@ def test_bands_record_the_largest_bread_condition_number(fitted):
 
 
 def test_each_grid_point_reads_the_window_moments_once(fitted, monkeypatch):
+    """One ``moments`` call serves every grid point of the bands: eta, the
+    bread and the kernel spans all read it."""
     data, models, curve = fitted
     calls = Counter()
     moments = WindowedMoments.moments
@@ -481,7 +522,7 @@ def test_each_grid_point_reads_the_window_moments_once(fitted, monkeypatch):
 
     monkeypatch.setattr(WindowedMoments, "moments", counted)
     sandwich_bands(data, models, curve)
-    assert calls == Counter({1: curve.grid.shape[0]})
+    assert calls == Counter({curve.grid.shape[0]: 1})
 
 
 def test_base_bands_assemble_the_pseudo_outcomes_once(monkeypatch):

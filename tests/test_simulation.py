@@ -322,13 +322,14 @@ def test_model_bank_shares_fits_across_permutations(monkeypatch):
 
 def test_one_leave_one_out_pass_per_replicate(monkeypatch):
     """A 16-permutation, six-method replicate selects the bandwidths of its
-    7 smoothed dose sides (4 MR, 2 IPW, 1 NAIVE) in one call."""
+    7 smoothed dose sides (4 MR, 2 IPW, 1 NAIVE) in one call, over the
+    smoother's window."""
     stacks = []
     original = curves.robust_select_bandwidth
 
-    def counted(x, ys, grid, weight):
-        stacks.append(np.shape(ys))
-        return original(x, ys, grid, weight)
+    def counted(x, window, grid, weight):
+        stacks.append(window._yo.shape)
+        return original(x, window, grid, weight)
 
     monkeypatch.setattr(curves, "robust_select_bandwidth", counted)
     cfg = ScenarioConfig(n=300, replicates=1, seed=33, methods=METHODS, super_n=20_000)
@@ -345,9 +346,8 @@ def test_one_replicate_assembles_each_design_once_per_call(monkeypatch):
     34 nuisance design matrices, every one through
     ``CovariateDesign.assemble``, applies the Kang-Schafer map at most 34
     times, computes theta0 at most 6 times (4 MR and MR_PARAMETRIC pairs,
-    2 IPW) and builds at most 2 smoother windows, one for the
-    leave-one-out pass and one for every smoothed curve (measured: 34, 28,
-    6 and 2)."""
+    2 IPW) and builds one smoother window, which the leave-one-out pass and
+    every smoothed curve read (measured: 34, 28, 6 and 1)."""
     counts = Counter()
     assemble, mapping = nuisance.CovariateDesign.assemble, nuisance.kang_schafer_map
     theta0, window = curves.compute_theta0, numeric.WindowedMoments.__init__
@@ -370,7 +370,7 @@ def test_one_replicate_assembles_each_design_once_per_call(monkeypatch):
     assert counts["designs"] <= 34
     assert counts["maps"] <= 34
     assert counts["theta0"] <= 6
-    assert counts["windows"] <= 2
+    assert counts["windows"] == 1
 
 
 def test_run_study_with_inference_smoke():

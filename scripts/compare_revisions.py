@@ -46,7 +46,9 @@ ids and arrays (every file's) and the study replicate's curves bitwise
 equal (their
 largest difference is printed, in bootstrap standard deviations), and the
 study replicate's bandwidths and edge flags, the type names and the
-manifest's diagnostics equal. It prints
+manifest's diagnostics equal. Beside each largest difference it says
+whether every value of that quantity is bitwise equal (same dtype, shape
+and bytes), which no tolerance reads. It prints
 the truth's largest differences (grid, psi, density weights) without a
 tolerance. It exits 1 when any tolerance fails.
 """
@@ -230,6 +232,11 @@ def _manifest_diagnostics(cli, panel_io, data) -> dict:
         return json.loads((Path(tmp) / "run" / "run_manifest.json").read_text(encoding="utf-8"))["diagnostics"]
 
 
+def _bitwise(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def compare(before_path: str, after_path: str) -> int:
     with open(before_path, "rb") as fh:
         before = pickle.load(fh)
@@ -240,11 +247,13 @@ def compare(before_path: str, after_path: str) -> int:
     sd = {m: before[("bootstrap", m)]["curves"].std(axis=0) for m in METHODS}
     floored = before["bootstrap floored"]
     worst: dict[str, float] = {}
+    bitwise: dict[str, bool] = {}  # per quantity, whether every value is bitwise equal
     unequal = {"point types": 0, "manifest diagnostics": 0, "study bandwidths": 0, "loaded panel fields": 0}  # gated as equal
     bad = []
 
-    def note(label, ratio):
+    def note(label, ratio, same):
         worst[label] = max(worst.get(label, 0.0), float(ratio))
+        bitwise[label] = bitwise.get(label, True) and same
         if ratio > 1e-10:
             bad.append(label)
 
@@ -253,11 +262,12 @@ def compare(before_path: str, after_path: str) -> int:
         if key[0] == "point":
             scale = float(np.mean(sd[key[2]]))
             for name in ("psi", "theta", "theta0"):
-                note("point " + name, np.max(np.abs(np.asarray(a[name]) - np.asarray(b[name]))) / scale)
+                gap = np.max(np.abs(np.asarray(a[name]) - np.asarray(b[name]))) / scale
+                note("point " + name, gap, _bitwise(a[name], b[name]))
             if (a["bandwidth"] is None) != (b["bandwidth"] is None):
                 bad.append(f"bandwidth presence {key}")
             elif b["bandwidth"] is not None:
-                note("point bandwidth", abs(a["bandwidth"] - b["bandwidth"]) / scale)
+                note("point bandwidth", abs(a["bandwidth"] - b["bandwidth"]) / scale, _bitwise(a["bandwidth"], b["bandwidth"]))
             unequal["point types"] += a["types"] != b["types"]
             if a["types"] != b["types"]:
                 bad.append(f"types {key}: {b['types']} -> {a['types']}")
@@ -266,14 +276,14 @@ def compare(before_path: str, after_path: str) -> int:
             for name, vb in b["diagnostics"].items():
                 va = a["diagnostics"].get(name)
                 if isinstance(vb, float):
-                    note("float diagnostics", abs(va - vb) / max(abs(vb), 1e-300))
+                    note("float diagnostics", abs(va - vb) / max(abs(vb), 1e-300), _bitwise(va, vb))
                 elif isinstance(vb, np.ndarray):
-                    note("array diagnostics", np.max(np.abs(va - vb) / np.maximum(np.abs(vb), 1e-300)))
+                    note("array diagnostics", np.max(np.abs(va - vb) / np.maximum(np.abs(vb), 1e-300)), _bitwise(va, vb))
                 elif va != vb:
                     bad.append(f"diagnostic {name} {key}: {vb!r} -> {va!r}")
         elif key[0] == "sandwich":
             where = "" if isinstance(key[1], int) else f" ({key[1]})"
-            note(f"sandwich {key[2]} variance{where}", np.max(np.abs(a - b) / b))
+            note(f"sandwich {key[2]} variance{where}", np.max(np.abs(a - b) / b), _bitwise(a, b))
         elif key == "study":
             if set(a) != set(b):
                 bad.append("study curve keys")
@@ -281,7 +291,9 @@ def compare(before_path: str, after_path: str) -> int:
                 if name in a:
                     gap = float(np.nanmax(np.abs(a[name] - vb)) / np.mean(sd[name[1]]))
                     worst["study curves (bitwise)"] = max(worst.get("study curves (bitwise)", 0.0), gap)
-                    if a[name].tobytes() != vb.tobytes():
+                    same = _bitwise(a[name], vb)
+                    bitwise["study curves (bitwise)"] = bitwise.get("study curves (bitwise)", True) and same
+                    if not same:
                         bad.append(f"study curve {name}")
         elif key == "study bandwidths":
             for name, vb in b.items():
@@ -306,7 +318,7 @@ def compare(before_path: str, after_path: str) -> int:
         elif key[0] == "pair curves":
             scale = float(np.mean(sd["MR"]))
             for (psi_a, h_a), (psi_b, h_b) in zip(a, b):
-                note(f"{key[1]} point psi", np.max(np.abs(psi_a - psi_b)) / scale)
+                note(f"{key[1]} point psi", np.max(np.abs(psi_a - psi_b)) / scale, _bitwise(psi_a, psi_b))
                 if h_a != h_b:
                     bad.append(f"{key[1]} bandwidth: {h_b!r} -> {h_a!r}")
         elif key[0] == "bootstrap":
@@ -315,18 +327,21 @@ def compare(before_path: str, after_path: str) -> int:
             else:
                 gap = np.max(np.abs(a["curves"] - b["curves"]) / sd[key[1]], axis=-1)
                 split = floored if gap.shape == floored.shape else np.zeros(gap.shape, dtype=bool)
-                note("bootstrap rows", np.max(gap[~split], initial=0.0))
-                note("bootstrap rows, pi_d var floored", np.max(gap[split], initial=0.0))
+                same = np.all(a["curves"].view(np.uint64) == b["curves"].view(np.uint64), axis=-1)
+                note("bootstrap rows", np.max(gap[~split], initial=0.0), bool(np.all(same[~split])))
+                note("bootstrap rows, pi_d var floored", np.max(gap[split], initial=0.0), bool(np.all(same[split])))
         elif key == "bootstrap floored":
             if not np.array_equal(a, b):
                 bad.append("bootstrap floored replicates")
         else:  # repeated bands
             scale = float(np.mean(sd["MR"]))
             for (lo_a, hi_a), (lo_b, hi_b) in zip(a, b):
-                note("repeated bands", max(np.max(np.abs(lo_a - lo_b)), np.max(np.abs(hi_a - hi_b))) / scale)
+                gap = max(np.max(np.abs(lo_a - lo_b)), np.max(np.abs(hi_a - hi_b))) / scale
+                note("repeated bands", gap, _bitwise(lo_a, lo_b) and _bitwise(hi_a, hi_b))
     for label, value in sorted(worst.items()):
         gate = "must be 0" if label == "study curves (bitwise)" else "tolerance 1e-10"
-        print(f"{label:33s} largest {value:.3g} ({gate})")
+        equal = "bitwise equal" if bitwise[label] else "NOT bitwise equal"
+        print(f"{label:33s} largest {value:.3g} ({gate}); {equal}")
     for label, count in unequal.items():
         print(f"{label:33s} {count} unequal (must be equal)")
     for label in sorted(set(bad)):

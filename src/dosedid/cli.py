@@ -361,6 +361,8 @@ def _cmd_placebo(config: dict, args) -> int:
     if not isinstance(block, dict) or "baseline" not in block or "posts" not in block:
         problems.append("placebo: need a mapping with 'baseline' and 'posts'")
     panel = _load_panel(config, problems)
+    if panel is not None:
+        _raise_fatal(validate(panel))
     if problems:
         raise ConfigError(problems)
 

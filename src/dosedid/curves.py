@@ -40,7 +40,7 @@ from .data import TwoPeriodDataset
 from .errors import BandwidthError, DoseDidError, EstimationError
 from .numeric import WindowedMoments, default_bandwidth_grid, fit_wls, linear_predictor
 from .nuisance import DENSITY_FLOOR, VALID_WHICH, NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
-from .pseudo import compute_theta0, compute_xi_terms, dose_weight_terms
+from .pseudo import OutcomeTerms, compute_theta0, compute_xi_terms, control_weights_of, dose_weights_of
 
 __all__ = [
     "METHODS",
@@ -101,7 +101,9 @@ class EffectCurveEstimate:
     decomposition (TWFE reports theta0 = 0). Confidence bands are attached
     by the inference module. An estimate on a stacked dataset holds (R, K)
     curves, (R,) ``theta0`` and per-row diagnostics; a single run's
-    ``theta0`` is a Python float.
+    ``theta0`` is a Python float. An MR curve keeps in ``terms`` the
+    outcome part it was built from (xi, theta00, theta01, mu0(X) and the
+    smoother window of xi), which its sandwich reads (D19).
     """
 
     method: str
@@ -113,6 +115,7 @@ class EffectCurveEstimate:
     ci_lower: np.ndarray | None = None
     ci_upper: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    terms: OutcomeTerms | None = None
 
     def __post_init__(self):
         checked_grid(self.grid)
@@ -248,11 +251,12 @@ def _bandwidths(data, window: WindowedMoments, rows: int, bandwidth, bandwidth_g
 
 def _smoothed_curves(data, formed: dict, grid, bandwidth, bandwidth_grid) -> dict:
     """Each key of ``formed``, a dose-side regression target and its
-    diagnostics, mapped to ``(theta, bandwidth, diagnostics)`` of its local
-    linear curve on ``grid``, or to the DoseDidError of forming it: one
-    ``WindowedMoments`` over the stacked targets serves the leave-one-out
-    pass and every curve, one ``fit`` per distinct bandwidth, each row
-    bitwise its target's alone (D13)."""
+    diagnostics, mapped to ``(theta, bandwidth, diagnostics, (target,
+    window))`` of its local linear curve on ``grid``, or to the DoseDidError
+    of forming it: one ``WindowedMoments`` over the stacked targets serves
+    the leave-one-out pass and every curve, one ``fit`` per distinct
+    bandwidth, each row bitwise its target's alone, and ``window`` is the
+    target's row of it (D13)."""
     if not formed:
         return {}
     # A row per target, each over the weight's rows (NAIVE's trend is 1-D).
@@ -264,9 +268,10 @@ def _smoothed_curves(data, formed: dict, grid, bandwidth, bandwidth_grid) -> dic
         picked = _bandwidths(data, window, len(formed), bandwidth, bandwidth_grid)
     except DoseDidError as exc:
         return dict.fromkeys(formed, exc)
-    for row, ((key, (_, diagnostics)), (h, selection)) in enumerate(zip(formed.items(), picked)):
+    for row, ((key, (target, diagnostics)), (h, selection)) in enumerate(zip(formed.items(), picked)):
         try:
-            out[key] = _once(fits, h, window.fit, grid, h)[0][row], float(h), {**diagnostics, **selection}
+            theta = _once(fits, h, window.fit, grid, h)[0][row]
+            out[key] = theta, float(h), {**diagnostics, **selection}, (target, window.row(row))
         except DoseDidError as exc:
             out[key] = exc
     return out
@@ -275,17 +280,18 @@ def _smoothed_curves(data, formed: dict, grid, bandwidth, bandwidth_grid) -> dic
 def _weight_health(wt, models, weights, diagnostics) -> None:
     """Record the marginals' node count; the treated doses at which f, and
     pi_d(D_i | X_i), sit at DENSITY_FLOOR; the treated units whose pi_d
-    residual variance is floored at RESIDUAL_VAR_FLOOR; and the normalized
-    dose weights w1's maximum and Kish effective sample size
-    (sum v)^2 / sum v^2, where v is the unit weight ``wt`` times w1, all
-    from the ``dose_weight_terms`` the dose side formed its target from."""
-    w1, f_at_d, pi_d_at, var_floor_hits, diagnostics["clamped"] = weights
-    v = wt * w1
+    residual variance is floored at RESIDUAL_VAR_FLOOR; the doses outside
+    the node range; and the normalized dose weights w1's maximum and Kish
+    effective sample size (sum v)^2 / sum v^2, where v is the unit weight
+    ``wt`` times w1, all from the ``DoseWeights`` the dose side formed its
+    target from."""
+    v = wt * weights.w1
+    diagnostics["clamped"] = weights.clamped
     diagnostics["marginal_nodes"] = int(models.f_marginal.x.shape[0])
-    diagnostics["f_floor_hits"] = np.count_nonzero(f_at_d <= DENSITY_FLOOR, axis=-1)
-    diagnostics["pi_d_floor_hits"] = np.count_nonzero(pi_d_at <= DENSITY_FLOOR, axis=-1)
-    diagnostics["pi_d_var_floor_hits"] = var_floor_hits
-    diagnostics["w1_max"] = np.max(w1, axis=-1)
+    diagnostics["f_floor_hits"] = np.count_nonzero(weights.f_at_d <= DENSITY_FLOOR, axis=-1)
+    diagnostics["pi_d_floor_hits"] = np.count_nonzero(weights.pi_d_at <= DENSITY_FLOOR, axis=-1)
+    diagnostics["pi_d_var_floor_hits"] = weights.var_floor_hits
+    diagnostics["w1_max"] = np.max(weights.w1, axis=-1)
     diagnostics["w1_ess"] = np.sum(v, axis=-1) ** 2 / np.sum(v * v, axis=-1)
 
 
@@ -328,15 +334,15 @@ def _dose_target(data, formula, models, on_out_of_range) -> tuple[np.ndarray | N
         return xi, diagnostics
     trend_t, _ = data.split(data.trend)
     if formula == "IPW":
-        weights = dose_weight_terms(data, models, on_out_of_range)
+        weights = dose_weights_of(data, models, on_out_of_range)
         _weight_health(data.weight_treated, models, weights, diagnostics)
-        return weights[0] * trend_t, diagnostics
+        return weights.w1 * trend_t, diagnostics
     return (trend_t if formula == "NAIVE" else None), diagnostics
 
 
 def _unsmoothed_curve(data, method, models, formed, grid, bandwidth, parametric_basis):
-    """``(theta, bandwidth, diagnostics)`` of an MR_PARAMETRIC, OR or TWFE
-    job from its ``_dose_target``."""
+    """``(theta, bandwidth, diagnostics, None)`` of an MR_PARAMETRIC, OR or
+    TWFE job from its ``_dose_target``."""
     target, diagnostics = formed[0], dict(formed[1])
     if method == "MR_PARAMETRIC":
         theta = parametric_theta(data.dose, target, grid, data.weight_treated, parametric_basis)
@@ -345,13 +351,15 @@ def _unsmoothed_curve(data, method, models, formed, grid, bandwidth, parametric_
         theta = models.m_marginal(grid)
     else:  # TWFE
         theta, diagnostics["twfe_coefficients"] = _twfe_curve(data, grid)
-    return theta, bandwidth, diagnostics
+    return theta, bandwidth, diagnostics, None
 
 
 def dose_sides(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range) -> dict:
     """The dose-side curve theta on ``grid`` of every ``key: (method,
     models)`` of ``jobs``: each key maps to ``(theta, bandwidth,
-    diagnostics)``, or to the DoseDidError of forming it.
+    diagnostics, smoothed)``, or to the DoseDidError of forming it, where
+    ``smoothed`` is a smoothed method's ``(target, window row)`` and None
+    for the others.
 
     A job reads only the models in ``DOSE_NEEDS[method]``; for TWFE, whose
     curve does not split, theta is the whole curve. Methods that read pi_d
@@ -380,27 +388,30 @@ def dose_sides(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on
     return {key: done[curve] for key, curve in curve_of.items()}
 
 
-def _control_side(data, formula, models) -> tuple[float | np.ndarray, dict]:
-    """``formula``'s control-side constant theta0 and its diagnostics.
+def _control_side(data, formula, models) -> tuple[float | np.ndarray, dict, tuple | None]:
+    """``formula``'s control-side constant theta0, its diagnostics, and for
+    MR the terms it is formed from, ``(theta00, theta01, mu0(X))``.
 
     Reads only the models in ``CONTROL_NEEDS[formula]``; TWFE reports 0.
     theta0 and ``pi_a_converged`` have the weight's leading shape.
     """
+    parts = None
     if formula == "MR":
-        theta00, theta01, _ = compute_theta0(data, models)
-        theta0 = theta00 + theta01
+        parts = compute_theta0(data, models)
+        theta0 = parts[0] + parts[1]
     elif formula == "OR":
         wt = data.weight_treated
         theta0 = np.sum(wt * models.mu0(data.x_treated), axis=-1) / np.sum(wt, axis=-1)
-    elif formula == "IPW":
-        theta0, _, _ = compute_theta0(data, models, mu0_override=np.zeros(data.n))
-    elif formula == "NAIVE":
+    elif formula in ("IPW", "NAIVE"):
+        # IPW's is theta00 at mu0 = 0, NAIVE's the controls' mean trend.
         _, trend_c = data.split(data.trend)
         wc = data.weight_control
-        theta0 = np.sum(wc * trend_c, axis=-1) / np.sum(wc, axis=-1)
+        weighted = wc * control_weights_of(data, models).w0 if formula == "IPW" else wc
+        theta0 = np.sum(weighted * trend_c, axis=-1) / np.sum(wc, axis=-1)
     else:  # TWFE
         theta0 = np.zeros(data.weight.shape[:-1])
-    return theta0, ({"pi_a_converged": models.pi_a.fit.converged} if "pi_a" in CONTROL_NEEDS[formula] else {})
+    diagnostics = {"pi_a_converged": models.pi_a.fit.converged} if "pi_a" in CONTROL_NEEDS[formula] else {}
+    return theta0, diagnostics, parts
 
 
 def estimate_curves(
@@ -420,7 +431,8 @@ def estimate_curves(
     with ``grid`` (NAIVE and TWFE read none). psi = theta - theta0 joins
     the job's dose side (``dose_sides``) and control side; a control side
     is computed once per formula (MR_PARAMETRIC's is MR's) and ``_source``
-    (docs/DECISIONS.md, D13).
+    (docs/DECISIONS.md, D13). An MR curve keeps its two sides' outcome
+    terms (D19).
     """
     doses = dose_sides(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range)
     controls: dict = {}
@@ -430,8 +442,12 @@ def estimate_curves(
         try:
             if isinstance(doses[key], DoseDidError):
                 raise doses[key]
-            theta, h, dose_diagnostics = doses[key]
-            theta0, control_diagnostics = _once(controls, source, _control_side, data, source[0], models)
+            theta, h, dose_diagnostics, smoothed = doses[key]
+            theta0, control_diagnostics, parts = _once(controls, source, _control_side, data, source[0], models)
+            terms = None
+            if method == "MR":
+                xi, window = smoothed
+                terms = OutcomeTerms(data, models, xi, *parts, window=window)
             out[key] = EffectCurveEstimate(
                 method=method,
                 grid=grid,
@@ -440,6 +456,7 @@ def estimate_curves(
                 theta0=theta0,
                 bandwidth=h,
                 diagnostics={**dose_diagnostics, **control_diagnostics},
+                terms=terms,
             )
         except DoseDidError as exc:
             out[key] = exc

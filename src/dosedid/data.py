@@ -15,6 +15,7 @@ import csv
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -263,13 +264,14 @@ class TwoPeriodDataset:
     def trend(self) -> np.ndarray:
         return self.y1 - self.y0
 
-    @property
+    # The groups' covariate rows, gathered once per dataset.
+    @cached_property
     def x_treated(self) -> np.ndarray:
-        return self.x[self.a]
+        return _readonly(self.x[self.a])
 
-    @property
+    @cached_property
     def x_control(self) -> np.ndarray:
-        return self.x[~self.a]
+        return _readonly(self.x[~self.a])
 
     @property
     def weight_treated(self) -> np.ndarray:
@@ -278,6 +280,12 @@ class TwoPeriodDataset:
     @property
     def weight_control(self) -> np.ndarray:
         return self.weight.compress(~self.a, axis=-1)
+
+    def same_fields(self, other: "TwoPeriodDataset", names: tuple[str, ...]) -> bool:
+        """Whether ``other`` is this dataset or holds equal arrays in the
+        fields ``names``: identity first, then value."""
+        pairs = ((getattr(self, name), getattr(other, name)) for name in names)
+        return other is self or all(mine is theirs or np.array_equal(mine, theirs) for mine, theirs in pairs)
 
     def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split a length-n vector, or each row of a (..., n) stack, into

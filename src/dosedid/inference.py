@@ -35,6 +35,8 @@ Two routes, each with one implementation; the repeated-period workflow in
   the bread's solve and O(n) work: iota is one (n x q) matrix-vector
   product plus a pass over the window. Every variance is bitwise the one
   of the system built at that delta alone (docs/DECISIONS.md, D18).
+  The context reads xi, theta00, theta01, mu0(X) and the smoother window
+  from the curve and w0 from the model set (D19).
   The variance of an average over M periods that share the unit roster is
   the squared norm of the mean of the periods' columns, which is the
   block-diagonal stacked system in closed form and picks up the
@@ -66,7 +68,6 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,7 @@ from .data import TwoPeriodDataset
 from .errors import DoseDidError, EstimationError
 from .numeric import WindowedMoments, epanechnikov, expit, linear_predictor
 from .nuisance import NuisanceModelSet, marginalize
-from .pseudo import compute_theta0, compute_xi_terms, normalize_weights
+from .pseudo import ControlWeights, DoseWeights, control_weights_of, dose_weights_of, outcome_terms
 
 __all__ = [
     "Z_95",
@@ -106,21 +107,14 @@ class _CurveContext:
 
     The base system's four per-unit equations split into two parts. The
     dense part ``dense @ _coefficients(moments of f, eta)`` has six fixed
-    columns:
-    wt alpha / p and wt phi / p on the treated (the quadrature corrections
-    are their combinations with f's quadrature weights; mu1 is linear in its
-    coefficients, so the covariate-level deviation mu1(d, X_i) - m(d) is
-    ``alpha_i + phi_i * d``), the theta00 equation's data term and weight on
-    the controls, and the theta01 equation's on the treated. The kernel part
-    lives on the treated units inside the kernel window, a slice of the
-    dose-sorted order. A grid costs one array of quadrature rules over the
-    nodes in the windows and O(window) arithmetic per point; the fixed
-    columns and their sums are formed once. xi, theta00, theta01 and the control
-    weight come from ``compute_xi_terms`` and ``compute_theta0``, the
-    routines the MR curve's two sides call. A model set with (R, k)
-    coefficient stacks gives one row per stacked set in every per-unit
-    array and in ``dense_sums``, each bitwise the set's alone; the augmented
-    block builds its perturbed sets so.
+    columns (``_fixed_columns``). The kernel part lives on the treated units
+    inside the kernel window, a slice of the window's dose-sorted order. A
+    grid costs one array of quadrature rules over the nodes in the windows
+    and O(window) arithmetic per point; the fixed columns and their sums
+    are formed once. xi, theta00, theta01, mu0(X) and the smoother window
+    of xi are the curve's own ``terms`` when they were formed from these
+    models on data equal to this; otherwise ``pseudo.outcome_terms`` forms
+    the terms and the context builds the window (D19).
     """
 
     def __init__(self, data: TwoPeriodDataset, models: NuisanceModelSet, curve: EffectCurveEstimate):
@@ -134,44 +128,22 @@ class _CurveContext:
         self.wt, self.wc = data.weight_treated, data.weight_control
         self.p_hat = float(np.sum(self.wt) / np.sum(data.weight))
 
-        self.xi, _ = compute_xi_terms(data, models, "clamp")
-        self.theta00, self.theta01, raw_w0 = compute_theta0(data, models)
-
+        terms = curve.terms
+        if terms is None or not terms.reads(data, models):
+            terms = outcome_terms(data, models)
+        self.xi, self.theta00, self.theta01 = terms.xi, terms.theta00, terms.theta01
         self.nodes = models.dose_nodes
         self.f_values = models.f_marginal.y
-        level, slope = models.mu1.unit_terms(data.x_treated)
-        self.alpha = level - np.asarray(models.m_marginal.level)[..., None]
-        self.phi = slope - np.asarray(models.m_marginal.slope)[..., None]
-
-        # theta00/theta01 are self-normalized group means, so their
-        # equations live on their own group only.
-        treated = data.a
-        mu0 = models.mu0(data.x)
-        trend_c = data.trend[~treated]
-        columns = np.zeros(self.xi.shape[:-1] + (6, data.n))
-        columns[..., 0, treated] = self.wt * self.alpha / self.p_hat
-        columns[..., 1, treated] = self.wt * self.phi / self.p_hat
-        columns[..., 2, ~treated] = self.wc * normalize_weights(raw_w0, self.wc) * (trend_c - mu0[..., ~treated])
-        columns[..., 3, treated] = self.wt * mu0[..., treated]
-        columns[..., 4, ~treated] = self.wc
-        columns[..., 5, treated] = self.wt
+        self.alpha, self.phi, columns = _fixed_columns(data, models, terms, self.p_hat)
         # (n, 6) column-major: a product with a coefficient vector streams
         # each column once.
         self.dense = np.swapaxes(columns, -1, -2)
         self.dense_sums = columns.sum(axis=-1)
 
-        # The window's sort: ``solve``'s span indexes this order.
-        order = np.argsort(data.dose, kind="stable")
-        self.units_sorted = np.flatnonzero(treated)[order]
-        self.dose_sorted = data.dose[order]
-        self.xi_sorted = self.xi[..., order]
-        self.wt_sorted = self.wt[order]
-
-    @cached_property
-    def window(self) -> WindowedMoments:
-        """The local linear moments of xi; only ``solve`` reads them, so the
-        finite-difference contexts never build them."""
-        return WindowedMoments(self.data.dose, self.xi, self.wt)
+        # ``solve``'s span indexes the window's dose-sorted order.
+        self.window = window = terms.window or WindowedMoments(data.dose, self.xi, self.wt)
+        self.units_sorted = np.flatnonzero(data.a)[window.order]
+        self.dose_sorted, self.xi_sorted, self.wt_sorted = window.x_sorted, window.y_sorted, window.w_sorted
 
     def rules(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(first, counts, weights)``: at grid point k, the (4, counts[k])
@@ -253,6 +225,34 @@ class _CurveContext:
         return eta, bread, (first, stop)
 
 
+def _fixed_columns(data, models, terms, p_hat: float):
+    """``(alpha, phi, columns)`` of ``models`` with outcome ``terms`` on
+    ``data``: mu1 is linear in its coefficients, so the covariate-level
+    deviation mu1(d, X_i) - m(d) is ``alpha_i + phi_i * d``; the (..., 6, n)
+    fixed columns are wt alpha / p and wt phi / p on the treated (the
+    quadrature corrections are their combinations with f's quadrature
+    weights), the theta00 equation's data term and weight on the controls,
+    and the theta01 equation's on the treated. A model set with (R, k)
+    coefficient stacks gives one row per stacked set, each bitwise the
+    set's alone. theta00/theta01 are self-normalized group means, so their
+    equations live on their own group only."""
+    wt, wc = data.weight_treated, data.weight_control
+    level, slope = models.mu1.unit_terms(data.x_treated)
+    alpha = level - np.asarray(models.m_marginal.level)[..., None]
+    phi = slope - np.asarray(models.m_marginal.slope)[..., None]
+    treated = data.a
+    mu0 = terms.mu0_x
+    trend_c = data.trend[~treated]
+    columns = np.zeros(terms.xi.shape[:-1] + (6, data.n))
+    columns[..., 0, treated] = wt * alpha / p_hat
+    columns[..., 1, treated] = wt * phi / p_hat
+    columns[..., 2, ~treated] = wc * control_weights_of(data, models).w0 * (trend_c - mu0[..., ~treated])
+    columns[..., 3, treated] = wt * mu0[..., treated]
+    columns[..., 4, ~treated] = wc
+    columns[..., 5, treated] = wt
+    return alpha, phi, columns
+
+
 def _moments_of_f(rules, f_values: np.ndarray) -> np.ndarray:
     """``(a0, a1, b0, b1)``, the integrals of K(u) f(d) times 1, d, u and u
     d under each grid point's quadrature rule (``_CurveContext.rules``), for
@@ -275,11 +275,12 @@ class _NuisanceBlock:
     rows of two stacks: the rows that move one of pi_d's coordinates refit
     pi_d, its KDE table and f in one rank-generic call, and the others
     reuse the fitted pi_d and f. Each stack is built in blocks of at most
-    ``_STACK_BLOCK // n`` rows through one stacked ``_CurveContext``, and
-    only what a grid point reads is kept, one row per perturbed set: the
+    ``_STACK_BLOCK // n`` rows, whose outcome terms and fixed columns are
+    formed as stacks, and only what a grid point reads is kept, one row per
+    perturbed set: the
     sums of the six fixed columns (2p, 6), the dose-sorted xi as columns
     (n_t, 2p), an index into the f tables (row 0 the curve's own f), and
-    the summed scores (2p, p). Every context tabulates f on the curve's
+    the summed scores (2p, p). Every stack tabulates f on the curve's
     node set, so one quadrature rule per grid point serves them all, and
     ``fd_columns`` forms every finite-difference column of the grid from
     array expressions over the grid points and the perturbed rows, bitwise
@@ -308,13 +309,14 @@ class _NuisanceBlock:
         for refit in (True, False):
             rows = np.flatnonzero(moves_pi_d == refit)
             for chunk in np.array_split(rows, -(-rows.shape[0] // cap)):
-                stack = _CurveContext(ctx.data, rebuild(ends[chunk], refit), ctx.curve)
-                self.dense_sums[chunk] = stack.dense_sums
+                stack = rebuild(ends[chunk], refit)
+                terms = outcome_terms(ctx.data, stack)
+                self.dense_sums[chunk] = _fixed_columns(ctx.data, stack, terms, ctx.p_hat)[2].sum(axis=-1)
                 self.score_sums[chunk] = score_sums(ends[chunk])
-                self.xi_sorted[:, chunk] = stack.xi_sorted.T
+                self.xi_sorted[:, chunk] = terms.xi[:, ctx.window.order].T
                 if refit:
                     self.f_row[chunk] = len(f_values) + np.arange(chunk.shape[0])
-                    f_values.extend(stack.f_values)
+                    f_values.extend(stack.f_marginal.y)
         self.f_values = np.array(f_values)
 
     def fd_columns(self, ctx: _CurveContext, grid: np.ndarray, eta: np.ndarray, rules, spans) -> np.ndarray:
@@ -402,8 +404,9 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
         return np.concatenate([values.sum(axis=-2) for _, values in parts(packed)], axis=-1)
 
     def rebuild(packed: np.ndarray, refit_pi_d: bool) -> NuisanceModelSet:
-        """The model set at ``packed``; pi_d and f are refit only when
-        ``refit_pi_d``, and otherwise the fitted ones serve."""
+        """The model set at ``packed``, with its weight parts; pi_d and f are
+        refit only when ``refit_pi_d``, and otherwise the fitted ones and
+        their weight part serve."""
         alpha_d, gamma_r, lam1, alpha_a, lam0 = np.split(packed, splits, axis=-1)
         mu1 = models.mu1.with_coefficients(lam1)
         pi_a = models.pi_a.with_coefficients(alpha_a)
@@ -413,9 +416,11 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
         if refit_pi_d:
             pi_d = models.pi_d.with_parameters(alpha_d, gamma_r, d, x_t, ctx.wt)
             m_curve, f_curve = marginalize(mu1, pi_d, data, nodes)
+            dose_weights = DoseWeights.form(data, pi_d, f_curve)
         else:
             pi_d = models.pi_d
             m_curve, f_curve = marginalize(mu1, None, data, nodes)[0], models.f_marginal
+            dose_weights = dose_weights_of(data, models, "clamp")
         return NuisanceModelSet(
             pi_a=pi_a,
             pi_d=pi_d,
@@ -425,6 +430,8 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
             f_marginal=f_curve,
             dose_nodes=m_curve.x,
             specs=models.specs,
+            dose_weights=dose_weights,
+            control_weights=ControlWeights.form(data, pi_a),
         )
 
     return np.concatenate(params), scores, score_sums, rebuild
@@ -478,8 +485,7 @@ def stacked_sandwich_variance(
         raise EstimationError("no per-period systems supplied")
     if any(data_m.n != systems[0][0].n for data_m, _, _ in systems):
         raise EstimationError("stacked periods must share the unit roster")
-    contexts = [_CurveContext(*period) for period in systems]
-    return _variances([(ctx, _NuisanceBlock(ctx, None)) for ctx in contexts], grid)[0]
+    return _variances([_prepare(*period, "base") for period in systems], grid)[0]
 
 
 def _variances(periods: list[tuple[_CurveContext, _NuisanceBlock]], grid) -> tuple[np.ndarray, float]:

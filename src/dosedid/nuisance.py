@@ -48,6 +48,7 @@ from .numeric import (
     linear_predictor,
     scale_mixture,
 )
+from .pseudo import ControlWeights, DoseWeights
 
 __all__ = [
     "DENSITY_FLOOR",
@@ -504,6 +505,10 @@ class NuisanceModelSet:
     ``specs`` records each model's specification; the augmented sandwich
     reads it to require parametric learners. The set does not keep the
     dataset it was fit on: every caller passes that dataset beside it.
+
+    ``dose_weights`` and ``control_weights`` are the weight parts of its
+    pi_d and f, and of its pi_a, on the dataset each names; one read from
+    other fitted objects than the set's own (after ``replace``) is dropped.
     """
 
     pi_a: PropensityModel | None
@@ -514,6 +519,15 @@ class NuisanceModelSet:
     f_marginal: TabulatedCurve | None
     dose_nodes: np.ndarray | None
     specs: dict
+    dose_weights: DoseWeights | None = None
+    control_weights: ControlWeights | None = None
+
+    def __post_init__(self):
+        dose, control = self.dose_weights, self.control_weights
+        if dose is not None and (dose.pi_d is not self.pi_d or dose.f_marginal is not self.f_marginal):
+            object.__setattr__(self, "dose_weights", None)
+        if control is not None and control.pi_a is not self.pi_a:
+            object.__setattr__(self, "control_weights", None)
 
 
 # --------------------------------------------------------------------------
@@ -685,12 +699,14 @@ class ModelBank:
     marginal is formed at most once per spec, on the node set that
     ``marginalize`` derives from ``dose_grid``. Model sets for different
     specification permutations therefore share every fit they have in
-    common.
+    common. ``weights`` forms the weight part of each fitted pi_a, and of
+    each fitted pi_d with its f, once, for every model set that holds them.
 
     ``treatment_side``, a bank on another period pair of the same units
     (covariates, treatment, doses and weight) and the same ``dose_grid``,
-    serves this bank's pi_a, pi_d and f: they read no outcome, so the pairs
-    share them and fit only mu1, m and mu0 each (docs/DECISIONS.md, D16).
+    serves this bank's pi_a, pi_d, f and their weight parts: they read no
+    outcome, so the pairs share them and fit only mu1, m and mu0 each
+    (docs/DECISIONS.md, D16 and D19).
     """
 
     def __init__(
@@ -703,6 +719,7 @@ class ModelBank:
         self.treatment_side = treatment_side
         self._fits: dict = {}
         self._marginals: dict = {}
+        self._weights: dict = {}
 
     def fit(self, name: str, spec: NuisanceSpec):
         if self.treatment_side is not None and name in _TREATMENT_SIDE:
@@ -727,6 +744,19 @@ class ModelBank:
             self._marginals[key] = m_curve or f_curve
         return self._marginals[key]
 
+    def weights(self, name: str, spec: NuisanceSpec) -> ControlWeights | DoseWeights:
+        """The weight part of the fitted pi_a (name ``"pi_a"``) or of the
+        fitted pi_d and its f (``"pi_d"``) on this bank's dataset."""
+        if self.treatment_side is not None:
+            return self.treatment_side.weights(name, spec)
+        key = (name, spec)
+        if key not in self._weights:
+            if name == "pi_a":
+                self._weights[key] = ControlWeights.form(self.data, self.fit(name, spec))
+            else:
+                self._weights[key] = DoseWeights.form(self.data, self.fit(name, spec), self.marginal(name, spec))
+        return self._weights[key]
+
     def models(self, specs: dict[str, NuisanceSpec], which=VALID_WHICH) -> NuisanceModelSet:
         """The model set for ``which`` under ``specs``, with its marginals."""
         which = tuple(which)
@@ -746,14 +776,15 @@ class ModelBank:
             f_marginal=f_curve,
             dose_nodes=None if nodes is None else nodes.x,
             specs={k: specs[k] for k in which},
+            dose_weights=self.weights("pi_d", specs["pi_d"]) if "pi_d" in which else None,
+            control_weights=self.weights("pi_a", specs["pi_a"]) if "pi_a" in which else None,
         )
 
 
 def _same_treatment_side(bank: "ModelBank", data: TwoPeriodDataset, dose_grid) -> bool:
     """Whether ``bank`` was built on the units, doses, weight and dose grid
     of ``data`` and ``dose_grid``."""
-    fields = [(getattr(bank.data, name), getattr(data, name)) for name in ("x", "a", "dose", "weight")]
-    return all(np.array_equal(mine, theirs) for mine, theirs in [(bank.dose_grid, dose_grid), *fields])
+    return np.array_equal(bank.dose_grid, dose_grid) and data.same_fields(bank.data, ("x", "a", "dose", "weight"))
 
 
 def fit_nuisances(

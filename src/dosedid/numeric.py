@@ -17,6 +17,7 @@ identically row by row (D7).
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -335,6 +336,8 @@ class WindowedMoments:
     sample is sorted once, the prefix sums run along the last axis, and
     every moment and fit has the leading shape of ``ys`` and
     ``sample_weight`` broadcast, each row as its own sample gives it.
+    ``order`` is the stable sort of ``xs``, and ``x_sorted``, ``y_sorted``
+    and ``w_sorted`` are the sample in that order.
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray, sample_weight: np.ndarray):
@@ -350,13 +353,24 @@ class WindowedMoments:
             raise FitError("weights must be nonnegative")
         # The literal fallback's rows: ``ys`` and weights broadcast together.
         self._literal = (x, *np.broadcast_arrays(y, w))
-        order = np.argsort(x, kind="stable")
+        self.order = order = np.argsort(x, kind="stable")
         xo, yo, wo = x[order], np.ascontiguousarray(y[..., order]), np.ascontiguousarray(w[..., order])
-        self._xo, self._yo, self._wo = xo, yo, wo
+        self.x_sorted, self.y_sorted, self.w_sorted = xo, yo, wo
         self._centre = float(np.mean(xo))
         self._xc = xc = xo - self._centre  # centring bounds the power sums
         self._pref = [_prefix_sums(wo * xc**k) for k in range(5)]
         self._qref = [_prefix_sums(wo * yo * xc**k) for k in range(4)]
+
+    def row(self, index: int) -> "WindowedMoments":
+        """The window of row ``index`` of a stack of ``ys`` over one weight
+        row, sharing this window's sort and weight sums: every moment and
+        fit is bitwise the one a window built over that row alone gives."""
+        out = copy.copy(self)
+        x, y, w = self._literal
+        out._literal = (x, y[index], w[index])
+        out.y_sorted = self.y_sorted[index]
+        out._qref = [q[index] for q in self._qref]
+        return out
 
     def moments(self, targets: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
         """``(s0, s1, s2, t0, t1, first, stop)`` at each target: the sorted
@@ -400,8 +414,8 @@ class WindowedMoments:
         """``fit`` from the ``moments(targets, h)`` a caller already holds."""
         targets = np.asarray(targets, dtype=float)
         s0, s1, s2, t0, t1, first, stop = moments
-        last = self._xo.shape[0] - 1
-        bad = (stop - first < 2) | (self._xo[np.minimum(first, last)] == self._xo[np.maximum(stop - 1, 0)])
+        last = self.x_sorted.shape[0] - 1
+        bad = (stop - first < 2) | (self.x_sorted[np.minimum(first, last)] == self.x_sorted[np.maximum(stop - 1, 0)])
         if np.any(bad):
             k = int(np.argmax(bad))
             raise _window_error(float(targets[k]), h, tied=bool(stop[k] - first[k] >= 2))
@@ -419,11 +433,11 @@ class WindowedMoments:
         cand = np.unique(np.asarray(grid, dtype=float))
         if cand.size == 0:
             raise BandwidthError("empty bandwidth grid")
-        if self._wo.ndim != 1:
-            raise FitError(f"bandwidth selection takes one weight row, got weights {self._wo.shape}")
-        shape = self._yo.shape[:-1]
-        rows = self._yo.reshape(-1, self._xo.size)
-        zero_tol = np.reshape([_loo_zero_tolerance(y, self._wo) for y in rows], shape)
+        if self.w_sorted.ndim != 1:
+            raise FitError(f"bandwidth selection takes one weight row, got weights {self.w_sorted.shape}")
+        shape = self.y_sorted.shape[:-1]
+        rows = self.y_sorted.reshape(-1, self.x_sorted.size)
+        zero_tol = np.reshape([_loo_zero_tolerance(y, self.w_sorted) for y in rows], shape)
         best_h = np.full(shape, np.nan)
         best_score = np.full(shape, np.inf)
         for h in cand:
@@ -530,7 +544,7 @@ def _loo_score(window: WindowedMoments, h: float) -> np.ndarray | None:
     candidates and falls back at the same windows; the weight's moments
     s0, s1, s2 are formed once for all rows (docs/DECISIONS.md, D11).
     """
-    xo, yo, wo = window._xo, window._yo, window._wo
+    xo, yo, wo = window.x_sorted, window.y_sorted, window.w_sorted
     s0, s1, s2, t0, t1, first, stop = window.moments(xo, h)
     # Each LOO fit needs two in-window points besides the held-out one, and
     # is not identified when those are all tied.

@@ -4,10 +4,10 @@ With M calendar-matched (pre, post) period pairs, per-pair effect curves
 are estimated on a shared dose grid (the exposure is time-invariant, so the
 grid is computed once), then averaged pointwise. The pairs share the
 units' covariates, treatment, doses and weight, so the models that read no
-outcome, pi_a, pi_d and its marginal f, are fit once and serve every pair;
-mu1, m and mu0 are fit per pair (``_pair_curves``, docs/DECISIONS.md,
-D16). Both inference routes are the single-dataset ones in ``inference``,
-given the M pairs as input:
+outcome, pi_a, pi_d and its marginal f, are fit once, with their weight
+parts, and serve every pair; mu1, m and mu0 are fit per pair
+(``_pair_curves``, docs/DECISIONS.md, D16 and D19). Both inference routes
+are the single-dataset ones in ``inference``, given the M pairs as input:
 
 * bootstrap: ``bootstrap_replicates`` draws one weight per unit per
   replicate and reuses it across all pairs, which is what accounts for
@@ -73,16 +73,16 @@ def _average_curves(per_m: list[EffectCurveEstimate]) -> EffectCurveEstimate:
 
 def _pair_curves(
     datasets: list[TwoPeriodDataset], method, specs, grid, bandwidths, on_out_of_range="error"
-) -> tuple[list[EffectCurveEstimate], list]:
-    """Each pair's curve at its bandwidth, and the model set it was built
-    on (None for a method that reads no model, or when ``specs`` miss one
-    it reads, where ``estimate_curve`` reports the problem). The datasets
-    are period pairs of one panel under one weight: the first pair's bank
-    fits pi_a, pi_d and f, and every later pair's bank draws them from it."""
+) -> list[EffectCurveEstimate]:
+    """Each pair's curve at its bandwidth. The datasets are period pairs of
+    one panel under one weight: the first pair's bank fits pi_a, pi_d and f
+    and forms their weight parts, and every later pair's bank draws them
+    from it (a method that reads no model, or ``specs`` that miss one it
+    reads, go to ``estimate_curve`` without a set, which reports that)."""
     needs = DOSE_NEEDS.get(method, ()) + CONTROL_NEEDS.get(method, ())
     shared = needs and specs is not None and all(name in specs for name in needs)
     first = None
-    curves, model_sets = [], []
+    curves = []
     for ds, bandwidth in zip(datasets, bandwidths):
         models = None
         if shared:
@@ -94,8 +94,7 @@ def _pair_curves(
                 ds, method, specs=specs, grid=grid, bandwidth=bandwidth, on_out_of_range=on_out_of_range, models=models
             )
         )
-        model_sets.append(models)
-    return curves, model_sets
+    return curves
 
 
 def estimate_repeated(
@@ -129,7 +128,7 @@ def estimate_repeated(
     grid = checked_grid(default_dose_grid(data.dose) if grid is None else grid)
 
     datasets = [pair_periods(data, pre, post) for pre, post in pairs]
-    per_m, model_sets = _pair_curves(datasets, method, specs, grid, [bandwidth] * len(datasets))
+    per_m = _pair_curves(datasets, method, specs, grid, [bandwidth] * len(datasets))
     averaged = _average_curves(per_m)
 
     if inference == "bootstrap":
@@ -137,7 +136,7 @@ def estimate_repeated(
 
         def replicate(w):
             weighted = [replace(ds, weight=w) for ds in datasets]
-            curves, _ = _pair_curves(weighted, method, specs, grid, bandwidths, on_out_of_range="clamp")
+            curves = _pair_curves(weighted, method, specs, grid, bandwidths, on_out_of_range="clamp")
             return [*curves, _average_curves(curves)]
 
         *per_boot, avg_boot = bootstrap_replicates(data.a, replicate, b_replicates, seed)
@@ -156,7 +155,8 @@ def estimate_repeated(
     elif inference == "sandwich":
         if method != "MR":
             raise EstimationError("stacked sandwich inference is available for the MR method only")
-        variances = stacked_sandwich_variance(list(zip(datasets, model_sets, per_m)), grid)
+        # Each pair's MR curve keeps the model set it was built on.
+        variances = stacked_sandwich_variance([(ds, c.terms.models, c) for ds, c in zip(datasets, per_m)], grid)
         half = Z_95 * np.sqrt(variances)
         averaged = averaged.with_bands(averaged.psi - half, averaged.psi + half)
     elif inference != "none":
@@ -192,7 +192,7 @@ def placebo_curves(
             )
     grid = checked_grid(default_dose_grid(data.dose) if grid is None else grid)
     datasets = [pair_periods(data, baseline, post) for post in posts]
-    return _pair_curves(datasets, method, specs, grid, [bandwidth] * len(datasets))[0]
+    return _pair_curves(datasets, method, specs, grid, [bandwidth] * len(datasets))
 
 
 def scale_outcomes(data: PanelDataset, baseline_periods) -> PanelDataset:

@@ -432,11 +432,12 @@ def _replicate_worker(config: ScenarioConfig, perm_keys, truth: GroundTruth, rep
 
     Every curve comes from one ``curves.estimate_curves`` call, with one job
     per (method, permutation) over one ``ModelBank``. The bank fits each
-    model and marginal once per spec, and the engine computes each side once
-    per set of fitted objects it reads, so a 16-permutation, six-method
-    replicate costs 8 fits, 4 marginals, 6 theta0s (4 MR, 2 IPW), one
-    leave-one-out pass for the bandwidths of its 7 smoothed curves (4 MR,
-    2 IPW, 1 NAIVE) and one smoother window for evaluating them.
+    model and marginal, and forms each weight part, once per spec, and the
+    engine computes each side once per set of fitted objects it reads, so a
+    16-permutation, six-method replicate costs 8 fits, 4 marginals, 4
+    weight parts, 6 theta0s (4 MR, 2 IPW), one leave-one-out pass for the
+    bandwidths of its 7 smoothed curves (4 MR, 2 IPW, 1 NAIVE) and one
+    smoother window for evaluating them.
 
     Returns the curves, the MR bands and the failure messages, each keyed
     by (method, permutation), and for each curve whose bandwidth was

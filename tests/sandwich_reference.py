@@ -14,11 +14,19 @@ compare the reduced path against them. ``perturbed_ends`` and
 coordinate at a time, refitting pi_d and f for every one, the form its two
 stacks reduce. ``local_linear_curve`` is the smoother on one sample, the
 form the tests hold the pipeline's shared window to.
+
+``FreshContext`` and ``FreshBlock`` form a curve's context and its
+augmented block from scratch, as the package did before the model set
+kept its weight parts and the curve its outcome terms (docs/DECISIONS.md,
+D19): xi, theta00 and theta01 from the compute routines on the set
+stripped of its weight records, pi_a(X) and mu0(X) evaluated again, the
+context's own window and sorted copies, and one such context per stack of
+perturbed sets. ``fresh`` pairs them as ``inference._prepare`` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +34,7 @@ import numpy as np
 from dosedid import inference
 from dosedid.errors import EstimationError
 from dosedid.numeric import WindowedMoments
+from dosedid.pseudo import compute_theta0, compute_xi_terms, normalize_weights
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,7 @@ def variance_at(data, models, curve, delta, mode="base") -> float:
 def perturbed_ends(ctx, models, block) -> list:
     """Per coordinate j, ``(step, up, down)``: up and down are ``(context,
     models, summed scores)`` at ``packed +- step e_j``, each set rebuilt
-    alone with pi_d and f refit."""
+    alone with pi_d and f refit and its context formed from scratch."""
     _, scores, _, rebuild = inference._augmented_blocks(ctx, models)
     ends = []
     for j, step in enumerate(block.steps):
@@ -214,7 +223,7 @@ def perturbed_ends(ctx, models, block) -> list:
             end = block.packed.copy()
             end[j] += sign * step
             rebuilt = rebuild(end, True)
-            sides.append((inference._CurveContext(ctx.data, rebuilt, ctx.curve), rebuilt, scores(end).sum(axis=0)))
+            sides.append((FreshContext(ctx.data, rebuilt, ctx.curve), rebuilt, scores(end).sum(axis=0)))
         ends.append((step, *sides))
     return ends
 
@@ -274,3 +283,87 @@ def local_linear_curve(dose, ys, grid, h, sample_weight=None):
     (per row, for stacked ``ys`` or weights; unit weights by default)."""
     weight = np.ones(np.shape(dose)) if sample_weight is None else sample_weight
     return WindowedMoments(dose, ys, weight).fit(grid, h)[0]
+
+
+class FreshContext(inference._CurveContext):
+    """A curve's sandwich context formed from scratch (see the module
+    docstring); every method is the package's."""
+
+    def __init__(self, data, models, curve):
+        bare = replace(models, dose_weights=None, control_weights=None)
+        self.data = data
+        self.curve = curve
+        self.h = float(curve.bandwidth)
+        self.wt, self.wc = data.weight_treated, data.weight_control
+        self.p_hat = float(np.sum(self.wt) / np.sum(data.weight))
+
+        self.xi, _ = compute_xi_terms(data, bare, "clamp")
+        self.theta00, self.theta01, _ = compute_theta0(data, bare)
+        _, pa_c = data.split(models.pi_a(data.x))
+        raw_w0 = pa_c / (1.0 - pa_c)
+
+        self.nodes = models.dose_nodes
+        self.f_values = models.f_marginal.y
+        level, slope = models.mu1.unit_terms(data.x_treated)
+        self.alpha = level - np.asarray(models.m_marginal.level)[..., None]
+        self.phi = slope - np.asarray(models.m_marginal.slope)[..., None]
+
+        treated = data.a
+        mu0 = models.mu0(data.x)
+        trend_c = data.trend[~treated]
+        columns = np.zeros(self.xi.shape[:-1] + (6, data.n))
+        columns[..., 0, treated] = self.wt * self.alpha / self.p_hat
+        columns[..., 1, treated] = self.wt * self.phi / self.p_hat
+        columns[..., 2, ~treated] = self.wc * normalize_weights(raw_w0, self.wc) * (trend_c - mu0[..., ~treated])
+        columns[..., 3, treated] = self.wt * mu0[..., treated]
+        columns[..., 4, ~treated] = self.wc
+        columns[..., 5, treated] = self.wt
+        self.dense = np.swapaxes(columns, -1, -2)
+        self.dense_sums = columns.sum(axis=-1)
+
+        self.window = WindowedMoments(data.dose, self.xi, self.wt)
+        order = np.argsort(data.dose, kind="stable")
+        self.units_sorted = np.flatnonzero(treated)[order]
+        self.dose_sorted = data.dose[order]
+        self.xi_sorted = self.xi[..., order]
+        self.wt_sorted = self.wt[order]
+
+
+class FreshBlock(inference._NuisanceBlock):
+    """The augmented block with every stack of perturbed sets reduced
+    through a ``FreshContext``; ``fd_columns`` is the package's."""
+
+    def __init__(self, ctx, models):
+        packed, scores, score_sums, rebuild = inference._augmented_blocks(ctx, models)
+        p = packed.shape[0]
+        self.packed = packed
+        self.dense = np.asfortranarray(np.hstack([ctx.dense, scores(packed)]))
+        self.steps = inference._FD_STEP * np.maximum(1.0, np.abs(packed))
+        ends = np.concatenate([packed + np.diag(self.steps), packed - np.diag(self.steps)])
+        self.dense_sums = np.empty((2 * p, 6))
+        self.score_sums = np.empty((2 * p, p))
+        self.xi_sorted = np.empty((ctx.xi_sorted.shape[0], 2 * p))
+        self.f_row = np.zeros(2 * p, dtype=np.intp)
+        f_values = [ctx.f_values]
+        moves_pi_d = np.arange(2 * p) % p < models.pi_d.mean_coef.shape[0] + models.pi_d.resid_coef.shape[0]
+        cap = max(1, inference._STACK_BLOCK // ctx.data.n)
+        for refit in (True, False):
+            rows = np.flatnonzero(moves_pi_d == refit)
+            for chunk in np.array_split(rows, -(-rows.shape[0] // cap)):
+                stack = FreshContext(ctx.data, rebuild(ends[chunk], refit), ctx.curve)
+                self.dense_sums[chunk] = stack.dense_sums
+                self.score_sums[chunk] = score_sums(ends[chunk])
+                self.xi_sorted[:, chunk] = stack.xi_sorted.T
+                if refit:
+                    self.f_row[chunk] = len(f_values) + np.arange(chunk.shape[0])
+                    f_values.extend(stack.f_values)
+        self.f_values = np.array(f_values)
+
+
+def fresh(data, models, curve, mode="base"):
+    """``(context, block)`` of ``curve`` formed from scratch: the empty
+    block in base mode, a ``FreshBlock`` in augmented mode."""
+    ctx = FreshContext(data, models, curve)
+    if mode == "base":
+        return ctx, inference._NuisanceBlock(ctx, None)
+    return ctx, FreshBlock(ctx, models)

@@ -28,7 +28,7 @@ from dosedid.inference import (
 from dosedid.nuisance import DENSITY_FLOOR, default_specs, fit_nuisances
 from dosedid.numeric import default_bandwidth_grid, local_linear_fit, select_bandwidth
 from dosedid.panel import placebo_curves
-from dosedid.pseudo import compute_theta0, compute_xi_terms, normalize_weights
+from dosedid.pseudo import compute_theta0, compute_xi_terms, control_weights_of, normalize_weights
 from dosedid.simulation import (
     ROLE_DATA,
     InferenceConfig,
@@ -308,7 +308,7 @@ def test_criterion_4_oracles():
     )
     models = fit_nuisances(data, SPECS)
     xi, _ = compute_xi_terms(data, models)
-    theta00, theta01, raw_w0 = compute_theta0(data, models)
+    theta00, theta01, _ = compute_theta0(data, models)
 
     # brute-force loops
     x_t = data.x_treated
@@ -392,8 +392,8 @@ def test_criterion_4_oracles():
     curve = estimate_curve(big, "MR", specs=SPECS, models=models_big)
     system = explicit.system_at(big, models_big, curve, float(curve.grid[25]))
     v = explicit.covariance(system)
-    big_theta00, big_theta01, big_raw_w0 = compute_theta0(big, models_big)
-    big_w0 = normalize_weights(big_raw_w0, big.weight_control)
+    big_theta00, big_theta01, _ = compute_theta0(big, models_big)
+    big_w0 = normalize_weights(control_weights_of(big, models_big).raw_w0, big.weight_control)
     resid_c = (big.trend - models_big.mu0(big.x))[~big.a]
     psi3 = big_w0 * resid_c - big_theta00
     var00 = float(psi3 @ psi3) / big.n_control**2
@@ -445,9 +445,9 @@ def test_criterion_4_oracles():
 def test_criterion_5_invariants():
     data = generate_scenario_data(400, stream_seed(SEED + 5, 0, ROLE_DATA))
     models = fit_nuisances(data, SPECS)
-    _, (w1, *_) = compute_xi_terms(data, models)
-    theta00, theta01, raw_w0 = compute_theta0(data, models)
-    w0 = normalize_weights(raw_w0, data.weight_control)
+    w1 = compute_xi_terms(data, models)[1].w1
+    theta00, theta01, _ = compute_theta0(data, models)
+    w0 = normalize_weights(control_weights_of(data, models).raw_w0, data.weight_control)
 
     hajek = max(abs(w1.mean() - 1.0), abs(w0.mean() - 1.0))
 

@@ -318,6 +318,37 @@ def test_placebo_command(tmp_path):
     assert (tmp_path / "plc" / "placebo_NAIVE_post1.csv").exists()
 
 
+def test_placebo_on_a_repeated_unit_id_is_a_data_error(tmp_path, capsys):
+    """``placebo`` validates its panel as ``estimate`` does: a placebo panel
+    whose second row repeats the id ``u0`` exits with a data error naming
+    it, and writes no output."""
+    path = tmp_path / "pre.csv"
+    schema = write_panel(generate_placebo_panel(200, 3), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = ",".join(["u0", *lines[2].split(",")[1:]])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    payload = {
+        "output": str(tmp_path / "plc"),
+        "data": {
+            "path": str(path),
+            "schema": {
+                "id": schema.id,
+                "treatment": schema.treatment,
+                "dose": schema.dose,
+                "covariates": list(schema.covariates),
+                "outcomes": dict(schema.outcomes),
+            },
+        },
+        "method": "NAIVE",
+        "placebo": {"baseline": 0, "posts": [1], "intervention": 2},
+        "grid": {"size": 10},
+    }
+    cfg = _write_config(tmp_path, "plc.yaml", payload)
+    assert dispatch(["placebo", "-c", str(cfg)]) == 3
+    assert capsys.readouterr().err == "dosedid: data-error: repeated unit ids: 'u0' (2 rows)\n"
+    assert not (tmp_path / "plc").exists()
+
+
 def _panel_from(tmp_path, data):
     """Write a two-period dataset as a panel file in the layout of
     ``panel_file``."""
@@ -414,7 +445,7 @@ def test_estimate_selects_every_bandwidth_in_one_pass(tmp_path, panel_file, monk
     original = curves.robust_select_bandwidth
 
     def counted(x, window, grid, weight):
-        calls.append(window._yo.shape)
+        calls.append(window.y_sorted.shape)
         return original(x, window, grid, weight)
 
     monkeypatch.setattr(curves, "robust_select_bandwidth", counted)

@@ -474,3 +474,17 @@ def test_validate_flags_repeated_unit_ids(tmp_path):
     many = replace(many, ids=tuple(f"u{i // 2}" for i in range(20)))
     (message,) = [msg for fatal, msg in validate(many).violations if fatal]
     assert message.startswith("repeated unit ids: 'u0' (2 rows), 'u1' (2 rows)") and message.endswith("and 5 more")
+
+
+def test_group_covariates_are_gathered_once_per_dataset():
+    """``x_treated`` and ``x_control`` are gathered once per dataset and
+    read-only; a dataset made by ``replace`` gathers its own."""
+    data = generate_scenario_data(300, 5)
+    for name, rows in (("x_treated", data.a), ("x_control", ~data.a)):
+        block = getattr(data, name)
+        assert getattr(data, name) is block
+        assert not block.flags.writeable
+        np.testing.assert_array_equal(block, data.x[rows])
+        weighted = replace(data, weight=np.full(data.n, 2.0))
+        assert getattr(weighted, name) is not block
+        np.testing.assert_array_equal(getattr(weighted, name), block)

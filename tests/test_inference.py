@@ -10,8 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import sandwich_reference as explicit
+from counting import count_formations
 
-from dosedid import curves, inference, nuisance, panel, pseudo
+from dosedid import curves, inference, nuisance, panel
 from dosedid.curves import METHODS, EstimatorConfig, estimate_curve
 from dosedid.data import PanelDataset, TwoPeriodDataset, pair_periods
 from dosedid.errors import EstimationError
@@ -23,7 +24,7 @@ from dosedid.inference import (
 )
 from dosedid.numeric import WindowedMoments, epanechnikov
 from dosedid.nuisance import NuisanceSpec, default_specs, fit_nuisances
-from dosedid.pseudo import compute_theta0, compute_xi_terms, normalize_weights
+from dosedid.pseudo import compute_theta0, compute_xi_terms, control_weights_of, normalize_weights
 from dosedid.simulation import generate_placebo_panel, generate_scenario_data, stream_seed
 
 SPECS = default_specs(mu1_dose_powers=(1, 3), mu1_dose_interactions=(0, 2))
@@ -61,8 +62,8 @@ def test_theta0_block_matches_closed_form_oracle(fitted):
     v = explicit.covariance(system)
 
     # independent direct formulas for the self-normalized group means
-    theta00, theta01, raw_w0 = compute_theta0(data, models)
-    w0 = normalize_weights(raw_w0, data.weight_control)
+    theta00, theta01, _ = compute_theta0(data, models)
+    w0 = normalize_weights(control_weights_of(data, models).raw_w0, data.weight_control)
     resid_c = (data.y1 - data.y0 - models.mu0(data.x))[~data.a]
     n0 = data.n_control
     na = data.n_treated
@@ -281,12 +282,13 @@ def test_augmented_bands_equal_per_delta_systems_bitwise(augmented_case):
 def test_augmented_curve_rebuilds_its_perturbed_sets_in_two_stacks(augmented_case, monkeypatch):
     """At n = 200 the 2p = 58 perturbed sets are two stacks: pi_d's 20 rows
     refit pi_d in one ``with_parameters`` call, the other 38 reuse it, so
-    ``marginalize`` runs twice and ``_CurveContext`` three times, the
-    curve's own and one per stack, with no per-coordinate context."""
+    ``marginalize`` runs twice, and the outcome terms are formed once per
+    stack, with no per-coordinate set; the curve's own context, the one
+    ``_CurveContext``, reads the curve's terms."""
     data, models, curve = augmented_case
     calls = Counter()
     marginalize, refit = inference.marginalize, type(models.pi_d).with_parameters
-    context = inference._CurveContext.__init__
+    context, terms = inference._CurveContext.__init__, inference.outcome_terms
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -298,6 +300,7 @@ def test_augmented_curve_rebuilds_its_perturbed_sets_in_two_stacks(augmented_cas
     monkeypatch.setattr(inference, "marginalize", counted("marginalize", marginalize))
     monkeypatch.setattr(type(models.pi_d), "with_parameters", counted("with_parameters", refit))
     monkeypatch.setattr(inference._CurveContext, "__init__", counted("contexts", context))
+    monkeypatch.setattr(inference, "outcome_terms", counted("outcome terms", terms))
     sandwich_bands(data, models, curve, mode="augmented")
     p = sum(
         c.shape[0]
@@ -310,7 +313,7 @@ def test_augmented_curve_rebuilds_its_perturbed_sets_in_two_stacks(augmented_cas
         )
     )
     assert p == 29 and curve.grid.shape[0] > 1
-    assert calls == Counter({"with_parameters": 1, "marginalize": 2, "contexts": 3})
+    assert calls == Counter({"with_parameters": 1, "marginalize": 2, "contexts": 1, "outcome terms": 2})
 
 
 def test_stacked_fd_columns_equal_per_coordinate_rebuilds(augmented_case, monkeypatch):
@@ -358,7 +361,7 @@ def _explicit_gamma(ctx, models, delta, eta, rule):
     u = (data.dose - delta) / ctx.h
     resid = ctx.xi - theta - u * beta
     mu0 = models.mu0(data.x)
-    w0 = normalize_weights(compute_theta0(data, models)[2], data.weight_control)
+    w0 = normalize_weights(control_weights_of(data, models).raw_w0, data.weight_control)
     gamma = np.zeros((data.n, 4))
     t, c = data.a, ~data.a
     gamma[t, 0] = ctx.wt * (epanechnikov(u) * resid + c0) / ctx.p_hat
@@ -478,6 +481,53 @@ def test_grid_pass_is_bitwise_the_per_delta_systems(fitted):
         assert cond == cond_want, name
 
 
+def test_sandwich_is_bitwise_the_from_scratch_context(fitted):
+    """The sandwich reads the curve's outcome terms and the set's weight
+    parts, and its variances are bitwise those of the context formed from
+    scratch (``sandwich_reference.fresh``), with the same largest condition
+    number: base on the 50-point grid, stacked over three period pairs that
+    share their weight parts, augmented on a 10-point grid. A curve from an
+    equal but separately fitted set forms its terms afresh and gives bitwise
+    the same bands; a set whose pi_a is replaced drops its control weights,
+    so its curve's theta0 is the one that pi_a gives; and a curve's terms
+    are not read for another set or other outcomes."""
+    data, models, separate = fitted
+    curve = estimate_curve(data, "MR", models=models)
+    assert curve.terms.reads(data, models) and not separate.terms.reads(data, models)
+    placebo = generate_placebo_panel(300, 13)
+    pairs = [pair_periods(placebo, pre, post) for pre, post in ((0, 1), (1, 2), (0, 2))]
+    grid = nuisance.default_dose_grid(placebo.dose)
+    pair_curves = panel._pair_curves(pairs, "MR", SPECS, grid, [None] * 3)
+    pair_sets = [c.terms.models for c in pair_curves]
+    assert pair_sets[2].dose_weights is pair_sets[0].dose_weights
+    ten = estimate_curve(data, "MR", grid=curve.grid[::5], bandwidth=curve.bandwidth, models=models)
+    cases = {
+        "base": ([(data, models, curve)], "base", curve.grid),
+        "stacked": (list(zip(pairs, pair_sets, pair_curves)), "base", grid),
+        "augmented": ([(data, models, ten)], "augmented", ten.grid),
+    }
+    for name, (periods, mode, on) in cases.items():
+        got, cond = inference._variances([inference._prepare(*period, mode) for period in periods], on)
+        want, cond_want = inference._variances([explicit.fresh(*period, mode) for period in periods], on)
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert cond == cond_want, name
+    for own, other in zip(sandwich_bands(data, models, curve), sandwich_bands(data, models, separate)):
+        np.testing.assert_array_equal(own, other)
+
+    const = replace(models, pi_a=models.pi_a.with_coefficients(np.zeros(models.pi_a.coefficients.shape[0])))
+    assert const.control_weights is None and const.dose_weights is models.dose_weights
+    flat = estimate_curve(data, "MR", grid=curve.grid, bandwidth=curve.bandwidth, models=const)
+    reference = explicit.FreshContext(data, const, flat)
+    assert flat.theta0 == reference.theta00 + reference.theta01 != curve.theta0
+    np.testing.assert_array_equal(flat.theta_curve, curve.theta_curve)
+    np.testing.assert_array_equal(flat.psi, curve.theta_curve - flat.theta0)
+    # A curve's terms are not read for other fitted objects or other data.
+    later = replace(data, y1=data.y1 + 0.3 * np.random.default_rng(5).normal(size=data.n))
+    for on, shown in ((data, flat), (later, curve)):
+        got = sandwich_bands(on, models, shown)[2]
+        np.testing.assert_array_equal(got, inference._variances([explicit.fresh(on, models, shown)], shown.grid)[0])
+
+
 def test_kernel_part_lives_on_the_window(fitted):
     data, models, curve = fitted
     treated = np.flatnonzero(data.a)
@@ -526,31 +576,23 @@ def test_each_grid_point_reads_the_window_moments_once(fitted, monkeypatch):
 
 
 def test_base_bands_assemble_the_pseudo_outcomes_once(monkeypatch):
-    """The base bands of one MR curve at n = 800 form xi, theta00 and
-    theta01 through the routines the curve's two sides call, bitwise their
-    values: one ``dose_weight_terms`` call and at most 6 design assemblies
-    (measured: 1 and 6)."""
+    """The base bands of one MR curve at n = 800 read xi, theta00, theta01,
+    mu0(X) and the smoother window from the curve and w0 from the model
+    set, bitwise the values the routines give: no weight part is formed,
+    pi_a and mu0 are not evaluated, no window is built, and the one design
+    assembled is mu1's covariate block for the quadrature corrections (at
+    the parent: one dose-weight formation, one pi_a(X), 6 designs and one
+    window)."""
     data = generate_scenario_data(800, 1)
     models = fit_nuisances(data, SPECS)
     curve = estimate_curve(data, "MR", models=models)
-    counts = Counter()
-    assemble, weights = nuisance.CovariateDesign.assemble, pseudo.dose_weight_terms
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(nuisance.CovariateDesign, "assemble", counted("designs", assemble))
-    monkeypatch.setattr(pseudo, "dose_weight_terms", counted("dose weights", weights))
+    counts = count_formations(monkeypatch)
     sandwich_bands(data, models, curve)
-    assert counts["dose weights"] == 1
-    assert counts["designs"] <= 6
+    assert counts == Counter({"designs": 1})
     ctx = inference._CurveContext(data, models, curve)
     np.testing.assert_array_equal(ctx.xi, compute_xi_terms(data, models)[0])
     assert ctx.theta00 + ctx.theta01 == curve.theta0
+    assert ctx.window is curve.terms.window
 
 
 def test_bootstrap_weights_group_sums():

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from counting import count_formations
 
 from dosedid import curves, inference, nuisance
 from dosedid.curves import EstimatorConfig
@@ -242,6 +243,23 @@ def test_treatment_side_bank_serves_only_the_same_units_and_weight():
     for data, dose_grid in ((weighted, grid), (second, grid[1:]), (second, None)):
         with pytest.raises(ValueError, match="treatment-side bank"):
             nuisance.ModelBank(data, dose_grid, treatment_side=bank)
+
+
+def test_period_pairs_form_each_weight_part_once(monkeypatch):
+    """The pairs (0, 1), (1, 2) and (0, 2) of a 300-unit placebo panel share
+    the first pair's weight parts: one dose-weight formation and one pi_a(X)
+    evaluation for the point curves, as many with stacked sandwich bands,
+    and two, one per weight, with a 16-replicate bootstrap in one process
+    (before they were shared: 3, 6 and 6 of each)."""
+    placebo = generate_placebo_panel(300, 13)
+    pairs = [(0, 1), (1, 2), (0, 2)]
+    monkeypatch.setattr(inference, "pool_size", lambda: 1)
+    counts = count_formations(monkeypatch)
+    for choice, formed in (("none", 1), ("sandwich", 1), ("bootstrap", 2)):
+        counts.clear()
+        rep = estimate_repeated(placebo, pairs, "MR", specs=SPECS, inference=choice, b_replicates=16)
+        assert (counts["dose weights"], counts["control weights"], counts["pi_a(X)"]) == (formed,) * 3, choice
+        assert rep.pair_count == 3 and (choice == "none") == (rep.averaged.ci_lower is None)
 
 
 def test_repeated_sandwich_builds_one_context_per_pair(monkeypatch):

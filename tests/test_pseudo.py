@@ -11,6 +11,7 @@ from dosedid.nuisance import default_specs, fit_nuisances
 from dosedid.pseudo import (
     compute_theta0,
     compute_xi_terms,
+    control_weights_of,
     normalize_weights,
 )
 from dosedid.simulation import generate_scenario_data, stream_seed
@@ -89,8 +90,8 @@ def test_xi_homogeneous_dose_density_gives_unit_weights(fitted):
 
     m_curve, f_curve = marginalize(models.mu1, flat_pi_d, data, models.dose_nodes)
     flat_models = replace(models, pi_d=flat_pi_d, m_marginal=m_curve, f_marginal=f_curve)
-    _, (_, f_at_d, pi_d_at, _, _) = compute_xi_terms(data, flat_models)
-    raw_w1 = f_at_d / pi_d_at
+    _, weights = compute_xi_terms(data, flat_models)
+    raw_w1 = weights.f_at_d / weights.pi_d_at
     # f interpolates linearly between its own evenly spaced nodes, pi_d
     # between the KDE table's, so they agree to O(step^2): measured 3.0e-6.
     np.testing.assert_allclose(raw_w1, 1.0, atol=5e-5)
@@ -104,8 +105,8 @@ def test_xi_matches_direct_formula_oracle():
         x=data.x[idx], a=data.a[idx], dose=data.dose[:30], y0=data.y0[idx], y1=data.y1[idx]
     )
     models = fit_nuisances(sub, default_specs())
-    xi, (_, f_at_d, pi_d_at, _, _) = compute_xi_terms(sub, models)
-    raw_w1 = f_at_d / pi_d_at
+    xi, weights = compute_xi_terms(sub, models)
+    raw_w1 = weights.f_at_d / weights.pi_d_at
 
     # independently coded elementwise evaluation
     x_t = sub.x_treated
@@ -139,7 +140,7 @@ def test_xi_out_of_range_dose_errors_or_clamps(fitted):
     with pytest.raises(ExtrapolationError) as err:
         compute_xi_terms(shifted, models)
     assert shifted.ids[np.nonzero(shifted.a)[0][0]] in str(err.value)
-    assert compute_xi_terms(shifted, models, "clamp")[1][4] == 1
+    assert compute_xi_terms(shifted, models, "clamp")[1].clamped == 1
 
 
 # ---------------------------------------------------------------- theta0
@@ -165,7 +166,8 @@ def test_theta0_constant_propensity_is_control_mean(fitted):
     from dataclasses import replace
 
     flat_models = replace(models, pi_a=const_pi_a)
-    theta00, _, raw_w0 = compute_theta0(data, flat_models)
+    theta00, _, _ = compute_theta0(data, flat_models)
+    raw_w0 = control_weights_of(data, flat_models).raw_w0
     np.testing.assert_allclose(raw_w0, raw_w0[0], atol=1e-15)
     resid_c = (data.y1 - data.y0 - models.mu0(data.x))[~data.a]
     # with equal weights the self-normalized sum is the plain control mean
@@ -179,7 +181,7 @@ def test_theta0_matches_loop_oracle():
         x=data.x[idx], a=data.a[idx], dose=data.dose[:30], y0=data.y0[idx], y1=data.y1[idx]
     )
     models = fit_nuisances(sub, default_specs())
-    theta00, theta01, raw_w0 = compute_theta0(sub, models)
+    theta00, theta01, _ = compute_theta0(sub, models)
 
     pa = models.pi_a(sub.x)
     num = den = 0.0
@@ -198,9 +200,10 @@ def test_theta0_matches_loop_oracle():
 
 def test_pseudo_outcome_set_invariants(fitted):
     data, models = fitted
-    _, (w1, _, _, _, clamped) = compute_xi_terms(data, models)
-    theta00, theta01, raw_w0 = compute_theta0(data, models)
-    w0 = normalize_weights(raw_w0, data.weight_control)
+    _, weights = compute_xi_terms(data, models)
+    w1, clamped = weights.w1, weights.clamped
+    theta00, theta01, _ = compute_theta0(data, models)
+    w0 = normalize_weights(control_weights_of(data, models).raw_w0, data.weight_control)
     curve = estimate_curve(data, "MR", models=models)
     assert abs(w1.mean() - 1.0) < 1e-10
     assert abs(w0.mean() - 1.0) < 1e-10

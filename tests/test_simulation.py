@@ -5,8 +5,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from counting import count_formations
 
-from dosedid import curves, nuisance, numeric
+from dosedid import curves, nuisance
 from dosedid.config import parse_inference, parse_scenario, parse_specs
 from dosedid.curves import METHODS, estimate_curve
 from dosedid.numeric import expit
@@ -328,7 +329,7 @@ def test_one_leave_one_out_pass_per_replicate(monkeypatch):
     original = curves.robust_select_bandwidth
 
     def counted(x, window, grid, weight):
-        stacks.append(window._yo.shape)
+        stacks.append(window.y_sorted.shape)
         return original(x, window, grid, weight)
 
     monkeypatch.setattr(curves, "robust_select_bandwidth", counted)
@@ -343,14 +344,17 @@ def test_one_leave_one_out_pass_per_replicate(monkeypatch):
 
 def test_one_replicate_assembles_each_design_once_per_call(monkeypatch):
     """A 16-permutation, six-method replicate at n = 1,000 assembles at most
-    34 nuisance design matrices, every one through
-    ``CovariateDesign.assemble``, applies the Kang-Schafer map at most 34
-    times, computes theta0 at most 6 times (4 MR and MR_PARAMETRIC pairs,
-    2 IPW) and builds one smoother window, which the leave-one-out pass and
-    every smoothed curve read (measured: 34, 28, 6 and 1)."""
-    counts = Counter()
-    assemble, mapping = nuisance.CovariateDesign.assemble, nuisance.kang_schafer_map
-    theta0, window = curves.compute_theta0, numeric.WindowedMoments.__init__
+    26 nuisance design matrices, every one through
+    ``CovariateDesign.assemble``, applies the Kang-Schafer map at most 17
+    times, forms the weight part once per fitted pi_d and once per fitted
+    pi_a (2 and 2, with 2 pi_a(X) evaluations), calls ``compute_theta0``
+    at most 4 times (the MR and MR_PARAMETRIC pairs; IPW's theta0 reads the
+    control weights alone) and builds one smoother window, which the
+    leave-one-out pass and every smoothed curve read (measured: 26, 17, 2,
+    2, 2, 4 and 1; before the weight parts were shared, 34 designs, 21 maps,
+    6 dose-weight formations, 6 pi_a(X) and 6 ``compute_theta0`` calls)."""
+    counts = count_formations(monkeypatch)
+    mapping, theta0 = nuisance.kang_schafer_map, curves.compute_theta0
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -359,17 +363,16 @@ def test_one_replicate_assembles_each_design_once_per_call(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(nuisance.CovariateDesign, "assemble", counted("designs", assemble))
     monkeypatch.setattr(nuisance, "kang_schafer_map", counted("maps", mapping))
     monkeypatch.setattr(curves, "compute_theta0", counted("theta0", theta0))
-    monkeypatch.setattr(numeric.WindowedMoments, "__init__", counted("windows", window))
     cfg = ScenarioConfig(n=1000, replicates=1, seed=1, methods=METHODS)
     perms = [tuple(sorted(p)) for p in all_permutations()]
     out, _, failures, _ = _replicate_worker(cfg, perms, ground_truth_curve(1), 0)
     assert failures == {} and len(out) == 16 * len(METHODS)
-    assert counts["designs"] <= 34
-    assert counts["maps"] <= 34
-    assert counts["theta0"] <= 6
+    assert counts["designs"] <= 26
+    assert counts["maps"] <= 17
+    assert (counts["dose weights"], counts["control weights"], counts["pi_a(X)"]) == (2, 2, 2)
+    assert counts["theta0"] <= 4
     assert counts["windows"] == 1
 
 

@@ -21,12 +21,21 @@ or an import, other than the package's re-export in ``__init__``; tests do
 not count, since a name only tests reach belongs in ``tests/``
 (docs/DECISIONS.md, D15). The same name-only matching applies.
 
+The members are the methods, properties and dataclass fields of every
+class of ``src/dosedid``, dunder methods excepted. A member is read when
+code in ``USER_DIRS``, its own class included, loads an attribute of its
+name or holds its name as a string (as ``getattr`` takes it); assigning a
+field, or passing it to a constructor or ``replace``, is not a read, and
+this script's own tables are not scanned.
+
 It prints every option that no call sets, with the reason it is kept when
 ``KEPT`` names one (docs/DECISIONS.md, D12), then, for information, the
 options that only tests set, then every public name that nothing outside
 the tests reaches, with the reason it is kept when ``KEPT_PUBLIC`` names
-one. It exits 1 when an option that no call sets is not in ``KEPT``, or an
-unreached public name is not in ``KEPT_PUBLIC``.
+one, then every member that nothing outside the tests reads, with the
+reason it is kept when ``KEPT_MEMBERS`` names one. It exits 1 when an
+option that no call sets is not in ``KEPT``, an unreached public name is
+not in ``KEPT_PUBLIC``, or an unread member is not in ``KEPT_MEMBERS``.
 """
 
 from __future__ import annotations
@@ -54,6 +63,16 @@ KEPT = {
 KEPT_PUBLIC = {
     "scale_outcomes": "a documented panel preparation step (README's dosedid.panel row) for callers' own data",
     "generate_null_data": "the no-effect DGP that criterion 6 and the null tests draw from, for users' checks",
+}
+
+
+# Members that nothing outside the tests reads but that stay, each with its
+# reason, keyed by (class, member). ``DensityEstimate.__call__``, which only
+# the tests and the benchmark's tracer call, is a dunder method and so never
+# listed.
+KEPT_MEMBERS = {
+    ("TwoPeriodDataset", "source_pair"): "the (pre, post) periods pair_periods carved the dataset from, its only record of them",
+    ("LogisticFit", "iterations"): "IRLS's iteration count per fit, the diagnostic beside converged",
 }
 
 
@@ -202,6 +221,42 @@ def reached_names(root: Path) -> set[str]:
     return reached
 
 
+def members(package: Path) -> list[tuple[str, str, str]]:
+    """``(file, class, member)`` for each method, property and dataclass
+    field of the package's classes, dunder methods excepted."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif _is_dataclass(node) and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    found.append((path.name, node.name, name))
+    return found
+
+
+def read_members(root: Path) -> set[str]:
+    """Every attribute name that the code in ``USER_DIRS`` loads, and every
+    string it holds, other than this script's own tables."""
+    read = set()
+    for folder in USER_DIRS:
+        for path in sorted((root / folder).rglob("*.py")):
+            if path.name == Path(__file__).name:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    return read
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     unset, test_only = audit(root)
@@ -227,7 +282,18 @@ def main(argv: list[str]) -> int:
         print(f"  {file}: {name}" + (f"  -- kept: {reason}" if reason else ""))
     if unreached:
         print(f"{unreached} public name(s) that nothing outside the tests reaches and no entry of KEPT_PUBLIC explains")
-    return 1 if unexplained or unreached else 0
+    read = read_members(root)
+    unread = 0
+    print("Members that no code in " + ", ".join(USER_DIRS) + " reads:")
+    for file, cls, name in members(root / "src" / "dosedid"):
+        if name in read:
+            continue
+        reason = KEPT_MEMBERS.get((cls, name))
+        unread += reason is None
+        print(f"  {file}: {cls}.{name}" + (f"  -- kept: {reason}" if reason else ""))
+    if unread:
+        print(f"{unread} member(s) that nothing outside the tests reads and no entry of KEPT_MEMBERS explains")
+    return 1 if unexplained or unreached or unread else 0
 
 
 if __name__ == "__main__":

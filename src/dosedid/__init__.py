@@ -14,7 +14,6 @@ from .data import (
     PanelDataset,
     PanelSchema,
     TwoPeriodDataset,
-    UnitRecord,
     ValidationReport,
     load_panel,
     pair_periods,
@@ -48,7 +47,6 @@ from .numeric import (
     fit_wls,
     gaussian_kde,
     local_linear_fit,
-    select_bandwidth,
 )
 from .nuisance import (
     NuisanceModelSet,

@@ -32,11 +32,15 @@ from .config import (
     apply_overrides,
     grid_size,
     load_config,
+    parse_bandwidth,
     parse_grid,
     parse_inference,
+    parse_integer,
+    parse_pairing,
     parse_scenario,
     parse_schema,
     parse_specs,
+    report_unknown,
 )
 from .curves import CONTROL_NEEDS, DOSE_NEEDS, METHODS, EstimatorConfig, estimate_curves, write_curve
 from .data import load_panel, pair_periods, validate
@@ -154,18 +158,16 @@ def _load_panel(config: dict, problems: list):
 def _load_two_period(config: dict, problems: list):
     """The (pre, post) dataset of the config's panel and pairing, or None
     as ``_load_panel``; a panel with fatal violations raises."""
+    pairing = parse_pairing(config.get("pairing"), problems)
     panel = _load_panel(config, problems)
     if panel is None:
         return None
     _raise_fatal(validate(panel))
-    pairing = config.get("pairing")
     if pairing is None:
         if len(panel.period_labels) != 2:
             raise ConfigError("pairing: required when the panel has more than two periods")
-        pre, post = panel.period_labels
-    else:
-        pre, post = int(pairing["pre"]), int(pairing["post"])
-    return pair_periods(panel, pre, post)
+        pairing = panel.period_labels
+    return pair_periods(panel, *pairing)
 
 
 def _raise_fatal(report) -> None:
@@ -205,8 +207,7 @@ def _maybe_plot(config, stage, name, curve):
     return out.name
 
 
-def _cmd_estimate(config: dict, args) -> int:
-    problems: list = []
+def _cmd_estimate(config: dict, args, problems: list) -> int:
     specs = parse_specs(config.get("nuisance"), problems)
     inference = parse_inference(config.get("inference"), problems)
     grid_req = parse_grid(config, problems)
@@ -217,12 +218,12 @@ def _cmd_estimate(config: dict, args) -> int:
     output = config.get("output")
     if not output:
         problems.append("output: required")
+    seed = parse_integer(config.get("seed", 0), "seed", None, problems)
+    bandwidth = parse_bandwidth(config.get("bandwidth"), problems)
     dataset = _load_two_period(config, problems)
     if problems:
         raise ConfigError(problems)
 
-    seed = int(config.get("seed", 0))
-    bandwidth = config.get("bandwidth")
     grid = _resolve_grid(grid_req, dataset)
     outputs = []
     diagnostics = {}
@@ -297,8 +298,7 @@ def _report_rows(report):
     return rows
 
 
-def _cmd_simulate(config: dict, args) -> int:
-    problems: list = []
+def _cmd_simulate(config: dict, args, problems: list) -> int:
     scenario = parse_scenario(config, problems)
     output = config.get("output")
     if not output:
@@ -350,8 +350,7 @@ def _cmd_simulate(config: dict, args) -> int:
     return 0
 
 
-def _cmd_placebo(config: dict, args) -> int:
-    problems: list = []
+def _cmd_placebo(config: dict, args, problems: list) -> int:
     specs = parse_specs(config.get("nuisance"), problems)
     grid_req = parse_grid(config, problems)
     output = config.get("output")
@@ -360,6 +359,8 @@ def _cmd_placebo(config: dict, args) -> int:
     block = config.get("placebo")
     if not isinstance(block, dict) or "baseline" not in block or "posts" not in block:
         problems.append("placebo: need a mapping with 'baseline' and 'posts'")
+    else:
+        report_unknown(block, ("baseline", "posts", "intervention"), "placebo", problems)
     panel = _load_panel(config, problems)
     if panel is not None:
         _raise_fatal(validate(panel))
@@ -387,8 +388,7 @@ def _cmd_placebo(config: dict, args) -> int:
     return 0
 
 
-def _cmd_truth(config: dict, args) -> int:
-    problems: list = []
+def _cmd_truth(config: dict, args, problems: list) -> int:
     output = config.get("output")
     if not output:
         problems.append("output: required")
@@ -396,10 +396,10 @@ def _cmd_truth(config: dict, args) -> int:
         size = grid_size(config.get("grid_size", 50))
     except (TypeError, ValueError) as exc:
         problems.append(f"grid_size: {exc}")
+    seed = parse_integer(config.get("seed", 0), "seed", None, problems)
+    super_n = parse_integer(config.get("super_n", 1_000_000), "super_n", None, problems)
     if problems:
         raise ConfigError(problems)
-    seed = int(config.get("seed", 0))
-    super_n = int(config.get("super_n", 1_000_000))
     truth = ground_truth_curve(seed, super_n, size)
     with _Staging(Path(output), args.force) as stage:
         with (stage / "truth.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -413,8 +413,7 @@ def _cmd_truth(config: dict, args) -> int:
     return 0
 
 
-def _cmd_validate(config: dict, args) -> int:
-    problems: list = []
+def _cmd_validate(config: dict, args, problems: list) -> int:
     panel = _load_panel(config, problems)
     if problems:
         raise ConfigError(problems)
@@ -431,12 +430,17 @@ def _cmd_validate(config: dict, args) -> int:
     return 0
 
 
+# Each command with the top-level config keys it reads; ``dispatch`` sets
+# ``workers`` for every command.
 _COMMANDS = {
-    "estimate": _cmd_estimate,
-    "simulate": _cmd_simulate,
-    "placebo": _cmd_placebo,
-    "truth": _cmd_truth,
-    "validate": _cmd_validate,
+    "estimate": (
+        _cmd_estimate,
+        ("nuisance", "inference", "grid", "methods", "output", "data", "pairing", "seed", "bandwidth", "plot"),
+    ),
+    "simulate": (_cmd_simulate, ("scenario", "inference", "methods", "seed", "output")),
+    "placebo": (_cmd_placebo, ("nuisance", "grid", "output", "placebo", "data", "method")),
+    "truth": (_cmd_truth, ("output", "grid_size", "seed", "super_n")),
+    "validate": (_cmd_validate, ("data", "output")),
 }
 
 
@@ -476,7 +480,10 @@ def dispatch(argv=None) -> int:
         apply_overrides(config, args.overrides)
         if args.workers is not None:
             config["workers"] = args.workers
-        return _COMMANDS[args.command](config, args)
+        command, keys = _COMMANDS[args.command]
+        problems: list = []
+        report_unknown(config, keys + ("workers",), "config", problems)
+        return command(config, args, problems)
     except Exception as exc:  # single-line machine-readable error class
         cls = _error_class(exc)
         message = " ".join(str(exc).split())

@@ -59,6 +59,24 @@ def apply_overrides(config: dict, overrides) -> dict:
     return config
 
 
+def report_unknown(block: dict, known, where: str, problems: list) -> None:
+    """Report the keys of ``block`` outside ``known`` as one problem of
+    ``where``: a key that nothing reads would otherwise be dropped."""
+    unknown = [str(k) for k in block if k not in known]
+    if unknown:
+        problems.append(f"{where}: unknown keys {', '.join(unknown)}")
+
+
+def parse_integer(value, key: str, minimum: int | None, problems: list) -> int | None:
+    """``value`` when it is an integer (not a bool), and at least ``minimum``
+    unless that is None; otherwise None, after reporting ``key``."""
+    if type(value) is int and (minimum is None or value >= minimum):
+        return value
+    bound = "" if minimum is None else f" of at least {minimum}"
+    problems.append(f"{key}: expected an integer{bound}, got {value!r}")
+    return None
+
+
 def parse_schema(block: dict, problems: list) -> PanelSchema | None:
     try:
         return PanelSchema.from_dict(block)
@@ -78,6 +96,9 @@ def parse_specs(block: dict | None, problems: list) -> dict[str, NuisanceSpec]:
     specs = default_specs()
     if not block:
         return specs
+    if not isinstance(block, dict):
+        problems.append("nuisance: expected a mapping")
+        return specs
     out = dict(specs)
     for name, sub in block.items():
         if name not in ("pi_a", "pi_d", "mu1", "mu0"):
@@ -86,19 +107,14 @@ def parse_specs(block: dict | None, problems: list) -> dict[str, NuisanceSpec]:
         if not isinstance(sub, dict):
             problems.append(f"nuisance.{name}: expected a mapping")
             continue
-        known = _SPEC_KEYS + (_MU1_KEYS if name == "mu1" else ())
-        unknown = [str(k) for k in sub if k not in known]
-        if unknown:
-            problems.append(f"nuisance.{name}: unknown keys {', '.join(unknown)}")
+        mu1_keys = _MU1_KEYS if name == "mu1" else ()
+        report_unknown(sub, _SPEC_KEYS + mu1_keys, f"nuisance.{name}", problems)
         kwargs = {"which": name}
-        for key in ("learner", "covariate_map", "kde_bandwidth"):
-            if key in sub:
+        for key in (k for k in _SPEC_KEYS + mu1_keys if k in sub):
+            if key in mu1_keys and not (isinstance(sub[key], list) and all(type(v) is int for v in sub[key])):
+                problems.append(f"nuisance.mu1.{key}: expected a list of integers, got {sub[key]!r}")
+            else:
                 kwargs[key] = sub[key]
-        if name == "mu1":
-            if "dose_powers" in sub:
-                kwargs["dose_powers"] = tuple(int(p) for p in sub["dose_powers"])
-            if "dose_interactions" in sub:
-                kwargs["dose_interactions"] = tuple(int(j) for j in sub["dose_interactions"])
         if name == "pi_a" and "learner" not in kwargs:
             kwargs["learner"] = "logistic"
         try:
@@ -119,13 +135,13 @@ def parse_inference(block: dict | None, problems: list) -> InferenceConfig:
     if not isinstance(block, dict):
         problems.append("inference: expected a mapping")
         return InferenceConfig()
-    unknown = [str(k) for k in block if k not in _INFERENCE_KEYS]
-    if unknown:
-        problems.append(f"inference: unknown keys {', '.join(unknown)}")
+    report_unknown(block, _INFERENCE_KEYS, "inference", problems)
+    # The bootstrap's quantiles need two replicates.
+    b_replicates = parse_integer(block.get("B", 200), "inference.B", 2, problems)
     try:
         return InferenceConfig(
             method=str(block.get("method", "none")),
-            b_replicates=int(block.get("B", 200)),
+            b_replicates=b_replicates,
             mode=str(block.get("mode", "base")),
         )
     except (TypeError, ValueError) as exc:
@@ -153,17 +169,16 @@ def parse_scenario(config: dict, problems: list) -> ScenarioConfig | None:
     if not isinstance(block, dict):
         problems.append("scenario: missing or not a mapping")
         return None
-    unknown = [str(k) for k in block if k not in _SCENARIO_KEYS]
-    if unknown:
-        problems.append(f"scenario: unknown keys {', '.join(unknown)}")
+    report_unknown(block, _SCENARIO_KEYS, "scenario", problems)
     inference = parse_inference(config.get("inference"), problems)
+    seed = parse_integer(config.get("seed", 0), "seed", None, problems)
     methods = config.get("methods", ["MR"])
     try:
         return ScenarioConfig(
             n=int(block["n"]),
             replicates=int(block.get("replicates", 200)),
             misspecified=frozenset(block.get("misspecified", [])),
-            seed=int(config.get("seed", 0)),
+            seed=seed,
             methods=tuple(methods),
             grid_size=grid_size(block.get("grid_size", 50)),
             super_n=int(block.get("super_n", 1_000_000)),
@@ -195,17 +210,39 @@ def parse_grid(config: dict, problems: list):
     if block is None:
         return 50
     if isinstance(block, dict):
+        report_unknown(block, ("points", "size", "lo", "hi"), "grid", problems)
+        if ("lo" in block) != ("hi" in block):
+            problems.append("grid: lo and hi go together, got only " + ("lo" if "lo" in block else "hi"))
         try:
             if "points" in block:
                 return checked_grid([float(v) for v in block["points"]])
             size = grid_size(block.get("size", 50))
-            lo = block.get("lo")
-            hi = block.get("hi")
-            if lo is not None and hi is not None:
-                return checked_grid(np.linspace(float(lo), float(hi), size))
+            if "lo" in block and "hi" in block:
+                return checked_grid(np.linspace(float(block["lo"]), float(block["hi"]), size))
             return size
         except (TypeError, ValueError, EstimationError) as exc:
             problems.append(f"grid: {exc}")
             return 50
     problems.append("grid: expected a mapping")
     return 50
+
+
+def parse_pairing(block, problems: list) -> tuple[int, int] | None:
+    """The ``(pre, post)`` periods of the ``pairing`` block, or None without
+    one; a block that does not name two integer periods is reported."""
+    if block is None:
+        return None
+    if not (isinstance(block, dict) and "pre" in block and "post" in block):
+        problems.append("pairing: need a mapping with 'pre' and 'post'")
+        return None
+    report_unknown(block, ("pre", "post"), "pairing", problems)
+    return tuple(parse_integer(block[key], f"pairing.{key}", None, problems) for key in ("pre", "post"))
+
+
+def parse_bandwidth(value, problems: list):
+    """A fixed smoothing bandwidth: None (leave-one-out selection) or a
+    finite positive number, as given; anything else is reported."""
+    if value is None or (type(value) in (int, float) and 0 < value < np.inf):
+        return value
+    problems.append(f"bandwidth: expected a positive number, got {value!r}")
+    return None

@@ -180,10 +180,10 @@ def parametric_theta(dose, ys, grid, sample_weight, basis=(1, 3)):
     return linear_predictor(np.column_stack([grid**p for p in (0, *basis)]), fit.coefficients)
 
 
-def _min_feasible_bandwidth(xs) -> float:
-    """Smallest h for which every point has two strict in-window partners
-    (the second-nearest-neighbour distance, maximized over points)."""
-    x = np.sort(np.asarray(xs, dtype=float))
+def _min_feasible_bandwidth(x: np.ndarray) -> float:
+    """Smallest h for which every point of the sorted doses ``x`` has two
+    strict in-window partners (the second-nearest-neighbour distance,
+    maximized over points)."""
     n = x.shape[0]
     inf = np.inf
     d_m1 = np.concatenate([[inf], x[1:] - x[:-1]])
@@ -195,36 +195,27 @@ def _min_feasible_bandwidth(xs) -> float:
     return req * (1.0 + 1e-9)
 
 
-def robust_select_bandwidth(xs, ys, grid=None, sample_weight=None) -> float | np.ndarray:
-    """Leave-one-out bandwidth selection with a widening fallback.
+def robust_select_bandwidth(window: WindowedMoments, grid: np.ndarray) -> float | np.ndarray:
+    """Leave-one-out bandwidth selection over ``window``'s sample and the
+    candidate ``grid``, with a widening fallback.
 
-    When every candidate in the (default) grid is infeasible — an isolated
-    extreme point with no neighbour inside the widest window — the grid is
-    extended upward to the smallest everywhere-feasible bandwidth, so the
-    estimator degrades to a smoother fit instead of failing outright.
-    Feasibility depends on the doses alone, so an (R, n) stack of ``ys``
-    over one weight row shares the extension and gets one bandwidth per row
-    (``numeric.select_bandwidth``).
-
-    ``ys`` may also be a ``WindowedMoments`` already built over ``xs``, the
-    targets and ``sample_weight``, as the curve engine's smoother builds it;
-    both tries then read that window.
+    When every candidate in the grid is infeasible — an isolated extreme
+    point with no neighbour inside the widest window — the grid is extended
+    upward to the smallest everywhere-feasible bandwidth, so the estimator
+    degrades to a smoother fit instead of failing outright. Feasibility
+    depends on the doses alone, so a window over an (R, n) stack of targets
+    and one weight row shares the extension and gets one bandwidth per row
+    (``WindowedMoments.select_bandwidth``).
     """
-    x = np.asarray(xs, dtype=float)
-    if grid is None:
-        grid = default_bandwidth_grid(x)
-    grid = np.asarray(grid, dtype=float)
-    if not isinstance(ys, WindowedMoments):
-        ys = WindowedMoments(x, ys, np.ones(x.shape) if sample_weight is None else sample_weight)
     try:
-        return ys.select_bandwidth(grid)
+        return window.select_bandwidth(grid)
     except BandwidthError:
         top = float(np.max(grid))
-        need = _min_feasible_bandwidth(x)
+        need = _min_feasible_bandwidth(window.x_sorted)
         if need <= top:
             raise
         extension = np.geomspace(top, need, 6)[1:]
-        return ys.select_bandwidth(np.concatenate([grid, extension]))
+        return window.select_bandwidth(np.concatenate([grid, extension]))
 
 
 def _bandwidths(data, window: WindowedMoments, rows: int, bandwidth, bandwidth_grid) -> list:
@@ -238,7 +229,7 @@ def _bandwidths(data, window: WindowedMoments, rows: int, bandwidth, bandwidth_g
         raise EstimationError("bandwidth selection takes one weight row; give a bandwidth for stacked weights")
     if bandwidth_grid is None:
         bandwidth_grid = default_bandwidth_grid(data.dose)
-    chosen = robust_select_bandwidth(data.dose, window, bandwidth_grid, data.weight_treated)
+    chosen = robust_select_bandwidth(window, bandwidth_grid)
     low, high = float(np.min(bandwidth_grid)), float(np.max(bandwidth_grid))
     picked = []
     # One bandwidth per row; a scalar serves every row.

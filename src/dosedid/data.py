@@ -24,7 +24,6 @@ from .errors import DataParseError, DataValidationError, PeriodLookupError, Sche
 
 __all__ = [
     "PanelSchema",
-    "UnitRecord",
     "PanelDataset",
     "TwoPeriodDataset",
     "ValidationReport",
@@ -86,17 +85,6 @@ class PanelSchema:
 
 
 @dataclass(frozen=True)
-class UnitRecord:
-    """One unit's observed data; ``d`` is None exactly when ``a == 0``."""
-
-    id: str
-    x: np.ndarray
-    a: int
-    d: float | None
-    y: dict[int, float]
-
-
-@dataclass(frozen=True)
 class PanelDataset:
     """Array-backed panel; unit order is row order of the source file."""
 
@@ -137,38 +125,12 @@ class PanelDataset:
     def n_treated(self) -> int:
         return int(self.a.sum())
 
-    @property
-    def p(self) -> int:
-        return self.x.shape[1]
-
     def outcome(self, period: int) -> np.ndarray:
         try:
             col = self.period_labels.index(int(period))
         except ValueError:
             raise PeriodLookupError(f"unknown period label {period!r}") from None
         return self.y[:, col]
-
-    @property
-    def units(self) -> list[UnitRecord]:
-        """Materialized per-unit view (intended for small, file-scale data)."""
-        out = []
-        t = 0
-        for i, uid in enumerate(self.ids):
-            if self.a[i]:
-                d = float(self.dose[t])
-                t += 1
-            else:
-                d = None
-            out.append(
-                UnitRecord(
-                    id=uid,
-                    x=self.x[i],
-                    a=int(self.a[i]),
-                    d=d,
-                    y={m: float(self.y[i, j]) for j, m in enumerate(self.period_labels)},
-                )
-            )
-        return out
 
 
 @dataclass(frozen=True)
@@ -385,7 +347,8 @@ def _read_table(path: Path, names: list, delimiter: str):
         dtype = np.dtype([("id", object), ("a", float), ("d", object), ("values", float, (len(names) - 3,))])
         try:
             # An empty body warns, then reads as no rows.
-            with warnings.catch_warnings(action="ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
                 table = np.loadtxt(
                     fh,
                     dtype=dtype,

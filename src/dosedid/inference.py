@@ -428,7 +428,6 @@ def _augmented_blocks(ctx: _CurveContext, models: NuisanceModelSet):
             mu0=mu0,
             m_marginal=m_curve,
             f_marginal=f_curve,
-            dose_nodes=m_curve.x,
             specs=models.specs,
             dose_weights=dose_weights,
             control_weights=ControlWeights.form(data, pi_a),
@@ -586,10 +585,6 @@ class BootstrapResult:
     @property
     def b_failed(self) -> int:
         return sum(self.failures.values())
-
-    @property
-    def b_success(self) -> int:
-        return self.b_requested - self.b_failed
 
     @property
     def flagged(self) -> bool:

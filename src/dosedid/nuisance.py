@@ -349,12 +349,6 @@ class DoseTrendModel:
         level, slope = np.asarray(level)[..., None], np.asarray(slope)[..., None]
         return level + linear_predictor(self.dose_basis.columns(d), self._split()[1]) + slope * d
 
-    def predict_matrix(self, dose_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(n_units, n_nodes) predictions, exploiting block linearity."""
-        nodes = np.asarray(dose_nodes, dtype=float)
-        level, slope = self.unit_terms(x)
-        return level[:, None] + self.profile(nodes, 0.0, 0.0)[None, :] + np.outer(slope, nodes)
-
     def covariate_means(self, x: np.ndarray, weights: np.ndarray):
         """Weighted means of ``unit_terms`` over the units of ``x``, a pair
         of arrays of the leading shape of the model and the weights."""
@@ -517,7 +511,6 @@ class NuisanceModelSet:
     mu0: CovariateTrendModel | None
     m_marginal: MarginalTrend | None
     f_marginal: TabulatedCurve | None
-    dose_nodes: np.ndarray | None
     specs: dict
     dose_weights: DoseWeights | None = None
     control_weights: ControlWeights | None = None
@@ -528,6 +521,12 @@ class NuisanceModelSet:
             object.__setattr__(self, "dose_weights", None)
         if control is not None and control.pi_a is not self.pi_a:
             object.__setattr__(self, "control_weights", None)
+
+    @property
+    def dose_nodes(self) -> np.ndarray | None:
+        """The node set of the treated marginals, None without them."""
+        marginal = self.m_marginal or self.f_marginal
+        return None if marginal is None else marginal.x
 
 
 # --------------------------------------------------------------------------
@@ -766,7 +765,6 @@ class ModelBank:
         fitted = {name: self.fit(name, specs[name]) for name in VALID_WHICH if name in which}
         m_curve = self.marginal("mu1", specs["mu1"]) if "mu1" in which else None
         f_curve = self.marginal("pi_d", specs["pi_d"]) if "pi_d" in which else None
-        nodes = m_curve or f_curve
         return NuisanceModelSet(
             pi_a=fitted.get("pi_a"),
             pi_d=fitted.get("pi_d"),
@@ -774,7 +772,6 @@ class ModelBank:
             mu0=fitted.get("mu0"),
             m_marginal=m_curve,
             f_marginal=f_curve,
-            dose_nodes=None if nodes is None else nodes.x,
             specs={k: specs[k] for k in which},
             dose_weights=self.weights("pi_d", specs["pi_d"]) if "pi_d" in which else None,
             control_weights=self.weights("pi_a", specs["pi_a"]) if "pi_a" in which else None,

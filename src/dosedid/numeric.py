@@ -36,7 +36,6 @@ __all__ = [
     "fit_logistic",
     "local_linear_fit",
     "default_bandwidth_grid",
-    "select_bandwidth",
     "gaussian_kde",
     "interp_rows",
     "linear_predictor",
@@ -427,9 +426,27 @@ class WindowedMoments:
         return _solve_local_linear(s0, s1, s2, t0, t1, literal)
 
     def select_bandwidth(self, grid: np.ndarray) -> float | np.ndarray:
-        """``select_bandwidth`` over this window's sample: the candidate of
-        ``grid`` minimizing each row's leave-one-out squared error. The
-        window must hold one weight row."""
+        """Pick the candidate of ``grid`` minimizing leave-one-out squared
+        error over this window's sample.
+
+        For each candidate h the exact leave-one-out local linear prediction
+        is computed at every point; candidates for which any leave-one-out
+        fit is infeasible (fewer than two remaining in-window points) are
+        skipped. Scores below the interpolation tolerance (see
+        ``_loo_zero_tolerance``) count as exact zeros, and ties go to the
+        smaller bandwidth.
+
+        The window must hold one weight row. Its ``ys`` may be an (R, n)
+        stack of targets: each row gets the bandwidth it gets alone, from
+        one pass over the candidates that forms the weight's moments once
+        (see ``_loo_score``). A 1-D ``ys`` gives a Python float, a stack an
+        (R,) array.
+
+        Raises
+        ------
+        BandwidthError
+            If the grid is empty or every candidate fails.
+        """
         cand = np.unique(np.asarray(grid, dtype=float))
         if cand.size == 0:
             raise BandwidthError("empty bandwidth grid")
@@ -502,37 +519,6 @@ def _loo_zero_tolerance(ys: np.ndarray, weights: np.ndarray) -> float:
     # tie rule deterministic in the noiseless regime.
     scale = float(np.max(np.abs(ys))) if ys.size else 0.0
     return (1e-10 * scale) ** 2 * float(np.sum(weights))
-
-
-def select_bandwidth(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    grid: np.ndarray | None = None,
-    sample_weight: np.ndarray | None = None,
-) -> float | np.ndarray:
-    """Pick the candidate bandwidth minimizing leave-one-out squared error.
-
-    For each candidate h the exact leave-one-out local linear prediction is
-    computed at every point; candidates for which any leave-one-out fit is
-    infeasible (fewer than two remaining in-window points) are skipped.
-    Scores below the interpolation tolerance (see ``_loo_zero_tolerance``)
-    count as exact zeros, and ties go to the smaller bandwidth.
-
-    ``ys`` may be an (R, n) stack of targets over the shared ``xs`` and one
-    1-D weight: each row gets the bandwidth it gets alone, from one pass
-    over the candidates that forms the weight's moments once (see
-    ``_loo_score``). A 1-D ``ys`` gives a Python float, a stack an (R,)
-    array.
-
-    Raises
-    ------
-    BandwidthError
-        If every candidate fails.
-    """
-    if grid is None:
-        grid = default_bandwidth_grid(xs)
-    weight = np.ones(np.shape(xs)) if sample_weight is None else sample_weight
-    return WindowedMoments(xs, ys, weight).select_bandwidth(grid)
 
 
 def _loo_score(window: WindowedMoments, h: float) -> np.ndarray | None:

@@ -102,20 +102,17 @@ class DoseWeights:
 
 @dataclass(frozen=True, eq=False)
 class ControlWeights:
-    """The control side's weight part on ``data``, from ``pi_a``: the raw
-    ATT weights pi_a / (1 - pi_a) on the controls, and w0, the same
-    normalized."""
+    """The control side's weight part on ``data``, from ``pi_a``: w0, the
+    ATT weights pi_a / (1 - pi_a) on the controls, normalized."""
 
     data: TwoPeriodDataset
     pi_a: object
-    raw_w0: np.ndarray
     w0: np.ndarray
 
     @classmethod
     def form(cls, data: TwoPeriodDataset, pi_a) -> "ControlWeights":
         _, pa_c = data.split(pi_a(data.x))
-        raw_w0 = pa_c / (1.0 - pa_c)
-        return cls(data, pi_a, raw_w0, normalize_weights(raw_w0, data.weight_control))
+        return cls(data, pi_a, normalize_weights(pa_c / (1.0 - pa_c), data.weight_control))
 
 
 def dose_weights_of(data: TwoPeriodDataset, models, on_out_of_range: str) -> DoseWeights:

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from dosedid.data import TwoPeriodDataset
-from dosedid.nuisance import DENSITY_FLOOR, DoseDensityModel, NuisanceModelSet, TabulatedCurve
+from dosedid.nuisance import DENSITY_FLOOR, DoseDensityModel, DoseTrendModel, NuisanceModelSet, TabulatedCurve
 from dosedid.numeric import gaussian_kde, silverman_bandwidth
 
 _NODE_BLOCK = 256
@@ -53,6 +53,14 @@ def dense_f(
     return out
 
 
+def predict_matrix(mu1: DoseTrendModel, nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(n_units, n_nodes) values of mu1(node, x_i): each unit's level and
+    dose slope beside the shared dose profile, by block linearity."""
+    nodes = np.asarray(nodes, dtype=float)
+    level, slope = mu1.unit_terms(x)
+    return level[:, None] + mu1.profile(nodes, 0.0, 0.0)[None, :] + np.outer(slope, nodes)
+
+
 def exact_models(data: TwoPeriodDataset, models: NuisanceModelSet, grid: np.ndarray) -> NuisanceModelSet:
     """``models``, fit on ``data``, with pi_d's directly evaluated table and
     both marginals on the union of ``grid`` and every treated dose: f the
@@ -65,5 +73,4 @@ def exact_models(data: TwoPeriodDataset, models: NuisanceModelSet, grid: np.ndar
         pi_d=pi_d,
         m_marginal=replace(models.m_marginal, x=nodes),
         f_marginal=TabulatedCurve(x=nodes, y=np.maximum(dense_f(data, models, nodes, pi_d), DENSITY_FLOOR)),
-        dose_nodes=nodes,
     )

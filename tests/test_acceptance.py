@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import sandwich_reference as explicit
 from comparator_reference import MC_ERROR, comparator_reference
+from marginal_reference import predict_matrix
 
 from dosedid.curves import EstimatorConfig, estimate_curve, robust_select_bandwidth
 from dosedid.data import TwoPeriodDataset
@@ -26,9 +27,9 @@ from dosedid.inference import (
     weighted_bootstrap,
 )
 from dosedid.nuisance import DENSITY_FLOOR, default_specs, fit_nuisances
-from dosedid.numeric import default_bandwidth_grid, local_linear_fit, select_bandwidth
+from dosedid.numeric import WindowedMoments, default_bandwidth_grid, local_linear_fit
 from dosedid.panel import placebo_curves
-from dosedid.pseudo import compute_theta0, compute_xi_terms, control_weights_of, normalize_weights
+from dosedid.pseudo import compute_theta0, compute_xi_terms, control_weights_of
 from dosedid.simulation import (
     ROLE_DATA,
     InferenceConfig,
@@ -135,7 +136,8 @@ def naive_bandwidths(table1_reports):
         data = generate_scenario_data(config.n, stream_seed(config.seed, rep, ROLE_DATA))
         trend_t, _ = data.split(data.trend)
         candidates = default_bandwidth_grid(data.dose)
-        out.append((robust_select_bandwidth(data.dose, trend_t, candidates), candidates.max()))
+        window = WindowedMoments(data.dose, trend_t, np.ones(data.dose.shape))
+        out.append((robust_select_bandwidth(window, candidates), candidates.max()))
     return np.array(out)
 
 
@@ -393,7 +395,7 @@ def test_criterion_4_oracles():
     system = explicit.system_at(big, models_big, curve, float(curve.grid[25]))
     v = explicit.covariance(system)
     big_theta00, big_theta01, _ = compute_theta0(big, models_big)
-    big_w0 = normalize_weights(control_weights_of(big, models_big).raw_w0, big.weight_control)
+    big_w0 = control_weights_of(big, models_big).w0
     resid_c = (big.trend - models_big.mu0(big.x))[~big.a]
     psi3 = big_w0 * resid_c - big_theta00
     var00 = float(psi3 @ psi3) / big.n_control**2
@@ -406,7 +408,7 @@ def test_criterion_4_oracles():
     xs2 = np.sort(rng.uniform(0, 2 * np.pi, 80))
     ys2 = np.sin(xs2) + 0.25 * rng.normal(size=80)
     grid2 = np.geomspace(0.3, 3.0, 12)
-    chosen = select_bandwidth(xs2, ys2, grid2)
+    chosen = WindowedMoments(xs2, ys2, np.ones(80)).select_bandwidth(grid2)
     best, best_score = None, np.inf
     zero_tol = (1e-10 * np.max(np.abs(ys2))) ** 2 * 80
     for h2 in grid2:
@@ -447,7 +449,7 @@ def test_criterion_5_invariants():
     models = fit_nuisances(data, SPECS)
     w1 = compute_xi_terms(data, models)[1].w1
     theta00, theta01, _ = compute_theta0(data, models)
-    w0 = normalize_weights(control_weights_of(data, models).raw_w0, data.weight_control)
+    w0 = control_weights_of(data, models).w0
 
     hajek = max(abs(w1.mean() - 1.0), abs(w0.mean() - 1.0))
 
@@ -456,7 +458,7 @@ def test_criterion_5_invariants():
     tw[1:-1] = 0.5 * (nodes[2:] - nodes[:-2])
     tw[0] = 0.5 * (nodes[1] - nodes[0])
     tw[-1] = 0.5 * (nodes[-1] - nodes[-2])
-    dev = models.mu1.predict_matrix(nodes, data.x_treated) - models.m_marginal(nodes)[None, :]
+    dev = predict_matrix(models.mu1, nodes, data.x_treated) - models.m_marginal(nodes)[None, :]
     j_term = abs(float((dev @ (tw * models.f_marginal(nodes))).mean()))
 
     curve = estimate_curve(data, "MR", specs=SPECS, models=models)

@@ -392,6 +392,59 @@ def test_bad_grid_is_one_config_error(tmp_path, panel_file, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "extra", "message"),
+    [
+        ("estimate", {"bandwith": 0.9}, "config: unknown keys bandwith"),
+        ("estimate", {"grid": {"size": 20, "sizes": 30}}, "grid: unknown keys sizes"),
+        ("estimate", {"grid": {"lo": 1.0}}, "grid: lo and hi go together, got only lo"),
+        ("estimate", {"grid": {"hi": 9.0}}, "grid: lo and hi go together, got only hi"),
+        ("estimate", {"nuisance": ["mu1"]}, "nuisance: expected a mapping"),
+        ("estimate", {"nuisance": {"mu1": {"dose_powers": [1, 2.5]}}}, "nuisance.mu1.dose_powers: expected a list"),
+        ("estimate", {"nuisance": {"mu1": {"dose_interactions": ["x1"]}}}, "nuisance.mu1.dose_interactions: expected"),
+        ("estimate", {"bandwidth": -1}, "bandwidth: expected a positive number, got -1"),
+        ("estimate", {"bandwidth": "wide"}, "bandwidth: expected a positive number, got 'wide'"),
+        ("estimate", {"seed": "x"}, "seed: expected an integer, got 'x'"),
+        ("estimate", {"pairing": {"pre": 0}}, "pairing: need a mapping with 'pre' and 'post'"),
+        ("estimate", {"inference": {"method": "bootstrap", "B": 1}}, "inference.B: expected an integer of at least 2"),
+        ("placebo", {"placebo": {"baseline": 0, "posts": [1], "intervnetion": 2}}, "placebo: unknown keys intervnetion"),
+        ("truth", {"super_n": "x"}, "super_n: expected an integer, got 'x'"),
+    ],
+    ids=[
+        "top-level-key",
+        "grid-key",
+        "grid-lo-alone",
+        "grid-hi-alone",
+        "nuisance-list",
+        "dose-powers",
+        "dose-interactions",
+        "bandwidth-negative",
+        "bandwidth-text",
+        "seed",
+        "pairing-without-post",
+        "one-replicate",
+        "placebo-key",
+        "truth-super-n",
+    ],
+)
+def test_wrong_config_is_a_config_error_before_any_data_is_read(
+    tmp_path, panel_file, capsys, monkeypatch, command, extra, message
+):
+    """A key nothing reads, or a value of the wrong kind, is one config-error
+    line naming the key, exit 2, before the panel is read."""
+    reads = []
+    monkeypatch.setattr("dosedid.cli.load_panel", lambda *a, **k: reads.append(a))
+    payload = {"output": str(tmp_path / "out"), **extra}
+    if command != "truth":
+        payload["data"] = {"path": str(panel_file), "schema": _schema_block()}
+    assert dispatch([command, "-c", str(_write_config(tmp_path, "wrong.yaml", payload))]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("dosedid: config-error: ") and message in err
+    assert reads == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("size", [0, -2], ids=["zero", "negative"])
 @pytest.mark.parametrize("command", ["truth", "simulate"])
 def test_bad_grid_size_is_one_config_error(tmp_path, capsys, command, size):
@@ -444,9 +497,9 @@ def test_estimate_selects_every_bandwidth_in_one_pass(tmp_path, panel_file, monk
     calls = []
     original = curves.robust_select_bandwidth
 
-    def counted(x, window, grid, weight):
+    def counted(window, grid):
         calls.append(window.y_sorted.shape)
-        return original(x, window, grid, weight)
+        return original(window, grid)
 
     monkeypatch.setattr(curves, "robust_select_bandwidth", counted)
     assert _estimate(tmp_path, panel_file, methods=["MR", "OR", "NAIVE", "TWFE"]) == 0

@@ -23,7 +23,7 @@ from dosedid.curves import (
 from dosedid.data import TwoPeriodDataset
 from dosedid.errors import BandwidthError, DoseDidError, EstimationError, ExtrapolationError, FitError
 from dosedid.inference import bootstrap_weights
-from dosedid.numeric import default_bandwidth_grid, local_linear_fit
+from dosedid.numeric import WindowedMoments, default_bandwidth_grid, local_linear_fit
 from dosedid.nuisance import (
     RESIDUAL_VAR_FLOOR,
     NuisanceSpec,
@@ -256,7 +256,8 @@ def test_local_linear_curve_matches_per_point_fit_on_mr_pseudo_outcomes(n):
         models = fit_nuisances(weighted, SPECS, dose_grid=grid)
         xi, _ = compute_xi_terms(weighted, models)
         wt = None if w is None else data.split(w)[0]
-        for h in (robust_select_bandwidth(data.dose, xi, candidates, wt), float(candidates[0])):
+        window = WindowedMoments(data.dose, xi, np.ones(data.dose.shape) if wt is None else wt)
+        for h in (robust_select_bandwidth(window, candidates), float(candidates[0])):
             exact = np.array([local_linear_fit(data.dose, xi, h, float(d), wt)[0] for d in grid])
             gap = np.max(np.abs(local_linear_curve(data.dose, xi, grid, h, wt) - exact))
             assert gap <= 1e-6 * np.std(exact), (w is None, h, gap)
@@ -269,10 +270,11 @@ def test_robust_select_bandwidth_extends_a_target_stack_as_each_row_alone():
     dose = np.append(rng.uniform(0.0, 1.0, 59), 25.0)
     ys = np.stack([rng.normal(size=60), 3.0 * dose + rng.normal(size=60), np.sin(dose)])
     w = rng.uniform(0.5, 2.0, 60)
-    alone = [robust_select_bandwidth(dose, y, None, w) for y in ys]
-    stacked = robust_select_bandwidth(dose, ys, None, w)
+    grid = default_bandwidth_grid(dose)
+    alone = [robust_select_bandwidth(WindowedMoments(dose, y, w), grid) for y in ys]
+    stacked = robust_select_bandwidth(WindowedMoments(dose, ys, w), grid)
     assert stacked.tolist() == alone
-    assert min(alone) > np.max(default_bandwidth_grid(dose))
+    assert min(alone) > np.max(grid)
 
 
 def test_local_linear_curve_error_carries_first_infeasible_delta():

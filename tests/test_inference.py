@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 import sandwich_reference as explicit
 from counting import count_formations
+from marginal_reference import predict_matrix
 
 from dosedid import curves, inference, nuisance, panel
 from dosedid.curves import METHODS, EstimatorConfig, estimate_curve
 from dosedid.data import PanelDataset, TwoPeriodDataset, pair_periods
-from dosedid.errors import EstimationError
+from dosedid.errors import DataValidationError, EstimationError
 from dosedid.inference import (
     bootstrap_weights,
     sandwich_bands,
@@ -24,7 +25,7 @@ from dosedid.inference import (
 )
 from dosedid.numeric import WindowedMoments, epanechnikov
 from dosedid.nuisance import NuisanceSpec, default_specs, fit_nuisances
-from dosedid.pseudo import compute_theta0, compute_xi_terms, control_weights_of, normalize_weights
+from dosedid.pseudo import compute_theta0, compute_xi_terms, control_weights_of
 from dosedid.simulation import generate_placebo_panel, generate_scenario_data, stream_seed
 
 SPECS = default_specs(mu1_dose_powers=(1, 3), mu1_dose_interactions=(0, 2))
@@ -63,7 +64,7 @@ def test_theta0_block_matches_closed_form_oracle(fitted):
 
     # independent direct formulas for the self-normalized group means
     theta00, theta01, _ = compute_theta0(data, models)
-    w0 = normalize_weights(control_weights_of(data, models).raw_w0, data.weight_control)
+    w0 = control_weights_of(data, models).w0
     resid_c = (data.y1 - data.y0 - models.mu0(data.x))[~data.a]
     n0 = data.n_control
     na = data.n_treated
@@ -153,7 +154,7 @@ def test_closed_form_corrections_match_dense_quadrature(fitted):
     # mu1(d, X_i) - m(d) is linear in d: read its two coefficients off the
     # dense deviation matrix at three doses, checking the third.
     probe = np.array([nodes[0], nodes[-1], 0.5 * (nodes[0] + nodes[-1])])
-    dev = models.mu1.predict_matrix(probe, data.x_treated) - models.m_marginal(probe)[None, :]
+    dev = predict_matrix(models.mu1, probe, data.x_treated) - models.m_marginal(probe)[None, :]
     phi = (dev[:, 1] - dev[:, 0]) / (probe[1] - probe[0])
     alpha = dev[:, 0] - phi * probe[0]
     np.testing.assert_allclose(alpha + phi * probe[2], dev[:, 2], rtol=0, atol=1e-10 * np.max(np.abs(dev)))
@@ -361,7 +362,7 @@ def _explicit_gamma(ctx, models, delta, eta, rule):
     u = (data.dose - delta) / ctx.h
     resid = ctx.xi - theta - u * beta
     mu0 = models.mu0(data.x)
-    w0 = normalize_weights(control_weights_of(data, models).raw_w0, data.weight_control)
+    w0 = control_weights_of(data, models).w0
     gamma = np.zeros((data.n, 4))
     t, c = data.a, ~data.a
     gamma[t, 0] = ctx.wt * (epanechnikov(u) * resid + c0) / ctx.p_hat
@@ -676,9 +677,32 @@ def test_bootstrap_counts_failures_by_error_class():
 
     result = weighted_bootstrap(data, cfg, 5, seed=3, weight_fn=weights)
     assert result.failures == {"DataValidationError": 1}
-    assert result.b_failed == 1 and result.b_success == 4
+    assert result.b_failed == 1 and result.curves.shape[0] == 4
     clean = weighted_bootstrap(data, cfg, 3, seed=3)
     assert clean.failures == {} and clean.b_failed == 0
+
+
+def test_bootstrap_where_every_replicate_fails_raises(monkeypatch):
+    monkeypatch.setattr(inference, "fork_map", lambda fn, items, workers: [fn(c) for c in items])
+
+    def failing(weights):
+        raise DataValidationError("no replicate survives")
+
+    with pytest.raises(EstimationError, match="every bootstrap replicate failed"):
+        inference.bootstrap_replicates(np.arange(12) % 3 == 0, failing, 4, seed=1)
+
+
+def test_sandwich_guards_raise(fitted):
+    """No periods to stack, periods of different unit counts, and an
+    unknown mode are each an EstimationError."""
+    data, models, curve = fitted
+    with pytest.raises(EstimationError, match="no per-period systems"):
+        stacked_sandwich_variance([], curve.grid)
+    shorter = generate_scenario_data(data.n - 50, stream_seed(400, 10, 0))
+    with pytest.raises(EstimationError, match="share the unit roster"):
+        stacked_sandwich_variance([(data, models, curve), (shorter, models, curve)], curve.grid)
+    with pytest.raises(EstimationError, match="unknown sandwich mode 'bogus'"):
+        sandwich_bands(data, models, curve, mode="bogus")
 
 
 def test_bootstrap_needs_a_bandwidth_for_smoothing_methods(fitted):

@@ -13,9 +13,15 @@ from dosedid.numeric import (
     fit_wls,
     gaussian_kde,
     local_linear_fit,
-    select_bandwidth,
     silverman_bandwidth,
 )
+
+
+def select_bandwidth(x, y, grid=None, w=None):
+    """The leave-one-out choice over ``grid`` (by default
+    ``default_bandwidth_grid(x)``), with unit weights by default."""
+    grid = default_bandwidth_grid(x) if grid is None else grid
+    return numeric.WindowedMoments(x, y, np.ones(x.shape) if w is None else w).select_bandwidth(grid)
 
 
 # ---------------------------------------------------------------- kernel

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sandwich_reference import local_linear_curve
 
-from dosedid.curves import METHODS, estimate_curve, robust_select_bandwidth
+from dosedid import curves
+from dosedid.curves import METHODS, estimate_curve
 from dosedid.errors import BandwidthError
-from dosedid.numeric import epanechnikov, local_linear_fit
+from dosedid.numeric import WindowedMoments, default_bandwidth_grid, epanechnikov, local_linear_fit
 from dosedid.nuisance import default_specs
 from dosedid.simulation import generate_scenario_data
 
@@ -42,6 +43,12 @@ def _or_error(fn):
         return fn()
     except BandwidthError as err:
         return err
+
+
+def robust_select_bandwidth(x, y, sample_weight):
+    """The curve engine's leave-one-out choice over the default grid of the
+    doses ``x``, from the sample's arrays."""
+    return curves.robust_select_bandwidth(WindowedMoments(x, y, sample_weight), default_bandwidth_grid(x))
 
 
 def _tolerance(x, y, grid, h, w):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from marginal_reference import predict_matrix
 
 from dosedid import inference
 from dosedid.curves import estimate_curve
@@ -167,8 +168,8 @@ def test_theta0_constant_propensity_is_control_mean(fitted):
 
     flat_models = replace(models, pi_a=const_pi_a)
     theta00, _, _ = compute_theta0(data, flat_models)
-    raw_w0 = control_weights_of(data, flat_models).raw_w0
-    np.testing.assert_allclose(raw_w0, raw_w0[0], atol=1e-15)
+    w0 = control_weights_of(data, flat_models).w0
+    np.testing.assert_allclose(w0, w0[0], atol=1e-15)
     resid_c = (data.y1 - data.y0 - models.mu0(data.x))[~data.a]
     # with equal weights the self-normalized sum is the plain control mean
     assert abs(theta00 - resid_c.mean()) < 1e-12
@@ -203,7 +204,7 @@ def test_pseudo_outcome_set_invariants(fitted):
     _, weights = compute_xi_terms(data, models)
     w1, clamped = weights.w1, weights.clamped
     theta00, theta01, _ = compute_theta0(data, models)
-    w0 = normalize_weights(control_weights_of(data, models).raw_w0, data.weight_control)
+    w0 = control_weights_of(data, models).w0
     curve = estimate_curve(data, "MR", models=models)
     assert abs(w1.mean() - 1.0) < 1e-10
     assert abs(w0.mean() - 1.0) < 1e-10
@@ -221,7 +222,7 @@ def test_j_term_quadrature_is_zero(fitted):
     tw[-1] = 0.5 * (nodes[-1] - nodes[-2])
     f_vals = models.f_marginal(nodes)
     m_vals = models.m_marginal(nodes)
-    dev = models.mu1.predict_matrix(nodes, data.x_treated) - m_vals[None, :]
+    dev = predict_matrix(models.mu1, nodes, data.x_treated) - m_vals[None, :]
     j_terms = dev @ (tw * f_vals)
     assert abs(j_terms.mean()) < 1e-10
 

@@ -293,7 +293,7 @@ def test_study_engine_matches_direct_estimates():
     ids=["bottom", "top", "beyond"],
 )
 def test_study_counts_bandwidths_at_and_beyond_the_grid_top(monkeypatch, pick, shares):
-    monkeypatch.setattr(curves, "robust_select_bandwidth", lambda x, ys, grid, weight: float(pick(grid)))
+    monkeypatch.setattr(curves, "robust_select_bandwidth", lambda window, grid: float(pick(grid)))
     cfg = ScenarioConfig(n=300, replicates=2, seed=61, methods=("MR", "NAIVE", "OR"))
     methods = run_study(cfg, truth=ground_truth_curve(61)).methods
     for method in ("MR", "NAIVE"):
@@ -328,9 +328,9 @@ def test_one_leave_one_out_pass_per_replicate(monkeypatch):
     stacks = []
     original = curves.robust_select_bandwidth
 
-    def counted(x, window, grid, weight):
+    def counted(window, grid):
         stacks.append(window.y_sorted.shape)
-        return original(x, window, grid, weight)
+        return original(window, grid)
 
     monkeypatch.setattr(curves, "robust_select_bandwidth", counted)
     cfg = ScenarioConfig(n=300, replicates=1, seed=33, methods=METHODS, super_n=20_000)

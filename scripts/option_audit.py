@@ -9,9 +9,13 @@ options it passes, by keyword or by position. Matching is by name only: a
 call ``f(...)`` or ``obj.f(...)`` counts for every function or method named
 ``f``, a call of a class name counts for that class's ``__init__`` or its
 dataclass fields, and the keywords of ``replace(obj, ...)`` count for every
-dataclass field of that name. A ``*args`` or ``**kwargs`` splat sets
-nothing. So the scan can miss an option a call sets through a renamed
-reference (a callback, a dict of functions) and can credit a call to the
+dataclass field of that name. A ``*args`` splat sets nothing, and a
+``**kwargs`` splat into a dataclass sets the fields whose names its file
+holds as string constants, as the key tables of ``config.py`` hold the
+fields that a config block sets; one into ``replace`` sets nothing, since
+it would credit every dataclass's field of each such name. So the scan
+can miss an option a call sets through a renamed reference (a callback, a
+dict of functions) or a ``replace`` splat, and can credit a call to the
 wrong function of a shared name; read its list as candidates, not proof.
 
 The public names are each module's ``__all__`` and the names
@@ -28,14 +32,15 @@ name or holds its name as a string (as ``getattr`` takes it); assigning a
 field, or passing it to a constructor or ``replace``, is not a read, and
 this script's own tables are not scanned.
 
-It prints every option that no call sets, with the reason it is kept when
-``KEPT`` names one (docs/DECISIONS.md, D12), then, for information, the
-options that only tests set, then every public name that nothing outside
-the tests reaches, with the reason it is kept when ``KEPT_PUBLIC`` names
-one, then every member that nothing outside the tests reads, with the
-reason it is kept when ``KEPT_MEMBERS`` names one. It exits 1 when an
-option that no call sets is not in ``KEPT``, an unreached public name is
-not in ``KEPT_PUBLIC``, or an unread member is not in ``KEPT_MEMBERS``.
+It prints every option that no call sets, then every option that only
+tests set, each with the reason it is kept when ``KEPT`` names one
+(docs/DECISIONS.md, D12 and D21), then every public name that nothing
+outside the tests reaches, with the reason it is kept when ``KEPT_PUBLIC``
+names one, then every member that nothing outside the tests reads, with
+the reason it is kept when ``KEPT_MEMBERS`` names one. It exits 1 when an
+option that no call sets or that only tests set is not in ``KEPT``, an
+unreached public name is not in ``KEPT_PUBLIC``, or an unread member is
+not in ``KEPT_MEMBERS``.
 """
 
 from __future__ import annotations
@@ -49,12 +54,14 @@ CALLER_DIRS = ("src", "tests", "demos", "scripts", "perfbench")
 # The code whose use of a public name keeps it public.
 USER_DIRS = ("src", "demos", "scripts", "perfbench")
 
-# Options that no call sets but that stay, each with its reason.
+# Options that no call, or only tests, set but that stay, each with its
+# reason.
 KEPT = {
     ("write_panel", "schema"): "load_panel's counterpart; the file layout is a deployment setting",
     ("estimate_repeated", "grid"): "estimate_curve's public estimation argument",
     ("estimate_repeated", "bandwidth"): "estimate_curve's public estimation argument",
     ("placebo_curves", "bandwidth"): "estimate_curve's public estimation argument",
+    ("NuisanceSpec", "kde_bandwidth"): "users set it in the nuisance config block (config._SPEC_KEYS), through replace",
 }
 
 
@@ -131,11 +138,13 @@ def _class_options(file: str, node: ast.ClassDef) -> list[dict]:
 
 class _CallCollector(ast.NodeVisitor):
     """Callee names with their positional counts and keywords; ``cls(...)``
-    inside a class body names that class."""
+    inside a class body names that class, and a ``**`` splat may pass any
+    string constant of the file."""
 
-    def __init__(self, rel: str, calls, replaced):
+    def __init__(self, rel: str, tree: ast.Module, calls, replaced):
         self.rel, self.calls, self.replaced = rel, calls, replaced
         self.classes: list[str] = []
+        self.strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self.classes.append(node.name)
@@ -149,7 +158,8 @@ class _CallCollector(ast.NodeVisitor):
             name = self.classes[-1]
         if name is not None:
             keywords = {k.arg for k in node.keywords if k.arg is not None}
-            self.calls[name].append((self.rel, sum(not isinstance(a, ast.Starred) for a in node.args), keywords))
+            splat = self.strings if any(k.arg is None for k in node.keywords) else set()
+            self.calls[name].append((self.rel, sum(not isinstance(a, ast.Starred) for a in node.args), keywords, splat))
             if name == "replace":
                 for key in keywords:
                     self.replaced[key].append(self.rel)
@@ -157,13 +167,14 @@ class _CallCollector(ast.NodeVisitor):
 
 
 def collect_calls(root: Path):
-    """``{callee name: [(file, positional count, keywords)]}`` and, for each
+    """``{callee name: [(file, positional count, keywords, splat)]}``,
+    where ``splat`` holds the strings a ``**`` splat may pass, and, for each
     keyword of a ``replace`` call, the files that pass it."""
     calls, replaced = defaultdict(list), defaultdict(list)
     for folder in CALLER_DIRS:
         for path in sorted((root / folder).rglob("*.py")):
-            collector = _CallCollector(path.relative_to(root).as_posix(), calls, replaced)
-            collector.visit(ast.parse(path.read_text(encoding="utf-8")))
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            _CallCollector(path.relative_to(root).as_posix(), tree, calls, replaced).visit(tree)
     return calls, replaced
 
 
@@ -176,8 +187,10 @@ def audit(root: Path):
         for option, index in entry["defaulted"].items():
             setters = [
                 rel
-                for rel, n_pos, keywords in calls.get(entry["name"], ())
-                if option in keywords or (index is not None and index < n_pos)
+                for rel, n_pos, keywords, splat in calls.get(entry["name"], ())
+                if option in keywords
+                or (entry.get("fields") and option in splat)
+                or (index is not None and index < n_pos)
             ]
             if entry.get("fields"):
                 setters += replaced.get(option, [])
@@ -261,16 +274,14 @@ def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     unset, test_only = audit(root)
     unexplained = 0
-    print("Defaulted options that no call sets:")
-    for file, name, option in unset:
-        reason = KEPT.get((name.rsplit(".", 1)[-1], option))
-        unexplained += reason is None
-        print(f"  {file}: {name}({option})" + (f"  -- kept: {reason}" if reason else ""))
-    print("Defaulted options that only tests set:")
-    for file, name, option in test_only:
-        print(f"  {file}: {name}({option})")
+    for title, found in (("no call sets", unset), ("only tests set", test_only)):
+        print(f"Defaulted options that {title}:")
+        for file, name, option in found:
+            reason = KEPT.get((name.rsplit(".", 1)[-1], option))
+            unexplained += reason is None
+            print(f"  {file}: {name}({option})" + (f"  -- kept: {reason}" if reason else ""))
     if unexplained:
-        print(f"{unexplained} option(s) that no call sets and no entry of KEPT explains")
+        print(f"{unexplained} option(s) that no call or only tests set and no entry of KEPT explains")
     reached = reached_names(root)
     unreached = 0
     print("Public names that no code in " + ", ".join(USER_DIRS) + " reaches:")

@@ -74,7 +74,6 @@ from .simulation import (
     generate_scenario_data,
     ground_truth_curve,
     run_permutation_study,
-    run_study,
 )
 
 __version__ = "0.1.0"

@@ -30,19 +30,21 @@ import numpy as np
 from . import __version__
 from .config import (
     apply_overrides,
-    grid_size,
     load_config,
     parse_bandwidth,
     parse_grid,
     parse_inference,
-    parse_integer,
     parse_pairing,
+    parse_permutations,
+    parse_placebo,
+    parse_run,
     parse_scenario,
     parse_schema,
     parse_specs,
+    parse_truth,
     report_unknown,
 )
-from .curves import CONTROL_NEEDS, DOSE_NEEDS, METHODS, EstimatorConfig, estimate_curves, write_curve
+from .curves import CONTROL_NEEDS, DOSE_NEEDS, EstimatorConfig, estimate_curves, write_curve
 from .data import load_panel, pair_periods, validate
 from .errors import (
     BandwidthError,
@@ -59,7 +61,7 @@ from .errors import (
 from .inference import sandwich_bands, weighted_bootstrap
 from .nuisance import ModelBank, default_dose_grid
 from .panel import placebo_curves
-from .simulation import ground_truth_curve, run_permutation_study, run_study
+from .simulation import ScenarioConfig, ground_truth_curve, run_permutation_study
 
 _EXIT_CODES = {
     "config-error": 2,
@@ -211,15 +213,12 @@ def _cmd_estimate(config: dict, args, problems: list) -> int:
     specs = parse_specs(config.get("nuisance"), problems)
     inference = parse_inference(config.get("inference"), problems)
     grid_req = parse_grid(config, problems)
-    methods = config.get("methods", ["MR"])
-    bad = [m for m in methods if m not in METHODS]
-    if bad:
-        problems.append(f"methods: unknown method names {bad}")
+    run = parse_run(config, problems)
+    methods, seed = run.get("methods", ScenarioConfig.methods), run.get("seed", ScenarioConfig.seed)
     output = config.get("output")
     if not output:
         problems.append("output: required")
-    seed = parse_integer(config.get("seed", 0), "seed", None, problems)
-    bandwidth = parse_bandwidth(config.get("bandwidth"), problems)
+    bandwidth = parse_bandwidth(config.get("bandwidth"), "bandwidth", problems)
     dataset = _load_two_period(config, problems)
     if problems:
         raise ConfigError(problems)
@@ -300,22 +299,15 @@ def _report_rows(report):
 
 def _cmd_simulate(config: dict, args, problems: list) -> int:
     scenario = parse_scenario(config, problems)
+    perms = parse_permutations(config.get("scenario"), problems)
     output = config.get("output")
     if not output:
         problems.append("output: required")
-    if problems or scenario is None:
+    if problems:
         raise ConfigError(problems)
 
-    perms_req = config.get("scenario", {}).get("permutations")
     with _Staging(Path(output), args.force) as stage:
-        if perms_req == "all":
-            from .simulation import all_permutations
-
-            reports = run_permutation_study(scenario, all_permutations())
-        elif perms_req:
-            reports = run_permutation_study(scenario, [frozenset(p) for p in perms_req])
-        else:
-            reports = {tuple(sorted(scenario.misspecified)): run_study(scenario)}
+        reports = run_permutation_study(scenario, perms or [scenario.misspecified])
 
         rows = []
         for key in sorted(reports):
@@ -356,11 +348,7 @@ def _cmd_placebo(config: dict, args, problems: list) -> int:
     output = config.get("output")
     if not output:
         problems.append("output: required")
-    block = config.get("placebo")
-    if not isinstance(block, dict) or "baseline" not in block or "posts" not in block:
-        problems.append("placebo: need a mapping with 'baseline' and 'posts'")
-    else:
-        report_unknown(block, ("baseline", "posts", "intervention"), "placebo", problems)
+    placebo = parse_placebo(config, problems)
     panel = _load_panel(config, problems)
     if panel is not None:
         _raise_fatal(validate(panel))
@@ -368,19 +356,11 @@ def _cmd_placebo(config: dict, args, problems: list) -> int:
         raise ConfigError(problems)
 
     grid = _resolve_grid(grid_req, panel)
-    method = config.get("method", "MR")
-    curves = placebo_curves(
-        panel,
-        baseline=int(block["baseline"]),
-        placebo_posts=[int(p) for p in block["posts"]],
-        method=method,
-        specs=specs,
-        intervention_period=(int(block["intervention"]) if "intervention" in block else None),
-        grid=grid,
-    )
+    method, posts = placebo["method"], placebo["posts"]
+    curves = placebo_curves(panel, placebo["baseline"], posts, method, specs, placebo.get("intervention"), grid)
     outputs = []
     with _Staging(Path(output), args.force) as stage:
-        for post, curve in zip(block["posts"], curves):
+        for post, curve in zip(posts, curves):
             name = f"placebo_{method}_post{post}.csv"
             write_curve(curve, stage / name)
             outputs.append(name)
@@ -392,15 +372,10 @@ def _cmd_truth(config: dict, args, problems: list) -> int:
     output = config.get("output")
     if not output:
         problems.append("output: required")
-    try:
-        size = grid_size(config.get("grid_size", 50))
-    except (TypeError, ValueError) as exc:
-        problems.append(f"grid_size: {exc}")
-    seed = parse_integer(config.get("seed", 0), "seed", None, problems)
-    super_n = parse_integer(config.get("super_n", 1_000_000), "super_n", None, problems)
+    keywords = parse_truth(config, problems)
     if problems:
         raise ConfigError(problems)
-    truth = ground_truth_curve(seed, super_n, size)
+    truth = ground_truth_curve(**keywords)
     with _Staging(Path(output), args.force) as stage:
         with (stage / "truth.csv").open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -409,7 +384,7 @@ def _cmd_truth(config: dict, args, problems: list) -> int:
                 writer.writerow(
                     [repr(float(truth.grid[k])), repr(float(truth.psi_true[k])), repr(float(truth.density_weights[k]))]
                 )
-        _write_manifest(stage, "truth", config, {"super_n": super_n, "seed": seed}, ["truth.csv"])
+        _write_manifest(stage, "truth", config, {"super_n": truth.super_n, "seed": truth.seed}, ["truth.csv"])
     return 0
 
 

@@ -8,17 +8,17 @@ config surfaces all its issues at once.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .curves import checked_grid
+from .curves import METHODS, checked_grid
 from .data import PanelSchema
 from .errors import ConfigError, EstimationError
-from .inference import pool_size
-from .nuisance import NuisanceSpec, default_specs
-from .simulation import InferenceConfig, ScenarioConfig
+from .nuisance import DOSE_GRID_SIZE, VALID_WHICH, NuisanceSpec, default_specs
+from .simulation import InferenceConfig, ScenarioConfig, all_permutations
 
 __all__ = ["load_config", "apply_overrides", "parse_schema", "parse_specs", "parse_scenario", "parse_inference"]
 
@@ -67,14 +67,94 @@ def report_unknown(block: dict, known, where: str, problems: list) -> None:
         problems.append(f"{where}: unknown keys {', '.join(unknown)}")
 
 
-def parse_integer(value, key: str, minimum: int | None, problems: list) -> int | None:
-    """``value`` when it is an integer (not a bool), and at least ``minimum``
-    unless that is None; otherwise None, after reporting ``key``."""
-    if type(value) is int and (minimum is None or value >= minimum):
+def _parser(test, expected: str, convert=None):
+    """A parser of one config value: the value, or ``convert`` of it, when
+    ``test`` holds; otherwise None, after reporting that its key expected
+    ``expected``."""
+
+    def parse(value, key: str, problems: list):
+        if test(value):
+            return value if convert is None else convert(value)
+        problems.append(f"{key}: expected {expected}, got {value!r}")
+        return None
+
+    return parse
+
+
+def _is_integer(value, minimum=None) -> bool:
+    return type(value) is int and (minimum is None or value >= minimum)  # a bool is no integer
+
+
+def _is_list_of(value, test) -> bool:
+    return isinstance(value, list) and all(map(test, value))
+
+
+def grid_size(value, key: str, problems: list) -> int | None:
+    """``value`` as a grid size, an integer of at least 1; otherwise None,
+    after reporting ``key``. ``parse_grid``, ``parse_scenario`` and the
+    ``truth`` command read every size here."""
+    block, _, name = key.rpartition(".")
+    if type(value) is not int:
+        problems.append(f"{key}: expected an integer, got {value!r}")
+    elif value < 1:
+        problems.append(f"{block or key}: {name} must be at least 1, got {value}")
+    else:
         return value
-    bound = "" if minimum is None else f" of at least {minimum}"
-    problems.append(f"{key}: expected an integer{bound}, got {value!r}")
     return None
+
+
+_ANY = _parser(lambda value: True, "")  # a value its dataclass checks
+_INTEGER = _parser(_is_integer, "an integer")
+_INTEGERS = _parser(lambda v: _is_list_of(v, _is_integer), "a list of integers", tuple)
+_METHODS = f"method names ({', '.join(METHODS)})"
+_NUISANCES = f"nuisance names ({', '.join(VALID_WHICH)})"
+# Each config block's keys with the parsers of their values. A key the
+# config leaves out is not passed on, so the dataclass or function that
+# reads it keeps its own default (docs/DECISIONS.md, D21).
+_RUN_KEYS = {
+    "seed": _INTEGER,
+    "methods": _parser(lambda v: _is_list_of(v, METHODS.__contains__), "a list of " + _METHODS, tuple),
+    "workers": _parser(lambda v: _is_integer(v, 1), "an integer of at least 1"),
+}
+_SCENARIO_KEYS = {
+    "n": _INTEGER,
+    "replicates": _INTEGER,
+    "misspecified": _parser(lambda v: _is_list_of(v, VALID_WHICH.__contains__), "a list of " + _NUISANCES, tuple),
+    "grid_size": grid_size,
+    "super_n": _INTEGER,
+    "keep_curves": _parser(lambda v: type(v) is bool, "true or false"),
+    "mu1_dose_powers": _INTEGERS,
+    "mu1_dose_interactions": _INTEGERS,
+}
+# The bootstrap's quantiles need two replicates.
+_INFERENCE_KEYS = {"method": _ANY, "B": _parser(lambda v: _is_integer(v, 2), "an integer of at least 2"), "mode": _ANY}
+_TRUTH_KEYS = {"seed": _INTEGER, "super_n": _INTEGER, "grid_size": grid_size}
+_PLACEBO_KEYS = {
+    "baseline": _INTEGER,
+    "posts": _parser(lambda v: v != [] and _is_list_of(v, _is_integer), "a non-empty list of integers", tuple),
+    "intervention": _INTEGER,
+}
+_PLACEBO_METHOD = _parser(METHODS.__contains__, "one of the " + _METHODS)
+_PERMUTATIONS = _parser(
+    lambda v: _is_list_of(v, lambda p: _is_list_of(p, VALID_WHICH.__contains__)),
+    "'all' or a list of lists of " + _NUISANCES,
+    lambda v: [frozenset(p) for p in v],
+)
+_SPEC_KEYS = {"learner": _ANY, "covariate_map": _ANY, "kde_bandwidth": _ANY}
+_MU1_KEYS = {"dose_powers": _INTEGERS, "dose_interactions": _INTEGERS}
+
+
+def _parsed(block: dict, keys: dict, prefix: str, problems: list) -> dict:
+    """Each key of ``keys`` that ``block`` sets, with its value as its
+    parser gives it; a key whose value the parser reports, as ``prefix`` +
+    key, is left out."""
+    out = {}
+    for key in (k for k in keys if k in block):
+        found = len(problems)
+        value = keys[key](block[key], prefix + key, problems)
+        if len(problems) == found:
+            out[key] = value
+    return out
 
 
 def parse_schema(block: dict, problems: list) -> PanelSchema | None:
@@ -85,14 +165,10 @@ def parse_schema(block: dict, problems: list) -> PanelSchema | None:
         return None
 
 
-_SPEC_KEYS = ("learner", "covariate_map", "kde_bandwidth")
-_MU1_KEYS = ("dose_powers", "dose_interactions")
-
-
 def parse_specs(block: dict | None, problems: list) -> dict[str, NuisanceSpec]:
-    """Build the nuisance spec set; absent blocks fall back to defaults.
-    Keys a model's block does not read (``_SPEC_KEYS``, plus ``_MU1_KEYS``
-    for mu1) are reported as problems."""
+    """Build the nuisance spec set: a model's block sets keys of its
+    ``default_specs`` spec. Keys a model's block does not read
+    (``_SPEC_KEYS``, plus ``_MU1_KEYS`` for mu1) are reported as problems."""
     specs = default_specs()
     if not block:
         return specs
@@ -101,130 +177,120 @@ def parse_specs(block: dict | None, problems: list) -> dict[str, NuisanceSpec]:
         return specs
     out = dict(specs)
     for name, sub in block.items():
-        if name not in ("pi_a", "pi_d", "mu1", "mu0"):
+        if name not in VALID_WHICH:
             problems.append(f"nuisance.{name}: unknown model name")
             continue
         if not isinstance(sub, dict):
             problems.append(f"nuisance.{name}: expected a mapping")
             continue
-        mu1_keys = _MU1_KEYS if name == "mu1" else ()
-        report_unknown(sub, _SPEC_KEYS + mu1_keys, f"nuisance.{name}", problems)
-        kwargs = {"which": name}
-        for key in (k for k in _SPEC_KEYS + mu1_keys if k in sub):
-            if key in mu1_keys and not (isinstance(sub[key], list) and all(type(v) is int for v in sub[key])):
-                problems.append(f"nuisance.mu1.{key}: expected a list of integers, got {sub[key]!r}")
-            else:
-                kwargs[key] = sub[key]
-        if name == "pi_a" and "learner" not in kwargs:
-            kwargs["learner"] = "logistic"
+        keys = {**_SPEC_KEYS, **_MU1_KEYS} if name == "mu1" else _SPEC_KEYS
+        report_unknown(sub, keys, f"nuisance.{name}", problems)
         try:
-            out[name] = NuisanceSpec(**kwargs)
+            out[name] = replace(specs[name], **_parsed(sub, keys, f"nuisance.{name}.", problems))
         except (TypeError, ValueError) as exc:
             problems.append(f"nuisance.{name}: {exc}")
     return out
 
 
-_INFERENCE_KEYS = ("method", "B", "mode")
+def parse_run(config: dict, problems: list) -> dict:
+    """The top-level ``seed``, ``methods`` and ``workers`` that the config
+    sets, as ScenarioConfig's keywords."""
+    return _parsed(config, _RUN_KEYS, "", problems)
 
 
 def parse_inference(block: dict | None, problems: list) -> InferenceConfig:
     """The inference block; keys other than ``_INFERENCE_KEYS`` are
     reported as problems."""
-    if not block:
+    if block is None:
         return InferenceConfig()
     if not isinstance(block, dict):
         problems.append("inference: expected a mapping")
         return InferenceConfig()
     report_unknown(block, _INFERENCE_KEYS, "inference", problems)
-    # The bootstrap's quantiles need two replicates.
-    b_replicates = parse_integer(block.get("B", 200), "inference.B", 2, problems)
+    keywords = _parsed(block, _INFERENCE_KEYS, "inference.", problems)
+    if "B" in keywords:
+        keywords["b_replicates"] = keywords.pop("B")
     try:
-        return InferenceConfig(
-            method=str(block.get("method", "none")),
-            b_replicates=b_replicates,
-            mode=str(block.get("mode", "base")),
-        )
-    except (TypeError, ValueError) as exc:
+        return InferenceConfig(**keywords)
+    except ValueError as exc:
         problems.append(f"inference: {exc}")
         return InferenceConfig()
 
 
-_SCENARIO_KEYS = (
-    "n",
-    "replicates",
-    "misspecified",
-    "grid_size",
-    "super_n",
-    "keep_curves",
-    "mu1_dose_powers",
-    "mu1_dose_interactions",
-    "permutations",
-)
-
-
 def parse_scenario(config: dict, problems: list) -> ScenarioConfig | None:
-    """The scenario block (``permutations`` is read by the ``simulate``
-    command); keys other than ``_SCENARIO_KEYS`` are reported as problems."""
+    """The study of the scenario block, the inference block and the keys of
+    ``parse_run``, or None after reporting its problems. ``permutations``
+    is the ``simulate`` command's (``parse_permutations``); keys other than
+    it and ``_SCENARIO_KEYS`` are reported as problems."""
     block = config.get("scenario")
     if not isinstance(block, dict):
         problems.append("scenario: missing or not a mapping")
         return None
-    report_unknown(block, _SCENARIO_KEYS, "scenario", problems)
+    report_unknown(block, (*_SCENARIO_KEYS, "permutations"), "scenario", problems)
+    found = len(problems)
+    keywords = {**_parsed(block, _SCENARIO_KEYS, "scenario.", problems), **parse_run(config, problems)}
     inference = parse_inference(config.get("inference"), problems)
-    seed = parse_integer(config.get("seed", 0), "seed", None, problems)
-    methods = config.get("methods", ["MR"])
+    if len(problems) > found:
+        return None
     try:
-        return ScenarioConfig(
-            n=int(block["n"]),
-            replicates=int(block.get("replicates", 200)),
-            misspecified=frozenset(block.get("misspecified", [])),
-            seed=seed,
-            methods=tuple(methods),
-            grid_size=grid_size(block.get("grid_size", 50)),
-            super_n=int(block.get("super_n", 1_000_000)),
-            inference=inference,
-            workers=int(config.get("workers", pool_size())),
-            keep_curves=bool(block.get("keep_curves", False)),
-            mu1_dose_powers=tuple(block.get("mu1_dose_powers", (1, 3))),
-            mu1_dose_interactions=tuple(block.get("mu1_dose_interactions", (0, 2))),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        problems.append(f"scenario: {exc!r}")
+        return ScenarioConfig(**keywords, inference=inference)
+    except (TypeError, ValueError) as exc:
+        problems.append(f"scenario: {exc}")
         return None
 
 
-def grid_size(value) -> int:
-    """``value`` as a grid size; a ValueError below 1. ``parse_grid``,
-    ``parse_scenario`` and the ``truth`` command read every size here."""
-    size = int(value)
-    if size < 1:
-        raise ValueError(f"size must be at least 1, got {size}")
-    return size
+def parse_permutations(block, problems: list) -> list | None:
+    """The scenario block's ``permutations`` as frozensets: all 16 for
+    ``all``, else a list of lists of nuisance names; None when it names
+    none."""
+    value = block.get("permutations") if isinstance(block, dict) else None
+    if value == "all":
+        return all_permutations()
+    return None if value in (None, []) else _PERMUTATIONS(value, "scenario.permutations", problems)
+
+
+def parse_truth(config: dict, problems: list) -> dict:
+    """``ground_truth_curve``'s keywords: the top-level ``seed``,
+    ``super_n`` and ``grid_size`` that the config sets, and ScenarioConfig's
+    seed when it sets none."""
+    return {"seed": ScenarioConfig.seed, **_parsed(config, _TRUTH_KEYS, "", problems)}
+
+
+def parse_placebo(config: dict, problems: list) -> dict:
+    """The placebo block's ``baseline``, ``posts`` and ``intervention``
+    that it sets, and the top-level ``method``, MR unless it names one."""
+    block = config.get("placebo")
+    if not isinstance(block, dict) or "baseline" not in block or "posts" not in block:
+        problems.append("placebo: need a mapping with 'baseline' and 'posts'")
+        return {}
+    report_unknown(block, _PLACEBO_KEYS, "placebo", problems)
+    method = _PLACEBO_METHOD(config.get("method", "MR"), "method", problems)
+    return {"method": method, **_parsed(block, _PLACEBO_KEYS, "placebo.", problems)}
 
 
 def parse_grid(config: dict, problems: list):
     """Grid request: an explicit ndarray of points, or an int size for the
-    default percentile rule. A size below 1 (``grid_size``), or points that
+    default percentile rule, ``DOSE_GRID_SIZE`` unless the block sets one.
+    A size that ``grid_size`` rejects, or points that
     ``curves.checked_grid`` rejects, are reported as problems."""
     block = config.get("grid")
     if block is None:
-        return 50
-    if isinstance(block, dict):
-        report_unknown(block, ("points", "size", "lo", "hi"), "grid", problems)
-        if ("lo" in block) != ("hi" in block):
-            problems.append("grid: lo and hi go together, got only " + ("lo" if "lo" in block else "hi"))
-        try:
-            if "points" in block:
-                return checked_grid([float(v) for v in block["points"]])
-            size = grid_size(block.get("size", 50))
-            if "lo" in block and "hi" in block:
-                return checked_grid(np.linspace(float(block["lo"]), float(block["hi"]), size))
-            return size
-        except (TypeError, ValueError, EstimationError) as exc:
-            problems.append(f"grid: {exc}")
-            return 50
-    problems.append("grid: expected a mapping")
-    return 50
+        return DOSE_GRID_SIZE
+    if not isinstance(block, dict):
+        problems.append("grid: expected a mapping")
+        return DOSE_GRID_SIZE
+    report_unknown(block, ("points", "size", "lo", "hi"), "grid", problems)
+    if ("lo" in block) != ("hi" in block):
+        problems.append("grid: lo and hi go together, got only " + ("lo" if "lo" in block else "hi"))
+    size = grid_size(block["size"], "grid.size", problems) if "size" in block else DOSE_GRID_SIZE
+    try:
+        if "points" in block:
+            return checked_grid([float(v) for v in block["points"]])
+        if "lo" in block and "hi" in block and size is not None:
+            return checked_grid(np.linspace(float(block["lo"]), float(block["hi"]), size))
+    except (TypeError, ValueError, EstimationError) as exc:
+        problems.append(f"grid: {exc}")
+    return DOSE_GRID_SIZE if size is None else size
 
 
 def parse_pairing(block, problems: list) -> tuple[int, int] | None:
@@ -236,13 +302,9 @@ def parse_pairing(block, problems: list) -> tuple[int, int] | None:
         problems.append("pairing: need a mapping with 'pre' and 'post'")
         return None
     report_unknown(block, ("pre", "post"), "pairing", problems)
-    return tuple(parse_integer(block[key], f"pairing.{key}", None, problems) for key in ("pre", "post"))
+    return tuple(_INTEGER(block[key], f"pairing.{key}", problems) for key in ("pre", "post"))
 
 
-def parse_bandwidth(value, problems: list):
-    """A fixed smoothing bandwidth: None (leave-one-out selection) or a
-    finite positive number, as given; anything else is reported."""
-    if value is None or (type(value) in (int, float) and 0 < value < np.inf):
-        return value
-    problems.append(f"bandwidth: expected a positive number, got {value!r}")
-    return None
+# A fixed smoothing bandwidth: None (leave-one-out selection) or a finite
+# positive number.
+parse_bandwidth = _parser(lambda v: v is None or (type(v) in (int, float) and 0 < v < np.inf), "a positive number")

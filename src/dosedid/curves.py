@@ -61,6 +61,8 @@ __all__ = [
 METHODS = ("MR", "MR_PARAMETRIC", "OR", "IPW", "NAIVE", "TWFE")
 # The methods whose dose-side curve is a local linear smoother.
 SMOOTHED_METHODS = ("MR", "IPW", "NAIVE")
+# MR_PARAMETRIC's dose regression: an intercept and these powers of the dose.
+PARAMETRIC_BASIS = (1, 3)
 
 # Every method but TWFE splits as psi(delta) = theta(delta) - theta0: a
 # dose-side curve over the treated and a control-side constant. Each side
@@ -170,14 +172,15 @@ def checked_grid(grid) -> np.ndarray:
     return grid
 
 
-def parametric_theta(dose, ys, grid, sample_weight, basis=(1, 3)):
-    """Least-squares polynomial dose regression evaluated on the grid (per
-    row, for stacked ``ys`` or weights)."""
+def parametric_theta(dose, ys, grid, sample_weight):
+    """Least-squares regression on an intercept and the dose powers
+    ``PARAMETRIC_BASIS``, evaluated on the grid (per row, for stacked ``ys``
+    or weights)."""
     dose = np.asarray(dose, dtype=float)
-    design = np.column_stack([dose**p for p in (0, *basis)])
+    design = np.column_stack([dose**p for p in (0, *PARAMETRIC_BASIS)])
     fit = fit_wls(design, np.asarray(ys, dtype=float), sample_weight)
     grid = np.asarray(grid, dtype=float)
-    return linear_predictor(np.column_stack([grid**p for p in (0, *basis)]), fit.coefficients)
+    return linear_predictor(np.column_stack([grid**p for p in (0, *PARAMETRIC_BASIS)]), fit.coefficients)
 
 
 def _min_feasible_bandwidth(x: np.ndarray) -> float:
@@ -218,17 +221,17 @@ def robust_select_bandwidth(window: WindowedMoments, grid: np.ndarray) -> float 
         return window.select_bandwidth(np.concatenate([grid, extension]))
 
 
-def _bandwidths(data, window: WindowedMoments, rows: int, bandwidth, bandwidth_grid) -> list:
+def _bandwidths(data, window: WindowedMoments, rows: int, bandwidth) -> list:
     """``(bandwidth, diagnostics)`` of each of the ``rows`` dose-side
     regression targets that ``window`` holds over the treated doses: the
     given ``bandwidth``, or else the rows' own from one
-    ``robust_select_bandwidth`` pass over the window (D11)."""
+    ``robust_select_bandwidth`` pass over the window and the candidates
+    ``default_bandwidth_grid`` gives the treated doses (D11)."""
     if bandwidth is not None:
         return [(bandwidth, {})] * rows
     if data.weight_treated.ndim > 1:
         raise EstimationError("bandwidth selection takes one weight row; give a bandwidth for stacked weights")
-    if bandwidth_grid is None:
-        bandwidth_grid = default_bandwidth_grid(data.dose)
+    bandwidth_grid = default_bandwidth_grid(data.dose)
     chosen = robust_select_bandwidth(window, bandwidth_grid)
     low, high = float(np.min(bandwidth_grid)), float(np.max(bandwidth_grid))
     picked = []
@@ -240,7 +243,7 @@ def _bandwidths(data, window: WindowedMoments, rows: int, bandwidth, bandwidth_g
     return picked
 
 
-def _smoothed_curves(data, formed: dict, grid, bandwidth, bandwidth_grid) -> dict:
+def _smoothed_curves(data, formed: dict, grid, bandwidth) -> dict:
     """Each key of ``formed``, a dose-side regression target and its
     diagnostics, mapped to ``(theta, bandwidth, diagnostics, (target,
     window))`` of its local linear curve on ``grid``, or to the DoseDidError
@@ -256,7 +259,7 @@ def _smoothed_curves(data, formed: dict, grid, bandwidth, bandwidth_grid) -> dic
     out = {}
     try:
         window = WindowedMoments(data.dose, stack, data.weight_treated)
-        picked = _bandwidths(data, window, len(formed), bandwidth, bandwidth_grid)
+        picked = _bandwidths(data, window, len(formed), bandwidth)
     except DoseDidError as exc:
         return dict.fromkeys(formed, exc)
     for row, ((key, (target, diagnostics)), (h, selection)) in enumerate(zip(formed.items(), picked)):
@@ -331,13 +334,13 @@ def _dose_target(data, formula, models, on_out_of_range) -> tuple[np.ndarray | N
     return (trend_t if formula == "NAIVE" else None), diagnostics
 
 
-def _unsmoothed_curve(data, method, models, formed, grid, bandwidth, parametric_basis):
+def _unsmoothed_curve(data, method, models, formed, grid, bandwidth):
     """``(theta, bandwidth, diagnostics, None)`` of an MR_PARAMETRIC, OR or
     TWFE job from its ``_dose_target``."""
     target, diagnostics = formed[0], dict(formed[1])
     if method == "MR_PARAMETRIC":
-        theta = parametric_theta(data.dose, target, grid, data.weight_treated, parametric_basis)
-        diagnostics["parametric_basis"] = tuple(parametric_basis)
+        theta = parametric_theta(data.dose, target, grid, data.weight_treated)
+        diagnostics["parametric_basis"] = PARAMETRIC_BASIS
     elif method == "OR":
         theta = models.m_marginal(grid)
     else:  # TWFE
@@ -345,7 +348,7 @@ def _unsmoothed_curve(data, method, models, formed, grid, bandwidth, parametric_
     return theta, bandwidth, diagnostics, None
 
 
-def dose_sides(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range) -> dict:
+def dose_sides(data, jobs, grid, bandwidth, on_out_of_range) -> dict:
     """The dose-side curve theta on ``grid`` of every ``key: (method,
     models)`` of ``jobs``: each key maps to ``(theta, bandwidth,
     diagnostics, smoothed)``, or to the DoseDidError of forming it, where
@@ -372,10 +375,10 @@ def dose_sides(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on
             if method in SMOOTHED_METHODS:
                 smoothed[curve] = target
             else:
-                _once(done, curve, _unsmoothed_curve, data, method, models, target, grid, bandwidth, parametric_basis)
+                _once(done, curve, _unsmoothed_curve, data, method, models, target, grid, bandwidth)
         except DoseDidError as exc:
             done[curve] = exc
-    done.update(_smoothed_curves(data, smoothed, grid, bandwidth, bandwidth_grid))
+    done.update(_smoothed_curves(data, smoothed, grid, bandwidth))
     return {key: done[curve] for key, curve in curve_of.items()}
 
 
@@ -410,8 +413,6 @@ def estimate_curves(
     jobs: dict,
     grid: np.ndarray,
     bandwidth: float | None = None,
-    bandwidth_grid: np.ndarray | None = None,
-    parametric_basis: tuple[int, ...] = (1, 3),
     on_out_of_range: str = "error",
 ) -> dict:
     """Estimate every ``key: (method, models)`` of ``jobs`` on ``data``:
@@ -425,7 +426,7 @@ def estimate_curves(
     (docs/DECISIONS.md, D13). An MR curve keeps its two sides' outcome
     terms (D19).
     """
-    doses = dose_sides(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range)
+    doses = dose_sides(data, jobs, grid, bandwidth, on_out_of_range)
     controls: dict = {}
     out: dict = {}
     for key, (method, models) in jobs.items():
@@ -460,8 +461,6 @@ def estimate_curve(
     specs: dict[str, NuisanceSpec] | None = None,
     grid: np.ndarray | None = None,
     bandwidth: float | None = None,
-    bandwidth_grid: np.ndarray | None = None,
-    parametric_basis: tuple[int, ...] = (1, 3),
     on_out_of_range: str = "error",
     models: NuisanceModelSet | None = None,
 ) -> EffectCurveEstimate:
@@ -499,7 +498,7 @@ def estimate_curve(
     if needed and models is None:
         models = fit_nuisances(data, specs, needed, dose_grid=grid)
     jobs = {method: (method, models)}
-    curve = estimate_curves(data, jobs, grid, bandwidth, bandwidth_grid, parametric_basis, on_out_of_range)[method]
+    curve = estimate_curves(data, jobs, grid, bandwidth, on_out_of_range)[method]
     if isinstance(curve, DoseDidError):
         raise curve
     return curve

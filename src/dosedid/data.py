@@ -193,21 +193,17 @@ class TwoPeriodDataset:
         object.__setattr__(self, "weight", _readonly(weight))
 
     @classmethod
-    def from_arrays(cls, x, a, dose, y0, y1, ids=None, covariate_names=None):
+    def from_arrays(cls, x, a, dose, y0, y1):
+        """The arrays as a dataset with ids u0, u1, ... and covariates x1, x2, ...."""
         x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        if ids is None:
-            ids = tuple(f"u{i}" for i in range(n))
-        if covariate_names is None:
-            covariate_names = tuple(f"x{j + 1}" for j in range(x.shape[1]))
         return cls(
-            ids=tuple(ids),
+            ids=tuple(f"u{i}" for i in range(x.shape[0])),
             x=x,
             a=a,
             dose=dose,
             y0=y0,
             y1=y1,
-            covariate_names=tuple(covariate_names),
+            covariate_names=tuple(f"x{j + 1}" for j in range(x.shape[1])),
         )
 
     @property

@@ -92,6 +92,7 @@ __all__ = [
 ]
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+BOOTSTRAP_REPLICATES = 200  # the default B of InferenceConfig and estimate_repeated
 _FD_STEP = 1e-5
 # 3-point Gauss-Legendre on [-1, 1]: exact for polynomials of degree <= 5.
 _GL_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
@@ -614,24 +615,22 @@ def bootstrap_replicates(
     replicate,
     b_replicates: int,
     seed: int,
-    weight_fn=None,
 ) -> list[BootstrapResult]:
     """The weighted bootstrap's replicate loop, one result per estimate.
 
-    For b in 0..B-1 it draws ``bootstrap_weights(a, seed, b)`` (or
-    ``weight_fn(b)``, a testing hook) and passes them to ``replicate`` a
-    chunk at a time, as an (R, n) stack of rows. The chunks hold R =
-    ceil(B / c) rows each (the last may hold fewer), where c is the least
-    multiple of ``pool_size()`` for which R n stays within
-    ``_STACK_BLOCK``: B = 200 at n = 500 on 2 CPUs runs as 8 chunks of 25
-    rows. The chunks run through ``fork_map`` on ``pool_size()`` forked
-    workers, which inherit ``replicate`` and ``weight_fn`` (so closures and
-    patched functions behave as they do in-process), and merge in chunk
-    order. ``replicate`` maps such a stack to M estimates with (R, K) psi,
-    and one (n,) weight row to M estimates with (K,) psi, each row of the
-    first being the second; a row does not depend on the other rows of its
-    stack, so the result does not depend on the partition or the pool
-    size. A replicate fails when ``replicate`` raises a DoseDidError on it,
+    For b in 0..B-1 it draws ``bootstrap_weights(a, seed, b)`` and passes
+    them to ``replicate`` a chunk at a time, as an (R, n) stack of rows.
+    The chunks hold R = ceil(B / c) rows each (the last may hold fewer),
+    where c is the least multiple of ``pool_size()`` for which R n stays
+    within ``_STACK_BLOCK``: B = 200 at n = 500 on 2 CPUs runs as 8 chunks
+    of 25 rows. The chunks run through ``fork_map`` on ``pool_size()``
+    forked workers, which inherit ``replicate`` and this module's functions
+    (so closures and patched functions behave as they do in-process), and
+    merge in chunk order. ``replicate`` maps such a stack to M estimates
+    with (R, K) psi, and one (n,) weight row to M estimates with (K,) psi,
+    each row of the first being the second; a row does not depend on the
+    other rows of its stack, so the result does not depend on the partition
+    or the pool size. A replicate fails when ``replicate`` raises a DoseDidError on it,
     such as the DataValidationError of a dataset given weights that are not
     finite and nonnegative: a chunk that raises is rerun one row at a time,
     so the failed replicates, counted by error class, are skipped alone.
@@ -645,8 +644,6 @@ def bootstrap_replicates(
     """
     if b_replicates < 2:
         raise EstimationError("bootstrap needs at least 2 replicates")
-    if weight_fn is None:
-        weight_fn = lambda b: bootstrap_weights(a, seed, b)  # noqa: E731
     workers = pool_size()
     cap = max(1, _STACK_BLOCK // max(1, np.shape(a)[0]))
     n_chunks = -(-b_replicates // cap)
@@ -656,7 +653,7 @@ def bootstrap_replicates(
 
     parts = []  # (psi of shape (rows, M, K), pi_a stuck and pi_d floored flags (rows,)) per chunk or row
     failures: Counter = Counter()
-    for chunk_parts, chunk_failures in fork_map(lambda c: _run_chunk(replicate, weight_fn, c), chunks, workers):
+    for chunk_parts, chunk_failures in fork_map(lambda c: _run_chunk(replicate, a, seed, c), chunks, workers):
         parts.extend(chunk_parts)
         failures.update(chunk_failures)
     if not parts:
@@ -672,12 +669,13 @@ def bootstrap_replicates(
     return results
 
 
-def _run_chunk(replicate, weight_fn, chunk: range) -> tuple[list, Counter]:
+def _run_chunk(replicate, a, seed: int, chunk: range) -> tuple[list, Counter]:
     """One chunk of replicates, in-process or in a worker: ``replicate`` on
-    their (R, n) weight stack or, when that raises a DoseDidError, on each
-    weight row alone. Returns the ``_replicate_rows`` parts in replicate
-    order and the failed replicates counted by error class."""
-    stack = np.stack([weight_fn(b) for b in chunk])
+    their (R, n) stack of ``bootstrap_weights`` or, when that raises a
+    DoseDidError, on each weight row alone. Returns the ``_replicate_rows``
+    parts in replicate order and the failed replicates counted by error
+    class."""
+    stack = np.stack([bootstrap_weights(a, seed, b) for b in chunk])
     try:
         return [_replicate_rows(replicate(stack))], Counter()
     except DoseDidError:
@@ -714,7 +712,6 @@ def weighted_bootstrap(
     estimator_config: EstimatorConfig,
     b_replicates: int,
     seed: int,
-    weight_fn=None,
 ) -> BootstrapResult:
     """Unit-level exponential weighted bootstrap of an effect curve.
 
@@ -740,7 +737,6 @@ def weighted_bootstrap(
         lambda w: [estimator_config.build(replace(data, weight=w))],
         b_replicates,
         seed,
-        weight_fn,
     )
     return result
 

@@ -75,6 +75,7 @@ __all__ = [
 DENSITY_FLOOR = 1e-4
 # Squared-residual predictions are floored before standardization.
 RESIDUAL_VAR_FLOOR = 1e-6
+DOSE_GRID_SIZE = 50  # points of the default dose grid, the study truth's and the config's
 
 _MIN_GROUP = 10
 _SPLINE_INTERIOR_KNOTS = 4  # at evenly spaced percentiles of each variable
@@ -640,7 +641,7 @@ def fit_mu0(data: TwoPeriodDataset, spec: NuisanceSpec) -> CovariateTrendModel:
     return CovariateTrendModel(fit=fit, design=design)
 
 
-def default_dose_grid(doses: np.ndarray, size: int = 50) -> np.ndarray:
+def default_dose_grid(doses: np.ndarray, size: int = DOSE_GRID_SIZE) -> np.ndarray:
     """``size`` evenly spaced doses between the 10th and 90th dose percentiles."""
     d = np.asarray(doses, dtype=float)
     lo, hi = np.percentile(d, [10.0, 90.0])

@@ -53,6 +53,10 @@ _WLS_MAX_CHOLESKY_RETRIES = 3
 _LOGISTIC_TOL = 1e-8  # on IRLS's largest coefficient step
 _LOGISTIC_MAX_ITER = 100
 _BANDWIDTH_GRID_SIZE = 20  # default leave-one-out candidates
+# Leave-one-out scores within this relative distance of the best so far tie
+# with it: scores equal in exact arithmetic move with the unit order by
+# rounding, up to 16,384 ulps (3.6e-12) on 11 integer-valued units.
+_LOO_TIE = 1e-10
 # Binned kernel sums work on a grid coarser than their output by a power of
 # two, with at least this many steps across the narrowest kernel feature:
 # the KDE table's, and scale_mixture's, whose error at 8 steps is still far
@@ -433,8 +437,9 @@ class WindowedMoments:
         is computed at every point; candidates for which any leave-one-out
         fit is infeasible (fewer than two remaining in-window points) are
         skipped. Scores below the interpolation tolerance (see
-        ``_loo_zero_tolerance``) count as exact zeros, and ties go to the
-        smaller bandwidth.
+        ``_loo_zero_tolerance``) count as exact zeros, a score within a
+        relative ``_LOO_TIE`` of the best so far ties with it, and ties go
+        to the smaller bandwidth, whatever the unit order.
 
         The window must hold one weight row. Its ``ys`` may be an (R, n)
         stack of targets: each row gets the bandwidth it gets alone, from
@@ -462,7 +467,7 @@ class WindowedMoments:
             if score is None:
                 continue
             score = np.where(score < zero_tol, 0.0, score)
-            better = score < best_score
+            better = score < best_score * (1.0 - _LOO_TIE)
             best_score = np.where(better, score, best_score)
             best_h = np.where(better, h, best_h)
         if np.any(np.isnan(best_h)):

@@ -32,7 +32,7 @@ import numpy as np
 from .curves import CONTROL_NEEDS, DOSE_NEEDS, EffectCurveEstimate, checked_grid, estimate_curve
 from .data import PanelDataset, TwoPeriodDataset, pair_periods
 from .errors import DataValidationError, EstimationError
-from .inference import Z_95, bootstrap_replicates, stacked_sandwich_variance
+from .inference import BOOTSTRAP_REPLICATES, Z_95, bootstrap_replicates, stacked_sandwich_variance
 from .nuisance import ModelBank, NuisanceSpec, default_dose_grid
 
 __all__ = [
@@ -105,7 +105,7 @@ def estimate_repeated(
     grid: np.ndarray | None = None,
     bandwidth: float | None = None,
     inference: str = "none",  # none | bootstrap | sandwich
-    b_replicates: int = 200,
+    b_replicates: int = BOOTSTRAP_REPLICATES,
     seed: int = 0,
 ) -> RepeatedEstimate:
     """Estimate one curve per (pre, post) pair and their average.

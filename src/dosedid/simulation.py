@@ -36,9 +36,9 @@ import numpy as np
 from .curves import CONTROL_NEEDS, DOSE_NEEDS, METHODS, EstimatorConfig, estimate_curves
 from .data import PanelDataset, TwoPeriodDataset
 from .errors import DoseDidError, EstimationError
-from .inference import fork_map, pool_size, sandwich_bands, weighted_bootstrap
+from .inference import BOOTSTRAP_REPLICATES, fork_map, pool_size, sandwich_bands, weighted_bootstrap
 from .numeric import expit
-from .nuisance import ModelBank, NuisanceSpec, default_specs, kang_schafer_map
+from .nuisance import DOSE_GRID_SIZE, ModelBank, NuisanceSpec, default_specs, kang_schafer_map
 
 __all__ = [
     "ROLE_DATA",
@@ -56,7 +56,6 @@ __all__ = [
     "ScenarioConfig",
     "MethodReport",
     "ScenarioReport",
-    "run_study",
     "run_permutation_study",
     "all_permutations",
     "simulation_specs",
@@ -69,6 +68,7 @@ ROLE_BOOTSTRAP = 2
 # the 1st and 3rd covariates, matching the trend structure below.
 MU1_DOSE_POWERS = (1, 3)
 MU1_DOSE_INTERACTIONS = (0, 2)
+_SUPER_N = 1_000_000  # the study truth's recorded super-population size (D9)
 
 
 def stream_seed(seed: int, *path: int) -> np.random.SeedSequence:
@@ -149,15 +149,15 @@ def generate_scenario_data(n: int, seed) -> TwoPeriodDataset:
     return TwoPeriodDataset.from_arrays(x=x, a=a, dose=dose, y0=y0, y1=y1)
 
 
-def generate_null_data(n: int, seed, effect: float = 0.0) -> TwoPeriodDataset:
+def generate_null_data(n: int, seed) -> TwoPeriodDataset:
     """Same covariate/treatment/dose design, but both groups share a flat
-    expected trend ``effect``: no dose effect and no trend confounding."""
+    expected trend of zero: no dose effect and no trend confounding."""
     rng = _rng(seed)
     x = rng.standard_normal((n, 4))
     a = rng.random(n) < _treatment_probability(x)
     dose_all = _dose_mean(x) + _DOSE_SD * rng.standard_normal(n)
     y0 = 10.0 + x @ np.array([0.4, -1.0, 0.4, 0.3]) + 2.0 * a + 0.3 * rng.standard_normal(n)
-    y1 = y0 + effect + 0.7 * rng.standard_normal(n)
+    y1 = y0 + 0.7 * rng.standard_normal(n)
     return TwoPeriodDataset.from_arrays(x=x, a=a, dose=dose_all[a], y0=y0, y1=y1)
 
 
@@ -280,13 +280,7 @@ def _quantile(cdf, level: float) -> float:
     return hi
 
 
-def ground_truth_curve(
-    seed: int,
-    super_n: int = 1_000_000,
-    grid_size: int = 50,
-    treated_trend=None,
-    control_trend=None,
-) -> GroundTruth:
+def ground_truth_curve(seed: int, super_n: int = _SUPER_N, grid_size: int = DOSE_GRID_SIZE) -> GroundTruth:
     """The study's true effect curve, psi(delta) = E[mu1(X, delta) - mu0(X)
     | A=1], on a grid between the treated-dose 10th and 90th percentiles,
     with density weights the treated-dose probability of each grid point's
@@ -296,23 +290,15 @@ def ground_truth_curve(
     propensity p(X) (D9): psi on a tensor Gauss-Hermite rule, and the
     treated-dose law, a p(X)-weighted mixture of normals, by a
     one-dimensional rule. Nothing is drawn: ``seed`` and ``super_n`` change
-    no number and are kept for the callers that pass them.
-
-    ``treated_trend(x, d)`` / ``control_trend(x)`` override the study trend
-    functions (used to validate the integration against DGP variants with
-    known curves)."""
+    no number and are kept for the callers that pass them."""
     if super_n < 10_000:
         raise ValueError("super-population must have at least 10,000 units")
-    if treated_trend is None:
-        treated_trend = treated_trend_mean
-    if control_trend is None:
-        control_trend = control_trend_mean
     cdf = _treated_dose_cdf()
     grid = np.linspace(_quantile(cdf, 0.1), _quantile(cdf, 0.9), grid_size)
 
     x, weight = _treated_covariate_rule()
-    lam0 = control_trend(x)
-    psi_true = np.array([weight @ (treated_trend(x, delta) - lam0) for delta in grid])
+    lam0 = control_trend_mean(x)
+    psi_true = np.array([weight @ (treated_trend_mean(x, delta) - lam0) for delta in grid])
 
     spacing = grid[1] - grid[0]
     edges = np.concatenate([[grid[0] - spacing / 2.0], grid + spacing / 2.0])
@@ -328,7 +314,7 @@ class InferenceConfig:
     """Which interval machinery a study runs per replicate."""
 
     method: str = "none"  # none | sandwich | bootstrap | both
-    b_replicates: int = 200
+    b_replicates: int = BOOTSTRAP_REPLICATES
     mode: str = "base"  # base | augmented
 
     def __post_init__(self):
@@ -349,14 +335,14 @@ class InferenceConfig:
 @dataclass(frozen=True)
 class ScenarioConfig:
     n: int
-    replicates: int
+    replicates: int = 200
     misspecified: frozenset = frozenset()
     seed: int = 0
     methods: tuple[str, ...] = ("MR",)
-    grid_size: int = 50
-    super_n: int = 1_000_000
+    grid_size: int = DOSE_GRID_SIZE
+    super_n: int = _SUPER_N
     inference: InferenceConfig = field(default_factory=InferenceConfig)
-    workers: int = 1
+    workers: int = field(default_factory=pool_size)
     keep_curves: bool = False
     mu1_dose_powers: tuple[int, ...] = MU1_DOSE_POWERS
     mu1_dose_interactions: tuple[int, ...] = MU1_DOSE_INTERACTIONS
@@ -500,19 +486,12 @@ def _integrate(weights, values):
     return float(np.sum(weights * values))
 
 
-def run_permutation_study(
-    config: ScenarioConfig,
-    permutations,
-    truth: GroundTruth | None = None,
-    estimator_hook=None,
-) -> dict:
+def run_permutation_study(config: ScenarioConfig, permutations, truth: GroundTruth | None = None) -> dict:
     """Run the study once per specification permutation with shared data.
 
     Returns a dict mapping each permutation (as a sorted name tuple) to its
     ScenarioReport. The replicates run through ``inference.fork_map`` on
     at most ``config.workers`` processes, capped by ``pool_size()``.
-    ``estimator_hook(data, grid) -> psi`` substitutes every estimator
-    (testing hook for metric plumbing).
     """
     perms = [frozenset(p) for p in permutations]
     perm_keys = [_perm_key(p) for p in perms]
@@ -521,19 +500,11 @@ def run_permutation_study(
     grid = truth.grid
     reps = config.replicates
 
-    if estimator_hook is not None:
-        results = []
-        for rep in range(reps):
-            data = generate_scenario_data(config.n, stream_seed(config.seed, rep, ROLE_DATA))
-            psi = np.asarray(estimator_hook(data, grid), dtype=float)
-            curves = {(m, k): psi for m in config.methods for k in perm_keys}
-            results.append((curves, {}, {}, {}))
-    else:
-        results = fork_map(
-            lambda rep: _replicate_worker(config, perm_keys, truth, rep),
-            range(reps),
-            min(config.workers, pool_size()),
-        )
+    results = fork_map(
+        lambda rep: _replicate_worker(config, perm_keys, truth, rep),
+        range(reps),
+        min(config.workers, pool_size()),
+    )
 
     reports = {}
     k_grid = grid.shape[0]
@@ -605,8 +576,3 @@ def run_permutation_study(
         )
     return reports
 
-
-def run_study(config: ScenarioConfig, truth: GroundTruth | None = None, estimator_hook=None) -> ScenarioReport:
-    """Run the configured scenario (single specification permutation)."""
-    reports = run_permutation_study(config, [config.misspecified], truth, estimator_hook)
-    return reports[_perm_key(config.misspecified)]

@@ -409,6 +409,50 @@ def test_bad_grid_is_one_config_error(tmp_path, panel_file, capsys, monkeypatch,
         ("estimate", {"inference": {"method": "bootstrap", "B": 1}}, "inference.B: expected an integer of at least 2"),
         ("placebo", {"placebo": {"baseline": 0, "posts": [1], "intervnetion": 2}}, "placebo: unknown keys intervnetion"),
         ("truth", {"super_n": "x"}, "super_n: expected an integer, got 'x'"),
+        (
+            "placebo",
+            {"method": "BOGUS", "placebo": {"baseline": 0, "posts": [1]}},
+            "method: expected one of the method names (MR, MR_PARAMETRIC, OR, IPW, NAIVE, TWFE), got 'BOGUS'",
+        ),
+        ("placebo", {"placebo": {"baseline": "x", "posts": [1]}}, "placebo.baseline: expected an integer, got 'x'"),
+        (
+            "placebo",
+            {"placebo": {"baseline": 0, "posts": 1}},
+            "placebo.posts: expected a non-empty list of integers, got 1",
+        ),
+        (
+            "placebo",
+            {"placebo": {"baseline": 0, "posts": []}},
+            "placebo.posts: expected a non-empty list of integers, got []",
+        ),
+        (
+            "placebo",
+            {"placebo": {"baseline": 0, "posts": [1], "intervention": 2.5}},
+            "placebo.intervention: expected an integer, got 2.5",
+        ),
+        (
+            "simulate",
+            {"scenario": {"n": 200, "misspecified": "pi_a"}},
+            "scenario.misspecified: expected a list of nuisance names (pi_a, pi_d, mu1, mu0), got 'pi_a'",
+        ),
+        (
+            "simulate",
+            {"scenario": {"n": 200, "permutations": [["bogus"]]}},
+            "scenario.permutations: expected 'all' or a list of lists of nuisance names",
+        ),
+        ("simulate", {"scenario": {"n": 200, "permutations": "some"}}, "scenario.permutations: expected 'all' or"),
+        ("simulate", {"scenario": {"n": 200, "grid_size": 5.7}}, "scenario.grid_size: expected an integer, got 5.7"),
+        ("simulate", {"scenario": {"n": 200.0}}, "scenario.n: expected an integer, got 200.0"),
+        ("simulate", {"scenario": {"n": 200, "replicates": "2"}}, "scenario.replicates: expected an integer"),
+        ("simulate", {"scenario": {"n": 200}, "workers": 0}, "workers: expected an integer of at least 1, got 0"),
+        ("simulate", {"scenario": {"n": 200, "keep_curves": "no"}}, "scenario.keep_curves: expected true or false"),
+        ("estimate", {"grid": {"size": 7.9}}, "grid.size: expected an integer, got 7.9"),
+        (
+            "estimate",
+            {"methods": "NAIVE"},
+            "methods: expected a list of method names (MR, MR_PARAMETRIC, OR, IPW, NAIVE, TWFE), got 'NAIVE'",
+        ),
+        ("truth", {"grid_size": 3.9}, "grid_size: expected an integer, got 3.9"),
     ],
     ids=[
         "top-level-key",
@@ -425,6 +469,22 @@ def test_bad_grid_is_one_config_error(tmp_path, panel_file, capsys, monkeypatch,
         "one-replicate",
         "placebo-key",
         "truth-super-n",
+        "placebo-method",
+        "placebo-baseline",
+        "placebo-posts",
+        "placebo-no-posts",
+        "placebo-intervention",
+        "misspecified-text",
+        "permutation-name",
+        "permutations-text",
+        "scenario-grid-size",
+        "scenario-n",
+        "replicates",
+        "workers",
+        "keep-curves",
+        "grid-size-fraction",
+        "methods-text",
+        "truth-grid-size",
     ],
 )
 def test_wrong_config_is_a_config_error_before_any_data_is_read(
@@ -435,7 +495,7 @@ def test_wrong_config_is_a_config_error_before_any_data_is_read(
     reads = []
     monkeypatch.setattr("dosedid.cli.load_panel", lambda *a, **k: reads.append(a))
     payload = {"output": str(tmp_path / "out"), **extra}
-    if command != "truth":
+    if command not in ("truth", "simulate"):
         payload["data"] = {"path": str(panel_file), "schema": _schema_block()}
     assert dispatch([command, "-c", str(_write_config(tmp_path, "wrong.yaml", payload))]) == 2
     err = capsys.readouterr().err
@@ -535,13 +595,13 @@ def test_too_few_treated_units_is_one_estimation_error(tmp_path, capsys):
     treated = np.flatnonzero(data.a)
     keep = np.sort(np.concatenate([treated[:9], np.flatnonzero(~data.a)]))
     rank = np.cumsum(data.a) - 1
-    small = TwoPeriodDataset.from_arrays(
-        data.x[keep],
-        data.a[keep],
-        data.dose[rank[keep[data.a[keep]]]],
-        data.y0[keep],
-        data.y1[keep],
-        ids=[data.ids[i] for i in keep],
+    small = TwoPeriodDataset(
+        ids=tuple(data.ids[i] for i in keep),
+        x=data.x[keep],
+        a=data.a[keep],
+        dose=data.dose[rank[keep[data.a[keep]]]],
+        y0=data.y0[keep],
+        y1=data.y1[keep],
         covariate_names=data.covariate_names,
     )
     assert _estimate(tmp_path, _panel_from(tmp_path, small)) == 4
@@ -553,13 +613,13 @@ def test_too_few_treated_units_is_one_estimation_error(tmp_path, capsys):
 def test_too_few_control_units_is_one_estimation_error(tmp_path, capsys):
     data = generate_scenario_data(260, 61)
     keep = np.sort(np.concatenate([np.flatnonzero(data.a), np.flatnonzero(~data.a)[:9]]))
-    small = TwoPeriodDataset.from_arrays(
-        data.x[keep],
-        data.a[keep],
-        data.dose,
-        data.y0[keep],
-        data.y1[keep],
-        ids=[data.ids[i] for i in keep],
+    small = TwoPeriodDataset(
+        ids=tuple(data.ids[i] for i in keep),
+        x=data.x[keep],
+        a=data.a[keep],
+        dose=data.dose,
+        y0=data.y0[keep],
+        y1=data.y1[keep],
         covariate_names=data.covariate_names,
     )
     assert _estimate(tmp_path, _panel_from(tmp_path, small)) == 4

@@ -8,7 +8,7 @@ from sandwich_reference import local_linear_curve
 
 from dataclasses import replace
 
-from dosedid import nuisance
+from dosedid import curves, nuisance
 from dosedid.curves import (
     CONTROL_NEEDS,
     DOSE_NEEDS,
@@ -53,7 +53,7 @@ def data():
 
 def dose_side(data, method, models, grid, bandwidth=None, on_out_of_range="error"):
     """``dose_sides`` with one job: its ``(theta, bandwidth, diagnostics)``."""
-    side = dose_sides(data, {method: (method, models)}, grid, bandwidth, None, (1, 3), on_out_of_range)[method]
+    side = dose_sides(data, {method: (method, models)}, grid, bandwidth, on_out_of_range)[method]
     if isinstance(side, DoseDidError):
         raise side
     return side[:3]
@@ -111,9 +111,10 @@ def test_twfe_curve_is_trend_projection(data):
     np.testing.assert_allclose(est.psi, intercept + slope * est.grid - trend_c.mean(), atol=1e-10)
 
 
-def test_mr_parametric_basis_is_configurable(data):
+def test_mr_parametric_basis_is_configurable(data, monkeypatch):
     cubic = estimate_curve(data, "MR_PARAMETRIC", specs=SPECS)
-    linear = estimate_curve(data, "MR_PARAMETRIC", specs=SPECS, parametric_basis=(1,))
+    monkeypatch.setattr(curves, "PARAMETRIC_BASIS", (1,))
+    linear = estimate_curve(data, "MR_PARAMETRIC", specs=SPECS)
     assert cubic.diagnostics["parametric_basis"] == (1, 3)
     slopes = np.diff(linear.psi) / np.diff(linear.grid)
     np.testing.assert_allclose(slopes, slopes[0], rtol=1e-8)
@@ -330,18 +331,20 @@ def _trend_data(dose, trend_t, n_control=20):
     )
 
 
-def test_bandwidth_diagnostics_mark_grid_edge_and_extension():
+def test_bandwidth_diagnostics_mark_grid_edge_and_extension(monkeypatch):
     rng = np.random.default_rng(304)
     dose = rng.uniform(0.0, 10.0, 80)
     grid = np.linspace(2.0, 8.0, 7)
     candidates = np.array([1.0, 2.0, 20.0])
     # Noiseless lines are fitted exactly at every candidate: ties go low.
     line = 1.0 + 2.0 * dose
-    exact = estimate_curve(_trend_data(dose, line), "NAIVE", grid=grid, bandwidth_grid=candidates)
-    assert exact.bandwidth == 1.0 and exact.diagnostics["bandwidth_at_grid_edge"] == "low"
-    # A noisy line is best fitted by the widest window offered.
     noisy_trend = line + rng.normal(size=80)
-    noisy = estimate_curve(_trend_data(dose, noisy_trend), "NAIVE", grid=grid, bandwidth_grid=candidates)
+    with monkeypatch.context() as patch:
+        patch.setattr(curves, "default_bandwidth_grid", lambda doses: candidates)
+        exact = estimate_curve(_trend_data(dose, line), "NAIVE", grid=grid)
+        # A noisy line is best fitted by the widest window offered.
+        noisy = estimate_curve(_trend_data(dose, noisy_trend), "NAIVE", grid=grid)
+    assert exact.bandwidth == 1.0 and exact.diagnostics["bandwidth_at_grid_edge"] == "low"
     assert noisy.bandwidth == 20.0 and noisy.diagnostics["bandwidth_at_grid_edge"] == "high"
     assert not noisy.diagnostics["bandwidth_extended"]
     # An isolated extreme dose has no partner inside the widest candidate.
@@ -487,13 +490,14 @@ def test_unit_order_leaves_every_curve(bandwidth):
     data = generate_scenario_data(600, 7)
     order = np.random.default_rng(0).permutation(data.n)
     rank = np.cumsum(data.a) - 1
-    shuffled = TwoPeriodDataset.from_arrays(
-        data.x[order],
-        data.a[order],
-        data.dose[rank[order][data.a[order]]],
-        data.y0[order],
-        data.y1[order],
-        ids=[data.ids[i] for i in order],
+    shuffled = TwoPeriodDataset(
+        ids=tuple(data.ids[i] for i in order),
+        x=data.x[order],
+        a=data.a[order],
+        dose=data.dose[rank[order][data.a[order]]],
+        y0=data.y0[order],
+        y1=data.y1[order],
+        covariate_names=data.covariate_names,
     )
     grid = default_dose_grid(data.dose)
     for method in METHODS:

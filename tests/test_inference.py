@@ -614,11 +614,12 @@ def test_bootstrap_weights_counter_based():
     assert not np.array_equal(bootstrap_weights(a, 10, 5), w5)
 
 
-def test_forced_unit_weights_reproduce_point_estimate_bitwise():
+def test_forced_unit_weights_reproduce_point_estimate_bitwise(monkeypatch):
     data = generate_scenario_data(300, stream_seed(400, 5, 0))
     point = estimate_curve(data, "MR", specs=SPECS)
     cfg = EstimatorConfig(method="MR", specs=SPECS, grid=point.grid, bandwidth=point.bandwidth)
-    result = weighted_bootstrap(data, cfg, 3, seed=0, weight_fn=lambda b: np.ones(data.n))
+    monkeypatch.setattr(inference, "bootstrap_weights", lambda a, seed, b: np.ones(len(a)))
+    result = weighted_bootstrap(data, cfg, 3, seed=0)
     assert result.b_failed == 0
     for row in result.curves:
         np.testing.assert_array_equal(row, point.psi)
@@ -664,18 +665,29 @@ def test_bootstrap_width_close_to_sandwich_width():
     assert abs(boot_width - sand_width) < 0.25 * sand_width
 
 
-def test_bootstrap_counts_failures_by_error_class():
+def _spoil_weight(monkeypatch, replicate: int, unit: int, value: float) -> None:
+    """Patch ``inference.bootstrap_weights``, which forked workers inherit,
+    so that replicate ``replicate`` draws ``value`` as unit ``unit``'s
+    weight."""
+    draw = inference.bootstrap_weights
+
+    def weights(a, seed, b):
+        w = draw(a, seed, b)
+        if b == replicate:
+            w[unit] = value
+        return w
+
+    monkeypatch.setattr(inference, "bootstrap_weights", weights)
+
+
+def test_bootstrap_counts_failures_by_error_class(monkeypatch):
     data = generate_scenario_data(240, stream_seed(400, 9, 0))
     point = estimate_curve(data, "MR", specs=SPECS)
     cfg = EstimatorConfig(method="MR", specs=SPECS, grid=point.grid, bandwidth=point.bandwidth, on_out_of_range="clamp")
 
-    def weights(b):
-        w = bootstrap_weights(data.a, 3, b)
-        if b == 2:
-            w[5] = np.inf
-        return w
-
-    result = weighted_bootstrap(data, cfg, 5, seed=3, weight_fn=weights)
+    with monkeypatch.context() as patch:
+        _spoil_weight(patch, 2, 5, np.inf)
+        result = weighted_bootstrap(data, cfg, 5, seed=3)
     assert result.failures == {"DataValidationError": 1}
     assert result.b_failed == 1 and result.curves.shape[0] == 4
     clean = weighted_bootstrap(data, cfg, 3, seed=3)
@@ -867,15 +879,9 @@ def test_a_failed_replicate_fails_alone_in_its_stack(stack_data, monkeypatch):
     cfg = EstimatorConfig("MR", SPECS, point.grid, point.bandwidth, on_out_of_range="clamp")
     shapes = _chunks_of_16(monkeypatch, data.n)
     clean = weighted_bootstrap(data, cfg, B_STACKED, seed=21)
-
-    def weights(b):
-        w = bootstrap_weights(data.a, 21, b)
-        if b == 20:
-            w[7] = np.nan
-        return w
-
+    _spoil_weight(monkeypatch, 20, 7, np.nan)
     del shapes[:]
-    result = weighted_bootstrap(data, cfg, B_STACKED, seed=21, weight_fn=weights)
+    result = weighted_bootstrap(data, cfg, B_STACKED, seed=21)
     assert result.failures == {"DataValidationError": 1}
     np.testing.assert_array_equal(result.curves, np.delete(clean.curves, 20, axis=0))
     # The middle chunk fails as a stack before its replicates run one by one
@@ -946,15 +952,9 @@ def test_a_failed_replicate_fails_alone_in_a_pooled_chunk(stack_data, monkeypatc
     data = stack_data
     point = estimate_curve(data, "MR", specs=SPECS)
     cfg = EstimatorConfig("MR", SPECS, point.grid, point.bandwidth, on_out_of_range="clamp")
-
-    def weights(b):
-        w = bootstrap_weights(data.a, 21, b)
-        if b == 20:
-            w[7] = np.nan
-        return w
-
-    alone = _bootstrap_at(monkeypatch, 1, data, cfg, B_STACKED, seed=21, weight_fn=weights)
-    pooled = _bootstrap_at(monkeypatch, 2, data, cfg, B_STACKED, seed=21, weight_fn=weights)
+    _spoil_weight(monkeypatch, 20, 7, np.nan)
+    alone = _bootstrap_at(monkeypatch, 1, data, cfg, B_STACKED, seed=21)
+    pooled = _bootstrap_at(monkeypatch, 2, data, cfg, B_STACKED, seed=21)
     assert pooled.failures == {"DataValidationError": 1}
     assert pooled.curves.shape == (B_STACKED - 1, point.grid.shape[0])
     _assert_same_result(pooled, alone)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from counting import count_formations
 
-from dosedid import curves, nuisance
+from dosedid import curves, nuisance, simulation
 from dosedid.config import parse_inference, parse_scenario, parse_specs
 from dosedid.curves import METHODS, estimate_curve
 from dosedid.numeric import expit
@@ -21,10 +21,14 @@ from dosedid.simulation import (
     generate_scenario_data,
     ground_truth_curve,
     run_permutation_study,
-    run_study,
     simulation_specs,
     stream_seed,
 )
+
+
+def run_study(config):
+    """The study of ``config``'s own specification alone."""
+    return run_permutation_study(config, [config.misspecified])[tuple(sorted(config.misspecified))]
 
 
 def _quadrature_expectation(fn, mean, sd, points=20001, span=10.0):
@@ -96,13 +100,10 @@ def test_datasets_shared_across_permutations():
     np.testing.assert_array_equal(d_a.y1, d_b.y1)
 
 
-def test_ground_truth_constant_effect_dgp():
-    truth = ground_truth_curve(
-        5,
-        super_n=50_000,
-        treated_trend=lambda x, d: np.full(x.shape[0], 2.5) + 0 * x[..., 0],
-        control_trend=lambda x: np.zeros(x.shape[0]),
-    )
+def test_ground_truth_constant_effect_dgp(monkeypatch):
+    monkeypatch.setattr(simulation, "treated_trend_mean", lambda x, d: np.full(x.shape[0], 2.5) + 0 * x[..., 0])
+    monkeypatch.setattr(simulation, "control_trend_mean", lambda x: np.zeros(x.shape[0]))
+    truth = ground_truth_curve(5, super_n=50_000)
     np.testing.assert_allclose(truth.psi_true, 2.5, atol=1e-12)
     assert abs(truth.density_weights.sum() - 1.0) < 1e-12
 
@@ -153,7 +154,7 @@ def test_ground_truth_analytic_oracle_at_delta():
     np.testing.assert_allclose(truth.psi_true, psi, rtol=0.0, atol=1e-10)
 
 
-def test_ground_truth_nonlinear_trends_against_closed_forms():
+def test_ground_truth_nonlinear_trends_against_closed_forms(monkeypatch):
     """A trend nonlinear in X: mu1(X, d) = d exp(X1 / 2) + X2^2, mu0(X) = X3.
     By the Gaussian shift, E[exp(t X1) p(X)] = exp(t^2/2) E[expit(B0 + t B1 +
     |B| Z)]; by Stein's lemma twice, E[X2^2 p(X)] = E[p] + B2^2 E[expit''];
@@ -165,7 +166,9 @@ def test_ground_truth_nonlinear_trends_against_closed_forms():
     def control(x):
         return x[..., 2]
 
-    truth = ground_truth_curve(0, treated_trend=treated, control_trend=control)
+    monkeypatch.setattr(simulation, "treated_trend_mean", treated)
+    monkeypatch.setattr(simulation, "control_trend_mean", control)
+    truth = ground_truth_curve(0)
     e_p, e_dp, e_ddp = _propensity_expectations()
     e_shifted = _propensity_expectations(shift=0.5 * B[0])[0]
     psi = (truth.grid * np.exp(0.125) * e_shifted + e_p + B[1] ** 2 * e_ddp - B[2] * e_dp) / e_p
@@ -246,14 +249,25 @@ def test_ground_truth_ignores_super_n_and_seed():
         ground_truth_curve(0, super_n=9_999)
 
 
-def test_metric_sanity_with_oracle_estimator():
+def _oracle_study(monkeypatch, cfg, truth, psi):
+    """The report of ``cfg``'s correct-spec study against ``truth`` when
+    every replicate's every curve is ``psi`` and it has no bands."""
+
+    def oracle(config, perm_keys, truth, rep):
+        return {(m, k): psi for m in config.methods for k in perm_keys}, {}, {}, {}
+
+    monkeypatch.setattr(simulation, "_replicate_worker", oracle)
+    return run_permutation_study(cfg, [cfg.misspecified], truth=truth)[()]
+
+
+def test_metric_sanity_with_oracle_estimator(monkeypatch):
     cfg = ScenarioConfig(n=120, replicates=1, seed=21, methods=("MR",), super_n=20_000)
     truth = ground_truth_curve(21, 20_000)
-    shifted = run_study(cfg, truth=truth, estimator_hook=lambda data, grid: truth.psi_true + 0.25)
+    shifted = _oracle_study(monkeypatch, cfg, truth, truth.psi_true + 0.25)
     report = shifted.methods["MR"]
     assert abs(report.integrated_abs_bias - 0.25) < 1e-10
-    assert report.coverage == {}  # inference undefined for the hook
-    exact = run_study(cfg, truth=truth, estimator_hook=lambda data, grid: truth.psi_true)
+    assert report.coverage == {}  # the oracle has no bands
+    exact = _oracle_study(monkeypatch, cfg, truth, truth.psi_true)
     assert exact.methods["MR"].integrated_abs_bias < 1e-12
 
 
@@ -295,7 +309,7 @@ def test_study_engine_matches_direct_estimates():
 def test_study_counts_bandwidths_at_and_beyond_the_grid_top(monkeypatch, pick, shares):
     monkeypatch.setattr(curves, "robust_select_bandwidth", lambda window, grid: float(pick(grid)))
     cfg = ScenarioConfig(n=300, replicates=2, seed=61, methods=("MR", "NAIVE", "OR"))
-    methods = run_study(cfg, truth=ground_truth_curve(61)).methods
+    methods = run_study(cfg).methods
     for method in ("MR", "NAIVE"):
         assert (methods[method].bandwidth_at_grid_edge, methods[method].bandwidth_extended) == shares
     assert (methods["OR"].bandwidth_at_grid_edge, methods["OR"].bandwidth_extended) == (None, None)
@@ -412,11 +426,11 @@ def test_all_permutations_enumeration():
 
 
 def test_null_dgp_has_no_effect_structure():
-    data = generate_null_data(50_000, 3, effect=1.5)
+    data = generate_null_data(50_000, 3)
     trend_t = data.trend[data.a]
     trend_c = data.trend[~data.a]
-    assert abs(trend_t.mean() - 1.5) < 0.02
-    assert abs(trend_c.mean() - 1.5) < 0.02
+    assert abs(trend_t.mean()) < 0.02
+    assert abs(trend_c.mean()) < 0.02
     # trends carry no covariate signal
     corr = np.corrcoef(np.column_stack([data.trend, data.x]).T)[0, 1:]
     assert np.all(np.abs(corr) < 0.02)

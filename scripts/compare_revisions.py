@@ -31,8 +31,10 @@ at n = 1,000 (study seed 1, as the ``study-n1000`` benchmark runs it) on a
 curves do not depend on how the truth is computed, with each curve's
 bandwidth and its two edge flags (``bandwidth_at_grid_edge``,
 ``bandwidth_extended``) as the ``EffectCurveEstimate`` the engine builds
-holds them; and the study truth,
-``ground_truth_curve(1)``. It records the type name of every point
+holds them; every ``MethodReport`` field of a six-method study of three
+permutations at n = 200 (6 replicates, seed 3, sandwich and bootstrap
+bands with B = 20) against a fixed truth, run on 1 and on 2 workers; and
+the study truth, ``ground_truth_curve(1)``. It records the type name of every point
 estimate's theta0 and diagnostics, and the per-method diagnostics of the
 ``run_manifest.json`` that ``dosedid estimate`` writes for all six methods,
 with base sandwich bands for MR, on the seed-1 panel at n = 800.
@@ -44,10 +46,11 @@ bandwidths equal, variances within 1e-10 relative, counts and
 flags equal, float diagnostics within 1e-10 relative, the loaded panel's
 ids and arrays (every file's) and the study replicate's curves bitwise
 equal (their
-largest difference is printed, in bootstrap standard deviations), and the
+largest difference is printed, in bootstrap standard deviations), the
 study replicate's bandwidths and edge flags, the type names and the
-manifest's diagnostics equal. Beside each largest difference it says
-whether every value of that quantity is bitwise equal (same dtype, shape
+manifest's diagnostics equal, and each study report field that BEFORE
+records bitwise equal (a field only AFTER has is listed, not gated).
+Beside each largest difference it says whether every value of that quantity is bitwise equal (same dtype, shape
 and bytes), which no tolerance reads. It prints
 the truth's largest differences (grid, psi, density weights) without a
 tolerance. It exits 1 when any tolerance fails.
@@ -157,6 +160,16 @@ def dump(src: str, out: str) -> None:
     record["study"] = {(key, m): c for key, report in reports.items() for m, c in report.curves.items()}
     # A report holds each curve's psi, which finds the curve's selection.
     record["study bandwidths"] = {name: selections[(name[1], c[0].tobytes())] for name, c in record["study"].items()}
+    # A curve near the estimates', so that coverage reads neither 0 nor 100 throughout.
+    truth = simulation.GroundTruth(grid, 6.0 + 0.04 * grid - 0.003 * grid**3, fixed.density_weights, 1_000_000, 3)
+    perms = [(), ("pi_d",), ("mu0", "mu1", "pi_a", "pi_d")]
+    bands = simulation.InferenceConfig(method="both", b_replicates=20)
+    for workers in (1, 2):
+        config = simulation.ScenarioConfig(n=200, replicates=6, seed=3, methods=METHODS, inference=bands, workers=workers)
+        reports = simulation.run_permutation_study(config, perms, truth=truth)
+        record[("study reports", workers)] = {
+            (key, m): dataclasses.asdict(r) for key, report in reports.items() for m, r in report.methods.items()
+        }
     truth = simulation.ground_truth_curve(1)
     record["truth"] = {name: getattr(truth, name) for name in ("grid", "psi_true", "density_weights")}
     with open(out, "wb") as fh:
@@ -237,6 +250,15 @@ def _bitwise(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _same(a, b) -> bool:
+    """Equal, with floats bitwise and mappings item by item."""
+    if isinstance(b, dict):
+        return isinstance(a, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in b)
+    if isinstance(b, float):
+        return isinstance(a, float) and _bitwise(a, b)
+    return type(a) is type(b) and a == b
+
+
 def compare(before_path: str, after_path: str) -> int:
     with open(before_path, "rb") as fh:
         before = pickle.load(fh)
@@ -249,6 +271,7 @@ def compare(before_path: str, after_path: str) -> int:
     worst: dict[str, float] = {}
     bitwise: dict[str, bool] = {}  # per quantity, whether every value is bitwise equal
     unequal = {"point types": 0, "manifest diagnostics": 0, "study bandwidths": 0, "loaded panel fields": 0}  # gated as equal
+    unequal["study report fields (bitwise)"] = 0
     bad = []
 
     def note(label, ratio, same):
@@ -300,6 +323,18 @@ def compare(before_path: str, after_path: str) -> int:
                 unequal["study bandwidths"] += a.get(name) != vb
                 if a.get(name) != vb:
                     bad.append(f"study bandwidth {name}: {vb!r} -> {a.get(name)!r}")
+        elif key[0] == "study reports":
+            if set(a) != set(b):
+                bad.append(f"study report keys ({key[1]} workers)")
+            new = {field for fields in a.values() for field in fields} - {field for fields in b.values() for field in fields}
+            if new:
+                print(f"study report fields not in BEFORE ({key[1]} workers, not gated): {', '.join(sorted(new))}")
+            for name, fields in b.items():
+                for field, vb in fields.items():
+                    same = name in a and _same(a[name].get(field), vb)
+                    unequal["study report fields (bitwise)"] += not same
+                    if not same:
+                        bad.append(f"study report {name} {field} ({key[1]} workers)")
         elif key == "manifest":
             unequal["manifest diagnostics"] += a != b
             if a != b:

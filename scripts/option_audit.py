@@ -30,7 +30,8 @@ class of ``src/dosedid``, dunder methods excepted. A member is read when
 code in ``USER_DIRS``, its own class included, loads an attribute of its
 name or holds its name as a string (as ``getattr`` takes it); assigning a
 field, or passing it to a constructor or ``replace``, is not a read, and
-this script's own tables are not scanned.
+this script's own tables are not scanned. A call ``fields(C)`` of a class
+name reads every member of ``C``, as code that walks the fields does.
 
 It prints every option that no call sets, then every option that only
 tests set, each with the reason it is kept when ``KEPT`` names one
@@ -136,6 +137,11 @@ def _class_options(file: str, node: ast.ClassDef) -> list[dict]:
     return out
 
 
+def _name(node: ast.expr) -> str | None:
+    """The name that ``f`` or ``obj.f`` gives, else None."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
 class _CallCollector(ast.NodeVisitor):
     """Callee names with their positional counts and keywords; ``cls(...)``
     inside a class body names that class, and a ``**`` splat may pass any
@@ -152,8 +158,7 @@ class _CallCollector(ast.NodeVisitor):
         self.classes.pop()
 
     def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        name = _name(node.func)
         if name == "cls" and self.classes:
             name = self.classes[-1]
         if name is not None:
@@ -254,10 +259,11 @@ def members(package: Path) -> list[tuple[str, str, str]]:
     return found
 
 
-def read_members(root: Path) -> set[str]:
+def read_members(root: Path) -> tuple[set[str], set[str]]:
     """Every attribute name that the code in ``USER_DIRS`` loads, and every
-    string it holds, other than this script's own tables."""
-    read = set()
+    string it holds, other than this script's own tables; and the class
+    names whose ``fields`` it lists."""
+    read, listed = set(), set()
     for folder in USER_DIRS:
         for path in sorted((root / folder).rglob("*.py")):
             if path.name == Path(__file__).name:
@@ -267,7 +273,9 @@ def read_members(root: Path) -> set[str]:
                     read.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     read.add(node.value)
-    return read
+                elif isinstance(node, ast.Call) and _name(node.func) == "fields" and node.args:
+                    listed.add(_name(node.args[0]))
+    return read, listed
 
 
 def main(argv: list[str]) -> int:
@@ -293,11 +301,11 @@ def main(argv: list[str]) -> int:
         print(f"  {file}: {name}" + (f"  -- kept: {reason}" if reason else ""))
     if unreached:
         print(f"{unreached} public name(s) that nothing outside the tests reaches and no entry of KEPT_PUBLIC explains")
-    read = read_members(root)
+    read, listed = read_members(root)
     unread = 0
     print("Members that no code in " + ", ".join(USER_DIRS) + " reads:")
     for file, cls, name in members(root / "src" / "dosedid"):
-        if name in read:
+        if name in read or cls in listed:
             continue
         reason = KEPT_MEMBERS.get((cls, name))
         unread += reason is None

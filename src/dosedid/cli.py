@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import shutil
@@ -61,7 +62,7 @@ from .errors import (
 from .inference import sandwich_bands, weighted_bootstrap
 from .nuisance import ModelBank, default_dose_grid
 from .panel import placebo_curves
-from .simulation import ScenarioConfig, ground_truth_curve, run_permutation_study
+from .simulation import CI_METHODS, MethodReport, ScenarioConfig, ground_truth_curve, run_permutation_study
 
 _EXIT_CODES = {
     "config-error": 2,
@@ -236,15 +237,15 @@ def _cmd_estimate(config: dict, args, problems: list) -> int:
             curve, models = curves[method], jobs[method][1]
             if isinstance(curve, DoseDidError):
                 raise curve
-            if method == "MR" and inference.method != "none":
-                if inference.wants_sandwich:
+            if method == "MR":
+                if "sandwich" in inference.ci_methods:
                     bands = sandwich_bands(dataset, models, curve, mode=inference.mode)
                     lo, hi, _ = bands
                     sandwich_curve = curve.with_bands(lo, hi)
                     diagnostics[f"{method}_sandwich_bread_cond_max"] = bands.bread_cond_max
                     write_curve(sandwich_curve, stage / f"curve_{method}_sandwich.csv")
                     outputs.append(f"curve_{method}_sandwich.csv")
-                if inference.wants_bootstrap:
+                if "bootstrap" in inference.ci_methods:
                     est = EstimatorConfig(
                         method=method,
                         specs=specs,
@@ -254,11 +255,7 @@ def _cmd_estimate(config: dict, args, problems: list) -> int:
                     )
                     boot = weighted_bootstrap(dataset, est, inference.b_replicates, seed)
                     curve = curve.with_bands(boot.ci_lower, boot.ci_upper)
-                    diagnostics[f"{method}_bootstrap_failed"] = boot.b_failed
-                    diagnostics[f"{method}_bootstrap_flagged"] = boot.flagged
-                    diagnostics[f"{method}_bootstrap_failures"] = boot.failures
-                    diagnostics[f"{method}_bootstrap_pi_a_unconverged"] = boot.pi_a_unconverged
-                    diagnostics[f"{method}_bootstrap_pi_d_var_floored"] = boot.pi_d_var_floored
+                    diagnostics.update({f"{method}_bootstrap_{k}": v for k, v in boot.counts.items()})
             write_curve(curve, stage / f"curve_{method}.csv")
             outputs.append(f"curve_{method}.csv")
             plot_name = _maybe_plot(config, stage, f"curve_{method}", curve)
@@ -274,27 +271,11 @@ def _cmd_estimate(config: dict, args, problems: list) -> int:
     return 0
 
 
-def _report_rows(report):
-    rows = []
-    for method, mr in sorted(report.methods.items()):
-        rows.append(
-            {
-                "method": method,
-                "misspecified": "+".join(mr.misspecified) or "none",
-                "integrated_abs_bias": mr.integrated_abs_bias,
-                "integrated_rmse": mr.integrated_rmse,
-                "integrated_sd": mr.integrated_sd,
-                "failures": mr.failures,
-                "flagged": mr.flagged,
-                "coverage_sandwich": mr.coverage.get("sandwich", ""),
-                "coverage_bootstrap": mr.coverage.get("bootstrap", ""),
-                "width_sandwich": mr.mean_width.get("sandwich", ""),
-                "width_bootstrap": mr.mean_width.get("bootstrap", ""),
-                "bandwidth_at_grid_edge": "" if mr.bandwidth_at_grid_edge is None else mr.bandwidth_at_grid_edge,
-                "bandwidth_extended": "" if mr.bandwidth_extended is None else mr.bandwidth_extended,
-            }
-        )
-    return rows
+# report.csv's columns are MethodReport's fields in order, a mapping field
+# one column per ci-method (mean_width's named width_<ci-method>), and each
+# of summary.json's entries holds the fields but _NOT_SUMMARIZED.
+_COLUMN_PREFIX = {"mean_width": "width"}
+_NOT_SUMMARIZED = ("method", "misspecified", "flagged")
 
 
 def _cmd_simulate(config: dict, args, problems: list) -> int:
@@ -308,35 +289,26 @@ def _cmd_simulate(config: dict, args, problems: list) -> int:
 
     with _Staging(Path(output), args.force) as stage:
         reports = run_permutation_study(scenario, perms or [scenario.misspecified])
-
-        rows = []
+        rows, summary = [], {}
         for key in sorted(reports):
-            rows.extend(_report_rows(reports[key]))
-        fields = list(rows[0].keys())
+            name = "+".join(key) or "none"
+            for method, report in sorted(reports[key].methods.items()):
+                record = {f.name: getattr(report, f.name) for f in dataclasses.fields(MethodReport)}
+                record["misspecified"] = name
+                summary.setdefault(name, {})[method] = {k: v for k, v in record.items() if k not in _NOT_SUMMARIZED}
+                row = {}
+                for field, value in record.items():
+                    if isinstance(value, dict):
+                        row.update({f"{_COLUMN_PREFIX.get(field, field)}_{ci}": value.get(ci, "") for ci in CI_METHODS})
+                    else:
+                        row[field] = "" if value is None else value
+                rows.append(row)
         with (stage / "report.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-        summary = {
-            "scenarios": {
-                "+".join(key) or "none": {
-                    m: {
-                        "integrated_abs_bias": r.integrated_abs_bias,
-                        "integrated_rmse": r.integrated_rmse,
-                        "integrated_sd": r.integrated_sd,
-                        "failures": r.failures,
-                        "coverage": r.coverage,
-                        "mean_width": r.mean_width,
-                        "bandwidth_at_grid_edge": r.bandwidth_at_grid_edge,
-                        "bandwidth_extended": r.bandwidth_extended,
-                    }
-                    for m, r in reports[key].methods.items()
-                }
-                for key in sorted(reports)
-            }
-        }
         (stage / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
+            json.dumps({"scenarios": summary}, indent=2, sort_keys=True), encoding="utf-8"
         )
         _write_manifest(stage, "simulate", config, {}, ["report.csv", "summary.json"])
     return 0

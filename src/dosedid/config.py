@@ -18,7 +18,7 @@ from .curves import METHODS, checked_grid
 from .data import PanelSchema
 from .errors import ConfigError, EstimationError
 from .nuisance import DOSE_GRID_SIZE, VALID_WHICH, NuisanceSpec, default_specs
-from .simulation import InferenceConfig, ScenarioConfig, all_permutations
+from .simulation import MIN_SUPER_N, InferenceConfig, ScenarioConfig, all_permutations
 
 __all__ = ["load_config", "apply_overrides", "parse_schema", "parse_specs", "parse_scenario", "parse_inference"]
 
@@ -89,18 +89,27 @@ def _is_list_of(value, test) -> bool:
     return isinstance(value, list) and all(map(test, value))
 
 
-def grid_size(value, key: str, problems: list) -> int | None:
-    """``value`` as a grid size, an integer of at least 1; otherwise None,
-    after reporting ``key``. ``parse_grid``, ``parse_scenario`` and the
-    ``truth`` command read every size here."""
-    block, _, name = key.rpartition(".")
-    if type(value) is not int:
-        problems.append(f"{key}: expected an integer, got {value!r}")
-    elif value < 1:
-        problems.append(f"{block or key}: {name} must be at least 1, got {value}")
-    else:
-        return value
-    return None
+def _at_least(minimum: int):
+    """A parser of an integer of at least ``minimum``: the value, or None
+    after reporting its key."""
+
+    def parse(value, key: str, problems: list) -> int | None:
+        block, _, name = key.rpartition(".")
+        if type(value) is not int:
+            problems.append(f"{key}: expected an integer, got {value!r}")
+        elif value < minimum:
+            problems.append(f"{block or key}: {name} must be at least {minimum:,}, got {value}")
+        else:
+            return value
+        return None
+
+    return parse
+
+
+# ``parse_grid``, ``parse_scenario`` and the ``truth`` command read every
+# grid size, and both read ``super_n``, by these rules.
+grid_size = _at_least(1)
+_SUPER_N = _at_least(MIN_SUPER_N)
 
 
 _ANY = _parser(lambda value: True, "")  # a value its dataclass checks
@@ -121,14 +130,14 @@ _SCENARIO_KEYS = {
     "replicates": _INTEGER,
     "misspecified": _parser(lambda v: _is_list_of(v, VALID_WHICH.__contains__), "a list of " + _NUISANCES, tuple),
     "grid_size": grid_size,
-    "super_n": _INTEGER,
+    "super_n": _SUPER_N,
     "keep_curves": _parser(lambda v: type(v) is bool, "true or false"),
     "mu1_dose_powers": _INTEGERS,
     "mu1_dose_interactions": _INTEGERS,
 }
 # The bootstrap's quantiles need two replicates.
 _INFERENCE_KEYS = {"method": _ANY, "B": _parser(lambda v: _is_integer(v, 2), "an integer of at least 2"), "mode": _ANY}
-_TRUTH_KEYS = {"seed": _INTEGER, "super_n": _INTEGER, "grid_size": grid_size}
+_TRUTH_KEYS = {"seed": _INTEGER, "super_n": _SUPER_N, "grid_size": grid_size}
 _PLACEBO_KEYS = {
     "baseline": _INTEGER,
     "posts": _parser(lambda v: v != [] and _is_list_of(v, _is_integer), "a non-empty list of integers", tuple),

@@ -592,6 +592,19 @@ class BootstrapResult:
         """More than a tenth of the replicates failed."""
         return self.b_failed > 0.1 * self.b_requested
 
+    @property
+    def counts(self) -> dict:
+        """The run's counts by name, as the manifest and the repeated-period
+        diagnostics record them (with the prefix ``bootstrap_``)."""
+        return {
+            "b": self.b_requested,
+            "failed": self.b_failed,
+            "flagged": self.flagged,
+            "failures": self.failures,
+            "pi_a_unconverged": self.pi_a_unconverged,
+            "pi_d_var_floored": self.pi_d_var_floored,
+        }
+
 
 def bootstrap_weights(a: np.ndarray, seed: int, replicate: int) -> np.ndarray:
     """Exponential(1) unit weights, rescaled so each intervention group's

@@ -122,14 +122,12 @@ def linear_predictor(design: np.ndarray, coefficients: np.ndarray) -> np.ndarray
 
 
 def expit(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: with e = exp(-|z|), 1/(1+e)
+    where z >= 0 and e/(1+e) elsewhere, bitwise the two-branch form. -|z|
+    is min(z, -z), which keeps a NaN's sign."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _solve_normal_equations(xtwx: np.ndarray, xtwy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

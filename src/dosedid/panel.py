@@ -145,11 +145,7 @@ def estimate_repeated(
             averaged.with_bands(avg_boot.ci_lower, avg_boot.ci_upper),
             diagnostics={
                 **averaged.diagnostics,
-                "bootstrap_failed": avg_boot.b_failed,
-                "bootstrap_failures": avg_boot.failures,
-                "bootstrap_pi_a_unconverged": avg_boot.pi_a_unconverged,
-                "bootstrap_pi_d_var_floored": avg_boot.pi_d_var_floored,
-                "bootstrap_b": b_replicates,
+                **{f"bootstrap_{k}": v for k, v in avg_boot.counts.items()},
             },
         )
     elif inference == "sandwich":

@@ -28,8 +28,10 @@ so its curves equal ``estimate_curve``'s bitwise.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +71,8 @@ ROLE_BOOTSTRAP = 2
 MU1_DOSE_POWERS = (1, 3)
 MU1_DOSE_INTERACTIONS = (0, 2)
 _SUPER_N = 1_000_000  # the study truth's recorded super-population size (D9)
+MIN_SUPER_N = 10_000  # the smallest super_n that ground_truth_curve and the config take
+CI_METHODS = ("sandwich", "bootstrap")
 
 
 def stream_seed(seed: int, *path: int) -> np.random.SeedSequence:
@@ -291,8 +295,8 @@ def ground_truth_curve(seed: int, super_n: int = _SUPER_N, grid_size: int = DOSE
     treated-dose law, a p(X)-weighted mixture of normals, by a
     one-dimensional rule. Nothing is drawn: ``seed`` and ``super_n`` change
     no number and are kept for the callers that pass them."""
-    if super_n < 10_000:
-        raise ValueError("super-population must have at least 10,000 units")
+    if super_n < MIN_SUPER_N:
+        raise ValueError(f"super-population must have at least {MIN_SUPER_N:,} units")
     cdf = _treated_dose_cdf()
     grid = np.linspace(_quantile(cdf, 0.1), _quantile(cdf, 0.9), grid_size)
 
@@ -324,12 +328,9 @@ class InferenceConfig:
             raise ValueError(f"unknown sandwich mode {self.mode!r}; expected 'base' or 'augmented'")
 
     @property
-    def wants_sandwich(self) -> bool:
-        return self.method in ("sandwich", "both")
-
-    @property
-    def wants_bootstrap(self) -> bool:
-        return self.method in ("bootstrap", "both")
+    def ci_methods(self) -> tuple[str, ...]:
+        """The band methods that ``method`` runs, in ``CI_METHODS`` order."""
+        return {"none": (), "both": CI_METHODS}.get(self.method, (self.method,))
 
 
 @dataclass(frozen=True)
@@ -356,7 +357,7 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"unknown method names {unknown}")
         object.__setattr__(self, "misspecified", frozenset(self.misspecified))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", tuple(dict.fromkeys(self.methods)))  # one job per method
 
 
 @dataclass(frozen=True)
@@ -368,13 +369,19 @@ class MethodReport:
     integrated_sd: float
     failures: int
     flagged: bool
-    coverage: dict = field(default_factory=dict)  # ci-method -> percent
+    # MR's integrated pointwise coverage (percent) and mean band width per
+    # ci-method, over the replicates whose bands formed; a ci-method whose
+    # band formed in no replicate has neither.
+    coverage: dict = field(default_factory=dict)
     mean_width: dict = field(default_factory=dict)
     # Shares of the successful replicates whose leave-one-out bandwidth sat
     # at the top of its candidate grid or beyond it, and beyond it (the
     # widening fallback ran); None for methods that select no bandwidth.
     bandwidth_at_grid_edge: float | None = None
     bandwidth_extended: float | None = None
+    # MR's count per ci-method of the successful replicates whose band
+    # raised a DoseDidError; they are left out of its coverage and width.
+    inference_failures: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -409,15 +416,22 @@ def simulation_specs(config: ScenarioConfig, misspecified) -> dict[str, Nuisance
 # --------------------------------------------------------------------------
 
 
-def _perm_key(perm) -> tuple[str, ...]:
-    return tuple(sorted(perm))
+class _Jobs(NamedTuple):
+    """Arrays over a study's jobs: one replicate's record over its J jobs
+    (``_replicate_worker``), their stack with the axes (replicate,
+    permutation, method) in front, or one job's (R, ...) slice of it."""
+
+    psi: np.ndarray  # (K,) per job, NaN where the job failed
+    edges: np.ndarray  # (2,): at the grid's high edge, extended; NaN where no bandwidth was selected
+    bands: np.ndarray  # (C, 2, K): MR's lower and upper band ends per ci-method the study runs
+    band_failed: np.ndarray  # (C,): whether MR's band of each of those ci-methods raised
 
 
-def _replicate_worker(config: ScenarioConfig, perm_keys, truth: GroundTruth, rep: int):
+def _replicate_worker(config: ScenarioConfig, perm_keys, truth: GroundTruth, rep: int) -> _Jobs:
     """One replicate: shared dataset, per-specification estimates.
 
     Every curve comes from one ``curves.estimate_curves`` call, with one job
-    per (method, permutation) over one ``ModelBank``. The bank fits each
+    per (permutation, method) over one ``ModelBank``. The bank fits each
     model and marginal, and forms each weight part, once per spec, and the
     engine computes each side once per set of fitted objects it reads, so a
     16-permutation, six-method replicate costs 8 fits, 4 marginals, 4
@@ -425,65 +439,89 @@ def _replicate_worker(config: ScenarioConfig, perm_keys, truth: GroundTruth, rep
     bandwidths of its 7 smoothed curves (4 MR, 2 IPW, 1 NAIVE) and one
     smoother window for evaluating them.
 
-    Returns the curves, the MR bands and the failure messages, each keyed
-    by (method, permutation), and for each curve whose bandwidth was
-    selected the pair (at the grid's high edge, extended).
+    Returns the record of the J jobs, in permutation order with the methods
+    in ``config.methods`` order within each. Its bands are NaN but for MR
+    jobs whose band formed.
     """
     data = generate_scenario_data(config.n, stream_seed(config.seed, rep, ROLE_DATA))
     bank = ModelBank(data, truth.grid)
+    ci_methods = config.inference.ci_methods
+    n_jobs, n_ci, k_grid = len(perm_keys) * len(config.methods), len(ci_methods), truth.grid.size
+    psi, edges = np.full((n_jobs, k_grid), np.nan), np.full((n_jobs, 2), np.nan)
+    bands, band_failed = np.full((n_jobs, n_ci, 2, k_grid), np.nan), np.zeros((n_jobs, n_ci), dtype=bool)
     jobs: dict = {}
-    failures: dict = {}
-    for key in perm_keys:
+    for p, key in enumerate(perm_keys):
         specs = simulation_specs(config, key)
-        for method in config.methods:
-            try:
-                jobs[(method, key)] = method, bank.models(specs, DOSE_NEEDS[method] + CONTROL_NEEDS[method])
-            except DoseDidError as exc:
-                failures[(method, key)] = str(exc)
-    out_curves: dict = {}
-    out_bands: dict = {}
-    edges: dict = {}
-    wants_bands = config.inference.wants_sandwich or config.inference.wants_bootstrap
-    for (method, key), curve in estimate_curves(data, jobs, truth.grid).items():
+        for m, method in enumerate(config.methods):
+            with suppress(DoseDidError):  # the job fails: its psi row stays NaN
+                models = bank.models(specs, DOSE_NEEDS[method] + CONTROL_NEEDS[method])
+                jobs[p * len(config.methods) + m] = method, models
+    for j, curve in estimate_curves(data, jobs, truth.grid).items():
         if isinstance(curve, DoseDidError):
-            failures[(method, key)] = str(curve)
             continue
-        out_curves[(method, key)] = curve.psi
+        psi[j] = curve.psi
         if curve.diagnostics["bandwidth_selected"]:
-            edges[(method, key)] = (
-                curve.diagnostics["bandwidth_at_grid_edge"] == "high",
-                curve.diagnostics["bandwidth_extended"],
-            )
-        if method == "MR" and wants_bands:
+            edges[j] = curve.diagnostics["bandwidth_at_grid_edge"] == "high", curve.diagnostics["bandwidth_extended"]
+        for c, ci_method in enumerate(ci_methods if curve.method == "MR" else ()):
             try:
-                out_bands.update(_replicate_inference(config, data, key, jobs[(method, key)][1], curve, rep))
-            except DoseDidError as exc:
-                failures[("inference", key)] = str(exc)
-    return out_curves, out_bands, failures, edges
+                bands[j, c] = _band(config, data, jobs[j][1], curve, rep, ci_method)
+            except DoseDidError:
+                band_failed[j, c] = True
+    return _Jobs(psi, edges, bands, band_failed)
 
 
-def _replicate_inference(config, data, key, models, curve, rep):
-    """Sandwich and/or bootstrap bands for the MR curve of one replicate."""
-    bands = {}
-    if config.inference.wants_sandwich:
-        lo, hi, _ = sandwich_bands(data, models, curve, mode=config.inference.mode)
-        bands[("sandwich", key)] = (lo, hi)
-    if config.inference.wants_bootstrap:
-        boot_seed = int(stream_seed(config.seed, rep, ROLE_BOOTSTRAP).generate_state(1)[0])
-        est = EstimatorConfig(
-            method="MR",
-            specs=models.specs,
-            grid=curve.grid,
-            bandwidth=curve.bandwidth,
-            on_out_of_range="clamp",
-        )
-        result = weighted_bootstrap(data, est, config.inference.b_replicates, boot_seed)
-        bands[("bootstrap", key)] = (result.ci_lower, result.ci_upper)
-    return bands
+def _band(config, data, models, curve, rep, ci_method):
+    """The (lower, upper) ends of one replicate's MR band of ``ci_method``."""
+    if ci_method == "sandwich":
+        return sandwich_bands(data, models, curve, mode=config.inference.mode)[:2]
+    boot_seed = int(stream_seed(config.seed, rep, ROLE_BOOTSTRAP).generate_state(1)[0])
+    est = EstimatorConfig(
+        method="MR",
+        specs=models.specs,
+        grid=curve.grid,
+        bandwidth=curve.bandwidth,
+        on_out_of_range="clamp",
+    )
+    result = weighted_bootstrap(data, est, config.inference.b_replicates, boot_seed)
+    return result.ci_lower, result.ci_upper
 
 
 def _integrate(weights, values):
     return float(np.sum(weights * values))
+
+
+def _method_report(truth: GroundTruth, key, method: str, ci_methods, job: _Jobs) -> MethodReport:
+    """One method's report under one permutation, from its job's slice of
+    the replicates' stack."""
+    ok = ~np.isnan(job.psi[:, 0])
+    if not np.any(ok):
+        raise EstimationError(f"every replicate failed for {method} under {key!r}")
+    weights, psi_true, psis = truth.density_weights, truth.psi_true, job.psi[ok]
+    n_fail = int(job.psi.shape[0] - ok.sum())
+    coverage, width, band_failures = {}, {}, {}
+    for c, ci_method in enumerate(ci_methods if method == "MR" else ()):
+        band_failures[ci_method] = int(job.band_failed[:, c].sum())
+        formed = ok & ~job.band_failed[:, c]
+        if np.any(formed):
+            lo, hi = job.bands[formed, c, 0], job.bands[formed, c, 1]
+            coverage[ci_method] = 100.0 * _integrate(weights, np.mean((lo <= psi_true) & (psi_true <= hi), axis=0))
+            width[ci_method] = _integrate(weights, np.mean(hi - lo, axis=0))
+    selected = job.edges[~np.isnan(job.edges[:, 0])]
+    at_edge, extended = (float(share) for share in selected.mean(axis=0)) if selected.size else (None, None)
+    return MethodReport(
+        method=method,
+        misspecified=key,
+        integrated_abs_bias=_integrate(weights, np.abs(psis.mean(axis=0) - psi_true)),
+        integrated_rmse=_integrate(weights, np.sqrt(np.mean((psis - psi_true[None, :]) ** 2, axis=0))),
+        integrated_sd=_integrate(weights, psis.std(axis=0, ddof=1) if psis.shape[0] > 1 else np.zeros(psis.shape[1])),
+        failures=n_fail,
+        flagged=n_fail > 0.1 * job.psi.shape[0],
+        coverage=coverage,
+        mean_width=width,
+        bandwidth_at_grid_edge=at_edge,
+        bandwidth_extended=extended,
+        inference_failures=band_failures,
+    )
 
 
 def run_permutation_study(config: ScenarioConfig, permutations, truth: GroundTruth | None = None) -> dict:
@@ -491,88 +529,28 @@ def run_permutation_study(config: ScenarioConfig, permutations, truth: GroundTru
 
     Returns a dict mapping each permutation (as a sorted name tuple) to its
     ScenarioReport. The replicates run through ``inference.fork_map`` on
-    at most ``config.workers`` processes, capped by ``pool_size()``.
+    at most ``config.workers`` processes, capped by ``pool_size()``, and
+    each report reads its jobs' slices of the stack of their records.
     """
-    perms = [frozenset(p) for p in permutations]
-    perm_keys = [_perm_key(p) for p in perms]
+    perm_keys = list(dict.fromkeys(tuple(sorted(p)) for p in permutations))
     if truth is None:
         truth = ground_truth_curve(config.seed, config.super_n, config.grid_size)
-    grid = truth.grid
-    reps = config.replicates
-
-    results = fork_map(
+    records = fork_map(
         lambda rep: _replicate_worker(config, perm_keys, truth, rep),
-        range(reps),
+        range(config.replicates),
         min(config.workers, pool_size()),
     )
-
+    axes = (config.replicates, len(perm_keys), len(config.methods))
+    stack = _Jobs(*(np.stack(part).reshape(*axes, *part[0].shape[1:]) for part in zip(*records)))
     reports = {}
-    k_grid = grid.shape[0]
-    for perm, key in zip(perms, perm_keys):
-        method_reports = {}
-        curve_archive = {} if config.keep_curves else None
-        for method in config.methods:
-            psis = np.full((reps, k_grid), np.nan)
-            n_fail = 0
-            for r, (curves, *_) in enumerate(results):
-                if (method, key) in curves:
-                    psis[r] = curves[(method, key)]
-                else:
-                    n_fail += 1
-            ok = ~np.isnan(psis[:, 0])
-            if not np.any(ok):
-                raise EstimationError(f"every replicate failed for {method} under {key!r}")
-            mean_curve = psis[ok].mean(axis=0)
-            bias = _integrate(truth.density_weights, np.abs(mean_curve - truth.psi_true))
-            rmse = _integrate(
-                truth.density_weights,
-                np.sqrt(np.mean((psis[ok] - truth.psi_true[None, :]) ** 2, axis=0)),
-            )
-            sd = _integrate(
-                truth.density_weights,
-                psis[ok].std(axis=0, ddof=1) if int(ok.sum()) > 1 else np.zeros(k_grid),
-            )
-            coverage = {}
-            width = {}
-            if method == "MR":
-                for ci_method in ("sandwich", "bootstrap"):
-                    covers = []
-                    widths = []
-                    for _, bands, *_ in results:
-                        if (ci_method, key) not in bands:
-                            continue
-                        lo, hi = bands[(ci_method, key)]
-                        covers.append((lo <= truth.psi_true) & (truth.psi_true <= hi))
-                        widths.append(hi - lo)
-                    if covers:
-                        cov = np.mean(np.asarray(covers, dtype=float), axis=0)
-                        coverage[ci_method] = 100.0 * _integrate(truth.density_weights, cov)
-                        width[ci_method] = _integrate(
-                            truth.density_weights, np.mean(np.asarray(widths), axis=0)
-                        )
-            flags = [edges[(method, key)] for *_, edges in results if (method, key) in edges]
-            at_edge, extended = (float(share) for share in np.mean(flags, axis=0)) if flags else (None, None)
-            method_reports[method] = MethodReport(
-                method=method,
-                misspecified=key,
-                integrated_abs_bias=bias,
-                integrated_rmse=rmse,
-                integrated_sd=sd,
-                failures=n_fail,
-                flagged=n_fail > 0.1 * reps,
-                coverage=coverage,
-                mean_width=width,
-                bandwidth_at_grid_edge=at_edge,
-                bandwidth_extended=extended,
-            )
-            if curve_archive is not None:
-                curve_archive[method] = psis
+    for p, key in enumerate(perm_keys):
+        jobs = {method: _Jobs(*(part[:, p, m] for part in stack)) for m, method in enumerate(config.methods)}
         reports[key] = ScenarioReport(
             config=config,
             misspecified=key,
             truth=truth,
-            methods=method_reports,
-            curves=curve_archive,
+            methods={m: _method_report(truth, key, m, config.inference.ci_methods, job) for m, job in jobs.items()},
+            # Copies, so that an archived curve does not keep the stack alive.
+            curves={method: job.psi.copy() for method, job in jobs.items()} if config.keep_curves else None,
         )
     return reports
-

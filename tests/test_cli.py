@@ -10,6 +10,7 @@ import yaml
 
 from dosedid.cli import dispatch
 from dosedid.data import PanelDataset, TwoPeriodDataset, write_panel
+from dosedid.errors import EstimationError
 from dosedid.simulation import generate_placebo_panel, generate_scenario_data
 
 
@@ -263,6 +264,44 @@ def test_simulate_command(tmp_path):
         assert rows["OR"][name] == "" and or_[name] is None
 
 
+def test_simulate_reports_failed_bands(tmp_path, monkeypatch):
+    """A sandwich band that raises is counted in report.csv's
+    ``inference_failures_sandwich`` and summary.json's
+    ``inference_failures``, and leaves no coverage or width behind. The
+    report keeps its columns, the failure counts last."""
+
+    def failing(*args, **kwargs):
+        raise EstimationError("provoked")
+
+    monkeypatch.setattr("dosedid.simulation.sandwich_bands", failing)
+    payload = {
+        "seed": 5,
+        "output": str(tmp_path / "sim"),
+        "workers": 1,
+        "methods": ["MR", "OR"],
+        "inference": {"method": "sandwich"},
+        "scenario": {"n": 120, "replicates": 2},
+    }
+    assert dispatch(["simulate", "-c", str(_write_config(tmp_path, "sim.yaml", payload))]) == 0
+    with (tmp_path / "sim" / "report.csv").open(encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = {row["method"]: row for row in reader}
+    assert reader.fieldnames == [
+        "method", "misspecified", "integrated_abs_bias", "integrated_rmse", "integrated_sd", "failures", "flagged",
+        "coverage_sandwich", "coverage_bootstrap", "width_sandwich", "width_bootstrap", "bandwidth_at_grid_edge",
+        "bandwidth_extended", "inference_failures_sandwich", "inference_failures_bootstrap",
+    ]  # fmt: skip
+    assert (rows["MR"]["inference_failures_sandwich"], rows["MR"]["coverage_sandwich"]) == ("2", "")
+    assert rows["MR"]["inference_failures_bootstrap"] == rows["OR"]["inference_failures_sandwich"] == ""
+    summary = json.loads((tmp_path / "sim" / "summary.json").read_text())["scenarios"]["none"]
+    assert summary["MR"]["inference_failures"] == {"sandwich": 2}
+    assert summary["MR"]["coverage"] == summary["MR"]["mean_width"] == summary["OR"]["inference_failures"] == {}
+    assert set(summary["MR"]) == {
+        "integrated_abs_bias", "integrated_rmse", "integrated_sd", "failures", "coverage", "mean_width",
+        "bandwidth_at_grid_edge", "bandwidth_extended", "inference_failures",
+    }  # fmt: skip
+
+
 def test_simulate_permutations_list(tmp_path):
     payload = {
         "seed": 6,
@@ -453,6 +492,8 @@ def test_bad_grid_is_one_config_error(tmp_path, panel_file, capsys, monkeypatch,
             "methods: expected a list of method names (MR, MR_PARAMETRIC, OR, IPW, NAIVE, TWFE), got 'NAIVE'",
         ),
         ("truth", {"grid_size": 3.9}, "grid_size: expected an integer, got 3.9"),
+        ("simulate", {"scenario": {"n": 200, "super_n": 5000}}, "scenario: super_n must be at least 10,000, got 5000"),
+        ("truth", {"super_n": 5000}, "super_n: super_n must be at least 10,000, got 5000"),
     ],
     ids=[
         "top-level-key",
@@ -485,6 +526,8 @@ def test_bad_grid_is_one_config_error(tmp_path, panel_file, capsys, monkeypatch,
         "grid-size-fraction",
         "methods-text",
         "truth-grid-size",
+        "scenario-super-n-small",
+        "truth-super-n-small",
     ],
 )
 def test_wrong_config_is_a_config_error_before_any_data_is_read(

@@ -418,6 +418,16 @@ def test_expit_stable():
     p = expit(z)
     assert np.all(np.isfinite(p))
     assert abs(p[2] - 0.5) < 1e-15
+    # Bitwise the two-branch form, which takes exp only of non-positive
+    # arguments, at the ends of exp's range, at the infinities and at NaN.
+    z = np.array([-745.0, 745.0, -np.inf, np.inf, np.nan, -0.0, -36.7, 36.7, -1e-300, 1e-300])
+    z = np.concatenate([z, np.random.default_rng(5).normal(scale=30.0, size=1000)])
+    two_branch = np.empty_like(z)
+    pos = z >= 0
+    two_branch[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    two_branch[~pos] = ez / (1.0 + ez)
+    assert expit(z).tobytes() == two_branch.tobytes()
 
 
 def test_loo_candidate_with_a_tied_leave_one_out_window_is_infeasible():

@@ -37,3 +37,19 @@ def test_option_audit_fails_on_an_option_only_tests_set(tmp_path):
     proc = _audit(tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "m.py: f(a)" in proc.stdout
+
+
+def test_option_audit_counts_a_fields_walk_as_reading_every_field(tmp_path):
+    """A field that code reads only through ``dataclasses.fields`` of its
+    class is read; the same field with no such walk is listed unread."""
+    package = tmp_path / "src" / "dosedid"
+    package.mkdir(parents=True)
+    source = "from dataclasses import dataclass\n\n\n@dataclass\nclass C:\n    unseen: int\n"
+    (package / "m.py").write_text(source, encoding="utf-8")
+    proc = _audit(tmp_path)
+    assert proc.returncode == 1 and "m.py: C.unseen" in proc.stdout, proc.stdout + proc.stderr
+    walk = "import dataclasses\n\nfrom dosedid.m import C\n\nprint([f.name for f in dataclasses.fields(C)])\n"
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "s.py").write_text(walk, encoding="utf-8")
+    proc = _audit(tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

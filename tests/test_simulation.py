@@ -10,6 +10,7 @@ from counting import count_formations
 from dosedid import curves, nuisance, simulation
 from dosedid.config import parse_inference, parse_scenario, parse_specs
 from dosedid.curves import METHODS, estimate_curve
+from dosedid.errors import EstimationError
 from dosedid.numeric import expit
 from dosedid.simulation import (
     ROLE_DATA,
@@ -254,7 +255,8 @@ def _oracle_study(monkeypatch, cfg, truth, psi):
     every replicate's every curve is ``psi`` and it has no bands."""
 
     def oracle(config, perm_keys, truth, rep):
-        return {(m, k): psi for m in config.methods for k in perm_keys}, {}, {}, {}
+        jobs = len(perm_keys) * len(config.methods)
+        return np.tile(psi, (jobs, 1)), np.full((jobs, 2), np.nan), np.zeros((jobs, 0, 2, psi.size)), np.zeros((jobs, 0))
 
     monkeypatch.setattr(simulation, "_replicate_worker", oracle)
     return run_permutation_study(cfg, [cfg.misspecified], truth=truth)[()]
@@ -329,9 +331,8 @@ def test_model_bank_shares_fits_across_permutations(monkeypatch):
         monkeypatch.setattr(nuisance, name, counted(name, getattr(nuisance, name)))
     cfg = ScenarioConfig(n=300, replicates=1, seed=33, methods=METHODS, super_n=20_000)
     truth = ground_truth_curve(33, 20_000)
-    curves, _, failures, _ = _replicate_worker(cfg, [tuple(sorted(p)) for p in all_permutations()], truth, 0)
-    assert failures == {}
-    assert len(curves) == 16 * len(METHODS)
+    psi, *_ = _replicate_worker(cfg, [tuple(sorted(p)) for p in all_permutations()], truth, 0)
+    assert psi.shape == (16 * len(METHODS), truth.grid.size) and not np.any(np.isnan(psi))  # no job failed
     assert calls == Counter(fit_pi_a=2, fit_pi_d=2, fit_mu1=2, fit_mu0=2, marginalize=4)
 
 
@@ -349,11 +350,10 @@ def test_one_leave_one_out_pass_per_replicate(monkeypatch):
     monkeypatch.setattr(curves, "robust_select_bandwidth", counted)
     cfg = ScenarioConfig(n=300, replicates=1, seed=33, methods=METHODS, super_n=20_000)
     truth = ground_truth_curve(33, 20_000)
-    out, _, failures, edges = _replicate_worker(cfg, [tuple(sorted(p)) for p in all_permutations()], truth, 0)
-    assert failures == {}
-    assert len(out) == 16 * len(METHODS)
+    psi, edges, _, _ = _replicate_worker(cfg, [tuple(sorted(p)) for p in all_permutations()], truth, 0)
+    assert psi.shape == (16 * len(METHODS), truth.grid.size) and not np.any(np.isnan(psi))  # no job failed
     assert stacks == [(7, generate_scenario_data(300, stream_seed(33, 0, ROLE_DATA)).n_treated)]
-    assert len(edges) == 16 * 3
+    assert np.count_nonzero(~np.isnan(edges[:, 0])) == 16 * 3
 
 
 def test_one_replicate_assembles_each_design_once_per_call(monkeypatch):
@@ -381,8 +381,8 @@ def test_one_replicate_assembles_each_design_once_per_call(monkeypatch):
     monkeypatch.setattr(curves, "compute_theta0", counted("theta0", theta0))
     cfg = ScenarioConfig(n=1000, replicates=1, seed=1, methods=METHODS)
     perms = [tuple(sorted(p)) for p in all_permutations()]
-    out, _, failures, _ = _replicate_worker(cfg, perms, ground_truth_curve(1), 0)
-    assert failures == {} and len(out) == 16 * len(METHODS)
+    psi, *_ = _replicate_worker(cfg, perms, ground_truth_curve(1), 0)
+    assert psi.shape == (16 * len(METHODS), 50) and not np.any(np.isnan(psi))  # no job failed
     assert counts["designs"] <= 26
     assert counts["maps"] <= 17
     assert (counts["dose weights"], counts["control weights"], counts["pi_a(X)"]) == (2, 2, 2)
@@ -404,6 +404,45 @@ def test_run_study_with_inference_smoke():
     assert set(mr.coverage) == {"sandwich", "bootstrap"}
     assert 0.0 <= mr.coverage["sandwich"] <= 100.0
     assert mr.mean_width["bootstrap"] > 0.0
+
+
+@pytest.mark.parametrize("failing", ["sandwich", "bootstrap"])
+def test_a_band_that_raises_is_counted_and_left_out_of_its_coverage(monkeypatch, failing):
+    """When one replicate of four raises in its ``failing`` band, MR reports
+    that band's failure count as 1 and takes its coverage and width over the
+    other three replicates; the other band forms in all four."""
+    cfg = ScenarioConfig(
+        n=150, replicates=4, seed=43, workers=1, inference=InferenceConfig(method="both", b_replicates=10)
+    )
+    provoking = generate_scenario_data(cfg.n, stream_seed(cfg.seed, 2, ROLE_DATA)).y1
+    formed = {"sandwich": [], "bootstrap": []}
+
+    def recorded(ci_method, make, ends):
+        def wrapper(data, *args, **kwargs):
+            if ci_method == failing and np.array_equal(data.y1, provoking):
+                raise EstimationError("provoked")
+            out = make(data, *args, **kwargs)
+            formed[ci_method].append(ends(out))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(simulation, "sandwich_bands", recorded("sandwich", simulation.sandwich_bands, lambda out: out[:2]))
+    monkeypatch.setattr(
+        simulation,
+        "weighted_bootstrap",
+        recorded("bootstrap", simulation.weighted_bootstrap, lambda out: (out.ci_lower, out.ci_upper)),
+    )
+    truth = ground_truth_curve(cfg.seed)
+    mr = run_permutation_study(cfg, [()], truth=truth)[()].methods["MR"]
+    assert mr.failures == 0
+    assert mr.inference_failures == {ci_method: int(ci_method == failing) for ci_method in formed}
+    for ci_method, ends in formed.items():
+        assert len(ends) == (3 if ci_method == failing else 4)
+        lo, hi = np.array([e[0] for e in ends]), np.array([e[1] for e in ends])
+        covered = np.mean((lo <= truth.psi_true) & (truth.psi_true <= hi), axis=0)
+        assert mr.coverage[ci_method] == pytest.approx(100.0 * np.sum(truth.density_weights * covered), rel=1e-12)
+        assert mr.mean_width[ci_method] == pytest.approx(np.sum(truth.density_weights * (hi - lo).mean(axis=0)), rel=1e-12)
 
 
 def test_parallel_workers_match_serial():
@@ -443,6 +482,7 @@ def test_scenario_config_validation():
         ScenarioConfig(n=100, replicates=0)
     with pytest.raises(ValueError):
         ScenarioConfig(n=100, replicates=1, methods=("MR", "NOPE"))
+    assert ScenarioConfig(n=100, methods=("MR", "OR", "MR")).methods == ("MR", "OR")
     with pytest.raises(ValueError):
         InferenceConfig(method="jackknife")
     with pytest.raises(ValueError):

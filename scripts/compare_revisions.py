@@ -31,7 +31,8 @@ at n = 1,000 (study seed 1, as the ``study-n1000`` benchmark runs it) on a
 curves do not depend on how the truth is computed, with each curve's
 bandwidth and its two edge flags (``bandwidth_at_grid_edge``,
 ``bandwidth_extended``) as the ``EffectCurveEstimate`` the engine builds
-holds them; every ``MethodReport`` field of a six-method study of three
+holds them, and every ``MethodReport`` field of its 96 (permutation,
+method) cells; every ``MethodReport`` field of a six-method study of three
 permutations at n = 200 (6 replicates, seed 3, sandwich and bootstrap
 bands with B = 20) against a fixed truth, run on 1 and on 2 workers; and
 the study truth, ``ground_truth_curve(1)``. It records the type name of every point
@@ -158,6 +159,10 @@ def dump(src: str, out: str) -> None:
     finally:
         curves.EffectCurveEstimate.__post_init__ = post_init
     record["study"] = {(key, m): c for key, report in reports.items() for m, c in report.curves.items()}
+    # The benchmark's shape: one replicate, so integrated_sd takes its one-replicate branch.
+    record[("study reports", "n1000")] = {
+        (key, m): dataclasses.asdict(r) for key, report in reports.items() for m, r in report.methods.items()
+    }
     # A report holds each curve's psi, which finds the curve's selection.
     record["study bandwidths"] = {name: selections[(name[1], c[0].tobytes())] for name, c in record["study"].items()}
     # A curve near the estimates', so that coverage reads neither 0 nor 100 throughout.
@@ -324,17 +329,18 @@ def compare(before_path: str, after_path: str) -> int:
                 if a.get(name) != vb:
                     bad.append(f"study bandwidth {name}: {vb!r} -> {a.get(name)!r}")
         elif key[0] == "study reports":
+            study = f"{key[1]} workers" if isinstance(key[1], int) else key[1]
             if set(a) != set(b):
-                bad.append(f"study report keys ({key[1]} workers)")
+                bad.append(f"study report keys ({study})")
             new = {field for fields in a.values() for field in fields} - {field for fields in b.values() for field in fields}
             if new:
-                print(f"study report fields not in BEFORE ({key[1]} workers, not gated): {', '.join(sorted(new))}")
+                print(f"study report fields not in BEFORE ({study}, not gated): {', '.join(sorted(new))}")
             for name, fields in b.items():
                 for field, vb in fields.items():
                     same = name in a and _same(a[name].get(field), vb)
                     unequal["study report fields (bitwise)"] += not same
                     if not same:
-                        bad.append(f"study report {name} {field} ({key[1]} workers)")
+                        bad.append(f"study report {name} {field} ({study})")
         elif key == "manifest":
             unequal["manifest diagnostics"] += a != b
             if a != b:

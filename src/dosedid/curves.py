@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import TwoPeriodDataset
-from .errors import BandwidthError, DoseDidError, EstimationError
+from .errors import BandwidthError, DoseDidError, EstimationError, once
 from .numeric import WindowedMoments, default_bandwidth_grid, fit_wls, linear_predictor
 from .nuisance import DENSITY_FLOOR, VALID_WHICH, NuisanceModelSet, NuisanceSpec, default_dose_grid, fit_nuisances
 from .pseudo import OutcomeTerms, compute_theta0, compute_xi_terms, control_weights_of, dose_weights_of
@@ -106,6 +106,10 @@ class EffectCurveEstimate:
     ``theta0`` is a Python float. An MR curve keeps in ``terms`` the
     outcome part it was built from (xi, theta00, theta01, mu0(X) and the
     smoother window of xi), which its sandwich reads (D19).
+
+    Its arrays are read-only. ``estimate_curves`` gives one estimate to
+    every job of the same method and model set, so many keys may hold it:
+    no code changes its ``diagnostics`` dict (D23).
     """
 
     method: str
@@ -264,7 +268,7 @@ def _smoothed_curves(data, formed: dict, grid, bandwidth) -> dict:
         return dict.fromkeys(formed, exc)
     for row, ((key, (target, diagnostics)), (h, selection)) in enumerate(zip(formed.items(), picked)):
         try:
-            theta = _once(fits, h, window.fit, grid, h)[0][row]
+            theta = once(fits, h, window.fit, grid, h)[0][row]
             out[key] = theta, float(h), {**diagnostics, **selection}, (target, window.row(row))
         except DoseDidError as exc:
             out[key] = exc
@@ -295,19 +299,6 @@ def _scalar(value):
     if isinstance(value, (np.ndarray, np.generic)) and value.shape == ():
         return value.item()
     return value
-
-
-def _once(memo: dict, key, make, *args):
-    """``make(*args)``, made once per ``key`` of ``memo``; a DoseDidError it
-    raises is kept and raised again on every use."""
-    if key not in memo:
-        try:
-            memo[key] = make(*args)
-        except DoseDidError as exc:
-            memo[key] = exc
-    if isinstance(memo[key], DoseDidError):
-        raise memo[key]
-    return memo[key]
 
 
 def _source(models, needs) -> tuple:
@@ -371,11 +362,11 @@ def dose_sides(data, jobs, grid, bandwidth, on_out_of_range) -> dict:
         formula, source = _SHARES.get(method, method), _source(models, DOSE_NEEDS[method])
         curve_of[key] = curve = method, source
         try:
-            target = _once(formed, (formula, source), _dose_target, data, formula, models, on_out_of_range)
+            target = once(formed, (formula, source), _dose_target, data, formula, models, on_out_of_range)
             if method in SMOOTHED_METHODS:
                 smoothed[curve] = target
             else:
-                _once(done, curve, _unsmoothed_curve, data, method, models, target, grid, bandwidth)
+                once(done, curve, _unsmoothed_curve, data, method, models, target, grid, bandwidth)
         except DoseDidError as exc:
             done[curve] = exc
     done.update(_smoothed_curves(data, smoothed, grid, bandwidth))
@@ -425,17 +416,24 @@ def estimate_curves(
     is computed once per formula (MR_PARAMETRIC's is MR's) and ``_source``
     (docs/DECISIONS.md, D13). An MR curve keeps its two sides' outcome
     terms (D19).
+
+    Jobs of one method and one model set object share one result, so many
+    keys may hold one EffectCurveEstimate: no code changes its
+    ``diagnostics`` dict (D23).
     """
-    doses = dose_sides(data, jobs, grid, bandwidth, on_out_of_range)
+    distinct: dict = {}
+    for method, models in jobs.values():
+        distinct.setdefault((method, id(models)), (method, models))
+    doses = dose_sides(data, distinct, grid, bandwidth, on_out_of_range)
     controls: dict = {}
     out: dict = {}
-    for key, (method, models) in jobs.items():
+    for key, (method, models) in distinct.items():
         source = _SHARES.get(method, method), _source(models, CONTROL_NEEDS[method])
         try:
             if isinstance(doses[key], DoseDidError):
                 raise doses[key]
             theta, h, dose_diagnostics, smoothed = doses[key]
-            theta0, control_diagnostics, parts = _once(controls, source, _control_side, data, source[0], models)
+            theta0, control_diagnostics, parts = once(controls, source, _control_side, data, source[0], models)
             terms = None
             if method == "MR":
                 xi, window = smoothed
@@ -452,7 +450,7 @@ def estimate_curves(
             )
         except DoseDidError as exc:
             out[key] = exc
-    return out
+    return {key: out[method, id(models)] for key, (method, models) in jobs.items()}
 
 
 def estimate_curve(

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memo that keeps
+them."""
 
 
 class DoseDidError(Exception):
@@ -49,3 +50,19 @@ class ConfigError(DoseDidError):
             problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def once(memo: dict, key, make, *args):
+    """``make(*args)``, made once per ``key`` of ``memo``; a DoseDidError it
+    raises is kept and raised again on every use."""
+    try:
+        value = memo[key]
+    except KeyError:
+        try:
+            value = make(*args)
+        except DoseDidError as exc:
+            value = exc
+        memo[key] = value
+    if isinstance(value, DoseDidError):
+        raise value
+    return value

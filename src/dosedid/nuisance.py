@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import TwoPeriodDataset
-from .errors import FitError
+from .errors import FitError, once
 from .numeric import (
     LinearFit,
     LogisticFit,
@@ -504,6 +504,10 @@ class NuisanceModelSet:
     ``dose_weights`` and ``control_weights`` are the weight parts of its
     pi_d and f, and of its pi_a, on the dataset each names; one read from
     other fitted objects than the set's own (after ``replace``) is dropped.
+
+    A ``ModelBank`` gives one set to every job that reads the same models
+    under the same specs, so many keys may hold one set: no code changes
+    its ``specs`` dict.
     """
 
     pi_a: PropensityModel | None
@@ -700,7 +704,8 @@ class ModelBank:
     ``marginalize`` derives from ``dose_grid``. Model sets for different
     specification permutations therefore share every fit they have in
     common. ``weights`` forms the weight part of each fitted pi_a, and of
-    each fitted pi_d with its f, once, for every model set that holds them.
+    each fitted pi_d with its f, once, for every model set that holds them,
+    and ``models`` builds each set once (docs/DECISIONS.md, D23).
 
     ``treatment_side``, a bank on another period pair of the same units
     (covariates, treatment, doses and weight) and the same ``dose_grid``,
@@ -720,6 +725,7 @@ class ModelBank:
         self._fits: dict = {}
         self._marginals: dict = {}
         self._weights: dict = {}
+        self._sets: dict = {}
 
     def fit(self, name: str, spec: NuisanceSpec):
         if self.treatment_side is not None and name in _TREATMENT_SIDE:
@@ -758,11 +764,19 @@ class ModelBank:
         return self._weights[key]
 
     def models(self, specs: dict[str, NuisanceSpec], which=VALID_WHICH) -> NuisanceModelSet:
-        """The model set for ``which`` under ``specs``, with its marginals."""
+        """The model set for ``which`` under ``specs``, with its marginals.
+
+        The bank keeps one set per ``which`` and the specs of ``which``, and
+        gives every call that asks for it the same object (or raises its
+        build's DoseDidError again), so callers may hold one set under many
+        keys and must not change its ``specs``."""
         which = tuple(which)
         for name in which:
             if name not in specs:
                 raise ValueError(f"missing nuisance spec for {name!r}")
+        return once(self._sets, (which, *(specs[name] for name in which)), self._model_set, specs, which)
+
+    def _model_set(self, specs: dict[str, NuisanceSpec], which: tuple) -> NuisanceModelSet:
         fitted = {name: self.fit(name, specs[name]) for name in VALID_WHICH if name in which}
         m_curve = self.marginal("mu1", specs["mu1"]) if "mu1" in which else None
         f_curve = self.marginal("pi_d", specs["pi_d"]) if "pi_d" in which else None

@@ -418,8 +418,8 @@ def simulation_specs(config: ScenarioConfig, misspecified) -> dict[str, Nuisance
 
 class _Jobs(NamedTuple):
     """Arrays over a study's jobs: one replicate's record over its J jobs
-    (``_replicate_worker``), their stack with the axes (replicate,
-    permutation, method) in front, or one job's (R, ...) slice of it."""
+    (``_replicate_worker``), or their stack with the axes (replicate,
+    permutation, method) in front."""
 
     psi: np.ndarray  # (K,) per job, NaN where the job failed
     edges: np.ndarray  # (2,): at the grid's high edge, extended; NaN where no bandwidth was selected
@@ -427,17 +427,19 @@ class _Jobs(NamedTuple):
     band_failed: np.ndarray  # (C,): whether MR's band of each of those ci-methods raised
 
 
-def _replicate_worker(config: ScenarioConfig, perm_keys, truth: GroundTruth, rep: int) -> _Jobs:
+def _replicate_worker(config: ScenarioConfig, perm_specs, truth: GroundTruth, rep: int) -> _Jobs:
     """One replicate: shared dataset, per-specification estimates.
 
-    Every curve comes from one ``curves.estimate_curves`` call, with one job
-    per (permutation, method) over one ``ModelBank``. The bank fits each
-    model and marginal, and forms each weight part, once per spec, and the
-    engine computes each side once per set of fitted objects it reads, so a
+    ``perm_specs`` holds each permutation's spec dict. Every curve comes
+    from one ``curves.estimate_curves`` call, with one job per
+    (permutation, method) over one ``ModelBank``. The bank fits each model
+    and marginal, forms each weight part and builds each model set once per
+    spec, the engine builds each curve once per (method, model set) and
+    computes each side once per set of fitted objects it reads, so a
     16-permutation, six-method replicate costs 8 fits, 4 marginals, 4
-    weight parts, 6 theta0s (4 MR, 2 IPW), one leave-one-out pass for the
-    bandwidths of its 7 smoothed curves (4 MR, 2 IPW, 1 NAIVE) and one
-    smoother window for evaluating them.
+    weight parts, 25 model sets, 42 curves, 6 theta0s (4 MR, 2 IPW), one
+    leave-one-out pass for the bandwidths of its 7 smoothed curves (4 MR,
+    2 IPW, 1 NAIVE) and one smoother window for evaluating them.
 
     Returns the record of the J jobs, in permutation order with the methods
     in ``config.methods`` order within each. Its bands are NaN but for MR
@@ -446,12 +448,11 @@ def _replicate_worker(config: ScenarioConfig, perm_keys, truth: GroundTruth, rep
     data = generate_scenario_data(config.n, stream_seed(config.seed, rep, ROLE_DATA))
     bank = ModelBank(data, truth.grid)
     ci_methods = config.inference.ci_methods
-    n_jobs, n_ci, k_grid = len(perm_keys) * len(config.methods), len(ci_methods), truth.grid.size
+    n_jobs, n_ci, k_grid = len(perm_specs) * len(config.methods), len(ci_methods), truth.grid.size
     psi, edges = np.full((n_jobs, k_grid), np.nan), np.full((n_jobs, 2), np.nan)
     bands, band_failed = np.full((n_jobs, n_ci, 2, k_grid), np.nan), np.zeros((n_jobs, n_ci), dtype=bool)
     jobs: dict = {}
-    for p, key in enumerate(perm_keys):
-        specs = simulation_specs(config, key)
+    for p, specs in enumerate(perm_specs):
         for m, method in enumerate(config.methods):
             with suppress(DoseDidError):  # the job fails: its psi row stays NaN
                 models = bank.models(specs, DOSE_NEEDS[method] + CONTROL_NEEDS[method])
@@ -486,42 +487,75 @@ def _band(config, data, models, curve, rep, ci_method):
     return result.ci_lower, result.ci_upper
 
 
-def _integrate(weights, values):
-    return float(np.sum(weights * values))
+def _masked_mean(values, mask, count):
+    """The mean over axis 0 of the rows of ``values`` where ``mask`` holds,
+    ``count`` of them, for every trailing cell at once. A row left out is
+    filled with -0.0, which adds exactly nothing, and numpy sums axis 0 row
+    by row, so each cell is bitwise ``np.mean`` of its own rows (D23)."""
+    trailing = (1,) * (values.ndim - mask.ndim)
+    total = np.sum(np.where(mask.reshape(mask.shape + trailing), values, -0.0), axis=0)
+    return total / count.reshape(count.shape + trailing)
 
 
-def _method_report(truth: GroundTruth, key, method: str, ci_methods, job: _Jobs) -> MethodReport:
-    """One method's report under one permutation, from its job's slice of
-    the replicates' stack."""
-    ok = ~np.isnan(job.psi[:, 0])
-    if not np.any(ok):
-        raise EstimationError(f"every replicate failed for {method} under {key!r}")
-    weights, psi_true, psis = truth.density_weights, truth.psi_true, job.psi[ok]
-    n_fail = int(job.psi.shape[0] - ok.sum())
-    coverage, width, band_failures = {}, {}, {}
-    for c, ci_method in enumerate(ci_methods if method == "MR" else ()):
-        band_failures[ci_method] = int(job.band_failed[:, c].sum())
-        formed = ok & ~job.band_failed[:, c]
-        if np.any(formed):
-            lo, hi = job.bands[formed, c, 0], job.bands[formed, c, 1]
-            coverage[ci_method] = 100.0 * _integrate(weights, np.mean((lo <= psi_true) & (psi_true <= hi), axis=0))
-            width[ci_method] = _integrate(weights, np.mean(hi - lo, axis=0))
-    selected = job.edges[~np.isnan(job.edges[:, 0])]
-    at_edge, extended = (float(share) for share in selected.mean(axis=0)) if selected.size else (None, None)
-    return MethodReport(
-        method=method,
-        misspecified=key,
-        integrated_abs_bias=_integrate(weights, np.abs(psis.mean(axis=0) - psi_true)),
-        integrated_rmse=_integrate(weights, np.sqrt(np.mean((psis - psi_true[None, :]) ** 2, axis=0))),
-        integrated_sd=_integrate(weights, psis.std(axis=0, ddof=1) if psis.shape[0] > 1 else np.zeros(psis.shape[1])),
-        failures=n_fail,
-        flagged=n_fail > 0.1 * job.psi.shape[0],
-        coverage=coverage,
-        mean_width=width,
-        bandwidth_at_grid_edge=at_edge,
-        bandwidth_extended=extended,
-        inference_failures=band_failures,
-    )
+def _method_reports(truth: GroundTruth, perm_keys, methods, ci_methods, stack: _Jobs) -> dict:
+    """Each permutation's ``{method: MethodReport}`` from the replicates'
+    (R, P, M, ...) stack, every field of every cell in one pass of masked
+    reductions over the replicate axis (D23)."""
+    ok = ~np.isnan(stack.psi[..., 0])
+    n_ok = np.count_nonzero(ok, axis=0)
+    if not np.all(n_ok):
+        p, m = np.argwhere(n_ok == 0)[0]
+        raise EstimationError(f"every replicate failed for {methods[m]} under {perm_keys[p]!r}")
+    weights, psi_true, n_reps = truth.density_weights, truth.psi_true, stack.psi.shape[0]
+
+    def integrate(values):
+        return np.sum(weights * values, axis=-1)
+
+    selected = ~np.isnan(stack.edges[..., 0])
+    n_selected = np.count_nonzero(selected, axis=0)
+    mean = _masked_mean(stack.psi, ok, n_ok)
+    with np.errstate(invalid="ignore", divide="ignore"):  # cells of one replicate, or none selected
+        sd = np.where((n_ok > 1)[..., None], np.sqrt(_masked_mean(np.square(stack.psi - mean), ok, n_ok - 1)), 0.0)
+        shares = _masked_mean(stack.edges, selected, n_selected)
+    fields = {
+        "integrated_abs_bias": integrate(np.abs(mean - psi_true)),
+        "integrated_rmse": integrate(np.sqrt(_masked_mean((stack.psi - psi_true) ** 2, ok, n_ok))),
+        "integrated_sd": integrate(sd),
+        "failures": n_reps - n_ok,
+        "flagged": n_reps - n_ok > 0.1 * n_reps,
+        "bandwidth_at_grid_edge": np.where(n_selected > 0, shares[..., 0], None),
+        "bandwidth_extended": np.where(n_selected > 0, shares[..., 1], None),
+    }
+    fields = {name: values.tolist() for name, values in fields.items()}
+    bands = {p: {} for p in range(len(perm_keys))}  # MR's band fields per permutation
+    if "MR" in methods and ci_methods:
+        mr = methods.index("MR")
+        lo, hi, failed = stack.bands[:, :, mr, :, 0], stack.bands[:, :, mr, :, 1], stack.band_failed[:, :, mr]
+        formed = ok[:, :, mr, None] & ~failed
+        n_formed = np.count_nonzero(formed, axis=0)
+        inside = np.count_nonzero(formed[..., None] & (lo <= psi_true) & (psi_true <= hi), axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):  # bands formed in no replicate
+            coverage = (100.0 * integrate(inside / n_formed[..., None])).tolist()
+            width = integrate(_masked_mean(hi - lo, formed, n_formed)).tolist()
+        for p, (counts, failures) in enumerate(zip(n_formed.tolist(), np.count_nonzero(failed, axis=0).tolist())):
+            some = [c for c, count in enumerate(counts) if count]
+            bands[p] = {
+                "coverage": {ci_methods[c]: coverage[p][c] for c in some},
+                "mean_width": {ci_methods[c]: width[p][c] for c in some},
+                "inference_failures": dict(zip(ci_methods, failures)),
+            }
+    return {
+        key: {
+            method: MethodReport(
+                method=method,
+                misspecified=key,
+                **{name: values[p][m] for name, values in fields.items()},
+                **(bands[p] if method == "MR" else {}),
+            )
+            for m, method in enumerate(methods)
+        }
+        for p, key in enumerate(perm_keys)
+    }
 
 
 def run_permutation_study(config: ScenarioConfig, permutations, truth: GroundTruth | None = None) -> dict:
@@ -530,27 +564,23 @@ def run_permutation_study(config: ScenarioConfig, permutations, truth: GroundTru
     Returns a dict mapping each permutation (as a sorted name tuple) to its
     ScenarioReport. The replicates run through ``inference.fork_map`` on
     at most ``config.workers`` processes, capped by ``pool_size()``, and
-    each report reads its jobs' slices of the stack of their records.
+    the reports are one reduction of the stack of their records.
     """
     perm_keys = list(dict.fromkeys(tuple(sorted(p)) for p in permutations))
+    perm_specs = [simulation_specs(config, key) for key in perm_keys]
     if truth is None:
         truth = ground_truth_curve(config.seed, config.super_n, config.grid_size)
     records = fork_map(
-        lambda rep: _replicate_worker(config, perm_keys, truth, rep),
+        lambda rep: _replicate_worker(config, perm_specs, truth, rep),
         range(config.replicates),
         min(config.workers, pool_size()),
     )
     axes = (config.replicates, len(perm_keys), len(config.methods))
     stack = _Jobs(*(np.stack(part).reshape(*axes, *part[0].shape[1:]) for part in zip(*records)))
+    methods = _method_reports(truth, perm_keys, config.methods, config.inference.ci_methods, stack)
     reports = {}
     for p, key in enumerate(perm_keys):
-        jobs = {method: _Jobs(*(part[:, p, m] for part in stack)) for m, method in enumerate(config.methods)}
-        reports[key] = ScenarioReport(
-            config=config,
-            misspecified=key,
-            truth=truth,
-            methods={m: _method_report(truth, key, m, config.inference.ci_methods, job) for m, job in jobs.items()},
-            # Copies, so that an archived curve does not keep the stack alive.
-            curves={method: job.psi.copy() for method, job in jobs.items()} if config.keep_curves else None,
-        )
+        # Copies, so that an archived curve does not keep the stack alive.
+        curves = {method: stack.psi[:, p, m].copy() for m, method in enumerate(config.methods)}
+        reports[key] = ScenarioReport(config, key, truth, methods[key], curves if config.keep_curves else None)
     return reports

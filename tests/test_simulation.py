@@ -1,16 +1,19 @@
 """DGP moments, ground truth, and the study harness."""
 
+import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 from counting import count_formations
+from report_reference import method_report
 
 from dosedid import curves, nuisance, simulation
 from dosedid.config import parse_inference, parse_scenario, parse_specs
 from dosedid.curves import METHODS, estimate_curve
-from dosedid.errors import EstimationError
+from dosedid.errors import EstimationError, FitError
 from dosedid.numeric import expit
 from dosedid.simulation import (
     ROLE_DATA,
@@ -250,12 +253,17 @@ def test_ground_truth_ignores_super_n_and_seed():
         ground_truth_curve(0, super_n=9_999)
 
 
+def _perm_specs(cfg):
+    """The spec dicts of the 16 permutations, in ``all_permutations`` order."""
+    return [simulation_specs(cfg, p) for p in all_permutations()]
+
+
 def _oracle_study(monkeypatch, cfg, truth, psi):
     """The report of ``cfg``'s correct-spec study against ``truth`` when
     every replicate's every curve is ``psi`` and it has no bands."""
 
-    def oracle(config, perm_keys, truth, rep):
-        jobs = len(perm_keys) * len(config.methods)
+    def oracle(config, perm_specs, truth, rep):
+        jobs = len(perm_specs) * len(config.methods)
         return np.tile(psi, (jobs, 1)), np.full((jobs, 2), np.nan), np.zeros((jobs, 0, 2, psi.size)), np.zeros((jobs, 0))
 
     monkeypatch.setattr(simulation, "_replicate_worker", oracle)
@@ -271,6 +279,83 @@ def test_metric_sanity_with_oracle_estimator(monkeypatch):
     assert report.coverage == {}  # the oracle has no bands
     exact = _oracle_study(monkeypatch, cfg, truth, truth.psi_true)
     assert exact.methods["MR"].integrated_abs_bias < 1e-12
+
+
+_PERM_KEYS = [(), ("pi_d",), ("mu0", "mu1", "pi_a", "pi_d")]
+
+
+def _synthetic_stack(reps: int, n_ci: int, truth) -> simulation._Jobs:
+    """A (reps, 3, 6, ...) stack of replicate records as the worker writes
+    them: failed jobs' psi, edge and band rows NaN (cell (0, MR) fails in
+    its first replicate, cell (1, MR) succeeds in one replicate only), NaN
+    edge rows for the methods that select no bandwidth and for some that
+    do, and MR bands that raised in every ci-method (one ci-method of cell
+    (2, MR) in every replicate)."""
+    rng = np.random.default_rng(reps * 10 + n_ci)
+    shape, k = (reps, len(_PERM_KEYS), len(METHODS)), truth.grid.size
+    psi = truth.psi_true + 0.3 * rng.standard_normal((*shape, k))
+    failed = rng.random(shape) < (0.3 if reps > 1 else 0.0)
+    mr = METHODS.index("MR")
+    if reps > 1:
+        failed[0] |= np.arange(len(METHODS)) % 2 == 1  # first rows failed in half the cells
+        failed[-1] = False  # so that every cell keeps a success
+        failed[:, 0, mr] = [True] + [False] * (reps - 1)
+        failed[:, 1, mr] = [r != 2 for r in range(reps)]
+    psi[failed] = np.nan
+    edges = rng.integers(0, 2, (*shape, 2)).astype(float)
+    smoothed = np.isin(METHODS, curves.SMOOTHED_METHODS)
+    edges[failed | ~smoothed | (rng.random(shape) < 0.2)] = np.nan
+    spread = np.abs(0.4 * rng.standard_normal((*shape, n_ci, k)))
+    bands = np.stack([psi[..., None, :] - spread, psi[..., None, :] + spread], axis=-2)
+    band_failed = ~failed[..., None] & (rng.random((*shape, n_ci)) < 0.3)
+    band_failed[..., np.arange(len(METHODS)) != mr, :] = False
+    if n_ci:
+        band_failed[:, 2, mr, -1] = ~failed[:, 2, mr]
+    bands[band_failed | failed[..., None]] = np.nan
+    bands[:, :, np.arange(len(METHODS)) != mr] = np.nan
+    return simulation._Jobs(psi, edges, bands, band_failed)
+
+
+def _bitwise_same(a, b) -> bool:
+    """Equal, with floats compared by their bytes and mappings item by item."""
+    if isinstance(b, dict):
+        return isinstance(a, dict) and list(a) == list(b) and all(_bitwise_same(a[k], b[k]) for k in b)
+    if isinstance(b, float):
+        return type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("reps", [1, 5])
+@pytest.mark.parametrize("ci_methods", [(), ("sandwich",), simulation.CI_METHODS], ids=["none", "sandwich", "both"])
+def test_study_report_is_the_per_cell_reduction_bitwise(reps, ci_methods):
+    truth = ground_truth_curve(0, grid_size=9)
+    stack = _synthetic_stack(reps, len(ci_methods), truth)
+    reports = simulation._method_reports(truth, _PERM_KEYS, METHODS, ci_methods, stack)
+    mr = METHODS.index("MR")
+    if reps > 1:
+        assert np.isnan(stack.psi[0, 0, mr, 0]) and np.count_nonzero(~np.isnan(stack.psi[:, 1, mr, 0])) == 1
+    for p, key in enumerate(_PERM_KEYS):
+        for m, method in enumerate(METHODS):
+            job = simulation._Jobs(*(part[:, p, m] for part in stack))
+            expected = dataclasses.asdict(method_report(truth, key, method, ci_methods, job))
+            got = dataclasses.asdict(reports[key][method])
+            assert _bitwise_same(got, expected), (key, method, got, expected)
+    if ci_methods:
+        assert list(reports[_PERM_KEYS[2]]["MR"].coverage) == list(ci_methods[:-1])
+        assert reports[_PERM_KEYS[2]]["MR"].inference_failures[ci_methods[-1]] > 0
+
+
+def test_a_cell_that_failed_in_every_replicate_raises():
+    truth = ground_truth_curve(0, grid_size=9)
+    stack = _synthetic_stack(5, 2, truth)
+    stack.psi[:, 1, METHODS.index("OR")] = np.nan
+    stack.psi[:, 2, METHODS.index("MR")] = np.nan
+    message = re.escape(f"every replicate failed for OR under {_PERM_KEYS[1]!r}")
+    with pytest.raises(EstimationError, match=message):
+        simulation._method_reports(truth, _PERM_KEYS, METHODS, simulation.CI_METHODS, stack)
+    job = simulation._Jobs(*(part[:, 1, METHODS.index("OR")] for part in stack))
+    with pytest.raises(EstimationError, match=message):
+        method_report(truth, _PERM_KEYS[1], "OR", simulation.CI_METHODS, job)
 
 
 def test_study_engine_matches_direct_estimates():
@@ -331,9 +416,79 @@ def test_model_bank_shares_fits_across_permutations(monkeypatch):
         monkeypatch.setattr(nuisance, name, counted(name, getattr(nuisance, name)))
     cfg = ScenarioConfig(n=300, replicates=1, seed=33, methods=METHODS, super_n=20_000)
     truth = ground_truth_curve(33, 20_000)
-    psi, *_ = _replicate_worker(cfg, [tuple(sorted(p)) for p in all_permutations()], truth, 0)
+    psi, *_ = _replicate_worker(cfg, _perm_specs(cfg), truth, 0)
     assert psi.shape == (16 * len(METHODS), truth.grid.size) and not np.any(np.isnan(psi))  # no job failed
     assert calls == Counter(fit_pi_a=2, fit_pi_d=2, fit_mu1=2, fit_mu0=2, marginalize=4)
+
+
+def _job_specs(cfg):
+    """Each job's method and the specs of the models it reads, in the
+    worker's job order."""
+    return [
+        (method, tuple(specs[name] for name in curves.DOSE_NEEDS[method] + curves.CONTROL_NEEDS[method]))
+        for specs in _perm_specs(cfg)
+        for method in cfg.methods
+    ]
+
+
+def test_a_replicate_builds_each_model_set_and_curve_once(monkeypatch):
+    """A 16-permutation, six-method replicate at n = 1,000 builds 25 model
+    sets (16 for MR and MR_PARAMETRIC, 4 for OR, 4 for IPW, 1 for NAIVE and
+    TWFE) and 42 curves (16, 16, 4, 4, 1, 1); jobs that read the same
+    models under the same specs get one set, and jobs of one method among
+    them one curve."""
+    built = Counter()
+    shared = {}
+
+    def counted(name, post_init):
+        def wrapper(obj):
+            built[name] += 1
+            post_init(obj)
+
+        return wrapper
+
+    for owner, name in ((nuisance.NuisanceModelSet, "sets"), (curves.EffectCurveEstimate, "curves")):
+        monkeypatch.setattr(owner, "__post_init__", counted(name, owner.__post_init__))
+    engine = simulation.estimate_curves
+
+    def recorded(data, jobs, grid):
+        out = engine(data, jobs, grid)
+        shared.update(jobs=jobs, out=out)
+        return out
+
+    monkeypatch.setattr(simulation, "estimate_curves", recorded)
+    cfg = ScenarioConfig(n=1000, replicates=1, seed=1, methods=METHODS)
+    psi, *_ = _replicate_worker(cfg, _perm_specs(cfg), ground_truth_curve(1), 0)
+    assert not np.any(np.isnan(psi))  # no job failed
+    assert built == Counter(sets=25, curves=42)
+    jobs, out, keys = shared["jobs"], shared["out"], _job_specs(cfg)
+    assert sorted(jobs) == list(range(16 * len(METHODS)))
+    for i in jobs:
+        for j in jobs:
+            assert (jobs[i][1] is jobs[j][1]) == (keys[i][1] == keys[j][1]), (keys[i], keys[j])
+            assert (out[i] is out[j]) == (keys[i] == keys[j]), (keys[i], keys[j])
+
+
+def test_a_model_set_that_raises_fails_every_job_that_reads_it(monkeypatch):
+    """When mu0's fit raises under the Kang-Schafer map, every job whose
+    set holds that mu0 gets the error and leaves its psi row NaN; the rest
+    form."""
+    fit_mu0 = nuisance.fit_mu0
+
+    def failing(data, spec):
+        if spec.covariate_map == "kang_schafer":
+            raise FitError("provoked")
+        return fit_mu0(data, spec)
+
+    monkeypatch.setattr(nuisance, "fit_mu0", failing)
+    cfg = ScenarioConfig(n=300, replicates=1, seed=33, methods=METHODS, super_n=20_000)
+    psi, *_ = _replicate_worker(cfg, _perm_specs(cfg), ground_truth_curve(33, 20_000), 0)
+    wrong = [
+        "mu0" in curves.CONTROL_NEEDS[method] and "mu0" in perm for perm in all_permutations() for method in METHODS
+    ]
+    assert wrong.count(True) == 8 * 3
+    np.testing.assert_array_equal(np.isnan(psi).all(axis=1), wrong)
+    assert not np.isnan(psi[~np.array(wrong)]).any()
 
 
 def test_one_leave_one_out_pass_per_replicate(monkeypatch):
@@ -350,7 +505,7 @@ def test_one_leave_one_out_pass_per_replicate(monkeypatch):
     monkeypatch.setattr(curves, "robust_select_bandwidth", counted)
     cfg = ScenarioConfig(n=300, replicates=1, seed=33, methods=METHODS, super_n=20_000)
     truth = ground_truth_curve(33, 20_000)
-    psi, edges, _, _ = _replicate_worker(cfg, [tuple(sorted(p)) for p in all_permutations()], truth, 0)
+    psi, edges, _, _ = _replicate_worker(cfg, _perm_specs(cfg), truth, 0)
     assert psi.shape == (16 * len(METHODS), truth.grid.size) and not np.any(np.isnan(psi))  # no job failed
     assert stacks == [(7, generate_scenario_data(300, stream_seed(33, 0, ROLE_DATA)).n_treated)]
     assert np.count_nonzero(~np.isnan(edges[:, 0])) == 16 * 3
@@ -380,8 +535,7 @@ def test_one_replicate_assembles_each_design_once_per_call(monkeypatch):
     monkeypatch.setattr(nuisance, "kang_schafer_map", counted("maps", mapping))
     monkeypatch.setattr(curves, "compute_theta0", counted("theta0", theta0))
     cfg = ScenarioConfig(n=1000, replicates=1, seed=1, methods=METHODS)
-    perms = [tuple(sorted(p)) for p in all_permutations()]
-    psi, *_ = _replicate_worker(cfg, perms, ground_truth_curve(1), 0)
+    psi, *_ = _replicate_worker(cfg, _perm_specs(cfg), ground_truth_curve(1), 0)
     assert psi.shape == (16 * len(METHODS), 50) and not np.any(np.isnan(psi))  # no job failed
     assert counts["designs"] <= 26
     assert counts["maps"] <= 17
@@ -443,6 +597,16 @@ def test_a_band_that_raises_is_counted_and_left_out_of_its_coverage(monkeypatch,
         covered = np.mean((lo <= truth.psi_true) & (truth.psi_true <= hi), axis=0)
         assert mr.coverage[ci_method] == pytest.approx(100.0 * np.sum(truth.density_weights * covered), rel=1e-12)
         assert mr.mean_width[ci_method] == pytest.approx(np.sum(truth.density_weights * (hi - lo).mean(axis=0)), rel=1e-12)
+
+
+def test_archived_curves_own_their_data():
+    """Each ``ScenarioReport.curves`` array is a copy, not a view that would
+    keep the replicates' whole stack alive."""
+    cfg = ScenarioConfig(n=200, replicates=2, seed=53, methods=("MR", "NAIVE"), workers=1, keep_curves=True)
+    reports = run_permutation_study(cfg, [(), ("mu1",)], truth=ground_truth_curve(53))
+    for report in reports.values():
+        for method, curve in report.curves.items():
+            assert curve.shape == (2, 50) and curve.base is None, method
 
 
 def test_parallel_workers_match_serial():
